@@ -9,38 +9,61 @@ IID_BITS = 64
 IID_MASK = (1 << IID_BITS) - 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Ipv6Address:
-    """128-bit address as a 64-bit network prefix plus a 64-bit interface ID."""
+class Ipv6Address(int):
+    """128-bit address as a 64-bit network prefix plus a 64-bit interface ID.
 
-    prefix: int
-    iid: int
+    The address is its own 128-bit integer value, so hashing, equality and
+    ordering run at int speed and agree with `value`. It is immutable and
+    carries no per-instance dict.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.prefix <= IID_MASK:
-            raise ValueError(f"prefix out of 64-bit range: {self.prefix:#x}")
-        if not 0 <= self.iid <= IID_MASK:
-            raise ValueError(f"iid out of 64-bit range: {self.iid:#x}")
+    __slots__ = ()
+
+    def __new__(cls, prefix: int, iid: int) -> "Ipv6Address":
+        return int.__new__(cls, (prefix << IID_BITS) | iid)
+
+    def __init__(self, prefix: int, iid: int):
+        if not 0 <= prefix <= IID_MASK:
+            raise ValueError(f"prefix out of 64-bit range: {prefix:#x}")
+        if not 0 <= iid <= IID_MASK:
+            raise ValueError(f"iid out of 64-bit range: {iid:#x}")
+
+    __hash__ = int.__hash__
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # pickle and copy rebuild the address through __new__(prefix, iid)
+        return (self.prefix, self.iid)
+
+    @property
+    def prefix(self) -> int:
+        return self >> IID_BITS
+
+    @property
+    def iid(self) -> int:
+        return self & IID_MASK
 
     @property
     def value(self) -> int:
-        return (self.prefix << IID_BITS) | self.iid
+        return int(self)
 
     @property
     def packed(self) -> bytes:
-        return self.value.to_bytes(16, "big")
+        return self.to_bytes(16, "big")
 
     @classmethod
     def from_value(cls, value: int) -> "Ipv6Address":
-        return cls(prefix=value >> IID_BITS, iid=value & IID_MASK)
+        return cls(value >> IID_BITS, value & IID_MASK)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Address":
         return cls.from_value(int(ipaddress.IPv6Address(text)))
 
+    def __repr__(self) -> str:
+        return f"Ipv6Address(prefix={self.prefix}, iid={self.iid})"
+
     def __str__(self) -> str:
         # Canonical log format: eight lowercase 4-digit hex groups, no "::".
-        return ipaddress.IPv6Address(self.value).exploded
+        return ipaddress.IPv6Address(int(self)).exploded
 
 
 def random_iid(rng: random.Random) -> int:

@@ -9,7 +9,7 @@ window, and at packet level it really floods.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import Ipv6Address
@@ -20,7 +20,6 @@ from .mobile_host import MobileHost, WindowBlock, WindowUnblock
 from .sas import (
     CommitMessage,
     DirectChannel,
-    PairResult,
     RevealMessage,
     SasAbort,
     ShareMessage,
@@ -66,7 +65,7 @@ class FloodStats:
 class _Emit:
     stop_us: int
     target: Ipv6Address
-    rate_pps: float
+    interval_s: float
     payload_size: int
     spoof: bool
 
@@ -91,24 +90,24 @@ class Flooder(Node):
                       spoof: bool = False) -> None:
         self.sim.call_at(start, self.node_id,
                          _Emit(stop_us=stop.micros, target=target,
-                               rate_pps=rate_pps, payload_size=payload_size,
-                               spoof=spoof))
+                               interval_s=1.0 / rate_pps,
+                               payload_size=payload_size, spoof=spoof))
 
     def on_timer(self, token: object) -> None:
         if not isinstance(token, _Emit):
             return
-        if self.sim.now.micros >= token.stop_us:
+        sim = self.sim
+        if sim.now.micros >= token.stop_us:
             return
         if token.spoof:
-            src = Ipv6Address(self.sim.rng.getrandbits(64),
-                              self.sim.rng.getrandbits(64))
+            src = Ipv6Address(sim.rng.getrandbits(64), sim.rng.getrandbits(64))
         else:
             src = self.address
-        self.sim.send(Packet(src=src, dst=token.target,
-                             payload=Ping(self.stats.sent),
-                             size_bytes=token.payload_size))
-        self.stats.sent += 1
-        self.sim.call_in(1.0 / token.rate_pps, self.node_id, token)
+        stats = self.stats
+        sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent),
+                        size_bytes=token.payload_size))
+        stats.sent += 1
+        sim.call_in(token.interval_s, self.node_id, token)
 
     def on_packet(self, packet: Packet) -> None:
         # attacker ignores reply content; silence tells it nothing either

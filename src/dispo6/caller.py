@@ -202,33 +202,57 @@ class CallerNode(Node):
     # -- engine callbacks --------------------------------------------------------
 
     def on_packet(self, packet: Packet) -> None:
-        payload = packet.payload
-        if isinstance(payload, (AddressResponse, HipChallengeMsg, Refusal)):
-            session = self._sessions.get(payload.request_id)
-            if session is not None:
-                session.on_message(payload)
-            return
-        if isinstance(payload, CallAccept):
-            self._finish_call(payload.call_id, CallOutcome.CONNECTED)
-            return
-        if isinstance(payload, CallReject):
-            self._finish_call(payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
-            return
-        if isinstance(payload, PeerBindingUpdate):
-            self._route_cache[payload.home_address] = payload.care_of
-            return
-        if isinstance(payload, Ping):
-            self.sim.send(Packet(src=self.address, dst=packet.src,
-                                 payload=Pong(payload.seq)))
+        handler = self._packet_handlers.get(type(packet.payload))
+        if handler is not None:
+            handler(self, packet)
+
+    def _on_session_message(self, packet: Packet) -> None:
+        session = self._sessions.get(packet.payload.request_id)
+        if session is not None:
+            session.on_message(packet.payload)
+
+    def _on_call_accept(self, packet: Packet) -> None:
+        self._finish_call(packet.payload.call_id, CallOutcome.CONNECTED)
+
+    def _on_call_reject(self, packet: Packet) -> None:
+        self._finish_call(packet.payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
+
+    def _on_peer_binding_update(self, packet: Packet) -> None:
+        self._route_cache[packet.payload.home_address] = packet.payload.care_of
+
+    def _on_ping(self, packet: Packet) -> None:
+        self.sim.send(Packet(src=self.address, dst=packet.src,
+                             payload=Pong(packet.payload.seq)))
+
+    _packet_handlers = {
+        AddressResponse: _on_session_message,
+        HipChallengeMsg: _on_session_message,
+        Refusal: _on_session_message,
+        CallAccept: _on_call_accept,
+        CallReject: _on_call_reject,
+        PeerBindingUpdate: _on_peer_binding_update,
+        Ping: _on_ping,
+    }
 
     def on_timer(self, token: object) -> None:
-        if isinstance(token, SessionTimer):
-            session = self._sessions.get(token.request_id)
-            if session is not None:
-                session.on_timer(token)
-            return
-        if isinstance(token, CallTimeout):
-            self._finish_call(token.call_id, CallOutcome.FAILED)
-            return
-        if isinstance(token, StartCall) and self.on_start_call is not None:
+        handler = self._timer_handlers.get(type(token))
+        if handler is not None:
+            handler(self, token)
+
+    def _on_session_timer(self, token: SessionTimer) -> None:
+        session = self._sessions.get(token.request_id)
+        if session is not None:
+            session.on_timer(token)
+
+    def _on_call_timeout(self, token: CallTimeout) -> None:
+        self._finish_call(token.call_id, CallOutcome.FAILED)
+
+    def _on_start_call(self, token: StartCall) -> None:
+        if self.on_start_call is not None:
             self.on_start_call(self, token)
+
+    _timer_handlers = {
+        SessionTimer: _on_session_timer,
+        CallTimeout: _on_call_timeout,
+        StartCall: _on_start_call,
+    }

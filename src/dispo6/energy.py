@@ -164,13 +164,15 @@ class EnergyAccount:
     dead: bool = False
     dead_at: SimTime | None = None
     last_activity: SimTime = field(init=False)
-    _last_update: SimTime = field(init=False)
+    _sleep_us: int = field(init=False)
+    _last_us: int = field(init=False)  # idle drain is integrated up to here
 
     def __post_init__(self):
         if self.sleep_timeout_s <= 0:
             raise ValueError("sleep timeout must be positive")
+        self._sleep_us = round(self.sleep_timeout_s * US_PER_SECOND)
         self.last_activity = self.started_at
-        self._last_update = self.started_at
+        self._last_us = self.started_at.micros
 
     @property
     def remaining(self) -> float:
@@ -179,8 +181,7 @@ class EnergyAccount:
         return max(0.0, self.battery.capacity + self.recharged - total)
 
     def state_at(self, now: SimTime) -> RadioState:
-        if now.micros - self.last_activity.micros >= round(
-                self.sleep_timeout_s * US_PER_SECOND):
+        if now.micros - self.last_activity.micros >= self._sleep_us:
             return RadioState.POWER_SAVE
         return RadioState.ACTIVE
 
@@ -191,21 +192,18 @@ class EnergyAccount:
 
     def advance(self, now: SimTime) -> None:
         """Integrate idle drain up to `now`, splitting at the sleep boundary."""
-        if self.dead:
-            self._last_update = max(self._last_update, now)
-            return
-        a = self._last_update.micros
+        a = self._last_us
         b = now.micros
+        if self.dead:
+            self._last_us = max(a, b)
+            return
         if b <= a:
             return
-        sleep_at = self.last_activity.micros + round(
-            self.sleep_timeout_s * US_PER_SECOND)
-        active_us = max(0, min(b, max(a, sleep_at)) - a)
-        ps_us = (b - a) - active_us
-        self._charge_idle(active_us, RadioState.ACTIVE)
+        # the radio stays active from a until the sleep instant, then naps
+        active_end = min(b, max(a, self.last_activity.micros + self._sleep_us))
+        self._charge_idle(active_end - a, RadioState.ACTIVE)
         if not self.dead:
-            self._charge_idle(ps_us, RadioState.POWER_SAVE)
-        self._last_update = now if not self.dead else self._last_update
+            self._charge_idle(b - active_end, RadioState.POWER_SAVE)
 
     def _charge_idle(self, duration_us: int, state: RadioState) -> None:
         if duration_us <= 0:
@@ -221,11 +219,11 @@ class EnergyAccount:
             # the budget goes with it so a dead battery reads exactly empty
             self._accumulate(state, survive_us, budget)
             self.dead = True
-            self.dead_at = SimTime(self._last_update.micros + survive_us)
-            self._last_update = self.dead_at
+            self._last_us += survive_us
+            self.dead_at = SimTime(self._last_us)
             return
         self._accumulate(state, duration_us, cost)
-        self._last_update = SimTime(self._last_update.micros + duration_us)
+        self._last_us += duration_us
 
     def _accumulate(self, state: RadioState, duration_us: int, cost: float) -> None:
         if state is RadioState.ACTIVE:
@@ -239,14 +237,23 @@ class EnergyAccount:
         """Charge one packet. Returns False when the host is (or just went) dead."""
         if self.dead:
             return False
-        self.advance(now)
-        if self.dead:
-            return False
+        if now.micros > self._last_us:
+            self.advance(now)
+            if self.dead:
+                return False
         cost = self.params.packet_cost(kind)
-        self.consumed_packets += min(cost, self.remaining)
+        # `remaining` before and after the charge, spelled out: the same
+        # float operations in the same order, without the property calls
+        budget = self.battery.capacity + self.recharged
+        remaining = budget - (self.consumed_packets + self.consumed_active
+                              + self.consumed_powersave)
+        if remaining < cost:
+            cost = remaining if remaining > 0.0 else 0.0
+        self.consumed_packets += cost
         self.packets += 1
         self.last_activity = now
-        if self.remaining <= 0.0:
+        if budget - (self.consumed_packets + self.consumed_active
+                     + self.consumed_powersave) <= 0.0:
             self.dead = True
             self.dead_at = now
             return False
@@ -257,7 +264,7 @@ class EnergyAccount:
             raise ValueError("negative idle tick")
         if dt_s == 0:
             return
-        self.advance(SimTime(self._last_update.micros + round(dt_s * US_PER_SECOND)))
+        self.advance(SimTime(self._last_us + round(dt_s * US_PER_SECOND)))
 
     def recharge(self, now: SimTime) -> None:
         """Explicit full recharge; the only way out of the Dead state."""
@@ -266,4 +273,4 @@ class EnergyAccount:
         self.dead = False
         self.dead_at = None
         self.last_activity = now
-        self._last_update = now
+        self._last_us = now.micros

@@ -3,14 +3,24 @@
 One seeded PRNG is owned by the engine and shared by every component, so a
 (seed, scenario) pair fully determines a run. Time is fixed-point integer
 microseconds to keep day/hour arithmetic exact over 1000-day horizons.
+
+The queue is a heap of plain tuples ``(us, seq, target, is_timer, payload)``:
+fire time in integer microseconds, a scheduling sequence number that breaks
+ties in scheduling order, the target node id, whether the payload is a timer
+token (``on_timer``) or a packet (``on_packet``), and the payload itself.
+The engine keeps the current instant as an int; ``now`` is a `SimTime` that
+is rebuilt only when the event loop moves to a later instant, so every
+event at one instant shares one ``now`` object.
 """
 
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .addressing import Ipv6Address
+from .messages import record
 
 US_PER_SECOND = 1_000_000
 US_PER_MINUTE = 60 * US_PER_SECOND
@@ -63,9 +73,6 @@ class SimTime:
     def __add__(self, other: "SimTime") -> "SimTime":
         return SimTime(self.micros + other.micros)
 
-    def __sub__(self, other: "SimTime") -> "SimTime":
-        return SimTime(self.micros - other.micros)
-
     def plus_seconds(self, seconds: float) -> "SimTime":
         return SimTime(self.micros + round(seconds * US_PER_SECOND))
 
@@ -87,29 +94,14 @@ class LinkModel:
             raise ValueError("loss probability outside [0,1]")
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """Routable unit: addresses plus an opaque payload dataclass."""
+@record
+class Packet(NamedTuple):
+    """Routable unit: addresses plus an opaque payload."""
 
     src: Ipv6Address
     dst: Ipv6Address
     payload: object
     size_bytes: int = 56
-
-
-@dataclass(frozen=True, slots=True)
-class Timer:
-    """Engine-internal wrapper marking a self-scheduled wakeup."""
-
-    token: object
-
-
-@dataclass(slots=True)
-class Event:
-    fire_at: SimTime
-    seq: int
-    target: str
-    payload: object
 
 
 @dataclass(slots=True)
@@ -152,12 +144,16 @@ class Simulator:
                  keep_trace: bool = False):
         self.seed = seed
         self.rng = random.Random(seed)
+        # the link model is fixed for the simulator's life
         self.link = link if link is not None else LinkModel()
+        self._latency_us = round(self.link.latency_s * US_PER_SECOND)
+        self._loss = self.link.loss_probability
+        self._us = 0
         self.now = EPOCH
         self.counters = TrafficCounters()
         self.trace: list[tuple[int, str, object]] | None = [] if keep_trace else None
         self.nodes: dict[str, Node] = {}
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[tuple[int, int, str, bool, object]] = []
         self._seq = itertools.count()
         self._exact_routes: dict[Ipv6Address, str] = {}
         self._prefix_routes: dict[int, str] = {}
@@ -178,26 +174,23 @@ class Simulator:
     def register_prefix_route(self, prefix: int, node_id: str) -> None:
         self._prefix_routes[prefix] = node_id
 
-    def resolve(self, address: Ipv6Address) -> str | None:
-        node_id = self._exact_routes.get(address)
-        if node_id is None:
-            node_id = self._prefix_routes.get(address.prefix)
-        return node_id
-
     # -- scheduling --------------------------------------------------------
 
-    def schedule_at(self, fire_at: SimTime, target: str, payload: object) -> None:
-        if fire_at < self.now:
+    def schedule_at(self, fire_at: SimTime, node_id: str, token: object) -> None:
+        """Wake `node_id` with `token` (its `on_timer`) at `fire_at`."""
+        if fire_at.micros < self._us:
             raise PastEventError(f"event at {fire_at} scheduled at {self.now}")
-        event = Event(fire_at=fire_at, seq=next(self._seq), target=target,
-                      payload=payload)
-        heapq.heappush(self._queue, (fire_at.micros, event.seq, event))
+        heapq.heappush(self._queue, (fire_at.micros, next(self._seq), node_id,
+                                     True, token))
 
     def call_at(self, fire_at: SimTime, node_id: str, token: object) -> None:
-        self.schedule_at(fire_at, node_id, Timer(token))
+        self.schedule_at(fire_at, node_id, token)
 
     def call_in(self, delay_s: float, node_id: str, token: object) -> None:
-        self.call_at(self.now.plus_seconds(delay_s), node_id, token)
+        if delay_s < 0:
+            raise PastEventError(f"negative delay {delay_s} s at {self.now}")
+        heapq.heappush(self._queue, (self._us + round(delay_s * US_PER_SECOND),
+                                     next(self._seq), node_id, True, token))
 
     def send(self, packet: Packet) -> bool:
         """Route a packet. Returns True if a delivery event was scheduled.
@@ -205,54 +198,58 @@ class Simulator:
         Unroutable destinations are black-holed with a counter, the way the
         Internet swallows traffic to deconfigured addresses.
         """
-        self.counters.sent += 1
-        target = self.resolve(packet.dst)
+        counters = self.counters
+        counters.sent += 1
+        target = self._exact_routes.get(packet.dst)
         if target is None:
-            self.counters.unroutable += 1
+            target = self._prefix_routes.get(packet.dst.prefix)
+            if target is None:
+                counters.unroutable += 1
+                return False
+        if self._loss > 0 and self.rng.random() < self._loss:
+            counters.lost += 1
             return False
-        if self.link.loss_probability > 0 and self.rng.random() < self.link.loss_probability:
-            self.counters.lost += 1
-            return False
-        self.counters.in_flight += 1
-        self.schedule_at(self.now.plus_seconds(self.link.latency_s), target, packet)
+        counters.in_flight += 1
+        heapq.heappush(self._queue, (self._us + self._latency_us,
+                                     next(self._seq), target, False, packet))
         return True
 
     # -- event loop ----------------------------------------------------------
 
     def run_until(self, t_end: SimTime) -> int:
         """Process every event with fire_at <= t_end; leaves now == t_end."""
-        processed = 0
-        while self._queue and self._queue[0][0] <= t_end.micros:
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.fire_at
-            self._dispatch(event)
-            processed += 1
-        if t_end > self.now:
+        processed = self._loop(t_end.micros)
+        if t_end.micros > self._us:
+            self._us = t_end.micros
             self.now = t_end
         return processed
 
     def run(self) -> int:
         """Drain the queue entirely."""
-        processed = 0
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.fire_at
-            self._dispatch(event)
-            processed += 1
-        return processed
+        return self._loop(None)
 
     def pending(self) -> int:
         return len(self._queue)
 
-    def _dispatch(self, event: Event) -> None:
-        node = self.nodes.get(event.target)
-        if node is None:
-            return
-        if isinstance(event.payload, Timer):
-            node.on_timer(event.payload.token)
-            return
-        self.counters.in_flight -= 1
-        self.counters.delivered += 1
-        if self.trace is not None:
-            self.trace.append((event.fire_at.micros, event.target, event.payload))
-        node.on_packet(event.payload)
+    def _loop(self, limit_us: int | None) -> int:
+        queue, nodes, counters = self._queue, self.nodes, self.counters
+        trace, pop = self.trace, heapq.heappop
+        processed = 0
+        while queue and (limit_us is None or queue[0][0] <= limit_us):
+            us, _, target, is_timer, payload = pop(queue)
+            if us != self._us:
+                self._us = us
+                self.now = SimTime(us)
+            processed += 1
+            node = nodes.get(target)
+            if node is None:
+                continue
+            if is_timer:
+                node.on_timer(payload)
+                continue
+            counters.in_flight -= 1
+            counters.delivered += 1
+            if trace is not None:
+                trace.append((us, target, payload))
+            node.on_packet(payload)
+        return processed

@@ -10,9 +10,11 @@ tag are silently ignored.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .addressing import AddressRole, AddressState, Ipv6Address, random_iid
 from .engine import Node, Packet, Simulator
+from .messages import record
 
 ADMIN_IID = 1
 MAX_ALLOCATION_ATTEMPTS = 128
@@ -54,15 +56,15 @@ class BindingAck:
     care_of: Ipv6Address
 
 
-@dataclass(frozen=True, slots=True)
-class Encapsulated:
+@record
+class Encapsulated(NamedTuple):
     """Agent-to-host tunnel wrapper around an intercepted packet."""
 
     inner: Packet
 
 
-@dataclass(frozen=True, slots=True)
-class ReverseTunneled:
+@record
+class ReverseTunneled(NamedTuple):
     """Host-to-agent wrapper; the agent decapsulates and forwards."""
 
     inner: Packet
@@ -230,19 +232,20 @@ class HomeAgent(Node):
 
     def intercept(self, packet: Packet) -> None:
         """Tunnel to the owner's care-of address, or drop in silence."""
-        self.counters.intercepted += 1
+        counters = self.counters
+        counters.intercepted += 1
         entry = self._entries.get(packet.dst)
         if entry is None or entry.state is AddressState.DECONFIGURED:
-            self.counters.dropped_unknown += 1
+            counters.dropped_unknown += 1
             return
         if entry.state is AddressState.BLOCKED:
-            self.counters.dropped_blocked += 1
+            counters.dropped_blocked += 1
             return
         care_of = self._hosts[entry.owner].care_of
         if care_of is None:
-            self.counters.dropped_unknown += 1
+            counters.dropped_unknown += 1
             return
-        self.counters.tunneled += 1
+        counters.tunneled += 1
         self.sim.send(Packet(src=self.admin_address, dst=care_of,
                              payload=Encapsulated(inner=packet),
                              size_bytes=packet.size_bytes + 40))
@@ -266,23 +269,25 @@ class HomeAgent(Node):
         return True
 
     def _handle_admin(self, packet: Packet) -> None:
-        payload = packet.payload
-        if isinstance(payload, ReverseTunneled):
-            self.reverse_tunnel(payload.host_id, payload.auth, payload.inner)
+        handler = self._admin_handlers.get(type(packet.payload))
+        if handler is not None:
+            handler(self, packet.payload)
+
+    def _on_reverse_tunneled(self, payload: ReverseTunneled) -> None:
+        self.reverse_tunnel(payload.host_id, payload.auth, payload.inner)
+
+    def _on_binding_update(self, payload: BindingUpdate) -> None:
+        try:
+            self.process_binding_update(payload.host_id, payload.auth,
+                                        payload.care_of)
+        except AgentError:
+            self.counters.rejected_management += 1
             return
-        if isinstance(payload, BindingUpdate):
-            try:
-                self.process_binding_update(payload.host_id, payload.auth,
-                                            payload.care_of)
-            except AgentError:
-                self.counters.rejected_management += 1
-                return
-            self.sim.send(Packet(src=self.admin_address, dst=payload.care_of,
-                                 payload=BindingAck(ok=True,
-                                                    care_of=payload.care_of)))
-            return
-        if not isinstance(payload, ManagementMessage):
-            return
+        self.sim.send(Packet(src=self.admin_address, dst=payload.care_of,
+                             payload=BindingAck(ok=True,
+                                                care_of=payload.care_of)))
+
+    def _on_management(self, payload: ManagementMessage) -> None:
         try:
             reply = self._apply_management(payload)
         except AgentError:
@@ -294,6 +299,12 @@ class HomeAgent(Node):
         if care_of is not None:
             self.sim.send(Packet(src=self.admin_address, dst=care_of,
                                  payload=reply))
+
+    _admin_handlers = {
+        ReverseTunneled: _on_reverse_tunneled,
+        BindingUpdate: _on_binding_update,
+        ManagementMessage: _on_management,
+    }
 
     def _apply_management(self, msg: ManagementMessage) -> ManagementMessage:
         if msg.kind is ManagementKind.HOA_REQUEST:

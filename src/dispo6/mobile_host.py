@@ -10,7 +10,7 @@ learned it goes dark too. Blocking one address never touches the others.
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -91,12 +91,15 @@ class IntrusionMonitor:
     def __init__(self, threshold_pps: float = 10.0, window_s: float = 10.0):
         self.threshold_pps = threshold_pps
         self.window_s = window_s
+        self._window_us = round(window_s * US_PER_SECOND)
         self._events: dict[Ipv6Address, deque[int]] = {}
 
     def observe(self, hoa: Ipv6Address, now: SimTime) -> AttackAlert | None:
-        events = self._events.setdefault(hoa, deque())
+        events = self._events.get(hoa)
+        if events is None:
+            events = self._events[hoa] = deque()
         events.append(now.micros)
-        cutoff = now.micros - round(self.window_s * US_PER_SECOND)
+        cutoff = now.micros - self._window_us
         while events and events[0] < cutoff:
             events.popleft()
         rate = len(events) / self.window_s
@@ -452,19 +455,17 @@ class MobileHost(Node):
     # -- transmit helpers ----------------------------------------------------
 
     def _send_management(self, message: ManagementMessage) -> None:
-        self._charge_tx()
-        if self.energy is not None and self.energy.dead:
-            return
-        self.sim.send(Packet(src=self.coa, dst=self.ha_admin, payload=message))
+        if self._charge_tx():
+            self.sim.send(Packet(src=self.coa, dst=self.ha_admin,
+                                 payload=message))
 
     def _transmit(self, src_hoa: Ipv6Address, dst: Ipv6Address, payload: object,
                   size: int = 56) -> None:
         """Send from one of our home addresses, honoring the mobility mode."""
-        self._charge_tx()
-        if self.energy is not None and self.energy.dead:
+        if not self._charge_tx():
             return
-        dest = self._route_cache.get(dst, dst)
-        inner = Packet(src=src_hoa, dst=dest, payload=payload, size_bytes=size)
+        inner = Packet(src=src_hoa, dst=self._route_cache.get(dst, dst),
+                       payload=payload, size_bytes=size)
         if self.mode is Mode.BIDIRECTIONAL_TUNNELING:
             # relay through the home agent; the care-of address never shows
             self.sim.send(Packet(src=self.coa, dst=self.ha_admin,
@@ -475,9 +476,13 @@ class MobileHost(Node):
         else:
             self.sim.send(inner)
 
-    def _charge_tx(self) -> None:
-        if self.energy is not None and not self.energy.dead:
-            self.energy.on_packet(self.sim.now, PacketKind.TX_REPLY)
+    def _charge_tx(self) -> bool:
+        """Charge one transmission; False when the battery is (or just went) dead."""
+        energy = self.energy
+        if energy is None:
+            return True
+        return not energy.dead and energy.on_packet(self.sim.now,
+                                                    PacketKind.TX_REPLY)
 
     # -- receive path -----------------------------------------------------------
 
@@ -487,76 +492,77 @@ class MobileHost(Node):
             # never sees it, so no energy moves
             self.counters.stale_dropped += 1
             return
-        if self.energy is not None:
-            if self.energy.dead:
+        energy = self.energy
+        if energy is not None:
+            if energy.dead:
                 self.counters.dead_dropped += 1
                 return
-            alive = self.energy.on_packet(self.sim.now, PacketKind.RX)
-            if alive:
-                self.energy.on_packet(self.sim.now, PacketKind.TX_ACK)
-            if self.energy.dead:
+            now = self.sim.now
+            if energy.on_packet(now, PacketKind.RX):
+                energy.on_packet(now, PacketKind.TX_ACK)
+            if energy.dead:
                 self.counters.dead_dropped += 1
                 return
         payload = packet.payload
-        if isinstance(payload, Encapsulated):
+        kind = type(payload)
+        if kind is Encapsulated:
             self._handle_inner(payload.inner, tunneled=True)
-        elif isinstance(payload, RouteOptimized):
+        elif kind is RouteOptimized:
             self._handle_inner(payload.inner, tunneled=False)
         else:
             self._handle_inner(packet, tunneled=False)
 
     def _handle_inner(self, inner: Packet, tunneled: bool) -> None:
         dst = inner.dst
-        payload = inner.payload
         state = self.address_states.get(dst)
-        if state in (AddressState.BLOCKED, AddressState.DECONFIGURED):
-            self.counters.blocked_local_dropped += 1
-            return
         if state is not None:
+            if state is not AddressState.ACTIVE:
+                self.counters.blocked_local_dropped += 1
+                return
             alert = self.monitor.observe(dst, self.sim.now)
             if alert is not None:
                 self.counters.alerts += 1
                 if self.auto_block:
                     self.dispose_address(dst, reason="intrusion alert")
-            if self.mode is Mode.ROUTE_OPTIMIZATION and tunneled:
+            if tunneled and self.mode is Mode.ROUTE_OPTIMIZATION:
                 self._maybe_send_peer_bu(dst, inner.src)
-        if isinstance(payload, Ping):
-            self.counters.pings += 1
-            if state is not None or dst == self.coa:
-                self._transmit(dst if state is not None else self.coa,
-                               inner.src, Pong(payload.seq))
+        handler = self._inner_handlers.get(type(inner.payload))
+        if handler is None:
+            self.counters.non_hoa_dropped += 1
             return
-        if isinstance(payload, Pong):
-            return
-        if isinstance(payload, CallRequest):
-            self._handle_call_request(dst, payload)
-            return
-        if isinstance(payload, CallAccept):
-            self._finish_call(payload.call_id, CallOutcome.CONNECTED)
-            return
-        if isinstance(payload, CallReject):
-            self._finish_call(payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
-            return
-        if isinstance(payload, AddressRequest):
-            self._handle_address_request(dst, payload)
-            return
-        if isinstance(payload, (AddressResponse, HipChallengeMsg, Refusal)):
-            session = self._sessions.get(payload.request_id)
-            if session is not None:
-                session.on_message(payload)
-            return
-        if isinstance(payload, ManagementMessage):
-            if (payload.kind is ManagementKind.HOA_GRANT
-                    and payload.hoa is not None):
-                self.address_states[payload.hoa] = AddressState.ACTIVE
-                self._pool.append(payload.hoa)
-            return
-        if isinstance(payload, BindingAck):
-            return
-        if isinstance(payload, PeerBindingUpdate):
-            self._route_cache[payload.home_address] = payload.care_of
-            return
-        self.counters.non_hoa_dropped += 1
+        handler(self, inner, state)
+
+    # inner-packet handlers: (host, packet, state of its destination)
+
+    def _on_ping(self, inner: Packet, state: AddressState | None) -> None:
+        self.counters.pings += 1
+        if state is not None or inner.dst == self.coa:
+            self._transmit(inner.dst, inner.src, Pong(inner.payload.seq))
+
+    def _on_call_accept(self, inner: Packet, state: AddressState | None) -> None:
+        self._finish_call(inner.payload.call_id, CallOutcome.CONNECTED)
+
+    def _on_call_reject(self, inner: Packet, state: AddressState | None) -> None:
+        self._finish_call(inner.payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
+
+    def _on_session_message(self, inner: Packet,
+                            state: AddressState | None) -> None:
+        session = self._sessions.get(inner.payload.request_id)
+        if session is not None:
+            session.on_message(inner.payload)
+
+    def _on_management(self, inner: Packet, state: AddressState | None) -> None:
+        message = inner.payload
+        if message.kind is ManagementKind.HOA_GRANT and message.hoa is not None:
+            self.address_states[message.hoa] = AddressState.ACTIVE
+            self._pool.append(message.hoa)
+
+    def _on_peer_binding_update(self, inner: Packet,
+                                state: AddressState | None) -> None:
+        self._route_cache[inner.payload.home_address] = inner.payload.care_of
+
+    def _ignore(self, inner: Packet, state: AddressState | None) -> None:
+        pass
 
     def _maybe_send_peer_bu(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
         # Route optimization answers any tunneled packet with a binding
@@ -566,14 +572,15 @@ class MobileHost(Node):
             return
         self._peer_bu_sent.add(peer_addr)
         self.counters.peer_binding_updates += 1
-        self._charge_tx()
-        if self.energy is not None and self.energy.dead:
+        if not self._charge_tx():
             return
         self.sim.send(Packet(src=hoa, dst=peer_addr,
                              payload=PeerBindingUpdate(home_address=hoa,
                                                        care_of=self.coa)))
 
-    def _handle_call_request(self, dst: Ipv6Address, request: CallRequest) -> None:
+    def _on_call_request(self, inner: Packet,
+                         state: AddressState | None) -> None:
+        dst, request = inner.dst, inner.payload
         self.counters.calls_received += 1
         if dst == self.prime:
             # calls never land on the prime; callers must hold a disposable
@@ -590,8 +597,9 @@ class MobileHost(Node):
             return
         self.counters.non_hoa_dropped += 1
 
-    def _handle_address_request(self, dst: Ipv6Address,
-                                request: AddressRequest) -> None:
+    def _on_address_request(self, inner: Packet,
+                            state: AddressState | None) -> None:
+        dst, request = inner.dst, inner.payload
         if dst != self.prime:
             return
         action = self.responder.handle_request(request, self.sim.now)
@@ -605,32 +613,58 @@ class MobileHost(Node):
         elif isinstance(action, RefuseAction):
             self._transmit(self.prime, request.reply_to, action.refusal)
 
+    _inner_handlers = {
+        Ping: _on_ping,
+        Pong: _ignore,
+        CallRequest: _on_call_request,
+        CallAccept: _on_call_accept,
+        CallReject: _on_call_reject,
+        AddressRequest: _on_address_request,
+        AddressResponse: _on_session_message,
+        HipChallengeMsg: _on_session_message,
+        Refusal: _on_session_message,
+        ManagementMessage: _on_management,
+        BindingAck: _ignore,
+        PeerBindingUpdate: _on_peer_binding_update,
+    }
+
     # -- timers ------------------------------------------------------------------
 
     def on_timer(self, token: object) -> None:
         if self.energy is not None and self.energy.dead:
             return
-        if isinstance(token, SessionTimer):
-            session = self._sessions.get(token.request_id)
-            if session is not None:
-                session.on_timer(token)
-            return
-        if isinstance(token, CallTimeout):
-            self._finish_call(token.call_id, CallOutcome.FAILED)
-            return
-        if isinstance(token, PrimeReactivate):
-            if (token.generation == self._reactivate_gen
-                    and self.address_states.get(self.prime) is AddressState.BLOCKED):
-                self.reactivate_address(self.prime)
-            return
-        if isinstance(token, WindowBlock):
-            if self.address_states.get(self.prime) is AddressState.ACTIVE:
-                self.dispose_address(self.prime, reason="scheduled window",
-                                     auto_reactivate=False)
-            return
-        if isinstance(token, WindowUnblock):
+        handler = self._timer_handlers.get(type(token))
+        if handler is not None:
+            handler(self, token)
+
+    def _on_session_timer(self, token: SessionTimer) -> None:
+        session = self._sessions.get(token.request_id)
+        if session is not None:
+            session.on_timer(token)
+
+    def _on_call_timeout(self, token: CallTimeout) -> None:
+        self._finish_call(token.call_id, CallOutcome.FAILED)
+
+    def _on_prime_reactivate(self, token: PrimeReactivate) -> None:
+        if (token.generation == self._reactivate_gen
+                and self.address_states.get(self.prime) is AddressState.BLOCKED):
             self.reactivate_address(self.prime)
-            return
+
+    def _on_window_block(self, token: WindowBlock) -> None:
+        if self.address_states.get(self.prime) is AddressState.ACTIVE:
+            self.dispose_address(self.prime, reason="scheduled window",
+                                 auto_reactivate=False)
+
+    def _on_window_unblock(self, token: WindowUnblock) -> None:
+        self.reactivate_address(self.prime)
+
+    _timer_handlers = {
+        SessionTimer: _on_session_timer,
+        CallTimeout: _on_call_timeout,
+        PrimeReactivate: _on_prime_reactivate,
+        WindowBlock: _on_window_block,
+        WindowUnblock: _on_window_unblock,
+    }
 
     # -- certificateless pairing ----------------------------------------------
 

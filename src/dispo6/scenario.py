@@ -16,16 +16,19 @@ is part of the configuration rather than a hidden choice.
 
 import dataclasses
 import json
+import math
 import multiprocessing
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .addressing import Ipv6Address, NameService
-from .adversary import FOUR_HOUR_SCHEDULE, SIX_HOUR_SCHEDULE, AttackSchedule
+from .adversary import AttackSchedule
 from .caller import CallerNode, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
-from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, RadioState
+from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from .engine import EPOCH, LinkModel, SimTime, Simulator
 from .home_agent import HomeAgent
 from .mobile_host import CallOutcome, MobileHost, Mode
@@ -42,6 +45,10 @@ BATTERY_HEADER = "time,remaining,state"
 
 class ConfigError(Exception):
     """Scenario configuration failed validation; message lists the problems."""
+
+
+class InvariantError(Exception):
+    """A finished run broke a conservation invariant: a program fault."""
 
 
 class RejectionMode(Enum):
@@ -90,6 +97,13 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         problems = []
+        for f in dataclasses.fields(self):
+            problem = _type_problem(f.name, getattr(self, f.name), f.type)
+            if problem is not None:
+                problems.append(problem)
+        if problems:
+            # value checks below assume the declared types
+            raise ConfigError("; ".join(problems))
         if self.horizon_days < 0:
             problems.append("horizon_days must be >= 0")
         if self.correspondents < 0:
@@ -156,11 +170,43 @@ class ScenarioConfig:
                 raise ConfigError(
                     "mobility_mode must be 'route_optimization' or "
                     "'bidirectional_tunneling'") from None
-        if kwargs.get("attack_start_choices") is not None:
+        if isinstance(kwargs.get("attack_start_choices"), list):
             kwargs["attack_start_choices"] = tuple(kwargs["attack_start_choices"])
         config = cls(**kwargs)
         config.validate()
         return config
+
+
+def _type_problem(name: str, value: object, annotation: object) -> str | None:
+    """None if `value` fits the field's declared type, else the complaint."""
+    options = (typing.get_args(annotation)
+               if isinstance(annotation, types.UnionType) else (annotation,))
+    if any(_fits(value, option) for option in options):
+        return None
+    expected = " or ".join(_type_name(option) for option in options)
+    return f"{name} must be {expected}, got {value!r}"
+
+
+def _type_name(option: object) -> str:
+    if option is type(None):
+        return "null"
+    if typing.get_origin(option) is tuple:
+        return f"a list of {typing.get_args(option)[0].__name__}"
+    return "a finite number" if option is float else option.__name__
+
+
+def _fits(value: object, expected: object) -> bool:
+    if expected is type(None):
+        return value is None
+    if isinstance(value, bool) and expected is not bool:
+        return False  # YAML true/false is not a number
+    if expected is float:
+        # inf and nan pass the range checks in validate() and crash later
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    if typing.get_origin(expected) is tuple:
+        item = typing.get_args(expected)[0]
+        return isinstance(value, tuple) and all(_fits(v, item) for v in value)
+    return isinstance(value, expected)
 
 
 def fig3_config(variant: str, seed: int = 0, days: int = 1000,
@@ -331,6 +377,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                      else energy.state_at(sim.now).value)
             battery_series.append((sim.now.seconds, energy.remaining, state))
 
+    _check_invariants(sim, agent)
     total = len(records)
     rejected = sum(1 for r in records
                    if r.outcome is CallOutcome.REJECTED_PRIME_BLOCKED)
@@ -360,6 +407,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         energy=energy_summary)
     return ScenarioResult(config=config, metrics=metrics, records=records,
                           battery_series=battery_series)
+
+
+def _check_invariants(sim: Simulator, agent: HomeAgent) -> None:
+    broken = []
+    if not sim.counters.conserved():
+        broken.append(f"engine traffic not conserved: {sim.counters}")
+    if not agent.counters.conserved():
+        broken.append(f"home-agent traffic not conserved: {agent.counters}")
+    if broken:
+        raise InvariantError("; ".join(broken))
 
 
 # -- CSV emission ------------------------------------------------------------

@@ -1,0 +1,130 @@
+"""Golden outputs: SHA-256 digests of seeded runs, pinned byte for byte.
+
+A change to the engine, the energy ledger or the packet path must leave
+these digests alone unless it means to change what the simulation does;
+if it does, the new digests belong in the same change, with the reason.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+import yaml
+
+from dispo6 import cli
+from dispo6.addressing import Ipv6Address, NameService
+from dispo6.adversary import Flooder
+from dispo6.caller import CallerNode
+from dispo6.energy import (
+    DEFAULT_PARAMS,
+    Battery,
+    EnergyAccount,
+    drain_rate,
+    flood_profile,
+)
+from dispo6.engine import EPOCH, SimTime, Simulator
+from dispo6.home_agent import HomeAgent
+from dispo6.mobile_host import MobileHost, Mode
+from dispo6.scenario import fig3_config
+
+from conftest import HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX
+
+RUN_OUTPUTS = ("calls.csv", "daily_rejections.csv", "metrics.json")
+
+FIG3_DIGESTS = {
+    "4h": {
+        "calls.csv":
+            "eb62de8f98cd6f145d72452350f03ca0f88785e00455570d20033cefa451f889",
+        "daily_rejections.csv":
+            "fad6b5c58de36363a0a3845c1502ae8c929d4c2d13a2e89585f1068ff6e8f2ea",
+        "metrics.json":
+            "888af2749744aeeefc818285dedc3517f2ae6927feee8792f9f501b0c6c9375c",
+    },
+    "6h": {
+        "calls.csv":
+            "4eb1ba9c8837bea452b2af9cd1ed8262bb369845ab96368b0a9109326f1d0538",
+        "daily_rejections.csv":
+            "956c8edcdaf75ef9d9294ad07adbb3d1867bea7c440d17d2b267fd8ae1810c38",
+        "metrics.json":
+            "1bc7b9fa8c22fb83bf93658602f2187f7811e04e4b063ce71dc67eb5d16a27f5",
+    },
+}
+
+FLOOD_DIGESTS = {
+    "drain_tunnel":
+        "3989800364c24b91848f5cc67331ab4a1e2d0cf6b6ed52e377ba80b776ec32a3",
+    "detect_ro_spoofed":
+        "ddbdb8c69808a61a7b8be39bf417ce6ff6ec9442b0c2d35af03e33207ad9bf12",
+}
+
+LEDGER_FIELDS = ("consumed_packets", "consumed_active", "consumed_powersave",
+                 "recharged", "active_us", "powersave_us", "packets", "dead")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("variant", ["4h", "6h"])
+def test_fig3_run_outputs_are_pinned(variant, tmp_path):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(
+        fig3_config(variant, seed=0).to_mapping(), sort_keys=True))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 0
+    digests = {name: sha256((out_dir / name).read_bytes())
+               for name in RUN_OUTPUTS}
+    assert digests == FIG3_DIGESTS[variant]
+
+
+FLOOD_CASES = {
+    # detection off, bidirectional tunnelling, battery empty after ~30 s
+    "drain_tunnel": dict(mode=Mode.BIDIRECTIONAL_TUNNELING, threshold=1e9,
+                         lifetime_s=30.0, spoof=False),
+    # default detection blocks the flooded address; RO rotates the care-of
+    "detect_ro_spoofed": dict(mode=Mode.ROUTE_OPTIMIZATION, threshold=10.0,
+                              lifetime_s=None, spoof=True),
+}
+
+
+def flood_summary(seed: int, mode: Mode, threshold: float,
+                  lifetime_s: float | None, spoof: bool) -> dict:
+    """60 s of a 100 pkt/s flood on one disposable of an energy-accounted host."""
+    battery = Battery()
+    if lifetime_s is not None:
+        battery = Battery(capacity=lifetime_s * drain_rate(
+            DEFAULT_PARAMS, flood_profile(100.0)))
+    sim = Simulator(seed)
+    names = NameService()
+    agent = HomeAgent(sim, "home-agent", HOME_PREFIX)
+    account = EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH)
+    host = MobileHost(sim, "victim", "alice.home.example", names, mode=mode,
+                      energy=account, detection_threshold_pps=threshold)
+    host.attach(agent, VISITED_PREFIX)
+    peer = CallerNode(sim, "peer", "bob.peers.example",
+                      Ipv6Address(PEER_PREFIX, 2), names)
+    hoa = host.grant_out_of_band(peer.fqdn)
+    flooder = Flooder(sim, "flooder", Ipv6Address(0x20010DB8BEEF0000, 0xA))
+    flooder.flood_between(SimTime.from_seconds(0.0037), SimTime.from_seconds(90),
+                          hoa, 100.0, spoof=spoof)
+    processed = sim.run_until(SimTime.from_seconds(60))
+    account.advance(sim.now)
+    ledger = {name: getattr(account, name) for name in LEDGER_FIELDS}
+    ledger["remaining"] = account.remaining
+    ledger["dead_at_us"] = account.dead_at.micros if account.dead_at else None
+    return {"processed": processed, "pending": sim.pending(),
+            "engine": dataclasses.asdict(sim.counters),
+            "home_agent": dataclasses.asdict(agent.counters),
+            "victim": dataclasses.asdict(host.counters),
+            "flooder": dataclasses.asdict(flooder.stats),
+            "ledger": ledger}
+
+
+@pytest.mark.parametrize("case", sorted(FLOOD_CASES))
+def test_flood_counters_and_ledger_are_pinned(case):
+    summary = flood_summary(seed=3, **FLOOD_CASES[case])
+    # floats serialise through repr, so the digest pins every bit
+    blob = json.dumps(summary, sort_keys=True).encode()
+    assert sha256(blob) == FLOOD_DIGESTS[case], summary

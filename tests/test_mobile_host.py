@@ -1,14 +1,11 @@
 import dataclasses
 
-import pytest
-
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.caller import CallerNode
-from dispo6.engine import EPOCH, Packet, SimTime
+from dispo6.engine import Packet, SimTime
 from dispo6.messages import (
     PRIME_REJECT_REASON,
     CallReject,
-    CallRequest,
     Ping,
     Pong,
 )
@@ -309,6 +306,9 @@ class TestLocationPrivacy:
             elif dataclasses.is_dataclass(value) and not isinstance(value, type):
                 for f in dataclasses.fields(value):
                     yield from addresses_in(getattr(value, f.name))
+            elif isinstance(value, tuple):  # NamedTuple packet types
+                for item in value:
+                    yield from addresses_in(item)
 
         seen = set()
         for _, target, payload in world.sim.trace:

@@ -1,0 +1,88 @@
+import pytest
+import yaml
+
+from dispo6 import cli
+from dispo6.engine import Simulator
+from dispo6.home_agent import HomeAgent
+from dispo6.scenario import (
+    ConfigError,
+    InvariantError,
+    ScenarioConfig,
+    run_scenario,
+)
+
+
+def small_config(**overrides) -> ScenarioConfig:
+    fields = dict(seed=3, horizon_days=20, correspondents=20,
+                  daily_call_probability=0.2, pki_enabled=False)
+    fields.update(overrides)
+    return ScenarioConfig(**fields)
+
+
+class TestConfigTyping:
+    @pytest.mark.parametrize("key, value", [
+        ("horizon_days", "abc"),
+        ("correspondents", 3.5),
+        ("attack_start_choices", 5),
+        ("daily_call_probability", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("pki_enabled", "yes"),
+        ("attack_start_choices", [8, "noon"]),
+        ("victim_fqdn", 7),
+        ("rejection_mode", None),
+        ("latency_s", float("inf")),
+        ("detection_window_s", float("nan")),
+    ])
+    def test_cli_exits_2_with_message(self, key, value, tmp_path, capsys):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump({key: value}))
+        status = cli.main(["run", "--config", str(config_path),
+                           "--out-dir", str(tmp_path / "out")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ints_accepted_for_float_fields(self):
+        config = ScenarioConfig.from_mapping(
+            {"latency_s": 0, "daily_call_probability": 1,
+             "attack_start_choices": [8, 14], "attack_hours": 6})
+        assert config.attack_start_choices == (8, 14)
+
+    def test_direct_construction_checked_too(self):
+        with pytest.raises(ConfigError, match="horizon_days"):
+            ScenarioConfig(horizon_days="10").validate()
+
+    def test_defaults_round_trip(self):
+        mapping = ScenarioConfig().to_mapping()
+        assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig()
+
+
+class TestRunInvariants:
+    def test_clean_run_passes(self):
+        result = run_scenario(small_config())
+        assert result.metrics.total_calls > 0
+
+    def test_agent_counter_corruption_is_caught(self, monkeypatch):
+        original = HomeAgent.intercept
+
+        def leaky(self, packet):
+            original(self, packet)
+            self.counters.intercepted += 1  # counted, never resolved
+
+        monkeypatch.setattr(HomeAgent, "intercept", leaky)
+        with pytest.raises(InvariantError, match="home-agent"):
+            run_scenario(small_config())
+
+    def test_engine_counter_corruption_is_caught(self, monkeypatch):
+        original = Simulator.send
+
+        def double_counted(self, packet):
+            self.counters.sent += 1
+            return original(self, packet)
+
+        monkeypatch.setattr(Simulator, "send", double_counted)
+        with pytest.raises(InvariantError, match="engine"):
+            run_scenario(small_config())
