@@ -127,12 +127,3 @@ class NameService:
         if record.owner != caller:
             raise NameAuthorizationError(f"{caller} does not own {fqdn}")
         record.prime = new_prime
-
-    def owner_of(self, fqdn: str) -> str:
-        record = self._records.get(fqdn)
-        if record is None:
-            raise UnknownNameError(fqdn)
-        return record.owner
-
-    def known_names(self) -> list[str]:
-        return sorted(self._records)

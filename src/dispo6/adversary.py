@@ -272,9 +272,6 @@ class SpitCaller(CallerNode):
     address requests meet the deny list.
     """
 
-    def spit_call(self, victim_fqdn: str, on_result) -> None:
-        self.place_call(victim_fqdn, on_result)
-
     def re_request_address(self, victim_fqdn: str, on_done) -> None:
         entry = self.entry_for(victim_fqdn)
         entry.peer_address = None

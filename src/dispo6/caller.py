@@ -1,18 +1,23 @@
-"""Static correspondent node: requests a disposable address, then calls.
+"""The contact manager, and the static correspondent node that runs it.
 
-Correspondents are plain Internet hosts. The contact manager behavior
-mirrors the mobile host's: a call goes to the stored disposable when one
-is held and not known dead; otherwise the distribution handshake runs
-first and the grant is remembered.
+Every party keeps one book row per peer and calls the stored disposable
+when one is held and not known dead; otherwise the distribution handshake
+runs on the peer's prime first and the grant is remembered. `CallerNode`
+(a plain Internet host) owns this whole call path: the book, pending
+calls, the handshake sessions and the route-optimized send encoding.
+`MobileHost` (mobile_host.py) subclasses it and overrides only its send
+step and the bookkeeping that differs.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from enum import Enum
+from typing import Callable, NamedTuple
 
 from .addressing import Ipv6Address, NameService, UnknownNameError
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair
 from .distribution import (
+    AddressRequest,
     AddressResponse,
     HipChallengeMsg,
     InitiatorSession,
@@ -31,15 +36,34 @@ from .messages import (
     Pong,
     RouteOptimized,
 )
-from .mobile_host import CallOutcome, CallTimeout
+
+
+class CallOutcome(Enum):
+    CONNECTED = "connected"
+    REJECTED_PRIME_BLOCKED = "rejected_prime_blocked"
+    REJECTED_BY_CALLEE = "rejected_by_callee"
+    FAILED = "failed"
 
 
 @dataclass(slots=True)
-class PeerEntry:
+class AddressBookEntry:
+    """Contact-manager row; both directions of the address exchange."""
+
     peer_fqdn: str
-    peer_address: Ipv6Address | None = None
-    peer_known_blocked: bool = False
     peer_pubkey: bytes | None = None
+    granted_to_peer: Ipv6Address | None = None  # our address, in their hands
+    peer_address: Ipv6Address | None = None     # their address, where we call
+    peer_known_blocked: bool = False
+
+
+class PendingCall(NamedTuple):
+    entry: AddressBookEntry
+    on_result: Callable[[CallOutcome], None]
+
+
+@dataclass(frozen=True, slots=True)
+class CallTimeout:
+    call_id: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,16 +76,9 @@ class StartCall:
     coincides_with_attack: bool
 
 
-@dataclass(slots=True)
-class _PendingCall:
-    peer_fqdn: str
-    on_result: Callable[[CallOutcome], None]
-    done: bool = False
-
-
 class CallerNode(Node):
     def __init__(self, sim: Simulator, node_id: str, fqdn: str,
-                 address: Ipv6Address, name_service: NameService, *,
+                 address: Ipv6Address | None, name_service: NameService, *,
                  scheme: Ed25519Scheme | None = None,
                  keys: KeyPair | None = None,
                  certificate: Certificate | None = None,
@@ -70,6 +87,9 @@ class CallerNode(Node):
                  call_timeout_s: float = 3.0,
                  request_timeout_s: float = 3.0,
                  solve_hip: bool = True):
+        """`address` is where this node calls and requests from. A mobile
+        host passes None and sets it when it attaches; its home addresses
+        are reached through the home agent, so no route is registered."""
         super().__init__(sim, node_id)
         self.fqdn = fqdn
         self.address = address
@@ -82,24 +102,23 @@ class CallerNode(Node):
         self.call_timeout_s = call_timeout_s
         self.request_timeout_s = request_timeout_s
         self.solve_hip = solve_hip
-        self.entries: dict[str, PeerEntry] = {}
-        self.calls_connected = 0
-        self.calls_failed = 0
+        self.book: dict[str, AddressBookEntry] = {}
         self.on_start_call: Callable[["CallerNode", StartCall], None] | None = None
         self._route_cache: dict[Ipv6Address, Ipv6Address] = {}
         self._sessions: dict[int, InitiatorSession] = {}
-        self._pending: dict[int, _PendingCall] = {}
+        self._pending: dict[int, PendingCall] = {}
         self._request_ids = itertools.count(1)
         self._call_ids = itertools.count(1)
-        sim.register_route(address, node_id)
+        if address is not None:
+            sim.register_route(address, node_id)
 
     # -- bookkeeping -------------------------------------------------------
 
-    def entry_for(self, fqdn: str) -> PeerEntry:
-        return self.entries.setdefault(fqdn, PeerEntry(fqdn))
+    def entry_for(self, fqdn: str) -> AddressBookEntry:
+        return self.book.setdefault(fqdn, AddressBookEntry(fqdn))
 
     def has_address_for(self, fqdn: str) -> bool:
-        entry = self.entries.get(fqdn)
+        entry = self.book.get(fqdn)
         return (entry is not None and entry.peer_address is not None
                 and not entry.peer_known_blocked)
 
@@ -127,15 +146,21 @@ class CallerNode(Node):
                                    result.responder_key)
             on_done(result)
 
+        def send(request: AddressRequest) -> None:
+            # always to the prime itself, which its home agent tunnels on:
+            # a care-of address announced for the prime may be stale
+            self._emit(Packet(src=self.address, dst=target_prime,
+                              payload=request, size_bytes=128))
+
         session = InitiatorSession(
             self.sim, self.node_id,
             requester_name=self.fqdn.split(".")[0],
             requester_fqdn=self.fqdn,
             source=self.address,
-            target_prime=target_prime,
             target_fqdn=target_fqdn,
             request_id=request_id,
             on_done=finish,
+            send_request=send,
             scheme=self.scheme, keys=self.keys, certificate=self.certificate,
             ca=self.ca, require_signed_response=self.require_signed_response,
             timeout_s=self.request_timeout_s,
@@ -145,6 +170,7 @@ class CallerNode(Node):
 
     def place_call(self, target_fqdn: str,
                    on_result: Callable[[CallOutcome], None]) -> None:
+        """Contact-manager entry point: handshake first if no usable address."""
         entry = self.entry_for(target_fqdn)
         if entry.peer_address is not None and not entry.peer_known_blocked:
             self._start_call(entry, on_result)
@@ -156,7 +182,7 @@ class CallerNode(Node):
         except UnknownNameError:
             on_result(CallOutcome.FAILED)
 
-    def _after_handshake(self, entry: PeerEntry, result: RequestResult,
+    def _after_handshake(self, entry: AddressBookEntry, result: RequestResult,
                          on_result: Callable[[CallOutcome], None]) -> None:
         if result.outcome is RequestOutcome.GRANTED:
             self._start_call(entry, on_result)
@@ -167,37 +193,46 @@ class CallerNode(Node):
         else:
             on_result(CallOutcome.FAILED)
 
-    def _start_call(self, entry: PeerEntry,
+    def _start_call(self, entry: AddressBookEntry,
                     on_result: Callable[[CallOutcome], None]) -> None:
         call_id = next(self._call_ids)
-        self._pending[call_id] = _PendingCall(peer_fqdn=entry.peer_fqdn,
-                                              on_result=on_result)
-        self._send_app(entry.peer_address,
-                       CallRequest(caller_fqdn=self.fqdn, reply_to=self.address,
-                                   call_id=call_id))
+        self._pending[call_id] = PendingCall(entry, on_result)
+        self._send(self.address, entry.peer_address,
+                   CallRequest(caller_fqdn=self.fqdn, reply_to=self.address,
+                               call_id=call_id))
         self.sim.call_in(self.call_timeout_s, self.node_id, CallTimeout(call_id))
 
     def _finish_call(self, call_id: int, outcome: CallOutcome) -> None:
         pending = self._pending.pop(call_id, None)
-        if pending is None or pending.done:
+        if pending is None:
             return
-        pending.done = True
         if outcome is CallOutcome.CONNECTED:
-            self.calls_connected += 1
-        else:
-            self.calls_failed += 1
-            if outcome is CallOutcome.FAILED:
-                self.entry_for(pending.peer_fqdn).peer_known_blocked = True
+            self._call_connected(pending.entry)
+        elif outcome is CallOutcome.FAILED:
+            # silence on the wire: the disposable we hold is presumed dead,
+            # the next attempt re-runs the handshake
+            pending.entry.peer_known_blocked = True
         pending.on_result(outcome)
 
-    def _send_app(self, dst: Ipv6Address, payload: object) -> None:
+    def _call_connected(self, entry: AddressBookEntry) -> None:
+        """A call to `entry`'s peer was accepted."""
+
+    # -- send path ---------------------------------------------------------
+
+    def _send(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
+              size_bytes: int = 56) -> None:
+        """Send from one of our addresses. A peer that announced a care-of
+        address is reached there directly, with its home address kept in
+        the inner packet (route optimization, RFC 6275 section 6.4)."""
+        packet = Packet(src, dst, payload, size_bytes)
         care_of = self._route_cache.get(dst)
-        inner = Packet(src=self.address, dst=dst, payload=payload)
-        if care_of is None:
-            self.sim.send(inner)
-        else:
-            self.sim.send(Packet(src=self.address, dst=care_of,
-                                 payload=RouteOptimized(inner=inner)))
+        if care_of is not None:
+            packet = Packet(src, care_of, RouteOptimized(inner=packet))
+        self._emit(packet)
+
+    def _emit(self, packet: Packet) -> None:
+        """Put one packet on the wire."""
+        self.sim.send(packet)
 
     # -- engine callbacks --------------------------------------------------------
 

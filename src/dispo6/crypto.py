@@ -1,16 +1,15 @@
-"""Pluggable hash/signature primitives and the canonical transcript encoding.
+"""Signature primitives, certificates and the canonical transcript encoding.
 
 Canonical encoding, used everywhere bytes are signed or hashed together:
 each field is prefixed with its length as 4 bytes big-endian, then the
 fields are concatenated in argument order. Length prefixes make the
 encoding injective, which the pairing security argument relies on.
 
-Protocol logic never looks inside a primitive; the defaults are SHA-256
-and Ed25519. Key material is drawn from the caller's seeded RNG so runs
-stay reproducible.
+Protocol logic never looks inside a primitive. Signatures are Ed25519;
+the protocol hashes with SHA-256 through hashlib directly. Key material
+is drawn from the caller's seeded RNG so runs stay reproducible.
 """
 
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -31,14 +30,6 @@ def encode_fields(*fields: bytes) -> bytes:
         out += len(field).to_bytes(4, "big")
         out += field
     return bytes(out)
-
-
-class Sha256Hash:
-    name = "sha256"
-
-    @staticmethod
-    def digest(data: bytes) -> bytes:
-        return hashlib.sha256(data).digest()
 
 
 @dataclass(frozen=True, slots=True)

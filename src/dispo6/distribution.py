@@ -17,7 +17,7 @@ from typing import Callable
 
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair, encode_fields
-from .engine import Packet, SimTime, Simulator, US_PER_SECOND
+from .engine import SimTime, Simulator, US_PER_SECOND
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,10 +312,9 @@ class InitiatorSession:
 
     def __init__(self, sim: Simulator, owner_id: str, *,
                  requester_name: str, requester_fqdn: str,
-                 source: Ipv6Address, target_prime: Ipv6Address,
-                 target_fqdn: str, request_id: int,
+                 source: Ipv6Address, target_fqdn: str, request_id: int,
                  on_done: Callable[[RequestResult], None],
-                 send_request: Callable[[AddressRequest], None] | None = None,
+                 send_request: Callable[[AddressRequest], None],
                  scheme: Ed25519Scheme | None = None,
                  keys: KeyPair | None = None,
                  certificate: Certificate | None = None,
@@ -330,7 +329,6 @@ class InitiatorSession:
         self.requester_name = requester_name
         self.requester_fqdn = requester_fqdn
         self.source = source
-        self.target_prime = target_prime
         self.target_fqdn = target_fqdn
         self.request_id = request_id
         self.on_done = on_done
@@ -366,15 +364,8 @@ class InitiatorSession:
         return request
 
     def start(self) -> None:
-        self._send(self._base_request)
+        self.send_request(self._base_request)
         self._arm("deadline")
-
-    def _send(self, request: AddressRequest) -> None:
-        if self.send_request is not None:
-            self.send_request(request)
-            return
-        self.sim.send(Packet(src=self.source, dst=self.target_prime,
-                             payload=request, size_bytes=128))
 
     def _arm(self, kind: str, delay_s: float | None = None,
              challenge: HipChallengeMsg | None = None) -> None:
@@ -405,7 +396,7 @@ class InitiatorSession:
             challenge = token.challenge
             answer = HipAnswer(challenge_id=challenge.challenge_id,
                                answer=HipGate.solution(challenge.challenge_id))
-            self._send(self._build_request(hip_answer=answer))
+            self.send_request(self._build_request(hip_answer=answer))
             self._arm("deadline")
             return
         self._finish(RequestResult(RequestOutcome.TIMEOUT))

@@ -219,9 +219,6 @@ class HomeAgent(Node):
         entry = self._entries.get(hoa)
         return entry.state if entry else None
 
-    def live_address_count(self) -> int:
-        return len(self._entries)
-
     # -- data path ---------------------------------------------------------
 
     def on_packet(self, packet: Packet) -> None:

@@ -1,4 +1,4 @@
-"""Mobile-node state machine: mobility, calls, detection, address disposal.
+"""Mobile-node state machine: mobility, detection, address disposal.
 
 The host keeps one prime home address (published in the name service, used
 only to request disposables) and a per-correspondent set of disposable home
@@ -6,9 +6,12 @@ addresses. A sliding-window rate monitor watches traffic per home address;
 when an address is flooded it is blocked at the home agent, and in
 route-optimization mode the care-of address is rotated so an attacker who
 learned it goes dark too. Blocking one address never touches the others.
+
+The contact manager (book, calls, address requests) is `CallerNode`'s in
+caller.py; `MobileHost` subclasses it, calls from its prime, and overrides
+only the send step (battery charge, reverse tunnel) and its bookkeeping.
 """
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -19,27 +22,20 @@ from .addressing import (
     AddressState,
     Ipv6Address,
     NameService,
-    UnknownNameError,
     random_iid,
 )
-from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair
+from .caller import AddressBookEntry, CallerNode, CallOutcome
+from .crypto import CertificateAuthority, Ed25519Scheme
 from .distribution import (
     AddressRequest,
-    AddressResponse,
     ChallengeAction,
     DistributionResponder,
     GrantAction,
-    HipChallengeMsg,
     HipGate,
-    InitiatorSession,
-    Refusal,
     RefuseAction,
-    RequestOutcome,
-    RequestResult,
-    SessionTimer,
 )
 from .energy import EnergyAccount, PacketKind
-from .engine import US_PER_SECOND, Node, Packet, SimTime, Simulator
+from .engine import US_PER_SECOND, Packet, SimTime, Simulator
 from .home_agent import (
     BindingAck,
     BindingUpdate,
@@ -65,13 +61,6 @@ from .sas import PairResult, run_pairing
 class Mode(Enum):
     ROUTE_OPTIMIZATION = "route_optimization"
     BIDIRECTIONAL_TUNNELING = "bidirectional_tunneling"
-
-
-class CallOutcome(Enum):
-    CONNECTED = "connected"
-    REJECTED_PRIME_BLOCKED = "rejected_prime_blocked"
-    REJECTED_BY_CALLEE = "rejected_by_callee"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,18 +102,6 @@ class IntrusionMonitor:
 
 
 @dataclass(slots=True)
-class AddressBookEntry:
-    """Contact-manager row; both directions of the address exchange."""
-
-    peer_fqdn: str
-    peer_pubkey: bytes | None = None
-    granted_to_peer: Ipv6Address | None = None  # our address, in their hands
-    peer_address: Ipv6Address | None = None     # their address, where we call
-    peer_known_blocked: bool = False
-    denied: bool = False
-
-
-@dataclass(slots=True)
 class HostCounters:
     pings: int = 0
     calls_received: int = 0
@@ -145,11 +122,6 @@ class HostCounters:
 
 
 @dataclass(frozen=True, slots=True)
-class CallTimeout:
-    call_id: int
-
-
-@dataclass(frozen=True, slots=True)
 class PrimeReactivate:
     generation: int
 
@@ -164,15 +136,7 @@ class WindowUnblock:
     """Scheduled-attack window closing: policy reactivates the prime."""
 
 
-@dataclass(slots=True)
-class PendingCall:
-    call_id: int
-    peer_fqdn: str
-    on_result: Callable[[CallOutcome], None]
-    done: bool = False
-
-
-class MobileHost(Node):
+class MobileHost(CallerNode):
     def __init__(self, sim: Simulator, node_id: str, fqdn: str,
                  name_service: NameService, *,
                  mode: Mode = Mode.BIDIRECTIONAL_TUNNELING,
@@ -188,30 +152,25 @@ class MobileHost(Node):
                  pool_size: int = 4,
                  call_timeout_s: float = 3.0,
                  request_timeout_s: float = 3.0):
-        super().__init__(sim, node_id)
-        self.fqdn = fqdn
-        self.name_service = name_service
+        keys = certificate = None
+        if scheme is not None:
+            keys = scheme.generate(sim.rng)
+            if ca is not None:
+                certificate = ca.issue(fqdn, keys.public)
+        # the prime becomes this node's address once attached
+        super().__init__(sim, node_id, fqdn, None, name_service,
+                         scheme=scheme, keys=keys, certificate=certificate,
+                         ca=ca, require_signed_response=pki_required,
+                         call_timeout_s=call_timeout_s,
+                         request_timeout_s=request_timeout_s)
         self.mode = mode
-        self.scheme = scheme
-        self.ca = ca
-        self.pki_required = pki_required
         self.energy = energy
         self.auto_block = auto_block
         self.prime_reactivate_after_s = prime_reactivate_after_s
-        self.call_timeout_s = call_timeout_s
-        self.request_timeout_s = request_timeout_s
         self.pool_size = pool_size
         self.counters = HostCounters()
         self.monitor = IntrusionMonitor(detection_threshold_pps, detection_window_s)
-        self.keys: KeyPair | None = None
-        self.certificate: Certificate | None = None
-        if scheme is not None:
-            self.keys = scheme.generate(sim.rng)
-            if ca is not None:
-                self.certificate = ca.issue(fqdn, self.keys.public)
-        self.book: dict[str, AddressBookEntry] = {}
         self.address_states: dict[Ipv6Address, AddressState] = {}
-        self.prime: Ipv6Address | None = None
         self.coa: Ipv6Address | None = None
         self.visited_prefix: int | None = None
         self.prime_disabled = False
@@ -226,14 +185,14 @@ class MobileHost(Node):
             ca=ca, pki_required=pki_required,
             hip=hip if hip is not None else HipGate())
         self._pool: list[Ipv6Address] = []
-        self._sessions: dict[int, InitiatorSession] = {}
-        self._pending_calls: dict[int, PendingCall] = {}
         self._active_peers: dict[str, Ipv6Address] = {}  # fqdn -> peer address
-        self._route_cache: dict[Ipv6Address, Ipv6Address] = {}
         self._peer_bu_sent: set[Ipv6Address] = set()
-        self._request_ids = itertools.count(1)
-        self._call_ids = itertools.count(1)
         self._reactivate_gen = 0
+
+    @property
+    def prime(self) -> Ipv6Address | None:
+        """The published home address; requests go here, calls never do."""
+        return self.address
 
     # -- provisioning -------------------------------------------------------
 
@@ -243,8 +202,8 @@ class MobileHost(Node):
         self.ha_admin = ha.admin_address
         self.sa_tag = f"sa-{self.node_id}-{self.sim.rng.getrandbits(64):016x}"
         ha.attach_host(self.node_id, self.sa_tag)
-        self.prime = ha.generate_home_address(self.node_id, self.sa_tag,
-                                              role=AddressRole.PRIME)
+        self.address = ha.generate_home_address(self.node_id, self.sa_tag,
+                                                role=AddressRole.PRIME)
         self.address_states[self.prime] = AddressState.ACTIVE
         self.visited_prefix = visited_prefix
         self.coa = Ipv6Address(visited_prefix, random_iid(self.sim.rng))
@@ -338,8 +297,7 @@ class MobileHost(Node):
 
     def spit_block(self, peer_fqdn: str) -> None:
         """Drop a nuisance caller: block their address, refuse re-requests."""
-        entry = self.book.setdefault(peer_fqdn, AddressBookEntry(peer_fqdn))
-        entry.denied = True
+        entry = self.entry_for(peer_fqdn)
         self.responder.denied.add(peer_fqdn)
         self._active_peers.pop(peer_fqdn, None)
         if (entry.granted_to_peer is not None
@@ -351,8 +309,7 @@ class MobileHost(Node):
         """Hand out a disposable over a side channel (in person, e-mail, IM)."""
         hoa = self.responder.grant_direct(peer_fqdn)
         if hoa is not None:
-            entry = self.book.setdefault(peer_fqdn, AddressBookEntry(peer_fqdn))
-            entry.granted_to_peer = hoa
+            self.entry_for(peer_fqdn).granted_to_peer = hoa
         return hoa
 
     def _allocate_disposable(self) -> Ipv6Address:
@@ -367,122 +324,35 @@ class MobileHost(Node):
                                                 auth=self.sa_tag))
         return hoa
 
-    # -- calls -----------------------------------------------------------------
+    # -- contact-manager overrides ---------------------------------------------
 
     def place_call(self, peer_fqdn: str,
                    on_result: Callable[[CallOutcome], None]) -> None:
-        """Contact-manager entry point: handshake first if no usable address."""
         self.counters.calls_placed += 1
-        entry = self.book.setdefault(peer_fqdn, AddressBookEntry(peer_fqdn))
-        if entry.peer_address is not None and not entry.peer_known_blocked:
-            self._start_call(entry, on_result)
+        super().place_call(peer_fqdn, on_result)
+
+    def _call_connected(self, entry: AddressBookEntry) -> None:
+        # the peer learns our next care-of address in RO mode
+        self._active_peers[entry.peer_fqdn] = entry.peer_address
+
+    def _emit(self, packet: Packet) -> None:
+        """Charge one transmission, then send unless the battery is (or just
+        went) dead. In BT mode a packet from a home address is relayed by
+        the home agent, so the care-of address never shows."""
+        energy = self.energy
+        if energy is not None and (energy.dead or not energy.on_packet(
+                self.sim.now, PacketKind.TX_REPLY)):
             return
-        try:
-            self.request_disposable(
-                peer_fqdn,
-                lambda result: self._after_handshake(entry, result, on_result))
-        except UnknownNameError:
-            on_result(CallOutcome.FAILED)
-
-    def request_disposable(self, target_fqdn: str,
-                           on_done: Callable[[RequestResult], None],
-                           solve_hip: bool = True) -> None:
-        target_prime = self.name_service.resolve(target_fqdn)
-        request_id = next(self._request_ids)
-
-        def finish(result: RequestResult) -> None:
-            self._sessions.pop(request_id, None)
-            on_done(result)
-
-        session = InitiatorSession(
-            self.sim, self.node_id,
-            requester_name=self.fqdn.split(".")[0],
-            requester_fqdn=self.fqdn,
-            source=self.prime,
-            target_prime=target_prime,
-            target_fqdn=target_fqdn,
-            request_id=request_id,
-            on_done=finish,
-            send_request=lambda req: self._transmit(self.prime, target_prime,
-                                                    req, size=128),
-            scheme=self.scheme, keys=self.keys, certificate=self.certificate,
-            ca=self.ca, require_signed_response=self.pki_required,
-            timeout_s=self.request_timeout_s, solve_hip=solve_hip)
-        self._sessions[request_id] = session
-        session.start()
-
-    def _after_handshake(self, entry: AddressBookEntry, result: RequestResult,
-                         on_result: Callable[[CallOutcome], None]) -> None:
-        if result.outcome is RequestOutcome.GRANTED:
-            entry.peer_address = result.granted
-            entry.peer_known_blocked = False
-            if result.responder_key is not None:
-                entry.peer_pubkey = result.responder_key
-            self._start_call(entry, on_result)
-            return
-        if result.outcome is RequestOutcome.REFUSED:
-            on_result(CallOutcome.REJECTED_BY_CALLEE)
-        elif result.outcome is RequestOutcome.TIMEOUT:
-            on_result(CallOutcome.REJECTED_PRIME_BLOCKED)
-        else:
-            on_result(CallOutcome.FAILED)
-
-    def _start_call(self, entry: AddressBookEntry,
-                    on_result: Callable[[CallOutcome], None]) -> None:
-        call_id = next(self._call_ids)
-        self._pending_calls[call_id] = PendingCall(call_id=call_id,
-                                                   peer_fqdn=entry.peer_fqdn,
-                                                   on_result=on_result)
-        self._transmit(self.prime, entry.peer_address,
-                       CallRequest(caller_fqdn=self.fqdn, reply_to=self.prime,
-                                   call_id=call_id))
-        self.sim.call_in(self.call_timeout_s, self.node_id, CallTimeout(call_id))
-
-    def _finish_call(self, call_id: int, outcome: CallOutcome) -> None:
-        pending = self._pending_calls.pop(call_id, None)
-        if pending is None or pending.done:
-            return
-        pending.done = True
-        entry = self.book.get(pending.peer_fqdn)
-        if outcome is CallOutcome.CONNECTED and entry is not None:
-            self._active_peers[pending.peer_fqdn] = entry.peer_address
-        if outcome is CallOutcome.FAILED and entry is not None:
-            # silence on the wire: the disposable we hold is presumed dead,
-            # the next attempt re-runs the handshake
-            entry.peer_known_blocked = True
-        pending.on_result(outcome)
-
-    # -- transmit helpers ----------------------------------------------------
+        if self.mode is Mode.BIDIRECTIONAL_TUNNELING and packet.src != self.coa:
+            packet = Packet(src=self.coa, dst=self.ha_admin,
+                            payload=ReverseTunneled(inner=packet,
+                                                    host_id=self.node_id,
+                                                    auth=self.sa_tag),
+                            size_bytes=packet.size_bytes + 40)
+        self.sim.send(packet)
 
     def _send_management(self, message: ManagementMessage) -> None:
-        if self._charge_tx():
-            self.sim.send(Packet(src=self.coa, dst=self.ha_admin,
-                                 payload=message))
-
-    def _transmit(self, src_hoa: Ipv6Address, dst: Ipv6Address, payload: object,
-                  size: int = 56) -> None:
-        """Send from one of our home addresses, honoring the mobility mode."""
-        if not self._charge_tx():
-            return
-        inner = Packet(src=src_hoa, dst=self._route_cache.get(dst, dst),
-                       payload=payload, size_bytes=size)
-        if self.mode is Mode.BIDIRECTIONAL_TUNNELING:
-            # relay through the home agent; the care-of address never shows
-            self.sim.send(Packet(src=self.coa, dst=self.ha_admin,
-                                 payload=ReverseTunneled(inner=inner,
-                                                         host_id=self.node_id,
-                                                         auth=self.sa_tag),
-                                 size_bytes=size + 40))
-        else:
-            self.sim.send(inner)
-
-    def _charge_tx(self) -> bool:
-        """Charge one transmission; False when the battery is (or just went) dead."""
-        energy = self.energy
-        if energy is None:
-            return True
-        return not energy.dead and energy.on_packet(self.sim.now,
-                                                    PacketKind.TX_REPLY)
+        self._emit(Packet(src=self.coa, dst=self.ha_admin, payload=message))
 
     # -- receive path -----------------------------------------------------------
 
@@ -530,38 +400,23 @@ class MobileHost(Node):
         if handler is None:
             self.counters.non_hoa_dropped += 1
             return
-        handler(self, inner, state)
+        handler(self, inner)
 
-    # inner-packet handlers: (host, packet, state of its destination)
+    # inner-packet handlers, in addition to the contact manager's
 
-    def _on_ping(self, inner: Packet, state: AddressState | None) -> None:
+    def _on_ping(self, inner: Packet) -> None:
         self.counters.pings += 1
-        if state is not None or inner.dst == self.coa:
-            self._transmit(inner.dst, inner.src, Pong(inner.payload.seq))
+        dst = inner.dst
+        if dst in self.address_states or dst == self.coa:
+            self._send(dst, inner.src, Pong(inner.payload.seq))
 
-    def _on_call_accept(self, inner: Packet, state: AddressState | None) -> None:
-        self._finish_call(inner.payload.call_id, CallOutcome.CONNECTED)
-
-    def _on_call_reject(self, inner: Packet, state: AddressState | None) -> None:
-        self._finish_call(inner.payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
-
-    def _on_session_message(self, inner: Packet,
-                            state: AddressState | None) -> None:
-        session = self._sessions.get(inner.payload.request_id)
-        if session is not None:
-            session.on_message(inner.payload)
-
-    def _on_management(self, inner: Packet, state: AddressState | None) -> None:
+    def _on_management(self, inner: Packet) -> None:
         message = inner.payload
         if message.kind is ManagementKind.HOA_GRANT and message.hoa is not None:
             self.address_states[message.hoa] = AddressState.ACTIVE
             self._pool.append(message.hoa)
 
-    def _on_peer_binding_update(self, inner: Packet,
-                                state: AddressState | None) -> None:
-        self._route_cache[inner.payload.home_address] = inner.payload.care_of
-
-    def _ignore(self, inner: Packet, state: AddressState | None) -> None:
+    def _ignore(self, inner: Packet) -> None:
         pass
 
     def _maybe_send_peer_bu(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
@@ -572,60 +427,49 @@ class MobileHost(Node):
             return
         self._peer_bu_sent.add(peer_addr)
         self.counters.peer_binding_updates += 1
-        if not self._charge_tx():
-            return
-        self.sim.send(Packet(src=hoa, dst=peer_addr,
-                             payload=PeerBindingUpdate(home_address=hoa,
-                                                       care_of=self.coa)))
+        self._emit(Packet(src=hoa, dst=peer_addr,
+                          payload=PeerBindingUpdate(home_address=hoa,
+                                                    care_of=self.coa)))
 
-    def _on_call_request(self, inner: Packet,
-                         state: AddressState | None) -> None:
+    def _on_call_request(self, inner: Packet) -> None:
         dst, request = inner.dst, inner.payload
         self.counters.calls_received += 1
         if dst == self.prime:
             # calls never land on the prime; callers must hold a disposable
             self.counters.prime_call_rejects += 1
-            self._transmit(dst, request.reply_to,
-                           CallReject(call_id=request.call_id,
-                                      reason=PRIME_REJECT_REASON))
+            self._send(dst, request.reply_to,
+                       CallReject(call_id=request.call_id,
+                                  reason=PRIME_REJECT_REASON))
             return
         if self.address_states.get(dst) is AddressState.ACTIVE:
             self.counters.calls_accepted += 1
             self._active_peers[request.caller_fqdn] = request.reply_to
-            self._transmit(dst, request.reply_to,
-                           CallAccept(call_id=request.call_id))
+            self._send(dst, request.reply_to, CallAccept(call_id=request.call_id))
             return
         self.counters.non_hoa_dropped += 1
 
-    def _on_address_request(self, inner: Packet,
-                            state: AddressState | None) -> None:
+    def _on_address_request(self, inner: Packet) -> None:
         dst, request = inner.dst, inner.payload
         if dst != self.prime:
             return
         action = self.responder.handle_request(request, self.sim.now)
         if isinstance(action, GrantAction):
-            entry = self.book.setdefault(request.requester_fqdn,
-                                         AddressBookEntry(request.requester_fqdn))
-            entry.granted_to_peer = action.response.granted
-            self._transmit(self.prime, request.reply_to, action.response, size=128)
+            self.entry_for(request.requester_fqdn).granted_to_peer = \
+                action.response.granted
+            self._send(dst, request.reply_to, action.response, size_bytes=128)
         elif isinstance(action, ChallengeAction):
-            self._transmit(self.prime, request.reply_to, action.challenge)
+            self._send(dst, request.reply_to, action.challenge)
         elif isinstance(action, RefuseAction):
-            self._transmit(self.prime, request.reply_to, action.refusal)
+            self._send(dst, request.reply_to, action.refusal)
 
     _inner_handlers = {
+        **CallerNode._packet_handlers,
         Ping: _on_ping,
         Pong: _ignore,
         CallRequest: _on_call_request,
-        CallAccept: _on_call_accept,
-        CallReject: _on_call_reject,
         AddressRequest: _on_address_request,
-        AddressResponse: _on_session_message,
-        HipChallengeMsg: _on_session_message,
-        Refusal: _on_session_message,
         ManagementMessage: _on_management,
         BindingAck: _ignore,
-        PeerBindingUpdate: _on_peer_binding_update,
     }
 
     # -- timers ------------------------------------------------------------------
@@ -636,14 +480,6 @@ class MobileHost(Node):
         handler = self._timer_handlers.get(type(token))
         if handler is not None:
             handler(self, token)
-
-    def _on_session_timer(self, token: SessionTimer) -> None:
-        session = self._sessions.get(token.request_id)
-        if session is not None:
-            session.on_timer(token)
-
-    def _on_call_timeout(self, token: CallTimeout) -> None:
-        self._finish_call(token.call_id, CallOutcome.FAILED)
 
     def _on_prime_reactivate(self, token: PrimeReactivate) -> None:
         if (token.generation == self._reactivate_gen
@@ -659,8 +495,7 @@ class MobileHost(Node):
         self.reactivate_address(self.prime)
 
     _timer_handlers = {
-        SessionTimer: _on_session_timer,
-        CallTimeout: _on_call_timeout,
+        **CallerNode._timer_handlers,
         PrimeReactivate: _on_prime_reactivate,
         WindowBlock: _on_window_block,
         WindowUnblock: _on_window_unblock,
@@ -677,12 +512,8 @@ class MobileHost(Node):
         if result.confirmed:
             ours = self.responder.grant_direct(peer.fqdn)
             theirs = peer.responder.grant_direct(self.fqdn)
-            mine = self.book.setdefault(peer.fqdn, AddressBookEntry(peer.fqdn))
-            mine.peer_pubkey = result.key_seen_by_initiator
-            mine.peer_address = theirs
-            mine.granted_to_peer = ours
-            other = peer.book.setdefault(self.fqdn, AddressBookEntry(self.fqdn))
-            other.peer_pubkey = result.key_seen_by_responder
-            other.peer_address = ours
-            other.granted_to_peer = theirs
+            self.learn_address(peer.fqdn, theirs, result.key_seen_by_initiator)
+            self.entry_for(peer.fqdn).granted_to_peer = ours
+            peer.learn_address(self.fqdn, ours, result.key_seen_by_responder)
+            peer.entry_for(self.fqdn).granted_to_peer = theirs
         return result

@@ -26,12 +26,12 @@ from pathlib import Path
 
 from .addressing import Ipv6Address, NameService
 from .adversary import AttackSchedule
-from .caller import CallerNode, StartCall
+from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from .engine import EPOCH, LinkModel, SimTime, Simulator
 from .home_agent import HomeAgent
-from .mobile_host import CallOutcome, MobileHost, Mode
+from .mobile_host import MobileHost, Mode
 from .stats import sample_mean_std
 
 HOME_PREFIX = 0x20010DB800010000

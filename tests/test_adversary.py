@@ -13,7 +13,8 @@ from dispo6.adversary import (
 )
 from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount, drain_rate, flood_profile, idle_profile
 from dispo6.engine import EPOCH, SimTime
-from dispo6.mobile_host import CallOutcome, Mode
+from dispo6.caller import CallOutcome
+from dispo6.mobile_host import Mode
 from dispo6.distribution import RequestOutcome
 from test_mobile_host import call_once, make_caller, make_host
 from conftest import ATTACKER_PREFIX
@@ -240,12 +241,12 @@ class TestSpit:
                                                         keys.public),
                              ca=world.ca, require_signed_response=True)
         outcomes = []
-        spitter.spit_call(host.fqdn, outcomes.append)
+        spitter.place_call(host.fqdn, outcomes.append)
         world.sim.run()
         assert outcomes == [CallOutcome.CONNECTED]
         host.spit_block(spitter.fqdn)
         world.sim.run()
-        spitter.spit_call(host.fqdn, outcomes.append)
+        spitter.place_call(host.fqdn, outcomes.append)
         world.sim.run()
         assert outcomes[-1] is CallOutcome.FAILED
         results = []

@@ -4,7 +4,6 @@ from dispo6.crypto import (
     CertificateAuthority,
     Certificate,
     Ed25519Scheme,
-    Sha256Hash,
     encode_fields,
 )
 
@@ -73,9 +72,3 @@ class TestCertificates:
                              public_key=cert.public_key,
                              signature=cert.signature)
         assert not ca.verify(forged)
-
-
-def test_sha256_scheme_matches_hashlib():
-    import hashlib
-
-    assert Sha256Hash.digest(b"abc") == hashlib.sha256(b"abc").digest()

@@ -17,7 +17,7 @@ from dispo6.distribution import (
     RequestOutcome,
 )
 from dispo6.engine import SimTime
-from dispo6.mobile_host import CallOutcome
+from dispo6.caller import CallOutcome
 from test_mobile_host import call_once, make_caller, make_host
 
 HOME_PREFIX = 0x20010DB800010000

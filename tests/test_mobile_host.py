@@ -1,8 +1,12 @@
 import dataclasses
 
+import pytest
+
 from dispo6.addressing import AddressState, Ipv6Address
-from dispo6.caller import CallerNode
+from dispo6.caller import CallerNode, CallOutcome
+from dispo6.distribution import AddressRequest
 from dispo6.engine import Packet, SimTime
+from dispo6.home_agent import Encapsulated
 from dispo6.messages import (
     PRIME_REJECT_REASON,
     CallReject,
@@ -11,7 +15,6 @@ from dispo6.messages import (
 )
 from dispo6.mobile_host import (
     AttackAlert,
-    CallOutcome,
     IntrusionMonitor,
     MobileHost,
     Mode,
@@ -335,3 +338,74 @@ class TestLocationPrivacy:
         world.sim.run()
         assert len(pongs) == 1
         assert pongs[0].src == hoa
+
+
+def addressed_to(world, node_id, payload_type):
+    """Packets carrying `payload_type` that reached `node_id`, as delivered."""
+    return [packet for _, target, packet in world.sim.trace
+            if target == node_id and isinstance(packet, Packet)
+            and type(getattr(packet.payload, "inner", packet).payload)
+            is payload_type]
+
+
+class TestMobileToMobile:
+    @pytest.mark.parametrize("caller_mode", list(Mode))
+    @pytest.mark.parametrize("callee_mode", list(Mode))
+    def test_calls_survive_callee_move(self, make_world, caller_mode,
+                                       callee_mode):
+        world = make_world(keep_trace=True)
+        a = make_host(world, node_id="a", fqdn="alice.home.example",
+                      mode=caller_mode)
+        b = make_host(world, node_id="b", fqdn="bob.home.example",
+                      mode=callee_mode)
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        b.move_to_subnet(0x20010DB802220000)
+        world.sim.run()
+        # in RO mode the callee has sent the caller its new care-of address
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert b.counters.non_hoa_dropped == 0
+        assert a.counters.calls_placed == 3
+        # the held disposable goes dark; the retry asks the prime afresh
+        b.dispose_address(a.book[b.fqdn].peer_address)
+        world.sim.run()
+        assert call_once(world, a, b.fqdn) is CallOutcome.FAILED
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert b.counters.non_hoa_dropped == 0
+        requests = addressed_to(world, b.node_id, AddressRequest)
+        assert len(requests) == 2
+        for packet in requests:
+            # tunneled by the home agent, never sent to a cached care-of
+            assert packet.src == world.agent.admin_address
+            assert type(packet.payload) is Encapsulated
+            assert packet.payload.inner.dst == b.prime
+
+
+class TestPairing:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_pairing_exchanges_disposables_and_keys(self, make_world, mode):
+        world = make_world(pki=True)
+        a = make_host(world, node_id="a", fqdn="alice.home.example", mode=mode)
+        b = make_host(world, node_id="b", fqdn="bob.home.example", mode=mode)
+        handled = []
+        for host in (a, b):
+            original = host.responder.handle_request
+
+            def spy(request, now, _original=original):
+                handled.append(request)
+                return _original(request, now)
+
+            host.responder.handle_request = spy
+        result = a.pair_with(b)
+        assert result.confirmed
+        mine, theirs = a.book[b.fqdn], b.book[a.fqdn]
+        assert mine.peer_pubkey == b.keys.public
+        assert theirs.peer_pubkey == a.keys.public
+        assert mine.peer_address == theirs.granted_to_peer
+        assert theirs.peer_address == mine.granted_to_peer
+        assert b.address_states[mine.peer_address] is AddressState.ACTIVE
+        assert a.address_states[theirs.peer_address] is AddressState.ACTIVE
+        assert mine.peer_address not in (a.prime, b.prime)
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert call_once(world, b, a.fqdn) is CallOutcome.CONNECTED
+        assert handled == []
