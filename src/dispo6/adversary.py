@@ -3,9 +3,11 @@
 The flooder sends request packets (which provoke replies) at a fixed rate,
 optionally with uniformly spoofed source addresses, which is why
 per-source filtering at the victim goes nowhere. The scheduled attacker
-hits the victim's prime address for a few hours daily; at schedule
-granularity that means the victim's policy blocks the prime for the drawn
-window, and at packet level it really floods.
+hits the victim's prime address for a few hours daily. At packet level it
+really floods and the victim's detection blocks the prime; at schedule
+granularity the victim's policy blocks the prime for the drawn window
+(`block_prime_window`, which the scenario's explicit mode uses too), and
+the home agent drops every address request that arrives meanwhile.
 """
 
 import random
@@ -26,33 +28,6 @@ from .sas import (
     commitment,
     run_pairing,
 )
-
-
-@dataclass(frozen=True, slots=True)
-class FloodConfig:
-    target: Ipv6Address
-    rate_pps: float
-    start: SimTime
-    stop: SimTime
-    payload_size: int = 56
-    spoof_sources: bool = False
-
-    def __post_init__(self):
-        if self.rate_pps <= 0:
-            raise ValueError("flood rate must be positive")
-        if self.stop < self.start:
-            raise ValueError("flood stops before it starts")
-
-
-@dataclass(frozen=True, slots=True)
-class SleepDeprivationConfig:
-    """Minimal-rate variant: one packet per sleep timeout keeps the radio up."""
-
-    victim_sleep_timeout_s: float
-
-    @property
-    def rate_pps(self) -> float:
-        return 1.0 / self.victim_sleep_timeout_s
 
 
 @dataclass(slots=True)
@@ -79,15 +54,13 @@ class Flooder(Node):
         self.stats = FloodStats()
         sim.register_route(address, node_id)
 
-    def run_flood(self, config: FloodConfig) -> FloodStats:
-        self.flood_between(config.start, config.stop, config.target,
-                           config.rate_pps, config.payload_size,
-                           config.spoof_sources)
-        return self.stats
-
     def flood_between(self, start: SimTime, stop: SimTime, target: Ipv6Address,
                       rate_pps: float, payload_size: int = 56,
                       spoof: bool = False) -> None:
+        if rate_pps <= 0:
+            raise ValueError("flood rate must be positive")
+        if stop < start:
+            raise ValueError("flood stops before it starts")
         self.sim.call_at(start, self.node_id,
                          _Emit(stop_us=stop.micros, target=target,
                                interval_s=1.0 / rate_pps,
@@ -133,9 +106,6 @@ class AttackSchedule:
     def draw_start(self, rng: random.Random) -> int:
         return rng.choice(self.start_choices)
 
-    def covers(self, start_hour: int, hour: float) -> bool:
-        return start_hour <= hour < start_hour + self.daily_hours
-
     def paper_rejection_probability(self) -> float:
         """Coincidence arithmetic treating both factors as window fractions."""
         return (self.daily_hours / 12.0) ** 2
@@ -149,6 +119,13 @@ SIX_HOUR_SCHEDULE = AttackSchedule(daily_hours=6, start_choices=(8, 14))
 class WindowLog:
     day: int
     start_hour: int
+
+
+def block_prime_window(sim: Simulator, victim: MobileHost, opens: SimTime,
+                       closes: SimTime) -> None:
+    """The victim's policy blocks its prime from `opens` until `closes`."""
+    sim.call_at(opens, victim.node_id, WindowBlock())
+    sim.call_at(closes, victim.node_id, WindowUnblock())
 
 
 def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
@@ -170,8 +147,7 @@ def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
         if flooder is not None:
             flooder.flood_between(opens, closes, victim.prime, flood_rate_pps)
         else:
-            sim.call_at(opens, victim.node_id, WindowBlock())
-            sim.call_at(closes, victim.node_id, WindowUnblock())
+            block_prime_window(sim, victim, opens, closes)
     return windows
 
 

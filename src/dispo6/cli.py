@@ -29,11 +29,9 @@ from .energy import (
     lifetime_under,
 )
 from .scenario import (
-    BATTERY_HEADER,
     ConfigError,
     RejectionMode,
     ScenarioConfig,
-    ScenarioResult,
     fig3_config,
     run_scenario,
     run_sweep,
@@ -42,6 +40,7 @@ from .scenario import (
     write_daily_series,
     write_metrics_json,
 )
+from .stats import mann_kendall
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,13 +130,22 @@ def _parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _write_run_outputs(out_dir: Path, result: ScenarioResult) -> None:
+def _run_and_write(config: ScenarioConfig, args: argparse.Namespace,
+                   prefix: str = "") -> int:
+    config = _apply_overrides(config, args)
+    result = run_scenario(config)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     write_call_log(out_dir / "calls.csv", result.records)
     write_daily_series(out_dir / "daily_rejections.csv", result.metrics.daily)
     write_metrics_json(out_dir / "metrics.json", result.metrics)
     if result.battery_series:
         write_battery_series(out_dir / "battery.csv", result.battery_series)
+    metrics = result.metrics
+    print(f"{prefix}seed={config.seed} days={config.horizon_days} "
+          f"calls={metrics.total_calls} rejected={metrics.rejected_calls} "
+          f"rate={metrics.rejection_rate:.4f} -> {out_dir}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -145,30 +153,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(yaml.safe_dump(ScenarioConfig().to_mapping(), sort_keys=False),
               end="")
         return 0
-    config = _apply_overrides(_load_config(args.config), args)
-    result = run_scenario(config)
-    _write_run_outputs(args.out_dir, result)
-    metrics = result.metrics
-    print(f"seed={config.seed} days={config.horizon_days} "
-          f"calls={metrics.total_calls} rejected={metrics.rejected_calls} "
-          f"rate={metrics.rejection_rate:.4f} -> {args.out_dir}")
-    return 0
+    return _run_and_write(_load_config(args.config), args)
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    config = fig3_config(args.variant,
-                         seed=args.seed if args.seed is not None else 0,
-                         days=args.days if args.days is not None else 1000)
-    if args.mode is not None:
-        config = dataclasses.replace(config,
-                                     rejection_mode=RejectionMode(args.mode))
-    result = run_scenario(config)
-    _write_run_outputs(args.out_dir, result)
-    metrics = result.metrics
-    print(f"fig3 {args.variant} seed={config.seed} days={config.horizon_days} "
-          f"calls={metrics.total_calls} rejected={metrics.rejected_calls} "
-          f"rate={metrics.rejection_rate:.4f} -> {args.out_dir}")
-    return 0
+    return _run_and_write(fig3_config(args.variant), args,
+                          prefix=f"fig3 {args.variant} ")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -181,12 +171,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for s in sweep.summaries:
             handle.write(f"{s.seed},{s.total_calls},{s.rejected_calls},"
                          f"{s.rejection_rate:.6f}\n")
+    daily = sweep.seed_averaged_daily()
+    # Fig. 3: daily rejections fall as correspondents collect disposables
+    trend = mann_kendall(daily) if len(daily) >= 3 else None
     summary = {
         "seeds": len(sweep.summaries),
         "mean_rejected": sweep.mean_rejected,
         "std_rejected": sweep.std_rejected,
         "mean_rate": sweep.mean_rate,
         "std_rate": sweep.std_rate,
+        "trend_s": trend.s if trend else None,
+        "trend_z": trend.z if trend else None,
+        "trend_p_decreasing": trend.p_decreasing if trend else None,
     }
     with open(args.out_dir / "sweep_summary.json", "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -216,11 +212,8 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     profile = idle_profile() if args.profile == "idle" else flood_profile(args.rate)
     hours = lifetime_under(DEFAULT_PARAMS, Battery(), profile)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    series = _battery_series_for(profile)
-    with open(args.out_dir / "battery.csv", "w", newline="") as handle:
-        handle.write(BATTERY_HEADER + "\n")
-        for t, remaining, state in series:
-            handle.write(f"{t:.3f},{remaining:.9f},{state}\n")
+    write_battery_series(args.out_dir / "battery.csv",
+                         _battery_series_for(profile))
     print(f"profile={profile.name} lifetime_hours={hours:.3f} "
           f"lifetime_days={hours / 24.0:.3f} -> {args.out_dir}")
     return 0

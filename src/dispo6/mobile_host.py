@@ -146,7 +146,6 @@ class MobileHost(CallerNode):
                  energy: EnergyAccount | None = None,
                  detection_threshold_pps: float = 10.0,
                  detection_window_s: float = 10.0,
-                 auto_block: bool = True,
                  prime_reactivate_after_s: float = 60.0,
                  hip: HipGate | None = None,
                  pool_size: int = 4,
@@ -165,7 +164,6 @@ class MobileHost(CallerNode):
                          request_timeout_s=request_timeout_s)
         self.mode = mode
         self.energy = energy
-        self.auto_block = auto_block
         self.prime_reactivate_after_s = prime_reactivate_after_s
         self.pool_size = pool_size
         self.counters = HostCounters()
@@ -247,11 +245,12 @@ class MobileHost(CallerNode):
     # -- address lifecycle ---------------------------------------------------
 
     def dispose_address(self, hoa: Ipv6Address, reason: str = "",
-                        auto_reactivate: bool | None = None) -> AddressRole | None:
+                        auto_reactivate: bool = True) -> AddressRole | None:
         """Block `hoa` at the home agent; rotate the care-of address in RO mode.
 
         Disposing the prime is allowed (it suspends the distribution
-        protocol) and reported distinctly.
+        protocol) and reported distinctly; with `auto_reactivate` the prime
+        comes back after `prime_reactivate_after_s`.
         """
         state = self.address_states.get(hoa)
         if state is None:
@@ -270,8 +269,7 @@ class MobileHost(CallerNode):
             self.counters.prime_disposals += 1
             self.prime_disabled = True
             self.responder.enabled = False
-            arm = self.auto_block if auto_reactivate is None else auto_reactivate
-            if arm:
+            if auto_reactivate:
                 self._reactivate_gen += 1
                 self.sim.call_in(self.prime_reactivate_after_s, self.node_id,
                                  PrimeReactivate(self._reactivate_gen))
@@ -392,9 +390,9 @@ class MobileHost(CallerNode):
             alert = self.monitor.observe(dst, self.sim.now)
             if alert is not None:
                 self.counters.alerts += 1
-                if self.auto_block:
-                    self.dispose_address(dst, reason="intrusion alert")
-            if tunneled and self.mode is Mode.ROUTE_OPTIMIZATION:
+                self.dispose_address(dst, reason="intrusion alert")
+            if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
+                    and dst != self.prime):
                 self._maybe_send_peer_bu(dst, inner.src)
         handler = self._inner_handlers.get(type(inner.payload))
         if handler is None:
@@ -420,9 +418,12 @@ class MobileHost(CallerNode):
         pass
 
     def _maybe_send_peer_bu(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
-        # Route optimization answers any tunneled packet with a binding
-        # update, which is exactly how a flooding attacker learns the
-        # care-of address.
+        # Route optimization answers a tunneled packet to a disposable with
+        # a binding update, which is exactly how a flooding attacker who
+        # holds one learns the care-of address. The published prime never
+        # answers so: any stranger could learn the location from it, and a
+        # move announces no new care-of address for the prime, so peers
+        # would keep sending to the stale one.
         if peer_addr in self._peer_bu_sent:
             return
         self._peer_bu_sent.add(peer_addr)

@@ -3,15 +3,18 @@
 One victim publishes its name; a pool of correspondents discovers it and
 calls over a long horizon while an attacker floods the victim's prime
 address for a few hours daily. Correspondents who already hold a
-disposable address always get through; first contacts fail exactly when
-they coincide with an attack window.
+disposable address always get through; first contacts fail when they
+meet an attack window.
 
-Two coincidence models are provided. The "paper" mode applies a fixed
-per-call rejection probability for first contacts, (hours/12)^2 by
-default. The "explicit" mode draws a call time in the call window and
-tests membership in the drawn attack window, which yields a higher
-rejection rate (hours/12); the two disagree by construction, so the mode
-is part of the configuration rather than a hidden choice.
+The rejection mode says how a first contact meets the attack. In "paper"
+mode it is rejected with the paper's fixed per-call probability,
+(hours/12)^2, drawn without running the handshake. In "explicit" mode the
+victim's policy blocks its prime for each day's drawn window
+(`adversary.block_prime_window`), so the home agent drops the address
+request and the handshake times out; the rejection rate is then the
+window's share of the call window, hours/12. The two disagree by
+construction, so the mode is part of the configuration rather than a
+hidden choice.
 """
 
 import dataclasses
@@ -25,7 +28,12 @@ from enum import Enum
 from pathlib import Path
 
 from .addressing import Ipv6Address, NameService
-from .adversary import AttackSchedule
+from .adversary import (
+    FOUR_HOUR_SCHEDULE,
+    SIX_HOUR_SCHEDULE,
+    AttackSchedule,
+    block_prime_window,
+)
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
@@ -67,7 +75,6 @@ class ScenarioConfig:
     attack_hours: int | None = 4
     attack_start_choices: tuple[int, ...] | None = None
     rejection_mode: RejectionMode = RejectionMode.PAPER_FAITHFUL
-    rejection_probability: float | None = None
     mobility_mode: Mode = Mode.BIDIRECTIONAL_TUNNELING
     latency_s: float = 0.05
     loss_probability: float = 0.0
@@ -82,18 +89,13 @@ class ScenarioConfig:
     def schedule(self) -> AttackSchedule | None:
         if self.attack_hours is None:
             return None
-        choices = self.attack_start_choices
-        if choices is None:
-            choices = (8, 12, 16) if self.attack_hours == 4 else (8, 14)
-        return AttackSchedule(daily_hours=self.attack_hours,
-                              start_choices=tuple(choices))
-
-    def effective_rejection_probability(self) -> float:
-        """Per-call coincidence probability used in paper mode."""
-        if self.rejection_probability is not None:
-            return self.rejection_probability
-        schedule = self.schedule()
-        return schedule.paper_rejection_probability() if schedule else 0.0
+        if self.attack_start_choices is not None:
+            return AttackSchedule(daily_hours=self.attack_hours,
+                                  start_choices=self.attack_start_choices)
+        for published in (FOUR_HOUR_SCHEDULE, SIX_HOUR_SCHEDULE):
+            if published.daily_hours == self.attack_hours:
+                return published
+        raise ValueError("attack duration must be 4 or 6 hours")
 
     def validate(self) -> None:
         problems = []
@@ -112,9 +114,6 @@ class ScenarioConfig:
             problems.append("daily_call_probability outside [0,1]")
         if not (0.0 <= self.call_window_start < self.call_window_end <= 24.0):
             problems.append("call window must satisfy 0 <= start < end <= 24")
-        if self.rejection_probability is not None and not (
-                0.0 <= self.rejection_probability <= 1.0):
-            problems.append("rejection_probability outside [0,1]")
         if self.latency_s < 0:
             problems.append("latency_s must be >= 0")
         if not 0.0 <= self.loss_probability <= 1.0:
@@ -209,15 +208,13 @@ def _fits(value: object, expected: object) -> bool:
     return isinstance(value, expected)
 
 
-def fig3_config(variant: str, seed: int = 0, days: int = 1000,
-                rejection_mode: RejectionMode = RejectionMode.PAPER_FAITHFUL,
-                ) -> ScenarioConfig:
+def fig3_config(variant: str, seed: int = 0,
+                days: int = 1000) -> ScenarioConfig:
     """Preset for the two published 1000-day attack experiments."""
     if variant not in ("4h", "6h"):
         raise ConfigError("fig3 variant must be '4h' or '6h'")
     hours = 4 if variant == "4h" else 6
-    return ScenarioConfig(seed=seed, horizon_days=days, attack_hours=hours,
-                          rejection_mode=rejection_mode)
+    return ScenarioConfig(seed=seed, horizon_days=days, attack_hours=hours)
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,14 +306,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             require_signed_response=config.pki_enabled))
 
     schedule = config.schedule()
-    p_reject = config.effective_rejection_probability()
+    explicit = config.rejection_mode is RejectionMode.EXPLICIT_TIME
+    p_reject = 0.0
+    if schedule is not None and not explicit:
+        p_reject = schedule.paper_rejection_probability()
     recorder = _Recorder()
 
     def on_start_call(node: CallerNode, token: StartCall) -> None:
         t0 = sim.now
         had = node.has_address_for(token.target_fqdn)
         if not had and token.coincides_with_attack:
-            # prime blocked: the request is silently dropped, the call dies
+            # paper mode: the call met the attack, no handshake runs
             recorder.add(CallRecord(day=token.day,
                                     correspondent_id=token.correspondent_id,
                                     had_disposable=False,
@@ -343,21 +343,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             hoa = victim.grant_out_of_band(correspondents[corr_id].fqdn)
             if hoa is not None:
                 correspondents[corr_id].learn_address(config.victim_fqdn, hoa)
-        window_start = schedule.draw_start(sim.rng) if schedule else None
+        if schedule is not None:
+            # drawn in both modes, so a mode switch leaves the stream alone
+            start = schedule.draw_start(sim.rng)
+            if explicit:
+                block_prime_window(sim, victim, SimTime.at(day, start),
+                                   SimTime.at(day, start + schedule.daily_hours))
         for i in range(config.correspondents):
             if sim.rng.random() >= config.daily_call_probability:
                 continue
             hour = config.call_window_start + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
-            if config.rejection_mode is RejectionMode.PAPER_FAITHFUL:
-                coincides = slack < p_reject
-            else:
-                coincides = (window_start is not None
-                             and schedule.covers(window_start, hour))
             sim.call_at(SimTime.at(day, hour), correspondents[i].node_id,
                         StartCall(target_fqdn=config.victim_fqdn, day=day,
                                   correspondent_id=i,
-                                  coincides_with_attack=coincides))
+                                  coincides_with_attack=slack < p_reject))
         sim.run_until(SimTime.at(day + 1, 0))
         day_records = recorder.drain()
         records.extend(day_records)

@@ -5,10 +5,8 @@ from dispo6.adversary import (
     FOUR_HOUR_SCHEDULE,
     SIX_HOUR_SCHEDULE,
     AttackSchedule,
-    FloodConfig,
     Flooder,
     PerSourceFilter,
-    SleepDeprivationConfig,
     run_scheduled_prime_attack,
 )
 from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount, drain_rate, flood_profile, idle_profile
@@ -24,10 +22,9 @@ ATTACKER_ADDR = Ipv6Address(ATTACKER_PREFIX, 0xA)
 
 def flood(world, target, rate, seconds, spoof=False, start_s=0.0):
     flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
-    flooder.run_flood(FloodConfig(target=target, rate_pps=rate,
-                                  start=SimTime.from_seconds(start_s),
-                                  stop=SimTime.from_seconds(start_s + seconds),
-                                  spoof_sources=spoof))
+    flooder.flood_between(SimTime.from_seconds(start_s),
+                          SimTime.from_seconds(start_s + seconds),
+                          target, rate, spoof=spoof)
     return flooder
 
 
@@ -60,18 +57,15 @@ class TestFlooder:
         filtered = sum(0 if victim_filter.admit(src) else 1 for src in sources)
         assert filtered / len(sources) < 0.01
 
-    def test_flood_config_validation(self):
-        with pytest.raises(ValueError):
-            FloodConfig(target=ATTACKER_ADDR, rate_pps=0,
-                        start=EPOCH, stop=EPOCH)
-        with pytest.raises(ValueError):
-            FloodConfig(target=ATTACKER_ADDR, rate_pps=1,
-                        start=SimTime.from_seconds(2),
-                        stop=SimTime.from_seconds(1))
-
-    def test_sleep_deprivation_rate_identity(self):
-        config = SleepDeprivationConfig(victim_sleep_timeout_s=10.0)
-        assert config.rate_pps * config.victim_sleep_timeout_s == 1.0
+    def test_flood_between_validation(self, make_world):
+        world = make_world()
+        flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
+        with pytest.raises(ValueError, match="rate"):
+            flooder.flood_between(EPOCH, EPOCH, ATTACKER_ADDR, 0)
+        with pytest.raises(ValueError, match="stops before"):
+            flooder.flood_between(SimTime.from_seconds(2),
+                                  SimTime.from_seconds(1), ATTACKER_ADDR, 1)
+        assert world.sim.pending() == 0
 
 
 class TestFloodEnergy:

@@ -1,0 +1,99 @@
+import json
+
+import pytest
+import yaml
+
+from dispo6 import cli
+from dispo6.energy import (
+    DEFAULT_PARAMS,
+    Battery,
+    flood_profile,
+    idle_profile,
+    lifetime_under,
+)
+from dispo6.scenario import ScenarioConfig, fig3_config
+
+RUN_OUTPUTS = ("calls.csv", "daily_rejections.csv", "metrics.json")
+
+
+def write_config(path, config: ScenarioConfig):
+    path.write_text(yaml.safe_dump(config.to_mapping(), sort_keys=True))
+    return path
+
+
+class TestFig3:
+    def test_same_files_as_run_with_the_preset(self, tmp_path, capsys):
+        assert cli.main(["fig3", "6h", "--seed", "3",
+                         "--out-dir", str(tmp_path / "fig3")]) == 0
+        assert capsys.readouterr().out.startswith("fig3 6h seed=3 days=1000 ")
+        config = write_config(tmp_path / "config.yaml", fig3_config("6h", seed=3))
+        assert cli.main(["run", "--config", str(config),
+                         "--out-dir", str(tmp_path / "run")]) == 0
+        for name in RUN_OUTPUTS:
+            assert ((tmp_path / "fig3" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes()), name
+
+    def test_mode_and_days_are_honoured(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["fig3", "4h", "--mode", "explicit", "--days", "5",
+                         "--out-dir", str(out)]) == 0
+        rows = (out / "daily_rejections.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2", "3", "4"]
+        # explicit mode: the victim's policy blocks the prime once a day
+        victim = json.loads((out / "metrics.json").read_text())["counters"]["victim"]
+        assert victim["prime_disposals"] == victim["reactivations"] == 5
+
+
+class TestDrain:
+    @pytest.mark.parametrize("profile, load", [
+        ("idle", idle_profile()), ("flood", flood_profile(100.0))])
+    def test_series_ends_dead_at_closed_form_lifetime(self, profile, load,
+                                                      tmp_path):
+        assert cli.main(["drain", profile, "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "battery.csv").read_text().splitlines()
+        assert lines[0] == "time,remaining,state"
+        hours = lifetime_under(DEFAULT_PARAMS, Battery(), load)
+        assert lines[-1] == f"{hours * 3600.0:.3f},{0.0:.9f},dead"
+        assert all(not line.endswith(",dead") for line in lines[1:-1])
+
+
+class TestSweep:
+    def test_trend_reported_and_decreasing(self, tmp_path):
+        config = write_config(tmp_path / "config.yaml", ScenarioConfig(
+            horizon_days=300, attack_hours=4, pki_enabled=False))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--seeds", "0:10",
+                         "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["seeds"] == 10
+        assert summary["trend_s"] < 0
+        assert summary["trend_z"] < 0
+        assert summary["trend_p_decreasing"] < 0.05
+
+    def test_trend_null_under_three_days(self, tmp_path):
+        config = write_config(tmp_path / "config.yaml", ScenarioConfig(
+            horizon_days=2, correspondents=5, pki_enabled=False))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--seeds", "0,1",
+                         "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["trend_s"] is None
+        assert summary["trend_z"] is None
+        assert summary["trend_p_decreasing"] is None
+
+    @pytest.mark.parametrize("spec", ["abc", "3:3", "1,x", ","])
+    def test_bad_seed_spec_exits_2(self, spec, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml", ScenarioConfig())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--seeds", spec,
+                         "--out-dir", str(out)]) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_still_setting_removed_knob_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"rejection_probability": 0.5}))
+    assert cli.main(["run", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown config keys: rejection_probability" in capsys.readouterr().err

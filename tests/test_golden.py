@@ -26,7 +26,7 @@ from dispo6.energy import (
 from dispo6.engine import EPOCH, SimTime, Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import MobileHost, Mode
-from dispo6.scenario import fig3_config
+from dispo6.scenario import RejectionMode, fig3_config
 
 from conftest import HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX
 
@@ -51,6 +51,18 @@ FIG3_DIGESTS = {
     },
 }
 
+# fig3 4h, seed 0, explicit mode: the call log and the daily series are
+# the same as when the scenario decided rejections by window arithmetic;
+# metrics.json now counts the prime's blocks and the dropped requests
+EXPLICIT_4H_DIGESTS = {
+    "calls.csv":
+        "fb62dea07f0c4c2aaca85af5d278b49b695bf79750418713545dcd80629c128f",
+    "daily_rejections.csv":
+        "c519722c4f7f99c3cd066483e2418720413a94b2ce1a43ebabc83c899fb9c92a",
+    "metrics.json":
+        "72e02b5be8b00936995b2d2cdb968284992c3c8c874d5c1ed0e641478c8d041a",
+}
+
 FLOOD_DIGESTS = {
     "drain_tunnel":
         "3989800364c24b91848f5cc67331ab4a1e2d0cf6b6ed52e377ba80b776ec32a3",
@@ -66,17 +78,31 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("variant", ["4h", "6h"])
-def test_fig3_run_outputs_are_pinned(variant, tmp_path):
+def run_digests(config, tmp_path) -> dict:
     config_path = tmp_path / "config.yaml"
-    config_path.write_text(yaml.safe_dump(
-        fig3_config(variant, seed=0).to_mapping(), sort_keys=True))
+    config_path.write_text(yaml.safe_dump(config.to_mapping(), sort_keys=True))
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(config_path),
                      "--out-dir", str(out_dir)]) == 0
-    digests = {name: sha256((out_dir / name).read_bytes())
-               for name in RUN_OUTPUTS}
+    return {name: sha256((out_dir / name).read_bytes())
+            for name in RUN_OUTPUTS}
+
+
+@pytest.mark.parametrize("variant", ["4h", "6h"])
+def test_fig3_run_outputs_are_pinned(variant, tmp_path):
+    digests = run_digests(fig3_config(variant, seed=0), tmp_path)
     assert digests == FIG3_DIGESTS[variant]
+
+
+def test_fig3_explicit_outputs_are_pinned(tmp_path):
+    config = dataclasses.replace(fig3_config("4h", seed=0),
+                                 rejection_mode=RejectionMode.EXPLICIT_TIME)
+    assert run_digests(config, tmp_path) == EXPLICIT_4H_DIGESTS
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    victim = metrics["counters"]["victim"]
+    assert victim["prime_disposals"] == victim["reactivations"] == 1000
+    assert (metrics["counters"]["home_agent"]["dropped_blocked"]
+            == metrics["rejected_calls"] == 111)
 
 
 FLOOD_CASES = {

@@ -1,12 +1,16 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every public module-level name is used somewhere in the repository."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dispo6"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "dispo6"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a public name may be used: the package, its tests and the benchmark
+USING_TREES = ("src", "tests", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,3 +34,52 @@ def test_no_unused_module_imports(path):
 def test_checker_flags_an_unused_import():
     source = "import os\nfrom typing import Callable, Any\nx: Callable\n"
     assert unused_imports(source) == ["Any (line 2)", "os (line 1)"]
+
+
+def public_names(source: str) -> list[tuple[str, int]]:
+    """Module-level functions, classes and constants not starting with '_'."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        names.extend((name, node.lineno) for name in targets
+                     if not name.startswith("_"))
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read or attributes looked up; a definition or a bare import is
+    not a use."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_is_used():
+    used = set()
+    for tree in USING_TREES:
+        for path in (REPO / tree).rglob("*.py"):
+            used |= referenced_names(path.read_text())
+    dead = [f"{path.name}: {name} (line {line})"
+            for path in MODULES if path.name != "__main__.py"
+            for name, line in public_names(path.read_text())
+            if name not in used]
+    assert dead == []
+
+
+def test_dead_name_checker_flags_an_unused_definition():
+    source = "LIMIT = 3\ndef used(): return LIMIT\nclass Dead: pass\n"
+    names = [name for name, _ in public_names(source)]
+    assert names == ["LIMIT", "used", "Dead"]
+    assert "Dead" not in referenced_names(source + "used()\n")
+    assert {"LIMIT", "used"} <= referenced_names(source + "used()\n")

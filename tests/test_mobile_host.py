@@ -4,7 +4,7 @@ import pytest
 
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.caller import CallerNode, CallOutcome
-from dispo6.distribution import AddressRequest
+from dispo6.distribution import AddressRequest, RequestOutcome
 from dispo6.engine import Packet, SimTime
 from dispo6.home_agent import Encapsulated
 from dispo6.messages import (
@@ -379,6 +379,34 @@ class TestMobileToMobile:
             assert packet.src == world.agent.admin_address
             assert type(packet.payload) is Encapsulated
             assert packet.payload.inner.dst == b.prime
+
+
+class TestPrimeHidesCareOf:
+    """In RO mode only disposables announce the care-of address."""
+
+    def test_request_to_prime_leaves_no_route(self, make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        stranger = make_caller(world)
+        results = []
+        stranger.request_address(host.fqdn, results.append)
+        world.sim.run()
+        assert results[0].outcome is RequestOutcome.GRANTED
+        assert host.prime not in stranger._route_cache
+        assert host.coa not in stranger._route_cache.values()
+
+    @pytest.mark.parametrize("caller_mode", list(Mode))
+    def test_moved_ro_callee_can_call_back(self, make_world, caller_mode):
+        world = make_world()
+        a = make_host(world, node_id="a", fqdn="alice.home.example",
+                      mode=caller_mode)
+        b = make_host(world, node_id="b", fqdn="bob.home.example",
+                      mode=Mode.ROUTE_OPTIMIZATION)
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        b.move_to_subnet(0x20010DB802220000)
+        world.sim.run()
+        # A's reply to B's request must not go to B's abandoned care-of
+        assert call_once(world, b, a.fqdn) is CallOutcome.CONNECTED
 
 
 class TestPairing:

@@ -1,14 +1,20 @@
+import math
+
 import pytest
 import yaml
 
 from dispo6 import cli
+from dispo6.caller import CallOutcome
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
+from dispo6.mobile_host import Mode
 from dispo6.scenario import (
     ConfigError,
     InvariantError,
+    RejectionMode,
     ScenarioConfig,
     run_scenario,
+    run_sweep,
 )
 
 
@@ -55,6 +61,11 @@ class TestConfigTyping:
         with pytest.raises(ConfigError, match="horizon_days"):
             ScenarioConfig(horizon_days="10").validate()
 
+    @pytest.mark.parametrize("hours", [5, 3])
+    def test_unpublished_duration_fails_validation(self, hours):
+        with pytest.raises(ConfigError, match="4 or 6 hours"):
+            ScenarioConfig(attack_hours=hours).validate()
+
     def test_defaults_round_trip(self):
         mapping = ScenarioConfig().to_mapping()
         assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig()
@@ -86,3 +97,46 @@ class TestRunInvariants:
         monkeypatch.setattr(Simulator, "send", double_counted)
         with pytest.raises(InvariantError, match="engine"):
             run_scenario(small_config())
+
+
+class TestRejectionModes:
+    """Explicit mode blocks the prime at the home agent for each drawn
+    window; paper mode draws its fixed probability and blocks nothing."""
+
+    @pytest.mark.parametrize("mobility", list(Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("hours", [4, 6])
+    def test_explicit_first_contacts_rejected_at_window_share(self, mobility,
+                                                              hours):
+        first = rejected = 0
+        for seed in range(10):
+            result = run_scenario(ScenarioConfig(
+                seed=seed, horizon_days=300, attack_hours=hours,
+                pki_enabled=False, mobility_mode=mobility,
+                rejection_mode=RejectionMode.EXPLICIT_TIME))
+            counters = result.metrics.counters
+            assert counters["victim"]["prime_disposals"] == 300
+            assert counters["victim"]["reactivations"] == 300
+            # every rejection is a request the home agent dropped
+            assert (counters["home_agent"]["dropped_blocked"]
+                    == result.metrics.rejected_calls)
+            for record in result.records:
+                if not record.had_disposable:
+                    first += 1
+                    rejected += (record.outcome
+                                 is CallOutcome.REJECTED_PRIME_BLOCKED)
+        p = hours / 12.0
+        sigma = math.sqrt(first * p * (1.0 - p))
+        assert abs(rejected - first * p) <= 3.0 * sigma
+
+    def test_paper_mode_never_blocks_the_prime(self):
+        result = run_scenario(small_config(horizon_days=60, attack_hours=6))
+        assert result.metrics.rejected_calls > 0
+        counters = result.metrics.counters
+        assert counters["victim"]["prime_disposals"] == 0
+        assert counters["home_agent"]["dropped_blocked"] == 0
+
+
+def test_sweep_result_independent_of_jobs():
+    config = small_config(horizon_days=30)
+    seeds = [4, 0, 2, 1]
+    assert run_sweep(config, seeds, jobs=1) == run_sweep(config, seeds, jobs=2)
