@@ -47,12 +47,12 @@ class CallOutcome(Enum):
 
 @dataclass(slots=True)
 class AddressBookEntry:
-    """Contact-manager row; both directions of the address exchange."""
+    """Contact-manager row: the peer's address, where we call it. The
+    address we granted the peer is the responder's `grants` entry."""
 
     peer_fqdn: str
     peer_pubkey: bytes | None = None
-    granted_to_peer: Ipv6Address | None = None  # our address, in their hands
-    peer_address: Ipv6Address | None = None     # their address, where we call
+    peer_address: Ipv6Address | None = None
     peer_known_blocked: bool = False
 
 
@@ -153,18 +153,8 @@ class CallerNode(Node):
                               payload=request, size_bytes=128))
 
         session = InitiatorSession(
-            self.sim, self.node_id,
-            requester_name=self.fqdn.split(".")[0],
-            requester_fqdn=self.fqdn,
-            source=self.address,
-            target_fqdn=target_fqdn,
-            request_id=request_id,
-            on_done=finish,
-            send_request=send,
-            scheme=self.scheme, keys=self.keys, certificate=self.certificate,
-            ca=self.ca, require_signed_response=self.require_signed_response,
-            timeout_s=self.request_timeout_s,
-            solve_hip=self.solve_hip if solve_hip is None else solve_hip)
+            self, target_fqdn, request_id, finish, send,
+            self.solve_hip if solve_hip is None else solve_hip)
         self._sessions[request_id] = session
         session.start()
 

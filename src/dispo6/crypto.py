@@ -90,3 +90,14 @@ class CertificateAuthority:
     def verify(self, certificate: Certificate) -> bool:
         return self.scheme.verify(self.public_key, certificate.signed_bytes(),
                                   certificate.signature)
+
+    def certified_key(self, certificate: Certificate | None, subject: str,
+                      message: bytes, signature: bytes) -> bytes | None:
+        """The signer's key if this CA certified it for `subject` and it
+        signed `message`, else None: the one check on a peer's signature."""
+        if (certificate is None or certificate.subject != subject
+                or not self.verify(certificate)
+                or not self.scheme.verify(certificate.public_key, message,
+                                          signature)):
+            return None
+        return certificate.public_key

@@ -1,23 +1,33 @@
 """Disposable-address request handshake and its anti-abuse gates.
 
 A caller asks the target's prime address for a disposable home address.
-Replies are signed when a PKI is configured. Rapid requests from one
-source identity hit a human-interaction-proof gate (abstract puzzle with
-a cost in simulated seconds of human work, difficulty doubling for every
-further window in violation), and the target user is only notified of
-requests that already passed every gate.
+Requests and replies are signed when a PKI is configured. Rapid requests
+from one source identity hit a human-interaction-proof gate (abstract
+puzzle with a cost in simulated seconds of human work, difficulty
+doubling for every further window in violation), and the target user is
+only notified of requests that already passed every gate.
+
+Each side says each thing once. The requester has one identity, its
+owning `CallerNode`, which the session reads instead of copying. Both
+sides check the peer's certified signature through the one
+`CertificateAuthority.certified_key`, and sign by adding the signature
+to the message they built. The responder's `grants` is the host's only
+record of which address each peer holds.
 """
 
 import hashlib
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair, encode_fields
-from .engine import SimTime, Simulator, US_PER_SECOND
+from .engine import SimTime, US_PER_SECOND
+
+if TYPE_CHECKING:
+    from .caller import CallerNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +126,7 @@ class HipGate:
         while events and events[0] < now.micros - window_us:
             events.popleft()
 
-    def challenge_required(self, source: str, now: SimTime) -> bool:
+    def challenge_required(self, source: str) -> bool:
         events = self._history.get(source)
         return bool(events) and len(events) > self.rate_threshold
 
@@ -174,11 +184,11 @@ class DistributionResponder:
 
     Grant bookkeeping is injective per requester identity: each verified
     identity keeps getting its own address back while that address is
-    usable, and never an address granted to someone else.
+    usable, and never an address granted to someone else. `grants` is the
+    host's one record of which address each peer holds.
     """
 
     def __init__(self,
-                 owner_fqdn: str,
                  allocate: Callable[[], Ipv6Address],
                  address_state: Callable[[Ipv6Address], AddressState | None],
                  scheme: Ed25519Scheme | None = None,
@@ -188,7 +198,6 @@ class DistributionResponder:
                  pki_required: bool = False,
                  hip: HipGate | None = None,
                  permission: Callable[[AddressRequest], PermissionDecision] | None = None):
-        self.owner_fqdn = owner_fqdn
         self.allocate = allocate
         self.address_state = address_state
         self.scheme = scheme
@@ -198,7 +207,6 @@ class DistributionResponder:
         self.pki_required = pki_required
         self.hip = hip
         self.permission = permission
-        self.enabled = True
         self.grants: dict[str, Ipv6Address] = {}
         self.denied: set[str] = set()
         self.notifications: list[tuple[SimTime, str]] = []
@@ -207,14 +215,14 @@ class DistributionResponder:
         self.granted_total = 0
 
     def handle_request(self, request: AddressRequest, now: SimTime) -> ResponderAction:
-        if not self.enabled:
-            return None
-        if not self._signature_ok(request):
+        if self.pki_required and (self.ca is None or self.ca.certified_key(
+                request.certificate, request.requester_fqdn,
+                request.signed_bytes(), request.signature) is None):
             self.dropped_bad_signature += 1
             return None
         if self.hip is not None:
             self.hip.observe(request.requester_fqdn, now)
-            if self.hip.challenge_required(request.requester_fqdn, now):
+            if self.hip.challenge_required(request.requester_fqdn):
                 if request.hip_answer is None or not self.hip.verify(
                         request.hip_answer, now):
                     return ChallengeAction(self.hip.issue(
@@ -226,18 +234,6 @@ class DistributionResponder:
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
         return GrantAction(self._respond(request))
-
-    def _signature_ok(self, request: AddressRequest) -> bool:
-        if not self.pki_required:
-            return True
-        if request.certificate is None or self.ca is None or self.scheme is None:
-            return False
-        if request.certificate.subject != request.requester_fqdn:
-            return False
-        if not self.ca.verify(request.certificate):
-            return False
-        return self.scheme.verify(request.certificate.public_key,
-                                  request.signed_bytes(), request.signature)
 
     def _decide(self, request: AddressRequest) -> PermissionDecision:
         if request.requester_fqdn in self.denied:
@@ -268,12 +264,9 @@ class DistributionResponder:
         response = AddressResponse(granted=hoa, request_digest=request.digest(),
                                    request_id=request.request_id)
         if self.scheme is not None and self.keys is not None:
-            signature = self.scheme.sign(self.keys, response.signed_bytes())
-            response = AddressResponse(granted=hoa,
-                                       request_digest=response.request_digest,
-                                       request_id=request.request_id,
-                                       signature=signature,
-                                       certificate=self.certificate)
+            response = replace(
+                response, certificate=self.certificate,
+                signature=self.scheme.sign(self.keys, response.signed_bytes()))
         return response
 
 
@@ -304,63 +297,39 @@ class SessionTimer:
 class InitiatorSession:
     """Caller-side handshake state machine, advanced by engine events.
 
-    The owner node forwards matching packets via on_message() and timer
-    tokens via on_timer(). A HIP challenge is answered after its difficulty
-    in simulated seconds (the human at the keyboard), unless solve_hip is
+    Everything about the requester (identity, address, keys, certificate,
+    CA, response policy, timeout) is read from the owning node. The owner
+    forwards matching packets via on_message() and timer tokens via
+    on_timer(). A HIP challenge is answered after its difficulty in
+    simulated seconds (the human at the keyboard), unless solve_hip is
     off, which models a bot that cannot solve puzzles.
     """
 
-    def __init__(self, sim: Simulator, owner_id: str, *,
-                 requester_name: str, requester_fqdn: str,
-                 source: Ipv6Address, target_fqdn: str, request_id: int,
+    def __init__(self, owner: "CallerNode", target_fqdn: str, request_id: int,
                  on_done: Callable[[RequestResult], None],
                  send_request: Callable[[AddressRequest], None],
-                 scheme: Ed25519Scheme | None = None,
-                 keys: KeyPair | None = None,
-                 certificate: Certificate | None = None,
-                 ca: CertificateAuthority | None = None,
-                 require_signed_response: bool = False,
-                 extra_info: str = "",
-                 timeout_s: float = 3.0,
-                 solve_hip: bool = True):
-        self.sim = sim
-        self.owner_id = owner_id
-        self.send_request = send_request
-        self.requester_name = requester_name
-        self.requester_fqdn = requester_fqdn
-        self.source = source
+                 solve_hip: bool):
+        self.owner = owner
         self.target_fqdn = target_fqdn
         self.request_id = request_id
         self.on_done = on_done
-        self.scheme = scheme
-        self.keys = keys
-        self.certificate = certificate
-        self.ca = ca
-        self.require_signed_response = require_signed_response
-        self.extra_info = extra_info
-        self.timeout_s = timeout_s
+        self.send_request = send_request
         self.solve_hip = solve_hip
         self.done = False
         self._gen = 0
         self._base_request = self._build_request(hip_answer=None)
 
     def _build_request(self, hip_answer: HipAnswer | None) -> AddressRequest:
-        request = AddressRequest(requester_name=self.requester_name,
-                                 requester_fqdn=self.requester_fqdn,
-                                 extra_info=self.extra_info,
-                                 reply_to=self.source,
+        owner = self.owner
+        request = AddressRequest(requester_name=owner.fqdn.split(".")[0],
+                                 requester_fqdn=owner.fqdn, extra_info="",
+                                 reply_to=owner.address,
                                  request_id=self.request_id,
                                  hip_answer=hip_answer)
-        if self.scheme is not None and self.keys is not None:
-            signature = self.scheme.sign(self.keys, request.signed_bytes())
-            request = AddressRequest(requester_name=request.requester_name,
-                                     requester_fqdn=request.requester_fqdn,
-                                     extra_info=request.extra_info,
-                                     reply_to=request.reply_to,
-                                     request_id=request.request_id,
-                                     signature=signature,
-                                     certificate=self.certificate,
-                                     hip_answer=hip_answer)
+        if owner.scheme is not None and owner.keys is not None:
+            request = replace(
+                request, certificate=owner.certificate,
+                signature=owner.scheme.sign(owner.keys, request.signed_bytes()))
         return request
 
     def start(self) -> None:
@@ -370,10 +339,11 @@ class InitiatorSession:
     def _arm(self, kind: str, delay_s: float | None = None,
              challenge: HipChallengeMsg | None = None) -> None:
         self._gen += 1
-        self.sim.call_in(self.timeout_s if delay_s is None else delay_s,
-                         self.owner_id,
-                         SessionTimer(request_id=self.request_id, kind=kind,
-                                      gen=self._gen, challenge=challenge))
+        owner = self.owner
+        owner.sim.call_in(owner.request_timeout_s if delay_s is None else delay_s,
+                          owner.node_id,
+                          SessionTimer(request_id=self.request_id, kind=kind,
+                                       gen=self._gen, challenge=challenge))
 
     def on_message(self, payload: object) -> None:
         if self.done:
@@ -405,17 +375,15 @@ class InitiatorSession:
         if response.request_digest != self._base_request.digest():
             return
         responder_key = None
-        if self.require_signed_response:
-            cert = response.certificate
-            if (cert is None or self.ca is None or self.scheme is None
-                    or cert.subject != self.target_fqdn
-                    or not self.ca.verify(cert)
-                    or not self.scheme.verify(cert.public_key,
-                                              response.signed_bytes(),
-                                              response.signature)):
+        owner = self.owner
+        if owner.require_signed_response:
+            if owner.ca is not None:
+                responder_key = owner.ca.certified_key(
+                    response.certificate, self.target_fqdn,
+                    response.signed_bytes(), response.signature)
+            if responder_key is None:
                 self._finish(RequestResult(RequestOutcome.BAD_SIGNATURE))
                 return
-            responder_key = cert.public_key
         elif response.certificate is not None:
             responder_key = response.certificate.public_key
         self._finish(RequestResult(RequestOutcome.GRANTED,

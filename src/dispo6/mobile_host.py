@@ -7,6 +7,14 @@ when an address is flooded it is blocked at the home agent, and in
 route-optimization mode the care-of address is rotated so an attacker who
 learned it goes dark too. Blocking one address never touches the others.
 
+Who learns a care-of address: the home agent, from every binding update.
+In route-optimization mode, also each peer that holds a still-active
+disposable, at each care-of change (if a call connected between them)
+and when a packet tunneled to that disposable first arrives. The prime
+never announces it, and neither does a disposed address, not even in
+answer to the packet that got it disposed. In bidirectional-tunneling
+mode no peer learns it.
+
 The contact manager (book, calls, address requests) is `CallerNode`'s in
 caller.py; `MobileHost` subclasses it, calls from its prime, and overrides
 only the send step (battery charge, reverse tunnel) and its bookkeeping.
@@ -171,12 +179,10 @@ class MobileHost(CallerNode):
         self.address_states: dict[Ipv6Address, AddressState] = {}
         self.coa: Ipv6Address | None = None
         self.visited_prefix: int | None = None
-        self.prime_disabled = False
         self.ha: HomeAgent | None = None
         self.ha_admin: Ipv6Address | None = None
         self.sa_tag = ""
         self.responder = DistributionResponder(
-            owner_fqdn=fqdn,
             allocate=self._allocate_disposable,
             address_state=lambda hoa: self.address_states.get(hoa),
             scheme=scheme, keys=self.keys, certificate=self.certificate,
@@ -226,25 +232,28 @@ class MobileHost(CallerNode):
         self.sim.register_route(self.coa, self.node_id)
         self._peer_bu_sent.clear()
         self.counters.binding_updates += 1
-        self.sim.send(Packet(src=self.coa, dst=self.ha_admin,
-                             payload=BindingUpdate(host_id=self.node_id,
-                                                   auth=self.sa_tag,
-                                                   care_of=self.coa)))
+        self._emit(Packet(src=self.coa, dst=self.ha_admin,
+                          payload=BindingUpdate(host_id=self.node_id,
+                                                auth=self.sa_tag,
+                                                care_of=self.coa)))
         if self.mode is Mode.ROUTE_OPTIMIZATION:
-            # only peers with live sessions learn the new location
-            for fqdn, peer_addr in self._active_peers.items():
-                entry = self.book.get(fqdn)
-                if entry is None or entry.granted_to_peer is None:
+            # only peers with live sessions learn the new location; one
+            # whose disposable was blocked is forgotten, not told
+            for fqdn, peer_addr in list(self._active_peers.items()):
+                hoa = self.responder.grants.get(fqdn)
+                if hoa is None:
+                    continue
+                if self.address_states[hoa] is not AddressState.ACTIVE:
+                    del self._active_peers[fqdn]
                     continue
                 self.counters.peer_binding_updates += 1
-                self.sim.send(Packet(
-                    src=entry.granted_to_peer, dst=peer_addr,
-                    payload=PeerBindingUpdate(home_address=entry.granted_to_peer,
-                                              care_of=self.coa)))
+                self._emit(Packet(src=hoa, dst=peer_addr,
+                                  payload=PeerBindingUpdate(home_address=hoa,
+                                                            care_of=self.coa)))
 
     # -- address lifecycle ---------------------------------------------------
 
-    def dispose_address(self, hoa: Ipv6Address, reason: str = "",
+    def dispose_address(self, hoa: Ipv6Address,
                         auto_reactivate: bool = True) -> AddressRole | None:
         """Block `hoa` at the home agent; rotate the care-of address in RO mode.
 
@@ -267,8 +276,6 @@ class MobileHost(CallerNode):
         if hoa == self.prime:
             role = AddressRole.PRIME
             self.counters.prime_disposals += 1
-            self.prime_disabled = True
-            self.responder.enabled = False
             if auto_reactivate:
                 self._reactivate_gen += 1
                 self.sim.call_in(self.prime_reactivate_after_s, self.node_id,
@@ -289,26 +296,18 @@ class MobileHost(CallerNode):
                 kind=ManagementKind.REACTIVATE_REQUEST, host_id=self.node_id,
                 auth=self.sa_tag, hoa=hoa))
             self.monitor.clear(hoa)
-        if hoa == self.prime:
-            self.prime_disabled = False
-            self.responder.enabled = True
 
     def spit_block(self, peer_fqdn: str) -> None:
         """Drop a nuisance caller: block their address, refuse re-requests."""
-        entry = self.entry_for(peer_fqdn)
         self.responder.denied.add(peer_fqdn)
         self._active_peers.pop(peer_fqdn, None)
-        if (entry.granted_to_peer is not None
-                and self.address_states.get(entry.granted_to_peer)
-                is AddressState.ACTIVE):
-            self.dispose_address(entry.granted_to_peer, reason="spit")
+        hoa = self.responder.grants.get(peer_fqdn)
+        if hoa is not None and self.address_states[hoa] is AddressState.ACTIVE:
+            self.dispose_address(hoa)
 
     def grant_out_of_band(self, peer_fqdn: str) -> Ipv6Address | None:
         """Hand out a disposable over a side channel (in person, e-mail, IM)."""
-        hoa = self.responder.grant_direct(peer_fqdn)
-        if hoa is not None:
-            self.entry_for(peer_fqdn).granted_to_peer = hoa
-        return hoa
+        return self.responder.grant_direct(peer_fqdn)
 
     def _allocate_disposable(self) -> Ipv6Address:
         if self._pool:
@@ -390,9 +389,11 @@ class MobileHost(CallerNode):
             alert = self.monitor.observe(dst, self.sim.now)
             if alert is not None:
                 self.counters.alerts += 1
-                self.dispose_address(dst, reason="intrusion alert")
-            if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
+                self.dispose_address(dst)
+            elif (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
                     and dst != self.prime):
+                # a just-disposed address announces nothing, not even to
+                # the packet that tripped the alert
                 self._maybe_send_peer_bu(dst, inner.src)
         handler = self._inner_handlers.get(type(inner.payload))
         if handler is None:
@@ -455,8 +456,6 @@ class MobileHost(CallerNode):
             return
         action = self.responder.handle_request(request, self.sim.now)
         if isinstance(action, GrantAction):
-            self.entry_for(request.requester_fqdn).granted_to_peer = \
-                action.response.granted
             self._send(dst, request.reply_to, action.response, size_bytes=128)
         elif isinstance(action, ChallengeAction):
             self._send(dst, request.reply_to, action.challenge)
@@ -489,8 +488,7 @@ class MobileHost(CallerNode):
 
     def _on_window_block(self, token: WindowBlock) -> None:
         if self.address_states.get(self.prime) is AddressState.ACTIVE:
-            self.dispose_address(self.prime, reason="scheduled window",
-                                 auto_reactivate=False)
+            self.dispose_address(self.prime, auto_reactivate=False)
 
     def _on_window_unblock(self, token: WindowUnblock) -> None:
         self.reactivate_address(self.prime)
@@ -514,7 +512,5 @@ class MobileHost(CallerNode):
             ours = self.responder.grant_direct(peer.fqdn)
             theirs = peer.responder.grant_direct(self.fqdn)
             self.learn_address(peer.fqdn, theirs, result.key_seen_by_initiator)
-            self.entry_for(peer.fqdn).granted_to_peer = ours
             peer.learn_address(self.fqdn, ours, result.key_seen_by_responder)
-            peer.entry_for(self.fqdn).granted_to_peer = theirs
         return result

@@ -7,6 +7,12 @@ derive an n-bit SAS from the transcript. The users compare the two SAS
 values out loud; a man-in-the-middle who substituted anything survives
 only with probability about 2^-n. Protocol use keeps n in 15..20, tests
 shrink it to make failure rates measurable.
+
+The security rests on the order (Vaudenay, CRYPTO 2005): each side's
+nonce is fixed before it sees the other's, so an attacker cannot steer
+the SAS, and a reveal that does not open the commitment aborts before
+any SAS is shown. `run_pairing` is one straight-line exchange in that
+order; there is no state machine that a caller could drive out of it.
 """
 
 import hashlib
@@ -37,24 +43,9 @@ def commitment(nonce: bytes) -> bytes:
     return hashlib.sha256(encode_fields(b"sas-commit", nonce)).digest()
 
 
-class SasRole(Enum):
-    INITIATOR = "initiator"
-    RESPONDER = "responder"
-
-
-class SasState(Enum):
-    IDLE = "idle"
-    COMMITTED = "committed"
-    EXCHANGED = "exchanged"
-    REVEALED = "revealed"
-    CONFIRMED = "confirmed"
-    ABORTED = "aborted"
-
-
 class SasAbort(Enum):
     COMMIT_MISMATCH = "commit_mismatch"
     SAS_MISMATCH = "sas_mismatch"
-    TIMEOUT = "timeout"
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,89 +63,6 @@ class ShareMessage:
 @dataclass(frozen=True, slots=True)
 class RevealMessage:
     nonce: bytes
-
-
-class SasProtocolError(Exception):
-    """A message arrived in a state that cannot accept it."""
-
-
-class SasSession:
-    """One side of the commit/reveal pairing exchange."""
-
-    def __init__(self, role: SasRole, public_key: bytes, sas_bits: int = 16,
-                 nonce_bytes: int = 16):
-        self.role = role
-        self.public_key = public_key
-        self.sas_bits = sas_bits
-        self.nonce_bytes = nonce_bytes
-        self.state = SasState.IDLE
-        self.abort_reason: SasAbort | None = None
-        self.own_nonce: bytes | None = None
-        self.peer_nonce: bytes | None = None
-        self.peer_key: bytes | None = None
-        self.peer_commitment: bytes | None = None
-
-    # initiator side -------------------------------------------------------
-
-    def make_commit(self, rng: random.Random) -> CommitMessage:
-        if self.role is not SasRole.INITIATOR or self.state is not SasState.IDLE:
-            raise SasProtocolError("commit out of order")
-        self.own_nonce = rng.randbytes(self.nonce_bytes)
-        self.state = SasState.COMMITTED
-        return CommitMessage(commitment=commitment(self.own_nonce),
-                             public_key=self.public_key)
-
-    def on_share(self, msg: ShareMessage) -> RevealMessage:
-        # The nonce is revealed only once the peer's share is in hand.
-        if self.role is not SasRole.INITIATOR or self.state is not SasState.COMMITTED:
-            raise SasProtocolError("share out of order")
-        self.peer_nonce = msg.nonce
-        self.peer_key = msg.public_key
-        self.state = SasState.REVEALED
-        return RevealMessage(nonce=self.own_nonce)
-
-    # responder side -----------------------------------------------------------
-
-    def on_commit(self, msg: CommitMessage, rng: random.Random) -> ShareMessage:
-        if self.role is not SasRole.RESPONDER or self.state is not SasState.IDLE:
-            raise SasProtocolError("commit out of order")
-        self.peer_commitment = msg.commitment
-        self.peer_key = msg.public_key
-        self.own_nonce = rng.randbytes(self.nonce_bytes)
-        self.state = SasState.EXCHANGED
-        return ShareMessage(nonce=self.own_nonce, public_key=self.public_key)
-
-    def on_reveal(self, msg: RevealMessage) -> bool:
-        """Check the reveal against the commitment; abort before any SAS shows."""
-        if self.role is not SasRole.RESPONDER or self.state is not SasState.EXCHANGED:
-            raise SasProtocolError("reveal out of order")
-        if commitment(msg.nonce) != self.peer_commitment:
-            self.state = SasState.ABORTED
-            self.abort_reason = SasAbort.COMMIT_MISMATCH
-            return False
-        self.peer_nonce = msg.nonce
-        self.state = SasState.REVEALED
-        return True
-
-    # both sides ------------------------------------------------------------
-
-    def sas(self) -> str:
-        if self.state is not SasState.REVEALED:
-            raise SasProtocolError(f"no SAS in state {self.state}")
-        if self.role is SasRole.INITIATOR:
-            return compute_sas(self.own_nonce, self.peer_nonce,
-                               self.public_key, self.peer_key, self.sas_bits)
-        return compute_sas(self.peer_nonce, self.own_nonce,
-                           self.peer_key, self.public_key, self.sas_bits)
-
-    def confirm(self, sas_values_match: bool) -> None:
-        if self.state is not SasState.REVEALED:
-            raise SasProtocolError(f"confirm in state {self.state}")
-        if sas_values_match:
-            self.state = SasState.CONFIRMED
-        else:
-            self.state = SasState.ABORTED
-            self.abort_reason = SasAbort.SAS_MISMATCH
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,26 +93,32 @@ def run_pairing(rng: random.Random, initiator_key: bytes, responder_key: bytes,
                 channel: DirectChannel | None = None) -> PairResult:
     """Run the full exchange plus the out-of-band SAS comparison.
 
+    Each message passes through `channel`, where an attacker may swap it.
     The comparison channel is faithful: it reports equality of the two
     displayed strings exactly (the two users reading them to each other).
     """
     channel = channel if channel is not None else DirectChannel()
-    initiator = SasSession(SasRole.INITIATOR, initiator_key, sas_bits, nonce_bytes)
-    responder = SasSession(SasRole.RESPONDER, responder_key, sas_bits, nonce_bytes)
-    share = responder.on_commit(channel.forward_commit(initiator.make_commit(rng)), rng)
-    reveal = initiator.on_share(channel.forward_share(share))
-    if not responder.on_reveal(channel.forward_reveal(reveal)):
+    # the initiator is bound to its nonce before it sees the responder's
+    initiator_nonce = rng.randbytes(nonce_bytes)
+    commit = channel.forward_commit(
+        CommitMessage(commitment(initiator_nonce), initiator_key))
+    # the responder answers while the initiator's nonce is still hidden
+    responder_nonce = rng.randbytes(nonce_bytes)
+    share = channel.forward_share(ShareMessage(responder_nonce, responder_key))
+    # only now is the committed nonce revealed, and checked before any SAS
+    reveal = channel.forward_reveal(RevealMessage(initiator_nonce))
+    if commitment(reveal.nonce) != commit.commitment:
         return PairResult(confirmed=False, abort_reason=SasAbort.COMMIT_MISMATCH,
                           initiator_sas=None, responder_sas=None,
-                          key_seen_by_initiator=initiator.peer_key,
-                          key_seen_by_responder=responder.peer_key)
-    initiator_sas = initiator.sas()
-    responder_sas = responder.sas()
+                          key_seen_by_initiator=share.public_key,
+                          key_seen_by_responder=commit.public_key)
+    initiator_sas = compute_sas(initiator_nonce, share.nonce,
+                                initiator_key, share.public_key, sas_bits)
+    responder_sas = compute_sas(reveal.nonce, responder_nonce,
+                                commit.public_key, responder_key, sas_bits)
     match = initiator_sas == responder_sas
-    initiator.confirm(match)
-    responder.confirm(match)
     return PairResult(confirmed=match,
                       abort_reason=None if match else SasAbort.SAS_MISMATCH,
                       initiator_sas=initiator_sas, responder_sas=responder_sas,
-                      key_seen_by_initiator=initiator.peer_key,
-                      key_seen_by_responder=responder.peer_key)
+                      key_seen_by_initiator=share.public_key,
+                      key_seen_by_responder=commit.public_key)

@@ -113,15 +113,16 @@ class ScenarioConfig:
         if not 0.0 <= self.daily_call_probability <= 1.0:
             problems.append("daily_call_probability outside [0,1]")
         if not (0.0 <= self.call_window_start < self.call_window_end <= 24.0):
-            problems.append("call window must satisfy 0 <= start < end <= 24")
+            problems.append("call_window_start and call_window_end must "
+                            "satisfy 0 <= start < end <= 24")
         if self.latency_s < 0:
             problems.append("latency_s must be >= 0")
         if not 0.0 <= self.loss_probability <= 1.0:
             problems.append("loss_probability outside [0,1]")
-        if self.sleep_timeout_s <= 0:
-            problems.append("sleep_timeout_s must be positive")
-        if self.detection_threshold_pps <= 0 or self.detection_window_s <= 0:
-            problems.append("detection parameters must be positive")
+        for name in ("sleep_timeout_s", "detection_threshold_pps",
+                     "detection_window_s"):
+            if getattr(self, name) <= 0:
+                problems.append(f"{name} must be positive")
         if self.oob_retry_delay_days is not None and self.oob_retry_delay_days < 1:
             problems.append("oob_retry_delay_days must be >= 1")
         if not self.victim_fqdn:

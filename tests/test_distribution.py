@@ -39,7 +39,7 @@ def make_responder(pki=False, hip=None, permission=None, rng_seed=0):
         return hoa
 
     responder = DistributionResponder(
-        owner_fqdn="bob.example", allocate=allocate,
+        allocate=allocate,
         address_state=lambda hoa: states.get(hoa),
         scheme=scheme, keys=keys, certificate=cert, ca=ca,
         pki_required=pki, hip=hip, permission=permission)
@@ -142,15 +142,15 @@ class TestHipGate:
         for hour in range(6):
             now = SimTime.from_hours(hour)
             gate.observe("alice", now)
-            assert not gate.challenge_required("alice", now)
+            assert not gate.challenge_required("alice")
 
     def test_rate_gate_trips_on_fourth_in_window(self):
         gate = self.gate()
         for i in range(3):
             gate.observe("alice", SimTime.from_seconds(i))
-            assert not gate.challenge_required("alice", SimTime.from_seconds(i))
+            assert not gate.challenge_required("alice")
         gate.observe("alice", SimTime.from_seconds(3))
-        assert gate.challenge_required("alice", SimTime.from_seconds(3))
+        assert gate.challenge_required("alice")
 
     def test_difficulty_doubles_per_violation_window(self):
         gate = self.gate()
@@ -160,7 +160,7 @@ class TestHipGate:
             for i in range(10):
                 now = SimTime.from_seconds(base + i * 6)
                 gate.observe("alice", now)
-                if gate.challenge_required("alice", now):
+                if gate.challenge_required("alice"):
                     challenge = gate.issue("alice", now, request_id=i)
             difficulties.append(challenge.difficulty_s)
         assert difficulties == [5.0, 10.0, 20.0]
@@ -198,7 +198,7 @@ class TestGateOrdering:
             before = len(responder.notifications)
             action = responder.handle_request(
                 request(request_id=i), now)
-            gated = gate.challenge_required("alice.example", now)
+            gated = gate.challenge_required("alice.example")
             if gated and len(responder.notifications) > before:
                 notified_without_pass += 1
             if gated:

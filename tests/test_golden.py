@@ -66,8 +66,14 @@ EXPLICIT_4H_DIGESTS = {
 FLOOD_DIGESTS = {
     "drain_tunnel":
         "3989800364c24b91848f5cc67331ab4a1e2d0cf6b6ed52e377ba80b776ec32a3",
+    # re-pinned when the host stopped announcing its new care-of address
+    # from the disposable that had just tripped the alert, and began to
+    # charge the binding update of a care-of rotation: only
+    # peer_binding_updates 101 -> 100, engine sent 6318 -> 6317 and
+    # unroutable 208 -> 207 moved; the ledger is bit-identical, because
+    # one uncharged binding update got charged and one charged one went
     "detect_ro_spoofed":
-        "ddbdb8c69808a61a7b8be39bf417ce6ff6ec9442b0c2d35af03e33207ad9bf12",
+        "348bdf13997bf75abfe26c358082cbe397ad06fa3445dd3a448f2f087c84edc7",
 }
 
 LEDGER_FIELDS = ("consumed_packets", "consumed_active", "consumed_powersave",

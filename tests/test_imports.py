@@ -83,3 +83,54 @@ def test_dead_name_checker_flags_an_unused_definition():
     assert names == ["LIMIT", "used", "Dead"]
     assert "Dead" not in referenced_names(source + "used()\n")
     assert {"LIMIT", "used"} <= referenced_names(source + "used()\n")
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that a function's body never reads.
+
+    Exempt are signatures that a caller dictates: engine callbacks and
+    handlers (`on_*`, `_on_*`), functions listed in a class's dispatch
+    table, and empty hooks (a docstring or `pass`) kept for overriders.
+    """
+    tree = ast.parse(source)
+    dispatched = {value.id for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  for stmt in cls.body if isinstance(stmt, ast.Assign)
+                  and isinstance(stmt.value, ast.Dict)
+                  for value in stmt.value.values if isinstance(value, ast.Name)}
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        empty_hook = all(isinstance(stmt, ast.Pass) or (
+            isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+            for stmt in node.body)
+        if (node.name.startswith(("on_", "_on_")) or node.name in dispatched
+                or empty_hook):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread.extend(f"{node.name}({param}) (line {node.lineno})"
+                      for param in params
+                      if param not in ("self", "cls") and param not in read)
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_checker():
+    source = (
+        "def f(a, b, *, c=0):\n    return a + (lambda: c)()\n"
+        "class N:\n"
+        "    def on_packet(self, packet): pass\n"
+        "    def _skip(self, x): return None\n"
+        "    def hook(self, y):\n        '''for overriders'''\n"
+        "    def g(self, z): return self\n"
+        "    _handlers = {int: _skip}\n")
+    assert unread_parameters(source) == ["f(b) (line 1)", "g(z) (line 8)"]

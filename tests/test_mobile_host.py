@@ -5,7 +5,8 @@ import pytest
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.caller import CallerNode, CallOutcome
 from dispo6.distribution import AddressRequest, RequestOutcome
-from dispo6.engine import Packet, SimTime
+from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount
+from dispo6.engine import EPOCH, Packet, SimTime
 from dispo6.home_agent import Encapsulated
 from dispo6.messages import (
     PRIME_REJECT_REASON,
@@ -106,6 +107,29 @@ class TestMobility:
         host.move_to_subnet(0x20010DB802220000)
         world.sim.run()
         assert host.counters.peer_binding_updates == 0
+
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_move_charges_every_packet_sent(self, make_world, mode):
+        world = make_world()
+        energy = EnergyAccount(Battery(), DEFAULT_PARAMS, 10.0, EPOCH)
+        host = make_host(world, mode=mode, energy=energy)
+        friend = make_caller(world)
+        assert call_once(world, friend, host.fqdn) is CallOutcome.CONNECTED
+        sent = []
+        original = world.sim.send
+
+        def spy(packet):
+            sent.append(packet)
+            return original(packet)
+
+        world.sim.send = spy
+        packets_before = energy.packets
+        host.move_to_subnet(0x20010DB802220000)
+        world.sim.send = original
+        # a binding update to the home agent, plus one to the friend in RO mode
+        assert len(sent) == (2 if mode is Mode.ROUTE_OPTIMIZATION else 1)
+        assert energy.packets - packets_before == len(sent)
 
 
 class TestCalls:
@@ -219,6 +243,32 @@ class TestDisposal:
         assert host.counters.stale_dropped == 0
         assert world.sim.counters.unroutable >= 20  # old coa black-holed
 
+    def test_disposed_holder_not_told_new_care_of(self, make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        attacker = make_caller(world, i=50)
+        friend = make_caller(world, i=51)
+        assert call_once(world, attacker, host.fqdn) is CallOutcome.CONNECTED
+        assert call_once(world, friend, host.fqdn) is CallOutcome.CONNECTED
+        host.dispose_address(attacker.entry_for(host.fqdn).peer_address)
+        world.sim.run()
+        assert host.coa not in attacker._route_cache.values()
+        friend_hoa = friend.entry_for(host.fqdn).peer_address
+        assert friend._route_cache[friend_hoa] == host.coa
+
+    def test_flood_alert_not_answered_with_new_care_of(self, make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        attacker = make_caller(world, i=50)
+        hoa = host.grant_out_of_band(attacker.fqdn)
+        # 150 pings at once: the 101st crosses 10 pps over the 10 s window
+        for i in range(150):
+            world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping(i)))
+        world.sim.run()
+        assert host.counters.alerts == 1
+        assert host.address_states[hoa] is AddressState.BLOCKED
+        assert host.coa not in attacker._route_cache.values()
+
     def test_dispose_prime_disables_distribution_only(self, make_world):
         world = make_world(pki=True)
         host = make_host(world)
@@ -288,8 +338,9 @@ class TestInjectivity:
             assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
             granted.append(caller.entry_for(host.fqdn).peer_address)
         assert len(set(granted)) == len(granted)
-        book_grants = [e.granted_to_peer for e in host.book.values()]
-        assert len(set(book_grants)) == len(book_grants)
+        grants = list(host.responder.grants.values())
+        assert len(grants) == 12
+        assert len(set(grants)) == len(grants)
 
 
 class TestLocationPrivacy:
@@ -429,8 +480,8 @@ class TestPairing:
         mine, theirs = a.book[b.fqdn], b.book[a.fqdn]
         assert mine.peer_pubkey == b.keys.public
         assert theirs.peer_pubkey == a.keys.public
-        assert mine.peer_address == theirs.granted_to_peer
-        assert theirs.peer_address == mine.granted_to_peer
+        assert mine.peer_address == b.responder.grants[a.fqdn]
+        assert theirs.peer_address == a.responder.grants[b.fqdn]
         assert b.address_states[mine.peer_address] is AddressState.ACTIVE
         assert a.address_states[theirs.peer_address] is AddressState.ACTIVE
         assert mine.peer_address not in (a.prime, b.prime)

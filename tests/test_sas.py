@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from dispo6.adversary import MitmStrategy, mitm_attempt
+from dispo6.adversary import MitmChannel, MitmStrategy, mitm_attempt
 from dispo6.sas import (
     SasAbort,
-    SasProtocolError,
-    SasRole,
-    SasSession,
-    SasState,
     commitment,
     compute_sas,
     run_pairing,
@@ -72,46 +68,6 @@ class TestHonestRun:
                    for _ in range(500))
 
 
-class TestStateMachine:
-    def test_reveal_only_after_share(self):
-        rng = random.Random(3)
-        initiator = SasSession(SasRole.INITIATOR, b"A" * 32)
-        initiator.make_commit(rng)
-        with pytest.raises(SasProtocolError):
-            initiator.sas()  # nothing revealed yet
-
-    def test_roles_enforced(self):
-        rng = random.Random(4)
-        responder = SasSession(SasRole.RESPONDER, b"B" * 32)
-        with pytest.raises(SasProtocolError):
-            responder.make_commit(rng)
-
-    def test_commit_mismatch_aborts_before_sas(self):
-        rng = random.Random(5)
-        initiator = SasSession(SasRole.INITIATOR, b"A" * 32)
-        responder = SasSession(SasRole.RESPONDER, b"B" * 32)
-        share = responder.on_commit(initiator.make_commit(rng), rng)
-        reveal = initiator.on_share(share)
-        forged = type(reveal)(nonce=bytes(16))
-        assert not responder.on_reveal(forged)
-        assert responder.state is SasState.ABORTED
-        assert responder.abort_reason is SasAbort.COMMIT_MISMATCH
-        with pytest.raises(SasProtocolError):
-            responder.sas()  # aborted before any SAS shows
-
-    def test_sas_mismatch_aborts_both(self):
-        rng = random.Random(6)
-        initiator = SasSession(SasRole.INITIATOR, b"A" * 32)
-        responder = SasSession(SasRole.RESPONDER, b"B" * 32)
-        share = responder.on_commit(initiator.make_commit(rng), rng)
-        reveal = initiator.on_share(share)
-        assert responder.on_reveal(reveal)
-        initiator.confirm(False)
-        responder.confirm(False)
-        assert initiator.state is SasState.ABORTED
-        assert initiator.abort_reason is SasAbort.SAS_MISMATCH
-
-
 class TestMitm:
     def test_passive_relay_confirms_but_substitutes_nothing(self):
         rng = random.Random(7)
@@ -126,14 +82,23 @@ class TestMitm:
                                   strategy=MitmStrategy.REVEAL_SUBSTITUTION)
             assert not result.undetected
             assert result.abort_reason is SasAbort.COMMIT_MISMATCH
+        # the abort comes before either side shows a SAS
+        channel = MitmChannel(rng, MitmStrategy.REVEAL_SUBSTITUTION)
+        pairing = run_pairing(rng, b"A" * 32, b"B" * 32, sas_bits=8,
+                              channel=channel)
+        assert pairing.abort_reason is SasAbort.COMMIT_MISMATCH
+        assert pairing.initiator_sas is None and pairing.responder_sas is None
 
     def test_random_substitution_rarely_survives(self):
         rng = random.Random(9)
         trials = 5_000
-        survived = sum(
-            mitm_attempt(rng, sas_bits=8).undetected for _ in range(trials))
+        results = [mitm_attempt(rng, sas_bits=8) for _ in range(trials)]
+        survived = sum(result.undetected for result in results)
         # expectation ~= trials * 2^-8 ~= 19.5
         assert 5 <= survived <= 45
+        # each caught substitution aborts at the SAS comparison
+        assert all(result.abort_reason is SasAbort.SAS_MISMATCH
+                   for result in results if not result.undetected)
 
     def test_commitment_binds_on_toy_nonce_space(self):
         # every 16-bit nonce hashes to a distinct commitment, so a mismatched

@@ -25,6 +25,19 @@ def small_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
+def assert_cli_rejects(mapping, field, tmp_path, capsys):
+    """`dispo6 run` exits 2 before writing anything, naming `field`."""
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(mapping))
+    status = cli.main(["run", "--config", str(config_path),
+                       "--out-dir", str(tmp_path / "out")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigTyping:
     @pytest.mark.parametrize("key, value", [
         ("horizon_days", "abc"),
@@ -41,15 +54,7 @@ class TestConfigTyping:
         ("detection_window_s", float("nan")),
     ])
     def test_cli_exits_2_with_message(self, key, value, tmp_path, capsys):
-        config_path = tmp_path / "config.yaml"
-        config_path.write_text(yaml.safe_dump({key: value}))
-        status = cli.main(["run", "--config", str(config_path),
-                           "--out-dir", str(tmp_path / "out")])
-        assert status == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert key in err
-        assert not (tmp_path / "out").exists()
+        assert_cli_rejects({key: value}, key, tmp_path, capsys)
 
     def test_ints_accepted_for_float_fields(self):
         config = ScenarioConfig.from_mapping(
@@ -69,6 +74,25 @@ class TestConfigTyping:
     def test_defaults_round_trip(self):
         mapping = ScenarioConfig().to_mapping()
         assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("horizon_days", -1),
+    ("correspondents", -5),
+    ("latency_s", -0.01),
+    ("daily_call_probability", 1.5),
+    ("daily_call_probability", -0.1),
+    ("loss_probability", 2.0),
+    ("call_window_start", 21.0),
+    ("call_window_end", 25.0),
+    ("sleep_timeout_s", 0),
+    ("detection_threshold_pps", -1.0),
+    ("detection_window_s", 0),
+    ("oob_retry_delay_days", 0),
+    ("victim_fqdn", ""),
+])
+def test_cli_rejects_out_of_range_values(key, value, tmp_path, capsys):
+    assert_cli_rejects({key: value}, key, tmp_path, capsys)
 
 
 class TestRunInvariants:
@@ -140,3 +164,28 @@ def test_sweep_result_independent_of_jobs():
     config = small_config(horizon_days=30)
     seeds = [4, 0, 2, 1]
     assert run_sweep(config, seeds, jobs=1) == run_sweep(config, seeds, jobs=2)
+
+
+@pytest.mark.parametrize("mode", list(RejectionMode), ids=lambda m: m.value)
+def test_out_of_band_retry_after_rejection(mode):
+    """A correspondent turned away on day d is handed a disposable over a
+    side channel on day d+1, so its next call holds one and connects."""
+    result = run_scenario(small_config(
+        horizon_days=200, correspondents=40, rejection_mode=mode,
+        oob_retry_delay_days=1))
+    calls: dict[int, list] = {}
+    for record in result.records:
+        calls.setdefault(record.correspondent_id, []).append(record)
+    rejected = 0
+    for records in calls.values():
+        outcomes = [r.outcome for r in records]
+        rejections = outcomes.count(CallOutcome.REJECTED_PRIME_BLOCKED)
+        assert rejections <= 1
+        if rejections:
+            rejected += 1
+            day = records[outcomes.index(CallOutcome.REJECTED_PRIME_BLOCKED)].day
+            later = [r for r in records if r.day > day]
+            assert later, "no call after the rejection to check"
+            assert later[0].had_disposable
+            assert later[0].outcome is CallOutcome.CONNECTED
+    assert rejected >= 3
