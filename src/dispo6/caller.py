@@ -37,6 +37,9 @@ from .messages import (
     RouteOptimized,
 )
 
+# seconds a placed call waits for accept or reject before it counts as failed
+CALL_TIMEOUT_S = 3.0
+
 
 class CallOutcome(Enum):
     CONNECTED = "connected"
@@ -84,8 +87,6 @@ class CallerNode(Node):
                  certificate: Certificate | None = None,
                  ca: CertificateAuthority | None = None,
                  require_signed_response: bool = False,
-                 call_timeout_s: float = 3.0,
-                 request_timeout_s: float = 3.0,
                  solve_hip: bool = True):
         """`address` is where this node calls and requests from. A mobile
         host passes None and sets it when it attaches; its home addresses
@@ -99,8 +100,6 @@ class CallerNode(Node):
         self.certificate = certificate
         self.ca = ca
         self.require_signed_response = require_signed_response
-        self.call_timeout_s = call_timeout_s
-        self.request_timeout_s = request_timeout_s
         self.solve_hip = solve_hip
         self.book: dict[str, AddressBookEntry] = {}
         self.on_start_call: Callable[["CallerNode", StartCall], None] | None = None
@@ -134,8 +133,7 @@ class CallerNode(Node):
     # -- protocol ------------------------------------------------------------
 
     def request_address(self, target_fqdn: str,
-                        on_done: Callable[[RequestResult], None],
-                        solve_hip: bool | None = None) -> None:
+                        on_done: Callable[[RequestResult], None]) -> None:
         target_prime = self.name_service.resolve(target_fqdn)
         request_id = next(self._request_ids)
 
@@ -152,9 +150,7 @@ class CallerNode(Node):
             self._emit(Packet(src=self.address, dst=target_prime,
                               payload=request, size_bytes=128))
 
-        session = InitiatorSession(
-            self, target_fqdn, request_id, finish, send,
-            self.solve_hip if solve_hip is None else solve_hip)
+        session = InitiatorSession(self, target_fqdn, request_id, finish, send)
         self._sessions[request_id] = session
         session.start()
 
@@ -190,7 +186,7 @@ class CallerNode(Node):
         self._send(self.address, entry.peer_address,
                    CallRequest(caller_fqdn=self.fqdn, reply_to=self.address,
                                call_id=call_id))
-        self.sim.call_in(self.call_timeout_s, self.node_id, CallTimeout(call_id))
+        self.sim.call_in(CALL_TIMEOUT_S, self.node_id, CallTimeout(call_id))
 
     def _finish_call(self, call_id: int, outcome: CallOutcome) -> None:
         pending = self._pending.pop(call_id, None)

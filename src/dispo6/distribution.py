@@ -7,12 +7,15 @@ puzzle with a cost in simulated seconds of human work, difficulty
 doubling for every further window in violation), and the target user is
 only notified of requests that already passed every gate.
 
-Each side says each thing once. The requester has one identity, its
-owning `CallerNode`, which the session reads instead of copying. Both
+Each side says each thing once. Each end has one identity, its owning
+node: the session reads its `CallerNode`, the responder its `MobileHost`,
+and neither copies the keys, certificate, CA or signature policy. Both
 sides check the peer's certified signature through the one
 `CertificateAuthority.certified_key`, and sign by adding the signature
-to the message they built. The responder's `grants` is the host's only
-record of which address each peer holds.
+to the message they built; a request re-sent with a HIP answer keeps
+its first signature. The responder's `grants` is the host's only record
+of which address each peer holds, and its deny list (fed by
+`MobileHost.spit_block`) is the one permission policy.
 """
 
 import hashlib
@@ -23,11 +26,15 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
 from .addressing import AddressState, Ipv6Address
-from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair, encode_fields
+from .crypto import Certificate, encode_fields
 from .engine import SimTime, US_PER_SECOND
 
 if TYPE_CHECKING:
     from .caller import CallerNode
+    from .mobile_host import MobileHost
+
+# seconds a requester waits for any answer before giving up
+REQUEST_TIMEOUT_S = 3.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,11 +163,6 @@ class HipGate:
         return True
 
 
-class PermissionDecision(Enum):
-    ACCEPT = "accept"
-    REFUSE = "refuse"
-
-
 @dataclass(frozen=True, slots=True)
 class GrantAction:
     response: AddressResponse
@@ -180,33 +182,21 @@ ResponderAction = GrantAction | ChallengeAction | RefuseAction | None
 
 
 class DistributionResponder:
-    """Target-side handler: signature gate, HIP gate, user permission, grant.
+    """Target-side handler: signature gate, HIP gate, deny list, grant.
 
-    Grant bookkeeping is injective per requester identity: each verified
-    identity keeps getting its own address back while that address is
-    usable, and never an address granted to someone else. `grants` is the
-    host's one record of which address each peer holds.
+    Everything about the granting host (keys, certificate, CA, whether
+    requests must be signed, its addresses and their states) is read from
+    the owning `MobileHost`. The deny list, which `spit_block` fills, is
+    the one permission policy: every other request that passed the gates
+    is granted. Grant bookkeeping is injective per requester identity:
+    each verified identity keeps getting its own address back while that
+    address is usable, and never an address granted to someone else.
+    `grants` is the host's one record of which address each peer holds.
     """
 
-    def __init__(self,
-                 allocate: Callable[[], Ipv6Address],
-                 address_state: Callable[[Ipv6Address], AddressState | None],
-                 scheme: Ed25519Scheme | None = None,
-                 keys: KeyPair | None = None,
-                 certificate: Certificate | None = None,
-                 ca: CertificateAuthority | None = None,
-                 pki_required: bool = False,
-                 hip: HipGate | None = None,
-                 permission: Callable[[AddressRequest], PermissionDecision] | None = None):
-        self.allocate = allocate
-        self.address_state = address_state
-        self.scheme = scheme
-        self.keys = keys
-        self.certificate = certificate
-        self.ca = ca
-        self.pki_required = pki_required
+    def __init__(self, owner: "MobileHost", hip: HipGate):
+        self.owner = owner
         self.hip = hip
-        self.permission = permission
         self.grants: dict[str, Ipv6Address] = {}
         self.denied: set[str] = set()
         self.notifications: list[tuple[SimTime, str]] = []
@@ -215,59 +205,43 @@ class DistributionResponder:
         self.granted_total = 0
 
     def handle_request(self, request: AddressRequest, now: SimTime) -> ResponderAction:
-        if self.pki_required and (self.ca is None or self.ca.certified_key(
-                request.certificate, request.requester_fqdn,
-                request.signed_bytes(), request.signature) is None):
+        owner, fqdn = self.owner, request.requester_fqdn
+        # a host that wants signed answers also wants signed requests
+        if owner.require_signed_response and (
+                owner.ca is None or owner.ca.certified_key(
+                    request.certificate, fqdn, request.signed_bytes(),
+                    request.signature) is None):
             self.dropped_bad_signature += 1
             return None
-        if self.hip is not None:
-            self.hip.observe(request.requester_fqdn, now)
-            if self.hip.challenge_required(request.requester_fqdn):
-                if request.hip_answer is None or not self.hip.verify(
-                        request.hip_answer, now):
-                    return ChallengeAction(self.hip.issue(
-                        request.requester_fqdn, now, request.request_id))
+        hip = self.hip
+        hip.observe(fqdn, now)
+        if hip.challenge_required(fqdn) and (
+                request.hip_answer is None or not hip.verify(request.hip_answer, now)):
+            return ChallengeAction(hip.issue(fqdn, now, request.request_id))
         # Every gate passed: only now does the user see anything.
-        self.notifications.append((now, request.requester_fqdn))
-        if self._decide(request) is PermissionDecision.REFUSE:
+        self.notifications.append((now, fqdn))
+        if fqdn in self.denied:
             self.refusals += 1
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
-        return GrantAction(self._respond(request))
-
-    def _decide(self, request: AddressRequest) -> PermissionDecision:
-        if request.requester_fqdn in self.denied:
-            return PermissionDecision.REFUSE
-        if self.permission is not None:
-            return self.permission(request)
-        return PermissionDecision.ACCEPT
-
-    def _grant_for(self, peer_fqdn: str) -> Ipv6Address:
-        """Same address back while it is usable, a fresh one otherwise."""
-        hoa = self.grants.get(peer_fqdn)
-        if hoa is None or self.address_state(hoa) is not AddressState.ACTIVE:
-            hoa = self.allocate()
-            self.grants[peer_fqdn] = hoa
-        return hoa
-
-    def grant_direct(self, peer_fqdn: str) -> Ipv6Address | None:
-        """Out-of-band grant (in person, e-mail, messaging); honors denials."""
-        if peer_fqdn in self.denied:
-            return None
-        hoa = self._grant_for(peer_fqdn)
-        self.granted_total += 1
-        return hoa
-
-    def _respond(self, request: AddressRequest) -> AddressResponse:
-        hoa = self._grant_for(request.requester_fqdn)
-        self.granted_total += 1
-        response = AddressResponse(granted=hoa, request_digest=request.digest(),
+        response = AddressResponse(granted=self.grant_for(fqdn),
+                                   request_digest=request.digest(),
                                    request_id=request.request_id)
-        if self.scheme is not None and self.keys is not None:
+        if owner.scheme is not None and owner.keys is not None:
             response = replace(
-                response, certificate=self.certificate,
-                signature=self.scheme.sign(self.keys, response.signed_bytes()))
-        return response
+                response, certificate=owner.certificate,
+                signature=owner.scheme.sign(owner.keys, response.signed_bytes()))
+        return GrantAction(response)
+
+    def grant_for(self, peer_fqdn: str) -> Ipv6Address:
+        """Same address back while it is usable, a fresh one otherwise."""
+        owner = self.owner
+        hoa = self.grants.get(peer_fqdn)
+        if hoa is None or owner.address_states.get(hoa) is not AddressState.ACTIVE:
+            hoa = owner.allocate_disposable()
+            self.grants[peer_fqdn] = hoa
+        self.granted_total += 1
+        return hoa
 
 
 class RequestOutcome(Enum):
@@ -298,34 +272,33 @@ class InitiatorSession:
     """Caller-side handshake state machine, advanced by engine events.
 
     Everything about the requester (identity, address, keys, certificate,
-    CA, response policy, timeout) is read from the owning node. The owner
-    forwards matching packets via on_message() and timer tokens via
-    on_timer(). A HIP challenge is answered after its difficulty in
-    simulated seconds (the human at the keyboard), unless solve_hip is
-    off, which models a bot that cannot solve puzzles.
+    CA, response policy, whether it solves HIP puzzles) is read from the
+    owning node. The owner forwards matching packets via on_message() and
+    timer tokens via on_timer(). A HIP challenge is answered after its
+    difficulty in simulated seconds (the human at the keyboard), unless
+    the owner's solve_hip is off, which models a bot that cannot solve
+    puzzles. The answer rides on the request already signed: the
+    signature does not cover it.
     """
 
     def __init__(self, owner: "CallerNode", target_fqdn: str, request_id: int,
                  on_done: Callable[[RequestResult], None],
-                 send_request: Callable[[AddressRequest], None],
-                 solve_hip: bool):
+                 send_request: Callable[[AddressRequest], None]):
         self.owner = owner
         self.target_fqdn = target_fqdn
         self.request_id = request_id
         self.on_done = on_done
         self.send_request = send_request
-        self.solve_hip = solve_hip
         self.done = False
         self._gen = 0
-        self._base_request = self._build_request(hip_answer=None)
+        self._base_request = self._build_request()
 
-    def _build_request(self, hip_answer: HipAnswer | None) -> AddressRequest:
+    def _build_request(self) -> AddressRequest:
         owner = self.owner
         request = AddressRequest(requester_name=owner.fqdn.split(".")[0],
                                  requester_fqdn=owner.fqdn, extra_info="",
                                  reply_to=owner.address,
-                                 request_id=self.request_id,
-                                 hip_answer=hip_answer)
+                                 request_id=self.request_id)
         if owner.scheme is not None and owner.keys is not None:
             request = replace(
                 request, certificate=owner.certificate,
@@ -340,7 +313,7 @@ class InitiatorSession:
              challenge: HipChallengeMsg | None = None) -> None:
         self._gen += 1
         owner = self.owner
-        owner.sim.call_in(owner.request_timeout_s if delay_s is None else delay_s,
+        owner.sim.call_in(REQUEST_TIMEOUT_S if delay_s is None else delay_s,
                           owner.node_id,
                           SessionTimer(request_id=self.request_id, kind=kind,
                                        gen=self._gen, challenge=challenge))
@@ -349,7 +322,7 @@ class InitiatorSession:
         if self.done:
             return
         if isinstance(payload, HipChallengeMsg):
-            if not self.solve_hip:
+            if not self.owner.solve_hip:
                 return  # bot: let the deadline expire
             self._arm("solve", delay_s=payload.difficulty_s, challenge=payload)
             return
@@ -366,7 +339,7 @@ class InitiatorSession:
             challenge = token.challenge
             answer = HipAnswer(challenge_id=challenge.challenge_id,
                                answer=HipGate.solution(challenge.challenge_id))
-            self.send_request(self._build_request(hip_answer=answer))
+            self.send_request(replace(self._base_request, hip_answer=answer))
             self._arm("deadline")
             return
         self._finish(RequestResult(RequestOutcome.TIMEOUT))

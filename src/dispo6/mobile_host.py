@@ -66,6 +66,12 @@ from .messages import (
 from .sas import PairResult, run_pairing
 
 
+# seconds a disposed prime stays blocked before it is tried again
+PRIME_REACTIVATE_AFTER_S = 60.0
+# disposables generated at attach time, ready to grant without a round trip
+POOL_SIZE = 4
+
+
 class Mode(Enum):
     ROUTE_OPTIMIZATION = "route_optimization"
     BIDIRECTIONAL_TUNNELING = "bidirectional_tunneling"
@@ -153,12 +159,7 @@ class MobileHost(CallerNode):
                  pki_required: bool = False,
                  energy: EnergyAccount | None = None,
                  detection_threshold_pps: float = 10.0,
-                 detection_window_s: float = 10.0,
-                 prime_reactivate_after_s: float = 60.0,
-                 hip: HipGate | None = None,
-                 pool_size: int = 4,
-                 call_timeout_s: float = 3.0,
-                 request_timeout_s: float = 3.0):
+                 detection_window_s: float = 10.0):
         keys = certificate = None
         if scheme is not None:
             keys = scheme.generate(sim.rng)
@@ -167,13 +168,9 @@ class MobileHost(CallerNode):
         # the prime becomes this node's address once attached
         super().__init__(sim, node_id, fqdn, None, name_service,
                          scheme=scheme, keys=keys, certificate=certificate,
-                         ca=ca, require_signed_response=pki_required,
-                         call_timeout_s=call_timeout_s,
-                         request_timeout_s=request_timeout_s)
+                         ca=ca, require_signed_response=pki_required)
         self.mode = mode
         self.energy = energy
-        self.prime_reactivate_after_s = prime_reactivate_after_s
-        self.pool_size = pool_size
         self.counters = HostCounters()
         self.monitor = IntrusionMonitor(detection_threshold_pps, detection_window_s)
         self.address_states: dict[Ipv6Address, AddressState] = {}
@@ -182,12 +179,7 @@ class MobileHost(CallerNode):
         self.ha: HomeAgent | None = None
         self.ha_admin: Ipv6Address | None = None
         self.sa_tag = ""
-        self.responder = DistributionResponder(
-            allocate=self._allocate_disposable,
-            address_state=lambda hoa: self.address_states.get(hoa),
-            scheme=scheme, keys=self.keys, certificate=self.certificate,
-            ca=ca, pki_required=pki_required,
-            hip=hip if hip is not None else HipGate())
+        self.responder = DistributionResponder(self, HipGate())
         self._pool: list[Ipv6Address] = []
         self._active_peers: dict[str, Ipv6Address] = {}  # fqdn -> peer address
         self._peer_bu_sent: set[Ipv6Address] = set()
@@ -213,7 +205,7 @@ class MobileHost(CallerNode):
         self.coa = Ipv6Address(visited_prefix, random_iid(self.sim.rng))
         self.sim.register_route(self.coa, self.node_id)
         ha.process_binding_update(self.node_id, self.sa_tag, self.coa)
-        for _ in range(self.pool_size):
+        for _ in range(POOL_SIZE):
             hoa = ha.generate_home_address(self.node_id, self.sa_tag)
             self.address_states[hoa] = AddressState.ACTIVE
             self._pool.append(hoa)
@@ -259,7 +251,7 @@ class MobileHost(CallerNode):
 
         Disposing the prime is allowed (it suspends the distribution
         protocol) and reported distinctly; with `auto_reactivate` the prime
-        comes back after `prime_reactivate_after_s`.
+        comes back after `PRIME_REACTIVATE_AFTER_S`.
         """
         state = self.address_states.get(hoa)
         if state is None:
@@ -278,7 +270,7 @@ class MobileHost(CallerNode):
             self.counters.prime_disposals += 1
             if auto_reactivate:
                 self._reactivate_gen += 1
-                self.sim.call_in(self.prime_reactivate_after_s, self.node_id,
+                self.sim.call_in(PRIME_REACTIVATE_AFTER_S, self.node_id,
                                  PrimeReactivate(self._reactivate_gen))
         if self.mode is Mode.ROUTE_OPTIMIZATION:
             # the attacker may hold the current care-of address
@@ -306,10 +298,14 @@ class MobileHost(CallerNode):
             self.dispose_address(hoa)
 
     def grant_out_of_band(self, peer_fqdn: str) -> Ipv6Address | None:
-        """Hand out a disposable over a side channel (in person, e-mail, IM)."""
-        return self.responder.grant_direct(peer_fqdn)
+        """Hand out a disposable over a side channel (in person, e-mail,
+        IM); a denied peer gets none."""
+        if peer_fqdn in self.responder.denied:
+            return None
+        return self.responder.grant_for(peer_fqdn)
 
-    def _allocate_disposable(self) -> Ipv6Address:
+    def allocate_disposable(self) -> Ipv6Address:
+        """Take a fresh disposable for the responder to grant."""
         if self._pool:
             hoa = self._pool.pop(0)
         else:
@@ -509,8 +505,8 @@ class MobileHost(CallerNode):
         result = run_pairing(self.sim.rng, self.keys.public, peer.keys.public,
                              sas_bits=sas_bits)
         if result.confirmed:
-            ours = self.responder.grant_direct(peer.fqdn)
-            theirs = peer.responder.grant_direct(self.fqdn)
+            ours = self.grant_out_of_band(peer.fqdn)
+            theirs = peer.grant_out_of_band(self.fqdn)
             self.learn_address(peer.fqdn, theirs, result.key_seen_by_initiator)
             peer.learn_address(self.fqdn, ours, result.key_seen_by_responder)
         return result

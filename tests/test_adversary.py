@@ -195,7 +195,7 @@ class TestScheduledPrimeAttack:
 
     def test_packet_level_attack_triggers_detection_block(self, make_world):
         world = make_world()
-        host = make_host(world, prime_reactivate_after_s=60.0)
+        host = make_host(world)
         flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
         # one 4-hour window starting at 08:00, packet-level
         schedule = AttackSchedule(daily_hours=4, start_choices=(8,))
@@ -211,7 +211,7 @@ class TestScheduledPrimeAttack:
 
     def test_prime_recovers_once_flood_stops(self, make_world):
         world = make_world()
-        host = make_host(world, prime_reactivate_after_s=60.0)
+        host = make_host(world)
         flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
         flooder.flood_between(EPOCH, SimTime.from_seconds(120), host.prime, 100.0)
         world.sim.run_until(SimTime.from_seconds(10))

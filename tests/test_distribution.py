@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from dispo6.distribution import (
     GrantAction,
     HipAnswer,
     HipGate,
-    PermissionDecision,
     RefuseAction,
     RequestOutcome,
 )
@@ -24,7 +24,9 @@ HOME_PREFIX = 0x20010DB800010000
 PEER = Ipv6Address(0x20010DB800CC0000, 9)
 
 
-def make_responder(pki=False, hip=None, permission=None, rng_seed=0):
+def make_responder(pki=False, hip=None, rng_seed=0):
+    """A responder on a stand-in host: the identity and address book a
+    `MobileHost` would give it, without the network."""
     rng = random.Random(rng_seed)
     scheme = Ed25519Scheme() if pki else None
     ca = CertificateAuthority(scheme, rng) if pki else None
@@ -38,11 +40,11 @@ def make_responder(pki=False, hip=None, permission=None, rng_seed=0):
         states[hoa] = AddressState.ACTIVE
         return hoa
 
-    responder = DistributionResponder(
-        allocate=allocate,
-        address_state=lambda hoa: states.get(hoa),
-        scheme=scheme, keys=keys, certificate=cert, ca=ca,
-        pki_required=pki, hip=hip, permission=permission)
+    owner = SimpleNamespace(scheme=scheme, keys=keys, certificate=cert, ca=ca,
+                            require_signed_response=pki,
+                            address_states=states,
+                            allocate_disposable=allocate)
+    responder = DistributionResponder(owner, hip if hip is not None else HipGate())
     return responder, states, (scheme, ca, rng)
 
 
@@ -99,12 +101,6 @@ class TestResponderGates:
         action = responder.handle_request(request(), SimTime(0))
         assert isinstance(action, RefuseAction)
         assert responder.notifications  # the user said no; they were asked
-
-    def test_custom_permission_policy(self):
-        responder, _, _ = make_responder(
-            permission=lambda req: PermissionDecision.REFUSE)
-        assert isinstance(responder.handle_request(request(), SimTime(0)),
-                          RefuseAction)
 
     def test_unsigned_request_in_pki_mode_never_reaches_policy(self):
         responder, _, _ = make_responder(pki=True)
@@ -299,8 +295,7 @@ class TestEngineHandshake:
     def test_patient_human_solves_and_is_granted(self, make_world):
         world = make_world()
         host = make_host(world)
-        human = make_caller(world, i=4, solve_hip=True,
-                            request_timeout_s=3.0)
+        human = make_caller(world, i=4, solve_hip=True)
         results = []
         for i in range(5):
             human.request_address(host.fqdn, results.append)
@@ -308,3 +303,27 @@ class TestEngineHandshake:
         assert all(r.outcome is RequestOutcome.GRANTED for r in results)
         assert host.responder.hip.challenges_issued >= 2
         assert host.responder.hip.passes >= 2
+
+    def test_solved_challenge_keeps_its_signature(self, make_world,
+                                                  monkeypatch):
+        world = make_world(pki=True)
+        host = make_host(world)
+        human = make_caller(world, i=4, solve_hip=True)
+        signatures = []
+        sign = Ed25519Scheme.sign
+
+        def counting_sign(scheme, keys, message):
+            signatures.append(sign(scheme, keys, message))
+            return signatures[-1]
+
+        monkeypatch.setattr(Ed25519Scheme, "sign", counting_sign)
+        results = []
+        for i in range(5):
+            human.request_address(host.fqdn, results.append)
+            world.sim.run()
+        assert all(r.outcome is RequestOutcome.GRANTED for r in results)
+        # the answered requests passed the signature gate on their first
+        # signature: one per request and one per grant, nothing re-signed
+        assert host.responder.hip.passes == 2
+        assert host.responder.dropped_bad_signature == 0
+        assert len(signatures) == 10

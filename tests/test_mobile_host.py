@@ -286,7 +286,7 @@ class TestDisposal:
 
     def test_prime_auto_reactivates_after_quiet_period(self, make_world):
         world = make_world(pki=True)
-        host = make_host(world, prime_reactivate_after_s=60.0)
+        host = make_host(world)
         caller = make_caller(world)
         host.dispose_address(host.prime)  # policy arms the reactivation timer
         world.sim.run_until(SimTime.from_seconds(30))
