@@ -258,7 +258,12 @@ class MobileHost(CallerNode):
             raise ValueError(f"{hoa} is not an address of {self.fqdn}")
         if state is not AddressState.ACTIVE:
             return None  # idempotent
+        # BLOCKED first, so a care-of rotation does not tell its holder
         self.address_states[hoa] = AddressState.BLOCKED
+        if self.mode is Mode.ROUTE_OPTIMIZATION:
+            # the attacker may hold the current care-of address; rotating
+            # first also gets the home agent's ACK to the address we keep
+            self._configure_new_care_of()
         self._send_management(ManagementMessage(kind=ManagementKind.BLOCK_REQUEST,
                                                 host_id=self.node_id,
                                                 auth=self.sa_tag, hoa=hoa))
@@ -272,9 +277,6 @@ class MobileHost(CallerNode):
                 self._reactivate_gen += 1
                 self.sim.call_in(PRIME_REACTIVATE_AFTER_S, self.node_id,
                                  PrimeReactivate(self._reactivate_gen))
-        if self.mode is Mode.ROUTE_OPTIMIZATION:
-            # the attacker may hold the current care-of address
-            self._configure_new_care_of()
         return role
 
     def reactivate_address(self, hoa: Ipv6Address) -> None:

@@ -71,9 +71,15 @@ FLOOD_DIGESTS = {
     # charge the binding update of a care-of rotation: only
     # peer_binding_updates 101 -> 100, engine sent 6318 -> 6317 and
     # unroutable 208 -> 207 moved; the ledger is bit-identical, because
-    # one uncharged binding update got charged and one charged one went
+    # one uncharged binding update got charged and one charged one went.
+    # Re-pinned again when a disposal began to rotate the care-of address
+    # before it sends the block request, so the home agent's ACK reaches
+    # the host instead of the abandoned address: only engine delivered
+    # 6105 -> 6106, unroutable 207 -> 206 and processed 12105 -> 12106
+    # moved, and the ledger's packets 410 -> 412 (the ACK is received and
+    # link-acked), with consumed_packets and remaining to match
     "detect_ro_spoofed":
-        "348bdf13997bf75abfe26c358082cbe397ad06fa3445dd3a448f2f087c84edc7",
+        "8c147e77b4eb579af0e78ba5d2ae37e2deb78f617d5f57665769a33f95da30e4",
 }
 
 LEDGER_FIELDS = ("consumed_packets", "consumed_active", "consumed_powersave",

@@ -7,7 +7,7 @@ from dispo6.caller import CallerNode, CallOutcome
 from dispo6.distribution import AddressRequest, RequestOutcome
 from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from dispo6.engine import EPOCH, Packet, SimTime
-from dispo6.home_agent import Encapsulated
+from dispo6.home_agent import Encapsulated, ManagementKind, ManagementMessage
 from dispo6.messages import (
     PRIME_REJECT_REASON,
     CallReject,
@@ -242,6 +242,31 @@ class TestDisposal:
         assert host.counters.pings == pings_before
         assert host.counters.stale_dropped == 0
         assert world.sim.counters.unroutable >= 20  # old coa black-holed
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_block_ack_reaches_host(self, make_world, mode):
+        # in RO mode the care-of address rotates; the block request must
+        # leave from the new one, or the agent's ACK is black-holed and
+        # counted with the attack traffic as unroutable
+        world = make_world()
+        host = make_host(world, mode=mode)
+        hoa = host.grant_out_of_band(make_caller(world).fqdn)
+        world.sim.run()
+        acks = []
+        receive = host.on_packet
+
+        def spy(packet):
+            message = packet.payload
+            if (isinstance(message, ManagementMessage)
+                    and message.kind is ManagementKind.ACK):
+                acks.append(message.hoa)
+            receive(packet)
+
+        host.on_packet = spy
+        host.dispose_address(hoa)
+        world.sim.run()
+        assert acks == [hoa]
+        assert world.sim.counters.unroutable == 0
 
     def test_disposed_holder_not_told_new_care_of(self, make_world):
         world = make_world()
