@@ -93,11 +93,14 @@ class EnergyParams:
 #: Default parameters hitting 1.0 day idle and 3.75 h under a 100 pkt/s flood.
 DEFAULT_PARAMS = EnergyParams.calibrate()
 
+#: Relative slack of the ledger balance. The sums are floats, and a battery
+#: that dies inside an idle span hands over its last budget bits with it.
+LEDGER_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class Battery:
     capacity: float = 1.0
-    label_mah: float = 1350.0  # nameplate only; computation uses abstract units
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,6 +182,14 @@ class EnergyAccount:
         total = (self.consumed_packets + self.consumed_active
                  + self.consumed_powersave)
         return max(0.0, self.battery.capacity + self.recharged - total)
+
+    def balanced(self) -> bool:
+        """consumed + remaining == capacity + recharged, to LEDGER_REL_TOL
+        of the budget; more is energy the battery never had."""
+        budget = self.battery.capacity + self.recharged
+        consumed = (self.consumed_packets + self.consumed_active
+                    + self.consumed_powersave)
+        return abs(consumed + self.remaining - budget) <= LEDGER_REL_TOL * budget
 
     def state_at(self, now: SimTime) -> RadioState:
         if now.micros - self.last_activity.micros >= self._sleep_us:

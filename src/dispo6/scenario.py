@@ -378,7 +378,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                      else energy.state_at(sim.now).value)
             battery_series.append((sim.now.seconds, energy.remaining, state))
 
-    _check_invariants(sim, agent)
+    _check_invariants(sim, agent, energy)
     total = len(records)
     rejected = sum(1 for r in records
                    if r.outcome is CallOutcome.REJECTED_PRIME_BLOCKED)
@@ -410,12 +410,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                           battery_series=battery_series)
 
 
-def _check_invariants(sim: Simulator, agent: HomeAgent) -> None:
+def _check_invariants(sim: Simulator, agent: HomeAgent,
+                      energy: EnergyAccount | None) -> None:
     broken = []
     if not sim.counters.conserved():
         broken.append(f"engine traffic not conserved: {sim.counters}")
     if not agent.counters.conserved():
         broken.append(f"home-agent traffic not conserved: {agent.counters}")
+    if energy is not None and not energy.balanced():
+        broken.append(f"energy ledger does not balance: {energy}")
     if broken:
         raise InvariantError("; ".join(broken))
 

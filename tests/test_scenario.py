@@ -5,6 +5,7 @@ import yaml
 
 from dispo6 import cli
 from dispo6.caller import CallOutcome
+from dispo6.energy import EnergyAccount
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
@@ -121,6 +122,24 @@ class TestRunInvariants:
         monkeypatch.setattr(Simulator, "send", double_counted)
         with pytest.raises(InvariantError, match="engine"):
             run_scenario(small_config())
+
+    def test_energy_ledger_balances_on_a_real_run(self):
+        # energy on: the battery dies on day 1 with no recharge, inside
+        # an idle span, and the ledger still balances
+        result = run_scenario(small_config(energy_enabled=True))
+        assert result.metrics.energy["dead"]
+
+    def test_energy_overdraw_is_caught(self, monkeypatch):
+        original = EnergyAccount.on_packet
+
+        def overdrawn(self, now, kind):
+            alive = original(self, now, kind)
+            self.consumed_packets += self.battery.capacity  # past empty
+            return alive
+
+        monkeypatch.setattr(EnergyAccount, "on_packet", overdrawn)
+        with pytest.raises(InvariantError, match="energy ledger"):
+            run_scenario(small_config(energy_enabled=True))
 
 
 class TestRejectionModes:
