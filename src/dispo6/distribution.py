@@ -184,13 +184,11 @@ ResponderAction = GrantAction | ChallengeAction | RefuseAction | None
 class DistributionResponder:
     """Target-side handler: signature gate, HIP gate, deny list, grant.
 
-    Everything about the granting host (keys, certificate, CA, whether
-    requests must be signed, its addresses and their states) is read from
-    the owning `MobileHost`. The deny list, which `spit_block` fills, is
-    the one permission policy: every other request that passed the gates
-    is granted. Grant bookkeeping is injective per requester identity:
-    each verified identity keeps getting its own address back while that
-    address is usable, and never an address granted to someone else.
+    Keys, certificate, CA, signature policy and address states are read
+    from the owning `MobileHost`. The deny list, which `spit_block` fills,
+    is the one permission policy. Grants are injective per requester
+    identity: each verified identity keeps getting its own address back
+    while that address is usable, and never one granted to someone else.
     `grants` is the host's one record of which address each peer holds.
     """
 
@@ -291,19 +289,14 @@ class InitiatorSession:
         self.send_request = send_request
         self.done = False
         self._gen = 0
-        self._base_request = self._build_request()
-
-    def _build_request(self) -> AddressRequest:
-        owner = self.owner
         request = AddressRequest(requester_name=owner.fqdn.split(".")[0],
                                  requester_fqdn=owner.fqdn, extra_info="",
-                                 reply_to=owner.address,
-                                 request_id=self.request_id)
+                                 reply_to=owner.address, request_id=request_id)
         if owner.scheme is not None and owner.keys is not None:
             request = replace(
                 request, certificate=owner.certificate,
                 signature=owner.scheme.sign(owner.keys, request.signed_bytes()))
-        return request
+        self._base_request = request
 
     def start(self) -> None:
         self.send_request(self._base_request)

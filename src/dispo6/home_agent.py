@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .addressing import AddressRole, AddressState, Ipv6Address, random_iid
+from .addressing import AddressState, Ipv6Address, random_iid
 from .engine import Node, Packet, Simulator
 from .messages import record
 
@@ -88,7 +88,6 @@ class AgentCounters:
 @dataclass(slots=True)
 class AddressEntry:
     owner: str
-    role: AddressRole
     state: AddressState
 
 
@@ -153,8 +152,7 @@ class HomeAgent(Node):
 
     # -- management operations ----------------------------------------------
 
-    def generate_home_address(self, host_id: str, auth: str,
-                              role: AddressRole = AddressRole.DISPOSABLE) -> Ipv6Address:
+    def generate_home_address(self, host_id: str, auth: str) -> Ipv6Address:
         """Allocate a fresh collision-checked home address bound to the host."""
         binding = self._authenticated(host_id, auth)
         for _ in range(MAX_ALLOCATION_ATTEMPTS):
@@ -162,7 +160,7 @@ class HomeAgent(Node):
             if candidate.iid == ADMIN_IID or candidate in self._entries:
                 continue
             self._entries[candidate] = AddressEntry(
-                owner=host_id, role=role, state=AddressState.ACTIVE)
+                owner=host_id, state=AddressState.ACTIVE)
             binding.addresses.add(candidate)
             return candidate
         raise PoolExhaustedError("could not find a free interface identifier")

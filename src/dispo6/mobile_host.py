@@ -81,7 +81,6 @@ class Mode(Enum):
 class AttackAlert:
     hoa: Ipv6Address
     window_rate: float
-    first_seen: SimTime
 
 
 class IntrusionMonitor:
@@ -107,8 +106,7 @@ class IntrusionMonitor:
             events.popleft()
         rate = len(events) / self.window_s
         if rate > self.threshold_pps:
-            return AttackAlert(hoa=hoa, window_rate=rate,
-                               first_seen=SimTime(events[0]))
+            return AttackAlert(hoa=hoa, window_rate=rate)
         return None
 
     def clear(self, hoa: Ipv6Address) -> None:
@@ -198,8 +196,7 @@ class MobileHost(CallerNode):
         self.ha_admin = ha.admin_address
         self.sa_tag = f"sa-{self.node_id}-{self.sim.rng.getrandbits(64):016x}"
         ha.attach_host(self.node_id, self.sa_tag)
-        self.address = ha.generate_home_address(self.node_id, self.sa_tag,
-                                                role=AddressRole.PRIME)
+        self.address = ha.generate_home_address(self.node_id, self.sa_tag)
         self.address_states[self.prime] = AddressState.ACTIVE
         self.visited_prefix = visited_prefix
         self.coa = Ipv6Address(visited_prefix, random_iid(self.sim.rng))
@@ -258,11 +255,10 @@ class MobileHost(CallerNode):
             raise ValueError(f"{hoa} is not an address of {self.fqdn}")
         if state is not AddressState.ACTIVE:
             return None  # idempotent
-        # BLOCKED first, so a care-of rotation does not tell its holder
-        self.address_states[hoa] = AddressState.BLOCKED
+        self.address_states[hoa] = AddressState.BLOCKED  # its holder is not told
         if self.mode is Mode.ROUTE_OPTIMIZATION:
-            # the attacker may hold the current care-of address; rotating
-            # first also gets the home agent's ACK to the address we keep
+            # the attacker may hold the current care-of address; rotate
+            # first, so the home agent's ACK goes to the one we keep
             self._configure_new_care_of()
         self._send_management(ManagementMessage(kind=ManagementKind.BLOCK_REQUEST,
                                                 host_id=self.node_id,
@@ -307,7 +303,6 @@ class MobileHost(CallerNode):
         return self.responder.grant_for(peer_fqdn)
 
     def allocate_disposable(self) -> Ipv6Address:
-        """Take a fresh disposable for the responder to grant."""
         if self._pool:
             hoa = self._pool.pop(0)
         else:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dispo6.addressing import AddressRole, AddressState, Ipv6Address
+from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.engine import Node, Packet, SimTime
 from dispo6.home_agent import (
     AuthenticationError,

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every public module-level name is used somewhere in the repository."""
+"""Every module-level import in the package is used by its module, every
+public module-level name is used somewhere in the repository, every
+parameter is read by its function, and every record field is read."""
 
 import ast
 from pathlib import Path
@@ -134,3 +135,54 @@ def test_unread_parameter_checker():
         "    def g(self, z): return self\n"
         "    _handlers = {int: _skip}\n")
     assert unread_parameters(source) == ["f(b) (line 1)", "g(z) (line 8)"]
+
+
+def record_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) for each annotated field of a dataclass or
+    NamedTuple."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        # `@dataclass`, `@dataclass(...)` or a `NamedTuple` base
+        marks = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
+        if not any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple")
+                   for m in marks):
+            continue
+        fields.extend((node.name, stmt.target.id, stmt.lineno)
+                      for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name))
+    return fields
+
+
+def read_attributes(source: str) -> set[str]:
+    """Attributes looked up for their value; a store is not a read."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    # `*Counters` records are written out whole (`asdict` into metrics.json)
+    read = set()
+    for tree in USING_TREES:
+        for path in (REPO / tree).rglob("*.py"):
+            read |= read_attributes(path.read_text())
+    unread = [f"{path.name}: {cls}.{name} (line {line})"
+              for path in MODULES
+              for cls, name, line in record_fields(path.read_text())
+              if not cls.endswith("Counters") and name not in read]
+    assert unread == []
+
+
+def test_unread_field_checker():
+    source = (
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\nclass A:\n    kept: int\n    lost: int\n"
+        "class P(NamedTuple):\n    seen: str\n"
+        "class Plain:\n    ignored: int\n"
+        "def f(a, p):\n    a.lost = 1\n    return a.kept + len(p.seen)\n")
+    assert record_fields(source) == [("A", "kept", 5), ("A", "lost", 6),
+                                     ("P", "seen", 8)]
+    assert read_attributes(source) == {"kept", "seen"}
