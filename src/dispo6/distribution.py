@@ -218,12 +218,12 @@ class DistributionResponder:
             return ChallengeAction(hip.issue(fqdn, now, request.request_id))
         # Every gate passed: only now does the user see anything.
         self.notifications.append((now, fqdn))
-        if fqdn in self.denied:
+        hoa = self.grant_for(fqdn)
+        if hoa is None:
             self.refusals += 1
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
-        response = AddressResponse(granted=self.grant_for(fqdn),
-                                   request_digest=request.digest(),
+        response = AddressResponse(granted=hoa, request_digest=request.digest(),
                                    request_id=request.request_id)
         if owner.scheme is not None and owner.keys is not None:
             response = replace(
@@ -231,8 +231,11 @@ class DistributionResponder:
                 signature=owner.scheme.sign(owner.keys, response.signed_bytes()))
         return GrantAction(response)
 
-    def grant_for(self, peer_fqdn: str) -> Ipv6Address:
-        """Same address back while it is usable, a fresh one otherwise."""
+    def grant_for(self, peer_fqdn: str) -> Ipv6Address | None:
+        """Every grant: None for a denied peer, else the same address back
+        while it is usable and a fresh one otherwise."""
+        if peer_fqdn in self.denied:
+            return None
         owner = self.owner
         hoa = self.grants.get(peer_fqdn)
         if hoa is None or owner.address_states.get(hoa) is not AddressState.ACTIVE:

@@ -298,8 +298,6 @@ class MobileHost(CallerNode):
     def grant_out_of_band(self, peer_fqdn: str) -> Ipv6Address | None:
         """Hand out a disposable over a side channel (in person, e-mail,
         IM); a denied peer gets none."""
-        if peer_fqdn in self.responder.denied:
-            return None
         return self.responder.grant_for(peer_fqdn)
 
     def allocate_disposable(self) -> Ipv6Address:
