@@ -8,6 +8,19 @@ really floods and the victim's detection blocks the prime; at schedule
 granularity the victim's policy blocks the prime for the drawn window
 (`block_prime_window`, which the scenario's explicit mode uses too), and
 the home agent drops every address request that arrives meanwhile.
+
+A flood is one rate segment (engine.py), not a timer per packet: its
+packets leave at start + k*interval, interval = round(1e6 / rate) µs, the
+step the per-packet timer takes. The home agent, the victim and the
+flooder charge them in closed form and hand single packets to their
+packet path only at the segment's split points: the packet that trips the
+victim's monitor or empties its battery, and a route-optimizing victim's
+first packet from the flooder, which it answers with a binding update.
+Blocks, reactivations and care-of rotations are queued events, so the
+segment changes course at them by itself; at one instant they run before
+the flood's packets (the engine's tie rule). A spoofed flood draws a new
+source from the simulator's PRNG for every packet and stays a timer per
+packet, as does any flood the engine cannot take as a segment.
 """
 
 import random
@@ -16,7 +29,7 @@ from enum import Enum
 
 from .addressing import Ipv6Address
 from .caller import CallerNode
-from .engine import Node, Packet, SimTime, Simulator
+from .engine import US_PER_SECOND, Node, Packet, SimTime, Simulator
 from .messages import Ping
 from .mobile_host import MobileHost, WindowBlock, WindowUnblock
 from .sas import (
@@ -59,19 +72,35 @@ class Flooder(Node):
                       spoof: bool = False) -> None:
         if rate_pps <= 0:
             raise ValueError("flood rate must be positive")
+        interval_us = round(1.0 / rate_pps * US_PER_SECOND)
+        if interval_us == 0:
+            raise ValueError(f"flood rate {rate_pps} pkt/s is under 1 us apart")
         if stop < start:
             raise ValueError("flood stops before it starts")
-        self.sim.call_at(start, self.node_id,
-                         _Emit(stop_us=stop.micros, target=target,
-                               interval_s=1.0 / rate_pps,
-                               payload_size=payload_size, spoof=spoof))
+        count = -((start.micros - stop.micros) // interval_us)
+        if spoof or not self.sim.flood(
+                self.node_id,
+                Packet(self.address, target, Ping(self.stats.sent), payload_size),
+                start.micros, interval_us, count):
+            self._flood_packets(start, stop, target, rate_pps, payload_size,
+                                spoof)
+
+    def _flood_packets(self, start: SimTime, stop: SimTime,
+                       target: Ipv6Address, rate_pps: float,
+                       payload_size: int, spoof: bool) -> None:
+        """The per-packet path: a timer per packet; the reference segments
+        are tested against. Like a segment, it wakes no more once its last
+        packet is out."""
+        if start < stop:
+            self.sim.call_at(start, self.node_id,
+                             _Emit(stop_us=stop.micros, target=target,
+                                   interval_s=1.0 / rate_pps,
+                                   payload_size=payload_size, spoof=spoof))
 
     def on_timer(self, token: object) -> None:
         if not isinstance(token, _Emit):
             return
         sim = self.sim
-        if sim.now.micros >= token.stop_us:
-            return
         if token.spoof:
             src = Ipv6Address(sim.rng.getrandbits(64), sim.rng.getrandbits(64))
         else:
@@ -80,11 +109,24 @@ class Flooder(Node):
         sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent),
                         size_bytes=token.payload_size))
         stats.sent += 1
-        sim.call_in(token.interval_s, self.node_id, token)
+        if sim.now.micros + round(token.interval_s * US_PER_SECOND) < token.stop_us:
+            sim.call_in(token.interval_s, self.node_id, token)
 
     def on_packet(self, packet: Packet) -> None:
         # attacker ignores reply content; silence tells it nothing either
         self.stats.replies_received += 1
+
+    def on_run(self, packet: Packet, first_us: int, interval_us: int,
+               count: int) -> Packet | None:
+        """Emit `count` pings of a segment, or take `count` replies."""
+        if packet.dst == self.address:
+            self.stats.replies_received += count
+            return None
+        self.stats.sent += count
+        return packet
+
+    def run_fate(self, packet: Packet) -> Packet | None:
+        return None if packet.dst == self.address else packet
 
 
 @dataclass(frozen=True, slots=True)

@@ -210,11 +210,15 @@ class CallerNode(Node):
         """Send from one of our addresses. A peer that announced a care-of
         address is reached there directly, with its home address kept in
         the inner packet (route optimization, RFC 6275 section 6.4)."""
+        self._emit(self._addressed(src, dst, payload, size_bytes))
+
+    def _addressed(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
+                   size_bytes: int = 56) -> Packet:
         packet = Packet(src, dst, payload, size_bytes)
         care_of = self._route_cache.get(dst)
         if care_of is not None:
             packet = Packet(src, care_of, RouteOptimized(inner=packet))
-        self._emit(packet)
+        return packet
 
     def _emit(self, packet: Packet) -> None:
         """Put one packet on the wire."""

@@ -141,8 +141,18 @@ class HipGate:
         windows = self._violation_windows.setdefault(source, set())
         windows.add(now.micros // round(self.window_s * US_PER_SECOND))
         difficulty = self.base_difficulty_s * 2 ** (len(windows) - 1)
+        # challenges are held in issue order: drop the expired ones from the
+        # front, or a source that never answers would grow the map forever;
+        # a late answer to one still fails once, as unknown
+        outstanding = self._outstanding
+        expired_before = now.micros - round(self.ttl_s * US_PER_SECOND)
+        while outstanding:
+            oldest = next(iter(outstanding))
+            if outstanding[oldest][0] >= expired_before:
+                break
+            del outstanding[oldest]
         challenge_id = next(self._ids)
-        self._outstanding[challenge_id] = (now.micros, difficulty)
+        outstanding[challenge_id] = (now.micros, difficulty)
         self.challenges_issued += 1
         return HipChallengeMsg(challenge_id=challenge_id,
                                difficulty_s=difficulty, request_id=request_id)

@@ -4,7 +4,10 @@ The radio is Active until `sleep_timeout_s` passes with no traffic, then
 drops to power-save. Instead of scheduling sleep/wake events, the account
 integrates idle drain lazily between charges, splitting each interval at
 the exact sleep-entry instant. That keeps occupancy and drain bit-exact and
-deterministic regardless of event granularity.
+deterministic regardless of event granularity. A flood segment's packets
+are charged the same way, a run at a time (`charge_run`): the packets'
+costs, and the idle draw of the gaps between them, split at the sleep
+boundary like any other gap.
 
 Costs are abstract energy units. The calibration ties the unit scale to
 two measured endpoints: about a day of lifetime when idle, and a few
@@ -93,6 +96,11 @@ class EnergyParams:
 #: Default parameters hitting 1.0 day idle and 3.75 h under a 100 pkt/s flood.
 DEFAULT_PARAMS = EnergyParams.calibrate()
 
+#: Microseconds of idle draw a battery's last budget may fall short of and
+#: still cover, so that where a budget divides evenly into microseconds the
+#: instant of death does not hang on the order the ledger's sums were added.
+IDLE_US_TOL = 1e-6
+
 #: Relative slack of the ledger balance. The sums are floats, and a battery
 #: that dies inside an idle span hands over its last budget bits with it.
 LEDGER_REL_TOL = 1e-9
@@ -179,6 +187,8 @@ class EnergyAccount:
 
     @property
     def remaining(self) -> float:
+        if self.dead:
+            return 0.0
         total = (self.consumed_packets + self.consumed_active
                  + self.consumed_powersave)
         return max(0.0, self.battery.capacity + self.recharged - total)
@@ -210,11 +220,10 @@ class EnergyAccount:
             return
         if b <= a:
             return
-        # the radio stays active from a until the sleep instant, then naps
-        active_end = min(b, max(a, self.last_activity.micros + self._sleep_us))
-        self._charge_idle(active_end - a, RadioState.ACTIVE)
+        active_us, powersave_us = self._gap_us(a, b, self.last_activity.micros)
+        self._charge_idle(active_us, RadioState.ACTIVE)
         if not self.dead:
-            self._charge_idle(b - active_end, RadioState.POWER_SAVE)
+            self._charge_idle(powersave_us, RadioState.POWER_SAVE)
 
     def _charge_idle(self, duration_us: int, state: RadioState) -> None:
         if duration_us <= 0:
@@ -224,7 +233,9 @@ class EnergyAccount:
         cost = power * (duration_us / US_PER_SECOND)
         budget = self.remaining
         if cost >= budget and power > 0:
-            survive_us = math.floor(budget / power * US_PER_SECOND)
+            # a budget that covers a whole number of microseconds but for
+            # the rounding of the ledger's sums still covers them
+            survive_us = math.floor(budget / power * US_PER_SECOND + IDLE_US_TOL)
             survive_us = min(survive_us, duration_us)
             # the battery dies inside this span; the sub-microsecond tail of
             # the budget goes with it so a dead battery reads exactly empty
@@ -258,17 +269,62 @@ class EnergyAccount:
         budget = self.battery.capacity + self.recharged
         remaining = budget - (self.consumed_packets + self.consumed_active
                               + self.consumed_powersave)
-        if remaining < cost:
+        # a charge the battery cannot cover in full empties it: decided
+        # before the charge, so the rounding of the sum after it never
+        # lets the battery live on a few ulps
+        exhausted = remaining <= cost
+        if exhausted:
             cost = remaining if remaining > 0.0 else 0.0
         self.consumed_packets += cost
         self.packets += 1
         self.last_activity = now
-        if budget - (self.consumed_packets + self.consumed_active
-                     + self.consumed_powersave) <= 0.0:
+        if exhausted:
             self.dead = True
             self.dead_at = now
             return False
         return True
+
+    def _gap_us(self, a: int, b: int, last_activity_us: int) -> tuple[int, int]:
+        """Active and power-save microseconds of an idle gap from a to b: the
+        radio stays active until the sleep instant, then naps."""
+        active_end = min(b, max(a, last_activity_us + self._sleep_us))
+        return active_end - a, b - active_end
+
+    def _idle_cost(self, active_us: int, powersave_us: int) -> float:
+        params = self.params
+        return (params.p_active_idle * (active_us / US_PER_SECOND)
+                + params.p_powersave * (powersave_us / US_PER_SECOND))
+
+    def safe_run(self, first_us: int, interval_us: int, count: int,
+                 kinds: tuple[PacketKind, ...]) -> int:
+        """How many leading packets of a run, each charged `kinds`, leave
+        the battery certainly alive: the first one that might not, less
+        two packets of margin for the rounding of the closed form."""
+        step_cost = sum(map(self.params.packet_cost, kinds))
+        left = self.remaining - step_cost
+        if first_us > self._last_us:
+            left -= self._idle_cost(*self._gap_us(
+                self._last_us, first_us, self.last_activity.micros))
+        step = step_cost + self._idle_cost(*self._gap_us(0, interval_us, 0))
+        if step <= 0.0:
+            return count
+        return max(0, min(count, math.floor(left / step) - 1))
+
+    def charge_run(self, first_us: int, interval_us: int, count: int,
+                   kinds: tuple[PacketKind, ...]) -> None:
+        """Charge `count` packets at first_us + k*interval_us, each `kinds`,
+        and the idle gaps between them; `safe_run` must cover them."""
+        self.advance(SimTime(first_us))
+        gaps = count - 1
+        active_us, powersave_us = self._gap_us(0, interval_us, 0)
+        self._accumulate(RadioState.ACTIVE, gaps * active_us,
+                         self._idle_cost(gaps * active_us, 0))
+        self._accumulate(RadioState.POWER_SAVE, gaps * powersave_us,
+                         self._idle_cost(0, gaps * powersave_us))
+        self.consumed_packets += count * sum(map(self.params.packet_cost, kinds))
+        self.packets += count * len(kinds)
+        self._last_us = first_us + gaps * interval_us
+        self.last_activity = SimTime(self._last_us)
 
     def tick_idle(self, dt_s: float) -> None:
         if dt_s < 0:

@@ -227,23 +227,34 @@ class HomeAgent(Node):
 
     def intercept(self, packet: Packet) -> None:
         """Tunnel to the owner's care-of address, or drop in silence."""
+        tunneled = self._intercept(packet, 1)
+        if tunneled is not None:
+            self.sim.send(tunneled)
+
+    def _intercept(self, packet: Packet, count: int) -> Packet | None:
+        """Count `count` copies of `packet` in; what each is tunneled as,
+        or None when they are dropped."""
         counters = self.counters
-        counters.intercepted += 1
+        counters.intercepted += count
+        tunneled = self._tunneled(packet)
+        if tunneled is not None:
+            counters.tunneled += count
+        elif self.state_of(packet.dst) is AddressState.BLOCKED:
+            counters.dropped_blocked += count
+        else:
+            counters.dropped_unknown += count
+        return tunneled
+
+    def _tunneled(self, packet: Packet) -> Packet | None:
         entry = self._entries.get(packet.dst)
-        if entry is None or entry.state is AddressState.DECONFIGURED:
-            counters.dropped_unknown += 1
-            return
-        if entry.state is AddressState.BLOCKED:
-            counters.dropped_blocked += 1
-            return
+        if entry is None or entry.state is not AddressState.ACTIVE:
+            return None
         care_of = self._hosts[entry.owner].care_of
         if care_of is None:
-            counters.dropped_unknown += 1
-            return
-        counters.tunneled += 1
-        self.sim.send(Packet(src=self.admin_address, dst=care_of,
-                             payload=Encapsulated(inner=packet),
-                             size_bytes=packet.size_bytes + 40))
+            return None
+        return Packet(src=self.admin_address, dst=care_of,
+                      payload=Encapsulated(inner=packet),
+                      size_bytes=packet.size_bytes + 40)
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
         """Decapsulate and forward a host's outbound packet.
@@ -251,17 +262,47 @@ class HomeAgent(Node):
         The inner source must be a home address of the host. Blocked
         addresses still relay: blocking filters the inbound direction only.
         """
-        try:
-            self._authenticated(host_id, auth)
-        except AgentError:
+        if not self._sa_valid(host_id, auth):
             self.counters.rejected_management += 1
             return False
-        entry = self._entries.get(inner.src)
-        if (entry is None or entry.owner != host_id
-                or entry.state is AddressState.DECONFIGURED):
+        if not self._relays(host_id, inner):
             return False
         self.sim.send(inner)
         return True
+
+    def _sa_valid(self, host_id: str, auth: str) -> bool:
+        binding = self._hosts.get(host_id)
+        return binding is not None and binding.sa_tag == auth
+
+    def _relays(self, host_id: str, inner: Packet) -> bool:
+        entry = self._entries.get(inner.src)
+        return (entry is not None and entry.owner == host_id
+                and entry.state is not AddressState.DECONFIGURED)
+
+    # -- flood segments (engine.py) -------------------------------------------
+
+    def run_fate(self, packet: Packet) -> Packet | None:
+        """What on_packet forwards for `packet` in the current state."""
+        if packet.dst != self.admin_address:
+            return self._tunneled(packet)
+        payload = packet.payload
+        if (type(payload) is ReverseTunneled
+                and self._sa_valid(payload.host_id, payload.auth)
+                and self._relays(payload.host_id, payload.inner)):
+            return payload.inner
+        return None
+
+    def on_run(self, packet: Packet, first_us: int, interval_us: int,
+               count: int) -> Packet | None:
+        """`count` packets of a segment: the counters of `count` on_packet
+        calls, and the packet forwarded for each."""
+        if packet.dst != self.admin_address:
+            return self._intercept(packet, count)
+        payload = packet.payload
+        if (type(payload) is ReverseTunneled
+                and not self._sa_valid(payload.host_id, payload.auth)):
+            self.counters.rejected_management += count
+        return self.run_fate(packet)
 
     def _handle_admin(self, packet: Packet) -> None:
         handler = self._admin_handlers.get(type(packet.payload))

@@ -20,7 +20,6 @@ caller.py; `MobileHost` subclasses it, calls from its prime, and overrides
 only the send step (battery charge, reverse tunnel) and its bookkeeping.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -43,7 +42,7 @@ from .distribution import (
     RefuseAction,
 )
 from .energy import EnergyAccount, PacketKind
-from .engine import US_PER_SECOND, Packet, SimTime, Simulator
+from .engine import Packet, Simulator
 from .home_agent import (
     BindingAck,
     BindingUpdate,
@@ -63,6 +62,7 @@ from .messages import (
     Pong,
     RouteOptimized,
 )
+from .monitor import IntrusionMonitor
 from .sas import PairResult, run_pairing
 
 
@@ -75,42 +75,6 @@ POOL_SIZE = 4
 class Mode(Enum):
     ROUTE_OPTIMIZATION = "route_optimization"
     BIDIRECTIONAL_TUNNELING = "bidirectional_tunneling"
-
-
-@dataclass(frozen=True, slots=True)
-class AttackAlert:
-    hoa: Ipv6Address
-    window_rate: float
-
-
-class IntrusionMonitor:
-    """Per-address packets-per-second over a sliding window, strict threshold.
-
-    A burst of exactly threshold*window packets stays quiet; one more
-    raises an alert.
-    """
-
-    def __init__(self, threshold_pps: float = 10.0, window_s: float = 10.0):
-        self.threshold_pps = threshold_pps
-        self.window_s = window_s
-        self._window_us = round(window_s * US_PER_SECOND)
-        self._events: dict[Ipv6Address, deque[int]] = {}
-
-    def observe(self, hoa: Ipv6Address, now: SimTime) -> AttackAlert | None:
-        events = self._events.get(hoa)
-        if events is None:
-            events = self._events[hoa] = deque()
-        events.append(now.micros)
-        cutoff = now.micros - self._window_us
-        while events and events[0] < cutoff:
-            events.popleft()
-        rate = len(events) / self.window_s
-        if rate > self.threshold_pps:
-            return AttackAlert(hoa=hoa, window_rate=rate)
-        return None
-
-    def clear(self, hoa: Ipv6Address) -> None:
-        self._events.pop(hoa, None)
 
 
 @dataclass(slots=True)
@@ -146,6 +110,21 @@ class WindowBlock:
 @dataclass(frozen=True, slots=True)
 class WindowUnblock:
     """Scheduled-attack window closing: policy reactivates the prime."""
+
+
+_RECEIVED = (PacketKind.RX, PacketKind.TX_ACK)
+_ANSWERED = (PacketKind.RX, PacketKind.TX_ACK, PacketKind.TX_REPLY)
+
+
+def _unwrap(packet: Packet) -> tuple[Packet, bool]:
+    """The logical packet inside a delivery, and whether it was tunneled."""
+    payload = packet.payload
+    kind = type(payload)
+    if kind is Encapsulated:
+        return payload.inner, True
+    if kind is RouteOptimized:
+        return payload.inner, False
+    return packet, False
 
 
 class MobileHost(CallerNode):
@@ -325,19 +304,23 @@ class MobileHost(CallerNode):
 
     def _emit(self, packet: Packet) -> None:
         """Charge one transmission, then send unless the battery is (or just
-        went) dead. In BT mode a packet from a home address is relayed by
-        the home agent, so the care-of address never shows."""
+        went) dead."""
         energy = self.energy
         if energy is not None and (energy.dead or not energy.on_packet(
                 self.sim.now, PacketKind.TX_REPLY)):
             return
+        self.sim.send(self._wire(packet))
+
+    def _wire(self, packet: Packet) -> Packet:
+        """In BT mode a packet from a home address is relayed by the home
+        agent, so the care-of address never shows."""
         if self.mode is Mode.BIDIRECTIONAL_TUNNELING and packet.src != self.coa:
-            packet = Packet(src=self.coa, dst=self.ha_admin,
-                            payload=ReverseTunneled(inner=packet,
-                                                    host_id=self.node_id,
-                                                    auth=self.sa_tag),
-                            size_bytes=packet.size_bytes + 40)
-        self.sim.send(packet)
+            return Packet(src=self.coa, dst=self.ha_admin,
+                          payload=ReverseTunneled(inner=packet,
+                                                  host_id=self.node_id,
+                                                  auth=self.sa_tag),
+                          size_bytes=packet.size_bytes + 40)
+        return packet
 
     def _send_management(self, message: ManagementMessage) -> None:
         self._emit(Packet(src=self.coa, dst=self.ha_admin, payload=message))
@@ -361,14 +344,7 @@ class MobileHost(CallerNode):
             if energy.dead:
                 self.counters.dead_dropped += 1
                 return
-        payload = packet.payload
-        kind = type(payload)
-        if kind is Encapsulated:
-            self._handle_inner(payload.inner, tunneled=True)
-        elif kind is RouteOptimized:
-            self._handle_inner(payload.inner, tunneled=False)
-        else:
-            self._handle_inner(packet, tunneled=False)
+        self._handle_inner(*_unwrap(packet))
 
     def _handle_inner(self, inner: Packet, tunneled: bool) -> None:
         dst = inner.dst
@@ -462,6 +438,69 @@ class MobileHost(CallerNode):
         ManagementMessage: _on_management,
         BindingAck: _ignore,
     }
+
+    # -- flood segments (engine.py) ------------------------------------------------
+
+    def run_split(self, packet: Packet, first_us: int, interval_us: int,
+                  count: int) -> int:
+        """Index of the first packet of a run that must go through on_packet:
+        the one that might empty the battery, the one that trips the
+        monitor, or, in RO mode, the first one from a source that has not
+        had a binding update; `count` if none."""
+        energy = self.energy
+        if packet.dst != self.coa or (energy is not None and energy.dead):
+            return count
+        inner, tunneled = _unwrap(packet)
+        dst = inner.dst
+        state = self.address_states.get(dst)
+        split = count
+        if energy is not None:
+            split = energy.safe_run(first_us, interval_us, count,
+                                    self._run_kinds(state, dst))
+        if state is AddressState.ACTIVE:
+            if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
+                    and dst != self.prime and inner.src not in self._peer_bu_sent):
+                return 0
+            split = self.monitor.first_alert(dst, first_us, interval_us, split)
+        return split
+
+    def on_run(self, packet: Packet, first_us: int, interval_us: int,
+               count: int) -> Packet | None:
+        """`count` pings of a segment, none at a run_split: the counters,
+        monitor, energy and reply of `count` on_packet calls."""
+        counters = self.counters
+        if packet.dst != self.coa:
+            counters.stale_dropped += count
+            return None
+        energy = self.energy
+        if energy is not None and energy.dead:
+            counters.dead_dropped += count
+            return None
+        inner, _ = _unwrap(packet)
+        dst = inner.dst
+        state = self.address_states.get(dst)
+        kinds = self._run_kinds(state, dst)
+        reply = None
+        if state is not None and state is not AddressState.ACTIVE:
+            counters.blocked_local_dropped += count
+        else:
+            if state is not None:
+                self.monitor.observe_run(dst, first_us, interval_us, count)
+            counters.pings += count
+            if kinds is _ANSWERED:
+                reply = self._wire(self._addressed(dst, inner.src,
+                                                   Pong(inner.payload.seq)))
+        if energy is not None:
+            energy.charge_run(first_us, interval_us, count, kinds)
+        return reply
+
+    def _run_kinds(self, state: AddressState | None,
+                   dst: Ipv6Address) -> tuple[PacketKind, ...]:
+        """What each ping of a run costs: receipt and link ACK, and the pong
+        where _on_ping answers."""
+        if state is AddressState.ACTIVE or (state is None and dst == self.coa):
+            return _ANSWERED
+        return _RECEIVED
 
     # -- timers ------------------------------------------------------------------
 

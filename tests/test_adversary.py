@@ -9,7 +9,15 @@ from dispo6.adversary import (
     PerSourceFilter,
     run_scheduled_prime_attack,
 )
-from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount, drain_rate, flood_profile, idle_profile
+from dispo6.energy import (
+    DEFAULT_PARAMS,
+    Battery,
+    EnergyAccount,
+    drain_rate,
+    flood_profile,
+    idle_profile,
+    lifetime_under,
+)
 from dispo6.engine import EPOCH, SimTime
 from dispo6.caller import CallOutcome
 from dispo6.mobile_host import Mode
@@ -65,6 +73,10 @@ class TestFlooder:
         with pytest.raises(ValueError, match="stops before"):
             flooder.flood_between(SimTime.from_seconds(2),
                                   SimTime.from_seconds(1), ATTACKER_ADDR, 1)
+        # packets less than 0.5 us apart would all leave at one instant
+        with pytest.raises(ValueError, match="rate"):
+            flooder.flood_between(EPOCH, SimTime.from_seconds(1),
+                                  ATTACKER_ADDR, 3e6)
         assert world.sim.pending() == 0
 
 
@@ -87,6 +99,32 @@ class TestFloodEnergy:
                                                       flood_profile(100))
         # event horizon ends one latency after the last emission
         assert consumed == pytest.approx(expected, rel=2e-3)
+
+    def test_flood_takes_few_events(self, make_world):
+        # a segment crosses the agent, the host and the ledger in closed
+        # form; one timer and four deliveries per ping would be ~5 events
+        world = make_world()
+        host, account = self.make_energized_host(world)
+        hoa = host.grant_out_of_band(make_caller(world).fqdn)
+        flood(world, hoa, rate=100, seconds=600)
+        processed = world.sim.run()
+        assert host.counters.pings == 60_000
+        assert processed < 0.01 * host.counters.pings
+
+    def test_paper_exhaustion_run(self, make_world):
+        """The paper's 3.75 h battery exhaustion under 100 pkt/s."""
+        world = make_world()
+        host, account = self.make_energized_host(world)
+        hoa = host.grant_out_of_band(make_caller(world).fqdn)
+        lifetime_s = 3600.0 * lifetime_under(DEFAULT_PARAMS, Battery(),
+                                             flood_profile(100))
+        assert lifetime_s == pytest.approx(3.75 * 3600)
+        flood(world, hoa, rate=100, seconds=1.1 * lifetime_s)
+        world.sim.run()
+        assert account.dead
+        assert account.dead_at.seconds == pytest.approx(lifetime_s, rel=2e-3)
+        assert account.balanced()
+        assert host.counters.pings == pytest.approx(100 * lifetime_s, rel=2e-3)
 
     def test_flood_on_blocked_address_is_idle_drain(self, make_world):
         world = make_world()

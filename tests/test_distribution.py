@@ -182,6 +182,21 @@ class TestHipGate:
                            HipGate.solution(challenge.challenge_id))
         assert not gate.verify(answer, SimTime.from_seconds(301))
 
+    def test_unanswered_challenges_expire(self):
+        gate = self.gate()
+        for minute in range(10_000):
+            gate.issue("bot", SimTime.from_seconds(60 * minute), request_id=minute)
+            assert len(gate._outstanding) <= gate.ttl_s / 60 + 1
+
+    def test_late_answer_to_dropped_challenge_fails_once(self):
+        gate = self.gate()
+        late = gate.issue("bot", SimTime(0), request_id=1)
+        gate.issue("bot", SimTime.from_seconds(301), request_id=2)
+        assert late.challenge_id not in gate._outstanding
+        answer = HipAnswer(late.challenge_id, HipGate.solution(late.challenge_id))
+        assert not gate.verify(answer, SimTime.from_seconds(302))
+        assert (gate.failures, gate.passes) == (1, 0)
+
 
 class TestGateOrdering:
     def test_no_notification_without_pass_while_gate_active(self):

@@ -14,12 +14,8 @@ from dispo6.messages import (
     Ping,
     Pong,
 )
-from dispo6.mobile_host import (
-    AttackAlert,
-    IntrusionMonitor,
-    MobileHost,
-    Mode,
-)
+from dispo6.mobile_host import MobileHost, Mode
+from dispo6.monitor import AttackAlert, IntrusionMonitor
 from conftest import PEER_PREFIX, VISITED_PREFIX
 
 

@@ -1,0 +1,232 @@
+"""A flood segment against the per-packet path it replaces.
+
+`Flooder.flood_between` hands a non-spoofed flood to the engine as one
+segment; `Flooder._flood_packets` is the per-packet path, a timer per
+packet, kept as the reference. Each case runs the same world twice, once
+each way, and compares every counter exactly at every checkpoint: engine,
+home agent, host, flooder, and the ledger's integer fields. The ledger's
+float sums are charged a run at a time instead of a packet at a time, so
+they may differ in their last bits, within LEDGER_REL_TOL.
+"""
+
+import dataclasses
+
+import pytest
+
+from dispo6.addressing import Ipv6Address
+from dispo6.adversary import Flooder
+from dispo6.energy import (
+    DEFAULT_PARAMS,
+    LEDGER_REL_TOL,
+    Battery,
+    EnergyAccount,
+    drain_rate,
+    flood_profile,
+)
+from dispo6.engine import EPOCH, SimTime
+from dispo6.mobile_host import Mode
+
+import test_golden
+from conftest import ATTACKER_PREFIX
+from test_mobile_host import make_caller, make_host
+
+LEDGER_INTS = ("active_us", "powersave_us", "packets", "dead")
+LEDGER_FLOATS = ("consumed_packets", "consumed_active", "consumed_powersave",
+                 "recharged")
+
+
+def flood(flooder, per_packet, start_s, stop_s, target, rate):
+    start, stop = SimTime.from_seconds(start_s), SimTime.from_seconds(stop_s)
+    if per_packet:
+        flooder._flood_packets(start, stop, target, rate, 56, False)
+    else:
+        flooder.flood_between(start, stop, target, rate)
+
+
+def summary(world, host, flooder):
+    counters = {"engine": dataclasses.asdict(world.sim.counters),
+                "home_agent": dataclasses.asdict(world.agent.counters),
+                "host": dataclasses.asdict(host.counters),
+                "flooder": dataclasses.asdict(flooder.stats)}
+    account = host.energy
+    account.advance(world.sim.now)
+    counters["ledger"] = {name: getattr(account, name) for name in LEDGER_INTS}
+    counters["ledger"]["dead_at_us"] = (account.dead_at.micros
+                                        if account.dead_at else None)
+    return counters
+
+
+def assert_same(segment, packet, ledgers):
+    assert segment == packet
+    seg_ledger, packet_ledger = ledgers
+    budget = seg_ledger.battery.capacity + seg_ledger.recharged
+    for name in LEDGER_FLOATS + ("remaining",):
+        assert getattr(seg_ledger, name) == pytest.approx(
+            getattr(packet_ledger, name), abs=LEDGER_REL_TOL * budget), name
+
+
+class Twin:
+    """One world per path, stepped in lock-step."""
+
+    def __init__(self, make_world, *, mode=Mode.BIDIRECTIONAL_TUNNELING,
+                 latency_s=0.05, threshold=1e9, battery=Battery()):
+        self.sides = []
+        for per_packet in (False, True):
+            world = make_world(latency_s=latency_s)
+            account = EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH)
+            host = make_host(world, mode=mode, energy=account,
+                             detection_threshold_pps=threshold)
+            caller = make_caller(world)
+            hoa = host.grant_out_of_band(caller.fqdn)
+            flooder = Flooder(world.sim, "flooder",
+                              Ipv6Address(ATTACKER_PREFIX, 0xA))
+            self.sides.append((per_packet, world, host, caller, hoa, flooder))
+
+    def each(self, action):
+        for per_packet, world, host, caller, hoa, flooder in self.sides:
+            action(per_packet, world, host, caller, hoa, flooder)
+
+    def flood(self, start_s, stop_s, rate, on_prime=False):
+        self.each(lambda per_packet, world, host, caller, hoa, flooder: flood(
+            flooder, per_packet, start_s, stop_s,
+            host.prime if on_prime else hoa, rate))
+
+    def check(self, until_s=None):
+        """Run both sides to `until_s` (or drain them) and compare."""
+        results = []
+        for _, world, host, _, _, flooder in self.sides:
+            if until_s is None:
+                world.sim.run()
+            else:
+                world.sim.run_until(SimTime.from_seconds(until_s))
+            results.append(summary(world, host, flooder))
+        assert_same(*results, [side[2].energy for side in self.sides])
+        assert self.sides[0][1].sim.now == self.sides[1][1].sim.now
+        return results[0]
+
+
+class TestFloodEnergyCases:
+    """The four floods of test_adversary.TestFloodEnergy."""
+
+    def test_active_address(self, make_world):
+        twin = Twin(make_world)
+        twin.flood(0.0, 600.0, 100)
+        for t in (0.0, 0.05, 0.1, 0.15, 123.456789, 300.0):
+            twin.check(t)
+        assert twin.check()["host"]["pings"] == 60_000
+
+    def test_blocked_address(self, make_world):
+        twin = Twin(make_world)
+        twin.each(lambda _, world, host, caller, hoa, flooder:
+                  host.dispose_address(hoa))
+        twin.check()
+        twin.flood(1.0, 601.0, 100)
+        twin.check(300.0)
+        assert twin.check()["home_agent"]["dropped_blocked"] == 60_000
+
+    @pytest.mark.parametrize("rate", [1 / 10, 1 / 20])
+    def test_sleep_deprivation_and_half_rate(self, make_world, rate):
+        twin = Twin(make_world)
+        twin.flood(0.0, 2000.0, rate)
+        twin.check(1000.0)
+        twin.check()
+
+
+def test_golden_drain_tunnel():
+    """The golden flood that empties its battery: only the event count,
+    the queue length and the ledger's last bits may differ."""
+    case = test_golden.FLOOD_CASES["drain_tunnel"]
+    segment = test_golden.flood_summary(seed=3, **case)
+    packet = test_golden.flood_summary(seed=3, per_packet=True, **case)
+    assert segment["ledger"]["dead"]
+    for key in ("engine", "home_agent", "victim", "flooder"):
+        assert segment[key] == packet[key]
+    for name, value in packet["ledger"].items():
+        assert segment["ledger"][name] == pytest.approx(value, rel=LEDGER_REL_TOL)
+    assert segment["processed"] < packet["processed"] / 1000
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_detection_cycle_on_the_prime(make_world, mode):
+    """Alert, block, reactivation after 60 s, alert again, with calls and
+    address requests reaching the monitor between the flood's packets; the
+    latency is no multiple of the flood's interval."""
+    twin = Twin(make_world, mode=mode, latency_s=0.037, threshold=10.0)
+    twin.flood(1.0, 200.0, 100, on_prime=True)
+    outcomes = [[], []]
+
+    def call(per_packet, world, host, caller, hoa, flooder):
+        caller.place_call(host.fqdn, outcomes[per_packet].append)
+        caller.learn_address(host.fqdn, None)
+
+    for t in (0.5, 1.2, 1.9, 2.03, 2.2, 61.0, 62.05, 62.3, 63.1, 70.0, 125.0):
+        twin.check(t)
+        twin.each(call)
+    counters = twin.check()
+    assert outcomes[0] == outcomes[1]
+    assert counters["host"]["alerts"] >= 3
+    assert counters["host"]["reactivations"] >= 3
+    assert counters["home_agent"]["dropped_blocked"] > 0
+
+
+@pytest.mark.parametrize("mode,latency_s,rate", [
+    (Mode.BIDIRECTIONAL_TUNNELING, 0.05, 10),
+    (Mode.ROUTE_OPTIMIZATION, 0.05, 10),
+    (Mode.ROUTE_OPTIMIZATION, 0.05, 20),
+    (Mode.ROUTE_OPTIMIZATION, 0.025, 40),
+    (Mode.BIDIRECTIONAL_TUNNELING, 0.1, 20),
+])
+def test_same_instant_ties(make_world, mode, latency_s, rate):
+    """Latencies that are whole multiples of the flood's interval, or twice
+    the interval long: management messages and flood packets meet on the
+    same microsecond, and the segment must order them as the per-packet
+    path does (see the tie rule in engine.py)."""
+    twin = Twin(make_world, mode=mode, latency_s=latency_s, threshold=10.0)
+    twin.flood(1.0, 150.0, rate, on_prime=True)
+    for t in (3.0, 7.77, 61.0, 66.6):
+        twin.check(t)
+    assert twin.check()["host"]["alerts"] >= 2
+
+
+@pytest.mark.parametrize("mode,latency_s,rate", [
+    (Mode.ROUTE_OPTIMIZATION, 0.05, 50),
+    (Mode.BIDIRECTIONAL_TUNNELING, 0.025, 5),
+])
+def test_idle_death_on_a_whole_microsecond(make_world, mode, latency_s, rate):
+    """A 40 s battery that outlives the flood and dies idle, at an instant
+    its last budget covers to a whole microsecond but for rounding: the
+    ledger's sums differ in their last bits, the death instant must not."""
+    battery = Battery(capacity=40.0 * drain_rate(DEFAULT_PARAMS, flood_profile(100.0)))
+    twin = Twin(make_world, mode=mode, latency_s=latency_s,
+                threshold=10.0 if rate >= 10 else 4.0, battery=battery)
+    twin.flood(1.0, 150.0, rate, on_prime=True)
+    assert twin.check()["ledger"]["dead"]
+
+
+def test_route_optimized_disposable(make_world):
+    """An RO host answers the first packet tunneled to a disposable with a
+    binding update, then the alert rotates its care-of address."""
+    twin = Twin(make_world, mode=Mode.ROUTE_OPTIMIZATION, latency_s=0.037,
+                threshold=10.0)
+    twin.flood(0.01, 30.0, 20)
+    for t in (0.05, 0.085, 0.1, 3.0, 5.5, 6.0):
+        twin.check(t)
+    counters = twin.check()
+    assert counters["host"]["peer_binding_updates"] >= 1
+    assert counters["host"]["stale_dropped"] + counters["engine"]["unroutable"] > 0
+
+
+@pytest.mark.parametrize("world_kwargs,per_packet", [
+    ({}, False),
+    ({"loss_probability": 0.3}, True),  # each loss draws from the PRNG
+    ({"keep_trace": True}, True),  # the trace lists every packet
+    ({"latency_s": 0.0}, True),
+])
+def test_which_floods_become_segments(make_world, world_kwargs, per_packet):
+    world = make_world(**world_kwargs)
+    flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
+    flooder.flood_between(EPOCH, SimTime.from_seconds(1),
+                          world.agent.admin_address, 100)
+    assert world.sim.pending() == per_packet  # the per-packet path's timer
+    world.sim.run()
+    assert flooder.stats.sent == 100
