@@ -72,11 +72,19 @@ class Certificate:
 
 
 class CertificateAuthority:
-    """Single-CA trust store; real PKI deployment is out of scope."""
+    """Single-CA trust store; real PKI deployment is out of scope.
+
+    `_valid` memoizes the certificates this CA knows it signed: the ones
+    it issued and the ones a real check accepted. A certificate differing
+    in any byte misses it and is checked again; a failed check is never
+    stored. This is exact, because Ed25519 signing is deterministic and
+    a signature this CA made over these bytes always verifies.
+    """
 
     def __init__(self, scheme: Ed25519Scheme, rng: random.Random):
         self.scheme = scheme
         self._keys = scheme.generate(rng)
+        self._valid: set[Certificate] = set()
 
     @property
     def public_key(self) -> bytes:
@@ -84,12 +92,19 @@ class CertificateAuthority:
 
     def issue(self, subject: str, public_key: bytes) -> Certificate:
         body = encode_fields(subject.encode(), public_key)
-        return Certificate(subject=subject, public_key=public_key,
-                           signature=self.scheme.sign(self._keys, body))
+        certificate = Certificate(subject=subject, public_key=public_key,
+                                  signature=self.scheme.sign(self._keys, body))
+        self._valid.add(certificate)
+        return certificate
 
     def verify(self, certificate: Certificate) -> bool:
-        return self.scheme.verify(self.public_key, certificate.signed_bytes(),
-                                  certificate.signature)
+        if certificate in self._valid:
+            return True
+        if not self.scheme.verify(self.public_key, certificate.signed_bytes(),
+                                  certificate.signature):
+            return False
+        self._valid.add(certificate)
+        return True
 
     def certified_key(self, certificate: Certificate | None, subject: str,
                       message: bytes, signature: bytes) -> bytes | None:

@@ -72,3 +72,77 @@ class TestCertificates:
                              public_key=cert.public_key,
                              signature=cert.signature)
         assert not ca.verify(forged)
+
+
+class TestCertificateMemo:
+    """The CA remembers the certificates it knows it signed. The memo
+    must never admit a certificate the real check would reject."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list[int]:
+        calls = [0]
+        original = Ed25519Scheme.verify
+
+        def counting(self, public, message, signature):
+            calls[0] += 1
+            return original(self, public, message, signature)
+
+        monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+        return calls
+
+    @staticmethod
+    def tampered(cert: Certificate) -> list[Certificate]:
+        other_key = Ed25519Scheme().generate(random.Random(8)).public
+        return [
+            Certificate("mallory.example", cert.public_key, cert.signature),
+            Certificate(cert.subject, other_key, cert.signature),
+            Certificate(cert.subject, cert.public_key,
+                        bytes([cert.signature[0] ^ 1]) + cert.signature[1:]),
+        ]
+
+    def test_tampered_rejected_before_and_after_genuine_is_cached(self):
+        scheme = Ed25519Scheme()
+        issuer = CertificateAuthority(scheme, random.Random(3))
+        # same key, nothing issued: its memo starts empty
+        checker = CertificateAuthority(scheme, random.Random(3))
+        cert = issuer.issue("bob.example",
+                            scheme.generate(random.Random(4)).public)
+        for ca in (issuer, checker):
+            assert not any(ca.verify(bad) for bad in self.tampered(cert))
+        assert checker.verify(cert) and issuer.verify(cert)
+        for ca in (issuer, checker):
+            assert not any(ca.verify(bad) for bad in self.tampered(cert))
+
+    def test_rogue_certificate_rejected_after_rogue_accepts_it(self):
+        scheme = Ed25519Scheme()
+        ca = CertificateAuthority(scheme, random.Random(3))
+        rogue = CertificateAuthority(scheme, random.Random(5))
+        keys = scheme.generate(random.Random(4))
+        genuine = ca.issue("bob.example", keys.public)
+        forged = rogue.issue("bob.example", keys.public)
+        assert rogue.verify(forged)
+        assert not ca.verify(forged)
+        assert not rogue.verify(genuine)
+        assert ca.verify(genuine)
+
+    def test_issued_and_verified_certificates_skip_the_real_check(
+            self, monkeypatch):
+        scheme = Ed25519Scheme()
+        issuer = CertificateAuthority(scheme, random.Random(3))
+        checker = CertificateAuthority(scheme, random.Random(3))
+        cert = issuer.issue("bob.example",
+                            scheme.generate(random.Random(4)).public)
+        calls = self.counted(monkeypatch)
+        assert issuer.verify(cert)
+        assert calls[0] == 0
+        assert checker.verify(cert) and checker.verify(cert)
+        assert calls[0] == 1
+
+    def test_failed_check_is_never_cached(self, monkeypatch):
+        scheme = Ed25519Scheme()
+        ca = CertificateAuthority(scheme, random.Random(3))
+        cert = ca.issue("bob.example", scheme.generate(random.Random(4)).public)
+        bad = self.tampered(cert)[2]
+        calls = self.counted(monkeypatch)
+        assert not ca.verify(bad) and not ca.verify(bad)
+        assert calls[0] == 2

@@ -5,6 +5,7 @@ import yaml
 
 from dispo6 import cli
 from dispo6.caller import CallOutcome
+from dispo6.crypto import Ed25519Scheme
 from dispo6.energy import EnergyAccount
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
@@ -208,3 +209,20 @@ def test_out_of_band_retry_after_rejection(mode):
             assert later[0].had_disposable
             assert later[0].outcome is CallOutcome.CONNECTED
     assert rejected >= 3
+
+
+def test_pki_handshake_makes_two_verifies_per_grant(monkeypatch):
+    """Certificates come from the CA's memo; only the two message
+    signatures, one per side, reach Ed25519."""
+    calls = [0]
+    original = Ed25519Scheme.verify
+
+    def counting(self, public, message, signature):
+        calls[0] += 1
+        return original(self, public, message, signature)
+
+    monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+    result = run_scenario(small_config(pki_enabled=True))
+    grants = result.metrics.counters["responder"]["grants"]
+    assert grants > 0
+    assert calls[0] == 2 * grants
