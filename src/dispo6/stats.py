@@ -2,6 +2,10 @@
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,3 +61,57 @@ def sample_mean_std(values: list[float]) -> tuple[float, float]:
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
+
+
+def _first_contact_rejection(config: "ScenarioConfig") -> float:
+    """Chance that a call from a correspondent holding no disposable
+    address is rejected: (h/12)^2 in paper mode; in explicit mode the
+    share of the call window that the attack window covers, averaged over
+    the schedule's start choices (h/12 for the published schedules)."""
+    from .scenario import RejectionMode  # scenario imports this module
+
+    schedule = config.schedule()
+    if schedule is None:
+        return 0.0
+    if config.rejection_mode is RejectionMode.PAPER_FAITHFUL:
+        return schedule.paper_rejection_probability()
+    lo, hi = config.call_window_start, config.call_window_end
+    covered = sum(max(0.0, min(hi, s + schedule.daily_hours) - max(lo, s))
+                  for s in schedule.start_choices)
+    return covered / len(schedule.start_choices) / (hi - lo)
+
+
+def expected_daily_rejections(config: "ScenarioConfig") -> list[float]:
+    """Expected rejected calls on each day of `run_scenario(config)`.
+
+    Each correspondent calls on a day with probability p; a call without
+    a disposable address is rejected with probability q and otherwise
+    earns one for good. The expectation on day d is N*p*q times the chance
+    of still lacking an address, (1 - p(1-q))^d without out-of-band
+    retry. With a retry delay of k days, a rejection on day d hands the
+    correspondent an address at the start of day d+k, so a lacking
+    correspondent also carries the days until its earliest pending grant.
+
+    The model assumes every handshake that meets no attack succeeds, so
+    a lossy link and a battery that can die are outside it.
+    """
+    if config.loss_probability > 0 or config.energy_enabled:
+        raise ValueError("the rejection model assumes a lossless link and "
+                         "no battery model")
+    n, p = config.correspondents, config.daily_call_probability
+    q = _first_contact_rejection(config)
+    stay = 1.0 - p * (1.0 - q)
+    k = config.oob_retry_delay_days
+    free = 1.0  # lacking an address, no grant pending
+    # due[i]: lacking an address, earliest grant arriving in i + 1 days
+    due = [0.0] * (k - 1 if k is not None else 0)
+    expected = []
+    for _ in range(config.horizon_days):
+        expected.append(n * p * q * (free + sum(due)))
+        if k is None:
+            free *= stay
+            continue
+        rejected = free * p * q
+        free *= 1.0 - p
+        due = [d * stay for d in due[1:]] + ([rejected] if k > 1 else [])
+    return expected

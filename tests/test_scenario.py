@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from dispo6.scenario import (
     run_scenario,
     run_sweep,
 )
+from dispo6.stats import expected_daily_rejections, sample_mean_std
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -226,3 +228,28 @@ def test_pki_handshake_makes_two_verifies_per_grant(monkeypatch):
     grants = result.metrics.counters["responder"]["grants"]
     assert grants > 0
     assert calls[0] == 2 * grants
+
+
+@pytest.mark.parametrize("rejection, mobility, hours, retry", [
+    (RejectionMode.PAPER_FAITHFUL, Mode.BIDIRECTIONAL_TUNNELING, 4, None),
+    (RejectionMode.PAPER_FAITHFUL, Mode.ROUTE_OPTIMIZATION, 6, 3),
+    (RejectionMode.EXPLICIT_TIME, Mode.BIDIRECTIONAL_TUNNELING, 6, None),
+    (RejectionMode.EXPLICIT_TIME, Mode.ROUTE_OPTIMIZATION, 4, 2),
+], ids=["paper-bt-4h", "paper-ro-6h-retry", "explicit-bt-6h",
+        "explicit-ro-4h-retry"])
+def test_rejections_match_the_analytic_oracle(rejection, mobility, hours,
+                                              retry):
+    """Over 20 seeds the mean total of rejected calls lies within 4
+    standard errors of `expected_daily_rejections`, which tests the whole
+    curve of a run and not only the first-contact rate."""
+    config = ScenarioConfig(horizon_days=300, attack_hours=hours,
+                            pki_enabled=False, rejection_mode=rejection,
+                            mobility_mode=mobility,
+                            oob_retry_delay_days=retry)
+    seeds = 20
+    observed = [float(run_scenario(dataclasses.replace(config, seed=s))
+                      .metrics.rejected_calls) for s in range(seeds)]
+    mean, std = sample_mean_std(observed)
+    expected = sum(expected_daily_rejections(config))
+    assert abs(mean - expected) <= 4.0 * std / math.sqrt(seeds), (
+        mean, expected, std)

@@ -1,10 +1,16 @@
+import dataclasses
 import math
 import random
 
 import pytest
 from scipy import stats as scipy_stats
 
-from dispo6.stats import mann_kendall, sample_mean_std
+from dispo6.scenario import RejectionMode, ScenarioConfig
+from dispo6.stats import (
+    expected_daily_rejections,
+    mann_kendall,
+    sample_mean_std,
+)
 
 
 def s_from_kendalltau(values: list[float]) -> float:
@@ -64,3 +70,42 @@ def test_sample_mean_std_matches_scipy():
     assert mean == pytest.approx(sum(values) / len(values))
     assert std == pytest.approx(scipy_stats.tstd(values))
     assert sample_mean_std([3.0]) == (3.0, 0.0)
+
+
+class TestExpectedDailyRejections:
+    @pytest.mark.parametrize("mode, q", [
+        (RejectionMode.PAPER_FAITHFUL, (4 / 12) ** 2),
+        (RejectionMode.EXPLICIT_TIME, 4 / 12),
+    ], ids=["paper", "explicit"])
+    def test_closed_form_without_retry(self, mode, q):
+        config = ScenarioConfig(horizon_days=50, correspondents=30,
+                                daily_call_probability=0.1, attack_hours=4,
+                                rejection_mode=mode)
+        n, p = 30, 0.1
+        assert expected_daily_rejections(config) == pytest.approx(
+            [n * p * q * (1 - p * (1 - q)) ** d for d in range(50)],
+            rel=1e-12)
+
+    def test_retry_delay_worked_by_hand(self):
+        # everyone calls daily and half the first contacts are rejected;
+        # a day-0 rejection is granted an address at the start of day 2,
+        # so only day 1 sees a second try, and nobody lacks one after
+        config = ScenarioConfig(horizon_days=5, correspondents=10,
+                                daily_call_probability=1.0, attack_hours=6,
+                                rejection_mode=RejectionMode.EXPLICIT_TIME,
+                                oob_retry_delay_days=2)
+        assert expected_daily_rejections(config) == [5.0, 2.5, 0.0, 0.0, 0.0]
+        one_day = dataclasses.replace(config, oob_retry_delay_days=1)
+        assert expected_daily_rejections(one_day) == [5.0, 0.0, 0.0, 0.0, 0.0]
+
+    def test_attack_window_outside_the_call_window_rejects_nothing(self):
+        config = ScenarioConfig(horizon_days=3, attack_hours=4,
+                                attack_start_choices=(0, 20),
+                                rejection_mode=RejectionMode.EXPLICIT_TIME)
+        assert expected_daily_rejections(config) == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("field, value", [("loss_probability", 0.01),
+                                              ("energy_enabled", True)])
+    def test_configs_outside_the_model_raise(self, field, value):
+        with pytest.raises(ValueError, match="lossless"):
+            expected_daily_rejections(ScenarioConfig(**{field: value}))
