@@ -278,6 +278,15 @@ class _Recorder:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Run one seeded scenario day by day.
+
+    Call arrivals: each correspondent calls on each day independently with
+    probability p = `daily_call_probability`, at a uniform time in the
+    call window. Rather than one draw per correspondent per day, the days
+    between a correspondent's calls are drawn as geometric gaps,
+    1 + floor(ln(1-U) / ln(1-p)), which has the same joint law and costs
+    one draw per call. A day's callers are visited in id order.
+    """
     config.validate()
     sim = Simulator(config.seed, LinkModel(config.latency_s,
                                            config.loss_probability))
@@ -338,6 +347,21 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     battery_series: list[tuple[float, float, str]] = []
     oob_due: dict[int, list[int]] = {}
     window_hours = config.call_window_end - config.call_window_start
+    p_call = config.daily_call_probability
+    log_no_call = math.log1p(-p_call) if p_call < 1.0 else None
+
+    def next_call_day(day: int) -> float:
+        if log_no_call is None:
+            return day + 1
+        # float floor division: a gap past any horizon is inf, not an error
+        return day + 1 + math.log1p(-sim.rng.random()) // log_no_call
+
+    calls_due: dict[int, list[int]] = {}  # day -> correspondents calling
+    if p_call > 0.0:
+        for i in range(config.correspondents):
+            first = next_call_day(-1)
+            if first < config.horizon_days:
+                calls_due.setdefault(int(first), []).append(i)
 
     for day in range(config.horizon_days):
         for corr_id in oob_due.pop(day, []):
@@ -350,15 +374,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             if explicit:
                 block_prime_window(sim, victim, SimTime.at(day, start),
                                    SimTime.at(day, start + schedule.daily_hours))
-        for i in range(config.correspondents):
-            if sim.rng.random() >= config.daily_call_probability:
-                continue
+        for i in sorted(calls_due.pop(day, ())):
             hour = config.call_window_start + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
             sim.call_at(SimTime.at(day, hour), correspondents[i].node_id,
                         StartCall(target_fqdn=config.victim_fqdn, day=day,
                                   correspondent_id=i,
                                   coincides_with_attack=slack < p_reject))
+            following = next_call_day(day)
+            if following < config.horizon_days:
+                calls_due.setdefault(int(following), []).append(i)
         sim.run_until(SimTime.at(day + 1, 0))
         day_records = recorder.drain()
         records.extend(day_records)

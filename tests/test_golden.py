@@ -32,22 +32,28 @@ from conftest import HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX
 
 RUN_OUTPUTS = ("calls.csv", "daily_rejections.csv", "metrics.json")
 
+# The three fig3 sets were re-pinned when call arrivals became geometric
+# gaps between a correspondent's calls instead of one draw per
+# correspondent per day: the same law of arrivals, another RNG stream.
+# Seed 0 now gives 4h 1035 calls / 16 rejected (was 998 / 24), 6h 1002 /
+# 69 (was 1010 / 55) and explicit 4h 994 / 102 (was 111 rejected); the
+# oracle test in tests/test_scenario.py passed before and after.
 FIG3_DIGESTS = {
     "4h": {
         "calls.csv":
-            "eb62de8f98cd6f145d72452350f03ca0f88785e00455570d20033cefa451f889",
+            "199cd39afb9d832d44e4c7a9384a5e52ca75cd432837a6d68f6f771a304659c8",
         "daily_rejections.csv":
-            "fad6b5c58de36363a0a3845c1502ae8c929d4c2d13a2e89585f1068ff6e8f2ea",
+            "3b66809dd1c4839f3c0f3eaef52d7cabed004f6478b27502772ff57a5042dcfe",
         "metrics.json":
-            "888af2749744aeeefc818285dedc3517f2ae6927feee8792f9f501b0c6c9375c",
+            "154950603907fc290b8e0f30a33aa40bd7f4196e8271cea4afb4e6d905534cf4",
     },
     "6h": {
         "calls.csv":
-            "4eb1ba9c8837bea452b2af9cd1ed8262bb369845ab96368b0a9109326f1d0538",
+            "a56efe3cf661da1fef712fada6690b9cc575dd999e18ebf24d008d6328b53262",
         "daily_rejections.csv":
-            "956c8edcdaf75ef9d9294ad07adbb3d1867bea7c440d17d2b267fd8ae1810c38",
+            "33674750fd04f6f31f973aae100c99b026b9fc5cdfaac385c72c77ec7d698637",
         "metrics.json":
-            "1bc7b9fa8c22fb83bf93658602f2187f7811e04e4b063ce71dc67eb5d16a27f5",
+            "51c00384c7a7b9545d0a2cbe8a5b3f66d834b7a0035e8e1eeed5ebe26a1b2481",
     },
 }
 
@@ -56,11 +62,11 @@ FIG3_DIGESTS = {
 # metrics.json now counts the prime's blocks and the dropped requests
 EXPLICIT_4H_DIGESTS = {
     "calls.csv":
-        "fb62dea07f0c4c2aaca85af5d278b49b695bf79750418713545dcd80629c128f",
+        "876e7984b21f21e106f559518a30d645f6cf740359f6e0cce455383e8c258bfc",
     "daily_rejections.csv":
-        "c519722c4f7f99c3cd066483e2418720413a94b2ce1a43ebabc83c899fb9c92a",
+        "92fad6714f68863a593fc8b7418529d629a2ff30e857b80785ba6303437f6aa6",
     "metrics.json":
-        "72e02b5be8b00936995b2d2cdb968284992c3c8c874d5c1ed0e641478c8d041a",
+        "7bed154def896228efc23014ecb90c30c88f2d3925486f3c7e7cd9dc91232801",
 }
 
 FLOOD_DIGESTS = {
@@ -122,7 +128,7 @@ def test_fig3_explicit_outputs_are_pinned(tmp_path):
     victim = metrics["counters"]["victim"]
     assert victim["prime_disposals"] == victim["reactivations"] == 1000
     assert (metrics["counters"]["home_agent"]["dropped_blocked"]
-            == metrics["rejected_calls"] == 111)
+            == metrics["rejected_calls"] == 102)
 
 
 FLOOD_CASES = {

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 import yaml
@@ -8,6 +9,7 @@ from dispo6 import cli
 from dispo6.caller import CallOutcome
 from dispo6.crypto import Ed25519Scheme
 from dispo6.energy import EnergyAccount
+from dispo6 import engine as engine_module
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
@@ -253,3 +255,42 @@ def test_rejections_match_the_analytic_oracle(rejection, mobility, hours,
     expected = sum(expected_daily_rejections(config))
     assert abs(mean - expected) <= 4.0 * std / math.sqrt(seeds), (
         mean, expected, std)
+
+
+class TestCallArrivals:
+    def test_probability_zero_places_no_calls(self):
+        result = run_scenario(small_config(daily_call_probability=0.0))
+        assert result.metrics.total_calls == 0
+        assert [d.calls for d in result.metrics.daily] == [0] * 20
+
+    def test_probability_one_calls_every_correspondent_every_day(self):
+        result = run_scenario(small_config(daily_call_probability=1.0,
+                                           horizon_days=5))
+        assert sorted((r.day, r.correspondent_id) for r in result.records) \
+            == [(day, i) for day in range(5) for i in range(20)]
+
+    def test_one_day_horizon(self):
+        result = run_scenario(small_config(horizon_days=1,
+                                           daily_call_probability=0.5))
+        assert len(result.metrics.daily) == 1
+        assert all(r.day == 0 for r in result.records)
+        assert 0 < result.metrics.total_calls < 20
+
+    def test_draws_scale_with_calls_not_days(self, monkeypatch):
+        draws = [0]
+
+        class CountingRandom(random.Random):
+            def random(self):
+                draws[0] += 1
+                return super().random()
+
+        monkeypatch.setattr(engine_module.random, "Random", CountingRandom)
+        result = run_scenario(small_config(correspondents=2000,
+                                           horizon_days=100,
+                                           daily_call_probability=0.001,
+                                           attack_hours=None))
+        calls = result.metrics.total_calls
+        assert calls > 0
+        # a first gap per correspondent, then a time, a coincidence and
+        # the next gap per call: 200 k draws for a per-day coin flip
+        assert draws[0] == 2000 + 3 * calls
