@@ -223,11 +223,14 @@ class MobileHost(CallerNode):
 
     def dispose_address(self, hoa: Ipv6Address,
                         auto_reactivate: bool = True) -> AddressRole | None:
-        """Block `hoa` at the home agent; rotate the care-of address in RO mode.
+        """Block `hoa` at the home agent; in RO mode a disposable's care-of
+        address is rotated too.
 
         Disposing the prime is allowed (it suspends the distribution
         protocol) and reported distinctly; with `auto_reactivate` the prime
-        comes back after `PRIME_REACTIVATE_AFTER_S`.
+        comes back after `PRIME_REACTIVATE_AFTER_S`. The care-of address
+        stays, because the prime sends no binding update and so never
+        reveals it.
         """
         state = self.address_states.get(hoa)
         if state is None:
@@ -235,7 +238,7 @@ class MobileHost(CallerNode):
         if state is not AddressState.ACTIVE:
             return None  # idempotent
         self.address_states[hoa] = AddressState.BLOCKED  # its holder is not told
-        if self.mode is Mode.ROUTE_OPTIMIZATION:
+        if self.mode is Mode.ROUTE_OPTIMIZATION and hoa != self.prime:
             # the attacker may hold the current care-of address; rotate
             # first, so the home agent's ACK goes to the one we keep
             self._configure_new_care_of()

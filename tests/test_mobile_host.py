@@ -239,14 +239,17 @@ class TestDisposal:
         assert host.counters.stale_dropped == 0
         assert world.sim.counters.unroutable >= 20  # old coa black-holed
 
+    @pytest.mark.parametrize("prime", [False, True], ids=["disposable", "prime"])
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_block_ack_reaches_host(self, make_world, mode):
-        # in RO mode the care-of address rotates; the block request must
-        # leave from the new one, or the agent's ACK is black-holed and
-        # counted with the attack traffic as unroutable
+    def test_block_ack_reaches_host(self, make_world, mode, prime):
+        # in RO mode a disposable's care-of address rotates; the block
+        # request must leave from the new one, or the agent's ACK is
+        # black-holed and counted with the attack traffic as unroutable
         world = make_world()
         host = make_host(world, mode=mode)
         hoa = host.grant_out_of_band(make_caller(world).fqdn)
+        if prime:
+            hoa = host.prime
         world.sim.run()
         acks = []
         receive = host.on_packet
@@ -259,10 +262,27 @@ class TestDisposal:
             receive(packet)
 
         host.on_packet = spy
-        host.dispose_address(hoa)
+        host.dispose_address(hoa, auto_reactivate=False)
         world.sim.run()
         assert acks == [hoa]
         assert world.sim.counters.unroutable == 0
+
+    def test_ro_prime_disposal_keeps_care_of(self, make_world):
+        # the prime sends no binding update, so nobody learned the care-of
+        # address from it, and the peers need not be told a new one
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        friend = make_caller(world, i=51)
+        assert call_once(world, friend, host.fqdn) is CallOutcome.CONNECTED
+        before = host.coa
+        updates = host.counters.peer_binding_updates
+        host.dispose_address(host.prime, auto_reactivate=False)
+        world.sim.run()
+        assert host.coa == before
+        assert host.counters.peer_binding_updates == updates
+        assert world.agent.state_of(host.prime) is AddressState.BLOCKED
+        friend_hoa = friend.entry_for(host.fqdn).peer_address
+        assert friend._route_cache[friend_hoa] == host.coa
 
     def test_disposed_holder_not_told_new_care_of(self, make_world):
         world = make_world()
