@@ -35,6 +35,9 @@ if TYPE_CHECKING:
 
 # seconds a requester waits for any answer before giving up
 REQUEST_TIMEOUT_S = 3.0
+# a day of human work: far past any challenge's lifetime, and it keeps a
+# source that violates for months from doubling past a float's range
+MAX_HIP_DIFFICULTY_S = 86_400.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +107,7 @@ class HipGate:
     More than `rate_threshold` requests from one source identity inside a
     rolling `window_s` triggers challenges. Difficulty starts at
     `base_difficulty_s` and doubles for each further fixed window in which
-    the source is still violating.
+    the source is still violating, up to `MAX_HIP_DIFFICULTY_S`.
     """
 
     def __init__(self, rate_threshold: int = 3, window_s: float = 600.0,
@@ -114,7 +117,8 @@ class HipGate:
         self.base_difficulty_s = base_difficulty_s
         self.ttl_s = ttl_s
         self._history: dict[str, deque[int]] = {}
-        self._violation_windows: dict[str, set[int]] = {}
+        # source -> (last fixed window it violated in, current difficulty)
+        self._violations: dict[str, tuple[int, float]] = {}
         self._outstanding: dict[int, tuple[int, float]] = {}  # id -> (issued_us, difficulty)
         self._ids = itertools.count(1)
         self.challenges_issued = 0
@@ -138,9 +142,14 @@ class HipGate:
         return bool(events) and len(events) > self.rate_threshold
 
     def issue(self, source: str, now: SimTime, request_id: int) -> HipChallengeMsg:
-        windows = self._violation_windows.setdefault(source, set())
-        windows.add(now.micros // round(self.window_s * US_PER_SECOND))
-        difficulty = self.base_difficulty_s * 2 ** (len(windows) - 1)
+        # challenges are issued in time order, so a window other than the
+        # last one is a further one
+        window = now.micros // round(self.window_s * US_PER_SECOND)
+        last, difficulty = self._violations.get(
+            source, (window, self.base_difficulty_s))
+        if window != last:
+            difficulty = min(2.0 * difficulty, MAX_HIP_DIFFICULTY_S)
+        self._violations[source] = (window, difficulty)
         # challenges are held in issue order: drop the expired ones from the
         # front, or a source that never answers would grow the map forever;
         # a late answer to one still fails once, as unknown

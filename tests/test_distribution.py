@@ -13,6 +13,7 @@ from dispo6.distribution import (
     GrantAction,
     HipAnswer,
     HipGate,
+    MAX_HIP_DIFFICULTY_S,
     RefuseAction,
     RequestOutcome,
 )
@@ -160,6 +161,21 @@ class TestHipGate:
                     challenge = gate.issue("alice", now, request_id=i)
             difficulties.append(challenge.difficulty_s)
         assert difficulties == [5.0, 10.0, 20.0]
+
+    def test_source_violating_for_days_is_capped_in_fixed_state(self):
+        # once a minute for 8 days: 1,152 windows in violation, past the
+        # 1,024 doublings a float holds
+        gate = self.gate()
+        for minute in range(8 * 24 * 60):
+            now = SimTime.from_seconds(60 * minute)
+            gate.observe("bot", now)
+            if gate.challenge_required("bot"):
+                challenge = gate.issue("bot", now, request_id=minute)
+            assert len(gate._history["bot"]) <= 11
+            assert len(gate._violations) <= 1
+        assert challenge.difficulty_s == MAX_HIP_DIFFICULTY_S
+        assert gate._violations["bot"] == (
+            minute // 10, MAX_HIP_DIFFICULTY_S)
 
     def test_verify_single_use_and_replay(self):
         gate = self.gate()
