@@ -55,6 +55,14 @@ class _Window(deque):
             self.total -= gone
             return
 
+    def newest(self) -> int:
+        """The instant of the latest observation."""
+        run = self[-1]
+        if type(run) is int:
+            return run
+        first, interval, count = run
+        return first + (count - 1) * interval
+
     def since(self, cutoff_us: int) -> int:
         """Observations at or after `cutoff_us`."""
         kept = 0
@@ -75,6 +83,14 @@ class IntrusionMonitor:
 
     A burst of exactly threshold*window packets stays quiet; one more
     raises an alert. A flood segment's packets are observed as one run.
+
+    Windows are kept in the order their addresses were last observed. A
+    window whose newest observation has left the window is forgotten
+    when the next packet is observed: the next observation of its address
+    would have trimmed it to nothing anyway. Only `observe` forgets,
+    because it runs at the simulator's clock, which no later observation
+    precedes; a run is observed when its segment is charged, possibly
+    ahead of other runs with earlier packets.
     """
 
     def __init__(self, threshold_pps: float = 10.0, window_s: float = 10.0):
@@ -94,12 +110,17 @@ class IntrusionMonitor:
         return count
 
     def observe(self, hoa: Ipv6Address, now: SimTime) -> AttackAlert | None:
-        window = self._windows.get(hoa)
-        if window is None:
-            window = self._windows[hoa] = _Window()
+        window = self._latest(hoa)
         window.append(now.micros)
         window.total += 1
-        window.trim(now.micros - self._window_us)
+        cutoff = now.micros - self._window_us
+        window.trim(cutoff)
+        windows = self._windows
+        while True:  # ends at the latest, `hoa` itself
+            oldest = next(iter(windows))
+            if windows[oldest].newest() >= cutoff:
+                break
+            del windows[oldest]
         rate = window.total / self.window_s
         if rate > self.threshold_pps:
             return AttackAlert(hoa=hoa, window_rate=rate)
@@ -108,12 +129,19 @@ class IntrusionMonitor:
     def observe_run(self, hoa: Ipv6Address, first_us: int, interval_us: int,
                     count: int) -> None:
         """`count` observations interval_us apart, none of them alerting."""
-        window = self._windows.get(hoa)
-        if window is None:
-            window = self._windows[hoa] = _Window()
+        window = self._latest(hoa)
         window.append([first_us, interval_us, count])
         window.total += count
         window.trim(first_us + (count - 1) * interval_us - self._window_us)
+
+    def _latest(self, hoa: Ipv6Address) -> _Window:
+        """`hoa`'s window, moved to the end as the latest observed."""
+        windows = self._windows
+        window = windows.pop(hoa, None)
+        if window is None:
+            window = _Window()
+        windows[hoa] = window
+        return window
 
     def first_alert(self, hoa: Ipv6Address, first_us: int, interval_us: int,
                     count: int) -> int:

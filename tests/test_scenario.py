@@ -13,11 +13,13 @@ from dispo6 import engine as engine_module
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
+from dispo6.monitor import IntrusionMonitor
 from dispo6.scenario import (
     ConfigError,
     InvariantError,
     RejectionMode,
     ScenarioConfig,
+    fig3_config,
     run_scenario,
     run_sweep,
 )
@@ -294,3 +296,27 @@ class TestCallArrivals:
         # a first gap per correspondent, then a time, a coincidence and
         # the next gap per call: 200 k draws for a per-day coin flip
         assert draws[0] == 2000 + 3 * calls
+
+
+def test_monitor_forgets_addresses_gone_quiet(monkeypatch):
+    """After a 2000-correspondent fig3 run the victim's monitor holds only
+    addresses that saw a packet within the last window, not one per
+    disposable ever used."""
+    monitors = []
+    original = IntrusionMonitor.__init__
+
+    def capture(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        monitors.append(self)
+
+    monkeypatch.setattr(IntrusionMonitor, "__init__", capture)
+    config = dataclasses.replace(fig3_config("4h", seed=1), correspondents=2000,
+                                 pki_enabled=False)
+    result = run_scenario(config)
+    assert result.metrics.total_calls > 5000
+    [monitor] = monitors
+    windows = monitor._windows
+    last = max(window.newest() for window in windows.values())
+    assert all(window.newest() >= last - monitor._window_us
+               for window in windows.values())
+    assert len(windows) < 10
