@@ -98,12 +98,12 @@ class CertificateAuthority:
         return certificate
 
     def verify(self, certificate: Certificate) -> bool:
-        if certificate in self._valid:
-            return True
-        if not self.scheme.verify(self.public_key, certificate.signed_bytes(),
-                                  certificate.signature):
-            return False
-        self._valid.add(certificate)
+        if certificate not in self._valid:
+            if not self.scheme.verify(self.public_key,
+                                      certificate.signed_bytes(),
+                                      certificate.signature):
+                return False
+            self._valid.add(certificate)
         return True
 
     def certified_key(self, certificate: Certificate | None, subject: str,
