@@ -239,17 +239,14 @@ class TestDisposal:
         assert host.counters.stale_dropped == 0
         assert world.sim.counters.unroutable >= 20  # old coa black-holed
 
-    @pytest.mark.parametrize("prime", [False, True], ids=["disposable", "prime"])
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_block_ack_reaches_host(self, make_world, mode, prime):
-        # in RO mode a disposable's care-of address rotates; the block
-        # request must leave from the new one, or the agent's ACK is
-        # black-holed and counted with the attack traffic as unroutable
+    def test_block_ack_reaches_host(self, make_world, mode):
+        # in RO mode the care-of address rotates; the block request must
+        # leave from the new one, or the agent's ACK is black-holed and
+        # counted with the attack traffic as unroutable
         world = make_world()
         host = make_host(world, mode=mode)
         hoa = host.grant_out_of_band(make_caller(world).fqdn)
-        if prime:
-            hoa = host.prime
         world.sim.run()
         acks = []
         receive = host.on_packet
@@ -262,7 +259,7 @@ class TestDisposal:
             receive(packet)
 
         host.on_packet = spy
-        host.dispose_address(hoa, auto_reactivate=False)
+        host.dispose_address(hoa)
         world.sim.run()
         assert acks == [hoa]
         assert world.sim.counters.unroutable == 0
@@ -276,11 +273,24 @@ class TestDisposal:
         assert call_once(world, friend, host.fqdn) is CallOutcome.CONNECTED
         before = host.coa
         updates = host.counters.peer_binding_updates
+        acks = []
+        receive = host.on_packet
+
+        def spy(packet):
+            message = packet.payload
+            if (isinstance(message, ManagementMessage)
+                    and message.kind is ManagementKind.ACK):
+                acks.append((message.hoa, packet.dst))
+            receive(packet)
+
+        host.on_packet = spy
         host.dispose_address(host.prime, auto_reactivate=False)
         world.sim.run()
         assert host.coa == before
         assert host.counters.peer_binding_updates == updates
         assert world.agent.state_of(host.prime) is AddressState.BLOCKED
+        assert acks == [(host.prime, before)]
+        assert world.sim.counters.unroutable == 0
         friend_hoa = friend.entry_for(host.fqdn).peer_address
         assert friend._route_cache[friend_hoa] == host.coa
 
