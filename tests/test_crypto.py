@@ -74,21 +74,22 @@ class TestCertificates:
         assert not ca.verify(forged)
 
 
+def count_verifies(monkeypatch) -> list[int]:
+    """Count `Ed25519Scheme.verify` calls in a one-item list."""
+    calls = [0]
+    original = Ed25519Scheme.verify
+
+    def counting(self, public, message, signature):
+        calls[0] += 1
+        return original(self, public, message, signature)
+
+    monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+    return calls
+
+
 class TestCertificateMemo:
     """The CA remembers the certificates it knows it signed. The memo
     must never admit a certificate the real check would reject."""
-
-    @staticmethod
-    def counted(monkeypatch) -> list[int]:
-        calls = [0]
-        original = Ed25519Scheme.verify
-
-        def counting(self, public, message, signature):
-            calls[0] += 1
-            return original(self, public, message, signature)
-
-        monkeypatch.setattr(Ed25519Scheme, "verify", counting)
-        return calls
 
     @staticmethod
     def tampered(cert: Certificate) -> list[Certificate]:
@@ -132,7 +133,7 @@ class TestCertificateMemo:
         checker = CertificateAuthority(scheme, random.Random(3))
         cert = issuer.issue("bob.example",
                             scheme.generate(random.Random(4)).public)
-        calls = self.counted(monkeypatch)
+        calls = count_verifies(monkeypatch)
         assert issuer.verify(cert)
         assert calls[0] == 0
         assert checker.verify(cert) and checker.verify(cert)
@@ -143,6 +144,6 @@ class TestCertificateMemo:
         ca = CertificateAuthority(scheme, random.Random(3))
         cert = ca.issue("bob.example", scheme.generate(random.Random(4)).public)
         bad = self.tampered(cert)[2]
-        calls = self.counted(monkeypatch)
+        calls = count_verifies(monkeypatch)
         assert not ca.verify(bad) and not ca.verify(bad)
         assert calls[0] == 2

@@ -7,9 +7,7 @@ import yaml
 
 from dispo6 import cli
 from dispo6.caller import CallOutcome
-from dispo6.crypto import Ed25519Scheme
 from dispo6.energy import EnergyAccount
-from dispo6 import engine as engine_module
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
@@ -24,6 +22,8 @@ from dispo6.scenario import (
     run_sweep,
 )
 from dispo6.stats import expected_daily_rejections, sample_mean_std
+
+from test_crypto import count_verifies
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -220,14 +220,7 @@ def test_out_of_band_retry_after_rejection(mode):
 def test_pki_handshake_makes_two_verifies_per_grant(monkeypatch):
     """Certificates come from the CA's memo; only the two message
     signatures, one per side, reach Ed25519."""
-    calls = [0]
-    original = Ed25519Scheme.verify
-
-    def counting(self, public, message, signature):
-        calls[0] += 1
-        return original(self, public, message, signature)
-
-    monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+    calls = count_verifies(monkeypatch)
     result = run_scenario(small_config(pki_enabled=True))
     grants = result.metrics.counters["responder"]["grants"]
     assert grants > 0
@@ -286,7 +279,8 @@ class TestCallArrivals:
                 draws[0] += 1
                 return super().random()
 
-        monkeypatch.setattr(engine_module.random, "Random", CountingRandom)
+        # the simulator builds its stream as random.Random(seed)
+        monkeypatch.setattr(random, "Random", CountingRandom)
         result = run_scenario(small_config(correspondents=2000,
                                            horizon_days=100,
                                            daily_call_probability=0.001,
