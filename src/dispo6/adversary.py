@@ -26,11 +26,12 @@ packet, as does any flood the engine cannot take as a segment.
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .addressing import Ipv6Address
 from .caller import CallerNode
 from .engine import US_PER_SECOND, Node, Packet, SimTime, Simulator
-from .messages import Ping
+from .messages import Ping, record
 from .mobile_host import MobileHost, WindowBlock, WindowUnblock
 from .sas import (
     CommitMessage,
@@ -49,8 +50,8 @@ class FloodStats:
     replies_received: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class _Emit:
+@record
+class _Emit(NamedTuple):
     stop_us: int
     target: Ipv6Address
     interval_s: float
@@ -157,8 +158,8 @@ FOUR_HOUR_SCHEDULE = AttackSchedule(daily_hours=4, start_choices=(8, 12, 16))
 SIX_HOUR_SCHEDULE = AttackSchedule(daily_hours=6, start_choices=(8, 14))
 
 
-@dataclass(frozen=True, slots=True)
-class WindowLog:
+@record
+class WindowLog(NamedTuple):
     day: int
     start_hour: int
 
@@ -221,8 +222,8 @@ class MitmStrategy(Enum):
     REVEAL_SUBSTITUTION = "reveal_substitution"
 
 
-@dataclass(frozen=True, slots=True)
-class MitmResult:
+@record
+class MitmResult(NamedTuple):
     undetected: bool
     substituted: bool
     abort_reason: SasAbort | None

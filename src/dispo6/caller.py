@@ -35,6 +35,7 @@ from .messages import (
     Ping,
     Pong,
     RouteOptimized,
+    record,
 )
 
 # seconds a placed call waits for accept or reject before it counts as failed
@@ -59,18 +60,19 @@ class AddressBookEntry:
     peer_known_blocked: bool = False
 
 
+@record
 class PendingCall(NamedTuple):
     entry: AddressBookEntry
     on_result: Callable[[CallOutcome], None]
 
 
-@dataclass(frozen=True, slots=True)
-class CallTimeout:
+@record
+class CallTimeout(NamedTuple):
     call_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class StartCall:
+@record
+class StartCall(NamedTuple):
     """Scheduler token: place one call at the drawn time of day."""
 
     target_fqdn: str

@@ -11,17 +11,15 @@ is drawn from the caller's seeded RNG so runs stay reproducible.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    PublicFormat,
-)
+
+from .messages import record
 
 
 def encode_fields(*fields: bytes) -> bytes:
@@ -32,8 +30,8 @@ def encode_fields(*fields: bytes) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True, slots=True)
-class KeyPair:
+@record
+class KeyPair(NamedTuple):
     public: bytes
     private: object
 
@@ -45,7 +43,7 @@ class Ed25519Scheme:
 
     def generate(self, rng: random.Random) -> KeyPair:
         private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
-        public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        public = private.public_key().public_bytes_raw()
         return KeyPair(public=public, private=private)
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
@@ -59,8 +57,8 @@ class Ed25519Scheme:
             return False
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+@record
+class Certificate(NamedTuple):
     """Binding of a subject name to a public key, signed by one stub CA."""
 
     subject: str

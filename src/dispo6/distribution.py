@@ -21,13 +21,13 @@ of which address each peer holds, and its deny list (fed by
 import hashlib
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, encode_fields
 from .engine import SimTime, US_PER_SECOND
+from .messages import record
 
 if TYPE_CHECKING:
     from .caller import CallerNode
@@ -40,14 +40,14 @@ REQUEST_TIMEOUT_S = 3.0
 MAX_HIP_DIFFICULTY_S = 86_400.0
 
 
-@dataclass(frozen=True, slots=True)
-class HipAnswer:
+@record
+class HipAnswer(NamedTuple):
     challenge_id: int
     answer: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class AddressRequest:
+@record
+class AddressRequest(NamedTuple):
     """Signed ask for a disposable home address, sent to a prime address."""
 
     requester_name: str
@@ -73,8 +73,8 @@ class AddressRequest:
         return hashlib.sha256(self.signed_bytes()).digest()
 
 
-@dataclass(frozen=True, slots=True)
-class AddressResponse:
+@record
+class AddressResponse(NamedTuple):
     """Grant of a disposable address, bound to the request it answers."""
 
     granted: Ipv6Address
@@ -88,15 +88,15 @@ class AddressResponse:
                              self.request_digest)
 
 
-@dataclass(frozen=True, slots=True)
-class HipChallengeMsg:
+@record
+class HipChallengeMsg(NamedTuple):
     challenge_id: int
     difficulty_s: float
     request_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class Refusal:
+@record
+class Refusal(NamedTuple):
     request_id: int
     reason: str
 
@@ -108,6 +108,12 @@ class HipGate:
     rolling `window_s` triggers challenges. Difficulty starts at
     `base_difficulty_s` and doubles for each further fixed window in which
     the source is still violating, up to `MAX_HIP_DIFFICULTY_S`.
+
+    Request histories are kept in the order their sources were last
+    observed, and a source whose newest request has left the window is
+    forgotten: its next request would have trimmed the history to nothing
+    anyway, so no challenge changes. `observe` runs at the simulator's
+    clock, which never goes back, so the stale histories are at the front.
     """
 
     def __init__(self, rate_threshold: int = 3, window_s: float = 600.0,
@@ -119,7 +125,7 @@ class HipGate:
         self._history: dict[str, deque[int]] = {}
         # source -> (last fixed window it violated in, current difficulty)
         self._violations: dict[str, tuple[int, float]] = {}
-        self._outstanding: dict[int, tuple[int, float]] = {}  # id -> (issued_us, difficulty)
+        self._outstanding: dict[int, int] = {}  # challenge id -> issued_us
         self._ids = itertools.count(1)
         self.challenges_issued = 0
         self.passes = 0
@@ -131,11 +137,20 @@ class HipGate:
         return hashlib.sha256(b"hip:" + challenge_id.to_bytes(8, "big")).digest()[:8]
 
     def observe(self, source: str, now: SimTime) -> None:
-        window_us = round(self.window_s * US_PER_SECOND)
-        events = self._history.setdefault(source, deque())
+        cutoff = now.micros - round(self.window_s * US_PER_SECOND)
+        history = self._history
+        events = history.pop(source, None)
+        if events is None:
+            events = deque()
+        history[source] = events  # moved to the end as the latest observed
         events.append(now.micros)
-        while events and events[0] < now.micros - window_us:
+        while events[0] < cutoff:
             events.popleft()
+        while True:  # ends at the latest, `source` itself
+            oldest = next(iter(history))
+            if history[oldest][-1] >= cutoff:
+                break
+            del history[oldest]
 
     def challenge_required(self, source: str) -> bool:
         events = self._history.get(source)
@@ -157,21 +172,20 @@ class HipGate:
         expired_before = now.micros - round(self.ttl_s * US_PER_SECOND)
         while outstanding:
             oldest = next(iter(outstanding))
-            if outstanding[oldest][0] >= expired_before:
+            if outstanding[oldest] >= expired_before:
                 break
             del outstanding[oldest]
         challenge_id = next(self._ids)
-        outstanding[challenge_id] = (now.micros, difficulty)
+        outstanding[challenge_id] = now.micros
         self.challenges_issued += 1
         return HipChallengeMsg(challenge_id=challenge_id,
                                difficulty_s=difficulty, request_id=request_id)
 
     def verify(self, answer: HipAnswer, now: SimTime) -> bool:
-        issued = self._outstanding.pop(answer.challenge_id, None)  # single use
-        if issued is None:
+        issued_us = self._outstanding.pop(answer.challenge_id, None)  # single use
+        if issued_us is None:
             self.failures += 1
             return False
-        issued_us, _ = issued
         if now.micros - issued_us > round(self.ttl_s * US_PER_SECOND):
             self.failures += 1
             return False
@@ -182,18 +196,18 @@ class HipGate:
         return True
 
 
-@dataclass(frozen=True, slots=True)
-class GrantAction:
+@record
+class GrantAction(NamedTuple):
     response: AddressResponse
 
 
-@dataclass(frozen=True, slots=True)
-class ChallengeAction:
+@record
+class ChallengeAction(NamedTuple):
     challenge: HipChallengeMsg
 
 
-@dataclass(frozen=True, slots=True)
-class RefuseAction:
+@record
+class RefuseAction(NamedTuple):
     refusal: Refusal
 
 
@@ -245,8 +259,8 @@ class DistributionResponder:
         response = AddressResponse(granted=hoa, request_digest=request.digest(),
                                    request_id=request.request_id)
         if owner.scheme is not None and owner.keys is not None:
-            response = replace(
-                response, certificate=owner.certificate,
+            response = response._replace(
+                certificate=owner.certificate,
                 signature=owner.scheme.sign(owner.keys, response.signed_bytes()))
         return GrantAction(response)
 
@@ -271,15 +285,15 @@ class RequestOutcome(Enum):
     BAD_SIGNATURE = "bad_signature"
 
 
-@dataclass(frozen=True, slots=True)
-class RequestResult:
+@record
+class RequestResult(NamedTuple):
     outcome: RequestOutcome
     granted: Ipv6Address | None = None
     responder_key: bytes | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class SessionTimer:
+@record
+class SessionTimer(NamedTuple):
     """Timer token owned by an InitiatorSession; `gen` guards staleness."""
 
     request_id: int
@@ -315,8 +329,8 @@ class InitiatorSession:
                                  requester_fqdn=owner.fqdn, extra_info="",
                                  reply_to=owner.address, request_id=request_id)
         if owner.scheme is not None and owner.keys is not None:
-            request = replace(
-                request, certificate=owner.certificate,
+            request = request._replace(
+                certificate=owner.certificate,
                 signature=owner.scheme.sign(owner.keys, request.signed_bytes()))
         self._base_request = request
 
@@ -354,7 +368,7 @@ class InitiatorSession:
             challenge = token.challenge
             answer = HipAnswer(challenge_id=challenge.challenge_id,
                                answer=HipGate.solution(challenge.challenge_id))
-            self.send_request(replace(self._base_request, hip_answer=answer))
+            self.send_request(self._base_request._replace(hip_answer=answer))
             self._arm("deadline")
             return
         self._finish(RequestResult(RequestOutcome.TIMEOUT))

@@ -17,8 +17,10 @@ hours under a saturating request flood.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import US_PER_SECOND, SimTime
+from .messages import record
 
 
 class RadioState(Enum):
@@ -106,13 +108,13 @@ IDLE_US_TOL = 1e-6
 LEDGER_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Battery:
+@record
+class Battery(NamedTuple):
     capacity: float = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class LoadProfile:
+@record
+class LoadProfile(NamedTuple):
     """Steady-state load for closed-form lifetime queries."""
 
     name: str

@@ -28,8 +28,8 @@ class ManagementKind(Enum):
     ACK = "ack"
 
 
-@dataclass(frozen=True, slots=True)
-class ManagementMessage:
+@record
+class ManagementMessage(NamedTuple):
     """Host/agent management protocol unit, honored only with a valid tag."""
 
     kind: ManagementKind
@@ -41,8 +41,8 @@ class ManagementMessage:
     info: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class BindingUpdate:
+@record
+class BindingUpdate(NamedTuple):
     """Care-of address report; authenticated like management traffic."""
 
     host_id: str
@@ -50,8 +50,8 @@ class BindingUpdate:
     care_of: Ipv6Address
 
 
-@dataclass(frozen=True, slots=True)
-class BindingAck:
+@record
+class BindingAck(NamedTuple):
     ok: bool
     care_of: Ipv6Address
 
@@ -118,8 +118,8 @@ class PoolExhaustedError(AgentError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
+@record
+class Ack(NamedTuple):
     ok: bool
     info: str = ""
 

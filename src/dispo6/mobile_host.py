@@ -22,7 +22,7 @@ only the send step (battery charge, reverse tunnel) and its bookkeeping.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .addressing import (
     AddressRole,
@@ -61,6 +61,7 @@ from .messages import (
     Ping,
     Pong,
     RouteOptimized,
+    record,
 )
 from .monitor import IntrusionMonitor
 from .sas import PairResult, run_pairing
@@ -97,18 +98,18 @@ class HostCounters:
     pool_misses: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeReactivate:
+@record
+class PrimeReactivate(NamedTuple):
     generation: int
 
 
-@dataclass(frozen=True, slots=True)
-class WindowBlock:
+@record
+class WindowBlock(NamedTuple):
     """Scheduled-attack window opening: policy blocks the prime."""
 
 
-@dataclass(frozen=True, slots=True)
-class WindowUnblock:
+@record
+class WindowUnblock(NamedTuple):
     """Scheduled-attack window closing: policy reactivates the prime."""
 
 

@@ -9,14 +9,15 @@ finds, in closed form, the packet of a run that would raise the alert.
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND, SimTime
+from .messages import record
 
 
-@dataclass(frozen=True, slots=True)
-class AttackAlert:
+@record
+class AttackAlert(NamedTuple):
     hoa: Ipv6Address
     window_rate: float
 

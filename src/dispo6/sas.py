@@ -17,10 +17,11 @@ order; there is no state machine that a caller could drive out of it.
 
 import hashlib
 import random
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .crypto import encode_fields
+from .messages import record
 
 MIN_SAS_BITS = 1
 MAX_SAS_BITS = 128
@@ -48,25 +49,25 @@ class SasAbort(Enum):
     SAS_MISMATCH = "sas_mismatch"
 
 
-@dataclass(frozen=True, slots=True)
-class CommitMessage:
+@record
+class CommitMessage(NamedTuple):
     commitment: bytes
     public_key: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class ShareMessage:
+@record
+class ShareMessage(NamedTuple):
     nonce: bytes
     public_key: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class RevealMessage:
+@record
+class RevealMessage(NamedTuple):
     nonce: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class PairResult:
+@record
+class PairResult(NamedTuple):
     confirmed: bool
     abort_reason: SasAbort | None
     initiator_sas: str | None

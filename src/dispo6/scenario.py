@@ -20,11 +20,11 @@ hidden choice.
 import dataclasses
 import json
 import math
-import multiprocessing
 import types
 import typing
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from pathlib import Path
 
 from .addressing import Ipv6Address, NameService
@@ -39,6 +39,7 @@ from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from .engine import EPOCH, LinkModel, SimTime, Simulator
 from .home_agent import HomeAgent
+from .messages import record
 from .mobile_host import MobileHost, Mode
 from .stats import sample_mean_std
 
@@ -218,8 +219,8 @@ def fig3_config(variant: str, seed: int = 0,
     return ScenarioConfig(seed=seed, horizon_days=days, attack_hours=hours)
 
 
-@dataclass(frozen=True, slots=True)
-class CallRecord:
+@record
+class CallRecord(NamedTuple):
     day: int
     correspondent_id: int
     had_disposable: bool
@@ -534,6 +535,8 @@ def run_sweep(config: ScenarioConfig, seeds: list[int],
     config.validate()
     work = [(config, seed) for seed in sorted(seeds)]
     if jobs > 1:
+        import multiprocessing  # only a parallel sweep pays its import
+
         with multiprocessing.Pool(jobs) as pool:
             summaries = pool.map(_sweep_worker, work)
     else:

@@ -1,15 +1,16 @@
 """Small statistics helpers for the experiment harness."""
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+from .messages import record
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True, slots=True)
-class MannKendallResult:
+@record
+class MannKendallResult(NamedTuple):
     s: int
     var_s: float
     z: float

@@ -126,6 +126,18 @@ class TestCertificateMemo:
         assert not rogue.verify(genuine)
         assert ca.verify(genuine)
 
+    def test_plain_tuple_of_a_certificate_is_not_known(self):
+        # same fields, same hash: the memo must still tell them apart
+        scheme = Ed25519Scheme()
+        ca = CertificateAuthority(scheme, random.Random(3))
+        cert = ca.issue("bob.example",
+                        scheme.generate(random.Random(4)).public)
+        assert ca.verify(cert)
+        fields = (cert.subject, cert.public_key, cert.signature)
+        assert hash(fields) == hash(cert)
+        assert cert in ca._valid
+        assert fields not in ca._valid
+
     def test_issued_and_verified_certificates_skip_the_real_check(
             self, monkeypatch):
         scheme = Ed25519Scheme()

@@ -177,6 +177,35 @@ class TestHipGate:
         assert gate._violations["bot"] == (
             minute // 10, MAX_HIP_DIFFICULTY_S)
 
+    def test_history_forgets_sources_gone_quiet(self):
+        # 10^5 identities, one request each, 0.1 s apart: ~17 windows; a
+        # regular requesting all along stays, and must not pin the others
+        gate = self.gate()
+        per_window = round(gate.window_s / 0.1) + 1
+        for i in range(100_000):
+            now = SimTime(i * 100_000)
+            if i % 1000 == 0:
+                gate.observe("regular", now)
+            gate.observe(f"id{i}", now)
+            assert len(gate._history) <= per_window + 1
+        assert len(gate._history) == per_window + 1
+
+    def test_forgetting_changes_no_challenge(self):
+        # against a recount of every request inside the rolling window
+        gate = self.gate()
+        rng = random.Random(11)
+        seen: dict[str, list[int]] = {}
+        now_us = 0
+        for _ in range(5_000):
+            # bursts, a steady trickle and long silences
+            mean_gap_s = rng.choice((10.0, 100.0, 1000.0))
+            now_us += round(rng.expovariate(1 / mean_gap_s) * 1e6)
+            source = f"s{rng.randrange(4)}"
+            gate.observe(source, SimTime(now_us))
+            seen.setdefault(source, []).append(now_us)
+            recent = sum(t >= now_us - 600_000_000 for t in seen[source])
+            assert gate.challenge_required(source) == (recent > 3)
+
     def test_verify_single_use_and_replay(self):
         gate = self.gate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)

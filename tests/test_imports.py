@@ -1,8 +1,13 @@
 """Every module-level import in the package is used by its module, every
 public module-level name is used somewhere in the repository, every
-parameter is read by its function, and every record field is read."""
+parameter is read by its function, every record field is read, every
+immutable record is a `record` NamedTuple, and importing the package
+loads no module that only an unused path needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,3 +191,60 @@ def test_unread_field_checker():
     assert record_fields(source) == [("A", "kept", 5), ("A", "lost", 6),
                                      ("P", "seen", 8)]
     assert read_attributes(source) == {"kept", "seen"}
+
+
+def unvalidated_frozen_records(source: str) -> list[str]:
+    """Immutable records not written as `record` NamedTuples: a frozen
+    dataclass without a `__post_init__` check, or a NamedTuple without
+    `@record`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = node.decorator_list
+        frozen = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                     and d.func.id == "dataclass" and any(
+                         k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                         and k.value.value is True for k in d.keywords)
+                     for d in decorators)
+        validated = any(isinstance(stmt, ast.FunctionDef)
+                        and stmt.name == "__post_init__" for stmt in node.body)
+        named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+                          for b in node.bases)
+        is_record = any(isinstance(d, ast.Name) and d.id == "record"
+                        for d in decorators)
+        if (frozen and not validated) or (named_tuple and not is_record):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_immutable_records_are_record_named_tuples(path):
+    # a frozen dataclass costs ~6x a NamedTuple class at import, and every
+    # run imports the package; only a validating one earns that
+    assert unvalidated_frozen_records(path.read_text()) == []
+
+
+def test_frozen_record_checker():
+    source = (
+        "@dataclass(frozen=True, slots=True)\nclass Plain:\n    a: int\n"
+        "@dataclass(frozen=True)\nclass Checked:\n    a: int\n"
+        "    def __post_init__(self): pass\n"
+        "@dataclass(slots=True)\nclass Mutable:\n    a: int\n"
+        "class Bare(NamedTuple):\n    a: int\n"
+        "@record\nclass Kept(NamedTuple):\n    a: int\n")
+    assert unvalidated_frozen_records(source) == ["Plain (line 2)",
+                                                  "Bare (line 11)"]
+
+
+def test_package_import_leaves_heavy_modules_out():
+    # every run imports the package; these are for `sweep --jobs` > 1 and
+    # for key formats the package never reads
+    modules = [f"dispo6.{p.stem}" for p in MODULES if p.stem != "__main__"]
+    script = (f"import sys\nfor m in {modules!r}:\n    __import__(m)\n"
+              "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+              " or m == 'cryptography.hazmat.primitives.serialization'))\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["[]"]
