@@ -24,8 +24,8 @@ import types
 import typing
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 from pathlib import Path
+from typing import NamedTuple
 
 from .addressing import Ipv6Address, NameService
 from .adversary import (

@@ -193,7 +193,7 @@ def test_unread_field_checker():
     assert read_attributes(source) == {"kept", "seen"}
 
 
-def unvalidated_frozen_records(source: str) -> list[str]:
+def non_record_immutables(source: str) -> list[str]:
     """Immutable records not written as `record` NamedTuples: a frozen
     dataclass without a `__post_init__` check, or a NamedTuple without
     `@record`."""
@@ -222,7 +222,7 @@ def unvalidated_frozen_records(source: str) -> list[str]:
 def test_immutable_records_are_record_named_tuples(path):
     # a frozen dataclass costs ~6x a NamedTuple class at import, and every
     # run imports the package; only a validating one earns that
-    assert unvalidated_frozen_records(path.read_text()) == []
+    assert non_record_immutables(path.read_text()) == []
 
 
 def test_frozen_record_checker():
@@ -233,8 +233,8 @@ def test_frozen_record_checker():
         "@dataclass(slots=True)\nclass Mutable:\n    a: int\n"
         "class Bare(NamedTuple):\n    a: int\n"
         "@record\nclass Kept(NamedTuple):\n    a: int\n")
-    assert unvalidated_frozen_records(source) == ["Plain (line 2)",
-                                                  "Bare (line 11)"]
+    assert non_record_immutables(source) == ["Plain (line 2)",
+                                             "Bare (line 11)"]
 
 
 def test_package_import_leaves_heavy_modules_out():
@@ -247,4 +247,4 @@ def test_package_import_leaves_heavy_modules_out():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["[]"]
+    assert out.strip() == "[]"
