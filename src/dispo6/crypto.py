@@ -8,6 +8,21 @@ encoding injective, which the pairing security argument relies on.
 Protocol logic never looks inside a primitive. Signatures are Ed25519;
 the protocol hashes with SHA-256 through hashlib directly. Key material
 is drawn from the caller's seeded RNG so runs stay reproducible.
+
+Two memos skip Ed25519 math that cannot change an answer, and both rest
+on one argument: Ed25519 signing is deterministic and correct (RFC 8032),
+so a signature made with a private key over some bytes always verifies
+under that key's public key over the same bytes.
+- `Ed25519Scheme` remembers, per signing key, the last signature it made
+  and nobody has verified yet. The entry lives until it is verified or
+  the key signs again, so there is at most one per key. A message
+  signature is checked once, where it arrives.
+- `CertificateAuthority` remembers every certificate it issued or a real
+  check accepted, for the life of the CA, because certificates are
+  checked again on every handshake.
+Any input that differs in a byte from a remembered one gets the real
+check, and a failed check is never remembered, so both return exactly
+what the real check would.
 """
 
 import random
@@ -37,9 +52,22 @@ class KeyPair(NamedTuple):
 
 
 class Ed25519Scheme:
-    """Default signature scheme. Deterministic signing, 32-byte public keys."""
+    """Default signature scheme. Deterministic signing, 32-byte public keys.
+
+    `_unverified` maps a signing `KeyPair.public` to the (message,
+    signature, private key) of the last signature made with it that no
+    `verify` has accepted yet. `verify` accepts an entry without Ed25519
+    math only if message and signature match byte for byte and the
+    private key's own public key is `public`, which a hand-built
+    `KeyPair` pairing two keys' halves fails; the entry is then dropped,
+    so a second check of the same triple is a real one. Every other
+    input gets the real check, and nothing is stored on a verify.
+    """
 
     name = "ed25519"
+
+    def __init__(self):
+        self._unverified: dict[bytes, tuple[bytes, bytes, Ed25519PrivateKey]] = {}
 
     def generate(self, rng: random.Random) -> KeyPair:
         private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
@@ -47,9 +75,17 @@ class Ed25519Scheme:
         return KeyPair(public=public, private=private)
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
-        return keys.private.sign(message)
+        signature = keys.private.sign(message)
+        # bytes() copies only a mutable buffer, which could change later
+        self._unverified[keys.public] = (bytes(message), signature, keys.private)
+        return signature
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        made = self._unverified.get(public)
+        if (made is not None and made[0] == message and made[1] == signature
+                and made[2].public_key().public_bytes_raw() == public):
+            del self._unverified[public]
+            return True
         try:
             Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
             return True

@@ -333,6 +333,8 @@ class InitiatorSession:
                 certificate=owner.certificate,
                 signature=owner.scheme.sign(owner.keys, request.signed_bytes()))
         self._base_request = request
+        # the signed bytes leave the HIP answer out, so re-sends share it
+        self._request_digest = request.digest()
 
     def start(self) -> None:
         self.send_request(self._base_request)
@@ -374,7 +376,7 @@ class InitiatorSession:
         self._finish(RequestResult(RequestOutcome.TIMEOUT))
 
     def _handle_response(self, response: AddressResponse) -> None:
-        if response.request_digest != self._base_request.digest():
+        if response.request_digest != self._request_digest:
             return
         responder_key = None
         owner = self.owner

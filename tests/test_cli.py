@@ -1,4 +1,9 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -97,3 +102,21 @@ def test_config_still_setting_removed_knob_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")]) == 2
     assert "unknown config keys: rejection_probability" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_import_runs_nothing(self, monkeypatch):
+        # argparse would exit 2 on these arguments if the CLI ran
+        monkeypatch.setattr(sys, "argv", ["pytest", "--no-such-flag"])
+        monkeypatch.delitem(sys.modules, "dispo6.__main__", raising=False)
+        module = importlib.import_module("dispo6.__main__")
+        assert module.main is cli.main
+
+    def test_python_m_help_exits_0(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "dispo6", "--help"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert "usage:" in proc.stdout

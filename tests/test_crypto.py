@@ -1,11 +1,25 @@
 import random
+from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispo6 import crypto
+from dispo6.addressing import Ipv6Address
+from dispo6.adversary import AttackSchedule, Flooder, run_scheduled_prime_attack
+from dispo6.caller import CallOutcome, StartCall
 from dispo6.crypto import (
     CertificateAuthority,
     Certificate,
     Ed25519Scheme,
+    KeyPair,
     encode_fields,
 )
+from dispo6.engine import SimTime
+from dispo6.mobile_host import Mode
+from dispo6.scenario import ScenarioConfig, run_scenario
+from conftest import ATTACKER_PREFIX
+from test_mobile_host import make_caller, make_host
 
 
 class TestEncodeFields:
@@ -159,3 +173,155 @@ class TestCertificateMemo:
         calls = count_verifies(monkeypatch)
         assert not ca.verify(bad) and not ca.verify(bad)
         assert calls[0] == 2
+
+
+def count_real_verifies(monkeypatch) -> list[int]:
+    """Count the Ed25519 public keys `dispo6.crypto` builds to verify
+    with, one per real check, in a one-item list."""
+    calls = [0]
+    real = crypto.Ed25519PublicKey
+
+    def counting(data):
+        calls[0] += 1
+        return real.from_public_bytes(data)
+
+    monkeypatch.setattr(crypto, "Ed25519PublicKey",
+                        SimpleNamespace(from_public_bytes=counting))
+    return calls
+
+
+KEYS = Ed25519Scheme().generate(random.Random(1))
+OTHER = Ed25519Scheme().generate(random.Random(2))
+TAMPERS = ("none", "message", "signature", "other_key", "mismatched_pair",
+           "again")
+
+
+class TestSignatureMemo:
+    """The scheme remembers the signatures it made until one is verified.
+    The memo must answer exactly as the real check does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(message=st.binary(min_size=1, max_size=64),
+           tamper=st.sampled_from(TAMPERS), index=st.integers(0, 63))
+    def test_verify_equals_the_real_check(self, message, tamper, index):
+        scheme = Ed25519Scheme()
+        # the other key has an entry for the same message too
+        scheme.sign(OTHER, message)
+        signer = KEYS
+        if tamper == "mismatched_pair":
+            signer = KeyPair(public=OTHER.public, private=KEYS.private)
+        signature = scheme.sign(signer, message)
+        public = signer.public
+        if tamper == "message":
+            i = index % len(message)
+            message = message[:i] + bytes([message[i] ^ 1]) + message[i + 1:]
+        elif tamper == "signature":
+            i = index % len(signature)
+            signature = (signature[:i] + bytes([signature[i] ^ 1])
+                         + signature[i + 1:])
+        elif tamper == "other_key":
+            public = OTHER.public
+        elif tamper == "again":
+            assert scheme.verify(public, message, signature)
+        # a fresh scheme's memo is empty: its answer is the real check's
+        expected = Ed25519Scheme().verify(public, message, signature)
+        assert expected is (tamper in ("none", "again"))
+        assert scheme.verify(public, message, signature) is expected
+        if tamper == "mismatched_pair":
+            # the signature is good under the key that really made it
+            assert scheme.verify(KEYS.public, message, signature)
+
+    def test_one_entry_per_signing_key(self):
+        scheme = Ed25519Scheme()
+        for i in range(1000):
+            scheme.sign(KEYS, i.to_bytes(4, "big"))
+        assert len(scheme._unverified) == 1
+        assert scheme._unverified[KEYS.public][0] == (999).to_bytes(4, "big")
+
+    def test_verified_entry_is_gone(self, monkeypatch):
+        scheme = Ed25519Scheme()
+        signature = scheme.sign(KEYS, b"hello")
+        calls = count_real_verifies(monkeypatch)
+        assert scheme.verify(KEYS.public, b"hello", signature)
+        assert KEYS.public not in scheme._unverified
+        assert calls[0] == 0
+        assert scheme.verify(KEYS.public, b"hello", signature)
+        assert calls[0] == 1
+
+    def test_a_replaced_entry_is_checked_for_real(self, monkeypatch):
+        # two handshakes in flight at one responder: the first grant's
+        # entry is gone when it arrives, and it still verifies
+        scheme = Ed25519Scheme()
+        first = scheme.sign(KEYS, b"first")
+        second = scheme.sign(KEYS, b"second")
+        calls = count_real_verifies(monkeypatch)
+        assert scheme.verify(KEYS.public, b"first", first)
+        assert calls[0] == 1
+        assert scheme.verify(KEYS.public, b"second", second)
+        assert calls[0] == 1
+
+    def test_a_mutated_message_buffer_is_checked_for_real(self):
+        scheme = Ed25519Scheme()
+        message = bytearray(b"hello")
+        signature = scheme.sign(KEYS, message)
+        message[0] ^= 1
+        assert not scheme.verify(KEYS.public, message, signature)
+
+
+class TestHonestRunsSkipEd25519Math:
+    """Every signature an honest run checks was made by the run's one
+    shared scheme and is checked before its key signs again, as long as
+    no two handshakes to one responder overlap, so none reaches Ed25519's
+    verify."""
+
+    def test_pki_scenario(self, monkeypatch):
+        calls = count_real_verifies(monkeypatch)
+        checks = count_verifies(monkeypatch)
+        result = run_scenario(ScenarioConfig(seed=1, horizon_days=60,
+                                             correspondents=50,
+                                             daily_call_probability=0.05))
+        grants = result.metrics.counters["responder"]["grants"]
+        assert grants > 0
+        assert checks[0] == 2 * grants
+        assert calls[0] == 0
+
+    def test_prime_attack_world(self, make_world, monkeypatch):
+        # RO host, PKI, a daily flood on the prime, callers and bots
+        calls = count_real_verifies(monkeypatch)
+        checks = count_verifies(monkeypatch)
+        world = make_world(seed=1, pki=True)
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        run_scheduled_prime_attack(
+            world.sim, host, AttackSchedule(daily_hours=4, start_choices=(8,)),
+            horizon_days=1,
+            flooder=Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA)),
+            flood_rate_pps=20.0)
+        outcomes = []
+
+        def call(node, token):
+            node.place_call(token.target_fqdn, outcomes.append)
+
+        def request(node, token):
+            node.request_address(token.target_fqdn,
+                                 lambda result: outcomes.append(result.outcome))
+
+        for i in range(8):
+            node = make_caller(world, i=i)
+            node.on_start_call = call
+            world.sim.call_at(SimTime.at(0, 6.0 + 1.5 * i), node.node_id,
+                              StartCall(host.fqdn, 0, 0,
+                                        coincides_with_attack=False))
+        for i in range(2):
+            bot = make_caller(world, i=20 + i, solve_hip=False)
+            bot.on_start_call = request
+            for k in range(6):
+                world.sim.call_at(SimTime.at(0, 14.25 + i).plus_seconds(k),
+                                  bot.node_id,
+                                  StartCall(host.fqdn, 0, k,
+                                            coincides_with_attack=False))
+        world.sim.run()
+        assert CallOutcome.CONNECTED in outcomes
+        assert CallOutcome.REJECTED_PRIME_BLOCKED in outcomes
+        assert host.responder.hip.challenges_issued > 0
+        assert checks[0] > 0
+        assert calls[0] == 0

@@ -240,7 +240,7 @@ def test_frozen_record_checker():
 def test_package_import_leaves_heavy_modules_out():
     # every run imports the package; these are for `sweep --jobs` > 1 and
     # for key formats the package never reads
-    modules = [f"dispo6.{p.stem}" for p in MODULES if p.stem != "__main__"]
+    modules = [f"dispo6.{p.stem}" for p in MODULES]
     script = (f"import sys\nfor m in {modules!r}:\n    __import__(m)\n"
               "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
               " or m == 'cryptography.hazmat.primitives.serialization'))\n")
