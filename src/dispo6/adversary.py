@@ -1,4 +1,4 @@
-"""Attacker nodes: floods, scheduled prime attacks, pairing MITM, SPIT.
+"""Attacker nodes: floods and scheduled prime attacks.
 
 The flooder sends request packets (which provoke replies) at a fixed rate,
 optionally with uniformly spoofed source addresses, which is why
@@ -25,23 +25,12 @@ packet, as does any flood the engine cannot take as a segment.
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .addressing import Ipv6Address
-from .caller import CallerNode
 from .engine import US_PER_SECOND, Node, Packet, SimTime, Simulator
 from .messages import Ping, record
 from .mobile_host import MobileHost, WindowBlock, WindowUnblock
-from .sas import (
-    CommitMessage,
-    DirectChannel,
-    RevealMessage,
-    SasAbort,
-    ShareMessage,
-    commitment,
-    run_pairing,
-)
 
 
 @dataclass(slots=True)
@@ -50,11 +39,16 @@ class FloodStats:
     replies_received: int = 0
 
 
+def _interval_us(rate_pps: float) -> int:
+    """The step between a flood's packets, in whole microseconds."""
+    return round(1.0 / rate_pps * US_PER_SECOND)
+
+
 @record
 class _Emit(NamedTuple):
     stop_us: int
     target: Ipv6Address
-    interval_s: float
+    interval_us: int
     payload_size: int
     spoof: bool
 
@@ -68,34 +62,34 @@ class Flooder(Node):
         self.stats = FloodStats()
         sim.register_route(address, node_id)
 
-    def flood_between(self, start: SimTime, stop: SimTime, target: Ipv6Address,
+    def flood_between(self, start_us: int, stop_us: int, target: Ipv6Address,
                       rate_pps: float, payload_size: int = 56,
                       spoof: bool = False) -> None:
         if rate_pps <= 0:
             raise ValueError("flood rate must be positive")
-        interval_us = round(1.0 / rate_pps * US_PER_SECOND)
+        interval_us = _interval_us(rate_pps)
         if interval_us == 0:
             raise ValueError(f"flood rate {rate_pps} pkt/s is under 1 us apart")
-        if stop < start:
+        if stop_us < start_us:
             raise ValueError("flood stops before it starts")
-        count = -((start.micros - stop.micros) // interval_us)
+        count = -((start_us - stop_us) // interval_us)
         if spoof or not self.sim.flood(
                 self.node_id,
                 Packet(self.address, target, Ping(self.stats.sent), payload_size),
-                start.micros, interval_us, count):
-            self._flood_packets(start, stop, target, rate_pps, payload_size,
-                                spoof)
+                start_us, interval_us, count):
+            self._flood_packets(start_us, stop_us, target, rate_pps,
+                                payload_size, spoof)
 
-    def _flood_packets(self, start: SimTime, stop: SimTime,
+    def _flood_packets(self, start_us: int, stop_us: int,
                        target: Ipv6Address, rate_pps: float,
                        payload_size: int, spoof: bool) -> None:
         """The per-packet path: a timer per packet; the reference segments
         are tested against. Like a segment, it wakes no more once its last
         packet is out."""
-        if start < stop:
-            self.sim.call_at(start, self.node_id,
-                             _Emit(stop_us=stop.micros, target=target,
-                                   interval_s=1.0 / rate_pps,
+        if start_us < stop_us:
+            self.sim.call_at(start_us, self.node_id,
+                             _Emit(stop_us=stop_us, target=target,
+                                   interval_us=_interval_us(rate_pps),
                                    payload_size=payload_size, spoof=spoof))
 
     def on_timer(self, token: object) -> None:
@@ -110,8 +104,9 @@ class Flooder(Node):
         sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent),
                         size_bytes=token.payload_size))
         stats.sent += 1
-        if sim.now.micros + round(token.interval_s * US_PER_SECOND) < token.stop_us:
-            sim.call_in(token.interval_s, self.node_id, token)
+        next_us = sim.now_us + token.interval_us
+        if next_us < token.stop_us:
+            sim.call_at(next_us, self.node_id, token)
 
     def on_packet(self, packet: Packet) -> None:
         # attacker ignores reply content; silence tells it nothing either
@@ -164,11 +159,11 @@ class WindowLog(NamedTuple):
     start_hour: int
 
 
-def block_prime_window(sim: Simulator, victim: MobileHost, opens: SimTime,
-                       closes: SimTime) -> None:
-    """The victim's policy blocks its prime from `opens` until `closes`."""
-    sim.call_at(opens, victim.node_id, WindowBlock())
-    sim.call_at(closes, victim.node_id, WindowUnblock())
+def block_prime_window(sim: Simulator, victim: MobileHost, opens_us: int,
+                       closes_us: int) -> None:
+    """The victim's policy blocks its prime from `opens_us` until `closes_us`."""
+    sim.call_at(opens_us, victim.node_id, WindowBlock())
+    sim.call_at(closes_us, victim.node_id, WindowUnblock())
 
 
 def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
@@ -192,107 +187,3 @@ def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
         else:
             block_prime_window(sim, victim, opens, closes)
     return windows
-
-
-class PerSourceFilter:
-    """Victim-side source blocking, the defense spoofing defeats."""
-
-    def __init__(self, strikes: int = 1):
-        self.strikes = strikes
-        self.blocked: set[Ipv6Address] = set()
-        self.filtered = 0
-        self.passed = 0
-        self._counts: dict[Ipv6Address, int] = {}
-
-    def admit(self, src: Ipv6Address) -> bool:
-        if src in self.blocked:
-            self.filtered += 1
-            return False
-        count = self._counts.get(src, 0) + 1
-        self._counts[src] = count
-        if count >= self.strikes:
-            self.blocked.add(src)
-        self.passed += 1
-        return True
-
-
-class MitmStrategy(Enum):
-    PASSIVE = "passive"
-    RANDOM_SUBSTITUTION = "random_substitution"
-    REVEAL_SUBSTITUTION = "reveal_substitution"
-
-
-@record
-class MitmResult(NamedTuple):
-    undetected: bool
-    substituted: bool
-    abort_reason: SasAbort | None
-
-
-class MitmChannel(DirectChannel):
-    """In-path attacker for the pairing run.
-
-    RANDOM_SUBSTITUTION plays a full double session with its own nonces and
-    key material on both legs; it stays consistent with its own commitment,
-    so only the out-of-band SAS comparison can catch it.
-    REVEAL_SUBSTITUTION forwards the honest commitment but swaps the
-    reveal, which the commitment check kills outright.
-    """
-
-    def __init__(self, rng: random.Random, strategy: MitmStrategy,
-                 nonce_bytes: int = 16):
-        self.strategy = strategy
-        self.nonce_to_responder = rng.randbytes(nonce_bytes)
-        self.nonce_to_initiator = rng.randbytes(nonce_bytes)
-        self.key_to_responder = rng.randbytes(32)
-        self.key_to_initiator = rng.randbytes(32)
-        self.swapped_reveal = rng.randbytes(nonce_bytes)
-
-    def forward_commit(self, msg: CommitMessage) -> CommitMessage:
-        if self.strategy is MitmStrategy.RANDOM_SUBSTITUTION:
-            return CommitMessage(commitment=commitment(self.nonce_to_responder),
-                                 public_key=self.key_to_responder)
-        return msg
-
-    def forward_share(self, msg: ShareMessage) -> ShareMessage:
-        if self.strategy is MitmStrategy.RANDOM_SUBSTITUTION:
-            return ShareMessage(nonce=self.nonce_to_initiator,
-                                public_key=self.key_to_initiator)
-        return msg
-
-    def forward_reveal(self, msg: RevealMessage) -> RevealMessage:
-        if self.strategy is MitmStrategy.RANDOM_SUBSTITUTION:
-            return RevealMessage(nonce=self.nonce_to_responder)
-        if self.strategy is MitmStrategy.REVEAL_SUBSTITUTION:
-            return RevealMessage(nonce=self.swapped_reveal)
-        return msg
-
-
-def mitm_attempt(rng: random.Random, sas_bits: int = 8,
-                 strategy: MitmStrategy = MitmStrategy.RANDOM_SUBSTITUTION,
-                 nonce_bytes: int = 16) -> MitmResult:
-    """One randomized pairing run with the attacker in the middle."""
-    initiator_key = rng.randbytes(32)
-    responder_key = rng.randbytes(32)
-    channel = MitmChannel(rng, strategy, nonce_bytes)
-    outcome = run_pairing(rng, initiator_key, responder_key,
-                          sas_bits=sas_bits, nonce_bytes=nonce_bytes,
-                          channel=channel)
-    return MitmResult(undetected=outcome.confirmed,
-                      substituted=strategy is not MitmStrategy.PASSIVE,
-                      abort_reason=outcome.abort_reason)
-
-
-class SpitCaller(CallerNode):
-    """Nuisance caller that legitimately obtained a disposable address.
-
-    The protocol run is honest; the abuse is what the calls are for. After
-    the victim blocks the granted address, calls black-hole, and renewed
-    address requests meet the deny list.
-    """
-
-    def re_request_address(self, victim_fqdn: str, on_done) -> None:
-        entry = self.entry_for(victim_fqdn)
-        entry.peer_address = None
-        entry.peer_known_blocked = False
-        self.request_address(victim_fqdn, on_done)

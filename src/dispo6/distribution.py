@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, encode_fields
-from .engine import SimTime, US_PER_SECOND
+from .engine import US_PER_SECOND
 from .messages import record
 
 if TYPE_CHECKING:
@@ -122,6 +122,8 @@ class HipGate:
         self.window_s = window_s
         self.base_difficulty_s = base_difficulty_s
         self.ttl_s = ttl_s
+        self._window_us = round(window_s * US_PER_SECOND)
+        self._ttl_us = round(ttl_s * US_PER_SECOND)
         self._history: dict[str, deque[int]] = {}
         # source -> (last fixed window it violated in, current difficulty)
         self._violations: dict[str, tuple[int, float]] = {}
@@ -136,14 +138,14 @@ class HipGate:
         """The puzzle is abstract: producing this costs human seconds, checking is free."""
         return hashlib.sha256(b"hip:" + challenge_id.to_bytes(8, "big")).digest()[:8]
 
-    def observe(self, source: str, now: SimTime) -> None:
-        cutoff = now.micros - round(self.window_s * US_PER_SECOND)
+    def observe(self, source: str, now_us: int) -> None:
+        cutoff = now_us - self._window_us
         history = self._history
         events = history.pop(source, None)
         if events is None:
             events = deque()
         history[source] = events  # moved to the end as the latest observed
-        events.append(now.micros)
+        events.append(now_us)
         while events[0] < cutoff:
             events.popleft()
         while True:  # ends at the latest, `source` itself
@@ -156,10 +158,10 @@ class HipGate:
         events = self._history.get(source)
         return bool(events) and len(events) > self.rate_threshold
 
-    def issue(self, source: str, now: SimTime, request_id: int) -> HipChallengeMsg:
+    def issue(self, source: str, now_us: int, request_id: int) -> HipChallengeMsg:
         # challenges are issued in time order, so a window other than the
         # last one is a further one
-        window = now.micros // round(self.window_s * US_PER_SECOND)
+        window = now_us // self._window_us
         last, difficulty = self._violations.get(
             source, (window, self.base_difficulty_s))
         if window != last:
@@ -169,24 +171,24 @@ class HipGate:
         # front, or a source that never answers would grow the map forever;
         # a late answer to one still fails once, as unknown
         outstanding = self._outstanding
-        expired_before = now.micros - round(self.ttl_s * US_PER_SECOND)
+        expired_before = now_us - self._ttl_us
         while outstanding:
             oldest = next(iter(outstanding))
             if outstanding[oldest] >= expired_before:
                 break
             del outstanding[oldest]
         challenge_id = next(self._ids)
-        outstanding[challenge_id] = now.micros
+        outstanding[challenge_id] = now_us
         self.challenges_issued += 1
         return HipChallengeMsg(challenge_id=challenge_id,
                                difficulty_s=difficulty, request_id=request_id)
 
-    def verify(self, answer: HipAnswer, now: SimTime) -> bool:
+    def verify(self, answer: HipAnswer, now_us: int) -> bool:
         issued_us = self._outstanding.pop(answer.challenge_id, None)  # single use
         if issued_us is None:
             self.failures += 1
             return False
-        if now.micros - issued_us > round(self.ttl_s * US_PER_SECOND):
+        if now_us - issued_us > self._ttl_us:
             self.failures += 1
             return False
         if answer.answer != self.solution(answer.challenge_id):
@@ -230,33 +232,35 @@ class DistributionResponder:
         self.hip = hip
         self.grants: dict[str, Ipv6Address] = {}
         self.denied: set[str] = set()
-        self.notifications: list[tuple[SimTime, str]] = []
+        self.notifications = 0  # requests the user was told of
         self.dropped_bad_signature = 0
         self.refusals = 0
         self.granted_total = 0
 
-    def handle_request(self, request: AddressRequest, now: SimTime) -> ResponderAction:
+    def handle_request(self, request: AddressRequest, now_us: int) -> ResponderAction:
         owner, fqdn = self.owner, request.requester_fqdn
+        signed = request.signed_bytes()
         # a host that wants signed answers also wants signed requests
         if owner.require_signed_response and (
                 owner.ca is None or owner.ca.certified_key(
-                    request.certificate, fqdn, request.signed_bytes(),
+                    request.certificate, fqdn, signed,
                     request.signature) is None):
             self.dropped_bad_signature += 1
             return None
         hip = self.hip
-        hip.observe(fqdn, now)
+        hip.observe(fqdn, now_us)
         if hip.challenge_required(fqdn) and (
-                request.hip_answer is None or not hip.verify(request.hip_answer, now)):
-            return ChallengeAction(hip.issue(fqdn, now, request.request_id))
+                request.hip_answer is None or not hip.verify(request.hip_answer, now_us)):
+            return ChallengeAction(hip.issue(fqdn, now_us, request.request_id))
         # Every gate passed: only now does the user see anything.
-        self.notifications.append((now, fqdn))
+        self.notifications += 1
         hoa = self.grant_for(fqdn)
         if hoa is None:
             self.refusals += 1
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
-        response = AddressResponse(granted=hoa, request_digest=request.digest(),
+        response = AddressResponse(granted=hoa,
+                                   request_digest=hashlib.sha256(signed).digest(),
                                    request_id=request.request_id)
         if owner.scheme is not None and owner.keys is not None:
             response = response._replace(

@@ -166,7 +166,7 @@ class EnergyAccount:
     battery: Battery
     params: EnergyParams
     sleep_timeout_s: float
-    started_at: SimTime
+    started_at: int
     consumed_packets: float = 0.0
     consumed_active: float = 0.0
     consumed_powersave: float = 0.0
@@ -175,8 +175,8 @@ class EnergyAccount:
     powersave_us: int = 0
     packets: int = 0
     dead: bool = False
-    dead_at: SimTime | None = None
-    last_activity: SimTime = field(init=False)
+    dead_at: int | None = None  # a SimTime, built once at death
+    last_activity: int = field(init=False)
     _sleep_us: int = field(init=False)
     _last_us: int = field(init=False)  # idle drain is integrated up to here
 
@@ -185,7 +185,7 @@ class EnergyAccount:
             raise ValueError("sleep timeout must be positive")
         self._sleep_us = round(self.sleep_timeout_s * US_PER_SECOND)
         self.last_activity = self.started_at
-        self._last_us = self.started_at.micros
+        self._last_us = self.started_at
 
     @property
     def remaining(self) -> float:
@@ -203,26 +203,26 @@ class EnergyAccount:
                     + self.consumed_powersave)
         return abs(consumed + self.remaining - budget) <= LEDGER_REL_TOL * budget
 
-    def state_at(self, now: SimTime) -> RadioState:
-        if now.micros - self.last_activity.micros >= self._sleep_us:
+    def state_at(self, now_us: int) -> RadioState:
+        if now_us - self.last_activity >= self._sleep_us:
             return RadioState.POWER_SAVE
         return RadioState.ACTIVE
 
-    def powersave_fraction(self, now: SimTime) -> float:
-        self.advance(now)
+    def powersave_fraction(self, now_us: int) -> float:
+        self.advance(now_us)
         total = self.active_us + self.powersave_us
         return self.powersave_us / total if total else 0.0
 
-    def advance(self, now: SimTime) -> None:
-        """Integrate idle drain up to `now`, splitting at the sleep boundary."""
+    def advance(self, now_us: int) -> None:
+        """Integrate idle drain up to `now_us`, splitting at the sleep boundary."""
         a = self._last_us
-        b = now.micros
+        b = now_us
         if self.dead:
             self._last_us = max(a, b)
             return
         if b <= a:
             return
-        active_us, powersave_us = self._gap_us(a, b, self.last_activity.micros)
+        active_us, powersave_us = self._gap_us(a, b, self.last_activity)
         self._charge_idle(active_us, RadioState.ACTIVE)
         if not self.dead:
             self._charge_idle(powersave_us, RadioState.POWER_SAVE)
@@ -257,12 +257,12 @@ class EnergyAccount:
             self.consumed_powersave += cost
             self.powersave_us += duration_us
 
-    def on_packet(self, now: SimTime, kind: PacketKind) -> bool:
+    def on_packet(self, now_us: int, kind: PacketKind) -> bool:
         """Charge one packet. Returns False when the host is (or just went) dead."""
         if self.dead:
             return False
-        if now.micros > self._last_us:
-            self.advance(now)
+        if now_us > self._last_us:
+            self.advance(now_us)
             if self.dead:
                 return False
         cost = self.params.packet_cost(kind)
@@ -279,10 +279,10 @@ class EnergyAccount:
             cost = remaining if remaining > 0.0 else 0.0
         self.consumed_packets += cost
         self.packets += 1
-        self.last_activity = now
+        self.last_activity = now_us
         if exhausted:
             self.dead = True
-            self.dead_at = now
+            self.dead_at = SimTime(now_us)
             return False
         return True
 
@@ -306,7 +306,7 @@ class EnergyAccount:
         left = self.remaining - step_cost
         if first_us > self._last_us:
             left -= self._idle_cost(*self._gap_us(
-                self._last_us, first_us, self.last_activity.micros))
+                self._last_us, first_us, self.last_activity))
         step = step_cost + self._idle_cost(*self._gap_us(0, interval_us, 0))
         if step <= 0.0:
             return count
@@ -316,7 +316,7 @@ class EnergyAccount:
                    kinds: tuple[PacketKind, ...]) -> None:
         """Charge `count` packets at first_us + k*interval_us, each `kinds`,
         and the idle gaps between them; `safe_run` must cover them."""
-        self.advance(SimTime(first_us))
+        self.advance(first_us)
         gaps = count - 1
         active_us, powersave_us = self._gap_us(0, interval_us, 0)
         self._accumulate(RadioState.ACTIVE, gaps * active_us,
@@ -326,20 +326,20 @@ class EnergyAccount:
         self.consumed_packets += count * sum(map(self.params.packet_cost, kinds))
         self.packets += count * len(kinds)
         self._last_us = first_us + gaps * interval_us
-        self.last_activity = SimTime(self._last_us)
+        self.last_activity = self._last_us
 
     def tick_idle(self, dt_s: float) -> None:
         if dt_s < 0:
             raise ValueError("negative idle tick")
         if dt_s == 0:
             return
-        self.advance(SimTime(self._last_us + round(dt_s * US_PER_SECOND)))
+        self.advance(self._last_us + round(dt_s * US_PER_SECOND))
 
-    def recharge(self, now: SimTime) -> None:
+    def recharge(self, now_us: int) -> None:
         """Explicit full recharge; the only way out of the Dead state."""
-        self.advance(now)
+        self.advance(now_us)
         self.recharged += self.battery.capacity - self.remaining
         self.dead = False
         self.dead_at = None
-        self.last_activity = now
-        self._last_us = now.micros
+        self.last_activity = now_us
+        self._last_us = now_us

@@ -8,9 +8,11 @@ The queue is a heap of plain tuples ``(us, seq, target, is_timer, payload)``:
 fire time in integer microseconds, a scheduling sequence number that breaks
 ties in scheduling order, the target node id, whether the payload is a timer
 token (``on_timer``) or a packet (``on_packet``), and the payload itself.
-The engine keeps the current instant as an int; ``now`` is a `SimTime` that
-is rebuilt only when the event loop moves to a later instant, so every
-event at one instant shares one ``now`` object.
+The clock is one int, ``now_us``, and every layer below the public
+constructors takes and keeps time as int microseconds: handlers read
+``sim.now_us``, and the event loop moves the clock without building an
+object per instant. ``now`` is a read-only `SimTime` view of the clock for
+callers of the API, built on each read.
 
 Flood segments. A source that sends one packet every ``interval_us`` from
 ``first_us`` on (a non-spoofed flood, see `Flooder`) hands the whole train
@@ -77,53 +79,45 @@ US_PER_DAY = 24 * US_PER_HOUR
 FOREVER = 1 << 62
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class SimTime:
-    """Simulated instant, microseconds since epoch 0."""
+class SimTime(int):
+    """Simulated instant, microseconds since epoch 0: an int with a check.
 
-    micros: int
+    The library keeps time as plain int microseconds, so a `SimTime`
+    passes wherever an int instant does. The type stays for the API's
+    callers, the benchmark's workloads among them, which build instants
+    with `from_seconds`, `at` and `plus_seconds`, read `micros`, and
+    start ledgers at `EPOCH`.
+    """
 
-    def __post_init__(self):
-        if self.micros < 0:
-            raise ValueError(f"negative SimTime: {self.micros}")
+    __slots__ = ()
+
+    def __new__(cls, micros: int) -> "SimTime":
+        if micros < 0:
+            raise ValueError(f"negative SimTime: {micros}")
+        return super().__new__(cls, micros)
 
     @classmethod
     def from_seconds(cls, seconds: float) -> "SimTime":
         return cls(round(seconds * US_PER_SECOND))
 
     @classmethod
-    def from_hours(cls, hours: float) -> "SimTime":
-        return cls(round(hours * US_PER_HOUR))
-
-    @classmethod
-    def from_days(cls, days: float) -> "SimTime":
-        return cls(round(days * US_PER_DAY))
-
-    @classmethod
     def at(cls, day: int, hour: float = 0.0) -> "SimTime":
         return cls(day * US_PER_DAY + round(hour * US_PER_HOUR))
 
     @property
+    def micros(self) -> int:
+        return int(self)
+
+    @property
     def seconds(self) -> float:
-        return self.micros / US_PER_SECOND
-
-    @property
-    def day(self) -> int:
-        return self.micros // US_PER_DAY
-
-    @property
-    def hour_of_day(self) -> float:
-        return (self.micros % US_PER_DAY) / US_PER_HOUR
+        return self / US_PER_SECOND
 
     def hhmm(self) -> str:
-        minutes = (self.micros % US_PER_DAY) // US_PER_MINUTE
+        minutes = self % US_PER_DAY // US_PER_MINUTE
         return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
-    def __add__(self, other: "SimTime") -> "SimTime":
-        return SimTime(self.micros + other.micros)
-
     def plus_seconds(self, seconds: float) -> "SimTime":
-        return SimTime(self.micros + round(seconds * US_PER_SECOND))
+        return SimTime(self + round(seconds * US_PER_SECOND))
 
 
 EPOCH = SimTime(0)
@@ -225,8 +219,7 @@ class Simulator:
         self.link = link if link is not None else LinkModel()
         self._latency_us = round(self.link.latency_s * US_PER_SECOND)
         self._loss = self.link.loss_probability
-        self._us = 0
-        self.now = EPOCH
+        self.now_us = 0
         self.counters = TrafficCounters()
         self.trace: list[tuple[int, str, object]] | None = [] if keep_trace else None
         self.nodes: dict[str, Node] = {}
@@ -259,22 +252,28 @@ class Simulator:
             target = self._prefix_routes.get(dst.prefix)
         return target
 
+    @property
+    def now(self) -> SimTime:
+        """The clock as a `SimTime`, for callers of the API."""
+        return SimTime(self.now_us)
+
     # -- scheduling --------------------------------------------------------
 
-    def schedule_at(self, fire_at: SimTime, node_id: str, token: object) -> None:
-        """Wake `node_id` with `token` (its `on_timer`) at `fire_at`."""
-        if fire_at.micros < self._us:
-            raise PastEventError(f"event at {fire_at} scheduled at {self.now}")
-        heapq.heappush(self._queue, (fire_at.micros, next(self._seq), node_id,
+    def schedule_at(self, fire_us: int, node_id: str, token: object) -> None:
+        """Wake `node_id` with `token` (its `on_timer`) at `fire_us`."""
+        if fire_us < self.now_us:
+            raise PastEventError(f"event at {fire_us} us scheduled at {self.now_us} us")
+        # a SimTime shrinks to a plain int here, so the clock is always one
+        heapq.heappush(self._queue, (int(fire_us), next(self._seq), node_id,
                                      True, token))
 
-    def call_at(self, fire_at: SimTime, node_id: str, token: object) -> None:
-        self.schedule_at(fire_at, node_id, token)
+    def call_at(self, fire_us: int, node_id: str, token: object) -> None:
+        self.schedule_at(fire_us, node_id, token)
 
     def call_in(self, delay_s: float, node_id: str, token: object) -> None:
         if delay_s < 0:
-            raise PastEventError(f"negative delay {delay_s} s at {self.now}")
-        heapq.heappush(self._queue, (self._us + round(delay_s * US_PER_SECOND),
+            raise PastEventError(f"negative delay {delay_s} s at {self.now_us} us")
+        heapq.heappush(self._queue, (self.now_us + round(delay_s * US_PER_SECOND),
                                      next(self._seq), node_id, True, token))
 
     def send(self, packet: Packet) -> bool:
@@ -295,7 +294,7 @@ class Simulator:
             counters.lost += 1
             return False
         counters.in_flight += 1
-        heapq.heappush(self._queue, (self._us + self._latency_us,
+        heapq.heappush(self._queue, (self.now_us + self._latency_us,
                                      next(self._seq), target, False, packet))
         return True
 
@@ -304,8 +303,8 @@ class Simulator:
         """Send `packet` from `source` `count` times, at first_us +
         k*interval_us, as one segment. False, with nothing scheduled, when
         the flood needs the per-packet path (see the module docstring)."""
-        if first_us < self._us:
-            raise PastEventError(f"flood at {first_us} us scheduled at {self.now}")
+        if first_us < self.now_us:
+            raise PastEventError(f"flood at {first_us} us scheduled at {self.now_us} us")
         if self._loss > 0 or self.trace is not None or self._latency_us <= 0:
             return False
         first_hop = self._route(packet.dst)
@@ -319,12 +318,11 @@ class Simulator:
 
     # -- event loop ----------------------------------------------------------
 
-    def run_until(self, t_end: SimTime) -> int:
-        """Process every event with fire_at <= t_end; leaves now == t_end."""
-        processed = self._loop(t_end.micros)
-        if t_end.micros > self._us:
-            self._us = t_end.micros
-            self.now = t_end
+    def run_until(self, end_us: int) -> int:
+        """Process every event at or before `end_us`; leaves the clock there."""
+        processed = self._loop(end_us)
+        if end_us > self.now_us:
+            self.now_us = int(end_us)
         return processed
 
     def run(self) -> int:
@@ -341,13 +339,12 @@ class Simulator:
         while True:
             while queue and (limit_us is None or queue[0][0] <= limit_us):
                 us, seq, target, is_timer, payload = pop(queue)
-                if us != self._us:
+                if us != self.now_us:
                     if self._floods and self._flow(us):
                         heapq.heappush(queue, (us, seq, target, is_timer,
                                                payload))
                         continue
-                    self._us = us
-                    self.now = SimTime(us)
+                    self.now_us = us
                 processed += 1
                 node = nodes.get(target)
                 if node is None:
@@ -378,9 +375,8 @@ class Simulator:
             for segment in floods:
                 if segment.next_us < until:
                     last = max(last, self._advance(segment, until))
-            if last > self._us:
-                self._us = last
-                self.now = SimTime(last)
+            if last > self.now_us:
+                self.now_us = last
             if split is not None:
                 for segment in floods:
                     self._emit_before_split(segment, until)
@@ -538,9 +534,7 @@ class Simulator:
         if piece[0] == piece[1]:
             leg.popleft()
         self._next_arrival(segment)
-        if us != self._us:
-            self._us = us
-            self.now = SimTime(us)
+        self.now_us = us
         self._splits += 1
         return piece
 

@@ -311,7 +311,7 @@ class MobileHost(CallerNode):
         went) dead."""
         energy = self.energy
         if energy is not None and (energy.dead or not energy.on_packet(
-                self.sim.now, PacketKind.TX_REPLY)):
+                self.sim.now_us, PacketKind.TX_REPLY)):
             return
         self.sim.send(self._wire(packet))
 
@@ -342,9 +342,9 @@ class MobileHost(CallerNode):
             if energy.dead:
                 self.counters.dead_dropped += 1
                 return
-            now = self.sim.now
-            if energy.on_packet(now, PacketKind.RX):
-                energy.on_packet(now, PacketKind.TX_ACK)
+            now_us = self.sim.now_us
+            if energy.on_packet(now_us, PacketKind.RX):
+                energy.on_packet(now_us, PacketKind.TX_ACK)
             if energy.dead:
                 self.counters.dead_dropped += 1
                 return
@@ -357,7 +357,7 @@ class MobileHost(CallerNode):
             if state is not AddressState.ACTIVE:
                 self.counters.blocked_local_dropped += 1
                 return
-            alert = self.monitor.observe(dst, self.sim.now)
+            alert = self.monitor.observe(dst, self.sim.now_us)
             if alert is not None:
                 self.counters.alerts += 1
                 self.dispose_address(dst)
@@ -425,7 +425,7 @@ class MobileHost(CallerNode):
         dst, request = inner.dst, inner.payload
         if dst != self.prime:
             return
-        action = self.responder.handle_request(request, self.sim.now)
+        action = self.responder.handle_request(request, self.sim.now_us)
         if isinstance(action, GrantAction):
             self._send(dst, request.reply_to, action.response, size_bytes=128)
         elif isinstance(action, ChallengeAction):

@@ -12,7 +12,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .addressing import Ipv6Address
-from .engine import US_PER_SECOND, SimTime
+from .engine import US_PER_SECOND
 from .messages import record
 
 
@@ -37,7 +37,7 @@ class _Window(deque):
         """Forget every observation before `cutoff_us`."""
         while self:
             run = self[0]
-            if type(run) is int:
+            if type(run) is not list:
                 if run >= cutoff_us:
                     return
                 self.popleft()
@@ -59,7 +59,7 @@ class _Window(deque):
     def newest(self) -> int:
         """The instant of the latest observation."""
         run = self[-1]
-        if type(run) is int:
+        if type(run) is not list:
             return run
         first, interval, count = run
         return first + (count - 1) * interval
@@ -68,7 +68,7 @@ class _Window(deque):
         """Observations at or after `cutoff_us`."""
         kept = 0
         for run in self:
-            if type(run) is int:
+            if type(run) is not list:
                 kept += run >= cutoff_us
                 continue
             first, interval, count = run
@@ -110,11 +110,11 @@ class IntrusionMonitor:
             count += 1
         return count
 
-    def observe(self, hoa: Ipv6Address, now: SimTime) -> AttackAlert | None:
+    def observe(self, hoa: Ipv6Address, now_us: int) -> AttackAlert | None:
         window = self._latest(hoa)
-        window.append(now.micros)
+        window.append(now_us)
         window.total += 1
-        cutoff = now.micros - self._window_us
+        cutoff = now_us - self._window_us
         window.trim(cutoff)
         windows = self._windows
         while True:  # ends at the latest, `hoa` itself

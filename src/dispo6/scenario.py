@@ -37,7 +37,7 @@ from .adversary import (
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
-from .engine import EPOCH, LinkModel, SimTime, Simulator
+from .engine import US_PER_SECOND, LinkModel, SimTime, Simulator
 from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
@@ -225,12 +225,12 @@ class CallRecord(NamedTuple):
     correspondent_id: int
     had_disposable: bool
     outcome: CallOutcome
-    time: SimTime
+    time: int  # us
 
     def csv_row(self) -> str:
         return (f"{self.day},{self.correspondent_id},"
                 f"{'true' if self.had_disposable else 'false'},"
-                f"{self.outcome.value},{self.time.hhmm()}")
+                f"{self.outcome.value},{SimTime(self.time).hhmm()}")
 
 
 @dataclass(slots=True)
@@ -273,7 +273,7 @@ class _Recorder:
 
     def drain(self) -> list[CallRecord]:
         day_records = sorted(self.current,
-                             key=lambda r: (r.time.micros, r.correspondent_id))
+                             key=lambda r: (r.time, r.correspondent_id))
         self.current = []
         return day_records
 
@@ -297,7 +297,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     energy = None
     if config.energy_enabled:
         energy = EnergyAccount(Battery(), DEFAULT_PARAMS,
-                               config.sleep_timeout_s, EPOCH)
+                               config.sleep_timeout_s, 0)
     agent = HomeAgent(sim, "home-agent", HOME_PREFIX)
     victim = MobileHost(sim, "victim", config.victim_fqdn, names,
                         mode=config.mobility_mode, scheme=scheme, ca=ca,
@@ -324,7 +324,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     recorder = _Recorder()
 
     def on_start_call(node: CallerNode, token: StartCall) -> None:
-        t0 = sim.now
+        t0 = sim.now_us
         had = node.has_address_for(token.target_fqdn)
         if not had and token.coincides_with_attack:
             # paper mode: the call met the attack, no handshake runs
@@ -399,10 +399,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     oob_due.setdefault(day + config.oob_retry_delay_days,
                                        []).append(r.correspondent_id)
         if energy is not None:
-            energy.advance(sim.now)
+            energy.advance(sim.now_us)
             state = ("dead" if energy.dead
-                     else energy.state_at(sim.now).value)
-            battery_series.append((sim.now.seconds, energy.remaining, state))
+                     else energy.state_at(sim.now_us).value)
+            battery_series.append((sim.now_us / US_PER_SECOND,
+                                   energy.remaining, state))
 
     _check_invariants(sim, agent, energy)
     total = len(records)
@@ -413,7 +414,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         energy_summary = {
             "remaining": energy.remaining,
             "dead": energy.dead,
-            "powersave_fraction": energy.powersave_fraction(sim.now),
+            "powersave_fraction": energy.powersave_fraction(sim.now_us),
         }
     metrics = Metrics(
         total_calls=total,
@@ -427,7 +428,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             "responder": {
                 "grants": victim.responder.granted_total,
                 "refusals": victim.responder.refusals,
-                "notifications": len(victim.responder.notifications),
+                "notifications": victim.responder.notifications,
                 "dropped_bad_signature": victim.responder.dropped_bad_signature,
             },
         },

@@ -6,7 +6,6 @@ from dispo6.adversary import (
     SIX_HOUR_SCHEDULE,
     AttackSchedule,
     Flooder,
-    PerSourceFilter,
     run_scheduled_prime_attack,
 )
 from dispo6.energy import (
@@ -18,10 +17,11 @@ from dispo6.energy import (
     idle_profile,
     lifetime_under,
 )
-from dispo6.engine import EPOCH, SimTime
-from dispo6.caller import CallOutcome
+from dispo6.engine import EPOCH, US_PER_SECOND, SimTime
+from dispo6.caller import CallOutcome, StartCall
 from dispo6.mobile_host import Mode
 from dispo6.distribution import RequestOutcome
+from attackers import PerSourceFilter, SpitCaller
 from test_mobile_host import call_once, make_caller, make_host
 from conftest import ATTACKER_PREFIX
 
@@ -159,6 +159,44 @@ class TestFloodEnergy:
         world.sim.run()
         assert account.powersave_fraction(world.sim.now) > 0.0
 
+    def test_run_builds_no_simtime_but_the_death_record(self, make_world,
+                                                        monkeypatch):
+        # scheduled calls, a segment flood, a per-packet flood and the
+        # ledger all keep time as int us; the only SimTime a run builds is
+        # the instant the battery dies
+        world = make_world()
+        lifetime_s = 60.0
+        battery = Battery(capacity=lifetime_s * drain_rate(DEFAULT_PARAMS,
+                                                           flood_profile(100)))
+        account = EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH)
+        host = make_host(world, energy=account, detection_threshold_pps=1e9)
+        outcomes = []
+        callers = [make_caller(world, i) for i in range(3)]
+        for i, caller in enumerate(callers):
+            caller.on_start_call = lambda node, token: node.place_call(
+                token.target_fqdn, outcomes.append)
+            for k in range(2):
+                world.sim.call_at(SimTime.from_seconds(1 + 10 * k + i),
+                                  caller.node_id, StartCall(host.fqdn, 0, i, False))
+        hoa = host.grant_out_of_band(callers[0].fqdn)
+        flooder = flood(world, hoa, rate=100, seconds=2 * lifetime_s)
+        flooder.flood_between(EPOCH, SimTime.from_seconds(30), host.prime, 5.0,
+                              spoof=True)
+        built = []
+        new = SimTime.__new__
+
+        def counting_new(cls, micros):
+            built.append(micros)
+            return new(cls, micros)
+
+        monkeypatch.setattr(SimTime, "__new__", counting_new)
+        world.sim.run_until(30 * US_PER_SECOND)
+        world.sim.run()
+        monkeypatch.undo()
+        assert len(outcomes) == 6 and host.counters.pings > 100 * 30
+        assert account.dead
+        assert built == [account.dead_at]
+
 
 class TestAttackSchedule:
     def test_presets_match_published_setup(self):
@@ -261,8 +299,6 @@ class TestScheduledPrimeAttack:
 
 class TestSpit:
     def test_spit_lifecycle(self, make_world):
-        from dispo6.adversary import SpitCaller
-
         world = make_world(pki=True)
         host = make_host(world)
         keys = world.scheme.generate(world.sim.rng)

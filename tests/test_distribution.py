@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dispo6 import distribution
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.crypto import CertificateAuthority, Ed25519Scheme
 from dispo6.distribution import (
@@ -101,13 +102,13 @@ class TestResponderGates:
         responder.denied.add("alice.example")
         action = responder.handle_request(request(), SimTime(0))
         assert isinstance(action, RefuseAction)
-        assert responder.notifications  # the user said no; they were asked
+        assert responder.notifications == 1  # the user said no; they were asked
 
     def test_unsigned_request_in_pki_mode_never_reaches_policy(self):
         responder, _, _ = make_responder(pki=True)
         action = responder.handle_request(request(), SimTime(0))
         assert action is None
-        assert responder.notifications == []
+        assert responder.notifications == 0
         assert responder.dropped_bad_signature == 1
 
     def test_signed_request_in_pki_mode_grants(self):
@@ -115,6 +116,24 @@ class TestResponderGates:
         action = responder.handle_request(request(signer=signer), SimTime(0))
         assert isinstance(action, GrantAction)
         assert action.response.signature != b""
+
+    def test_grant_encodes_the_signed_request_once(self, monkeypatch):
+        responder, _, signer = make_responder(pki=True)
+        req = request(signer=signer)
+        digest = req.digest()
+        encoded = []
+        encode = distribution.encode_fields
+
+        def counting_encode(*fields):
+            encoded.append(fields[0])
+            return encode(*fields)
+
+        monkeypatch.setattr(distribution, "encode_fields", counting_encode)
+        action = responder.handle_request(req, 0)
+        assert isinstance(action, GrantAction)
+        # one for the certificate check and the digest, one for the answer
+        assert encoded == [b"hoa-request", b"hoa-response"]
+        assert action.response.request_digest == digest
 
     def test_tampered_signature_dropped(self):
         responder, _, signer = make_responder(pki=True)
@@ -137,7 +156,7 @@ class TestHipGate:
     def test_slow_rate_unchallenged(self):
         gate = self.gate()
         for hour in range(6):
-            now = SimTime.from_hours(hour)
+            now = SimTime.at(0, hour)
             gate.observe("alice", now)
             assert not gate.challenge_required("alice")
 
@@ -251,16 +270,16 @@ class TestGateOrdering:
         # 10 requests/minute from one identity, never answering challenges
         for i in range(10):
             now = SimTime.from_seconds(i * 6)
-            before = len(responder.notifications)
+            before = responder.notifications
             action = responder.handle_request(
                 request(request_id=i), now)
             gated = gate.challenge_required("alice.example")
-            if gated and len(responder.notifications) > before:
+            if gated and responder.notifications > before:
                 notified_without_pass += 1
             if gated:
                 assert isinstance(action, ChallengeAction)
         assert notified_without_pass == 0
-        assert len(responder.notifications) == 3  # only the pre-gate requests
+        assert responder.notifications == 3  # only the pre-gate requests
 
     def test_correct_answer_yields_exactly_one_notification(self):
         gate = HipGate(rate_threshold=1, window_s=600.0)
@@ -268,13 +287,13 @@ class TestGateOrdering:
         responder.handle_request(request(request_id=1), SimTime(0))
         action = responder.handle_request(request(request_id=2), SimTime(1))
         assert isinstance(action, ChallengeAction)
-        notifications_before = len(responder.notifications)
+        notifications_before = responder.notifications
         answer = HipAnswer(action.challenge.challenge_id,
                            HipGate.solution(action.challenge.challenge_id))
         granted = responder.handle_request(
             request(request_id=2, hip_answer=answer), SimTime.from_seconds(2))
         assert isinstance(granted, GrantAction)
-        assert len(responder.notifications) == notifications_before + 1
+        assert responder.notifications == notifications_before + 1
 
 
 class TestEngineHandshake:
@@ -342,7 +361,7 @@ class TestEngineHandshake:
         host = make_host(world)
         bot = make_caller(world, i=3, solve_hip=False)
         results = []
-        notifications_before = len(host.responder.notifications)
+        notifications_before = host.responder.notifications
         for i in range(8):
             bot.request_address(host.fqdn, results.append)
             world.sim.run()
@@ -350,7 +369,7 @@ class TestEngineHandshake:
         timeouts = [r for r in results if r.outcome is RequestOutcome.TIMEOUT]
         assert len(granted) == 3  # before the rate gate trips
         assert len(timeouts) == 5
-        assert len(host.responder.notifications) == notifications_before + 3
+        assert host.responder.notifications == notifications_before + 3
 
     def test_patient_human_solves_and_is_granted(self, make_world):
         world = make_world()

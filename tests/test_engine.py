@@ -3,6 +3,9 @@ import pytest
 from dispo6.addressing import Ipv6Address
 from dispo6.engine import (
     EPOCH,
+    US_PER_DAY,
+    US_PER_HOUR,
+    US_PER_MINUTE,
     LinkModel,
     Node,
     Packet,
@@ -21,10 +24,10 @@ class Recorder(Node):
         self.timers = []
 
     def on_packet(self, packet):
-        self.packets.append((self.sim.now.micros, packet))
+        self.packets.append((self.sim.now_us, packet))
 
     def on_timer(self, token):
-        self.timers.append((self.sim.now.micros, token))
+        self.timers.append((self.sim.now_us, token))
 
 
 def addr(prefix=0x20010DB8_0000_0001, iid=0x42):
@@ -34,8 +37,7 @@ def addr(prefix=0x20010DB8_0000_0001, iid=0x42):
 class TestSimTime:
     def test_day_hour_decomposition_exact(self):
         t = SimTime.at(17, 9.5)
-        assert t.day == 17
-        assert t.hour_of_day == 9.5
+        assert t == 17 * US_PER_DAY + 9 * US_PER_HOUR + 30 * US_PER_MINUTE
         assert t.hhmm() == "09:30"
 
     def test_negative_rejected(self):
@@ -43,9 +45,28 @@ class TestSimTime:
             SimTime(-1)
 
     def test_ordering_and_arithmetic(self):
-        assert SimTime.from_seconds(1) + SimTime.from_seconds(2) == SimTime.from_seconds(3)
-        assert SimTime.from_hours(1) < SimTime.from_hours(2)
-        assert SimTime.from_days(1).micros == 86_400_000_000
+        t = SimTime.from_seconds(1.5)
+        assert t.micros == 1_500_000 and type(t.micros) is int
+        assert t.seconds == 1.5
+        later = t.plus_seconds(2)
+        assert type(later) is SimTime
+        assert t < later == SimTime.from_seconds(3.5)
+
+    def test_is_a_plain_int_to_the_library(self):
+        t = SimTime(5)
+        assert t == 5 and hash(t) == hash(5)
+        assert {5: "x"}[t] == "x"
+        assert type(t + 1) is int  # arithmetic leaves the type behind
+        with pytest.raises(AttributeError):
+            t.tag = 1  # slotted: no per-instant dict
+
+    def test_clock_is_one_int_with_a_read_only_view(self, make_world):
+        sim = make_world().sim
+        sim.run_until(SimTime.from_seconds(2))
+        assert type(sim.now_us) is int and sim.now_us == 2_000_000
+        assert type(sim.now) is SimTime and sim.now == sim.now_us
+        with pytest.raises(AttributeError):
+            sim.now = SimTime(0)
 
 
 class TestScheduling:
@@ -86,9 +107,9 @@ class TestRunUntil:
         node = Recorder(world.sim, "n")
         for day in (0, 500, 999):
             world.sim.call_at(SimTime.at(day, 12), "n", day)
-        processed = world.sim.run_until(SimTime.from_days(1000))
+        processed = world.sim.run_until(SimTime.at(1000))
         assert processed == 3
-        assert world.sim.now == SimTime.from_days(1000)
+        assert world.sim.now == SimTime.at(1000)
         assert [tok for _, tok in node.timers] == [0, 500, 999]
 
     def test_identical_seed_and_scenario_trace(self):
@@ -145,7 +166,7 @@ class TestSend:
         send_at = []
         for i in range(20):
             world.sim.run_until(SimTime.from_seconds(i))
-            send_at.append(world.sim.now.micros)
+            send_at.append(world.sim.now_us)
             world.sim.send(Packet(src=addr(iid=9), dst=addr(), payload=i))
         world.sim.run()
         for (recv_us, packet), sent_us in zip(node.packets, send_at):

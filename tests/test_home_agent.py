@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dispo6.addressing import AddressState, Ipv6Address
-from dispo6.engine import Node, Packet, SimTime
+from dispo6.engine import Node, Packet
 from dispo6.home_agent import (
     AuthenticationError,
     BindingUpdate,
@@ -25,7 +25,7 @@ class Sink(Node):
         self.received = []
 
     def on_packet(self, packet):
-        self.received.append((self.sim.now.micros, packet))
+        self.received.append((self.sim.now_us, packet))
 
     def on_timer(self, token):
         pass

@@ -1,8 +1,9 @@
 """Every module-level import in the package is used by its module, every
 public module-level name is used somewhere in the repository, every
 parameter is read by its function, every record field is read, every
-immutable record is a `record` NamedTuple, and importing the package
-loads no module that only an unused path needs."""
+immutable record is a `record` NamedTuple, no module but the engine
+unwraps a `SimTime`, and importing the package loads no module that only
+an unused path needs."""
 
 import ast
 import os
@@ -235,6 +236,27 @@ def test_frozen_record_checker():
         "@record\nclass Kept(NamedTuple):\n    a: int\n")
     assert non_record_immutables(source) == ["Plain (line 2)",
                                              "Bare (line 11)"]
+
+
+def micros_reads(source: str) -> list[int]:
+    """Lines that read a `.micros` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "micros"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "engine.py"],
+                         ids=lambda p: p.name)
+def test_time_is_int_micros_outside_the_engine(path):
+    # every layer takes and keeps time as int us; a `SimTime` unwrapped
+    # with `.micros` is a wrapper that should not have been built
+    assert micros_reads(path.read_text()) == []
+
+
+def test_micros_read_checker():
+    source = ("t = now.micros\nnow.micros = 1\ny = t.microseconds\n"
+              "z = f(a.micros)\n")
+    assert micros_reads(source) == [1, 4]
 
 
 def test_package_import_leaves_heavy_modules_out():

@@ -1,6 +1,6 @@
-"""Every `record` in the package keeps the semantics of the frozen
-dataclass it stands for: equal only to its own type, hashable, and
-immutable."""
+"""Every `record` in the package and in the tests' attackers keeps the
+semantics of the frozen dataclass it stands for: equal only to its own
+type, hashable, and immutable."""
 
 import ast
 import importlib
@@ -11,19 +11,23 @@ import pytest
 
 from dispo6.messages import record
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dispo6"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dispo6"
+# (source file, module name) of every module that may define records
+MODULES = [(path, f"dispo6.{path.stem}") for path in sorted(PACKAGE.glob("*.py"))]
+MODULES.append((TESTS / "attackers.py", "attackers"))
 
 
 def record_classes() -> list[type]:
-    """Every class the package decorates with `@record`."""
+    """Every class the package or the attackers decorate with `@record`."""
     classes = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, module_name in MODULES:
         names = [node.name for node in ast.parse(path.read_text()).body
                  if isinstance(node, ast.ClassDef) and any(
                      isinstance(d, ast.Name) and d.id == "record"
                      for d in node.decorator_list)]
         if names:
-            module = importlib.import_module(f"dispo6.{path.stem}")
+            module = importlib.import_module(module_name)
             classes.extend(getattr(module, name) for name in names)
     return classes
 

@@ -22,10 +22,10 @@ class Log(Node):
         self.seen = []
 
     def on_timer(self, token):
-        self.seen.append((self.sim.now.micros, token))
+        self.seen.append((self.sim.now_us, token))
 
     def on_packet(self, packet):
-        self.seen.append((self.sim.now.micros, packet))
+        self.seen.append((self.sim.now_us, packet))
 
 
 times = st.lists(st.integers(0, HORIZON_US), max_size=60)
@@ -67,7 +67,7 @@ def test_past_instants_and_negative_delays_rejected(now_us, back_us):
     sim = Simulator(0)
     Log(sim, "n")
     sim.run_until(SimTime(now_us))
-    assert sim.now.micros == now_us
+    assert sim.now_us == now_us
     if back_us <= now_us:
         past = SimTime(now_us - back_us)
         with pytest.raises(PastEventError):

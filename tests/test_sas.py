@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from dispo6.adversary import MitmChannel, MitmStrategy, mitm_attempt
 from dispo6.sas import (
     SasAbort,
     commitment,
     compute_sas,
     run_pairing,
 )
+from attackers import MitmChannel, MitmStrategy, mitm_attempt
 
 
 class TestComputeSas:
