@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .addressing import Ipv6Address
-from .engine import US_PER_SECOND, Node, Packet, SimTime, Simulator
+from .engine import US_PER_SECOND, Node, Packet, Simulator, day_hour_us
 from .messages import Ping, record
 from .mobile_host import MobileHost, WindowBlock, WindowUnblock
 
@@ -180,8 +180,8 @@ def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
     for day in range(horizon_days):
         start = schedule.draw_start(sim.rng)
         windows.append(WindowLog(day=day, start_hour=start))
-        opens = SimTime.at(day, start)
-        closes = SimTime.at(day, start + schedule.daily_hours)
+        opens = day_hour_us(day, start)
+        closes = day_hour_us(day, start + schedule.daily_hours)
         if flooder is not None:
             flooder.flood_between(opens, closes, victim.prime, flood_rate_pps)
         else:

@@ -116,7 +116,10 @@ class CallerNode(Node):
     # -- bookkeeping -------------------------------------------------------
 
     def entry_for(self, fqdn: str) -> AddressBookEntry:
-        return self.book.setdefault(fqdn, AddressBookEntry(fqdn))
+        entry = self.book.get(fqdn)
+        if entry is None:
+            entry = self.book[fqdn] = AddressBookEntry(fqdn)
+        return entry
 
     def has_address_for(self, fqdn: str) -> bool:
         entry = self.book.get(fqdn)

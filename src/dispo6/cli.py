@@ -17,8 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .energy import (
     DEFAULT_PARAMS,
     Battery,
@@ -92,6 +90,10 @@ def _load_config(path: Path | None) -> ScenarioConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # PyYAML loads only where a YAML file is read or written, so a preset
+    # command (`fig3`, `drain`) starts without it
+    import yaml
+
     try:
         mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -150,6 +152,8 @@ def _run_and_write(config: ScenarioConfig, args: argparse.Namespace,
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "print_defaults", False):
+        import yaml
+
         print(yaml.safe_dump(ScenarioConfig().to_mapping(), sort_keys=False),
               end="")
         return 0

@@ -9,6 +9,14 @@ Protocol logic never looks inside a primitive. Signatures are Ed25519;
 the protocol hashes with SHA-256 through hashlib directly. Key material
 is drawn from the caller's seeded RNG so runs stay reproducible.
 
+The Ed25519 backend (`cryptography`, with its cffi and OpenSSL
+bindings, ~6 MiB resident) loads when the first `Ed25519Scheme` is
+built, not when this module is imported. A scheme is the only way to
+generate keys, sign or verify, so every PKI path has the backend, while
+a flood or a PKI-off run, which builds no scheme, never loads it. The
+scheme's methods then read the backend's classes as plain module
+globals; reading them from outside before that loads the backend too.
+
 Two memos skip Ed25519 math that cannot change an answer, and both rest
 on one argument: Ed25519 signing is deterministic and correct (RFC 8032),
 so a signature made with a private key over some bytes always verifies
@@ -28,13 +36,29 @@ what the real check would.
 import random
 from typing import NamedTuple
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 from .messages import record
+
+_BACKEND_NAMES = ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature")
+
+
+def _load_backend() -> None:
+    """Bind the backend's classes as module globals, once."""
+    global Ed25519PrivateKey, Ed25519PublicKey, InvalidSignature
+    if "InvalidSignature" in globals():
+        return
+    from cryptography import exceptions
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+    Ed25519PrivateKey = ed25519.Ed25519PrivateKey
+    Ed25519PublicKey = ed25519.Ed25519PublicKey
+    InvalidSignature = exceptions.InvalidSignature
+
+
+def __getattr__(name: str):
+    # PEP 562: consulted only while a backend name is still unbound
+    if name in _BACKEND_NAMES:
+        _load_backend()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def encode_fields(*fields: bytes) -> bytes:
@@ -67,6 +91,7 @@ class Ed25519Scheme:
     name = "ed25519"
 
     def __init__(self):
+        _load_backend()
         self._unverified: dict[bytes, tuple[bytes, bytes, Ed25519PrivateKey]] = {}
 
     def generate(self, rng: random.Random) -> KeyPair:

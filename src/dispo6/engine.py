@@ -79,6 +79,17 @@ US_PER_DAY = 24 * US_PER_HOUR
 FOREVER = 1 << 62
 
 
+def day_hour_us(day: int, hour: float = 0.0) -> int:
+    """The instant `hour` hours into day `day`, in int microseconds."""
+    return day * US_PER_DAY + round(hour * US_PER_HOUR)
+
+
+def hhmm(micros: int) -> str:
+    """Time of day of an instant in int microseconds, as 'hh:mm'."""
+    minutes = micros % US_PER_DAY // US_PER_MINUTE
+    return f"{minutes // 60:02d}:{minutes % 60:02d}"
+
+
 class SimTime(int):
     """Simulated instant, microseconds since epoch 0: an int with a check.
 
@@ -102,7 +113,7 @@ class SimTime(int):
 
     @classmethod
     def at(cls, day: int, hour: float = 0.0) -> "SimTime":
-        return cls(day * US_PER_DAY + round(hour * US_PER_HOUR))
+        return cls(day_hour_us(day, hour))
 
     @property
     def micros(self) -> int:
@@ -111,10 +122,6 @@ class SimTime(int):
     @property
     def seconds(self) -> float:
         return self / US_PER_SECOND
-
-    def hhmm(self) -> str:
-        minutes = self % US_PER_DAY // US_PER_MINUTE
-        return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
     def plus_seconds(self, seconds: float) -> "SimTime":
         return SimTime(self + round(seconds * US_PER_SECOND))

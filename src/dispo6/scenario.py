@@ -37,7 +37,14 @@ from .adversary import (
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
-from .engine import US_PER_SECOND, LinkModel, SimTime, Simulator
+from .engine import (
+    US_PER_DAY,
+    US_PER_SECOND,
+    LinkModel,
+    Simulator,
+    day_hour_us,
+    hhmm,
+)
 from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
@@ -230,7 +237,7 @@ class CallRecord(NamedTuple):
     def csv_row(self) -> str:
         return (f"{self.day},{self.correspondent_id},"
                 f"{'true' if self.had_disposable else 'false'},"
-                f"{self.outcome.value},{SimTime(self.time).hhmm()}")
+                f"{self.outcome.value},{hhmm(self.time)}")
 
 
 @dataclass(slots=True)
@@ -373,19 +380,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             # drawn in both modes, so a mode switch leaves the stream alone
             start = schedule.draw_start(sim.rng)
             if explicit:
-                block_prime_window(sim, victim, SimTime.at(day, start),
-                                   SimTime.at(day, start + schedule.daily_hours))
+                block_prime_window(sim, victim, day_hour_us(day, start),
+                                   day_hour_us(day, start + schedule.daily_hours))
         for i in sorted(calls_due.pop(day, ())):
             hour = config.call_window_start + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
-            sim.call_at(SimTime.at(day, hour), correspondents[i].node_id,
+            sim.call_at(day_hour_us(day, hour), correspondents[i].node_id,
                         StartCall(target_fqdn=config.victim_fqdn, day=day,
                                   correspondent_id=i,
                                   coincides_with_attack=slack < p_reject))
             following = next_call_day(day)
             if following < config.horizon_days:
                 calls_due.setdefault(int(following), []).append(i)
-        sim.run_until(SimTime.at(day + 1, 0))
+        sim.run_until((day + 1) * US_PER_DAY)
         day_records = recorder.drain()
         records.extend(day_records)
         rejected_today = sum(

@@ -36,6 +36,19 @@ def flood(world, target, rate, seconds, spoof=False, start_s=0.0):
     return flooder
 
 
+def count_simtime_builds(monkeypatch) -> list[int]:
+    """The instants of every `SimTime` built until `monkeypatch.undo()`."""
+    built = []
+    new = SimTime.__new__
+
+    def counting_new(cls, micros):
+        built.append(micros)
+        return new(cls, micros)
+
+    monkeypatch.setattr(SimTime, "__new__", counting_new)
+    return built
+
+
 class TestFlooder:
     def test_emission_rate_and_replies(self, make_world):
         world = make_world()
@@ -182,14 +195,7 @@ class TestFloodEnergy:
         flooder = flood(world, hoa, rate=100, seconds=2 * lifetime_s)
         flooder.flood_between(EPOCH, SimTime.from_seconds(30), host.prime, 5.0,
                               spoof=True)
-        built = []
-        new = SimTime.__new__
-
-        def counting_new(cls, micros):
-            built.append(micros)
-            return new(cls, micros)
-
-        monkeypatch.setattr(SimTime, "__new__", counting_new)
+        built = count_simtime_builds(monkeypatch)
         world.sim.run_until(30 * US_PER_SECOND)
         world.sim.run()
         monkeypatch.undo()
@@ -261,6 +267,19 @@ class TestScheduledPrimeAttack:
             caller_out.request_address(host.fqdn, results.append)
             world.sim.run_until(outside.plus_seconds(30))
             assert results[-1].outcome is RequestOutcome.GRANTED
+
+    def test_windows_are_scheduled_without_simtime(self, make_world,
+                                                   monkeypatch):
+        world = make_world()
+        host = make_host(world)
+        flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
+        built = count_simtime_builds(monkeypatch)
+        run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
+                                   horizon_days=3)
+        run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
+                                   horizon_days=2, flooder=flooder)
+        monkeypatch.undo()
+        assert world.sim.pending() > 0 and built == []
 
     def test_horizon_zero_schedules_nothing(self, make_world):
         world = make_world()

@@ -104,6 +104,21 @@ def test_config_still_setting_removed_knob_exits_2(tmp_path, capsys):
     assert "unknown config keys: rejection_probability" in capsys.readouterr().err
 
 
+def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("seed: [1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert "is not valid YAML" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_print_defaults_round_trips(capsys):
+    assert cli.main(["run", "--print-defaults"]) == 0
+    mapping = yaml.safe_load(capsys.readouterr().out)
+    assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig()
+
+
 class TestModuleEntryPoint:
     def test_import_runs_nothing(self, monkeypatch):
         # argparse would exit 2 on these arguments if the CLI ran

@@ -12,6 +12,8 @@ from dispo6.engine import (
     PastEventError,
     SimTime,
     Simulator,
+    day_hour_us,
+    hhmm,
 )
 
 
@@ -38,7 +40,8 @@ class TestSimTime:
     def test_day_hour_decomposition_exact(self):
         t = SimTime.at(17, 9.5)
         assert t == 17 * US_PER_DAY + 9 * US_PER_HOUR + 30 * US_PER_MINUTE
-        assert t.hhmm() == "09:30"
+        assert day_hour_us(17, 9.5) == t and type(day_hour_us(17, 9.5)) is int
+        assert hhmm(t) == "09:30"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

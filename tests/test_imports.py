@@ -259,14 +259,41 @@ def test_micros_read_checker():
     assert micros_reads(source) == [1, 4]
 
 
-def test_package_import_leaves_heavy_modules_out():
-    # every run imports the package; these are for `sweep --jobs` > 1 and
-    # for key formats the package never reads
-    modules = [f"dispo6.{p.stem}" for p in MODULES]
-    script = (f"import sys\nfor m in {modules!r}:\n    __import__(m)\n"
-              "print(sorted(m for m in sys.modules if m == 'multiprocessing'"
-              " or m == 'cryptography.hazmat.primitives.serialization'))\n")
+# loaded only by the path that needs it: a parallel sweep, a run that
+# signs, and reading or writing a YAML config
+HEAVY = ("multiprocessing", "cryptography", "yaml")
+
+
+def heavy_modules_after(body: str, cwd: Path | None = None) -> list[str]:
+    """The HEAVY packages a fresh interpreter holds after running `body`."""
+    script = (f"{body}\nimport sys\n"
+              f"print(sorted({{m.split('.')[0] for m in sys.modules}}"
+              f" & set({HEAVY!r})))\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True,
+                         timeout=60).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_package_import_leaves_heavy_modules_out():
+    # every run imports the package
+    modules = [f"dispo6.{p.stem}" for p in MODULES]
+    assert heavy_modules_after(f"for m in {modules!r}:\n    __import__(m)") == []
+
+
+SMALL_RUN = ("from dispo6.scenario import ScenarioConfig, run_scenario\n"
+             "run_scenario(ScenarioConfig(seed=3, horizon_days=20,"
+             " correspondents=20, daily_call_probability=0.2,"
+             " pki_enabled={pki}))")
+
+
+@pytest.mark.parametrize("body, loaded", [
+    (SMALL_RUN.format(pki=False), []),
+    ("from dispo6 import cli\ncli.main(['drain', 'idle', '--out-dir', 'out'])",
+     []),
+    # the one path that signs loads the backend when it builds its scheme
+    (SMALL_RUN.format(pki=True), ["cryptography"]),
+], ids=["pki_off_run", "drain_cli", "pki_on_run"])
+def test_a_run_loads_only_the_backends_it_uses(body, loaded, tmp_path):
+    assert heavy_modules_after(body, cwd=tmp_path) == loaded

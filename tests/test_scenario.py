@@ -20,9 +20,11 @@ from dispo6.scenario import (
     fig3_config,
     run_scenario,
     run_sweep,
+    write_call_log,
 )
 from dispo6.stats import expected_daily_rejections, sample_mean_std
 
+from test_adversary import count_simtime_builds
 from test_crypto import count_verifies
 
 
@@ -225,6 +227,16 @@ def test_pki_handshake_makes_two_verifies_per_grant(monkeypatch):
     grants = result.metrics.counters["responder"]["grants"]
     assert grants > 0
     assert calls[0] == 2 * grants
+
+
+@pytest.mark.parametrize("mode", list(RejectionMode), ids=lambda m: m.value)
+def test_run_and_call_log_build_no_simtime(mode, tmp_path, monkeypatch):
+    # days, calls, attack windows and the CSV's hh:mm all stay int us
+    built = count_simtime_builds(monkeypatch)
+    result = run_scenario(small_config(rejection_mode=mode, pki_enabled=True))
+    write_call_log(tmp_path / "calls.csv", result.records)
+    monkeypatch.undo()
+    assert result.records and built == []
 
 
 @pytest.mark.parametrize("rejection, mobility, hours, retry", [
