@@ -3,11 +3,11 @@
 The flooder sends request packets (which provoke replies) at a fixed rate,
 optionally with uniformly spoofed source addresses, which is why
 per-source filtering at the victim goes nowhere. The scheduled attacker
-hits the victim's prime address for a few hours daily. At packet level it
-really floods and the victim's detection blocks the prime; at schedule
-granularity the victim's policy blocks the prime for the drawn window
-(`block_prime_window`, which the scenario's explicit mode uses too), and
-the home agent drops every address request that arrives meanwhile.
+hits the victim's prime address for a few hours daily: it floods, and the
+victim's detection blocks the prime. Where a run models the block alone
+(the scenario's explicit mode), `block_prime_window` has the victim's
+policy block the prime for the drawn window, and the home agent drops
+every address request that arrives meanwhile.
 
 A flood is one rate segment (engine.py), not a timer per packet: its
 packets leave at start + k*interval, interval = round(1e6 / rate) µs, the
@@ -49,7 +49,6 @@ class _Emit(NamedTuple):
     stop_us: int
     target: Ipv6Address
     interval_us: int
-    payload_size: int
     spoof: bool
 
 
@@ -63,8 +62,7 @@ class Flooder(Node):
         sim.register_route(address, node_id)
 
     def flood_between(self, start_us: int, stop_us: int, target: Ipv6Address,
-                      rate_pps: float, payload_size: int = 56,
-                      spoof: bool = False) -> None:
+                      rate_pps: float, spoof: bool = False) -> None:
         if rate_pps <= 0:
             raise ValueError("flood rate must be positive")
         interval_us = _interval_us(rate_pps)
@@ -75,22 +73,20 @@ class Flooder(Node):
         count = -((start_us - stop_us) // interval_us)
         if spoof or not self.sim.flood(
                 self.node_id,
-                Packet(self.address, target, Ping(self.stats.sent), payload_size),
+                Packet(self.address, target, Ping(self.stats.sent)),
                 start_us, interval_us, count):
-            self._flood_packets(start_us, stop_us, target, rate_pps,
-                                payload_size, spoof)
+            self._flood_packets(start_us, stop_us, target, interval_us, spoof)
 
     def _flood_packets(self, start_us: int, stop_us: int,
-                       target: Ipv6Address, rate_pps: float,
-                       payload_size: int, spoof: bool) -> None:
+                       target: Ipv6Address, interval_us: int,
+                       spoof: bool) -> None:
         """The per-packet path: a timer per packet; the reference segments
         are tested against. Like a segment, it wakes no more once its last
         packet is out."""
         if start_us < stop_us:
             self.sim.call_at(start_us, self.node_id,
                              _Emit(stop_us=stop_us, target=target,
-                                   interval_us=_interval_us(rate_pps),
-                                   payload_size=payload_size, spoof=spoof))
+                                   interval_us=interval_us, spoof=spoof))
 
     def on_timer(self, token: object) -> None:
         if not isinstance(token, _Emit):
@@ -101,8 +97,7 @@ class Flooder(Node):
         else:
             src = self.address
         stats = self.stats
-        sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent),
-                        size_bytes=token.payload_size))
+        sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent)))
         stats.sent += 1
         next_us = sim.now_us + token.interval_us
         if next_us < token.stop_us:
@@ -153,12 +148,6 @@ FOUR_HOUR_SCHEDULE = AttackSchedule(daily_hours=4, start_choices=(8, 12, 16))
 SIX_HOUR_SCHEDULE = AttackSchedule(daily_hours=6, start_choices=(8, 14))
 
 
-@record
-class WindowLog(NamedTuple):
-    day: int
-    start_hour: int
-
-
 def block_prime_window(sim: Simulator, victim: MobileHost, opens_us: int,
                        closes_us: int) -> None:
     """The victim's policy blocks its prime from `opens_us` until `closes_us`."""
@@ -168,22 +157,12 @@ def block_prime_window(sim: Simulator, victim: MobileHost, opens_us: int,
 
 def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,
                                schedule: AttackSchedule, horizon_days: int,
-                               flooder: Flooder | None = None,
-                               flood_rate_pps: float = 100.0) -> list[WindowLog]:
-    """Arrange the daily windows against the victim's prime address.
-
-    With a flooder the attack is packet-level and the victim's own
-    detection does the blocking; otherwise the victim's policy blocks the
-    prime for exactly the drawn window.
-    """
-    windows = []
+                               flooder: Flooder,
+                               flood_rate_pps: float) -> None:
+    """Flood the victim's prime address in each day's drawn window; the
+    victim's own detection does the blocking."""
     for day in range(horizon_days):
         start = schedule.draw_start(sim.rng)
-        windows.append(WindowLog(day=day, start_hour=start))
-        opens = day_hour_us(day, start)
-        closes = day_hour_us(day, start + schedule.daily_hours)
-        if flooder is not None:
-            flooder.flood_between(opens, closes, victim.prime, flood_rate_pps)
-        else:
-            block_prime_window(sim, victim, opens, closes)
-    return windows
+        flooder.flood_between(day_hour_us(day, start),
+                              day_hour_us(day, start + schedule.daily_hours),
+                              victim.prime, flood_rate_pps)

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 from .addressing import Ipv6Address, NameService, UnknownNameError
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair
 from .distribution import (
+    HANDSHAKE_PACKET_BYTES,
     AddressRequest,
     AddressResponse,
     HipChallengeMsg,
@@ -26,7 +27,7 @@ from .distribution import (
     RequestResult,
     SessionTimer,
 )
-from .engine import Node, Packet, Simulator
+from .engine import PACKET_BYTES, Node, Packet, Simulator
 from .messages import (
     CallAccept,
     CallReject,
@@ -153,7 +154,8 @@ class CallerNode(Node):
             # always to the prime itself, which its home agent tunnels on:
             # a care-of address announced for the prime may be stale
             self._emit(Packet(src=self.address, dst=target_prime,
-                              payload=request, size_bytes=128))
+                              payload=request,
+                              size_bytes=HANDSHAKE_PACKET_BYTES))
 
         session = InitiatorSession(self, target_fqdn, request_id, finish, send)
         self._sessions[request_id] = session
@@ -211,14 +213,14 @@ class CallerNode(Node):
     # -- send path ---------------------------------------------------------
 
     def _send(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
-              size_bytes: int = 56) -> None:
+              size_bytes: int = PACKET_BYTES) -> None:
         """Send from one of our addresses. A peer that announced a care-of
         address is reached there directly, with its home address kept in
         the inner packet (route optimization, RFC 6275 section 6.4)."""
         self._emit(self._addressed(src, dst, payload, size_bytes))
 
     def _addressed(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
-                   size_bytes: int = 56) -> Packet:
+                   size_bytes: int = PACKET_BYTES) -> Packet:
         packet = Packet(src, dst, payload, size_bytes)
         care_of = self._route_cache.get(dst)
         if care_of is not None:

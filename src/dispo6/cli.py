@@ -14,11 +14,13 @@ or I/O errors.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from .energy import (
     DEFAULT_PARAMS,
+    FLOOD_RATE_PPS,
     Battery,
     LoadProfile,
     drain_rate,
@@ -70,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     drain_p = sub.add_parser("drain", help="battery lifetime presets")
     drain_p.add_argument("profile", choices=["idle", "flood"])
-    drain_p.add_argument("--rate", type=float, default=100.0,
+    drain_p.add_argument("--rate", type=float, default=FLOOD_RATE_PPS,
                          help="flood packet rate (packets/second)")
     drain_p.add_argument("--out-dir", type=Path, default=Path("out"))
     return parser
@@ -213,6 +215,9 @@ def _battery_series_for(profile: LoadProfile,
 
 
 def _cmd_drain(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.rate) and args.rate > 0):
+        raise ConfigError(f"--rate must be a positive, finite number of "
+                          f"packets/second, got {args.rate}")
     profile = idle_profile() if args.profile == "idle" else flood_profile(args.rate)
     hours = lifetime_under(DEFAULT_PARAMS, Battery(), profile)
     args.out_dir.mkdir(parents=True, exist_ok=True)

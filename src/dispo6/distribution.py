@@ -35,9 +35,18 @@ if TYPE_CHECKING:
 
 # seconds a requester waits for any answer before giving up
 REQUEST_TIMEOUT_S = 3.0
+# size of an address request and of the grant that answers it
+HANDSHAKE_PACKET_BYTES = 128
+# the HIP gate's settings (`HipGate`)
+HIP_RATE_THRESHOLD = 3
+HIP_WINDOW_S = 600.0
+HIP_BASE_DIFFICULTY_S = 5.0
+HIP_TTL_S = 300.0
 # a day of human work: far past any challenge's lifetime, and it keeps a
 # source that violates for months from doubling past a float's range
 MAX_HIP_DIFFICULTY_S = 86_400.0
+_HIP_WINDOW_US = round(HIP_WINDOW_S * US_PER_SECOND)
+_HIP_TTL_US = round(HIP_TTL_S * US_PER_SECOND)
 
 
 @record
@@ -68,9 +77,6 @@ class AddressRequest(NamedTuple):
                              self.extra_info.encode(),
                              self.reply_to.packed,
                              self.request_id.to_bytes(8, "big"))
-
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.signed_bytes()).digest()
 
 
 @record
@@ -104,10 +110,11 @@ class Refusal(NamedTuple):
 class HipGate:
     """Per-source request-rate gate issuing single-use, expiring challenges.
 
-    More than `rate_threshold` requests from one source identity inside a
-    rolling `window_s` triggers challenges. Difficulty starts at
-    `base_difficulty_s` and doubles for each further fixed window in which
-    the source is still violating, up to `MAX_HIP_DIFFICULTY_S`.
+    More than `HIP_RATE_THRESHOLD` requests from one source identity inside
+    a rolling `HIP_WINDOW_S` triggers challenges, each answerable for
+    `HIP_TTL_S`. Difficulty starts at `HIP_BASE_DIFFICULTY_S` and doubles
+    for each further fixed window in which the source is still violating,
+    up to `MAX_HIP_DIFFICULTY_S`.
 
     Request histories are kept in the order their sources were last
     observed, and a source whose newest request has left the window is
@@ -116,14 +123,7 @@ class HipGate:
     clock, which never goes back, so the stale histories are at the front.
     """
 
-    def __init__(self, rate_threshold: int = 3, window_s: float = 600.0,
-                 base_difficulty_s: float = 5.0, ttl_s: float = 300.0):
-        self.rate_threshold = rate_threshold
-        self.window_s = window_s
-        self.base_difficulty_s = base_difficulty_s
-        self.ttl_s = ttl_s
-        self._window_us = round(window_s * US_PER_SECOND)
-        self._ttl_us = round(ttl_s * US_PER_SECOND)
+    def __init__(self):
         self._history: dict[str, deque[int]] = {}
         # source -> (last fixed window it violated in, current difficulty)
         self._violations: dict[str, tuple[int, float]] = {}
@@ -139,7 +139,7 @@ class HipGate:
         return hashlib.sha256(b"hip:" + challenge_id.to_bytes(8, "big")).digest()[:8]
 
     def observe(self, source: str, now_us: int) -> None:
-        cutoff = now_us - self._window_us
+        cutoff = now_us - _HIP_WINDOW_US
         history = self._history
         events = history.pop(source, None)
         if events is None:
@@ -156,14 +156,14 @@ class HipGate:
 
     def challenge_required(self, source: str) -> bool:
         events = self._history.get(source)
-        return bool(events) and len(events) > self.rate_threshold
+        return bool(events) and len(events) > HIP_RATE_THRESHOLD
 
     def issue(self, source: str, now_us: int, request_id: int) -> HipChallengeMsg:
         # challenges are issued in time order, so a window other than the
         # last one is a further one
-        window = now_us // self._window_us
+        window = now_us // _HIP_WINDOW_US
         last, difficulty = self._violations.get(
-            source, (window, self.base_difficulty_s))
+            source, (window, HIP_BASE_DIFFICULTY_S))
         if window != last:
             difficulty = min(2.0 * difficulty, MAX_HIP_DIFFICULTY_S)
         self._violations[source] = (window, difficulty)
@@ -171,7 +171,7 @@ class HipGate:
         # front, or a source that never answers would grow the map forever;
         # a late answer to one still fails once, as unknown
         outstanding = self._outstanding
-        expired_before = now_us - self._ttl_us
+        expired_before = now_us - _HIP_TTL_US
         while outstanding:
             oldest = next(iter(outstanding))
             if outstanding[oldest] >= expired_before:
@@ -188,7 +188,7 @@ class HipGate:
         if issued_us is None:
             self.failures += 1
             return False
-        if now_us - issued_us > self._ttl_us:
+        if now_us - issued_us > _HIP_TTL_US:
             self.failures += 1
             return False
         if answer.answer != self.solution(answer.challenge_id):
@@ -312,7 +312,8 @@ class InitiatorSession:
     Everything about the requester (identity, address, keys, certificate,
     CA, response policy, whether it solves HIP puzzles) is read from the
     owning node. The owner forwards matching packets via on_message() and
-    timer tokens via on_timer(). A HIP challenge is answered after its
+    timer tokens via on_timer(), and forgets the session in its `on_done`,
+    so a finished session gets neither. A HIP challenge is answered after its
     difficulty in simulated seconds (the human at the keyboard), unless
     the owner's solve_hip is off, which models a bot that cannot solve
     puzzles. The answer rides on the request already signed: the
@@ -327,18 +328,18 @@ class InitiatorSession:
         self.request_id = request_id
         self.on_done = on_done
         self.send_request = send_request
-        self.done = False
         self._gen = 0
         request = AddressRequest(requester_name=owner.fqdn.split(".")[0],
                                  requester_fqdn=owner.fqdn, extra_info="",
                                  reply_to=owner.address, request_id=request_id)
+        signed = request.signed_bytes()
         if owner.scheme is not None and owner.keys is not None:
             request = request._replace(
                 certificate=owner.certificate,
-                signature=owner.scheme.sign(owner.keys, request.signed_bytes()))
+                signature=owner.scheme.sign(owner.keys, signed))
         self._base_request = request
         # the signed bytes leave the HIP answer out, so re-sends share it
-        self._request_digest = request.digest()
+        self._request_digest = hashlib.sha256(signed).digest()
 
     def start(self) -> None:
         self.send_request(self._base_request)
@@ -354,21 +355,19 @@ class InitiatorSession:
                                        gen=self._gen, challenge=challenge))
 
     def on_message(self, payload: object) -> None:
-        if self.done:
-            return
         if isinstance(payload, HipChallengeMsg):
             if not self.owner.solve_hip:
                 return  # bot: let the deadline expire
             self._arm("solve", delay_s=payload.difficulty_s, challenge=payload)
             return
         if isinstance(payload, Refusal):
-            self._finish(RequestResult(RequestOutcome.REFUSED))
+            self.on_done(RequestResult(RequestOutcome.REFUSED))
             return
         if isinstance(payload, AddressResponse):
             self._handle_response(payload)
 
     def on_timer(self, token: SessionTimer) -> None:
-        if self.done or token.gen != self._gen:
+        if token.gen != self._gen:
             return
         if token.kind == "solve":
             challenge = token.challenge
@@ -377,7 +376,7 @@ class InitiatorSession:
             self.send_request(self._base_request._replace(hip_answer=answer))
             self._arm("deadline")
             return
-        self._finish(RequestResult(RequestOutcome.TIMEOUT))
+        self.on_done(RequestResult(RequestOutcome.TIMEOUT))
 
     def _handle_response(self, response: AddressResponse) -> None:
         if response.request_digest != self._request_digest:
@@ -390,15 +389,10 @@ class InitiatorSession:
                     response.certificate, self.target_fqdn,
                     response.signed_bytes(), response.signature)
             if responder_key is None:
-                self._finish(RequestResult(RequestOutcome.BAD_SIGNATURE))
+                self.on_done(RequestResult(RequestOutcome.BAD_SIGNATURE))
                 return
         elif response.certificate is not None:
             responder_key = response.certificate.public_key
-        self._finish(RequestResult(RequestOutcome.GRANTED,
-                                   granted=response.granted,
-                                   responder_key=responder_key))
-
-    def _finish(self, result: RequestResult) -> None:
-        self.done = True
-        self._gen += 1  # invalidate in-flight timers
-        self.on_done(result)
+        self.on_done(RequestResult(RequestOutcome.GRANTED,
+                                  granted=response.granted,
+                                  responder_key=responder_key))

@@ -28,14 +28,21 @@ class RadioState(Enum):
     POWER_SAVE = "power_save"
 
 
+# what the calibration (`EnergyParams.calibrate`) solves from
+CAPACITY = 1.0
+IDLE_LIFETIME_DAYS = 1.0
+FLOOD_LIFETIME_HOURS = 3.75
+FLOOD_RATE_PPS = 100.0
+WAKEUP_DUTY = 0.05  # share of the time an idle radio is awake
+TX_RX_RATIO = 1.5
+ACK_RX_RATIO = 0.25
+ACTIVE_POWERSAVE_RATIO = 4.0
+
+
 class PacketKind(Enum):
     RX = "rx"
     TX_REPLY = "tx_reply"
     TX_ACK = "tx_ack"
-
-
-class CalibrationError(Exception):
-    """The lifetime targets cannot be met with the given ratios."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,34 +72,26 @@ class EnergyParams:
         return self.e_ack
 
     @classmethod
-    def calibrate(cls, capacity: float = 1.0,
-                  idle_lifetime_days: float = 1.0,
-                  flood_lifetime_hours: float = 3.75,
-                  flood_rate_pps: float = 100.0,
-                  wakeup_duty: float = 0.05,
-                  tx_rx_ratio: float = 1.5,
-                  ack_rx_ratio: float = 0.25,
-                  active_powersave_ratio: float = 4.0) -> "EnergyParams":
+    def calibrate(cls) -> "EnergyParams":
         """Solve the parameter set from the two lifetime endpoints.
 
-        Idle target fixes the state powers (given the wakeup duty cycle and
-        the active/power-save draw ratio); the flood target then fixes the
-        per-packet receive cost, with transmit and ACK costs as fixed
-        multiples of it.
+        A battery of `CAPACITY` lasts `IDLE_LIFETIME_DAYS` idle and
+        `FLOOD_LIFETIME_HOURS` under a flood of `FLOOD_RATE_PPS`. The idle
+        target fixes the state powers (given `WAKEUP_DUTY` and
+        `ACTIVE_POWERSAVE_RATIO`); the flood target then fixes the
+        per-packet receive cost, with transmit and ACK costs the fixed
+        multiples `TX_RX_RATIO` and `ACK_RX_RATIO` of it.
         """
-        idle_s = idle_lifetime_days * 86400.0
-        flood_s = flood_lifetime_hours * 3600.0
-        blend = (1.0 - wakeup_duty) + wakeup_duty * active_powersave_ratio
-        p_powersave = capacity / (idle_s * blend)
-        p_active = active_powersave_ratio * p_powersave
-        per_packet_budget = capacity / flood_s - p_active
-        if per_packet_budget <= 0:
-            raise CalibrationError(
-                "active idle draw alone exceeds the flood drain target; "
-                "lower active_powersave_ratio or the idle lifetime")
-        e_rx = per_packet_budget / (flood_rate_pps * (1.0 + tx_rx_ratio + ack_rx_ratio))
+        idle_s = IDLE_LIFETIME_DAYS * 86400.0
+        flood_s = FLOOD_LIFETIME_HOURS * 3600.0
+        blend = (1.0 - WAKEUP_DUTY) + WAKEUP_DUTY * ACTIVE_POWERSAVE_RATIO
+        p_powersave = CAPACITY / (idle_s * blend)
+        p_active = ACTIVE_POWERSAVE_RATIO * p_powersave
+        per_packet_budget = CAPACITY / flood_s - p_active
+        e_rx = per_packet_budget / (
+            FLOOD_RATE_PPS * (1.0 + TX_RX_RATIO + ACK_RX_RATIO))
         return cls(p_active_idle=p_active, p_powersave=p_powersave,
-                   e_rx=e_rx, e_tx=tx_rx_ratio * e_rx, e_ack=ack_rx_ratio * e_rx)
+                   e_rx=e_rx, e_tx=TX_RX_RATIO * e_rx, e_ack=ACK_RX_RATIO * e_rx)
 
 
 #: Default parameters hitting 1.0 day idle and 3.75 h under a 100 pkt/s flood.
@@ -110,7 +109,7 @@ LEDGER_REL_TOL = 1e-9
 
 @record
 class Battery(NamedTuple):
-    capacity: float = 1.0
+    capacity: float = CAPACITY
 
 
 @record
@@ -119,39 +118,31 @@ class LoadProfile(NamedTuple):
 
     name: str
     packets_per_second: float = 0.0
-    replies: bool = True
-    link_acks: bool = True
-    active_duty: float = 0.05  # wakeup duty cycle when there is no traffic
 
 
 def idle_profile() -> LoadProfile:
     return LoadProfile(name="idle")
 
 
-def flood_profile(rate_pps: float = 100.0) -> LoadProfile:
+def flood_profile(rate_pps: float) -> LoadProfile:
     return LoadProfile(name="flood", packets_per_second=rate_pps)
 
 
 def drain_rate(params: EnergyParams, profile: LoadProfile) -> float:
-    """Energy units per second consumed under a steady profile."""
+    """Energy units per second consumed under a steady profile: each packet
+    is received, answered and link-acked, and without traffic the radio
+    wakes for `WAKEUP_DUTY` of the time."""
     if profile.packets_per_second > 0:
-        per_packet = params.e_rx
-        if profile.replies:
-            per_packet += params.e_tx
-        if profile.link_acks:
-            per_packet += params.e_ack
+        per_packet = params.e_rx + params.e_tx + params.e_ack
         return params.p_active_idle + profile.packets_per_second * per_packet
-    return (profile.active_duty * params.p_active_idle
-            + (1.0 - profile.active_duty) * params.p_powersave)
+    return (WAKEUP_DUTY * params.p_active_idle
+            + (1.0 - WAKEUP_DUTY) * params.p_powersave)
 
 
 def lifetime_under(params: EnergyParams, battery: Battery,
                    profile: LoadProfile) -> float:
-    """Hours until the battery empties; inf for a zero-drain profile."""
-    rate = drain_rate(params, profile)
-    if rate <= 0:
-        return math.inf
-    return battery.capacity / rate / 3600.0
+    """Hours until the battery empties."""
+    return battery.capacity / drain_rate(params, profile) / 3600.0
 
 
 @dataclass(slots=True)

@@ -77,6 +77,10 @@ US_PER_HOUR = 60 * US_PER_MINUTE
 US_PER_DAY = 24 * US_PER_HOUR
 # later than any instant a run reaches
 FOREVER = 1 << 62
+# one-way delivery latency of the simulated link, in seconds
+LINK_LATENCY_S = 0.05
+# size of a packet that states none: a ping, a call or a control message
+PACKET_BYTES = 56
 
 
 def day_hour_us(day: int, hour: float = 0.0) -> int:
@@ -134,7 +138,7 @@ EPOCH = SimTime(0)
 class LinkModel:
     """Uniform delivery latency and loss applied to every routed packet."""
 
-    latency_s: float = 0.05
+    latency_s: float = LINK_LATENCY_S
     loss_probability: float = 0.0
 
     def __post_init__(self):
@@ -151,7 +155,7 @@ class Packet(NamedTuple):
     src: Ipv6Address
     dst: Ipv6Address
     payload: object
-    size_bytes: int = 56
+    size_bytes: int = PACKET_BYTES
 
 
 @dataclass(slots=True)

@@ -18,6 +18,8 @@ from .messages import record
 
 ADMIN_IID = 1
 MAX_ALLOCATION_ATTEMPTS = 128
+# bytes a tunnel adds to the packet it carries (an outer IPv6 header)
+TUNNEL_HEADER_BYTES = 40
 
 
 class ManagementKind(Enum):
@@ -136,11 +138,10 @@ class HomeAgent(Node):
 
     # -- registration -------------------------------------------------------
 
-    def attach_host(self, host_id: str, sa_tag: str,
-                    care_of: Ipv6Address | None = None) -> None:
+    def attach_host(self, host_id: str, sa_tag: str) -> None:
         if host_id in self._hosts:
             raise AgentError(f"host {host_id} already attached")
-        self._hosts[host_id] = HostBinding(sa_tag=sa_tag, care_of=care_of)
+        self._hosts[host_id] = HostBinding(sa_tag=sa_tag)
 
     def _authenticated(self, host_id: str, auth: str) -> HostBinding:
         binding = self._hosts.get(host_id)
@@ -254,7 +255,7 @@ class HomeAgent(Node):
             return None
         return Packet(src=self.admin_address, dst=care_of,
                       payload=Encapsulated(inner=packet),
-                      size_bytes=packet.size_bytes + 40)
+                      size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
         """Decapsulate and forward a host's outbound packet.

@@ -34,6 +34,7 @@ from .addressing import (
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .distribution import (
+    HANDSHAKE_PACKET_BYTES,
     AddressRequest,
     ChallengeAction,
     DistributionResponder,
@@ -44,6 +45,7 @@ from .distribution import (
 from .energy import EnergyAccount, PacketKind
 from .engine import Packet, Simulator
 from .home_agent import (
+    TUNNEL_HEADER_BYTES,
     BindingAck,
     BindingUpdate,
     Encapsulated,
@@ -63,8 +65,12 @@ from .messages import (
     RouteOptimized,
     record,
 )
-from .monitor import IntrusionMonitor
-from .sas import PairResult, run_pairing
+from .monitor import (
+    DETECTION_THRESHOLD_PPS,
+    DETECTION_WINDOW_S,
+    IntrusionMonitor,
+)
+from .sas import SAS_BITS, PairResult, run_pairing
 
 
 # seconds a disposed prime stays blocked before it is tried again
@@ -136,8 +142,8 @@ class MobileHost(CallerNode):
                  ca: CertificateAuthority | None = None,
                  pki_required: bool = False,
                  energy: EnergyAccount | None = None,
-                 detection_threshold_pps: float = 10.0,
-                 detection_window_s: float = 10.0):
+                 detection_threshold_pps: float = DETECTION_THRESHOLD_PPS,
+                 detection_window_s: float = DETECTION_WINDOW_S):
         keys = certificate = None
         if scheme is not None:
             keys = scheme.generate(sim.rng)
@@ -323,7 +329,7 @@ class MobileHost(CallerNode):
                           payload=ReverseTunneled(inner=packet,
                                                   host_id=self.node_id,
                                                   auth=self.sa_tag),
-                          size_bytes=packet.size_bytes + 40)
+                          size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
         return packet
 
     def _send_management(self, message: ManagementMessage) -> None:
@@ -427,7 +433,8 @@ class MobileHost(CallerNode):
             return
         action = self.responder.handle_request(request, self.sim.now_us)
         if isinstance(action, GrantAction):
-            self._send(dst, request.reply_to, action.response, size_bytes=128)
+            self._send(dst, request.reply_to, action.response,
+                       size_bytes=HANDSHAKE_PACKET_BYTES)
         elif isinstance(action, ChallengeAction):
             self._send(dst, request.reply_to, action.challenge)
         elif isinstance(action, RefuseAction):
@@ -536,7 +543,8 @@ class MobileHost(CallerNode):
 
     # -- certificateless pairing ----------------------------------------------
 
-    def pair_with(self, peer: "MobileHost", sas_bits: int = 16) -> PairResult:
+    def pair_with(self, peer: "MobileHost",
+                  sas_bits: int = SAS_BITS) -> PairResult:
         """In-person pairing: exchange keys and disposables over a SAS check."""
         if self.keys is None or peer.keys is None:
             raise ValueError("pairing requires keypairs on both hosts")

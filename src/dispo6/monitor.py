@@ -15,6 +15,10 @@ from .addressing import Ipv6Address
 from .engine import US_PER_SECOND
 from .messages import record
 
+# a host's flood detection: more than 10 packets/s over 10 s on an address
+DETECTION_THRESHOLD_PPS = 10.0
+DETECTION_WINDOW_S = 10.0
+
 
 @record
 class AttackAlert(NamedTuple):
@@ -82,8 +86,10 @@ class _Window(deque):
 class IntrusionMonitor:
     """Per-address packets-per-second over a sliding window, strict threshold.
 
-    A burst of exactly threshold*window packets stays quiet; one more
-    raises an alert. A flood segment's packets are observed as one run.
+    A burst of exactly threshold_pps*window_s packets stays quiet; one
+    more raises an alert. Hosts watch with `DETECTION_THRESHOLD_PPS` over
+    `DETECTION_WINDOW_S` unless their owner sets other values. A flood
+    segment's packets are observed as one run.
 
     Windows are kept in the order their addresses were last observed. A
     window whose newest observation has left the window is forgotten
@@ -94,7 +100,7 @@ class IntrusionMonitor:
     ahead of other runs with earlier packets.
     """
 
-    def __init__(self, threshold_pps: float = 10.0, window_s: float = 10.0):
+    def __init__(self, threshold_pps: float, window_s: float):
         self.threshold_pps = threshold_pps
         self.window_s = window_s
         self._window_us = round(window_s * US_PER_SECOND)

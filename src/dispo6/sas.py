@@ -26,6 +26,10 @@ from .messages import record
 MIN_SAS_BITS = 1
 MAX_SAS_BITS = 128
 PROTOCOL_SAS_RANGE = (15, 20)
+# the SAS width a pairing uses unless told otherwise
+SAS_BITS = 16
+# length of each side's random nonce
+NONCE_BYTES = 16
 
 
 def compute_sas(initiator_nonce: bytes, responder_nonce: bytes,
@@ -90,7 +94,7 @@ class DirectChannel:
 
 
 def run_pairing(rng: random.Random, initiator_key: bytes, responder_key: bytes,
-                sas_bits: int = 16, nonce_bytes: int = 16,
+                sas_bits: int = SAS_BITS,
                 channel: DirectChannel | None = None) -> PairResult:
     """Run the full exchange plus the out-of-band SAS comparison.
 
@@ -100,11 +104,11 @@ def run_pairing(rng: random.Random, initiator_key: bytes, responder_key: bytes,
     """
     channel = channel if channel is not None else DirectChannel()
     # the initiator is bound to its nonce before it sees the responder's
-    initiator_nonce = rng.randbytes(nonce_bytes)
+    initiator_nonce = rng.randbytes(NONCE_BYTES)
     commit = channel.forward_commit(
         CommitMessage(commitment(initiator_nonce), initiator_key))
     # the responder answers while the initiator's nonce is still hidden
-    responder_nonce = rng.randbytes(nonce_bytes)
+    responder_nonce = rng.randbytes(NONCE_BYTES)
     share = channel.forward_share(ShareMessage(responder_nonce, responder_key))
     # only now is the committed nonce revealed, and checked before any SAS
     reveal = channel.forward_reveal(RevealMessage(initiator_nonce))

@@ -38,6 +38,7 @@ from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from .engine import (
+    LINK_LATENCY_S,
     US_PER_DAY,
     US_PER_SECOND,
     LinkModel,
@@ -48,6 +49,7 @@ from .engine import (
 from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
+from .monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
 from .stats import sample_mean_std
 
 HOME_PREFIX = 0x20010DB800010000
@@ -84,13 +86,13 @@ class ScenarioConfig:
     attack_start_choices: tuple[int, ...] | None = None
     rejection_mode: RejectionMode = RejectionMode.PAPER_FAITHFUL
     mobility_mode: Mode = Mode.BIDIRECTIONAL_TUNNELING
-    latency_s: float = 0.05
+    latency_s: float = LINK_LATENCY_S
     loss_probability: float = 0.0
     pki_enabled: bool = True
     energy_enabled: bool = False
     sleep_timeout_s: float = 10.0
-    detection_threshold_pps: float = 10.0
-    detection_window_s: float = 10.0
+    detection_threshold_pps: float = DETECTION_THRESHOLD_PPS
+    detection_window_s: float = DETECTION_WINDOW_S
     oob_retry_delay_days: int | None = None
     victim_fqdn: str = "alice.home.example"
 
@@ -217,13 +219,12 @@ def _fits(value: object, expected: object) -> bool:
     return isinstance(value, expected)
 
 
-def fig3_config(variant: str, seed: int = 0,
-                days: int = 1000) -> ScenarioConfig:
+def fig3_config(variant: str) -> ScenarioConfig:
     """Preset for the two published 1000-day attack experiments."""
     if variant not in ("4h", "6h"):
         raise ConfigError("fig3 variant must be '4h' or '6h'")
     hours = 4 if variant == "4h" else 6
-    return ScenarioConfig(seed=seed, horizon_days=days, attack_hours=hours)
+    return ScenarioConfig(attack_hours=hours)
 
 
 @record

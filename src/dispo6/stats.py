@@ -16,9 +16,6 @@ class MannKendallResult(NamedTuple):
     z: float
     p_decreasing: float  # one-sided p-value against "no trend"
 
-    def decreasing(self, alpha: float = 0.05) -> bool:
-        return self.p_decreasing < alpha
-
 
 def mann_kendall(values: list[float]) -> MannKendallResult:
     """Mann-Kendall trend statistic with the tie-corrected variance."""

@@ -16,6 +16,7 @@ from dispo6.addressing import Ipv6Address
 from dispo6.caller import CallerNode
 from dispo6.messages import record
 from dispo6.sas import (
+    NONCE_BYTES,
     CommitMessage,
     DirectChannel,
     RevealMessage,
@@ -71,14 +72,13 @@ class MitmChannel(DirectChannel):
     reveal, which the commitment check kills outright.
     """
 
-    def __init__(self, rng: random.Random, strategy: MitmStrategy,
-                 nonce_bytes: int = 16):
+    def __init__(self, rng: random.Random, strategy: MitmStrategy):
         self.strategy = strategy
-        self.nonce_to_responder = rng.randbytes(nonce_bytes)
-        self.nonce_to_initiator = rng.randbytes(nonce_bytes)
+        self.nonce_to_responder = rng.randbytes(NONCE_BYTES)
+        self.nonce_to_initiator = rng.randbytes(NONCE_BYTES)
         self.key_to_responder = rng.randbytes(32)
         self.key_to_initiator = rng.randbytes(32)
-        self.swapped_reveal = rng.randbytes(nonce_bytes)
+        self.swapped_reveal = rng.randbytes(NONCE_BYTES)
 
     def forward_commit(self, msg: CommitMessage) -> CommitMessage:
         if self.strategy is MitmStrategy.RANDOM_SUBSTITUTION:
@@ -101,15 +101,14 @@ class MitmChannel(DirectChannel):
 
 
 def mitm_attempt(rng: random.Random, sas_bits: int = 8,
-                 strategy: MitmStrategy = MitmStrategy.RANDOM_SUBSTITUTION,
-                 nonce_bytes: int = 16) -> MitmResult:
+                 strategy: MitmStrategy = MitmStrategy.RANDOM_SUBSTITUTION
+                 ) -> MitmResult:
     """One randomized pairing run with the attacker in the middle."""
     initiator_key = rng.randbytes(32)
     responder_key = rng.randbytes(32)
-    channel = MitmChannel(rng, strategy, nonce_bytes)
+    channel = MitmChannel(rng, strategy)
     outcome = run_pairing(rng, initiator_key, responder_key,
-                          sas_bits=sas_bits, nonce_bytes=nonce_bytes,
-                          channel=channel)
+                          sas_bits=sas_bits, channel=channel)
     return MitmResult(undetected=outcome.confirmed,
                       substituted=strategy is not MitmStrategy.PASSIVE,
                       abort_reason=outcome.abort_reason)

@@ -6,6 +6,7 @@ from dispo6.adversary import (
     SIX_HOUR_SCHEDULE,
     AttackSchedule,
     Flooder,
+    block_prime_window,
     run_scheduled_prime_attack,
 )
 from dispo6.energy import (
@@ -17,7 +18,7 @@ from dispo6.energy import (
     idle_profile,
     lifetime_under,
 )
-from dispo6.engine import EPOCH, US_PER_SECOND, SimTime
+from dispo6.engine import EPOCH, US_PER_SECOND, SimTime, day_hour_us
 from dispo6.caller import CallOutcome, StartCall
 from dispo6.mobile_host import Mode
 from dispo6.distribution import RequestOutcome
@@ -248,25 +249,21 @@ class TestScheduledPrimeAttack:
     def test_window_mode_blocks_requests_inside_window_only(self, make_world):
         world = make_world(pki=True)
         host = make_host(world)
-        windows = run_scheduled_prime_attack(world.sim, host,
-                                             FOUR_HOUR_SCHEDULE,
-                                             horizon_days=3)
-        assert len(windows) == 3
+        block_prime_window(world.sim, host, day_hour_us(0, 8),
+                           day_hour_us(0, 12))
         results = []
         caller_in = make_caller(world, i=1)
         caller_out = make_caller(world, i=2)
-        first = windows[0]
-        inside = SimTime.at(0, first.start_hour + 1)
-        outside = SimTime.at(0, (first.start_hour + 5) % 24)
+        inside = SimTime.at(0, 9)
+        outside = SimTime.at(0, 13)
         world.sim.run_until(inside)
         caller_in.request_address(host.fqdn, results.append)
         world.sim.run_until(inside.plus_seconds(30))
         assert results[-1].outcome is RequestOutcome.TIMEOUT
-        if outside > inside:
-            world.sim.run_until(outside)
-            caller_out.request_address(host.fqdn, results.append)
-            world.sim.run_until(outside.plus_seconds(30))
-            assert results[-1].outcome is RequestOutcome.GRANTED
+        world.sim.run_until(outside)
+        caller_out.request_address(host.fqdn, results.append)
+        world.sim.run_until(outside.plus_seconds(30))
+        assert results[-1].outcome is RequestOutcome.GRANTED
 
     def test_windows_are_scheduled_without_simtime(self, make_world,
                                                    monkeypatch):
@@ -275,18 +272,22 @@ class TestScheduledPrimeAttack:
         flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
         built = count_simtime_builds(monkeypatch)
         run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
-                                   horizon_days=3)
-        run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
-                                   horizon_days=2, flooder=flooder)
+                                   horizon_days=3, flooder=flooder,
+                                   flood_rate_pps=100.0)
         monkeypatch.undo()
-        assert world.sim.pending() > 0 and built == []
+        assert built == []
+        world.sim.run()
+        # three 4-hour windows at 100 pkt/s
+        assert flooder.stats.sent == 3 * 4 * 3600 * 100
 
     def test_horizon_zero_schedules_nothing(self, make_world):
         world = make_world()
         host = make_host(world)
-        assert run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
-                                          horizon_days=0) == []
-        assert world.sim.pending() == 0
+        flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
+        run_scheduled_prime_attack(world.sim, host, FOUR_HOUR_SCHEDULE,
+                                   horizon_days=0, flooder=flooder,
+                                   flood_rate_pps=100.0)
+        assert world.sim.run() == 0 and flooder.stats.sent == 0
 
     def test_packet_level_attack_triggers_detection_block(self, make_world):
         world = make_world()

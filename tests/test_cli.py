@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -31,7 +32,8 @@ class TestFig3:
         assert cli.main(["fig3", "6h", "--seed", "3",
                          "--out-dir", str(tmp_path / "fig3")]) == 0
         assert capsys.readouterr().out.startswith("fig3 6h seed=3 days=1000 ")
-        config = write_config(tmp_path / "config.yaml", fig3_config("6h", seed=3))
+        config = write_config(tmp_path / "config.yaml",
+                              dataclasses.replace(fig3_config("6h"), seed=3))
         assert cli.main(["run", "--config", str(config),
                          "--out-dir", str(tmp_path / "run")]) == 0
         for name in RUN_OUTPUTS:
@@ -60,6 +62,15 @@ class TestDrain:
         hours = lifetime_under(DEFAULT_PARAMS, Battery(), load)
         assert lines[-1] == f"{hours * 3600.0:.3f},{0.0:.9f},dead"
         assert all(not line.endswith(",dead") for line in lines[1:-1])
+
+    @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf"])
+    def test_rate_that_is_not_positive_and_finite_exits_2(self, rate, tmp_path,
+                                                           capsys):
+        out = tmp_path / "out"
+        assert cli.main(["drain", "flood", "--rate", rate,
+                         "--out-dir", str(out)]) == 2
+        assert "--rate" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ from dispo6.distribution import (
     ChallengeAction,
     DistributionResponder,
     GrantAction,
+    HIP_TTL_S,
+    HIP_WINDOW_S,
     HipAnswer,
     HipGate,
     MAX_HIP_DIFFICULTY_S,
@@ -68,6 +71,19 @@ def request(fqdn="alice.example", request_id=1, hip_answer=None,
     return req
 
 
+def count_encodes(monkeypatch) -> list[bytes]:
+    """The domain tag of every `distribution.encode_fields` call from now on."""
+    encoded = []
+    encode = distribution.encode_fields
+
+    def counting_encode(*fields):
+        encoded.append(fields[0])
+        return encode(*fields)
+
+    monkeypatch.setattr(distribution, "encode_fields", counting_encode)
+    return encoded
+
+
 class TestResponderGates:
     def test_default_policy_grants(self):
         responder, states, _ = make_responder()
@@ -120,15 +136,8 @@ class TestResponderGates:
     def test_grant_encodes_the_signed_request_once(self, monkeypatch):
         responder, _, signer = make_responder(pki=True)
         req = request(signer=signer)
-        digest = req.digest()
-        encoded = []
-        encode = distribution.encode_fields
-
-        def counting_encode(*fields):
-            encoded.append(fields[0])
-            return encode(*fields)
-
-        monkeypatch.setattr(distribution, "encode_fields", counting_encode)
+        digest = hashlib.sha256(req.signed_bytes()).digest()
+        encoded = count_encodes(monkeypatch)
         action = responder.handle_request(req, 0)
         assert isinstance(action, GrantAction)
         # one for the certificate check and the digest, one for the answer
@@ -149,19 +158,15 @@ class TestResponderGates:
 
 
 class TestHipGate:
-    def gate(self):
-        return HipGate(rate_threshold=3, window_s=600.0,
-                       base_difficulty_s=5.0, ttl_s=300.0)
-
     def test_slow_rate_unchallenged(self):
-        gate = self.gate()
+        gate = HipGate()
         for hour in range(6):
             now = SimTime.at(0, hour)
             gate.observe("alice", now)
             assert not gate.challenge_required("alice")
 
     def test_rate_gate_trips_on_fourth_in_window(self):
-        gate = self.gate()
+        gate = HipGate()
         for i in range(3):
             gate.observe("alice", SimTime.from_seconds(i))
             assert not gate.challenge_required("alice")
@@ -169,7 +174,7 @@ class TestHipGate:
         assert gate.challenge_required("alice")
 
     def test_difficulty_doubles_per_violation_window(self):
-        gate = self.gate()
+        gate = HipGate()
         difficulties = []
         for window in range(3):
             base = window * 600.0
@@ -184,7 +189,7 @@ class TestHipGate:
     def test_source_violating_for_days_is_capped_in_fixed_state(self):
         # once a minute for 8 days: 1,152 windows in violation, past the
         # 1,024 doublings a float holds
-        gate = self.gate()
+        gate = HipGate()
         for minute in range(8 * 24 * 60):
             now = SimTime.from_seconds(60 * minute)
             gate.observe("bot", now)
@@ -199,8 +204,8 @@ class TestHipGate:
     def test_history_forgets_sources_gone_quiet(self):
         # 10^5 identities, one request each, 0.1 s apart: ~17 windows; a
         # regular requesting all along stays, and must not pin the others
-        gate = self.gate()
-        per_window = round(gate.window_s / 0.1) + 1
+        gate = HipGate()
+        per_window = round(HIP_WINDOW_S / 0.1) + 1
         for i in range(100_000):
             now = SimTime(i * 100_000)
             if i % 1000 == 0:
@@ -211,7 +216,7 @@ class TestHipGate:
 
     def test_forgetting_changes_no_challenge(self):
         # against a recount of every request inside the rolling window
-        gate = self.gate()
+        gate = HipGate()
         rng = random.Random(11)
         seen: dict[str, list[int]] = {}
         now_us = 0
@@ -226,7 +231,7 @@ class TestHipGate:
             assert gate.challenge_required(source) == (recent > 3)
 
     def test_verify_single_use_and_replay(self):
-        gate = self.gate()
+        gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
         answer = HipAnswer(challenge.challenge_id,
                            HipGate.solution(challenge.challenge_id))
@@ -234,26 +239,26 @@ class TestHipGate:
         assert not gate.verify(answer, SimTime.from_seconds(11))  # replay
 
     def test_wrong_answer_fails(self):
-        gate = self.gate()
+        gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
         assert not gate.verify(HipAnswer(challenge.challenge_id, b"nope"),
                                SimTime.from_seconds(1))
 
     def test_expired_challenge_fails(self):
-        gate = self.gate()
+        gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
         answer = HipAnswer(challenge.challenge_id,
                            HipGate.solution(challenge.challenge_id))
         assert not gate.verify(answer, SimTime.from_seconds(301))
 
     def test_unanswered_challenges_expire(self):
-        gate = self.gate()
+        gate = HipGate()
         for minute in range(10_000):
             gate.issue("bot", SimTime.from_seconds(60 * minute), request_id=minute)
-            assert len(gate._outstanding) <= gate.ttl_s / 60 + 1
+            assert len(gate._outstanding) <= HIP_TTL_S / 60 + 1
 
     def test_late_answer_to_dropped_challenge_fails_once(self):
-        gate = self.gate()
+        gate = HipGate()
         late = gate.issue("bot", SimTime(0), request_id=1)
         gate.issue("bot", SimTime.from_seconds(301), request_id=2)
         assert late.challenge_id not in gate._outstanding
@@ -264,7 +269,7 @@ class TestHipGate:
 
 class TestGateOrdering:
     def test_no_notification_without_pass_while_gate_active(self):
-        gate = HipGate(rate_threshold=3, window_s=600.0)
+        gate = HipGate()
         responder, _, _ = make_responder(hip=gate)
         notified_without_pass = 0
         # 10 requests/minute from one identity, never answering challenges
@@ -282,16 +287,16 @@ class TestGateOrdering:
         assert responder.notifications == 3  # only the pre-gate requests
 
     def test_correct_answer_yields_exactly_one_notification(self):
-        gate = HipGate(rate_threshold=1, window_s=600.0)
-        responder, _, _ = make_responder(hip=gate)
-        responder.handle_request(request(request_id=1), SimTime(0))
-        action = responder.handle_request(request(request_id=2), SimTime(1))
+        responder, _, _ = make_responder()
+        for i in range(3):
+            responder.handle_request(request(request_id=i), SimTime(i))
+        action = responder.handle_request(request(request_id=3), SimTime(3))
         assert isinstance(action, ChallengeAction)
         notifications_before = responder.notifications
         answer = HipAnswer(action.challenge.challenge_id,
                            HipGate.solution(action.challenge.challenge_id))
         granted = responder.handle_request(
-            request(request_id=2, hip_answer=answer), SimTime.from_seconds(2))
+            request(request_id=3, hip_answer=answer), SimTime.from_seconds(2))
         assert isinstance(granted, GrantAction)
         assert responder.notifications == notifications_before + 1
 
@@ -308,6 +313,20 @@ class TestEngineHandshake:
         assert results[0].outcome is RequestOutcome.GRANTED
         assert results[0].granted.prefix == HOME_PREFIX
         assert results[0].responder_key == host.keys.public
+
+    def test_session_encodes_the_signed_request_once(self, make_world,
+                                                     monkeypatch):
+        world = make_world(pki=True)
+        host = make_host(world)
+        caller = make_caller(world)
+        encoded = count_encodes(monkeypatch)
+        results = []
+        caller.request_address(host.fqdn, results.append)
+        # one encoding is signed and digested for matching the grant
+        assert encoded == [b"hoa-request"]
+        monkeypatch.undo()
+        world.sim.run()
+        assert results[0].outcome is RequestOutcome.GRANTED
 
     def test_repeated_engine_request_same_address(self, make_world):
         world = make_world(pki=True)

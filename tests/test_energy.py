@@ -1,14 +1,10 @@
-import math
-
 import pytest
 
 from dispo6.energy import (
     DEFAULT_PARAMS,
     Battery,
-    CalibrationError,
     EnergyAccount,
     EnergyParams,
-    LoadProfile,
     PacketKind,
     RadioState,
     drain_rate,
@@ -39,10 +35,6 @@ class TestCalibration:
         assert p.e_tx > p.e_rx
         assert p.e_ack < p.e_rx
 
-    def test_infeasible_targets_rejected(self):
-        with pytest.raises(CalibrationError):
-            EnergyParams.calibrate(active_powersave_ratio=40.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             EnergyParams(p_active_idle=1.0, p_powersave=2.0, e_rx=0.1,
@@ -56,13 +48,6 @@ class TestCalibration:
         lifetimes = [lifetime_under(DEFAULT_PARAMS, battery, flood_profile(r))
                      for r in (1, 10, 100, 1000)]
         assert lifetimes == sorted(lifetimes, reverse=True)
-
-    def test_zero_drain_profile_unbounded(self):
-        params = EnergyParams(p_active_idle=1.0, p_powersave=0.0, e_rx=0.1,
-                              e_tx=0.2, e_ack=0.01)
-        profile = LoadProfile(name="off", packets_per_second=0.0,
-                              active_duty=0.0)
-        assert lifetime_under(params, Battery(), profile) == math.inf
 
 
 class TestPowerStates:

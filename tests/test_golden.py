@@ -14,7 +14,7 @@ import yaml
 
 from dispo6 import cli
 from dispo6.addressing import Ipv6Address, NameService
-from dispo6.adversary import Flooder
+from dispo6.adversary import Flooder, _interval_us
 from dispo6.caller import CallerNode
 from dispo6.energy import (
     DEFAULT_PARAMS,
@@ -116,12 +116,13 @@ def run_digests(config, tmp_path) -> dict:
 
 @pytest.mark.parametrize("variant", ["4h", "6h"])
 def test_fig3_run_outputs_are_pinned(variant, tmp_path):
-    digests = run_digests(fig3_config(variant, seed=0), tmp_path)
+    digests = run_digests(dataclasses.replace(fig3_config(variant), seed=0),
+                          tmp_path)
     assert digests == FIG3_DIGESTS[variant]
 
 
 def test_fig3_explicit_outputs_are_pinned(tmp_path):
-    config = dataclasses.replace(fig3_config("4h", seed=0),
+    config = dataclasses.replace(fig3_config("4h"), seed=0,
                                  rejection_mode=RejectionMode.EXPLICIT_TIME)
     assert run_digests(config, tmp_path) == EXPLICIT_4H_DIGESTS
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
@@ -161,9 +162,11 @@ def flood_summary(seed: int, mode: Mode, threshold: float,
                       Ipv6Address(PEER_PREFIX, 2), names)
     hoa = host.grant_out_of_band(peer.fqdn)
     flooder = Flooder(sim, "flooder", Ipv6Address(0x20010DB8BEEF0000, 0xA))
-    flood = flooder._flood_packets if per_packet else flooder.flood_between
-    flood(SimTime.from_seconds(0.0037), SimTime.from_seconds(90), hoa, 100.0,
-          56, spoof)
+    start, stop = SimTime.from_seconds(0.0037), SimTime.from_seconds(90)
+    if per_packet:
+        flooder._flood_packets(start, stop, hoa, _interval_us(100.0), spoof)
+    else:
+        flooder.flood_between(start, stop, hoa, 100.0, spoof)
     processed = sim.run_until(SimTime.from_seconds(60))
     account.advance(sim.now)
     ledger = {name: getattr(account, name) for name in LEDGER_FIELDS}

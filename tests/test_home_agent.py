@@ -50,9 +50,11 @@ def peer(iid):
 
 def attach(world, host_id="host", care_of=None, sink=None):
     tag = f"sa-{host_id}"
-    world.agent.attach_host(host_id, tag, care_of=care_of)
-    if sink is not None and care_of is not None:
-        world.sim.register_route(care_of, sink.node_id)
+    world.agent.attach_host(host_id, tag)
+    if care_of is not None:
+        world.agent.process_binding_update(host_id, tag, care_of)
+        if sink is not None:
+            world.sim.register_route(care_of, sink.node_id)
     return tag
 
 

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
 public module-level name is used somewhere in the repository, every
-parameter is read by its function, every record field is read, every
+parameter is read by its function, every defaulted parameter is passed
+by some caller outside the tests, every record field is read, every
 immutable record is a `record` NamedTuple, no module but the engine
 unwraps a `SimTime`, and importing the package loads no module that only
 an unused path needs."""
@@ -141,6 +142,107 @@ def test_unread_parameter_checker():
         "    def g(self, z): return self\n"
         "    _handlers = {int: _skip}\n")
     assert unread_parameters(source) == ["f(b) (line 1)", "g(z) (line 8)"]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, str, int | None]]:
+    """(name, callee, parameter, position) for each defaulted parameter of
+    a public function or method, `__init__` included. A class is called by
+    its name, a method by its own; the position leaves `self` and `cls`
+    out, and is None for a keyword-only parameter."""
+    found = []
+
+    def visit(body, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef) and (
+                    node.name == "__init__" or not node.name.startswith("_")):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None and positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                name = node.name if cls is None else f"{cls}.{node.name}"
+                callee = cls if node.name == "__init__" else node.name
+                first = len(positional) - len(args.defaults)
+                found.extend((name, callee, arg, i)
+                             for i, arg in enumerate(positional) if i >= first)
+                found.extend((name, callee, a.arg, None) for a, default
+                             in zip(args.kwonlyargs, args.kw_defaults)
+                             if default is not None)
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def passed_arguments(source: str) -> set[tuple[str, str | int]]:
+    """(callee, keyword) for each keyword a call passes, and (callee, i)
+    for each position i it fills; a `*args` fills every position."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute) else None)
+        if callee is None:
+            continue
+        passed.update((callee, k.arg) for k in node.keywords if k.arg)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            passed.add((callee, "*"))
+        passed.update((callee, i) for i in range(len(node.args)))
+    return passed
+
+
+# Defaulted parameters that no caller outside the tests passes, each with
+# its reason to stay.
+UNPASSED_DEFAULTS = (
+    # a structured trace sink is to replace it
+    ("Simulator.__init__", "keep_trace"),
+    # the spoofed-flood attack, pinned by the golden `detect_ro_spoofed`
+    ("Flooder.flood_between", "spoof"),
+    # the seam where tests put the man-in-the-middle attacker
+    ("run_pairing", "channel"),
+    # tests shrink the SAS to measure failure rates
+    ("MobileHost.pair_with", "sas_bits"),
+)
+
+
+def unpassed_defaults(definitions: str,
+                      passed: set[tuple[str, str | int]]) -> list[str]:
+    return [f"{name}({param})"
+            for name, callee, param, position in defaulted_parameters(definitions)
+            if not {(callee, param), (callee, position), (callee, "*")} & passed]
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant; the tests alone
+    # varying it do not make it a setting
+    passed = set()
+    for tree in ("src", "perfbench"):
+        for path in (REPO / tree).rglob("*.py"):
+            passed |= passed_arguments(path.read_text())
+    unpassed = [found for path in MODULES
+                for found in unpassed_defaults(path.read_text(), passed)]
+    # an exemption that a caller comes to pass leaves the list too
+    assert sorted(unpassed) == sorted(f"{name}({param})"
+                                      for name, param in UNPASSED_DEFAULTS)
+
+
+def test_unpassed_default_checker():
+    definitions = (
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "def _hidden(x=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, size=0): pass\n"
+        "    def m(self, y=0, z=0): pass\n"
+        "    @classmethod\n    def make(cls, w=0): pass\n"
+        "class _Private:\n    def n(self, v=0): pass\n")
+    assert [(name, param) for name, _, param, _ in
+            defaulted_parameters(definitions)] == [
+        ("f", "b"), ("f", "c"), ("f", "d"), ("K.__init__", "size"),
+        ("K.m", "y"), ("K.m", "z"), ("K.make", "w")]
+    passed = passed_arguments("f(0, 1)\nK(size=2).m(*args)\nx.make(0)\n")
+    assert unpassed_defaults(definitions, passed) == ["f(c)", "f(d)"]
 
 
 def record_fields(source: str) -> list[tuple[str, str, int]]:

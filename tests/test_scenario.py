@@ -316,8 +316,8 @@ def test_monitor_forgets_addresses_gone_quiet(monkeypatch):
         monitors.append(self)
 
     monkeypatch.setattr(IntrusionMonitor, "__init__", capture)
-    config = dataclasses.replace(fig3_config("4h", seed=1), correspondents=2000,
-                                 pki_enabled=False)
+    config = dataclasses.replace(fig3_config("4h"), seed=1,
+                                 correspondents=2000, pki_enabled=False)
     result = run_scenario(config)
     assert result.metrics.total_calls > 5000
     [monitor] = monitors

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from dispo6.addressing import Ipv6Address
-from dispo6.adversary import Flooder
+from dispo6.adversary import Flooder, _interval_us
 from dispo6.energy import (
     DEFAULT_PARAMS,
     LEDGER_REL_TOL,
@@ -38,7 +38,7 @@ LEDGER_FLOATS = ("consumed_packets", "consumed_active", "consumed_powersave",
 def flood(flooder, per_packet, start_s, stop_s, target, rate):
     start, stop = SimTime.from_seconds(start_s), SimTime.from_seconds(stop_s)
     if per_packet:
-        flooder._flood_packets(start, stop, target, rate, 56, False)
+        flooder._flood_packets(start, stop, target, _interval_us(rate), False)
     else:
         flooder.flood_between(start, stop, target, rate)
 

@@ -52,8 +52,8 @@ class TestMannKendall:
         values = [100.0 - day + rng.gauss(0.0, 5.0) for day in range(60)]
         result = mann_kendall(values)
         assert result.s < 0
-        assert result.decreasing(alpha=0.001)
-        assert not mann_kendall(values[::-1]).decreasing()
+        assert result.p_decreasing < 0.001
+        assert not mann_kendall(values[::-1]).p_decreasing < 0.05
 
     def test_constant_series_has_no_trend(self):
         result = mann_kendall([2.0] * 5)
