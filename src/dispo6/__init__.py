@@ -15,9 +15,18 @@ __version__ = "0.1.0"
 from .addressing import AddressRole, AddressState, Ipv6Address, NameService
 from .engine import LinkModel, Packet, SimTime, Simulator
 
+
+class ConfigError(Exception):
+    """Scenario configuration failed validation; message lists the problems.
+
+    Defined here rather than in `scenario`, so that the CLI can report a
+    bad argument without loading the scenario runner."""
+
+
 __all__ = [
     "AddressRole",
     "AddressState",
+    "ConfigError",
     "Ipv6Address",
     "LinkModel",
     "NameService",

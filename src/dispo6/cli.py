@@ -9,6 +9,12 @@
 All randomness derives from the seed, so identical invocations write
 byte-identical CSVs. Exit status is 0 on success and 2 on configuration
 or I/O errors.
+
+Importing this module loads neither the scenario runner (`scenario`) nor
+`stats`. The `run`, `fig3` and `sweep` commands load the runner, and
+`drain` loads it to write `battery.csv` with the runner's CSV writer;
+only `sweep` loads `stats`. Code that imports the CLI without running
+one of these commands, and `dispo6 --help`, pay for neither.
 """
 
 import argparse
@@ -17,7 +23,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import ConfigError
 from .energy import (
     DEFAULT_PARAMS,
     FLOOD_RATE_PPS,
@@ -28,19 +36,9 @@ from .energy import (
     idle_profile,
     lifetime_under,
 )
-from .scenario import (
-    ConfigError,
-    RejectionMode,
-    ScenarioConfig,
-    fig3_config,
-    run_scenario,
-    run_sweep,
-    write_battery_series,
-    write_call_log,
-    write_daily_series,
-    write_metrics_json,
-)
-from .stats import mann_kendall
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +83,7 @@ def _common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["paper", "explicit"], default=None)
 
 
-def _load_config(path: Path | None) -> ScenarioConfig:
+def _load_config(path: Path | None) -> "ScenarioConfig":
     if path is None:
         raise ConfigError("--config is required (or use --print-defaults)")
     try:
@@ -102,11 +100,16 @@ def _load_config(path: Path | None) -> ScenarioConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if mapping is None:
         mapping = {}
+    # the scenario runner loads only in the commands that run a scenario
+    from .scenario import ScenarioConfig
+
     return ScenarioConfig.from_mapping(mapping)
 
 
-def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace,
-                     ) -> ScenarioConfig:
+def _apply_overrides(config: "ScenarioConfig", args: argparse.Namespace,
+                     ) -> "ScenarioConfig":
+    from .scenario import RejectionMode  # loaded with the config it overrides
+
     updates = {}
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
@@ -134,8 +137,18 @@ def _parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _run_and_write(config: ScenarioConfig, args: argparse.Namespace,
+def _run_and_write(config: "ScenarioConfig", args: argparse.Namespace,
                    prefix: str = "") -> int:
+    # read from the module at call time, so a tracer that rebinds them there
+    # times these calls
+    from .scenario import (
+        run_scenario,
+        write_battery_series,
+        write_call_log,
+        write_daily_series,
+        write_metrics_json,
+    )
+
     config = _apply_overrides(config, args)
     result = run_scenario(config)
     out_dir = args.out_dir
@@ -156,6 +169,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "print_defaults", False):
         import yaml
 
+        from .scenario import ScenarioConfig
+
         print(yaml.safe_dump(ScenarioConfig().to_mapping(), sort_keys=False),
               end="")
         return 0
@@ -163,11 +178,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
+    from .scenario import fig3_config  # fig3 runs a scenario
+
     return _run_and_write(fig3_config(args.variant), args,
                           prefix=f"fig3 {args.variant} ")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # a sweep runs scenarios and tests their trend
+    from .scenario import run_sweep
+    from .stats import mann_kendall
+
     config = _apply_overrides(_load_config(args.config), args)
     seeds = _parse_seeds(args.seeds)
     sweep = run_sweep(config, seeds, jobs=max(1, args.jobs))
@@ -221,6 +242,9 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     profile = idle_profile() if args.profile == "idle" else flood_profile(args.rate)
     hours = lifetime_under(DEFAULT_PARAMS, Battery(), profile)
     args.out_dir.mkdir(parents=True, exist_ok=True)
+    # battery.csv shares its writer with the scenario runner's outputs
+    from .scenario import write_battery_series
+
     write_battery_series(args.out_dir / "battery.csv",
                          _battery_series_for(profile))
     print(f"profile={profile.name} lifetime_hours={hours:.3f} "

@@ -341,6 +341,12 @@ class Simulator:
         return self._loop(None)
 
     def pending(self) -> int:
+        """Number of queued events: timers and packets in flight.
+
+        Packets of a flood segment that are still to run are not events
+        and are not counted, so a world whose only future work is a flood
+        reads 0. The golden `flood_summary` and
+        `test_which_floods_become_segments` pin this count."""
         return len(self._queue)
 
     def _loop(self, limit_us: int | None) -> int:

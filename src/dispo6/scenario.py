@@ -27,6 +27,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from . import ConfigError
 from .addressing import Ipv6Address, NameService
 from .adversary import (
     FOUR_HOUR_SCHEDULE,
@@ -50,7 +51,6 @@ from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
 from .monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
-from .stats import sample_mean_std
 
 HOME_PREFIX = 0x20010DB800010000
 CORRESPONDENT_PREFIX = 0x20010DB800CC0000
@@ -59,10 +59,6 @@ VISITED_PREFIX = 0x20010DB801000000
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
 BATTERY_HEADER = "time,remaining,state"
-
-
-class ConfigError(Exception):
-    """Scenario configuration failed validation; message lists the problems."""
 
 
 class InvariantError(Exception):
@@ -241,8 +237,8 @@ class CallRecord(NamedTuple):
                 f"{self.outcome.value},{hhmm(self.time)}")
 
 
-@dataclass(slots=True)
-class DailyStat:
+@record
+class DailyStat(NamedTuple):
     day: int
     calls: int
     rejected: int
@@ -252,8 +248,8 @@ class DailyStat:
         return self.rejected / self.calls if self.calls else 0.0
 
 
-@dataclass(slots=True)
-class Metrics:
+@record
+class Metrics(NamedTuple):
     total_calls: int
     rejected_calls: int
     rejection_rate: float
@@ -262,8 +258,8 @@ class Metrics:
     energy: dict | None
 
 
-@dataclass(slots=True)
-class ScenarioResult:
+@record
+class ScenarioResult(NamedTuple):
     config: ScenarioConfig
     metrics: Metrics
     records: list[CallRecord]
@@ -500,8 +496,8 @@ def write_metrics_json(path: Path | str, metrics: Metrics) -> None:
 # -- multi-seed sweeps ------------------------------------------------------
 
 
-@dataclass(slots=True)
-class SeedSummary:
+@record
+class SeedSummary(NamedTuple):
     seed: int
     total_calls: int
     rejected_calls: int
@@ -509,8 +505,8 @@ class SeedSummary:
     daily_rejected: list[int]
 
 
-@dataclass(slots=True)
-class SweepResult:
+@record
+class SweepResult(NamedTuple):
     summaries: list[SeedSummary]
     mean_rejected: float
     std_rejected: float
@@ -539,6 +535,8 @@ def _sweep_worker(args: tuple[ScenarioConfig, int]) -> SeedSummary:
 def run_sweep(config: ScenarioConfig, seeds: list[int],
               jobs: int = 1) -> SweepResult:
     """Independent runs across seeds; aggregation is order-independent."""
+    from .stats import sample_mean_std  # a single run loads no statistics
+
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     config.validate()

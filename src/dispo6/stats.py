@@ -1,12 +1,10 @@
 """Small statistics helpers for the experiment harness."""
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .messages import record
-
-if TYPE_CHECKING:
-    from .scenario import ScenarioConfig
+from .scenario import RejectionMode, ScenarioConfig
 
 
 @record
@@ -61,13 +59,11 @@ def sample_mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def _first_contact_rejection(config: "ScenarioConfig") -> float:
+def _first_contact_rejection(config: ScenarioConfig) -> float:
     """Chance that a call from a correspondent holding no disposable
     address is rejected: (h/12)^2 in paper mode; in explicit mode the
     share of the call window that the attack window covers, averaged over
     the schedule's start choices (h/12 for the published schedules)."""
-    from .scenario import RejectionMode  # scenario imports this module
-
     schedule = config.schedule()
     if schedule is None:
         return 0.0
@@ -79,7 +75,7 @@ def _first_contact_rejection(config: "ScenarioConfig") -> float:
     return covered / len(schedule.start_choices) / (hi - lo)
 
 
-def expected_daily_rejections(config: "ScenarioConfig") -> list[float]:
+def expected_daily_rejections(config: ScenarioConfig) -> list[float]:
     """Expected rejected calls on each day of `run_scenario(config)`.
 
     Each correspondent calls on a day with probability p; a call without

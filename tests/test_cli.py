@@ -124,6 +124,22 @@ def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run"], "--config is required"),
+    (["run", "--config", "{tmp}/missing.yaml"], "cannot read config"),
+    (["drain", "idle", "--out-dir", "{tmp}/file"], "i/o error"),
+], ids=["run_without_config", "run_missing_config", "drain_out_dir_is_a_file"])
+def test_missing_input_or_unusable_out_dir_exits_2(argv, message, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default --out-dir is ./out
+    (tmp_path / "file").write_text("kept")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 def test_print_defaults_round_trips(capsys):
     assert cli.main(["run", "--print-defaults"]) == 0
     mapping = yaml.safe_load(capsys.readouterr().out)

@@ -366,11 +366,12 @@ def test_micros_read_checker():
 HEAVY = ("multiprocessing", "cryptography", "yaml")
 
 
-def heavy_modules_after(body: str, cwd: Path | None = None) -> list[str]:
-    """The HEAVY packages a fresh interpreter holds after running `body`."""
+def heavy_modules_after(body: str, cwd: Path | None = None,
+                        watched: tuple[str, ...] = HEAVY) -> list[str]:
+    """The `watched` modules a fresh interpreter holds after running `body`;
+    a package counts as held once any of its submodules is."""
     script = (f"{body}\nimport sys\n"
-              f"print(sorted({{m.split('.')[0] for m in sys.modules}}"
-              f" & set({HEAVY!r})))\n")
+              f"print(sorted(m for m in {watched!r} if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                          check=True, capture_output=True, text=True,
@@ -382,6 +383,18 @@ def test_package_import_leaves_heavy_modules_out():
     # every run imports the package
     modules = [f"dispo6.{p.stem}" for p in MODULES]
     assert heavy_modules_after(f"for m in {modules!r}:\n    __import__(m)") == []
+
+
+# what the benchmark workloads import; the flood and prime-attack ones
+# run no scenario
+WORKLOAD_IMPORTS = ("cli", "adversary", "caller", "crypto", "energy", "engine",
+                    "home_agent", "mobile_host", "addressing")
+
+
+def test_workload_imports_leave_the_scenario_runner_out():
+    body = "\n".join(f"import dispo6.{name}" for name in WORKLOAD_IMPORTS)
+    assert heavy_modules_after(
+        body, watched=("dispo6.scenario", "dispo6.stats")) == []
 
 
 SMALL_RUN = ("from dispo6.scenario import ScenarioConfig, run_scenario\n"
