@@ -11,10 +11,10 @@ byte-identical CSVs. Exit status is 0 on success and 2 on configuration
 or I/O errors.
 
 Importing this module loads neither the scenario runner (`scenario`) nor
-`stats`. The `run`, `fig3` and `sweep` commands load the runner, and
-`drain` loads it to write `battery.csv` with the runner's CSV writer;
-only `sweep` loads `stats`. Code that imports the CLI without running
-one of these commands, and `dispo6 --help`, pay for neither.
+`stats`. The `run`, `fig3` and `sweep` commands load the runner; only
+`sweep` loads `stats`. `drain` writes `battery.csv` with the energy
+model's writer and loads neither. Code that imports the CLI without
+running one of these commands, and `dispo6 --help`, pay for neither.
 """
 
 import argparse
@@ -35,6 +35,7 @@ from .energy import (
     flood_profile,
     idle_profile,
     lifetime_under,
+    write_battery_series,
 )
 
 if TYPE_CHECKING:
@@ -242,9 +243,6 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     profile = idle_profile() if args.profile == "idle" else flood_profile(args.rate)
     hours = lifetime_under(DEFAULT_PARAMS, Battery(), profile)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    # battery.csv shares its writer with the scenario runner's outputs
-    from .scenario import write_battery_series
-
     write_battery_series(args.out_dir / "battery.csv",
                          _battery_series_for(profile))
     print(f"profile={profile.name} lifetime_hours={hours:.3f} "

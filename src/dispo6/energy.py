@@ -17,6 +17,7 @@ hours under a saturating request flood.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 from .engine import US_PER_SECOND, SimTime
@@ -94,6 +95,8 @@ class EnergyParams:
                    e_rx=e_rx, e_tx=TX_RX_RATIO * e_rx, e_ack=ACK_RX_RATIO * e_rx)
 
 
+BATTERY_HEADER = "time,remaining,state"
+
 #: Default parameters hitting 1.0 day idle and 3.75 h under a 100 pkt/s flood.
 DEFAULT_PARAMS = EnergyParams.calibrate()
 
@@ -101,6 +104,9 @@ DEFAULT_PARAMS = EnergyParams.calibrate()
 #: still cover, so that where a budget divides evenly into microseconds the
 #: instant of death does not hang on the order the ledger's sums were added.
 IDLE_US_TOL = 1e-6
+
+#: Entries `EnergyAccount`'s run-constant memo holds before it starts over.
+RUN_MEMO_SIZE = 8
 
 #: Relative slack of the ledger balance. The sums are floats, and a battery
 #: that dies inside an idle span hands over its last budget bits with it.
@@ -145,6 +151,15 @@ def lifetime_under(params: EnergyParams, battery: Battery,
     return battery.capacity / drain_rate(params, profile) / 3600.0
 
 
+def write_battery_series(path: Path | str,
+                         series: list[tuple[float, float, str]]) -> None:
+    """Write `battery.csv`: one (time s, remaining, radio state) row each."""
+    with open(path, "w", newline="") as handle:
+        handle.write(BATTERY_HEADER + "\n")
+        for t, remaining, state in series:
+            handle.write(f"{t:.3f},{remaining:.9f},{state}\n")
+
+
 @dataclass(slots=True)
 class EnergyAccount:
     """Per-host battery ledger with exact conservation.
@@ -152,6 +167,17 @@ class EnergyAccount:
     remaining is derived (capacity + recharged - consumed), so
     capacity − remaining always equals the sum of per-packet costs and the
     integrated state power, by construction.
+
+    `_runs` memoizes what `safe_run` and `charge_run` derive from a run's
+    interval and packet kinds alone: the packets' cost, that cost plus one
+    interval's idle draw, and the interval's active and power-save split.
+    The key is the interval and the kinds tuple's identity; an entry is
+    used only while `params` is the same object and the sleep timeout in
+    microseconds is equal, so an account whose parameters changed never
+    reads another's constants. A hit returns what the same float
+    expressions would compute again, so every ledger bit is the same. The
+    memo is cleared once it holds `RUN_MEMO_SIZE` entries: a host's runs
+    use one of two kinds tuples at its floods' intervals.
     """
 
     battery: Battery
@@ -170,6 +196,9 @@ class EnergyAccount:
     last_activity: int = field(init=False)
     _sleep_us: int = field(init=False)
     _last_us: int = field(init=False)  # idle drain is integrated up to here
+    # (interval_us, id(kinds)) -> (params, sleep us, kinds, constants)
+    _runs: dict = field(init=False, default_factory=dict, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.sleep_timeout_s <= 0:
@@ -288,17 +317,36 @@ class EnergyAccount:
         return (params.p_active_idle * (active_us / US_PER_SECOND)
                 + params.p_powersave * (powersave_us / US_PER_SECOND))
 
+    def _run_constants(self, interval_us: int, kinds: tuple[PacketKind, ...]
+                       ) -> tuple[float, float, tuple[int, int]]:
+        """The cost of one packet's `kinds`, of one packet and the idle gap
+        after it, and that gap's active and power-save microseconds."""
+        # `kinds` by identity: hashing a tuple of enum members runs
+        # Enum.__hash__ in Python for each, and the entry keeps `kinds`
+        # alive, so no other tuple can take its id while the entry stands
+        key = (interval_us, id(kinds))
+        entry = self._runs.get(key)
+        if (entry is not None and entry[0] is self.params
+                and entry[1] == self._sleep_us):
+            return entry[3]
+        step_cost = sum(map(self.params.packet_cost, kinds))
+        gap = self._gap_us(0, interval_us, 0)
+        constants = (step_cost, step_cost + self._idle_cost(*gap), gap)
+        if len(self._runs) >= RUN_MEMO_SIZE:
+            self._runs.clear()
+        self._runs[key] = (self.params, self._sleep_us, kinds, constants)
+        return constants
+
     def safe_run(self, first_us: int, interval_us: int, count: int,
                  kinds: tuple[PacketKind, ...]) -> int:
         """How many leading packets of a run, each charged `kinds`, leave
         the battery certainly alive: the first one that might not, less
         two packets of margin for the rounding of the closed form."""
-        step_cost = sum(map(self.params.packet_cost, kinds))
+        step_cost, step, _ = self._run_constants(interval_us, kinds)
         left = self.remaining - step_cost
         if first_us > self._last_us:
             left -= self._idle_cost(*self._gap_us(
                 self._last_us, first_us, self.last_activity))
-        step = step_cost + self._idle_cost(*self._gap_us(0, interval_us, 0))
         if step <= 0.0:
             return count
         return max(0, min(count, math.floor(left / step) - 1))
@@ -309,12 +357,13 @@ class EnergyAccount:
         and the idle gaps between them; `safe_run` must cover them."""
         self.advance(first_us)
         gaps = count - 1
-        active_us, powersave_us = self._gap_us(0, interval_us, 0)
+        step_cost, _, (active_us, powersave_us) = self._run_constants(
+            interval_us, kinds)
         self._accumulate(RadioState.ACTIVE, gaps * active_us,
                          self._idle_cost(gaps * active_us, 0))
         self._accumulate(RadioState.POWER_SAVE, gaps * powersave_us,
                          self._idle_cost(0, gaps * powersave_us))
-        self.consumed_packets += count * sum(map(self.params.packet_cost, kinds))
+        self.consumed_packets += count * step_cost
         self.packets += count * len(kinds)
         self._last_us = first_us + gaps * interval_us
         self.last_activity = self._last_us

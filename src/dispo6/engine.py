@@ -54,6 +54,24 @@ case differs: with an interval longer than the latency, a queued delivery
 that trips the monitor at an emission's instant sends its block request
 ahead of the emitted packet here, and behind it on the per-packet path.
 
+Step caches. A step hands every hop the same packet object of its piece
+again, so a hop keeps what it built last time and rebuilds it only when
+something it reads has changed. Each cache answers exactly what a rebuild
+would, and each is bounded, so a flood of many sources cannot grow it:
+- `HomeAgent` keeps one tunnel packet, the last. It is reused when the packet
+  to tunnel is the same object and the care-of address, looked up on
+  every call with the entry's state, is equal; the tunnel's source, the
+  agent's address, never changes.
+- `MobileHost` keeps one reply, the last `on_run` built, with the inner packet
+  and the route-cache entry for its source. It is reused while the inner
+  packet is the same object and that entry is equal. Its care-of address,
+  agent address and security-association tag, which the reply also
+  reads, change only at `attach` and at a move, which clear it.
+- `EnergyAccount` keeps the constants of a run, per interval and packet
+  kinds, up to `RUN_MEMO_SIZE` of them (see its docstring).
+The engine merges a forwarded run into the leg's last piece when the
+packets match, comparing by identity first, which a reused packet meets.
+
 A flood stays on the per-packet path when the link loses packets (each
 loss is a draw from the shared PRNG), when the trace is kept (it lists
 every packet), when the latency is zero, and when its first hop has no
@@ -240,6 +258,7 @@ class Simulator:
         self._prefix_routes: dict[int, str] = {}
         self._floods: list[_Segment] = []
         self._splits = 0  # segment packets delivered through on_packet
+        self._spent = False  # a segment in _floods has no packet left
 
     # -- nodes and routing ------------------------------------------------
 
@@ -400,7 +419,8 @@ class Simulator:
                 self._split(*split)
             elif until == limit:
                 break
-        if any(segment.next_us == FOREVER for segment in floods):
+        if self._spent:
+            self._spent = False
             floods[:] = [s for s in floods if s.next_us != FOREVER]
         return bool(queue) and queue[0][0] < stop
 
@@ -435,7 +455,8 @@ class Simulator:
                         head = heads.get((h, node_id))
                         if head is None:
                             heads[h, node_id] = [k_lo, k_hi, packet, True]
-                        elif head[3] and head[1] == k_lo and head[2] == packet:
+                        elif head[3] and head[1] == k_lo and (
+                                head[2] is packet or head[2] == packet):
                             head[1] = k_hi
                         else:
                             head[3] = False
@@ -511,7 +532,8 @@ class Simulator:
         leg = legs[h]
         if leg:
             tail = leg[-1]
-            if tail[1] == k_lo and tail[2] == target and tail[3] == packet:
+            if tail[1] == k_lo and tail[2] == target and (
+                    tail[3] is packet or tail[3] == packet):
                 tail[1] = k_hi
                 return
         leg.append([k_lo, k_hi, target, packet])
@@ -563,3 +585,5 @@ class Simulator:
                 best = min(best, segment.first_us + leg[0][0] * interval
                            + h * latency)
         segment.next_us = best
+        if best == FOREVER:
+            self._spent = True

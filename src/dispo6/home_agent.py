@@ -134,6 +134,8 @@ class HomeAgent(Node):
         self.counters = AgentCounters()
         self._hosts: dict[str, HostBinding] = {}
         self._entries: dict[Ipv6Address, AddressEntry] = {}
+        # the last packet _tunneled built (see "Step caches" in engine.py)
+        self._last_tunnel: Packet | None = None
         sim.register_prefix_route(prefix, node_id)
 
     # -- registration -------------------------------------------------------
@@ -253,9 +255,16 @@ class HomeAgent(Node):
         care_of = self._hosts[entry.owner].care_of
         if care_of is None:
             return None
-        return Packet(src=self.admin_address, dst=care_of,
-                      payload=Encapsulated(inner=packet),
-                      size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
+        # a segment step hands every hop the same packet object again
+        last = self._last_tunnel
+        if (last is not None and last.payload.inner is packet
+                and last.dst == care_of):
+            return last
+        last = self._last_tunnel = Packet(
+            src=self.admin_address, dst=care_of,
+            payload=Encapsulated(inner=packet),
+            size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
+        return last
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
         """Decapsulate and forward a host's outbound packet.

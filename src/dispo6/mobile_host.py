@@ -168,6 +168,9 @@ class MobileHost(CallerNode):
         self._active_peers: dict[str, Ipv6Address] = {}  # fqdn -> peer address
         self._peer_bu_sent: set[Ipv6Address] = set()
         self._reactivate_gen = 0
+        # on_run's last (inner packet, route-cache entry, reply); see
+        # "Step caches" in engine.py
+        self._last_reply: tuple | None = None
 
     @property
     def prime(self) -> Ipv6Address | None:
@@ -180,6 +183,7 @@ class MobileHost(CallerNode):
         """Register with the home agent and bring up addresses (time-0 setup)."""
         self.ha = ha
         self.ha_admin = ha.admin_address
+        self._last_reply = None
         self.sa_tag = f"sa-{self.node_id}-{self.sim.rng.getrandbits(64):016x}"
         ha.attach_host(self.node_id, self.sa_tag)
         self.address = ha.generate_home_address(self.node_id, self.sa_tag)
@@ -206,6 +210,7 @@ class MobileHost(CallerNode):
         self.coa = Ipv6Address(self.visited_prefix, random_iid(self.sim.rng))
         self.sim.register_route(self.coa, self.node_id)
         self._peer_bu_sent.clear()
+        self._last_reply = None
         self.counters.binding_updates += 1
         self._emit(Packet(src=self.coa, dst=self.ha_admin,
                           payload=BindingUpdate(host_id=self.node_id,
@@ -499,10 +504,23 @@ class MobileHost(CallerNode):
                 self.monitor.observe_run(dst, first_us, interval_us, count)
             counters.pings += count
             if kinds is _ANSWERED:
-                reply = self._wire(self._addressed(dst, inner.src,
-                                                   Pong(inner.payload.seq)))
+                reply = self._run_reply(inner)
         if energy is not None:
             energy.charge_run(first_us, interval_us, count, kinds)
+        return reply
+
+    def _run_reply(self, inner: Packet) -> Packet:
+        """The pong _on_ping sends for `inner`, as it goes on the wire; the
+        last one is reused while `inner` is the same object and the source's
+        route-cache entry is equal. The care-of address, agent and SA tag
+        it also reads change only where the memo is reset."""
+        route = self._route_cache.get(inner.src)
+        last = self._last_reply
+        if last is not None and last[0] is inner and last[1] == route:
+            return last[2]
+        reply = self._wire(self._addressed(inner.dst, inner.src,
+                                           Pong(inner.payload.seq)))
+        self._last_reply = (inner, route, reply)
         return reply
 
     def _run_kinds(self, state: AddressState | None,

@@ -38,6 +38,8 @@ from .adversary import (
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
+# the writer of a run's battery.csv, found here with the other writers
+from .energy import write_battery_series as write_battery_series
 from .engine import (
     LINK_LATENCY_S,
     US_PER_DAY,
@@ -58,7 +60,6 @@ VISITED_PREFIX = 0x20010DB801000000
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
-BATTERY_HEADER = "time,remaining,state"
 
 
 class InvariantError(Exception):
@@ -470,14 +471,6 @@ def write_daily_series(path: Path | str, daily: list[DailyStat]) -> None:
         for stat in daily:
             handle.write(f"{stat.day},{stat.calls},{stat.rejected},"
                          f"{stat.rejection_rate:.6f}\n")
-
-
-def write_battery_series(path: Path | str,
-                         series: list[tuple[float, float, str]]) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(BATTERY_HEADER + "\n")
-        for t, remaining, state in series:
-            handle.write(f"{t:.3f},{remaining:.9f},{state}\n")
 
 
 def write_metrics_json(path: Path | str, metrics: Metrics) -> None:

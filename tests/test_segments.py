@@ -6,13 +6,17 @@ packet, kept as the reference. Each case runs the same world twice, once
 each way, and compares every counter exactly at every checkpoint: engine,
 home agent, host, flooder, and the ledger's integer fields. The ledger's
 float sums are charged a run at a time instead of a packet at a time, so
-they may differ in their last bits, within LEDGER_REL_TOL.
+they may differ in their last bits, within LEDGER_REL_TOL. The cases that
+move, block or redirect a host change what the step caches of engine.py
+read; one more test counts what a segment step rebuilds.
 """
 
+import collections
 import dataclasses
 
 import pytest
 
+from dispo6 import home_agent, mobile_host
 from dispo6.addressing import Ipv6Address
 from dispo6.adversary import Flooder, _interval_us
 from dispo6.energy import (
@@ -20,15 +24,20 @@ from dispo6.energy import (
     LEDGER_REL_TOL,
     Battery,
     EnergyAccount,
+    EnergyParams,
     drain_rate,
     flood_profile,
 )
-from dispo6.engine import EPOCH, SimTime
+from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime
+from dispo6.messages import PeerBindingUpdate
 from dispo6.mobile_host import Mode
 
 import test_golden
 from conftest import ATTACKER_PREFIX
 from test_mobile_host import make_caller, make_host
+
+# subnets a host moves to
+MOVED_PREFIXES = (0x20010DB802220000, 0x20010DB803330000)
 
 LEDGER_INTS = ("active_us", "powersave_us", "packets", "dead")
 LEDGER_FLOATS = ("consumed_packets", "consumed_active", "consumed_powersave",
@@ -214,6 +223,130 @@ def test_route_optimized_disposable(make_world):
     counters = twin.check()
     assert counters["host"]["peer_binding_updates"] >= 1
     assert counters["host"]["stale_dropped"] + counters["engine"]["unroutable"] > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_moves_during_a_flood_on_a_disposable(make_world, mode):
+    """The host changes subnet twice under a flood on an active
+    disposable: the packets in flight to the old care-of address are
+    stale, the home agent tunnels to the new one once the binding update
+    arrives, and the host's pong leaves from the new one. The moves fall
+    between the flood's packets: a binding update sent between two steps
+    at the instant of one would meet it by the tie rule of engine.py."""
+    twin = Twin(make_world, mode=mode)
+    twin.flood(0.0, 60.0, 100)
+    for t, prefix in zip((10.005, 10.023), MOVED_PREFIXES):
+        twin.check(t)
+        twin.each(lambda _, world, host, caller, hoa, flooder:
+                  host.move_to_subnet(prefix))
+    for t in (10.03, 10.06, 10.075, 10.1, 10.2, 30.0):
+        twin.check(t)
+    counters = twin.check()
+    assert counters["host"]["binding_updates"] == 2
+    assert counters["host"]["stale_dropped"] > 0
+    assert counters["flooder"]["replies_received"] > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_block_and_reactivate_the_flooded_disposable(make_world, mode):
+    """The flooded disposable is blocked, so the home agent drops the
+    flood and the host charges no pong, then reactivated, so both resume."""
+    twin = Twin(make_world, mode=mode)
+    twin.flood(0.0, 60.0, 100)
+    twin.check(5.005)
+    twin.each(lambda _, world, host, caller, hoa, flooder:
+              host.dispose_address(hoa, auto_reactivate=False))
+    for t in (5.04, 5.1, 20.007):
+        twin.check(t)
+    twin.each(lambda _, world, host, caller, hoa, flooder:
+              host.reactivate_address(hoa))
+    for t in (20.07, 20.2, 40.0):
+        twin.check(t)
+    counters = twin.check()
+    assert counters["home_agent"]["dropped_blocked"] > 0
+    assert counters["host"]["reactivations"] == 1
+    assert counters["flooder"]["replies_received"] > 4000
+
+
+def test_a_binding_update_for_the_flood_source(make_world):
+    """A binding update naming the flood's source address moves where the
+    host's pongs go: to the care-of address it names, here one nobody
+    routes."""
+    twin = Twin(make_world)
+    twin.flood(0.0, 30.0, 100)
+    twin.check(5.005)
+    nowhere = Ipv6Address(ATTACKER_PREFIX, 0xB)
+    twin.each(lambda _, world, host, caller, hoa, flooder: world.sim.send(
+        Packet(flooder.address, hoa, PeerBindingUpdate(
+            home_address=flooder.address, care_of=nowhere))))
+    for t in (5.06, 5.1, 10.0):
+        twin.check(t)
+    counters = twin.check()
+    assert 400 < counters["flooder"]["replies_received"] < 600
+    assert counters["engine"]["unroutable"] > 2000
+
+
+def test_accounts_with_different_sleep_timeouts(make_world):
+    """Two victims share DEFAULT_PARAMS and a flood's interval, but one
+    radio naps after 4 ms, inside each 10 ms gap, and one stays active."""
+    results = []
+    for per_packet in (False, True):
+        world = make_world()
+        flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
+        caller = make_caller(world)
+        side = []
+        for i, sleep_timeout_s in enumerate((10.0, 0.004)):
+            account = EnergyAccount(Battery(), DEFAULT_PARAMS, sleep_timeout_s,
+                                    EPOCH)
+            host = make_host(world, node_id=f"host-{i}",
+                             fqdn=f"host{i}.home.example", energy=account,
+                             detection_threshold_pps=1e9)
+            flood(flooder, per_packet, 0.5, 30.0,
+                  host.grant_out_of_band(caller.fqdn), 100)
+            side.append(host)
+        world.sim.run_until(SimTime.from_seconds(20.0))
+        results.append([summary(world, host, flooder) for host in side]
+                       + [host.energy for host in side])
+    segment, packet = results
+    for i in range(2):
+        assert_same(segment[i], packet[i], (segment[2 + i], packet[2 + i]))
+    active, napping = segment[2:]
+    assert active.powersave_us == 0 < napping.powersave_us
+
+
+def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
+    """A segment stepped 1 s at a time: the tunnel packet, the pong and
+    the per-packet costs are built again when hop state changes, not on
+    every step."""
+    built = collections.Counter()
+
+    def counted(name, make):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(home_agent, "Encapsulated",
+                        counted("Encapsulated", home_agent.Encapsulated))
+    monkeypatch.setattr(mobile_host, "Pong", counted("Pong", mobile_host.Pong))
+    monkeypatch.setattr(EnergyParams, "packet_cost",
+                        counted("packet_cost", EnergyParams.packet_cost))
+    # the segment side of a twin, stepped alone
+    _, world, host, _, hoa, flooder = Twin(make_world).sides[0]
+    flood(flooder, False, 0.5, 600.0, hoa, 100)
+
+    def steps(n):
+        for _ in range(n):
+            world.sim.run_until(world.sim.now_us + US_PER_SECOND)
+        return dict(built)
+
+    settled = steps(3)
+    assert settled["Encapsulated"] == settled["Pong"] == 1
+    assert steps(20) == settled
+    host.move_to_subnet(MOVED_PREFIXES[0])
+    moved = steps(3)
+    assert moved["Encapsulated"] == moved["Pong"] == 2
+    assert steps(20) == moved
 
 
 @pytest.mark.parametrize("world_kwargs,per_packet", [
