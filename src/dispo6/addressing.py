@@ -2,7 +2,6 @@
 
 import ipaddress
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 IID_BITS = 64
@@ -90,11 +89,12 @@ class NameAuthorizationError(Exception):
     """A node other than the record owner tried to change the record."""
 
 
-@dataclass(slots=True)
 class NameRecord:
-    fqdn: str
-    prime: Ipv6Address
-    owner: str
+    __slots__ = ("prime", "owner")
+
+    def __init__(self, prime: Ipv6Address, owner: str):
+        self.prime = prime
+        self.owner = owner
 
 
 class NameService:
@@ -112,7 +112,7 @@ class NameService:
             raise ValueError("empty FQDN")
         if fqdn in self._records:
             raise ValueError(f"duplicate FQDN registration: {fqdn}")
-        self._records[fqdn] = NameRecord(fqdn=fqdn, prime=prime, owner=owner)
+        self._records[fqdn] = NameRecord(prime=prime, owner=owner)
 
     def resolve(self, fqdn: str) -> Ipv6Address:
         try:

@@ -120,14 +120,14 @@ class Flooder(Node):
         return None if packet.dst == self.address else packet
 
 
-@dataclass(frozen=True, slots=True)
-class AttackSchedule:
+@record
+class AttackSchedule(NamedTuple):
     """Daily attack window: fixed duration, start drawn from a small set."""
 
     daily_hours: int
     start_choices: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if self.daily_hours not in (4, 6):
             raise ValueError("attack duration must be 4 or 6 hours")
         if not self.start_choices:

@@ -10,7 +10,6 @@ step and the bookkeeping that differs.
 """
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -50,15 +49,18 @@ class CallOutcome(Enum):
     FAILED = "failed"
 
 
-@dataclass(slots=True)
 class AddressBookEntry:
     """Contact-manager row: the peer's address, where we call it. The
     address we granted the peer is the responder's `grants` entry."""
 
-    peer_fqdn: str
-    peer_pubkey: bytes | None = None
-    peer_address: Ipv6Address | None = None
-    peer_known_blocked: bool = False
+    __slots__ = ("peer_fqdn", "peer_pubkey", "peer_address",
+                 "peer_known_blocked")
+
+    def __init__(self, peer_fqdn: str):
+        self.peer_fqdn = peer_fqdn
+        self.peer_pubkey: bytes | None = None
+        self.peer_address: Ipv6Address | None = None
+        self.peer_known_blocked = False
 
 
 @record

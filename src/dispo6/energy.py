@@ -15,7 +15,6 @@ hours under a saturating request flood.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -46,8 +45,8 @@ class PacketKind(Enum):
     TX_ACK = "tx_ack"
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyParams:
+@record
+class EnergyParams(NamedTuple):
     """Power draw per state (units/s) and per-packet costs (units)."""
 
     p_active_idle: float
@@ -56,7 +55,7 @@ class EnergyParams:
     e_tx: float
     e_ack: float
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.p_active_idle, self.p_powersave, self.e_rx, self.e_tx,
                self.e_ack) < 0:
             raise ValueError("negative energy parameter")
@@ -160,7 +159,6 @@ def write_battery_series(path: Path | str,
             handle.write(f"{t:.3f},{remaining:.9f},{state}\n")
 
 
-@dataclass(slots=True)
 class EnergyAccount:
     """Per-host battery ledger with exact conservation.
 
@@ -180,32 +178,31 @@ class EnergyAccount:
     use one of two kinds tuples at its floods' intervals.
     """
 
-    battery: Battery
-    params: EnergyParams
-    sleep_timeout_s: float
-    started_at: int
-    consumed_packets: float = 0.0
-    consumed_active: float = 0.0
-    consumed_powersave: float = 0.0
-    recharged: float = 0.0
-    active_us: int = 0
-    powersave_us: int = 0
-    packets: int = 0
-    dead: bool = False
-    dead_at: int | None = None  # a SimTime, built once at death
-    last_activity: int = field(init=False)
-    _sleep_us: int = field(init=False)
-    _last_us: int = field(init=False)  # idle drain is integrated up to here
-    # (interval_us, id(kinds)) -> (params, sleep us, kinds, constants)
-    _runs: dict = field(init=False, default_factory=dict, repr=False,
-                        compare=False)
+    __slots__ = ("battery", "params", "consumed_packets", "consumed_active",
+                 "consumed_powersave", "recharged", "active_us",
+                 "powersave_us", "packets", "dead", "dead_at",
+                 "last_activity", "_sleep_us", "_last_us", "_runs")
 
-    def __post_init__(self):
-        if self.sleep_timeout_s <= 0:
+    def __init__(self, battery: Battery, params: EnergyParams,
+                 sleep_timeout_s: float, started_at: int):
+        if sleep_timeout_s <= 0:
             raise ValueError("sleep timeout must be positive")
-        self._sleep_us = round(self.sleep_timeout_s * US_PER_SECOND)
-        self.last_activity = self.started_at
-        self._last_us = self.started_at
+        self.battery = battery
+        self.params = params
+        self.consumed_packets = 0.0
+        self.consumed_active = 0.0
+        self.consumed_powersave = 0.0
+        self.recharged = 0.0
+        self.active_us = 0
+        self.powersave_us = 0
+        self.packets = 0
+        self.dead = False
+        self.dead_at: int | None = None  # a SimTime, built once at death
+        self.last_activity = started_at
+        self._sleep_us = round(sleep_timeout_s * US_PER_SECOND)
+        self._last_us = started_at  # idle drain is integrated up to here
+        # (interval_us, id(kinds)) -> (params, sleep us, kinds, constants)
+        self._runs: dict = {}
 
     @property
     def remaining(self) -> float:
@@ -213,7 +210,8 @@ class EnergyAccount:
             return 0.0
         total = (self.consumed_packets + self.consumed_active
                  + self.consumed_powersave)
-        return max(0.0, self.battery.capacity + self.recharged - total)
+        left = self.battery.capacity + self.recharged - total
+        return left if left > 0.0 else 0.0  # max(0.0, left), without the call
 
     def balanced(self) -> bool:
         """consumed + remaining == capacity + recharged, to LEDGER_REL_TOL
@@ -242,40 +240,42 @@ class EnergyAccount:
             return
         if b <= a:
             return
-        active_us, powersave_us = self._gap_us(a, b, self.last_activity)
-        self._charge_idle(active_us, RadioState.ACTIVE)
-        if not self.dead:
-            self._charge_idle(powersave_us, RadioState.POWER_SAVE)
+        # the radio stays active until the sleep instant, then naps
+        active_end = self.last_activity + self._sleep_us
+        if active_end < a:
+            active_end = a
+        if active_end > b:
+            active_end = b
+        if active_end > a:
+            self._charge_idle(active_end - a, RadioState.ACTIVE)
+        if b > active_end and not self.dead:
+            self._charge_idle(b - active_end, RadioState.POWER_SAVE)
 
     def _charge_idle(self, duration_us: int, state: RadioState) -> None:
-        if duration_us <= 0:
-            return
+        """Charge `duration_us` > 0 of idle draw in `state`."""
         power = (self.params.p_active_idle if state is RadioState.ACTIVE
                  else self.params.p_powersave)
         cost = power * (duration_us / US_PER_SECOND)
         budget = self.remaining
-        if cost >= budget and power > 0:
+        dies = cost >= budget and power > 0
+        if dies:
             # a budget that covers a whole number of microseconds but for
             # the rounding of the ledger's sums still covers them
             survive_us = math.floor(budget / power * US_PER_SECOND + IDLE_US_TOL)
-            survive_us = min(survive_us, duration_us)
+            duration_us = min(survive_us, duration_us)
             # the battery dies inside this span; the sub-microsecond tail of
             # the budget goes with it so a dead battery reads exactly empty
-            self._accumulate(state, survive_us, budget)
-            self.dead = True
-            self._last_us += survive_us
-            self.dead_at = SimTime(self._last_us)
-            return
-        self._accumulate(state, duration_us, cost)
-        self._last_us += duration_us
-
-    def _accumulate(self, state: RadioState, duration_us: int, cost: float) -> None:
+            cost = budget
         if state is RadioState.ACTIVE:
             self.consumed_active += cost
             self.active_us += duration_us
         else:
             self.consumed_powersave += cost
             self.powersave_us += duration_us
+        self._last_us += duration_us
+        if dies:
+            self.dead = True
+            self.dead_at = SimTime(self._last_us)
 
     def on_packet(self, now_us: int, kind: PacketKind) -> bool:
         """Charge one packet. Returns False when the host is (or just went) dead."""
@@ -306,17 +306,6 @@ class EnergyAccount:
             return False
         return True
 
-    def _gap_us(self, a: int, b: int, last_activity_us: int) -> tuple[int, int]:
-        """Active and power-save microseconds of an idle gap from a to b: the
-        radio stays active until the sleep instant, then naps."""
-        active_end = min(b, max(a, last_activity_us + self._sleep_us))
-        return active_end - a, b - active_end
-
-    def _idle_cost(self, active_us: int, powersave_us: int) -> float:
-        params = self.params
-        return (params.p_active_idle * (active_us / US_PER_SECOND)
-                + params.p_powersave * (powersave_us / US_PER_SECOND))
-
     def _run_constants(self, interval_us: int, kinds: tuple[PacketKind, ...]
                        ) -> tuple[float, float, tuple[int, int]]:
         """The cost of one packet's `kinds`, of one packet and the idle gap
@@ -329,9 +318,14 @@ class EnergyAccount:
         if (entry is not None and entry[0] is self.params
                 and entry[1] == self._sleep_us):
             return entry[3]
-        step_cost = sum(map(self.params.packet_cost, kinds))
-        gap = self._gap_us(0, interval_us, 0)
-        constants = (step_cost, step_cost + self._idle_cost(*gap), gap)
+        params = self.params
+        step_cost = sum(map(params.packet_cost, kinds))
+        # the gap after a packet: active until the sleep instant, then napping
+        active_us = min(interval_us, self._sleep_us)
+        gap = (active_us, interval_us - active_us)
+        constants = (step_cost, step_cost + (
+            params.p_active_idle * (gap[0] / US_PER_SECOND)
+            + params.p_powersave * (gap[1] / US_PER_SECOND)), gap)
         if len(self._runs) >= RUN_MEMO_SIZE:
             self._runs.clear()
         self._runs[key] = (self.params, self._sleep_us, kinds, constants)
@@ -343,13 +337,32 @@ class EnergyAccount:
         the battery certainly alive: the first one that might not, less
         two packets of margin for the rounding of the closed form."""
         step_cost, step, _ = self._run_constants(interval_us, kinds)
-        left = self.remaining - step_cost
-        if first_us > self._last_us:
-            left -= self._idle_cost(*self._gap_us(
-                self._last_us, first_us, self.last_activity))
         if step <= 0.0:
             return count
-        return max(0, min(count, math.floor(left / step) - 1))
+        # `remaining`, then the idle draw of the gap before the run as
+        # `advance` splits it, spelled out with no min or max call
+        left = 0.0
+        if not self.dead:
+            left = self.battery.capacity + self.recharged - (
+                self.consumed_packets + self.consumed_active
+                + self.consumed_powersave)
+            if not left > 0.0:
+                left = 0.0
+        left -= step_cost
+        last_us = self._last_us
+        if first_us > last_us:
+            active_end = self.last_activity + self._sleep_us
+            if active_end < last_us:
+                active_end = last_us
+            if active_end > first_us:
+                active_end = first_us
+            params = self.params
+            left -= (params.p_active_idle * ((active_end - last_us) / US_PER_SECOND)
+                     + params.p_powersave * ((first_us - active_end) / US_PER_SECOND))
+        safe = math.floor(left / step) - 1
+        if safe > count:
+            return count
+        return safe if safe > 0 else 0
 
     def charge_run(self, first_us: int, interval_us: int, count: int,
                    kinds: tuple[PacketKind, ...]) -> None:
@@ -359,14 +372,18 @@ class EnergyAccount:
         gaps = count - 1
         step_cost, _, (active_us, powersave_us) = self._run_constants(
             interval_us, kinds)
-        self._accumulate(RadioState.ACTIVE, gaps * active_us,
-                         self._idle_cost(gaps * active_us, 0))
-        self._accumulate(RadioState.POWER_SAVE, gaps * powersave_us,
-                         self._idle_cost(0, gaps * powersave_us))
+        # each state's idle draw alone: the other state's zero term would
+        # change no bit of the sum
+        params = self.params
+        self.consumed_active += params.p_active_idle * (
+            gaps * active_us / US_PER_SECOND)
+        self.active_us += gaps * active_us
+        self.consumed_powersave += params.p_powersave * (
+            gaps * powersave_us / US_PER_SECOND)
+        self.powersave_us += gaps * powersave_us
         self.consumed_packets += count * step_cost
         self.packets += count * len(kinds)
-        self._last_us = first_us + gaps * interval_us
-        self.last_activity = self._last_us
+        self._last_us = self.last_activity = first_us + gaps * interval_us
 
     def tick_idle(self, dt_s: float) -> None:
         if dt_s < 0:

@@ -28,15 +28,26 @@ them, or None. The traffic counters move by ``count`` at once, so they
 balance at every instant. Hop state changes only at queued events and at
 split packets (below), so a piece is uniform between them.
 
+A step is planned, then advanced. The plan follows every piece through
+the forward decisions of the hops it will cross (``run_fate(packet)``,
+pure) to the first node that splits runs or has no closed form, and ends
+the step before the first packet that must go through ``on_packet``
+(below), or where the first run such a node receives ends. The advance
+then walks the legs once, nearest the source first: it hands each hop its
+due packets, queues what the hop forwards on the next leg, and notes the
+leg's next arrival as it leaves it.
+
 A segment splits into single packets only where a hop's state changes
-because of the packets themselves. A node that can change that way
-defines ``run_split(packet, first_us, interval_us, count)``: the index of
-the first packet of a run that must go through ``on_packet``. Before each
-step the engine composes the forward decisions of the hops upstream of such
-a node (``run_fate(packet)``, pure) into the run that will reach it, asks
-it for that index, and steps only up to it. The split packet is then
-delivered through ``on_packet`` at its own instant, the way the per-packet
-path delivers every packet.
+because of the packets themselves, or where a hop has no closed form. A
+node that can change that way defines ``run_split(packet, first_us,
+interval_us, count)``: the index of the first packet of a run that must
+go through ``on_packet``. The plan asks it for that index on the run that
+will reach it, and follows that run on through its ``run_fate``, so that
+what it forwards is seen before any of it arrives. A node without
+``on_run`` splits at every packet: the packets bound for it leave the
+segment there and reach it one at a time. A split packet is delivered
+through ``on_packet`` at its own instant, the way the per-packet path
+delivers every packet, and whatever it sends is a single packet.
 
 Same-instant ties. The per-packet path runs the events of one instant in
 scheduling order; a packet on a link was scheduled one latency before it
@@ -62,15 +73,17 @@ would, and each is bounded, so a flood of many sources cannot grow it:
   to tunnel is the same object and the care-of address, looked up on
   every call with the entry's state, is equal; the tunnel's source, the
   agent's address, never changes.
-- `MobileHost` keeps one reply, the last `on_run` built, with the inner packet
-  and the route-cache entry for its source. It is reused while the inner
-  packet is the same object and that entry is equal. Its care-of address,
-  agent address and security-association tag, which the reply also
-  reads, change only at `attach` and at a move, which clear it.
+- `MobileHost` keeps one reply, the last `run_fate` or `on_run` built, with
+  the inner packet and the route-cache entry for its source. It is reused
+  while the inner packet is the same object and that entry is equal. Its
+  care-of address, agent address and security-association tag, which the
+  reply also reads, change only at `attach` and at a move, which clear it.
 - `EnergyAccount` keeps the constants of a run, per interval and packet
   kinds, up to `RUN_MEMO_SIZE` of them (see its docstring).
 The engine merges a forwarded run into the leg's last piece when the
 packets match, comparing by identity first, which a reused packet meets.
+It keeps nothing of a plan: a step builds one list per run it plans and
+one dict of them, and sorts a node's runs only when it has more than one.
 
 A flood stays on the per-packet path when the link loses packets (each
 loss is a draw from the shared PRNG), when the trace is kept (it lists
@@ -86,7 +99,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .addressing import Ipv6Address
+from .addressing import IID_BITS, Ipv6Address
 from .messages import record
 
 US_PER_SECOND = 1_000_000
@@ -152,14 +165,14 @@ class SimTime(int):
 EPOCH = SimTime(0)
 
 
-@dataclass(frozen=True, slots=True)
-class LinkModel:
+@record
+class LinkModel(NamedTuple):
     """Uniform delivery latency and loss applied to every routed packet."""
 
     latency_s: float = LINK_LATENCY_S
     loss_probability: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.latency_s < 0:
             raise ValueError("negative latency")
         if not 0.0 <= self.loss_probability <= 1.0:
@@ -198,9 +211,10 @@ class Node:
     """Base simulated node. Subclasses react to packets and timer wakeups.
 
     A node that flood segments may cross also defines ``on_run`` and, if
-    it forwards them towards a node that splits runs, ``run_fate``; a node
-    whose state the packets themselves can change defines ``run_split``
-    (see the module docstring).
+    it forwards them, ``run_fate``; a node whose state the packets
+    themselves can change defines ``run_split`` (see the module
+    docstring). A node without ``on_run`` takes segment packets one at a
+    time, through ``on_packet``.
     """
 
     on_run = None
@@ -279,7 +293,7 @@ class Simulator:
     def _route(self, dst: Ipv6Address) -> str | None:
         target = self._exact_routes.get(dst)
         if target is None:
-            target = self._prefix_routes.get(dst.prefix)
+            target = self._prefix_routes.get(dst >> IID_BITS)
         return target
 
     @property
@@ -316,7 +330,7 @@ class Simulator:
         counters.sent += 1
         target = self._exact_routes.get(packet.dst)
         if target is None:
-            target = self._prefix_routes.get(packet.dst.prefix)
+            target = self._prefix_routes.get(packet.dst >> IID_BITS)
             if target is None:
                 counters.unroutable += 1
                 return False
@@ -360,13 +374,18 @@ class Simulator:
         return self._loop(None)
 
     def pending(self) -> int:
-        """Number of queued events: timers and packets in flight.
-
-        Packets of a flood segment that are still to run are not events
-        and are not counted, so a world whose only future work is a flood
-        reads 0. The golden `flood_summary` and
-        `test_which_floods_become_segments` pin this count."""
-        return len(self._queue)
+        """Number of events the per-packet path would have queued: timers
+        and packets in flight. A flood segment counts as its source's
+        emission timer while it has packets to emit, plus one for each of
+        its packets in flight to a later hop."""
+        count = len(self._queue)
+        for segment in self._floods:
+            legs = segment.legs
+            count += bool(legs[0])
+            for h in range(1, len(legs)):
+                for k_lo, k_hi, _, _ in legs[h]:
+                    count += k_hi - k_lo
+        return count
 
     def _loop(self, limit_us: int | None) -> int:
         queue, nodes, counters = self._queue, self.nodes, self.counters
@@ -410,7 +429,9 @@ class Simulator:
             last = -1
             for segment in floods:
                 if segment.next_us < until:
-                    last = max(last, self._advance(segment, until))
+                    handed = self._advance(segment, until)
+                    if handed > last:
+                        last = handed
             if last > self.now_us:
                 self.now_us = last
             if split is not None:
@@ -428,92 +449,140 @@ class Simulator:
         """The next step: deliver what arrives before `until`, then `split`
         (segment, hop, k, node id, packet) on the packet path, if any.
 
-        For every node with ``run_split``, the pieces bound for it are
-        followed through the forward decisions of the hops before it, and
-        the first contiguous run it will receive is asked for its split.
-        The step ends there, or where that run ends: the node's state after
-        the run is known only once the run is charged.
+        Each piece is followed to the first node that splits runs or has
+        no closed form, and the first contiguous run that node will
+        receive is asked for its split. Past a node that splits runs, the
+        piece that starts its run is followed on: the pieces merged into
+        that run carry the same packet, so they go the same way. The step
+        ends at the earliest split, or where that run ends: the node's
+        state after the run is known only once the run is charged.
         """
         nodes, latency = self.nodes, self._latency_us
-        runs: dict[str, list] = {}
+        exact, prefixes = self._exact_routes, self._prefix_routes
+        # node id -> its runs [first_us, k_hi, packet, contiguous, segment,
+        # hop, k_lo], in the order the walk found them
+        runs = {}
         for segment in self._floods:
             if segment.next_us >= limit:
                 continue
-            interval = segment.interval_us
-            heads: dict[tuple[int, str], list] = {}
+            legs, interval = segment.legs, segment.interval_us
+            # where the last piece's walk began, and the first run it
+            # reached: a walk that gets there goes the same way from there
+            seen_h, seen_id, seen_packet, seen_run = -1, None, None, None
             # a farther leg holds older packets: walk k in increasing order
-            for hop in range(len(segment.legs) - 1, -1, -1):
-                for k_lo, k_hi, node_id, packet in segment.legs[hop]:
-                    h, node = hop, nodes[node_id]
-                    while node.run_split is None:
-                        packet = node.run_fate(packet)
-                        node_id = None if packet is None else self._route(packet.dst)
-                        if node_id is None:
+            for hop in range(len(legs) - 1, -1, -1):
+                for k_lo, k_hi, start_id, start_packet in legs[hop]:
+                    h, node_id, packet, reached = hop, start_id, start_packet, None
+                    while True:
+                        if (h == seen_h and packet is seen_packet
+                                and node_id == seen_id):
+                            run = seen_run
+                            if run is not None:
+                                if run[3] and run[1] == k_lo:
+                                    run[1] = k_hi
+                                else:
+                                    run[3] = False
+                                reached = reached or run
                             break
-                        h, node = h + 1, nodes[node_id]
-                    else:
-                        head = heads.get((h, node_id))
-                        if head is None:
-                            heads[h, node_id] = [k_lo, k_hi, packet, True]
-                        elif head[3] and head[1] == k_lo and (
-                                head[2] is packet or head[2] == packet):
-                            head[1] = k_hi
-                        else:
-                            head[3] = False
-            for (h, node_id), (k_lo, k_hi, packet, _) in heads.items():
-                runs.setdefault(node_id, []).append(
-                    (segment.first_us + k_lo * interval + h * latency,
-                     interval, k_hi - k_lo, packet, segment, h, k_lo))
+                        node = nodes[node_id]
+                        fate = node.run_fate
+                        if node.run_split is not None or (
+                                fate is None and node.on_run is None):
+                            node_runs = runs.get(node_id)
+                            if node_runs is None:
+                                node_runs = runs[node_id] = []
+                            for run in node_runs:
+                                if run[4] is segment and run[5] == h:
+                                    if run[3] and run[1] == k_lo and (
+                                            run[2] is packet or run[2] == packet):
+                                        run[1] = k_hi
+                                    else:
+                                        run[3] = False
+                                    fate = None
+                                    break
+                            else:
+                                run = [segment.first_us + k_lo * interval
+                                       + h * latency, k_hi, packet, True,
+                                       segment, h, k_lo]
+                                node_runs.append(run)
+                            reached = reached or run
+                        if fate is None:
+                            break
+                        packet = fate(packet)
+                        if packet is None:
+                            break
+                        dst = packet.dst
+                        node_id = exact.get(dst)
+                        if node_id is None:
+                            node_id = prefixes.get(dst >> IID_BITS)
+                            if node_id is None:
+                                break
+                        h += 1
+                    seen_h, seen_id, seen_packet, seen_run = (
+                        hop, start_id, start_packet, reached)
         until, split = limit, None
         for node_id, node_runs in runs.items():
-            node_runs.sort(key=itemgetter(0))
-            first, interval, count, packet, segment, h, k_lo = node_runs[0]
+            if len(node_runs) > 1:
+                node_runs.sort(key=itemgetter(0))
+            first, k_hi, packet, _, segment, h, k_lo = node_runs[0]
             if first >= until:
                 continue
-            other = FOREVER
+            interval, count, other = segment.interval_us, k_hi - k_lo, FOREVER
             if len(node_runs) > 1:
                 # the next run interleaves from its first packet on
                 other = node_runs[1][0]
                 count = min(count, -((first - other) // interval))
             # a packet at the instant another run starts goes alone
-            j = nodes[node_id].run_split(packet, first, interval, count) if count else 0
+            run_split = nodes[node_id].run_split
+            j = run_split(packet, first, interval, count) if (
+                count and run_split is not None) else 0
             if j < count or not count:
                 t, at = first + j * interval, (segment, h, k_lo + j, node_id, packet)
             else:
-                t, at = min(first + count * interval, other), None
+                t, at = first + count * interval, None
+                if other < t:
+                    t = other
             if t < until:
                 until, split = t, at
         return until, split
 
     def _advance(self, segment: _Segment, until: int) -> int:
         """Hand every packet of `segment` that arrives before `until` to its
-        hop, nearest the source first; returns the last arrival handed."""
+        hop, nearest the source first, and set the segment's next arrival;
+        returns the last arrival handed."""
         nodes, counters = self.nodes, self.counters
-        interval, legs = segment.interval_us, segment.legs
-        base, last, h = segment.first_us, -1, 0
-        while h < len(legs):
-            leg = legs[h]
-            k_end = -((base - until) // interval)
-            while leg and leg[0][0] < k_end:
-                piece = leg[0]
-                k_lo, k_hi, node_id, packet = piece
-                k_stop = k_hi if k_hi <= k_end else k_end
-                count = k_stop - k_lo
-                if h:
-                    counters.in_flight -= count
-                    counters.delivered += count
-                out = nodes[node_id].on_run(packet, base + k_lo * interval,
-                                            interval, count)
-                if out is not None:
-                    self._forward(segment, h + 1, k_lo, k_stop, out)
-                if k_stop == k_hi:
-                    leg.popleft()
-                else:
-                    piece[0] = k_stop
-                last = max(last, base + (k_stop - 1) * interval)
-            h += 1
-            base += self._latency_us
-        self._next_arrival(segment)
+        interval, latency = segment.interval_us, self._latency_us
+        last, next_us = -1, FOREVER
+        # a list iterator also yields the legs that _forward appends
+        for h, leg in enumerate(segment.legs):
+            if leg:
+                base = segment.first_us + h * latency
+                k_end = -((base - until) // interval)
+                k_stop = 0
+                while leg and leg[0][0] < k_end:
+                    piece = leg[0]
+                    k_lo, k_hi, node_id, packet = piece
+                    k_stop = k_hi if k_hi <= k_end else k_end
+                    count = k_stop - k_lo
+                    if h:
+                        counters.in_flight -= count
+                        counters.delivered += count
+                    out = nodes[node_id].on_run(packet, base + k_lo * interval,
+                                                interval, count)
+                    if out is not None:
+                        self._forward(segment, h + 1, k_lo, k_stop, out)
+                    if k_stop == k_hi:
+                        leg.popleft()
+                    else:
+                        piece[0] = k_stop
+                if k_stop and base + (k_stop - 1) * interval > last:
+                    last = base + (k_stop - 1) * interval
+                # nothing reaches this leg again before the next step
+                if leg and base + leg[0][0] * interval < next_us:
+                    next_us = base + leg[0][0] * interval
+        segment.next_us = next_us
+        if next_us == FOREVER:
+            self._spent = True
         return last
 
     def _forward(self, segment: _Segment, h: int, k_lo: int, k_hi: int,
@@ -521,10 +590,13 @@ class Simulator:
         """`send` for the packets k_lo..k_hi-1, each at its own instant."""
         counters, count = self.counters, k_hi - k_lo
         counters.sent += count
-        target = self._route(packet.dst)
+        dst = packet.dst
+        target = self._exact_routes.get(dst)
         if target is None:
-            counters.unroutable += count
-            return
+            target = self._prefix_routes.get(dst >> IID_BITS)
+            if target is None:
+                counters.unroutable += count
+                return
         counters.in_flight += count
         legs = segment.legs
         if h == len(legs):

@@ -8,7 +8,7 @@ modeled as a shared opaque security-association tag: messages with a wrong
 tag are silently ignored.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -87,17 +87,21 @@ class AgentCounters:
                                     + self.dropped_unknown)
 
 
-@dataclass(slots=True)
 class AddressEntry:
-    owner: str
-    state: AddressState
+    __slots__ = ("owner", "state")
+
+    def __init__(self, owner: str, state: AddressState):
+        self.owner = owner
+        self.state = state
 
 
-@dataclass(slots=True)
 class HostBinding:
-    sa_tag: str
-    care_of: Ipv6Address | None = None
-    addresses: set[Ipv6Address] = field(default_factory=set)
+    __slots__ = ("sa_tag", "care_of", "addresses")
+
+    def __init__(self, sa_tag: str):
+        self.sa_tag = sa_tag
+        self.care_of: Ipv6Address | None = None
+        self.addresses: set[Ipv6Address] = set()
 
 
 class AgentError(Exception):
@@ -309,10 +313,13 @@ class HomeAgent(Node):
         if packet.dst != self.admin_address:
             return self._intercept(packet, count)
         payload = packet.payload
-        if (type(payload) is ReverseTunneled
-                and not self._sa_valid(payload.host_id, payload.auth)):
+        if type(payload) is not ReverseTunneled:
+            return None
+        if not self._sa_valid(payload.host_id, payload.auth):
             self.counters.rejected_management += count
-        return self.run_fate(packet)
+            return None
+        return payload.inner if self._relays(payload.host_id,
+                                             payload.inner) else None
 
     def _handle_admin(self, packet: Packet) -> None:
         handler = self._admin_handlers.get(type(packet.payload))

@@ -480,6 +480,17 @@ class MobileHost(CallerNode):
             split = self.monitor.first_alert(dst, first_us, interval_us, split)
         return split
 
+    def run_fate(self, packet: Packet) -> Packet | None:
+        """What on_run forwards for `packet` in the current state."""
+        energy = self.energy
+        if packet.dst != self.coa or (energy is not None and energy.dead):
+            return None
+        inner, _ = _unwrap(packet)
+        dst = inner.dst
+        if self._run_kinds(self.address_states.get(dst), dst) is _ANSWERED:
+            return self._run_reply(inner)
+        return None
+
     def on_run(self, packet: Packet, first_us: int, interval_us: int,
                count: int) -> Packet | None:
         """`count` pings of a segment, none at a run_split: the counters,

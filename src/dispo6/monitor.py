@@ -164,6 +164,8 @@ class IntrusionMonitor:
         """
         needed = self._alert_count
         window = self._windows.get(hoa)
+        if (window.total if window else 0) + count < needed:
+            return count  # the window and the whole run together stay quiet
         span = self._window_us // interval_us
         j = 0
         while j < count and j <= span:

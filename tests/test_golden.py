@@ -74,12 +74,13 @@ FLOOD_DIGESTS = {
     # per-packet path still gives the old digest (3989800364c2...,
     # tests/test_segments.py runs both), and the segment gives every
     # counter of it, but the engine processed 9 events instead of 23975,
-    # with 0 queued instead of 11 at 60 s, and the ledger charges a run
-    # at a time, so consumed_packets and consumed_active differ in their
-    # last bits (0.0010128019323671085 -> ...1494, 0.0012094202898551142
-    # -> ...0734)
+    # and the ledger charges a run at a time, so consumed_packets and
+    # consumed_active differ in their last bits (0.0010128019323671085 ->
+    # ...1494, 0.0012094202898551142 -> ...0734). Re-pinned when `pending`
+    # began to count a segment's emission timer and packets in flight:
+    # only pending 0 -> 11 moved, the per-packet path's count at 60 s
     "drain_tunnel":
-        "7aba77921ca8792843d759922d4b8fd1ef85dabda11819adb591217893598713",
+        "9731578cd7cdabe365ed9fd6bcc133769988b0af77d35f388f6d9df742b252b4",
     # re-pinned when the host stopped announcing its new care-of address
     # from the disposable that had just tripped the alert, and began to
     # charge the binding update of a care-of rotation: only

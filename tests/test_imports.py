@@ -2,9 +2,9 @@
 public module-level name is used somewhere in the repository, every
 parameter is read by its function, every defaulted parameter is passed
 by some caller outside the tests, every record field is read, every
-immutable record is a `record` NamedTuple, no module but the engine
-unwraps a `SimTime`, and importing the package loads no module that only
-an unused path needs."""
+immutable record is a `record` NamedTuple, only the counters and the
+config are dataclasses, no module but the engine unwraps a `SimTime`, and
+importing the package loads no module that only an unused path needs."""
 
 import ast
 import hashlib
@@ -346,6 +346,39 @@ def test_frozen_record_checker():
         "@record\nclass Kept(NamedTuple):\n    a: int\n")
     assert non_record_immutables(source) == ["Plain (line 2)",
                                              "Bare (line 11)"]
+
+
+def dataclass_names(source: str) -> list[str]:
+    """Classes decorated with `dataclass`, called or not, by either name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(m, "id", getattr(m, "attr", None)) == "dataclass"
+                for m in (getattr(d, "func", d) for d in node.decorator_list)):
+            found.append(node.name)
+    return found
+
+
+# the counters, which `asdict` writes out and perfbench/checks.py rebuilds
+# from keywords, and the config, which needs `fields` and `replace`
+DATACLASSES = {"TrafficCounters", "FloodStats", "AgentCounters", "HostCounters",
+               "ScenarioConfig"}
+
+
+def test_only_the_counters_and_the_config_are_dataclasses():
+    # each dataclass execs generated methods at every import (~0.9 ms);
+    # a value is a `record`, a mutable object a `__slots__` class
+    assert sorted(name for path in MODULES
+                  for name in dataclass_names(path.read_text())) == sorted(DATACLASSES)
+
+
+def test_dataclass_finder():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A:\n    a: int\n"
+              "@dataclasses.dataclass(slots=True)\nclass B:\n    b: int\n"
+              "@record\nclass C(NamedTuple):\n    c: int\n"
+              "class D:\n    __slots__ = ('d',)\n")
+    assert dataclass_names(source) == ["A", "B"]
 
 
 def micros_reads(source: str) -> list[int]:

@@ -9,6 +9,7 @@ from typing import NamedTuple
 
 import pytest
 
+from dispo6.engine import LinkModel
 from dispo6.messages import record
 
 TESTS = Path(__file__).resolve().parent
@@ -44,17 +45,39 @@ def test_record_discovery_finds_known_records():
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_record_semantics(cls):
     values = tuple(range(len(cls._fields)))
-    value = cls(*values)
-    assert value == cls(*values) and not value != cls(*values)
+    # `_make` skips a validated record's `_check`, which these values fail
+    value = cls._make(values)
+    assert value == cls._make(values) and not value != cls._make(values)
     # a plain tuple and a look-alike record with the same fields differ
     twin = record(NamedTuple(cls.__name__, [(f, int) for f in cls._fields]))
     for other in (values, twin(*values)):
         assert value != other and other != value
         assert not value == other and not other == value
-    assert len({value, cls(*values)}) == 1
+    assert len({value, cls._make(values)}) == 1
     assert hash(value) == hash(values)
     with pytest.raises(AttributeError):
         value.unknown = 1
     for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, -1)
+
+
+def test_a_record_checks_its_fields_when_built():
+    @record
+    class Span(NamedTuple):
+        lo: int
+        hi: int = 10
+
+        def _check(self):
+            if self.lo > self.hi:
+                raise ValueError("lo above hi")
+
+    assert Span(1) == Span(lo=1, hi=10) and repr(Span(1)) == "Span(lo=1, hi=10)"
+    for args, kwargs in (((11,), {}), ((), {"lo": 5, "hi": 4})):
+        with pytest.raises(ValueError, match="lo above hi"):
+            Span(*args, **kwargs)
+    # the link model reads as the frozen dataclass it was
+    assert repr(LinkModel()) == "LinkModel(latency_s=0.05, loss_probability=0.0)"
+    for args in ((-0.01,), (0.05, 1.5)):
+        with pytest.raises(ValueError):
+            LinkModel(*args)

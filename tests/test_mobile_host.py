@@ -75,6 +75,24 @@ class TestIntrusionMonitor:
         assert all(a is None for a in alerts)  # rate == threshold: strict >
         assert monitor.observe(hoa, SimTime.from_seconds(5)) is not None
 
+    @pytest.mark.parametrize("before,count", [(95, 5), (95, 6), (0, 101),
+                                              (50, 50), (50, 51), (30, 200)])
+    def test_first_alert_is_the_packet_observe_alerts_on(self, before, count):
+        """The closed form finds the packet of a 100 pkt/s run that
+        `observe` alerts on when fed the packets one at a time, also when
+        the window and the whole run just reach the alert count."""
+        hoa, interval_us = Ipv6Address(1, 1), 10_000
+        closed, stepped = (IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+                           for _ in range(2))
+        for monitor in (closed, stepped):
+            for k in range(before):
+                monitor.observe(hoa, k * interval_us)
+        first_us = before * interval_us
+        alerts = [stepped.observe(hoa, first_us + k * interval_us) is not None
+                  for k in range(count)]
+        expected = alerts.index(True) if any(alerts) else count
+        assert closed.first_alert(hoa, first_us, interval_us, count) == expected
+
 
 class TestMobility:
     def test_move_keeps_all_home_addresses_reachable(self, make_world):

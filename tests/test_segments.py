@@ -3,8 +3,9 @@
 `Flooder.flood_between` hands a non-spoofed flood to the engine as one
 segment; `Flooder._flood_packets` is the per-packet path, a timer per
 packet, kept as the reference. Each case runs the same world twice, once
-each way, and compares every counter exactly at every checkpoint: engine,
-home agent, host, flooder, and the ledger's integer fields. The ledger's
+each way, and compares every counter exactly at every checkpoint: the
+queued events, engine, home agent, host, flooder, and the ledger's integer
+fields. The ledger's
 float sums are charged a run at a time instead of a packet at a time, so
 they may differ in their last bits, within LEDGER_REL_TOL. The cases that
 move, block or redirect a host change what the step caches of engine.py
@@ -53,7 +54,8 @@ def flood(flooder, per_packet, start_s, stop_s, target, rate):
 
 
 def summary(world, host, flooder):
-    counters = {"engine": dataclasses.asdict(world.sim.counters),
+    counters = {"pending": world.sim.pending(),
+                "engine": dataclasses.asdict(world.sim.counters),
                 "home_agent": dataclasses.asdict(world.agent.counters),
                 "host": dataclasses.asdict(host.counters),
                 "flooder": dataclasses.asdict(flooder.stats)}
@@ -142,13 +144,13 @@ class TestFloodEnergyCases:
 
 
 def test_golden_drain_tunnel():
-    """The golden flood that empties its battery: only the event count,
-    the queue length and the ledger's last bits may differ."""
+    """The golden flood that empties its battery: only the event count
+    and the ledger's last bits may differ."""
     case = test_golden.FLOOD_CASES["drain_tunnel"]
     segment = test_golden.flood_summary(seed=3, **case)
     packet = test_golden.flood_summary(seed=3, per_packet=True, **case)
     assert segment["ledger"]["dead"]
-    for key in ("engine", "home_agent", "victim", "flooder"):
+    for key in ("pending", "engine", "home_agent", "victim", "flooder"):
         assert segment[key] == packet[key]
     for name, value in packet["ledger"].items():
         assert segment["ledger"][name] == pytest.approx(value, rel=LEDGER_REL_TOL)
@@ -286,6 +288,24 @@ def test_a_binding_update_for_the_flood_source(make_world):
     assert counters["engine"]["unroutable"] > 2000
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_binding_update_that_points_the_pongs_at_a_caller(make_world, mode):
+    """The flood's source names a caller as its care-of address, so the
+    host's pongs go to a node with no closed form for a run: they leave
+    the segment there and reach it one packet at a time."""
+    twin = Twin(make_world, mode=mode)
+    twin.flood(0.0, 30.0, 100)
+    twin.check(5.005)
+    twin.each(lambda _, world, host, caller, hoa, flooder: world.sim.send(
+        Packet(flooder.address, hoa, PeerBindingUpdate(
+            home_address=flooder.address, care_of=caller.address))))
+    for t in (5.06, 5.1, 10.0):
+        twin.check(t)
+    counters = twin.check()
+    assert 400 < counters["flooder"]["replies_received"] < 600
+    assert counters["engine"]["unroutable"] == 0
+
+
 def test_accounts_with_different_sleep_timeouts(make_world):
     """Two victims share DEFAULT_PARAMS and a flood's interval, but one
     radio naps after 4 ms, inside each 10 ms gap, and one stays active."""
@@ -349,6 +369,36 @@ def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
     assert steps(20) == moved
 
 
+def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
+    """A steady 1 s step of the flood hands each of its five hops (flooder,
+    home agent, host, home agent, flooder) one run and asks the host once
+    for its split. The plan asks each of the five pieces (the emission and
+    four in flight) for one fate: one hop on, each reaches where the walk
+    of the piece a leg farther began, and goes that way."""
+    calls = collections.Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, call)
+
+    for cls in (Flooder, home_agent.HomeAgent, mobile_host.MobileHost):
+        for name in ("on_run", "run_fate", "run_split"):
+            if name in vars(cls):
+                counted(cls, name)
+    _, world, _, _, hoa, flooder = Twin(make_world).sides[0]
+    flood(flooder, False, 0.5, 600.0, hoa, 100)
+    for _ in range(3):
+        world.sim.run_until(world.sim.now_us + US_PER_SECOND)
+    calls.clear()
+    for _ in range(20):
+        world.sim.run_until(world.sim.now_us + US_PER_SECOND)
+    assert calls == {"on_run": 5 * 20, "run_fate": 5 * 20, "run_split": 20}
+
+
 @pytest.mark.parametrize("world_kwargs,per_packet", [
     ({}, False),
     ({"loss_probability": 0.3}, True),  # each loss draws from the PRNG
@@ -360,6 +410,7 @@ def test_which_floods_become_segments(make_world, world_kwargs, per_packet):
     flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
     flooder.flood_between(EPOCH, SimTime.from_seconds(1),
                           world.agent.admin_address, 100)
-    assert world.sim.pending() == per_packet  # the per-packet path's timer
-    world.sim.run()
+    assert world.sim.pending() == 1  # the emission timer, either way
+    # a segment's packets are no events; the per-packet path has a timer each
+    assert (world.sim.run() >= 100) == per_packet
     assert flooder.stats.sent == 100
