@@ -25,7 +25,6 @@ packet, as does any flood the engine cannot take as a segment.
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND, Node, Packet, Simulator, day_hour_us
@@ -45,7 +44,7 @@ def _interval_us(rate_pps: float) -> int:
 
 
 @record
-class _Emit(NamedTuple):
+class _Emit:
     stop_us: int
     target: Ipv6Address
     interval_us: int
@@ -121,7 +120,7 @@ class Flooder(Node):
 
 
 @record
-class AttackSchedule(NamedTuple):
+class AttackSchedule:
     """Daily attack window: fixed duration, start drawn from a small set."""
 
     daily_hours: int

@@ -11,7 +11,7 @@ step and the bookkeeping that differs.
 
 import itertools
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .addressing import Ipv6Address, NameService, UnknownNameError
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair
@@ -64,18 +64,18 @@ class AddressBookEntry:
 
 
 @record
-class PendingCall(NamedTuple):
+class PendingCall:
     entry: AddressBookEntry
     on_result: Callable[[CallOutcome], None]
 
 
 @record
-class CallTimeout(NamedTuple):
+class CallTimeout:
     call_id: int
 
 
 @record
-class StartCall(NamedTuple):
+class StartCall:
     """Scheduler token: place one call at the drawn time of day."""
 
     target_fqdn: str

@@ -192,7 +192,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     config = _apply_overrides(_load_config(args.config), args)
     seeds = _parse_seeds(args.seeds)
-    sweep = run_sweep(config, seeds, jobs=max(1, args.jobs))
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    sweep = run_sweep(config, seeds, jobs=args.jobs)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.out_dir / "sweep.csv", "w", newline="") as handle:
         handle.write("seed,total_calls,rejected_calls,rejection_rate\n")

@@ -34,7 +34,6 @@ what the real check would.
 """
 
 import random
-from typing import NamedTuple
 
 from .messages import record
 
@@ -70,7 +69,7 @@ def encode_fields(*fields: bytes) -> bytes:
 
 
 @record
-class KeyPair(NamedTuple):
+class KeyPair:
     public: bytes
     private: object
 
@@ -119,7 +118,7 @@ class Ed25519Scheme:
 
 
 @record
-class Certificate(NamedTuple):
+class Certificate:
     """Binding of a subject name to a public key, signed by one stub CA."""
 
     subject: str

@@ -22,7 +22,7 @@ import hashlib
 import itertools
 from collections import deque
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, encode_fields
@@ -50,13 +50,13 @@ _HIP_TTL_US = round(HIP_TTL_S * US_PER_SECOND)
 
 
 @record
-class HipAnswer(NamedTuple):
+class HipAnswer:
     challenge_id: int
     answer: bytes
 
 
 @record
-class AddressRequest(NamedTuple):
+class AddressRequest:
     """Signed ask for a disposable home address, sent to a prime address."""
 
     requester_name: str
@@ -80,7 +80,7 @@ class AddressRequest(NamedTuple):
 
 
 @record
-class AddressResponse(NamedTuple):
+class AddressResponse:
     """Grant of a disposable address, bound to the request it answers."""
 
     granted: Ipv6Address
@@ -95,14 +95,14 @@ class AddressResponse(NamedTuple):
 
 
 @record
-class HipChallengeMsg(NamedTuple):
+class HipChallengeMsg:
     challenge_id: int
     difficulty_s: float
     request_id: int
 
 
 @record
-class Refusal(NamedTuple):
+class Refusal:
     request_id: int
     reason: str
 
@@ -199,17 +199,17 @@ class HipGate:
 
 
 @record
-class GrantAction(NamedTuple):
+class GrantAction:
     response: AddressResponse
 
 
 @record
-class ChallengeAction(NamedTuple):
+class ChallengeAction:
     challenge: HipChallengeMsg
 
 
 @record
-class RefuseAction(NamedTuple):
+class RefuseAction:
     refusal: Refusal
 
 
@@ -290,14 +290,14 @@ class RequestOutcome(Enum):
 
 
 @record
-class RequestResult(NamedTuple):
+class RequestResult:
     outcome: RequestOutcome
     granted: Ipv6Address | None = None
     responder_key: bytes | None = None
 
 
 @record
-class SessionTimer(NamedTuple):
+class SessionTimer:
     """Timer token owned by an InitiatorSession; `gen` guards staleness."""
 
     request_id: int

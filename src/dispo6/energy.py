@@ -17,7 +17,6 @@ hours under a saturating request flood.
 import math
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from .engine import US_PER_SECOND, SimTime
 from .messages import record
@@ -46,7 +45,7 @@ class PacketKind(Enum):
 
 
 @record
-class EnergyParams(NamedTuple):
+class EnergyParams:
     """Power draw per state (units/s) and per-packet costs (units)."""
 
     p_active_idle: float
@@ -113,12 +112,12 @@ LEDGER_REL_TOL = 1e-9
 
 
 @record
-class Battery(NamedTuple):
+class Battery:
     capacity: float = CAPACITY
 
 
 @record
-class LoadProfile(NamedTuple):
+class LoadProfile:
     """Steady-state load for closed-form lifetime queries."""
 
     name: str

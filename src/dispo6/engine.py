@@ -97,7 +97,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
 
 from .addressing import IID_BITS, Ipv6Address
 from .messages import record
@@ -166,7 +165,7 @@ EPOCH = SimTime(0)
 
 
 @record
-class LinkModel(NamedTuple):
+class LinkModel:
     """Uniform delivery latency and loss applied to every routed packet."""
 
     latency_s: float = LINK_LATENCY_S
@@ -180,7 +179,7 @@ class LinkModel(NamedTuple):
 
 
 @record
-class Packet(NamedTuple):
+class Packet:
     """Routable unit: addresses plus an opaque payload."""
 
     src: Ipv6Address

@@ -10,7 +10,6 @@ tag are silently ignored.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .addressing import AddressState, Ipv6Address, random_iid
 from .engine import Node, Packet, Simulator
@@ -31,7 +30,7 @@ class ManagementKind(Enum):
 
 
 @record
-class ManagementMessage(NamedTuple):
+class ManagementMessage:
     """Host/agent management protocol unit, honored only with a valid tag."""
 
     kind: ManagementKind
@@ -44,7 +43,7 @@ class ManagementMessage(NamedTuple):
 
 
 @record
-class BindingUpdate(NamedTuple):
+class BindingUpdate:
     """Care-of address report; authenticated like management traffic."""
 
     host_id: str
@@ -53,20 +52,20 @@ class BindingUpdate(NamedTuple):
 
 
 @record
-class BindingAck(NamedTuple):
+class BindingAck:
     ok: bool
     care_of: Ipv6Address
 
 
 @record
-class Encapsulated(NamedTuple):
+class Encapsulated:
     """Agent-to-host tunnel wrapper around an intercepted packet."""
 
     inner: Packet
 
 
 @record
-class ReverseTunneled(NamedTuple):
+class ReverseTunneled:
     """Host-to-agent wrapper; the agent decapsulates and forwards."""
 
     inner: Packet
@@ -125,7 +124,7 @@ class PoolExhaustedError(AgentError):
 
 
 @record
-class Ack(NamedTuple):
+class Ack:
     ok: bool
     info: str = ""
 

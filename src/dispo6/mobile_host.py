@@ -22,7 +22,7 @@ only the send step (battery charge, reverse tunnel) and its bookkeeping.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from .addressing import (
     AddressRole,
@@ -70,7 +70,9 @@ from .monitor import (
     DETECTION_WINDOW_S,
     IntrusionMonitor,
 )
-from .sas import SAS_BITS, PairResult, run_pairing
+
+if TYPE_CHECKING:
+    from .sas import PairResult
 
 
 # seconds a disposed prime stays blocked before it is tried again
@@ -105,17 +107,17 @@ class HostCounters:
 
 
 @record
-class PrimeReactivate(NamedTuple):
+class PrimeReactivate:
     generation: int
 
 
 @record
-class WindowBlock(NamedTuple):
+class WindowBlock:
     """Scheduled-attack window opening: policy blocks the prime."""
 
 
 @record
-class WindowUnblock(NamedTuple):
+class WindowUnblock:
     """Scheduled-attack window closing: policy reactivates the prime."""
 
 
@@ -572,13 +574,15 @@ class MobileHost(CallerNode):
 
     # -- certificateless pairing ----------------------------------------------
 
-    def pair_with(self, peer: "MobileHost",
-                  sas_bits: int = SAS_BITS) -> PairResult:
+    def pair_with(self, peer: "MobileHost") -> "PairResult":
         """In-person pairing: exchange keys and disposables over a SAS check."""
+        # `sas` loads here, not with this module: every run imports this
+        # module, and none pairs
+        from .sas import run_pairing
+
         if self.keys is None or peer.keys is None:
             raise ValueError("pairing requires keypairs on both hosts")
-        result = run_pairing(self.sim.rng, self.keys.public, peer.keys.public,
-                             sas_bits=sas_bits)
+        result = run_pairing(self.sim.rng, self.keys.public, peer.keys.public)
         if result.confirmed:
             ours = self.grant_out_of_band(peer.fqdn)
             theirs = peer.grant_out_of_band(self.fqdn)

@@ -9,7 +9,6 @@ finds, in closed form, the packet of a run that would raise the alert.
 import functools
 import math
 from collections import deque
-from typing import NamedTuple
 
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND
@@ -21,7 +20,7 @@ DETECTION_WINDOW_S = 10.0
 
 
 @record
-class AttackAlert(NamedTuple):
+class AttackAlert:
     hoa: Ipv6Address
     window_rate: float
 

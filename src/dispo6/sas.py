@@ -18,7 +18,6 @@ order; there is no state machine that a caller could drive out of it.
 import hashlib
 import random
 from enum import Enum
-from typing import NamedTuple
 
 from .crypto import encode_fields
 from .messages import record
@@ -54,24 +53,24 @@ class SasAbort(Enum):
 
 
 @record
-class CommitMessage(NamedTuple):
+class CommitMessage:
     commitment: bytes
     public_key: bytes
 
 
 @record
-class ShareMessage(NamedTuple):
+class ShareMessage:
     nonce: bytes
     public_key: bytes
 
 
 @record
-class RevealMessage(NamedTuple):
+class RevealMessage:
     nonce: bytes
 
 
 @record
-class PairResult(NamedTuple):
+class PairResult:
     confirmed: bool
     abort_reason: SasAbort | None
     initiator_sas: str | None

@@ -25,7 +25,6 @@ import typing
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from . import ConfigError
 from .addressing import Ipv6Address, NameService
@@ -113,6 +112,9 @@ class ScenarioConfig:
         if problems:
             # value checks below assume the declared types
             raise ConfigError("; ".join(problems))
+        if self.seed < 0:
+            # `random.Random` seeds with |seed|: -3 would rerun seed 3
+            problems.append("seed must be >= 0")
         if self.horizon_days < 0:
             problems.append("horizon_days must be >= 0")
         if self.correspondents < 0:
@@ -225,7 +227,7 @@ def fig3_config(variant: str) -> ScenarioConfig:
 
 
 @record
-class CallRecord(NamedTuple):
+class CallRecord:
     day: int
     correspondent_id: int
     had_disposable: bool
@@ -239,7 +241,7 @@ class CallRecord(NamedTuple):
 
 
 @record
-class DailyStat(NamedTuple):
+class DailyStat:
     day: int
     calls: int
     rejected: int
@@ -250,7 +252,7 @@ class DailyStat(NamedTuple):
 
 
 @record
-class Metrics(NamedTuple):
+class Metrics:
     total_calls: int
     rejected_calls: int
     rejection_rate: float
@@ -260,7 +262,7 @@ class Metrics(NamedTuple):
 
 
 @record
-class ScenarioResult(NamedTuple):
+class ScenarioResult:
     config: ScenarioConfig
     metrics: Metrics
     records: list[CallRecord]
@@ -490,7 +492,7 @@ def write_metrics_json(path: Path | str, metrics: Metrics) -> None:
 
 
 @record
-class SeedSummary(NamedTuple):
+class SeedSummary:
     seed: int
     total_calls: int
     rejected_calls: int
@@ -499,7 +501,7 @@ class SeedSummary(NamedTuple):
 
 
 @record
-class SweepResult(NamedTuple):
+class SweepResult:
     summaries: list[SeedSummary]
     mean_rejected: float
     std_rejected: float
@@ -515,10 +517,9 @@ class SweepResult(NamedTuple):
                 for d in range(horizon)]
 
 
-def _sweep_worker(args: tuple[ScenarioConfig, int]) -> SeedSummary:
-    config, seed = args
-    run = run_scenario(dataclasses.replace(config, seed=seed))
-    return SeedSummary(seed=seed,
+def _sweep_worker(config: ScenarioConfig) -> SeedSummary:
+    run = run_scenario(config)
+    return SeedSummary(seed=config.seed,
                        total_calls=run.metrics.total_calls,
                        rejected_calls=run.metrics.rejected_calls,
                        rejection_rate=run.metrics.rejection_rate,
@@ -532,16 +533,22 @@ def run_sweep(config: ScenarioConfig, seeds: list[int],
 
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
-    config.validate()
-    work = [(config, seed) for seed in sorted(seeds)]
+    seeds = sorted(seeds)
+    # a repeated seed reruns one run and counts it as independent samples
+    repeated = sorted({seed for seed, after in zip(seeds, seeds[1:])
+                       if seed == after})
+    if repeated:
+        raise ConfigError(f"sweep seeds must be distinct, repeated: {repeated}")
+    work = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    for each in work:
+        each.validate()  # every seed before any run
     if jobs > 1:
         import multiprocessing  # only a parallel sweep pays its import
 
         with multiprocessing.Pool(jobs) as pool:
             summaries = pool.map(_sweep_worker, work)
     else:
-        summaries = [_sweep_worker(item) for item in work]
-    summaries.sort(key=lambda s: s.seed)
+        summaries = [_sweep_worker(each) for each in work]
     rejected = [float(s.rejected_calls) for s in summaries]
     rates = [s.rejection_rate for s in summaries]
     mean_rejected, std_rejected = sample_mean_std(rejected)

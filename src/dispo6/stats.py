@@ -1,14 +1,13 @@
 """Small statistics helpers for the experiment harness."""
 
 import math
-from typing import NamedTuple
 
 from .messages import record
 from .scenario import RejectionMode, ScenarioConfig
 
 
 @record
-class MannKendallResult(NamedTuple):
+class MannKendallResult:
     s: int
     var_s: float
     z: float

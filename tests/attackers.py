@@ -10,7 +10,6 @@ honestly, so only the victim's deny list stops it.
 
 import random
 from enum import Enum
-from typing import NamedTuple
 
 from dispo6.addressing import Ipv6Address
 from dispo6.caller import CallerNode
@@ -56,7 +55,7 @@ class MitmStrategy(Enum):
 
 
 @record
-class MitmResult(NamedTuple):
+class MitmResult:
     undetected: bool
     substituted: bool
     abort_reason: SasAbort | None

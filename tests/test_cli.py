@@ -97,14 +97,40 @@ class TestSweep:
         assert summary["trend_z"] is None
         assert summary["trend_p_decreasing"] is None
 
-    @pytest.mark.parametrize("spec", ["abc", "3:3", "1,x", ","])
+    @pytest.mark.parametrize("spec", ["abc", "3:3", "1,x", ",", "1,1,1", "-2:2"])
     def test_bad_seed_spec_exits_2(self, spec, tmp_path, capsys):
         config = write_config(tmp_path / "config.yaml", ScenarioConfig())
         out = tmp_path / "out"
-        assert cli.main(["sweep", "--config", str(config), "--seeds", spec,
+        # `=` keeps argparse from reading "-2:2" as an option
+        assert cli.main(["sweep", "--config", str(config), f"--seeds={spec}",
                          "--out-dir", str(out)]) == 2
-        assert "--seeds" in capsys.readouterr().err
+        # a repeated seed is one run, not independent samples, and a
+        # negative one reruns its absolute value
+        message = {"1,1,1": "repeated: [1]",
+                   "-2:2": "seed must be >= 0"}.get(spec, "--seeds")
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_1_exits_2(self, jobs, tmp_path, capsys):
+        config = write_config(tmp_path / "config.yaml", ScenarioConfig())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--seeds", "0,1",
+                         "--jobs", jobs, "--out-dir", str(out)]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--config", "{config}"],
+                                     ["fig3", "4h"]], ids=["run", "fig3"])
+def test_negative_seed_exits_2(command, tmp_path, capsys):
+    # `random.Random` seeds with |seed|: -3 would write seed 3's outputs
+    config = write_config(tmp_path / "config.yaml", ScenarioConfig())
+    out = tmp_path / "out"
+    argv = [arg.format(config=config) for arg in command]
+    assert cli.main([*argv, "--seed", "-3", "--out-dir", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_still_setting_removed_knob_exits_2(tmp_path, capsys):

@@ -2,9 +2,10 @@
 public module-level name is used somewhere in the repository, every
 parameter is read by its function, every defaulted parameter is passed
 by some caller outside the tests, every record field is read, every
-immutable record is a `record` NamedTuple, only the counters and the
-config are dataclasses, no module but the engine unwraps a `SimTime`, and
-importing the package loads no module that only an unused path needs."""
+immutable record is a `record`, no class is built through a named tuple,
+only the counters and the config are dataclasses, no module but the engine
+unwraps a `SimTime`, and importing the package loads no module that only an
+unused path needs."""
 
 import ast
 import hashlib
@@ -211,7 +212,7 @@ UNPASSED_DEFAULTS = (
     # the seam where tests put the man-in-the-middle attacker
     ("run_pairing", "channel"),
     # tests shrink the SAS to measure failure rates
-    ("MobileHost.pair_with", "sas_bits"),
+    ("run_pairing", "sas_bits"),
 )
 
 
@@ -254,15 +255,15 @@ def test_unpassed_default_checker():
 
 
 def record_fields(source: str) -> list[tuple[str, str, int]]:
-    """(class, field, line) for each annotated field of a dataclass or
-    NamedTuple."""
+    """(class, field, line) for each annotated field of a dataclass or a
+    `record`."""
     fields = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
-        # `@dataclass`, `@dataclass(...)` or a `NamedTuple` base
-        marks = [getattr(d, "func", d) for d in node.decorator_list] + node.bases
-        if not any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple")
+        # `@dataclass`, `@dataclass(...)` or `@record`
+        marks = [getattr(d, "func", d) for d in node.decorator_list]
+        if not any(isinstance(m, ast.Name) and m.id in ("dataclass", "record")
                    for m in marks):
             continue
         fields.extend((node.name, stmt.target.id, stmt.lineno)
@@ -294,20 +295,19 @@ def test_every_record_field_is_read():
 def test_unread_field_checker():
     source = (
         "from dataclasses import dataclass\n"
-        "from typing import NamedTuple\n"
+        "from dispo6.messages import record\n"
         "@dataclass(frozen=True)\nclass A:\n    kept: int\n    lost: int\n"
-        "class P(NamedTuple):\n    seen: str\n"
+        "@record\nclass P:\n    seen: str\n"
         "class Plain:\n    ignored: int\n"
         "def f(a, p):\n    a.lost = 1\n    return a.kept + len(p.seen)\n")
     assert record_fields(source) == [("A", "kept", 5), ("A", "lost", 6),
-                                     ("P", "seen", 8)]
+                                     ("P", "seen", 9)]
     assert read_attributes(source) == {"kept", "seen"}
 
 
 def non_record_immutables(source: str) -> list[str]:
-    """Immutable records not written as `record` NamedTuples: a frozen
-    dataclass without a `__post_init__` check, or a NamedTuple without
-    `@record`."""
+    """Immutable records not written as `record`s: a frozen dataclass
+    without a `__post_init__` check."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
@@ -320,19 +320,15 @@ def non_record_immutables(source: str) -> list[str]:
                      for d in decorators)
         validated = any(isinstance(stmt, ast.FunctionDef)
                         and stmt.name == "__post_init__" for stmt in node.body)
-        named_tuple = any(isinstance(b, ast.Name) and b.id == "NamedTuple"
-                          for b in node.bases)
-        is_record = any(isinstance(d, ast.Name) and d.id == "record"
-                        for d in decorators)
-        if (frozen and not validated) or (named_tuple and not is_record):
+        if frozen and not validated:
             found.append(f"{node.name} (line {node.lineno})")
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_immutable_records_are_record_named_tuples(path):
-    # a frozen dataclass costs ~6x a NamedTuple class at import, and every
-    # run imports the package; only a validating one earns that
+    # a frozen dataclass costs several times a `record` class at import, and
+    # every run imports the package; only a validating one earns that
     assert non_record_immutables(path.read_text()) == []
 
 
@@ -342,10 +338,44 @@ def test_frozen_record_checker():
         "@dataclass(frozen=True)\nclass Checked:\n    a: int\n"
         "    def __post_init__(self): pass\n"
         "@dataclass(slots=True)\nclass Mutable:\n    a: int\n"
-        "class Bare(NamedTuple):\n    a: int\n"
-        "@record\nclass Kept(NamedTuple):\n    a: int\n")
-    assert non_record_immutables(source) == ["Plain (line 2)",
-                                             "Bare (line 11)"]
+        "@record\nclass Kept:\n    a: int\n")
+    assert non_record_immutables(source) == ["Plain (line 2)"]
+
+
+def named_tuple_classes(source: str) -> list[str]:
+    """Classes built through `typing.NamedTuple` or `collections.namedtuple`,
+    as a base or by a call, by either spelling."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            builders, name = node.bases, node.name
+        elif isinstance(node, ast.Call):
+            builders, name = [node.func], "call"
+        else:
+            continue
+        if any(getattr(b, "id", getattr(b, "attr", None))
+               in ("NamedTuple", "namedtuple") for b in builders):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_is_a_named_tuple(path):
+    # `typing.NamedTuple` compiles each class's `__new__` and type-checks
+    # its annotations, several times a `record` class's cost, at every import
+    assert named_tuple_classes(path.read_text()) == []
+
+
+def test_named_tuple_checker():
+    source = ("import collections, typing\nfrom typing import NamedTuple\n"
+              "class A(NamedTuple):\n    a: int\n"
+              "@record\nclass B(typing.NamedTuple):\n    b: int\n"
+              "C = collections.namedtuple('C', 'c')\n"
+              "D = NamedTuple('D', [('d', int)])\n"
+              "@record\nclass E:\n    e: int\n"
+              "class F(tuple):\n    pass\n")
+    assert named_tuple_classes(source) == ["A (line 3)", "B (line 6)",
+                                           "call (line 8)", "call (line 9)"]
 
 
 def dataclass_names(source: str) -> list[str]:
@@ -376,7 +406,7 @@ def test_dataclass_finder():
     source = ("import dataclasses\nfrom dataclasses import dataclass\n"
               "@dataclass\nclass A:\n    a: int\n"
               "@dataclasses.dataclass(slots=True)\nclass B:\n    b: int\n"
-              "@record\nclass C(NamedTuple):\n    c: int\n"
+              "@record\nclass C:\n    c: int\n"
               "class D:\n    __slots__ = ('d',)\n")
     assert dataclass_names(source) == ["A", "B"]
 
@@ -407,17 +437,22 @@ def test_micros_read_checker():
 HEAVY = ("multiprocessing", "cryptography", "yaml")
 
 
-def heavy_modules_after(body: str, cwd: Path | None = None,
-                        watched: tuple[str, ...] = HEAVY) -> list[str]:
-    """The `watched` modules a fresh interpreter holds after running `body`;
-    a package counts as held once any of its submodules is."""
-    script = (f"{body}\nimport sys\n"
-              f"print(sorted(m for m in {watched!r} if m in sys.modules))\n")
+def fresh_interpreter(script: str, cwd: Path | None = None):
+    """The Python literal a fresh interpreter prints last, running `script`."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                          check=True, capture_output=True, text=True,
                          timeout=60).stdout
     return ast.literal_eval(out.splitlines()[-1])
+
+
+def heavy_modules_after(body: str, cwd: Path | None = None,
+                        watched: tuple[str, ...] = HEAVY) -> list[str]:
+    """The `watched` modules a fresh interpreter holds after running `body`;
+    a package counts as held once any of its submodules is."""
+    return fresh_interpreter(
+        f"{body}\nimport sys\n"
+        f"print(sorted(m for m in {watched!r} if m in sys.modules))\n", cwd)
 
 
 def test_package_import_leaves_heavy_modules_out():
@@ -436,6 +471,19 @@ def test_workload_imports_leave_the_scenario_runner_out():
     body = "\n".join(f"import dispo6.{name}" for name in WORKLOAD_IMPORTS)
     assert heavy_modules_after(
         body, watched=("dispo6.scenario", "dispo6.stats")) == []
+
+
+def test_workload_imports_build_no_named_tuple_and_leave_sas_out():
+    # every run pays for the classes it imports, and no workload pairs
+    script = "\n".join([
+        "import sys, typing",
+        "built = []",
+        "build = typing.NamedTupleMeta.__new__",
+        "typing.NamedTupleMeta.__new__ = (",
+        "    lambda meta, name, *rest: built.append(name) or build(meta, name, *rest))",
+        *(f"import dispo6.{name}" for name in WORKLOAD_IMPORTS),
+        "print((built, 'dispo6.sas' in sys.modules))"])
+    assert fresh_interpreter(script) == ([], False)
 
 
 # sha256 of the battery.csv `dispo6 drain idle` writes, pinned byte for byte

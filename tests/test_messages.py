@@ -1,11 +1,11 @@
 """Every `record` in the package and in the tests' attackers keeps the
 semantics of the frozen dataclass it stands for: equal only to its own
-type, hashable, and immutable."""
+type, hashable, immutable and picklable."""
 
 import ast
 import importlib
+import pickle
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
@@ -49,12 +49,16 @@ def test_record_semantics(cls):
     value = cls._make(values)
     assert value == cls._make(values) and not value != cls._make(values)
     # a plain tuple and a look-alike record with the same fields differ
-    twin = record(NamedTuple(cls.__name__, [(f, int) for f in cls._fields]))
+    twin = record(type(cls.__name__, (),
+                       {"__annotations__": dict.fromkeys(cls._fields, int)}))
     for other in (values, twin(*values)):
         assert value != other and other != value
         assert not value == other and not other == value
     assert len({value, cls._make(values)}) == 1
     assert hash(value) == hash(values)
+    # a parallel sweep sends records across processes
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value
     with pytest.raises(AttributeError):
         value.unknown = 1
     for name in cls._fields:
@@ -64,7 +68,7 @@ def test_record_semantics(cls):
 
 def test_a_record_checks_its_fields_when_built():
     @record
-    class Span(NamedTuple):
+    class Span:
         lo: int
         hi: int = 10
 
@@ -81,3 +85,13 @@ def test_a_record_checks_its_fields_when_built():
     for args in ((-0.01,), (0.05, 1.5)):
         with pytest.raises(ValueError):
             LinkModel(*args)
+
+
+def test_a_record_is_a_plain_class_body_with_trailing_defaults():
+    with pytest.raises(TypeError, match="plain class body"):
+        record(type("Based", (tuple,), {"__annotations__": {"a": int}}))
+    with pytest.raises(TypeError, match="follows one with a default"):
+        @record
+        class Gap:
+            a: int = 0
+            b: int

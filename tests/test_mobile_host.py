@@ -429,7 +429,7 @@ class TestLocationPrivacy:
             elif dataclasses.is_dataclass(value) and not isinstance(value, type):
                 for f in dataclasses.fields(value):
                     yield from addresses_in(getattr(value, f.name))
-            elif isinstance(value, tuple):  # NamedTuple packet types
+            elif isinstance(value, tuple):  # record packet types
                 for item in value:
                     yield from addresses_in(item)
 

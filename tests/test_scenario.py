@@ -76,6 +76,11 @@ class TestConfigTyping:
         with pytest.raises(ConfigError, match="horizon_days"):
             ScenarioConfig(horizon_days="10").validate()
 
+    def test_negative_seed_fails_validation(self):
+        # `random.Random` seeds with |seed|: -3 would rerun seed 3
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ScenarioConfig(seed=-3).validate()
+
     @pytest.mark.parametrize("hours", [5, 3])
     def test_unpublished_duration_fails_validation(self, hours):
         with pytest.raises(ConfigError, match="4 or 6 hours"):
@@ -87,6 +92,7 @@ class TestConfigTyping:
 
 
 @pytest.mark.parametrize("key, value", [
+    ("seed", -3),
     ("horizon_days", -1),
     ("correspondents", -5),
     ("latency_s", -0.01),
