@@ -12,7 +12,7 @@ simulator with a scenario CLI.
 
 __version__ = "0.1.0"
 
-from .addressing import AddressRole, AddressState, Ipv6Address, NameService
+from .addressing import AddressState, Ipv6Address, NameService
 from .engine import LinkModel, Packet, SimTime, Simulator
 
 
@@ -24,7 +24,6 @@ class ConfigError(Exception):
 
 
 __all__ = [
-    "AddressRole",
     "AddressState",
     "ConfigError",
     "Ipv6Address",

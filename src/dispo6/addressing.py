@@ -1,4 +1,4 @@
-"""IPv6 addresses, home-address roles, and the in-simulation name service."""
+"""IPv6 addresses, home-address states, and the in-simulation name service."""
 
 import ipaddress
 import random
@@ -68,11 +68,6 @@ class Ipv6Address(int):
 def random_iid(rng: random.Random) -> int:
     """Uniform 64-bit interface identifier. Collisions are the caller's problem."""
     return rng.getrandbits(IID_BITS)
-
-
-class AddressRole(Enum):
-    PRIME = "prime"
-    DISPOSABLE = "disposable"
 
 
 class AddressState(Enum):

@@ -86,9 +86,8 @@ It keeps nothing of a plan: a step builds one list per run it plans and
 one dict of them, and sorts a node's runs only when it has more than one.
 
 A flood stays on the per-packet path when the link loses packets (each
-loss is a draw from the shared PRNG), when the trace is kept (it lists
-every packet), when the latency is zero, and when its first hop has no
-closed form (no ``on_run``).
+loss is a draw from the shared PRNG), when the latency is zero, and when
+its first hop has no closed form (no ``on_run``).
 """
 
 import heapq
@@ -253,17 +252,14 @@ class _Segment:
 class Simulator:
     """Single-threaded event loop over a heap of (time, seq) ordered events."""
 
-    def __init__(self, seed: int = 0, link: LinkModel | None = None,
-                 keep_trace: bool = False):
-        self.seed = seed
+    def __init__(self, seed: int = 0, link: LinkModel | None = None):
         self.rng = random.Random(seed)
         # the link model is fixed for the simulator's life
-        self.link = link if link is not None else LinkModel()
-        self._latency_us = round(self.link.latency_s * US_PER_SECOND)
-        self._loss = self.link.loss_probability
+        link = link if link is not None else LinkModel()
+        self._latency_us = round(link.latency_s * US_PER_SECOND)
+        self._loss = link.loss_probability
         self.now_us = 0
         self.counters = TrafficCounters()
-        self.trace: list[tuple[int, str, object]] | None = [] if keep_trace else None
         self.nodes: dict[str, Node] = {}
         self._queue: list[tuple[int, int, str, bool, object]] = []
         self._seq = itertools.count()
@@ -348,7 +344,7 @@ class Simulator:
         the flood needs the per-packet path (see the module docstring)."""
         if first_us < self.now_us:
             raise PastEventError(f"flood at {first_us} us scheduled at {self.now_us} us")
-        if self._loss > 0 or self.trace is not None or self._latency_us <= 0:
+        if self._loss > 0 or self._latency_us <= 0:
             return False
         first_hop = self._route(packet.dst)
         if first_hop == source or (first_hop is not None
@@ -388,7 +384,7 @@ class Simulator:
 
     def _loop(self, limit_us: int | None) -> int:
         queue, nodes, counters = self._queue, self.nodes, self.counters
-        trace, pop = self.trace, heapq.heappop
+        pop = heapq.heappop
         processed, splits = 0, self._splits
         while True:
             while queue and (limit_us is None or queue[0][0] <= limit_us):
@@ -408,8 +404,6 @@ class Simulator:
                     continue
                 counters.in_flight -= 1
                 counters.delivered += 1
-                if trace is not None:
-                    trace.append((us, target, payload))
                 node.on_packet(payload)
             if not self._floods or not self._flow(
                     FOREVER if limit_us is None else limit_us + 1):

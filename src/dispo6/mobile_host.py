@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from .addressing import (
-    AddressRole,
-    AddressState,
-    Ipv6Address,
-    NameService,
-    random_iid,
-)
+from .addressing import AddressState, Ipv6Address, NameService, random_iid
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .distribution import (
@@ -144,8 +138,7 @@ class MobileHost(CallerNode):
                  ca: CertificateAuthority | None = None,
                  pki_required: bool = False,
                  energy: EnergyAccount | None = None,
-                 detection_threshold_pps: float = DETECTION_THRESHOLD_PPS,
-                 detection_window_s: float = DETECTION_WINDOW_S):
+                 detection_threshold_pps: float = DETECTION_THRESHOLD_PPS):
         keys = certificate = None
         if scheme is not None:
             keys = scheme.generate(sim.rng)
@@ -158,7 +151,7 @@ class MobileHost(CallerNode):
         self.mode = mode
         self.energy = energy
         self.counters = HostCounters()
-        self.monitor = IntrusionMonitor(detection_threshold_pps, detection_window_s)
+        self.monitor = IntrusionMonitor(detection_threshold_pps, DETECTION_WINDOW_S)
         self.address_states: dict[Ipv6Address, AddressState] = {}
         self.coa: Ipv6Address | None = None
         self.visited_prefix: int | None = None
@@ -236,13 +229,14 @@ class MobileHost(CallerNode):
     # -- address lifecycle ---------------------------------------------------
 
     def dispose_address(self, hoa: Ipv6Address,
-                        auto_reactivate: bool = True) -> AddressRole | None:
+                        auto_reactivate: bool = True) -> None:
         """Block `hoa` at the home agent; in RO mode a disposable's care-of
         address is rotated too.
 
         Disposing the prime is allowed (it suspends the distribution
-        protocol) and reported distinctly; with `auto_reactivate` the prime
-        comes back after `PRIME_REACTIVATE_AFTER_S`. The care-of address
+        protocol) and counted apart, in `prime_disposals`; with
+        `auto_reactivate` the prime comes back after
+        `PRIME_REACTIVATE_AFTER_S`. The care-of address
         stays, because the prime sends no binding update and so never
         reveals it.
         """
@@ -250,7 +244,7 @@ class MobileHost(CallerNode):
         if state is None:
             raise ValueError(f"{hoa} is not an address of {self.fqdn}")
         if state is not AddressState.ACTIVE:
-            return None  # idempotent
+            return  # idempotent
         self.address_states[hoa] = AddressState.BLOCKED  # its holder is not told
         if self.mode is Mode.ROUTE_OPTIMIZATION and hoa != self.prime:
             # the attacker may hold the current care-of address; rotate
@@ -261,15 +255,12 @@ class MobileHost(CallerNode):
                                                 auth=self.sa_tag, hoa=hoa))
         self.monitor.clear(hoa)
         self.counters.disposals += 1
-        role = AddressRole.DISPOSABLE
         if hoa == self.prime:
-            role = AddressRole.PRIME
             self.counters.prime_disposals += 1
             if auto_reactivate:
                 self._reactivate_gen += 1
                 self.sim.call_in(PRIME_REACTIVATE_AFTER_S, self.node_id,
                                  PrimeReactivate(self._reactivate_gen))
-        return role
 
     def reactivate_address(self, hoa: Ipv6Address) -> None:
         state = self.address_states.get(hoa)

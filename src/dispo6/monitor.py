@@ -86,9 +86,9 @@ class IntrusionMonitor:
     """Per-address packets-per-second over a sliding window, strict threshold.
 
     A burst of exactly threshold_pps*window_s packets stays quiet; one
-    more raises an alert. Hosts watch with `DETECTION_THRESHOLD_PPS` over
-    `DETECTION_WINDOW_S` unless their owner sets other values. A flood
-    segment's packets are observed as one run.
+    more raises an alert. Hosts watch over `DETECTION_WINDOW_S`, with
+    `DETECTION_THRESHOLD_PPS` unless their owner sets another threshold. A
+    flood segment's packets are observed as one run.
 
     Windows are kept in the order their addresses were last observed. A
     window whose newest observation has left the window is forgotten

@@ -15,6 +15,10 @@ request and the handshake times out; the rejection rate is then the
 window's share of the call window, hours/12. The two disagree by
 construction, so the mode is part of the configuration rather than a
 hidden choice.
+
+`ScenarioConfig` holds only what a run varies. What the paper fixes is a
+constant here or in the module that uses it; the config's docstring says
+which.
 """
 
 import dataclasses
@@ -39,23 +43,20 @@ from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 # the writer of a run's battery.csv, found here with the other writers
 from .energy import write_battery_series as write_battery_series
-from .engine import (
-    LINK_LATENCY_S,
-    US_PER_DAY,
-    US_PER_SECOND,
-    LinkModel,
-    Simulator,
-    day_hour_us,
-    hhmm,
-)
+from .engine import US_PER_DAY, US_PER_SECOND, Simulator, day_hour_us, hhmm
 from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
-from .monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
 
 HOME_PREFIX = 0x20010DB800010000
 CORRESPONDENT_PREFIX = 0x20010DB800CC0000
 VISITED_PREFIX = 0x20010DB801000000
+VICTIM_FQDN = "alice.home.example"
+# the paper's call window, in hours of the day
+CALL_WINDOW_START = 8.0
+CALL_WINDOW_END = 20.0
+# the victim's radio idles this long before power save (energy model on)
+SLEEP_TIMEOUT_S = 10.0
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
@@ -72,32 +73,35 @@ class RejectionMode(Enum):
 
 @dataclass(slots=True)
 class ScenarioConfig:
+    """The settings a run varies. `attack_hours` picks a published
+    schedule, `adversary.FOUR_HOUR_SCHEDULE` or `SIX_HOUR_SCHEDULE`, or
+    None for no attack.
+
+    What the paper fixes is no setting, and a config file naming it is
+    refused as an unknown key:
+    - the victim's name is `VICTIM_FQDN`;
+    - the 08:00-20:00 call window is `CALL_WINDOW_START`..`CALL_WINDOW_END`;
+    - the attack starts are the published schedule's;
+    - the link is lossless, with the engine's `LINK_LATENCY_S`;
+    - the victim detects floods with `monitor.DETECTION_THRESHOLD_PPS`
+      over `monitor.DETECTION_WINDOW_S`;
+    - with the energy model on, the radio sleeps after `SLEEP_TIMEOUT_S`.
+    """
+
     seed: int = 0
     horizon_days: int = 1000
     correspondents: int = 200
     daily_call_probability: float = 1.0 / 200.0
-    call_window_start: float = 8.0
-    call_window_end: float = 20.0
     attack_hours: int | None = 4
-    attack_start_choices: tuple[int, ...] | None = None
     rejection_mode: RejectionMode = RejectionMode.PAPER_FAITHFUL
     mobility_mode: Mode = Mode.BIDIRECTIONAL_TUNNELING
-    latency_s: float = LINK_LATENCY_S
-    loss_probability: float = 0.0
     pki_enabled: bool = True
     energy_enabled: bool = False
-    sleep_timeout_s: float = 10.0
-    detection_threshold_pps: float = DETECTION_THRESHOLD_PPS
-    detection_window_s: float = DETECTION_WINDOW_S
     oob_retry_delay_days: int | None = None
-    victim_fqdn: str = "alice.home.example"
 
     def schedule(self) -> AttackSchedule | None:
         if self.attack_hours is None:
             return None
-        if self.attack_start_choices is not None:
-            return AttackSchedule(daily_hours=self.attack_hours,
-                                  start_choices=self.attack_start_choices)
         for published in (FOUR_HOUR_SCHEDULE, SIX_HOUR_SCHEDULE):
             if published.daily_hours == self.attack_hours:
                 return published
@@ -121,21 +125,8 @@ class ScenarioConfig:
             problems.append("correspondents must be >= 0")
         if not 0.0 <= self.daily_call_probability <= 1.0:
             problems.append("daily_call_probability outside [0,1]")
-        if not (0.0 <= self.call_window_start < self.call_window_end <= 24.0):
-            problems.append("call_window_start and call_window_end must "
-                            "satisfy 0 <= start < end <= 24")
-        if self.latency_s < 0:
-            problems.append("latency_s must be >= 0")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            problems.append("loss_probability outside [0,1]")
-        for name in ("sleep_timeout_s", "detection_threshold_pps",
-                     "detection_window_s"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive")
         if self.oob_retry_delay_days is not None and self.oob_retry_delay_days < 1:
             problems.append("oob_retry_delay_days must be >= 1")
-        if not self.victim_fqdn:
-            problems.append("victim_fqdn must be non-empty")
         if self.attack_hours is not None:
             try:
                 self.schedule()
@@ -152,8 +143,6 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, Enum):
                 value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
             out[f.name] = value
         return out
 
@@ -162,7 +151,8 @@ class ScenarioConfig:
         if not isinstance(mapping, dict):
             raise ConfigError("config file must hold a key/value mapping")
         known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - set(known))
+        # a YAML key may be a number or a boolean: named as text
+        unknown = sorted(map(str, set(mapping) - set(known)))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(mapping)
@@ -179,8 +169,6 @@ class ScenarioConfig:
                 raise ConfigError(
                     "mobility_mode must be 'route_optimization' or "
                     "'bidirectional_tunneling'") from None
-        if isinstance(kwargs.get("attack_start_choices"), list):
-            kwargs["attack_start_choices"] = tuple(kwargs["attack_start_choices"])
         config = cls(**kwargs)
         config.validate()
         return config
@@ -199,8 +187,6 @@ def _type_problem(name: str, value: object, annotation: object) -> str | None:
 def _type_name(option: object) -> str:
     if option is type(None):
         return "null"
-    if typing.get_origin(option) is tuple:
-        return f"a list of {typing.get_args(option)[0].__name__}"
     return "a finite number" if option is float else option.__name__
 
 
@@ -210,11 +196,8 @@ def _fits(value: object, expected: object) -> bool:
     if isinstance(value, bool) and expected is not bool:
         return False  # YAML true/false is not a number
     if expected is float:
-        # inf and nan pass the range checks in validate() and crash later
+        # YAML reads .inf and .nan as floats; no setting takes them
         return isinstance(value, (int, float)) and math.isfinite(value)
-    if typing.get_origin(expected) is tuple:
-        item = typing.get_args(expected)[0]
-        return isinstance(value, tuple) and all(_fits(v, item) for v in value)
     return isinstance(value, expected)
 
 
@@ -269,22 +252,6 @@ class ScenarioResult:
     battery_series: list[tuple[float, float, str]]
 
 
-class _Recorder:
-    """Collects records for the day in flight; sorted before appending."""
-
-    def __init__(self):
-        self.current: list[CallRecord] = []
-
-    def add(self, record: CallRecord) -> None:
-        self.current.append(record)
-
-    def drain(self) -> list[CallRecord]:
-        day_records = sorted(self.current,
-                             key=lambda r: (r.time, r.correspondent_id))
-        self.current = []
-        return day_records
-
-
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Run one seeded scenario day by day.
 
@@ -296,21 +263,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     one draw per call. A day's callers are visited in id order.
     """
     config.validate()
-    sim = Simulator(config.seed, LinkModel(config.latency_s,
-                                           config.loss_probability))
+    sim = Simulator(config.seed)
     names = NameService()
     scheme = Ed25519Scheme() if config.pki_enabled else None
     ca = CertificateAuthority(scheme, sim.rng) if config.pki_enabled else None
     energy = None
     if config.energy_enabled:
-        energy = EnergyAccount(Battery(), DEFAULT_PARAMS,
-                               config.sleep_timeout_s, 0)
+        energy = EnergyAccount(Battery(), DEFAULT_PARAMS, SLEEP_TIMEOUT_S, 0)
     agent = HomeAgent(sim, "home-agent", HOME_PREFIX)
-    victim = MobileHost(sim, "victim", config.victim_fqdn, names,
+    victim = MobileHost(sim, "victim", VICTIM_FQDN, names,
                         mode=config.mobility_mode, scheme=scheme, ca=ca,
-                        pki_required=config.pki_enabled, energy=energy,
-                        detection_threshold_pps=config.detection_threshold_pps,
-                        detection_window_s=config.detection_window_s)
+                        pki_required=config.pki_enabled, energy=energy)
     victim.attach(agent, VISITED_PREFIX)
     correspondents = []
     for i in range(config.correspondents):
@@ -328,14 +291,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     p_reject = 0.0
     if schedule is not None and not explicit:
         p_reject = schedule.paper_rejection_probability()
-    recorder = _Recorder()
+    # the day in flight's calls, in the order they end
+    ended: list[CallRecord] = []
 
     def on_start_call(node: CallerNode, token: StartCall) -> None:
         t0 = sim.now_us
         had = node.has_address_for(token.target_fqdn)
         if not had and token.coincides_with_attack:
             # paper mode: the call met the attack, no handshake runs
-            recorder.add(CallRecord(day=token.day,
+            ended.append(CallRecord(day=token.day,
                                     correspondent_id=token.correspondent_id,
                                     had_disposable=False,
                                     outcome=CallOutcome.REJECTED_PRIME_BLOCKED,
@@ -343,7 +307,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             return
         node.place_call(
             token.target_fqdn,
-            lambda outcome: recorder.add(CallRecord(
+            lambda outcome: ended.append(CallRecord(
                 day=token.day, correspondent_id=token.correspondent_id,
                 had_disposable=had, outcome=outcome, time=t0)))
 
@@ -354,7 +318,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     daily: list[DailyStat] = []
     battery_series: list[tuple[float, float, str]] = []
     oob_due: dict[int, list[int]] = {}
-    window_hours = config.call_window_end - config.call_window_start
+    window_hours = CALL_WINDOW_END - CALL_WINDOW_START
     p_call = config.daily_call_probability
     log_no_call = math.log1p(-p_call) if p_call < 1.0 else None
 
@@ -375,7 +339,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         for corr_id in oob_due.pop(day, []):
             hoa = victim.grant_out_of_band(correspondents[corr_id].fqdn)
             if hoa is not None:
-                correspondents[corr_id].learn_address(config.victim_fqdn, hoa)
+                correspondents[corr_id].learn_address(VICTIM_FQDN, hoa)
         if schedule is not None:
             # drawn in both modes, so a mode switch leaves the stream alone
             start = schedule.draw_start(sim.rng)
@@ -383,17 +347,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 block_prime_window(sim, victim, day_hour_us(day, start),
                                    day_hour_us(day, start + schedule.daily_hours))
         for i in sorted(calls_due.pop(day, ())):
-            hour = config.call_window_start + sim.rng.random() * window_hours
+            hour = CALL_WINDOW_START + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
             sim.call_at(day_hour_us(day, hour), correspondents[i].node_id,
-                        StartCall(target_fqdn=config.victim_fqdn, day=day,
+                        StartCall(target_fqdn=VICTIM_FQDN, day=day,
                                   correspondent_id=i,
                                   coincides_with_attack=slack < p_reject))
             following = next_call_day(day)
             if following < config.horizon_days:
                 calls_due.setdefault(int(following), []).append(i)
         sim.run_until((day + 1) * US_PER_DAY)
-        day_records = recorder.drain()
+        day_records = sorted(ended, key=lambda r: (r.time, r.correspondent_id))
+        ended.clear()
         records.extend(day_records)
         rejected_today = sum(
             1 for r in day_records
@@ -542,6 +507,7 @@ def run_sweep(config: ScenarioConfig, seeds: list[int],
     work = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for each in work:
         each.validate()  # every seed before any run
+    jobs = min(jobs, len(work))  # a worker per run at most
     if jobs > 1:
         import multiprocessing  # only a parallel sweep pays its import
 

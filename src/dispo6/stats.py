@@ -3,7 +3,12 @@
 import math
 
 from .messages import record
-from .scenario import RejectionMode, ScenarioConfig
+from .scenario import (
+    CALL_WINDOW_END,
+    CALL_WINDOW_START,
+    RejectionMode,
+    ScenarioConfig,
+)
 
 
 @record
@@ -68,7 +73,7 @@ def _first_contact_rejection(config: ScenarioConfig) -> float:
         return 0.0
     if config.rejection_mode is RejectionMode.PAPER_FAITHFUL:
         return schedule.paper_rejection_probability()
-    lo, hi = config.call_window_start, config.call_window_end
+    lo, hi = CALL_WINDOW_START, CALL_WINDOW_END
     covered = sum(max(0.0, min(hi, s + schedule.daily_hours) - max(lo, s))
                   for s in schedule.start_choices)
     return covered / len(schedule.start_choices) / (hi - lo)
@@ -85,12 +90,11 @@ def expected_daily_rejections(config: ScenarioConfig) -> list[float]:
     correspondent an address at the start of day d+k, so a lacking
     correspondent also carries the days until its earliest pending grant.
 
-    The model assumes every handshake that meets no attack succeeds, so
-    a lossy link and a battery that can die are outside it.
+    The model assumes every handshake that meets no attack succeeds. The
+    link of a run loses nothing, but a battery that can die is outside it.
     """
-    if config.loss_probability > 0 or config.energy_enabled:
-        raise ValueError("the rejection model assumes a lossless link and "
-                         "no battery model")
+    if config.energy_enabled:
+        raise ValueError("the rejection model assumes no battery model")
     n, p = config.correspondents, config.daily_call_probability
     q = _first_contact_rejection(config)
     stay = 1.0 - p * (1.0 - q)

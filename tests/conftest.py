@@ -25,10 +25,8 @@ class World:
 @pytest.fixture
 def make_world():
     def build(seed: int = 0, latency_s: float = 0.05,
-              loss_probability: float = 0.0, pki: bool = False,
-              keep_trace: bool = False) -> World:
-        sim = Simulator(seed, LinkModel(latency_s, loss_probability),
-                        keep_trace=keep_trace)
+              loss_probability: float = 0.0, pki: bool = False) -> World:
+        sim = Simulator(seed, LinkModel(latency_s, loss_probability))
         names = NameService()
         scheme = Ed25519Scheme() if pki else None
         ca = CertificateAuthority(scheme, sim.rng) if pki else None
@@ -36,3 +34,17 @@ def make_world():
         return World(sim=sim, names=names, agent=agent, scheme=scheme, ca=ca)
 
     return build
+
+
+def record_deliveries(sim: Simulator) -> list[tuple[int, str, object]]:
+    """(instant in us, node id, packet) for each packet that a node of
+    `sim`, as it stands now, takes through `on_packet` from now on, in
+    delivery order. The runs of a flood segment (`on_run`) are not listed."""
+    deliveries = []
+    for node in sim.nodes.values():
+        def spy(packet, node_id=node.node_id, original=node.on_packet):
+            deliveries.append((sim.now_us, node_id, packet))
+            original(packet)
+
+        node.on_packet = spy
+    return deliveries

@@ -15,6 +15,7 @@ from dispo6.engine import (
     day_hour_us,
     hhmm,
 )
+from conftest import record_deliveries
 
 
 class Recorder(Node):
@@ -117,14 +118,15 @@ class TestRunUntil:
 
     def test_identical_seed_and_scenario_trace(self):
         def trace(seed):
-            sim = Simulator(seed, LinkModel(0.05, 0.3), keep_trace=True)
-            node = Recorder(sim, "n")
+            sim = Simulator(seed, LinkModel(0.05, 0.3))
+            Recorder(sim, "n")
+            deliveries = record_deliveries(sim)
             sim.register_route(addr(), "n")
             for i in range(200):
                 sim.send(Packet(src=addr(iid=1), dst=addr(), payload=i))
                 sim.run_until(SimTime.from_seconds(i * 0.01))
             sim.run()
-            return sim.trace, sim.counters
+            return deliveries, sim.counters
 
         first_trace, first_counters = trace(7)
         second_trace, second_counters = trace(7)

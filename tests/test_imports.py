@@ -1,11 +1,11 @@
 """Every module-level import in the package is used by its module, every
 public module-level name is used somewhere in the repository, every
 parameter is read by its function, every defaulted parameter is passed
-by some caller outside the tests, every record field is read, every
-immutable record is a `record`, no class is built through a named tuple,
-only the counters and the config are dataclasses, no module but the engine
-unwraps a `SimTime`, and importing the package loads no module that only an
-unused path needs."""
+and every scenario config field is set by some code outside the tests,
+every record field is read, every immutable record is a `record`, no
+class is built through a named tuple, only the counters and the config
+are dataclasses, no module but the engine unwraps a `SimTime`, and
+importing the package loads no module that only an unused path needs."""
 
 import ast
 import hashlib
@@ -205,8 +205,8 @@ def passed_arguments(source: str) -> set[tuple[str, str | int]]:
 # Defaulted parameters that no caller outside the tests passes, each with
 # its reason to stay.
 UNPASSED_DEFAULTS = (
-    # a structured trace sink is to replace it
-    ("Simulator.__init__", "keep_trace"),
+    # tests vary latency for the segment tie rules and loss for the loss path
+    ("Simulator.__init__", "link"),
     # the spoofed-flood attack, pinned by the golden `detect_ro_spoofed`
     ("Flooder.flood_between", "spoof"),
     # the seam where tests put the man-in-the-middle attacker
@@ -252,6 +252,68 @@ def test_unpassed_default_checker():
         ("K.m", "y"), ("K.m", "z"), ("K.make", "w")]
     passed = passed_arguments("f(0, 1)\nK(size=2).m(*args)\nx.make(0)\n")
     assert unpassed_defaults(definitions, passed) == ["f(c)", "f(d)"]
+
+
+def set_config_keys(source: str) -> set[str]:
+    """Names that `source`, outside the `ScenarioConfig` class body, sets
+    as a keyword to `ScenarioConfig` or `replace`, as a string key of a
+    dict literal, or as a string subscript key."""
+    found = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig":
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = getattr(func, "id", getattr(func, "attr", None))
+            if callee in ("ScenarioConfig", "replace"):
+                found.update(k.arg for k in node.keywords if k.arg)
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.slice] if isinstance(node, ast.Subscript) else [])
+        found.update(k.value for k in keys if isinstance(k, ast.Constant)
+                     and isinstance(k.value, str))
+    return found
+
+
+# Config fields that nothing outside the tests sets, each with its reason
+# to stay a setting.
+UNSET_CONFIG_FIELDS = (
+    # tests vary arrivals (p = 0, p = 1) and the oracle's p
+    "daily_call_probability",
+    # the paper's e-mail/IM channel, checked against the oracle
+    "oob_retry_delay_days",
+)
+
+
+def test_every_config_field_is_set():
+    # a field that no workload, preset or CLI flag sets is a constant
+    scenario = ast.parse((PACKAGE / "scenario.py").read_text())
+    [config] = [node for node in scenario.body
+                if isinstance(node, ast.ClassDef) and node.name == "ScenarioConfig"]
+    fields = [stmt.target.id for stmt in config.body
+              if isinstance(stmt, ast.AnnAssign)]
+    set_keys = set()
+    for tree in ("src", "perfbench"):
+        for path in (REPO / tree).rglob("*.py"):
+            set_keys |= set_config_keys(path.read_text())
+    # an exemption that comes to be set leaves the list too
+    assert sorted(f for f in fields if f not in set_keys) == sorted(
+        UNSET_CONFIG_FIELDS)
+
+
+def test_config_key_checker():
+    source = (
+        "class ScenarioConfig:\n"
+        "    def m(self, kwargs):\n        kwargs['inside'] = 1\n"
+        "        return ScenarioConfig(hidden=1)\n"
+        "config = ScenarioConfig(a=1)\n"
+        "dataclasses.replace(config, b=2)\n"
+        "updates = {'c': 3, **extra}\n"
+        "updates['d'] = 4\n"
+        "other(e=5)\nupdates[key] = 6\nupdates[0] = 7\n")
+    assert set_config_keys(source) == {"a", "b", "c", "d"}
 
 
 def record_fields(source: str) -> list[tuple[str, str, int]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -50,6 +51,9 @@ def assert_cli_rejects(mapping, field, tmp_path, capsys):
 
 class TestConfigTyping:
     @pytest.mark.parametrize("key, value", [
+        # attack_start_choices, victim_fqdn, latency_s and
+        # detection_window_s name settings the paper fixes: refused as
+        # unknown keys, by name
         ("horizon_days", "abc"),
         ("correspondents", 3.5),
         ("attack_start_choices", 5),
@@ -68,9 +72,19 @@ class TestConfigTyping:
 
     def test_ints_accepted_for_float_fields(self):
         config = ScenarioConfig.from_mapping(
-            {"latency_s": 0, "daily_call_probability": 1,
-             "attack_start_choices": [8, 14], "attack_hours": 6})
-        assert config.attack_start_choices == (8, 14)
+            {"daily_call_probability": 1, "attack_hours": 6})
+        assert config.daily_call_probability == 1
+
+    def test_non_string_key_exits_2_naming_it(self, tmp_path, capsys):
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text("1: 2\nseed: 3\n")
+        status = cli.main(["run", "--config", str(config_path),
+                           "--out-dir", str(tmp_path / "out")])
+        assert status == 2
+        assert capsys.readouterr().err == "error: unknown config keys: 1\n"
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="unknown config keys: 1.5, None"):
+            ScenarioConfig.from_mapping({1.5: 2, None: 0, "seed": 3})
 
     def test_direct_construction_checked_too(self):
         with pytest.raises(ConfigError, match="horizon_days"):
@@ -95,16 +109,17 @@ class TestConfigTyping:
     ("seed", -3),
     ("horizon_days", -1),
     ("correspondents", -5),
-    ("latency_s", -0.01),
     ("daily_call_probability", 1.5),
     ("daily_call_probability", -0.1),
+    ("oob_retry_delay_days", 0),
+    # keys of settings the paper fixes: refused as unknown, by name
+    ("latency_s", -0.01),
     ("loss_probability", 2.0),
     ("call_window_start", 21.0),
     ("call_window_end", 25.0),
     ("sleep_timeout_s", 0),
     ("detection_threshold_pps", -1.0),
     ("detection_window_s", 0),
-    ("oob_retry_delay_days", 0),
     ("victim_fqdn", ""),
 ])
 def test_cli_rejects_out_of_range_values(key, value, tmp_path, capsys):
@@ -198,6 +213,31 @@ def test_sweep_result_independent_of_jobs():
     config = small_config(horizon_days=30)
     seeds = [4, 0, 2, 1]
     assert run_sweep(config, seeds, jobs=1) == run_sweep(config, seeds, jobs=2)
+
+
+def test_sweep_pool_no_wider_than_its_seeds(monkeypatch):
+    # a serial stand-in records the width each sweep asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, work):
+            return [worker(each) for each in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    config = small_config(horizon_days=5)
+    serial = run_sweep(config, [0, 1], jobs=1)
+    assert run_sweep(config, [0, 1], jobs=32) == serial
+    assert run_sweep(config, [0], jobs=32).summaries == serial.summaries[:1]
+    assert sizes == [2]  # one seed runs in this process
 
 
 @pytest.mark.parametrize("mode", list(RejectionMode), ids=lambda m: m.value)

@@ -402,7 +402,7 @@ def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
 @pytest.mark.parametrize("world_kwargs,per_packet", [
     ({}, False),
     ({"loss_probability": 0.3}, True),  # each loss draws from the PRNG
-    ({"keep_trace": True}, True),  # the trace lists every packet
+    ({"latency_s": 4e-7}, True),  # rounds to a latency of 0 us
     ({"latency_s": 0.0}, True),
 ])
 def test_which_floods_become_segments(make_world, world_kwargs, per_packet):

@@ -5,6 +5,8 @@ import random
 import pytest
 from scipy import stats as scipy_stats
 
+from dispo6 import scenario
+from dispo6.adversary import AttackSchedule
 from dispo6.scenario import RejectionMode, ScenarioConfig
 from dispo6.stats import (
     expected_daily_rejections,
@@ -98,14 +100,16 @@ class TestExpectedDailyRejections:
         one_day = dataclasses.replace(config, oob_retry_delay_days=1)
         assert expected_daily_rejections(one_day) == [5.0, 0.0, 0.0, 0.0, 0.0]
 
-    def test_attack_window_outside_the_call_window_rejects_nothing(self):
+    def test_attack_window_outside_the_call_window_rejects_nothing(
+            self, monkeypatch):
+        # no published window leaves the call window; a stand-in does
+        monkeypatch.setattr(scenario, "FOUR_HOUR_SCHEDULE",
+                            AttackSchedule(daily_hours=4, start_choices=(0, 20)))
         config = ScenarioConfig(horizon_days=3, attack_hours=4,
-                                attack_start_choices=(0, 20),
                                 rejection_mode=RejectionMode.EXPLICIT_TIME)
         assert expected_daily_rejections(config) == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("field, value", [("loss_probability", 0.01),
-                                              ("energy_enabled", True)])
+    @pytest.mark.parametrize("field, value", [("energy_enabled", True)])
     def test_configs_outside_the_model_raise(self, field, value):
-        with pytest.raises(ValueError, match="lossless"):
+        with pytest.raises(ValueError, match="no battery model"):
             expected_daily_rejections(ScenarioConfig(**{field: value}))
