@@ -155,9 +155,8 @@ class CallerNode(Node):
         def send(request: AddressRequest) -> None:
             # always to the prime itself, which its home agent tunnels on:
             # a care-of address announced for the prime may be stale
-            self._emit(Packet(src=self.address, dst=target_prime,
-                              payload=request,
-                              size_bytes=HANDSHAKE_PACKET_BYTES))
+            self._emit(Packet(self.address, target_prime, request,
+                              HANDSHAKE_PACKET_BYTES))
 
         session = InitiatorSession(self, target_fqdn, request_id, finish, send)
         self._sessions[request_id] = session
@@ -193,8 +192,7 @@ class CallerNode(Node):
         call_id = next(self._call_ids)
         self._pending[call_id] = PendingCall(entry, on_result)
         self._send(self.address, entry.peer_address,
-                   CallRequest(caller_fqdn=self.fqdn, reply_to=self.address,
-                               call_id=call_id))
+                   CallRequest(self.fqdn, self.address, call_id))
         self.sim.call_in(CALL_TIMEOUT_S, self.node_id, CallTimeout(call_id))
 
     def _finish_call(self, call_id: int, outcome: CallOutcome) -> None:
@@ -226,7 +224,7 @@ class CallerNode(Node):
         packet = Packet(src, dst, payload, size_bytes)
         care_of = self._route_cache.get(dst)
         if care_of is not None:
-            packet = Packet(src, care_of, RouteOptimized(inner=packet))
+            packet = Packet(src, care_of, RouteOptimized(packet))
         return packet
 
     def _emit(self, packet: Packet) -> None:

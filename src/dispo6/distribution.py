@@ -259,9 +259,8 @@ class DistributionResponder:
             self.refusals += 1
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
-        response = AddressResponse(granted=hoa,
-                                   request_digest=hashlib.sha256(signed).digest(),
-                                   request_id=request.request_id)
+        response = AddressResponse(hoa, hashlib.sha256(signed).digest(),
+                                   request.request_id)
         if owner.scheme is not None and owner.keys is not None:
             response = response._replace(
                 certificate=owner.certificate,
@@ -329,9 +328,8 @@ class InitiatorSession:
         self.on_done = on_done
         self.send_request = send_request
         self._gen = 0
-        request = AddressRequest(requester_name=owner.fqdn.split(".")[0],
-                                 requester_fqdn=owner.fqdn, extra_info="",
-                                 reply_to=owner.address, request_id=request_id)
+        request = AddressRequest(owner.fqdn.split(".")[0], owner.fqdn, "",
+                                 owner.address, request_id)
         signed = request.signed_bytes()
         if owner.scheme is not None and owner.keys is not None:
             request = request._replace(
@@ -351,8 +349,8 @@ class InitiatorSession:
         owner = self.owner
         owner.sim.call_in(REQUEST_TIMEOUT_S if delay_s is None else delay_s,
                           owner.node_id,
-                          SessionTimer(request_id=self.request_id, kind=kind,
-                                       gen=self._gen, challenge=challenge))
+                          SessionTimer(self.request_id, kind, self._gen,
+                                       challenge))
 
     def on_message(self, payload: object) -> None:
         if isinstance(payload, HipChallengeMsg):
@@ -393,6 +391,5 @@ class InitiatorSession:
                 return
         elif response.certificate is not None:
             responder_key = response.certificate.public_key
-        self.on_done(RequestResult(RequestOutcome.GRANTED,
-                                  granted=response.granted,
-                                  responder_key=responder_key))
+        self.on_done(RequestResult(RequestOutcome.GRANTED, response.granted,
+                                  responder_key))

@@ -359,14 +359,14 @@ class Simulator:
 
     def run_until(self, end_us: int) -> int:
         """Process every event at or before `end_us`; leaves the clock there."""
-        processed = self._loop(end_us)
+        processed = self._loop(end_us + 1)
         if end_us > self.now_us:
             self.now_us = int(end_us)
         return processed
 
     def run(self) -> int:
         """Drain the queue and every flood segment entirely."""
-        return self._loop(None)
+        return self._loop(FOREVER)
 
     def pending(self) -> int:
         """Number of events the per-packet path would have queued: timers
@@ -382,12 +382,13 @@ class Simulator:
                     count += k_hi - k_lo
         return count
 
-    def _loop(self, limit_us: int | None) -> int:
+    def _loop(self, stop: int) -> int:
+        """Process every event before `stop`."""
         queue, nodes, counters = self._queue, self.nodes, self.counters
         pop = heapq.heappop
         processed, splits = 0, self._splits
         while True:
-            while queue and (limit_us is None or queue[0][0] <= limit_us):
+            while queue and queue[0][0] < stop:
                 us, seq, target, is_timer, payload = pop(queue)
                 if us != self.now_us:
                     if self._floods and self._flow(us):
@@ -405,8 +406,7 @@ class Simulator:
                 counters.in_flight -= 1
                 counters.delivered += 1
                 node.on_packet(payload)
-            if not self._floods or not self._flow(
-                    FOREVER if limit_us is None else limit_us + 1):
+            if not self._floods or not self._flow(stop):
                 return processed + self._splits - splits
 
     # -- flood segments ------------------------------------------------------

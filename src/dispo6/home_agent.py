@@ -37,7 +37,6 @@ class ManagementMessage:
     host_id: str
     auth: str
     hoa: Ipv6Address | None = None
-    coa: Ipv6Address | None = None
     ok: bool = True
     info: str = ""
 
@@ -226,10 +225,17 @@ class HomeAgent(Node):
     # -- data path ---------------------------------------------------------
 
     def on_packet(self, packet: Packet) -> None:
-        if packet.dst == self.admin_address:
-            self._handle_admin(packet)
+        if packet.dst != self.admin_address:
+            self.intercept(packet)
             return
-        self.intercept(packet)
+        payload = packet.payload
+        kind = type(payload)
+        if kind is ReverseTunneled:
+            self.reverse_tunnel(payload.host_id, payload.auth, payload.inner)
+        elif kind is BindingUpdate:
+            self._on_binding_update(payload)
+        elif kind is ManagementMessage:
+            self._on_management(payload)
 
     def intercept(self, packet: Packet) -> None:
         """Tunnel to the owner's care-of address, or drop in silence."""
@@ -264,9 +270,8 @@ class HomeAgent(Node):
                 and last.dst == care_of):
             return last
         last = self._last_tunnel = Packet(
-            src=self.admin_address, dst=care_of,
-            payload=Encapsulated(inner=packet),
-            size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
+            self.admin_address, care_of, Encapsulated(packet),
+            packet.size_bytes + TUNNEL_HEADER_BYTES)
         return last
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
@@ -320,14 +325,6 @@ class HomeAgent(Node):
         return payload.inner if self._relays(payload.host_id,
                                              payload.inner) else None
 
-    def _handle_admin(self, packet: Packet) -> None:
-        handler = self._admin_handlers.get(type(packet.payload))
-        if handler is not None:
-            handler(self, packet.payload)
-
-    def _on_reverse_tunneled(self, payload: ReverseTunneled) -> None:
-        self.reverse_tunnel(payload.host_id, payload.auth, payload.inner)
-
     def _on_binding_update(self, payload: BindingUpdate) -> None:
         try:
             self.process_binding_update(payload.host_id, payload.auth,
@@ -349,29 +346,21 @@ class HomeAgent(Node):
             return
         care_of = self._hosts[payload.host_id].care_of
         if care_of is not None:
-            self.sim.send(Packet(src=self.admin_address, dst=care_of,
-                                 payload=reply))
-
-    _admin_handlers = {
-        ReverseTunneled: _on_reverse_tunneled,
-        BindingUpdate: _on_binding_update,
-        ManagementMessage: _on_management,
-    }
+            self.sim.send(Packet(self.admin_address, care_of, reply))
 
     def _apply_management(self, msg: ManagementMessage) -> ManagementMessage:
         if msg.kind is ManagementKind.HOA_REQUEST:
             hoa = self.generate_home_address(msg.host_id, msg.auth)
-            return ManagementMessage(kind=ManagementKind.HOA_GRANT,
-                                     host_id=msg.host_id, auth=msg.auth, hoa=hoa)
+            return ManagementMessage(ManagementKind.HOA_GRANT, msg.host_id,
+                                     msg.auth, hoa)
         if msg.kind is ManagementKind.BLOCK_REQUEST:
             ack = self.block_address(msg.host_id, msg.auth, msg.hoa)
         elif msg.kind is ManagementKind.REACTIVATE_REQUEST:
             ack = self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
         else:
             ack = Ack(ok=False, info=f"unsupported kind {msg.kind}")
-        return ManagementMessage(kind=ManagementKind.ACK, host_id=msg.host_id,
-                                 auth=msg.auth, hoa=msg.hoa, ok=ack.ok,
-                                 info=ack.info)
+        return ManagementMessage(ManagementKind.ACK, msg.host_id, msg.auth,
+                                 msg.hoa, ack.ok, ack.info)
 
     def on_timer(self, token: object) -> None:  # pragma: no cover - no timers
         pass

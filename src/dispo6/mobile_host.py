@@ -160,7 +160,9 @@ class MobileHost(CallerNode):
         self.sa_tag = ""
         self.responder = DistributionResponder(self, HipGate())
         self._pool: list[Ipv6Address] = []
-        self._active_peers: dict[str, Ipv6Address] = {}  # fqdn -> peer address
+        # fqdn -> peer address, kept in RO mode only: care-of rotation
+        # tells these peers
+        self._active_peers: dict[str, Ipv6Address] = {}
         self._peer_bu_sent: set[Ipv6Address] = set()
         self._reactivate_gen = 0
         # on_run's last (inner packet, route-cache entry, reply); see
@@ -288,16 +290,18 @@ class MobileHost(CallerNode):
         return self.responder.grant_for(peer_fqdn)
 
     def allocate_disposable(self) -> Ipv6Address:
-        if self._pool:
-            hoa = self._pool.pop(0)
-        else:
+        """A disposable from the pool, refilled by one HOA_REQUEST. On a
+        miss the address is generated at once and nothing is requested:
+        the refills in flight for the addresses taken bring the pool back
+        to `POOL_SIZE`."""
+        if not self._pool:
             self.counters.pool_misses += 1
             hoa = self.ha.generate_home_address(self.node_id, self.sa_tag)
             self.address_states[hoa] = AddressState.ACTIVE
-        self._send_management(ManagementMessage(kind=ManagementKind.HOA_REQUEST,
-                                                host_id=self.node_id,
-                                                auth=self.sa_tag))
-        return hoa
+            return hoa
+        self._send_management(ManagementMessage(ManagementKind.HOA_REQUEST,
+                                                self.node_id, self.sa_tag))
+        return self._pool.pop(0)
 
     # -- contact-manager overrides ---------------------------------------------
 
@@ -308,7 +312,8 @@ class MobileHost(CallerNode):
 
     def _call_connected(self, entry: AddressBookEntry) -> None:
         # the peer learns our next care-of address in RO mode
-        self._active_peers[entry.peer_fqdn] = entry.peer_address
+        if self.mode is Mode.ROUTE_OPTIMIZATION:
+            self._active_peers[entry.peer_fqdn] = entry.peer_address
 
     def _emit(self, packet: Packet) -> None:
         """Charge one transmission, then send unless the battery is (or just
@@ -323,15 +328,13 @@ class MobileHost(CallerNode):
         """In BT mode a packet from a home address is relayed by the home
         agent, so the care-of address never shows."""
         if self.mode is Mode.BIDIRECTIONAL_TUNNELING and packet.src != self.coa:
-            return Packet(src=self.coa, dst=self.ha_admin,
-                          payload=ReverseTunneled(inner=packet,
-                                                  host_id=self.node_id,
-                                                  auth=self.sa_tag),
-                          size_bytes=packet.size_bytes + TUNNEL_HEADER_BYTES)
+            return Packet(self.coa, self.ha_admin,
+                          ReverseTunneled(packet, self.node_id, self.sa_tag),
+                          packet.size_bytes + TUNNEL_HEADER_BYTES)
         return packet
 
     def _send_management(self, message: ManagementMessage) -> None:
-        self._emit(Packet(src=self.coa, dst=self.ha_admin, payload=message))
+        self._emit(Packet(self.coa, self.ha_admin, message))
 
     # -- receive path -----------------------------------------------------------
 
@@ -366,7 +369,7 @@ class MobileHost(CallerNode):
                 self.counters.alerts += 1
                 self.dispose_address(dst)
             elif (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
-                    and dst != self.prime):
+                    and dst != self.address):
                 # a just-disposed address announces nothing, not even to
                 # the packet that tripped the alert
                 self._maybe_send_peer_bu(dst, inner.src)
@@ -411,23 +414,23 @@ class MobileHost(CallerNode):
     def _on_call_request(self, inner: Packet) -> None:
         dst, request = inner.dst, inner.payload
         self.counters.calls_received += 1
-        if dst == self.prime:
+        if dst == self.address:
             # calls never land on the prime; callers must hold a disposable
             self.counters.prime_call_rejects += 1
             self._send(dst, request.reply_to,
-                       CallReject(call_id=request.call_id,
-                                  reason=PRIME_REJECT_REASON))
+                       CallReject(request.call_id, PRIME_REJECT_REASON))
             return
         if self.address_states.get(dst) is AddressState.ACTIVE:
             self.counters.calls_accepted += 1
-            self._active_peers[request.caller_fqdn] = request.reply_to
-            self._send(dst, request.reply_to, CallAccept(call_id=request.call_id))
+            if self.mode is Mode.ROUTE_OPTIMIZATION:
+                self._active_peers[request.caller_fqdn] = request.reply_to
+            self._send(dst, request.reply_to, CallAccept(request.call_id))
             return
         self.counters.non_hoa_dropped += 1
 
     def _on_address_request(self, inner: Packet) -> None:
         dst, request = inner.dst, inner.payload
-        if dst != self.prime:
+        if dst != self.address:
             return
         action = self.responder.handle_request(request, self.sim.now_us)
         if isinstance(action, GrantAction):
@@ -468,7 +471,8 @@ class MobileHost(CallerNode):
                                     self._run_kinds(state, dst))
         if state is AddressState.ACTIVE:
             if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
-                    and dst != self.prime and inner.src not in self._peer_bu_sent):
+                    and dst != self.address
+                    and inner.src not in self._peer_bu_sent):
                 return 0
             split = self.monitor.first_alert(dst, first_us, interval_us, split)
         return split

@@ -28,13 +28,13 @@ class AttackAlert:
 class _Window(deque):
     """One address's observations inside the monitor's window, oldest
     first: a packet's instant (int us), or a run [first_us, interval_us,
-    count] of a segment's packets; `total` counts them all."""
+    count] of a segment's packets; `total` counts them all.
+
+    It has no `__init__` of its own: deque's constructor builds it, with
+    or without its first observations, and whoever builds one sets
+    `total`, which is unset until then."""
 
     __slots__ = ("total",)
-
-    def __init__(self):
-        super().__init__()
-        self.total = 0
 
     def trim(self, cutoff_us: int) -> None:
         """Forget every observation before `cutoff_us`."""
@@ -116,20 +116,29 @@ class IntrusionMonitor:
         return count
 
     def observe(self, hoa: Ipv6Address, now_us: int) -> AttackAlert | None:
-        window = self._latest(hoa)
-        window.append(now_us)
-        window.total += 1
-        cutoff = now_us - self._window_us
-        window.trim(cutoff)
         windows = self._windows
+        # `hoa`'s window, moved to the end as the latest observed
+        window = windows.pop(hoa, None)
+        if window is None:
+            window = _Window((now_us,))
+            window.total = 1
+        else:
+            window.append(now_us)
+            window.total += 1
+        windows[hoa] = window
+        cutoff = now_us - self._window_us
+        head = window[0]
+        if (head if type(head) is not list else head[0]) < cutoff:
+            window.trim(cutoff)
         while True:  # ends at the latest, `hoa` itself
             oldest = next(iter(windows))
-            if windows[oldest].newest() >= cutoff:
+            old = windows[oldest]
+            if old is window or old.newest() >= cutoff:
                 break
             del windows[oldest]
         rate = window.total / self.window_s
         if rate > self.threshold_pps:
-            return AttackAlert(hoa=hoa, window_rate=rate)
+            return AttackAlert(hoa, rate)
         return None
 
     def observe_run(self, hoa: Ipv6Address, first_us: int, interval_us: int,
@@ -146,6 +155,7 @@ class IntrusionMonitor:
         window = windows.pop(hoa, None)
         if window is None:
             window = _Window()
+            window.total = 0
         windows[hoa] = window
         return window
 

@@ -299,17 +299,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         had = node.has_address_for(token.target_fqdn)
         if not had and token.coincides_with_attack:
             # paper mode: the call met the attack, no handshake runs
-            ended.append(CallRecord(day=token.day,
-                                    correspondent_id=token.correspondent_id,
-                                    had_disposable=False,
-                                    outcome=CallOutcome.REJECTED_PRIME_BLOCKED,
-                                    time=t0))
+            ended.append(CallRecord(token.day, token.correspondent_id, False,
+                                    CallOutcome.REJECTED_PRIME_BLOCKED, t0))
             return
         node.place_call(
             token.target_fqdn,
             lambda outcome: ended.append(CallRecord(
-                day=token.day, correspondent_id=token.correspondent_id,
-                had_disposable=had, outcome=outcome, time=t0)))
+                token.day, token.correspondent_id, had, outcome, t0)))
 
     for node in correspondents:
         node.on_start_call = on_start_call
@@ -350,9 +346,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             hour = CALL_WINDOW_START + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
             sim.call_at(day_hour_us(day, hour), correspondents[i].node_id,
-                        StartCall(target_fqdn=VICTIM_FQDN, day=day,
-                                  correspondent_id=i,
-                                  coincides_with_attack=slack < p_reject))
+                        StartCall(VICTIM_FQDN, day, i, slack < p_reject))
             following = next_call_day(day)
             if following < config.horizon_days:
                 calls_due.setdefault(int(following), []).append(i)

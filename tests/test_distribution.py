@@ -22,7 +22,7 @@ from dispo6.distribution import (
     RequestOutcome,
 )
 from dispo6.engine import SimTime
-from dispo6.caller import CallOutcome
+from dispo6.caller import CallerNode, CallOutcome
 from test_mobile_host import call_once, make_caller, make_host
 
 HOME_PREFIX = 0x20010DB800010000
@@ -374,6 +374,49 @@ class TestEngineHandshake:
         outcome = call_once(world, caller, host.fqdn)
         assert outcome is CallOutcome.FAILED
         assert host.counters.calls_received == 0  # no call was placed
+
+    def test_grant_for_another_request_is_ignored(self, make_world):
+        """A grant whose digest is not this request's leaves the session
+        pending and the book empty; the deadline then ends it."""
+        world = make_world(pki=True)
+        host = make_host(world)
+        caller = make_caller(world)
+        original = caller.on_packet
+
+        def misdirect(packet):
+            if isinstance(packet.payload, AddressResponse):
+                packet = packet._replace(payload=packet.payload._replace(
+                    request_digest=hashlib.sha256(b"another").digest()))
+            original(packet)
+
+        caller.on_packet = misdirect
+        results = []
+        caller.request_address(host.fqdn, results.append)
+        world.sim.run_until(SimTime.from_seconds(1))
+        assert host.responder.granted_total == 1  # the grant went out
+        assert results == [] and len(caller._sessions) == 1
+        assert not caller.has_address_for(host.fqdn)
+        world.sim.run()
+        assert [r.outcome for r in results] == [RequestOutcome.TIMEOUT]
+        assert caller._sessions == {}
+        assert not caller.has_address_for(host.fqdn)
+
+    def test_unverifying_caller_takes_the_certified_key(self, make_world):
+        # a caller that does not require signed responses still learns
+        # the key the grant's certificate names
+        world = make_world(pki=True)
+        host = make_host(world)
+        fqdn = "lax.peers.example"
+        keys = world.scheme.generate(world.sim.rng)
+        caller = CallerNode(world.sim, "lax", fqdn, PEER, world.names,
+                            scheme=world.scheme, keys=keys,
+                            certificate=world.ca.issue(fqdn, keys.public))
+        results = []
+        caller.request_address(host.fqdn, results.append)
+        world.sim.run()
+        assert [r.outcome for r in results] == [RequestOutcome.GRANTED]
+        assert results[0].responder_key == host.keys.public
+        assert caller.entry_for(host.fqdn).peer_pubkey == host.keys.public
 
     def test_bot_that_cannot_solve_gets_nothing(self, make_world):
         world = make_world()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -38,6 +39,32 @@ class Sink(Node):
             else:
                 out.append(packet)
         return out
+
+
+class Forger(Node):
+    """Sends one packet over and over: as a flood segment, or a timer
+    per packet."""
+
+    def __init__(self, sim, node_id, packet):
+        super().__init__(sim, node_id)
+        self.packet = packet
+
+    def emit(self, segment, first_us, interval_us, count):
+        if segment:
+            assert self.sim.flood(self.node_id, self.packet, first_us,
+                                  interval_us, count)
+            return
+        for k in range(count):
+            self.sim.call_at(first_us + k * interval_us, self.node_id, k)
+
+    def on_timer(self, token):
+        self.sim.send(self.packet)
+
+    def on_run(self, packet, first_us, interval_us, count):
+        return packet
+
+    def run_fate(self, packet):
+        return packet
 
 
 def coa(iid):
@@ -320,6 +347,49 @@ class TestReverseTunnel:
         assert world.agent.reverse_tunnel("host", tag, inner)
         world.sim.run()
         assert len(correspondent.received) == 1
+
+
+    def test_forged_tag_relays_nothing(self, make_world):
+        world = make_world()
+        correspondent = Sink(world.sim, "corr")
+        world.sim.register_route(peer(5), "corr")
+        tag = attach(world, care_of=coa(1))
+        hoa = world.agent.generate_home_address("host", tag)
+        forged = Packet(src=coa(1), dst=world.agent.admin_address,
+                        payload=ReverseTunneled(
+                            inner=Packet(src=hoa, dst=peer(5), payload="x"),
+                            host_id="host", auth="forged"))
+        world.sim.send(forged)
+        sent = world.sim.counters.sent
+        assert world.sim.run() == 1
+        assert world.agent.counters.rejected_management == 1
+        assert world.sim.counters.sent == sent
+        assert correspondent.received == []
+
+    def test_forged_tag_segment_matches_per_packet(self, make_world):
+        """A flood of forged reverse tunnels as one segment (`on_run`) and
+        as a packet each: the same counters, and nothing relayed."""
+        results = []
+        for segment in (True, False):
+            world = make_world()
+            Sink(world.sim, "corr")
+            world.sim.register_route(peer(5), "corr")
+            tag = attach(world, care_of=coa(1))
+            hoa = world.agent.generate_home_address("host", tag)
+            forger = Forger(world.sim, "forger", Packet(
+                src=coa(1), dst=world.agent.admin_address,
+                payload=ReverseTunneled(
+                    inner=Packet(src=hoa, dst=peer(5), payload="x"),
+                    host_id="host", auth="forged")))
+            forger.emit(segment, first_us=1_000, interval_us=10_000,
+                        count=50)
+            world.sim.run()
+            results.append((dataclasses.asdict(world.sim.counters),
+                            dataclasses.asdict(world.agent.counters)))
+        assert results[0] == results[1]
+        engine, agent = results[0]
+        assert agent["rejected_management"] == 50
+        assert engine["sent"] == engine["delivered"] == 50
 
 
 class TestManagementWire:

@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import random
 
 import pytest
 
@@ -14,7 +16,7 @@ from dispo6.messages import (
     Ping,
     Pong,
 )
-from dispo6.mobile_host import MobileHost, Mode
+from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
 from dispo6.monitor import AttackAlert, IntrusionMonitor
 from conftest import PEER_PREFIX, VISITED_PREFIX, record_deliveries
 
@@ -92,6 +94,57 @@ class TestIntrusionMonitor:
                   for k in range(count)]
         expected = alerts.index(True) if any(alerts) else count
         assert closed.first_alert(hoa, first_us, interval_us, count) == expected
+
+    def test_closed_form_against_a_recount(self):
+        """`since` and `first_alert` against a recount of every instant
+        observed, over random windows of single instants and runs, with
+        cutoffs inside runs (a run that straddles the cutoff) among them."""
+        rng = random.Random(5)
+        hoa, window_us = Ipv6Address(1, 1), 10_000_000
+        straddled = alerted = 0
+        for _ in range(2_000):
+            monitor = IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+            seen, runs, now_us = [], [], 0
+            for _ in range(rng.randint(1, 12)):
+                now_us += rng.randrange(3_000_000)
+                if rng.random() < 0.4:
+                    monitor.observe(hoa, now_us)
+                    seen.append(now_us)
+                    continue
+                interval_us = rng.randrange(1, 400_000)
+                count = rng.randint(1, 60)
+                monitor.observe_run(hoa, now_us, interval_us, count)
+                runs.append((now_us, now_us + (count - 1) * interval_us))
+                seen.extend(now_us + k * interval_us for k in range(count))
+                now_us = seen[-1]
+            window = monitor._windows[hoa]
+
+            def recount(cutoff_us):
+                return len(seen) - bisect.bisect_left(seen, cutoff_us)
+
+            assert window.total == recount(now_us - window_us)
+            cutoffs = [rng.randint(now_us - window_us, now_us + 1)
+                       for _ in range(4)]
+            cutoffs += [rng.randint(max(first, now_us - window_us) + 1, last)
+                        for first, last in runs
+                        if max(first, now_us - window_us) < last]
+            for cutoff_us in cutoffs:
+                assert window.since(cutoff_us) == recount(cutoff_us)
+                straddled += any(first < cutoff_us <= last
+                                 for first, last in runs)
+            first_us = now_us + rng.randrange(1, 2_000_000)
+            interval_us = rng.randrange(1, 200_000)
+            count = rng.randint(1, 300)
+            run = [first_us + k * interval_us for k in range(count)]
+            expected = next(
+                (j for j, at_us in enumerate(run)
+                 if recount(at_us - window_us) + j + 1
+                 - bisect.bisect_left(run, at_us - window_us) > 100),
+                count)
+            alerted += expected < count
+            assert monitor.first_alert(hoa, first_us, interval_us,
+                                       count) == expected
+        assert straddled > 1_000 and alerted > 100
 
 
 class TestMobility:
@@ -394,6 +447,54 @@ class TestSpitBlocking:
         assert call_once(world, spitter, host.fqdn) is CallOutcome.REJECTED_BY_CALLEE
         # other peers keep working
         assert call_once(world, bystander, host.fqdn) is CallOutcome.CONNECTED
+
+
+class TestPool:
+    def test_a_miss_requests_no_replacement(self, make_world):
+        """A burst of grants larger than the pool: the misses are
+        generated at once, and the refills of the addresses taken from
+        the pool bring it back to POOL_SIZE, not past it."""
+        world = make_world()
+        host = make_host(world)
+        for burst in range(2):
+            granted = [host.grant_out_of_band(f"peer{burst}{i}.example")
+                       for i in range(POOL_SIZE + 2)]
+            assert len(set(granted)) == POOL_SIZE + 2
+            assert host.counters.pool_misses == 2 * (burst + 1)
+            world.sim.run()
+            assert len(host._pool) == POOL_SIZE
+        # the prime, the pool built at attach and 6 grants a burst
+        assert len(world.agent.addresses_of(host.node_id)) == (
+            1 + POOL_SIZE + 2 * (POOL_SIZE + 2))
+
+
+class TestCallWork:
+    """What one call costs the engine: the events `run` processes and the
+    packets sent. An extra hop or timer on the call path shows here."""
+
+    @pytest.mark.parametrize("pki", [False, True])
+    @pytest.mark.parametrize("mode,first,again", [
+        # a handshake, the pool's refill round trip, then the call; again,
+        # the call alone: in BT mode every packet to or from the host
+        # crosses the home agent, and in RO mode the call and its answer
+        # go straight to and from the care-of address the first call
+        # announced
+        (Mode.BIDIRECTIONAL_TUNNELING, (12, 10), (5, 4)),
+        (Mode.ROUTE_OPTIMIZATION, (11, 9), (3, 2)),
+    ])
+    def test_events_and_sends_per_call(self, make_world, pki, mode, first,
+                                       again):
+        world = make_world(pki=pki)
+        host = make_host(world, mode=mode)
+        caller = make_caller(world)
+        world.sim.run()
+        for expected in (first, again):
+            outcomes = []
+            sent = world.sim.counters.sent
+            caller.place_call(host.fqdn, outcomes.append)
+            events = world.sim.run()
+            assert outcomes == [CallOutcome.CONNECTED]
+            assert (events, world.sim.counters.sent - sent) == expected
 
 
 class TestInjectivity:
