@@ -41,6 +41,9 @@ from .messages import (
 # seconds a placed call waits for accept or reject before it counts as failed
 CALL_TIMEOUT_S = 3.0
 
+# builds a record per call with no Python frame (see `messages.record`)
+_tuple_new = tuple.__new__
+
 
 class CallOutcome(Enum):
     CONNECTED = "connected"
@@ -155,8 +158,8 @@ class CallerNode(Node):
         def send(request: AddressRequest) -> None:
             # always to the prime itself, which its home agent tunnels on:
             # a care-of address announced for the prime may be stale
-            self._emit(Packet(self.address, target_prime, request,
-                              HANDSHAKE_PACKET_BYTES))
+            self._emit(_tuple_new(Packet, (self.address, target_prime,
+                                           request, HANDSHAKE_PACKET_BYTES)))
 
         session = InitiatorSession(self, target_fqdn, request_id, finish, send)
         self._sessions[request_id] = session
@@ -190,10 +193,11 @@ class CallerNode(Node):
     def _start_call(self, entry: AddressBookEntry,
                     on_result: Callable[[CallOutcome], None]) -> None:
         call_id = next(self._call_ids)
-        self._pending[call_id] = PendingCall(entry, on_result)
+        self._pending[call_id] = _tuple_new(PendingCall, (entry, on_result))
         self._send(self.address, entry.peer_address,
-                   CallRequest(self.fqdn, self.address, call_id))
-        self.sim.call_in(CALL_TIMEOUT_S, self.node_id, CallTimeout(call_id))
+                   _tuple_new(CallRequest, (self.fqdn, self.address, call_id)))
+        self.sim.call_in(CALL_TIMEOUT_S, self.node_id,
+                         _tuple_new(CallTimeout, (call_id,)))
 
     def _finish_call(self, call_id: int, outcome: CallOutcome) -> None:
         pending = self._pending.pop(call_id, None)
@@ -221,10 +225,12 @@ class CallerNode(Node):
 
     def _addressed(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
                    size_bytes: int = PACKET_BYTES) -> Packet:
-        packet = Packet(src, dst, payload, size_bytes)
+        packet = _tuple_new(Packet, (src, dst, payload, size_bytes))
         care_of = self._route_cache.get(dst)
         if care_of is not None:
-            packet = Packet(src, care_of, RouteOptimized(packet))
+            packet = _tuple_new(Packet, (src, care_of,
+                                         _tuple_new(RouteOptimized, (packet,)),
+                                         PACKET_BYTES))
         return packet
 
     def _emit(self, packet: Packet) -> None:

@@ -24,7 +24,13 @@ under that key's public key over the same bytes.
 - `Ed25519Scheme` remembers, per signing key, the last signature it made
   and nobody has verified yet. The entry lives until it is verified or
   the key signs again, so there is at most one per key. A message
-  signature is checked once, where it arrives.
+  signature is checked once, where it arrives. The entry keeps the
+  private key that signed, and it counts only for that key's own public
+  key. The scheme also records each pair it generated, so for an entry
+  whose private key is the one generated with the public key asked
+  about, that is known without deriving the public key again. Any other
+  private key, such as the half of another pair in a hand-built
+  `KeyPair`, gets the derivation.
 - `CertificateAuthority` remembers every certificate it issued or a real
   check accepted, for the life of the CA, because certificates are
   checked again on every handshake.
@@ -85,6 +91,9 @@ class Ed25519Scheme:
     `KeyPair` pairing two keys' halves fails; the entry is then dropped,
     so a second check of the same triple is a real one. Every other
     input gets the real check, and nothing is stored on a verify.
+    `_generated` maps the public key of each pair `generate` made to its
+    private key, so a generated pair's match is an identity test, not a
+    derivation.
     """
 
     name = "ed25519"
@@ -92,10 +101,12 @@ class Ed25519Scheme:
     def __init__(self):
         _load_backend()
         self._unverified: dict[bytes, tuple[bytes, bytes, Ed25519PrivateKey]] = {}
+        self._generated: dict[bytes, Ed25519PrivateKey] = {}
 
     def generate(self, rng: random.Random) -> KeyPair:
         private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
         public = private.public_key().public_bytes_raw()
+        self._generated[public] = private
         return KeyPair(public=public, private=private)
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
@@ -107,7 +118,8 @@ class Ed25519Scheme:
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         made = self._unverified.get(public)
         if (made is not None and made[0] == message and made[1] == signature
-                and made[2].public_key().public_bytes_raw() == public):
+                and (self._generated.get(public) is made[2]
+                     or made[2].public_key().public_bytes_raw() == public)):
             del self._unverified[public]
             return True
         try:

@@ -11,9 +11,10 @@ Each side says each thing once. Each end has one identity, its owning
 node: the session reads its `CallerNode`, the responder its `MobileHost`,
 and neither copies the keys, certificate, CA or signature policy. Both
 sides check the peer's certified signature through the one
-`CertificateAuthority.certified_key`, and sign by adding the signature
-to the message they built; a request re-sent with a HIP answer keeps
-its first signature. The responder's `grants` is the host's only record
+`CertificateAuthority.certified_key`. Each signs the bytes of its
+message's fields first and then builds the message once, signature and
+certificate in place; a request re-sent with a HIP answer keeps its
+first signature. The responder's `grants` is the host's only record
 of which address each peer holds, and its deny list (fed by
 `MobileHost.spit_block`) is the one permission policy.
 """
@@ -48,6 +49,9 @@ MAX_HIP_DIFFICULTY_S = 86_400.0
 _HIP_WINDOW_US = round(HIP_WINDOW_S * US_PER_SECOND)
 _HIP_TTL_US = round(HIP_TTL_S * US_PER_SECOND)
 
+# builds a per-handshake record with no Python frame (see `messages.record`)
+_tuple_new = tuple.__new__
+
 
 @record
 class HipAnswer:
@@ -71,12 +75,16 @@ class AddressRequest:
     def signed_bytes(self) -> bytes:
         # The HIP answer is excluded so a challenged request can be
         # re-presented with its answer under the original signature.
-        return encode_fields(b"hoa-request",
-                             self.requester_name.encode(),
-                             self.requester_fqdn.encode(),
-                             self.extra_info.encode(),
-                             self.reply_to.packed,
-                             self.request_id.to_bytes(8, "big"))
+        return _request_bytes(self.requester_name, self.requester_fqdn,
+                              self.extra_info, self.reply_to, self.request_id)
+
+
+def _request_bytes(requester_name: str, requester_fqdn: str, extra_info: str,
+                   reply_to: Ipv6Address, request_id: int) -> bytes:
+    """What an `AddressRequest` with these fields signs, before it is built."""
+    return encode_fields(b"hoa-request", requester_name.encode(),
+                         requester_fqdn.encode(), extra_info.encode(),
+                         reply_to.packed, request_id.to_bytes(8, "big"))
 
 
 @record
@@ -90,8 +98,12 @@ class AddressResponse:
     certificate: Certificate | None = None
 
     def signed_bytes(self) -> bytes:
-        return encode_fields(b"hoa-response", self.granted.packed,
-                             self.request_digest)
+        return _response_bytes(self.granted, self.request_digest)
+
+
+def _response_bytes(granted: Ipv6Address, request_digest: bytes) -> bytes:
+    """What an `AddressResponse` with these fields signs, before it is built."""
+    return encode_fields(b"hoa-response", granted.packed, request_digest)
 
 
 @record
@@ -149,8 +161,8 @@ class HipGate:
         while events[0] < cutoff:
             events.popleft()
         while True:  # ends at the latest, `source` itself
-            oldest = next(iter(history))
-            if history[oldest][-1] >= cutoff:
+            oldest, old = next(iter(history.items()))
+            if old[-1] >= cutoff:
                 break
             del history[oldest]
 
@@ -173,8 +185,8 @@ class HipGate:
         outstanding = self._outstanding
         expired_before = now_us - _HIP_TTL_US
         while outstanding:
-            oldest = next(iter(outstanding))
-            if outstanding[oldest] >= expired_before:
+            oldest, issued_us = next(iter(outstanding.items()))
+            if issued_us >= expired_before:
                 break
             del outstanding[oldest]
         challenge_id = next(self._ids)
@@ -259,13 +271,13 @@ class DistributionResponder:
             self.refusals += 1
             return RefuseAction(Refusal(request_id=request.request_id,
                                         reason="permission denied"))
-        response = AddressResponse(hoa, hashlib.sha256(signed).digest(),
-                                   request.request_id)
+        digest = hashlib.sha256(signed).digest()
+        signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
-            response = response._replace(
-                certificate=owner.certificate,
-                signature=owner.scheme.sign(owner.keys, response.signed_bytes()))
-        return GrantAction(response)
+            signature = owner.scheme.sign(owner.keys, _response_bytes(hoa, digest))
+            certificate = owner.certificate
+        return _tuple_new(GrantAction, (_tuple_new(AddressResponse, (
+            hoa, digest, request.request_id, signature, certificate)),))
 
     def grant_for(self, peer_fqdn: str) -> Ipv6Address | None:
         """Every grant: None for a denied peer, else the same address back
@@ -328,14 +340,15 @@ class InitiatorSession:
         self.on_done = on_done
         self.send_request = send_request
         self._gen = 0
-        request = AddressRequest(owner.fqdn.split(".")[0], owner.fqdn, "",
-                                 owner.address, request_id)
-        signed = request.signed_bytes()
+        fqdn, address = owner.fqdn, owner.address
+        name = fqdn.split(".")[0]
+        signed = _request_bytes(name, fqdn, "", address, request_id)
+        signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
-            request = request._replace(
-                certificate=owner.certificate,
-                signature=owner.scheme.sign(owner.keys, signed))
-        self._base_request = request
+            signature = owner.scheme.sign(owner.keys, signed)
+            certificate = owner.certificate
+        self._base_request = _tuple_new(AddressRequest, (
+            name, fqdn, "", address, request_id, signature, certificate, None))
         # the signed bytes leave the HIP answer out, so re-sends share it
         self._request_digest = hashlib.sha256(signed).digest()
 
@@ -349,8 +362,8 @@ class InitiatorSession:
         owner = self.owner
         owner.sim.call_in(REQUEST_TIMEOUT_S if delay_s is None else delay_s,
                           owner.node_id,
-                          SessionTimer(self.request_id, kind, self._gen,
-                                       challenge))
+                          _tuple_new(SessionTimer, (self.request_id, kind,
+                                                    self._gen, challenge)))
 
     def on_message(self, payload: object) -> None:
         if isinstance(payload, HipChallengeMsg):
@@ -359,7 +372,8 @@ class InitiatorSession:
             self._arm("solve", delay_s=payload.difficulty_s, challenge=payload)
             return
         if isinstance(payload, Refusal):
-            self.on_done(RequestResult(RequestOutcome.REFUSED))
+            self.on_done(_tuple_new(RequestResult,
+                                    (RequestOutcome.REFUSED, None, None)))
             return
         if isinstance(payload, AddressResponse):
             self._handle_response(payload)
@@ -374,7 +388,8 @@ class InitiatorSession:
             self.send_request(self._base_request._replace(hip_answer=answer))
             self._arm("deadline")
             return
-        self.on_done(RequestResult(RequestOutcome.TIMEOUT))
+        self.on_done(_tuple_new(RequestResult,
+                                (RequestOutcome.TIMEOUT, None, None)))
 
     def _handle_response(self, response: AddressResponse) -> None:
         if response.request_digest != self._request_digest:
@@ -387,9 +402,10 @@ class InitiatorSession:
                     response.certificate, self.target_fqdn,
                     response.signed_bytes(), response.signature)
             if responder_key is None:
-                self.on_done(RequestResult(RequestOutcome.BAD_SIGNATURE))
+                self.on_done(_tuple_new(RequestResult, (
+                    RequestOutcome.BAD_SIGNATURE, None, None)))
                 return
         elif response.certificate is not None:
             responder_key = response.certificate.public_key
-        self.on_done(RequestResult(RequestOutcome.GRANTED, response.granted,
-                                  responder_key))
+        self.on_done(_tuple_new(RequestResult, (
+            RequestOutcome.GRANTED, response.granted, responder_key)))

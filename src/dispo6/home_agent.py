@@ -12,13 +12,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import AddressState, Ipv6Address, random_iid
-from .engine import Node, Packet, Simulator
+from .engine import PACKET_BYTES, Node, Packet, Simulator
 from .messages import record
 
 ADMIN_IID = 1
 MAX_ALLOCATION_ATTEMPTS = 128
 # bytes a tunnel adds to the packet it carries (an outer IPv6 header)
 TUNNEL_HEADER_BYTES = 40
+
+# builds a per-packet record with no Python frame (see `messages.record`)
+_tuple_new = tuple.__new__
 
 
 class ManagementKind(Enum):
@@ -269,9 +272,9 @@ class HomeAgent(Node):
         if (last is not None and last.payload.inner is packet
                 and last.dst == care_of):
             return last
-        last = self._last_tunnel = Packet(
-            self.admin_address, care_of, Encapsulated(packet),
-            packet.size_bytes + TUNNEL_HEADER_BYTES)
+        last = self._last_tunnel = _tuple_new(Packet, (
+            self.admin_address, care_of, _tuple_new(Encapsulated, (packet,)),
+            packet.size_bytes + TUNNEL_HEADER_BYTES))
         return last
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
@@ -346,21 +349,23 @@ class HomeAgent(Node):
             return
         care_of = self._hosts[payload.host_id].care_of
         if care_of is not None:
-            self.sim.send(Packet(self.admin_address, care_of, reply))
+            self.sim.send(_tuple_new(Packet, (self.admin_address, care_of,
+                                              reply, PACKET_BYTES)))
 
     def _apply_management(self, msg: ManagementMessage) -> ManagementMessage:
         if msg.kind is ManagementKind.HOA_REQUEST:
             hoa = self.generate_home_address(msg.host_id, msg.auth)
-            return ManagementMessage(ManagementKind.HOA_GRANT, msg.host_id,
-                                     msg.auth, hoa)
+            return _tuple_new(ManagementMessage, (
+                ManagementKind.HOA_GRANT, msg.host_id, msg.auth, hoa, True, ""))
         if msg.kind is ManagementKind.BLOCK_REQUEST:
             ack = self.block_address(msg.host_id, msg.auth, msg.hoa)
         elif msg.kind is ManagementKind.REACTIVATE_REQUEST:
             ack = self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
         else:
             ack = Ack(ok=False, info=f"unsupported kind {msg.kind}")
-        return ManagementMessage(ManagementKind.ACK, msg.host_id, msg.auth,
-                                 msg.hoa, ack.ok, ack.info)
+        return _tuple_new(ManagementMessage, (ManagementKind.ACK, msg.host_id,
+                                              msg.auth, msg.hoa, ack.ok,
+                                              ack.info))
 
     def on_timer(self, token: object) -> None:  # pragma: no cover - no timers
         pass

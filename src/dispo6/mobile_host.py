@@ -37,7 +37,7 @@ from .distribution import (
     RefuseAction,
 )
 from .energy import EnergyAccount, PacketKind
-from .engine import Packet, Simulator
+from .engine import PACKET_BYTES, Packet, Simulator
 from .home_agent import (
     TUNNEL_HEADER_BYTES,
     BindingAck,
@@ -73,6 +73,9 @@ if TYPE_CHECKING:
 PRIME_REACTIVATE_AFTER_S = 60.0
 # disposables generated at attach time, ready to grant without a round trip
 POOL_SIZE = 4
+
+# builds a per-packet record with no Python frame (see `messages.record`)
+_tuple_new = tuple.__new__
 
 
 class Mode(Enum):
@@ -299,8 +302,9 @@ class MobileHost(CallerNode):
             hoa = self.ha.generate_home_address(self.node_id, self.sa_tag)
             self.address_states[hoa] = AddressState.ACTIVE
             return hoa
-        self._send_management(ManagementMessage(ManagementKind.HOA_REQUEST,
-                                                self.node_id, self.sa_tag))
+        self._send_management(_tuple_new(ManagementMessage, (
+            ManagementKind.HOA_REQUEST, self.node_id, self.sa_tag, None, True,
+            "")))
         return self._pool.pop(0)
 
     # -- contact-manager overrides ---------------------------------------------
@@ -328,13 +332,15 @@ class MobileHost(CallerNode):
         """In BT mode a packet from a home address is relayed by the home
         agent, so the care-of address never shows."""
         if self.mode is Mode.BIDIRECTIONAL_TUNNELING and packet.src != self.coa:
-            return Packet(self.coa, self.ha_admin,
-                          ReverseTunneled(packet, self.node_id, self.sa_tag),
-                          packet.size_bytes + TUNNEL_HEADER_BYTES)
+            return _tuple_new(Packet, (
+                self.coa, self.ha_admin,
+                _tuple_new(ReverseTunneled, (packet, self.node_id, self.sa_tag)),
+                packet.size_bytes + TUNNEL_HEADER_BYTES))
         return packet
 
     def _send_management(self, message: ManagementMessage) -> None:
-        self._emit(Packet(self.coa, self.ha_admin, message))
+        self._emit(_tuple_new(Packet, (self.coa, self.ha_admin, message,
+                                       PACKET_BYTES)))
 
     # -- receive path -----------------------------------------------------------
 
@@ -417,14 +423,15 @@ class MobileHost(CallerNode):
         if dst == self.address:
             # calls never land on the prime; callers must hold a disposable
             self.counters.prime_call_rejects += 1
-            self._send(dst, request.reply_to,
-                       CallReject(request.call_id, PRIME_REJECT_REASON))
+            self._send(dst, request.reply_to, _tuple_new(
+                CallReject, (request.call_id, PRIME_REJECT_REASON)))
             return
         if self.address_states.get(dst) is AddressState.ACTIVE:
             self.counters.calls_accepted += 1
             if self.mode is Mode.ROUTE_OPTIMIZATION:
                 self._active_peers[request.caller_fqdn] = request.reply_to
-            self._send(dst, request.reply_to, CallAccept(request.call_id))
+            self._send(dst, request.reply_to,
+                       _tuple_new(CallAccept, (request.call_id,)))
             return
         self.counters.non_hoa_dropped += 1
 

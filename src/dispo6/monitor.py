@@ -131,8 +131,7 @@ class IntrusionMonitor:
         if (head if type(head) is not list else head[0]) < cutoff:
             window.trim(cutoff)
         while True:  # ends at the latest, `hoa` itself
-            oldest = next(iter(windows))
-            old = windows[oldest]
+            oldest, old = next(iter(windows.items()))
             if old is window or old.newest() >= cutoff:
                 break
             del windows[oldest]

@@ -24,6 +24,7 @@ which.
 import dataclasses
 import json
 import math
+import os
 import types
 import typing
 from dataclasses import dataclass
@@ -43,7 +44,14 @@ from .crypto import CertificateAuthority, Ed25519Scheme
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 # the writer of a run's battery.csv, found here with the other writers
 from .energy import write_battery_series as write_battery_series
-from .engine import US_PER_DAY, US_PER_SECOND, Simulator, day_hour_us, hhmm
+from .engine import (
+    US_PER_DAY,
+    US_PER_MINUTE,
+    US_PER_SECOND,
+    Simulator,
+    day_hour_us,
+    hhmm,
+)
 from .home_agent import HomeAgent
 from .messages import record
 from .mobile_host import MobileHost, Mode
@@ -57,6 +65,9 @@ CALL_WINDOW_START = 8.0
 CALL_WINDOW_END = 20.0
 # the victim's radio idles this long before power save (energy model on)
 SLEEP_TIMEOUT_S = 10.0
+
+# builds a per-call record with no Python frame (see `messages.record`)
+_tuple_new = tuple.__new__
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
@@ -217,11 +228,6 @@ class CallRecord:
     outcome: CallOutcome
     time: int  # us
 
-    def csv_row(self) -> str:
-        return (f"{self.day},{self.correspondent_id},"
-                f"{'true' if self.had_disposable else 'false'},"
-                f"{self.outcome.value},{hhmm(self.time)}")
-
 
 @record
 class DailyStat:
@@ -299,13 +305,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         had = node.has_address_for(token.target_fqdn)
         if not had and token.coincides_with_attack:
             # paper mode: the call met the attack, no handshake runs
-            ended.append(CallRecord(token.day, token.correspondent_id, False,
-                                    CallOutcome.REJECTED_PRIME_BLOCKED, t0))
+            ended.append(_tuple_new(CallRecord, (
+                token.day, token.correspondent_id, False,
+                CallOutcome.REJECTED_PRIME_BLOCKED, t0)))
             return
         node.place_call(
             token.target_fqdn,
-            lambda outcome: ended.append(CallRecord(
-                token.day, token.correspondent_id, had, outcome, t0)))
+            lambda outcome: ended.append(_tuple_new(CallRecord, (
+                token.day, token.correspondent_id, had, outcome, t0))))
 
     for node in correspondents:
         node.on_start_call = on_start_call
@@ -346,7 +353,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             hour = CALL_WINDOW_START + sim.rng.random() * window_hours
             slack = sim.rng.random()  # paper-mode coincidence draw
             sim.call_at(day_hour_us(day, hour), correspondents[i].node_id,
-                        StartCall(VICTIM_FQDN, day, i, slack < p_reject))
+                        _tuple_new(StartCall,
+                                   (VICTIM_FQDN, day, i, slack < p_reject)))
             following = next_call_day(day)
             if following < config.horizon_days:
                 calls_due.setdefault(int(following), []).append(i)
@@ -420,10 +428,18 @@ def _check_invariants(sim: Simulator, agent: HomeAgent,
 
 
 def write_call_log(path: Path | str, records: list[CallRecord]) -> None:
+    """One row per call, streamed. The text of each outcome and of each
+    minute's `hh:mm` is built once per log, not once per row."""
+    clock = [hhmm(minute * US_PER_MINUTE)
+             for minute in range(US_PER_DAY // US_PER_MINUTE)]
+    outcomes = {outcome: outcome.value for outcome in CallOutcome}
+    had_text = ("false", "true")
     with open(path, "w", newline="") as handle:
         handle.write(CALL_LOG_HEADER + "\n")
-        for record in records:
-            handle.write(record.csv_row() + "\n")
+        handle.writelines(
+            f"{day},{correspondent},{had_text[had]},{outcomes[outcome]},"
+            f"{clock[time % US_PER_DAY // US_PER_MINUTE]}\n"
+            for day, correspondent, had, outcome, time in records)
 
 
 def write_daily_series(path: Path | str, daily: list[DailyStat]) -> None:
@@ -485,6 +501,15 @@ def _sweep_worker(config: ScenarioConfig) -> SeedSummary:
                        daily_rejected=[d.rejected for d in run.metrics.daily])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_sweep(config: ScenarioConfig, seeds: list[int],
               jobs: int = 1) -> SweepResult:
     """Independent runs across seeds; aggregation is order-independent."""
@@ -501,7 +526,8 @@ def run_sweep(config: ScenarioConfig, seeds: list[int],
     work = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for each in work:
         each.validate()  # every seed before any run
-    jobs = min(jobs, len(work))  # a worker per run at most
+    # a worker per run at most, and per CPU this process may run on
+    jobs = min(jobs, len(work), _usable_cpus())
     if jobs > 1:
         import multiprocessing  # only a parallel sweep pays its import
 

@@ -175,6 +175,38 @@ class TestCertificateMemo:
         assert calls[0] == 2
 
 
+def count_verify_derivations(monkeypatch) -> list[int]:
+    """Count the public keys `Ed25519Scheme.verify` derives from private
+    keys, in a one-item list. It sees the keys generated after the call."""
+    derived, verifying = [0], [False]
+    real = crypto.Ed25519PrivateKey
+
+    class Counted:
+        def __init__(self, key):
+            self._key = key
+
+        def sign(self, message):
+            return self._key.sign(message)
+
+        def public_key(self):
+            derived[0] += verifying[0]
+            return self._key.public_key()
+
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", SimpleNamespace(
+        from_private_bytes=lambda data: Counted(real.from_private_bytes(data))))
+    verify = Ed25519Scheme.verify
+
+    def counting(self, *args):
+        verifying[0] = True
+        try:
+            return verify(self, *args)
+        finally:
+            verifying[0] = False
+
+    monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+    return derived
+
+
 def count_real_verifies(monkeypatch) -> list[int]:
     """Count the Ed25519 public keys `dispo6.crypto` builds to verify
     with, one per real check, in a one-item list."""
@@ -259,6 +291,25 @@ class TestSignatureMemo:
         assert calls[0] == 1
         assert scheme.verify(KEYS.public, b"second", second)
         assert calls[0] == 1
+
+    def test_a_pair_of_two_generated_halves_fails(self, monkeypatch):
+        # both halves were generated by this scheme, and both honest pairs
+        # have signed and been verified without a derivation, yet a
+        # hand-built pair of the two still gets one and fails
+        derived = count_verify_derivations(monkeypatch)
+        scheme = Ed25519Scheme()
+        rng = random.Random(5)
+        first, second = scheme.generate(rng), scheme.generate(rng)
+        for keys in (first, second):
+            signature = scheme.sign(keys, b"honest")
+            assert scheme.verify(keys.public, b"honest", signature)
+        assert derived[0] == 0
+        for public, signer in ((first, second), (second, first)):
+            mixed = KeyPair(public=public.public, private=signer.private)
+            signature = scheme.sign(mixed, b"mixed")
+            assert not scheme.verify(public.public, b"mixed", signature)
+            assert scheme.verify(signer.public, b"mixed", signature)
+        assert derived[0] == 2
 
     def test_a_mutated_message_buffer_is_checked_for_real(self):
         scheme = Ed25519Scheme()

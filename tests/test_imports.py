@@ -2,7 +2,8 @@
 public module-level name is used somewhere in the repository, every
 parameter is read by its function, every defaulted parameter is passed
 and every scenario config field is set by some code outside the tests,
-every record field is read, every immutable record is a `record`, no
+every record field is read, every immutable record is a `record`, every
+record built through `tuple.__new__` is passed whole and has no check, no
 class is built through a named tuple, only the counters and the config
 are dataclasses, no module but the engine unwraps a `SimTime`, and
 importing the package loads no module that only an unused path needs."""
@@ -365,6 +366,98 @@ def test_unread_field_checker():
     assert record_fields(source) == [("A", "kept", 5), ("A", "lost", 6),
                                      ("P", "seen", 9)]
     assert read_attributes(source) == {"kept", "seen"}
+
+
+def record_shapes(sources) -> dict[str, tuple[int, bool] | None]:
+    """Each `record` class of `sources`: (field count, whether it defines
+    `_check`); None for a name two classes share."""
+    shapes = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "record"
+                    for d in node.decorator_list)):
+                continue
+            fields = sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+            checked = any(isinstance(stmt, ast.FunctionDef)
+                          and stmt.name == "_check" for stmt in node.body)
+            shapes[node.name] = (None if node.name in shapes
+                                 else (fields, checked))
+    return shapes
+
+
+# the record builder's own rebuilds from fields already built
+BUILDER_FUNCTIONS = ("_make", "_replace")
+
+
+def frameless_builds(source: str, exempt=()) -> list[ast.Call]:
+    """The `_tuple_new(...)` calls of a module, outside the functions
+    named in `exempt`."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            node.body = []
+    return sorted((node for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "_tuple_new"),
+                  key=lambda call: (call.lineno, call.col_offset))
+
+
+def bad_frameless_builds(source: str, shapes, exempt=()) -> list[str]:
+    """`_tuple_new` calls that do not pass a `record` without `_check`
+    one tuple display of exactly one item per field. Such a build runs no
+    `_check` and fills in no default."""
+    found = []
+    for call in frameless_builds(source, exempt):
+        args = call.args
+        name = getattr(args[0], "id", None) if args else None
+        shape = shapes.get(name)
+        display = args[1] if len(args) == 2 else None
+        if (shape is None or shape[1] or call.keywords
+                or not isinstance(display, ast.Tuple)
+                or any(isinstance(item, ast.Starred) for item in display.elts)
+                or len(display.elts) != shape[0]):
+            found.append(f"{name} (line {call.lineno})")
+    return found
+
+
+def test_every_frameless_build_is_a_whole_unchecked_record():
+    sources = {path.name: path.read_text() for path in MODULES}
+    shapes = record_shapes(sources.values())
+    exempt = {"messages.py": BUILDER_FUNCTIONS}
+    bad = [f"{name}: {found}" for name, source in sources.items()
+           for found in bad_frameless_builds(source, shapes,
+                                             exempt.get(name, ()))]
+    assert bad == []
+    built = {call.args[0].id for name, source in sources.items()
+             for call in frameless_builds(source, exempt.get(name, ()))}
+    assert {"Packet", "Encapsulated", "ReverseTunneled", "CallRequest",
+            "CallAccept", "CallTimeout", "PendingCall", "StartCall",
+            "CallRecord", "ManagementMessage", "SessionTimer", "GrantAction",
+            "RequestResult", "AddressRequest", "AddressResponse"} <= built
+
+
+def test_frameless_build_checker():
+    source = (
+        "@record\nclass P:\n    a: int\n    b: int = 0\n"
+        "@record\nclass V:\n    a: int\n    def _check(self): pass\n"
+        "class Plain:\n    a: int\n"
+        "def _make(cls, fields):\n    return _tuple_new(cls, fields)\n"
+        "_tuple_new(P, (1, 2))\n"
+        "_tuple_new(P, (1,))\n"
+        "_tuple_new(V, (1,))\n"
+        "_tuple_new(P, (*rest, 2))\n"
+        "_tuple_new(P, [1, 2])\n"
+        "_tuple_new(Plain, (1,))\n")
+    shapes = record_shapes([source])
+    assert shapes == {"P": (2, False), "V": (1, True)}
+    # short, checked, starred, a list, not a record
+    assert bad_frameless_builds(source, shapes, ("_make",)) == [
+        "P (line 14)", "V (line 15)", "P (line 16)", "P (line 17)",
+        "Plain (line 18)"]
+    assert bad_frameless_builds(source, shapes)[0] == "cls (line 12)"
+    assert record_shapes([source, "@record\nclass P:\n    a: int\n"])["P"] is None
 
 
 def non_record_immutables(source: str) -> list[str]:

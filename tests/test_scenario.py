@@ -1,12 +1,24 @@
+import collections
 import dataclasses
 import math
 import multiprocessing
+import os
 import random
 
 import pytest
 import yaml
 
-from dispo6 import cli
+from dispo6 import (
+    caller,
+    cli,
+    crypto,
+    distribution,
+    engine,
+    home_agent,
+    messages,
+    mobile_host,
+    scenario,
+)
 from dispo6.caller import CallOutcome
 from dispo6.energy import EnergyAccount
 from dispo6.engine import Simulator
@@ -26,7 +38,7 @@ from dispo6.scenario import (
 from dispo6.stats import expected_daily_rejections, sample_mean_std
 
 from test_adversary import count_simtime_builds
-from test_crypto import count_verifies
+from test_crypto import count_verifies, count_verify_derivations
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -238,6 +250,96 @@ def test_sweep_pool_no_wider_than_its_seeds(monkeypatch):
     assert run_sweep(config, [0, 1], jobs=32) == serial
     assert run_sweep(config, [0], jobs=32).summaries == serial.summaries[:1]
     assert sizes == [2]  # one seed runs in this process
+
+
+@pytest.mark.parametrize("cpus, cpu_count, width", [
+    ({0, 1, 2}, 64, 3),
+    (None, 3, 3),
+    ({5}, 64, None),
+], ids=["affinity", "cpu-count", "one-cpu"])
+def test_sweep_pool_no_wider_than_its_cpus(cpus, cpu_count, width,
+                                           monkeypatch):
+    """`--jobs 2000` asks for one worker per CPU the process may run on,
+    counted by `sched_getaffinity` where the platform has it; with one
+    CPU the sweep runs in this process. The stand-in pool records the
+    width it is asked for and starts no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, work):
+            return [worker(each) for each in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    result = run_sweep(small_config(horizon_days=2), list(range(5)), jobs=2000)
+    assert len(result.summaries) == 5
+    assert sizes == ([] if width is None else [width])
+
+
+# what a run builds per call, per relayed packet or per handshake
+PER_EVENT_RECORDS = (
+    engine.Packet, home_agent.Encapsulated, home_agent.ReverseTunneled,
+    messages.CallRequest, messages.CallAccept, caller.CallTimeout,
+    caller.PendingCall, caller.StartCall, scenario.CallRecord,
+    home_agent.ManagementMessage, distribution.SessionTimer,
+    distribution.GrantAction, distribution.RequestResult,
+    distribution.AddressRequest, distribution.AddressResponse)
+
+
+def test_a_pki_run_builds_per_event_records_with_no_class_call(monkeypatch):
+    """A PKI run in BT mode builds each per-event record with
+    `tuple.__new__`, signs each handshake message into the one record it
+    builds (no `_replace`), and verifies its generated pairs' signatures
+    without deriving a public key."""
+    records = {cls for module in (engine, home_agent, messages, caller,
+                                  scenario, distribution, crypto, mobile_host)
+               for cls in vars(module).values()
+               if isinstance(cls, type) and "_fields" in cls.__dict__}
+    assert set(PER_EVENT_RECORDS) <= records
+    built, replaced = collections.Counter(), [0]
+    for cls in records:
+        new, replace = cls.__new__, cls._replace
+
+        def counted_new(cls, *args, _new=new, **kwargs):
+            built[cls.__name__] += 1
+            return _new(cls, *args, **kwargs)
+
+        def counted_replace(self, /, _replace=replace, **changes):
+            replaced[0] += 1
+            return _replace(self, **changes)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(cls, "_replace", counted_replace)
+    derived = count_verify_derivations(monkeypatch)
+    checks = count_verifies(monkeypatch)
+    config = small_config(correspondents=40, horizon_days=60,
+                          daily_call_probability=0.05, pki_enabled=True,
+                          mobility_mode=Mode.BIDIRECTIONAL_TUNNELING)
+    result = run_scenario(config)
+    monkeypatch.undo()
+    grants = result.metrics.counters["responder"]["grants"]
+    assert grants > 0 and checks[0] == 2 * grants
+    assert any(r.outcome is CallOutcome.CONNECTED for r in result.records)
+    # the victim's, the CA's and each correspondent's pair
+    assert built["KeyPair"] == config.correspondents + 2
+    assert [name for name in built
+            if name in {cls.__name__ for cls in PER_EVENT_RECORDS}] == []
+    assert replaced[0] == 0
+    assert derived[0] == 0
 
 
 @pytest.mark.parametrize("mode", list(RejectionMode), ids=lambda m: m.value)

@@ -346,8 +346,13 @@ def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
             return make(*args, **kwargs)
         return build
 
-    monkeypatch.setattr(home_agent, "Encapsulated",
-                        counted("Encapsulated", home_agent.Encapsulated))
+    def tuple_new(cls, fields):
+        if cls is home_agent.Encapsulated:
+            built["Encapsulated"] += 1
+        return tuple.__new__(cls, fields)
+
+    # the agent builds its tunnel records through `_tuple_new`
+    monkeypatch.setattr(home_agent, "_tuple_new", tuple_new)
     monkeypatch.setattr(mobile_host, "Pong", counted("Pong", mobile_host.Pong))
     monkeypatch.setattr(EnergyParams, "packet_cost",
                         counted("packet_cost", EnergyParams.packet_cost))
