@@ -12,8 +12,8 @@ class Ipv6Address(int):
     """128-bit address as a 64-bit network prefix plus a 64-bit interface ID.
 
     The address is its own 128-bit integer value, so hashing, equality and
-    ordering run at int speed and agree with `value`. It is immutable and
-    carries no per-instance dict.
+    ordering run at int speed. It is immutable and carries no per-instance
+    dict.
     """
 
     __slots__ = ()
@@ -42,20 +42,8 @@ class Ipv6Address(int):
         return self & IID_MASK
 
     @property
-    def value(self) -> int:
-        return int(self)
-
-    @property
     def packed(self) -> bytes:
         return self.to_bytes(16, "big")
-
-    @classmethod
-    def from_value(cls, value: int) -> "Ipv6Address":
-        return cls(value >> IID_BITS, value & IID_MASK)
-
-    @classmethod
-    def parse(cls, text: str) -> "Ipv6Address":
-        return cls.from_value(int(ipaddress.IPv6Address(text)))
 
     def __repr__(self) -> str:
         return f"Ipv6Address(prefix={self.prefix}, iid={self.iid})"
@@ -80,45 +68,25 @@ class UnknownNameError(Exception):
     """Lookup of a name that was never registered."""
 
 
-class NameAuthorizationError(Exception):
-    """A node other than the record owner tried to change the record."""
-
-
-class NameRecord:
-    __slots__ = ("prime", "owner")
-
-    def __init__(self, prime: Ipv6Address, owner: str):
-        self.prime = prime
-        self.owner = owner
-
-
 class NameService:
     """Maps FQDNs to prime home addresses.
 
-    Stands in for DNS plus dynamic DNS: updates are owner-authorized and
-    visible to the next lookup (no caching or TTLs).
+    Stands in for DNS: a registered name resolves to its prime at once
+    (no caching or TTLs).
     """
 
     def __init__(self):
-        self._records: dict[str, NameRecord] = {}
+        self._primes: dict[str, Ipv6Address] = {}
 
-    def register(self, fqdn: str, prime: Ipv6Address, owner: str) -> None:
+    def register(self, fqdn: str, prime: Ipv6Address) -> None:
         if not fqdn:
             raise ValueError("empty FQDN")
-        if fqdn in self._records:
+        if fqdn in self._primes:
             raise ValueError(f"duplicate FQDN registration: {fqdn}")
-        self._records[fqdn] = NameRecord(prime=prime, owner=owner)
+        self._primes[fqdn] = prime
 
     def resolve(self, fqdn: str) -> Ipv6Address:
         try:
-            return self._records[fqdn].prime
+            return self._primes[fqdn]
         except KeyError:
             raise UnknownNameError(fqdn) from None
-
-    def update_prime(self, fqdn: str, new_prime: Ipv6Address, caller: str) -> None:
-        record = self._records.get(fqdn)
-        if record is None:
-            raise UnknownNameError(fqdn)
-        if record.owner != caller:
-            raise NameAuthorizationError(f"{caller} does not own {fqdn}")
-        record.prime = new_prime

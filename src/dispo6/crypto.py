@@ -15,7 +15,7 @@ built, not when this module is imported. A scheme is the only way to
 generate keys, sign or verify, so every PKI path has the backend, while
 a flood or a PKI-off run, which builds no scheme, never loads it. The
 scheme's methods then read the backend's classes as plain module
-globals; reading them from outside before that loads the backend too.
+globals.
 
 Two memos skip Ed25519 math that cannot change an answer, and both rest
 on one argument: Ed25519 signing is deterministic and correct (RFC 8032),
@@ -43,8 +43,6 @@ import random
 
 from .messages import record
 
-_BACKEND_NAMES = ("Ed25519PrivateKey", "Ed25519PublicKey", "InvalidSignature")
-
 
 def _load_backend() -> None:
     """Bind the backend's classes as module globals, once."""
@@ -56,14 +54,6 @@ def _load_backend() -> None:
     Ed25519PrivateKey = ed25519.Ed25519PrivateKey
     Ed25519PublicKey = ed25519.Ed25519PublicKey
     InvalidSignature = exceptions.InvalidSignature
-
-
-def __getattr__(name: str):
-    # PEP 562: consulted only while a backend name is still unbound
-    if name in _BACKEND_NAMES:
-        _load_backend()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def encode_fields(*fields: bytes) -> bytes:

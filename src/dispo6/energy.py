@@ -384,13 +384,6 @@ class EnergyAccount:
         self.packets += count * len(kinds)
         self._last_us = self.last_activity = first_us + gaps * interval_us
 
-    def tick_idle(self, dt_s: float) -> None:
-        if dt_s < 0:
-            raise ValueError("negative idle tick")
-        if dt_s == 0:
-            return
-        self.advance(self._last_us + round(dt_s * US_PER_SECOND))
-
     def recharge(self, now_us: int) -> None:
         """Explicit full recharge; the only way out of the Dead state."""
         self.advance(now_us)

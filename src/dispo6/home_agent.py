@@ -97,12 +97,11 @@ class AddressEntry:
 
 
 class HostBinding:
-    __slots__ = ("sa_tag", "care_of", "addresses")
+    __slots__ = ("sa_tag", "care_of")
 
     def __init__(self, sa_tag: str):
         self.sa_tag = sa_tag
         self.care_of: Ipv6Address | None = None
-        self.addresses: set[Ipv6Address] = set()
 
 
 class AgentError(Exception):
@@ -162,14 +161,13 @@ class HomeAgent(Node):
 
     def generate_home_address(self, host_id: str, auth: str) -> Ipv6Address:
         """Allocate a fresh collision-checked home address bound to the host."""
-        binding = self._authenticated(host_id, auth)
+        self._authenticated(host_id, auth)
         for _ in range(MAX_ALLOCATION_ATTEMPTS):
             candidate = Ipv6Address(self.prefix, random_iid(self.sim.rng))
             if candidate.iid == ADMIN_IID or candidate in self._entries:
                 continue
             self._entries[candidate] = AddressEntry(
                 owner=host_id, state=AddressState.ACTIVE)
-            binding.addresses.add(candidate)
             return candidate
         raise PoolExhaustedError("could not find a free interface identifier")
 
@@ -208,18 +206,6 @@ class HomeAgent(Node):
         return entry
 
     # -- queries --------------------------------------------------------------
-
-    def binding_of(self, host_id: str) -> Ipv6Address | None:
-        binding = self._hosts.get(host_id)
-        if binding is None:
-            raise UnknownHostError(host_id)
-        return binding.care_of
-
-    def addresses_of(self, host_id: str) -> set[Ipv6Address]:
-        binding = self._hosts.get(host_id)
-        if binding is None:
-            raise UnknownHostError(host_id)
-        return set(binding.addresses)
 
     def state_of(self, hoa: Ipv6Address) -> AddressState | None:
         entry = self._entries.get(hoa)

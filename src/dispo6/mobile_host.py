@@ -196,7 +196,7 @@ class MobileHost(CallerNode):
             hoa = ha.generate_home_address(self.node_id, self.sa_tag)
             self.address_states[hoa] = AddressState.ACTIVE
             self._pool.append(hoa)
-        self.name_service.register(self.fqdn, self.prime, self.node_id)
+        self.name_service.register(self.fqdn, self.prime)
 
     # -- mobility ---------------------------------------------------------
 

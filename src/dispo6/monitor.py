@@ -27,8 +27,11 @@ class AttackAlert:
 
 class _Window(deque):
     """One address's observations inside the monitor's window, oldest
-    first: a packet's instant (int us), or a run [first_us, interval_us,
-    count] of a segment's packets; `total` counts them all.
+    first, each a run (first_us, interval_us, count) in int us; `total`
+    counts them all. A packet seen by `observe` is the tuple
+    (t_us, 1, 1), a segment's packets the list [first_us, interval_us,
+    count]. `trim` rewrites only a run that straddles its cutoff, which
+    takes two packets or more, so a packet's tuple is never mutated.
 
     It has no `__init__` of its own: deque's constructor builds it, with
     or without its first observations, and whoever builds one sets
@@ -40,12 +43,6 @@ class _Window(deque):
         """Forget every observation before `cutoff_us`."""
         while self:
             run = self[0]
-            if type(run) is not list:
-                if run >= cutoff_us:
-                    return
-                self.popleft()
-                self.total -= 1
-                continue
             first, interval, count = run
             if first >= cutoff_us:
                 return
@@ -61,20 +58,13 @@ class _Window(deque):
 
     def newest(self) -> int:
         """The instant of the latest observation."""
-        run = self[-1]
-        if type(run) is not list:
-            return run
-        first, interval, count = run
+        first, interval, count = self[-1]
         return first + (count - 1) * interval
 
     def since(self, cutoff_us: int) -> int:
         """Observations at or after `cutoff_us`."""
         kept = 0
-        for run in self:
-            if type(run) is not list:
-                kept += run >= cutoff_us
-                continue
-            first, interval, count = run
+        for first, interval, count in self:
             if first >= cutoff_us:
                 kept += count
             elif first + (count - 1) * interval >= cutoff_us:
@@ -120,16 +110,14 @@ class IntrusionMonitor:
         # `hoa`'s window, moved to the end as the latest observed
         window = windows.pop(hoa, None)
         if window is None:
-            window = _Window((now_us,))
+            window = _Window(((now_us, 1, 1),))
             window.total = 1
         else:
-            window.append(now_us)
+            window.append((now_us, 1, 1))
             window.total += 1
         windows[hoa] = window
         cutoff = now_us - self._window_us
-        head = window[0]
-        if (head if type(head) is not list else head[0]) < cutoff:
-            window.trim(cutoff)
+        window.trim(cutoff)
         while True:  # ends at the latest, `hoa` itself
             oldest, old = next(iter(windows.items()))
             if old is window or old.newest() >= cutoff:

@@ -24,7 +24,6 @@ from .messages import record
 
 MIN_SAS_BITS = 1
 MAX_SAS_BITS = 128
-PROTOCOL_SAS_RANGE = (15, 20)
 # the SAS width a pairing uses unless told otherwise
 SAS_BITS = 16
 # length of each side's random nonce

@@ -66,17 +66,14 @@ def sample_mean_std(values: list[float]) -> tuple[float, float]:
 def _first_contact_rejection(config: ScenarioConfig) -> float:
     """Chance that a call from a correspondent holding no disposable
     address is rejected: (h/12)^2 in paper mode; in explicit mode the
-    share of the call window that the attack window covers, averaged over
-    the schedule's start choices (h/12 for the published schedules)."""
+    share of the call window that the attack window covers, h/12, since
+    every published attack window lies inside the call window."""
     schedule = config.schedule()
     if schedule is None:
         return 0.0
     if config.rejection_mode is RejectionMode.PAPER_FAITHFUL:
         return schedule.paper_rejection_probability()
-    lo, hi = CALL_WINDOW_START, CALL_WINDOW_END
-    covered = sum(max(0.0, min(hi, s + schedule.daily_hours) - max(lo, s))
-                  for s in schedule.start_choices)
-    return covered / len(schedule.start_choices) / (hi - lo)
+    return schedule.daily_hours / (CALL_WINDOW_END - CALL_WINDOW_START)
 
 
 def expected_daily_rejections(config: ScenarioConfig) -> list[float]:

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from dispo6.addressing import NameService
+from dispo6.addressing import Ipv6Address, NameService
 from dispo6.crypto import CertificateAuthority, Ed25519Scheme
 from dispo6.engine import LinkModel, Simulator
 from dispo6.home_agent import HomeAgent
@@ -48,3 +48,15 @@ def record_deliveries(sim: Simulator) -> list[tuple[int, str, object]]:
 
         node.on_packet = spy
     return deliveries
+
+
+def binding_of(agent: HomeAgent, host_id: str) -> Ipv6Address | None:
+    """The care-of address that `agent` tunnels `host_id`'s home
+    addresses to."""
+    return agent._hosts[host_id].care_of
+
+
+def home_addresses(agent: HomeAgent, host_id: str) -> set[Ipv6Address]:
+    """Every home address `agent` has allocated to `host_id`, in any state."""
+    return {hoa for hoa, entry in agent._entries.items()
+            if entry.owner == host_id}

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -5,7 +6,6 @@ from scipy.stats import chisquare
 
 from dispo6.addressing import (
     Ipv6Address,
-    NameAuthorizationError,
     NameService,
     UnknownNameError,
     random_iid,
@@ -30,15 +30,12 @@ class TestIpv6Address:
         rng = random.Random(42)
         for _ in range(500):
             address = Ipv6Address(rng.getrandbits(64), rng.getrandbits(64))
-            assert Ipv6Address.parse(str(address)) == address
-
-    def test_parse_accepts_compressed_input(self):
-        assert Ipv6Address.parse("2001:db8::1") == Ipv6Address(0x20010DB8_0000_0000, 1)
+            assert int(ipaddress.IPv6Address(str(address))) == address
 
     def test_value_packed_consistency(self):
         address = Ipv6Address(0x1234, 0x5678)
-        assert Ipv6Address.from_value(address.value) == address
-        assert int.from_bytes(address.packed, "big") == address.value
+        assert int(address) == (0x1234 << 64) | 0x5678
+        assert int.from_bytes(address.packed, "big") == address
 
 
 class TestRandomIid:
@@ -76,31 +73,19 @@ class TestNameService:
 
     def test_register_then_resolve(self):
         names = NameService()
-        names.register("alice.example", self.prime(), owner="alice")
+        names.register("alice.example", self.prime())
         assert names.resolve("alice.example") == self.prime()
-
-    def test_dynamic_update_visible_immediately(self):
-        names = NameService()
-        names.register("alice.example", self.prime(1), owner="alice")
-        names.update_prime("alice.example", self.prime(2), caller="alice")
-        assert names.resolve("alice.example") == self.prime(2)
 
     def test_unknown_name(self):
         names = NameService()
         with pytest.raises(UnknownNameError):
             names.resolve("nobody.example")
 
-    def test_non_owner_update_rejected(self):
-        names = NameService()
-        names.register("alice.example", self.prime(1), owner="alice")
-        with pytest.raises(NameAuthorizationError):
-            names.update_prime("alice.example", self.prime(3), caller="mallory")
-        assert names.resolve("alice.example") == self.prime(1)
-
     def test_duplicate_and_empty_names_rejected(self):
         names = NameService()
-        names.register("alice.example", self.prime(), owner="alice")
+        names.register("alice.example", self.prime())
         with pytest.raises(ValueError):
-            names.register("alice.example", self.prime(2), owner="bob")
+            names.register("alice.example", self.prime(2))
         with pytest.raises(ValueError):
-            names.register("", self.prime(3), owner="bob")
+            names.register("", self.prime(3))
+        assert names.resolve("alice.example") == self.prime()

@@ -122,16 +122,6 @@ class TestLedger:
         assert acct.battery.capacity - acct.remaining == pytest.approx(
             consumed, rel=1e-12)
 
-    def test_tick_idle_contract(self):
-        acct = account()
-        before = acct.remaining
-        acct.tick_idle(0.0)
-        assert acct.remaining == before
-        acct.tick_idle(10.0)
-        assert acct.remaining < before
-        with pytest.raises(ValueError):
-            acct.tick_idle(-1.0)
-
     def test_flood_drain_matches_closed_form(self):
         params = DEFAULT_PARAMS
         acct = account()

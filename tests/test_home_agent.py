@@ -17,7 +17,8 @@ from dispo6.home_agent import (
     ReverseTunneled,
     UnknownHostError,
 )
-from conftest import HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX
+from conftest import (HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
+                      home_addresses)
 
 
 class Sink(Node):
@@ -95,8 +96,8 @@ class TestAllocation:
         for address in addresses:
             assert address.prefix == HOME_PREFIX
             assert world.agent.state_of(address) is AddressState.ACTIVE
-        assert world.agent.binding_of("host") == coa(1)
-        assert world.agent.addresses_of("host") == set(addresses)
+        assert binding_of(world.agent, "host") == coa(1)
+        assert home_addresses(world.agent, "host") == set(addresses)
 
     def test_forced_collision_retries(self, make_world):
         world = make_world()
@@ -120,7 +121,7 @@ class TestAllocation:
         attach(world, care_of=coa(1))
         with pytest.raises(AuthenticationError):
             world.agent.generate_home_address("host", "wrong-tag")
-        assert world.agent.addresses_of("host") == set()
+        assert home_addresses(world.agent, "host") == set()
         with pytest.raises(UnknownHostError):
             world.agent.generate_home_address("stranger", "sa-x")
 
@@ -159,7 +160,7 @@ class TestBindingUpdates:
         ack1 = world.agent.process_binding_update("host", tag, coa(2))
         ack2 = world.agent.process_binding_update("host", tag, coa(2))
         assert ack1.ok and ack2.ok
-        assert world.agent.binding_of("host") == coa(2)
+        assert binding_of(world.agent, "host") == coa(2)
 
     def test_forged_bu_over_wire_ignored(self, make_world):
         world = make_world()
@@ -169,7 +170,7 @@ class TestBindingUpdates:
                                                     auth="forged",
                                                     care_of=coa(9))))
         world.sim.run()
-        assert world.agent.binding_of("host") == coa(1)
+        assert binding_of(world.agent, "host") == coa(1)
         assert world.agent.counters.rejected_management == 1
 
     def test_wire_bu_applies_and_acks(self, make_world):
@@ -181,7 +182,7 @@ class TestBindingUpdates:
                               payload=BindingUpdate(host_id="host", auth=tag,
                                                     care_of=coa(2))))
         world.sim.run()
-        assert world.agent.binding_of("host") == coa(2)
+        assert binding_of(world.agent, "host") == coa(2)
         assert len(sink.received) == 1  # the binding ack
 
 

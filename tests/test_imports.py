@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, every
-public module-level name is used somewhere in the repository, every
+public module-level name is used somewhere in the repository, no public
+name or method but a listed few is used only by the tests, every
 parameter is read by its function, every defaulted parameter is passed
 and every scenario config field is set by some code outside the tests,
 every record field is read, every immutable record is a `record`, every
@@ -101,6 +102,69 @@ def test_dead_name_checker_flags_an_unused_definition():
     assert names == ["LIMIT", "used", "Dead"]
     assert "Dead" not in referenced_names(source + "used()\n")
     assert {"LIMIT", "used"} <= referenced_names(source + "used()\n")
+
+
+def public_definitions(source: str) -> list[tuple[str, str]]:
+    """(qualified name, name) for each public module-level name and each
+    public method of a public module-level class."""
+    found = [(name, name) for name, _ in public_names(source)]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found.extend((f"{node.name}.{f.name}", f.name) for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and not f.name.startswith("_"))
+    return found
+
+
+def unused_by_the_program(package_sources, program_sources) -> list[str]:
+    """The public definitions of `package_sources` that no source of the
+    program references, sorted."""
+    used = set()
+    for source in program_sources:
+        used |= referenced_names(source)
+    return sorted(qualified for source in package_sources
+                  for qualified, name in public_definitions(source)
+                  if name not in used)
+
+
+# Public API that only the tests call, each with its reason to stay.
+TEST_ONLY_API = (
+    # SAS pairing, which the north star names
+    "MobileHost.pair_with",
+    # the paper's spam defence
+    "MobileHost.spit_block",
+    # a host's move, which a planned stateful fuzzer drives
+    "MobileHost.move_to_subnet",
+    # the way out of a dead battery, for a planned daily recharge
+    "EnergyAccount.recharge",
+    # a management operation; perfbench/tracing.py wraps it by its name
+    "HomeAgent.deconfigure_address",
+    # the rejection oracle, for a planned observed-against-expected report
+    "expected_daily_rejections",
+)
+
+
+def program_sources() -> list[str]:
+    return [path.read_text() for tree in ("src", "perfbench")
+            for path in sorted((REPO / tree).rglob("*.py"))]
+
+
+def test_only_the_listed_api_is_test_only():
+    # API that only tests call is behaviour the program does not have;
+    # an entry that the program comes to use leaves the list too
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_by_the_program(package, program_sources()) == sorted(
+        TEST_ONLY_API)
+
+
+def test_test_only_api_checker_flags_a_planted_method():
+    # energy.py ends inside `EnergyAccount`, so the plant is its method
+    energy = (PACKAGE / "energy.py").read_text()
+    planted = energy + "\n    def planted(self):\n        return self\n"
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "energy.py"] + [planted]
+    assert unused_by_the_program(package, program_sources()) == sorted(
+        TEST_ONLY_API + ("EnergyAccount.planted",))
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -18,7 +18,8 @@ from dispo6.messages import (
 )
 from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
 from dispo6.monitor import AttackAlert, IntrusionMonitor
-from conftest import PEER_PREFIX, VISITED_PREFIX, record_deliveries
+from conftest import (PEER_PREFIX, VISITED_PREFIX, binding_of, home_addresses,
+                      record_deliveries)
 
 
 def make_host(world, node_id="host", fqdn="alice.home.example",
@@ -156,7 +157,7 @@ class TestMobility:
         caller.learn_address(host.fqdn, hoa)
         host.move_to_subnet(0x20010DB802220000)
         world.sim.run()
-        assert world.agent.binding_of(host.node_id) == host.coa
+        assert binding_of(world.agent, host.node_id) == host.coa
         assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
 
     def test_two_moves_last_writer_wins(self, make_world):
@@ -166,7 +167,7 @@ class TestMobility:
         host.move_to_subnet(0x20010DB803330000)
         final = host.coa
         world.sim.run()
-        assert world.agent.binding_of(host.node_id) == final
+        assert binding_of(world.agent, host.node_id) == final
 
     def test_bt_mode_move_sends_no_peer_updates(self, make_world):
         world = make_world()
@@ -283,7 +284,7 @@ class TestDisposal:
         host.dispose_address(hoa)
         world.sim.run()
         assert host.coa != before
-        assert world.agent.binding_of(host.node_id) == host.coa
+        assert binding_of(world.agent, host.node_id) == host.coa
 
     def test_ro_disposal_kills_attacker_cached_care_of(self, make_world):
         world = make_world()
@@ -464,7 +465,7 @@ class TestPool:
             world.sim.run()
             assert len(host._pool) == POOL_SIZE
         # the prime, the pool built at attach and 6 grants a burst
-        assert len(world.agent.addresses_of(host.node_id)) == (
+        assert len(home_addresses(world.agent, host.node_id)) == (
             1 + POOL_SIZE + 2 * (POOL_SIZE + 2))
 
 

@@ -2,6 +2,7 @@
 scenario configuration's file round trip."""
 
 import dataclasses
+import ipaddress
 
 import pytest
 import yaml
@@ -99,17 +100,16 @@ words = st.integers(0, IID_MASK)
 @given(words, words)
 def test_address_text_round_trip(prefix, iid):
     address = Ipv6Address(prefix, iid)
-    assert Ipv6Address.parse(str(address)) == address
+    assert int(ipaddress.IPv6Address(str(address))) == address
     assert (address.prefix, address.iid) == (prefix, iid)
-    assert Ipv6Address.from_value(address.value) == address
 
 
 @settings(max_examples=200)
 @given(words, words, words, words)
 def test_address_order_and_hash_follow_value(p1, i1, p2, i2):
     a, b = Ipv6Address(p1, i1), Ipv6Address(p2, i2)
-    assert (a < b) == (a.value < b.value)
-    assert (a == b) == (a.value == b.value)
+    assert (a < b) == (int(a) < int(b))
+    assert (a == b) == (int(a) == int(b))
     assert (a < b) == ((p1, i1) < (p2, i2))
     if a == b:
         assert hash(a) == hash(b)

@@ -23,11 +23,6 @@ class TestComputeSas:
             assert len(sas) == bits
             assert set(sas) <= {"0", "1"}
 
-    def test_protocol_range_is_fifteen_to_twenty(self):
-        from dispo6.sas import PROTOCOL_SAS_RANGE
-
-        assert PROTOCOL_SAS_RANGE == (15, 20)
-
     def test_width_bounds_enforced(self):
         args = (b"r", b"r", b"k", b"k")
         with pytest.raises(ValueError):

@@ -245,6 +245,9 @@ def test_sweep_pool_no_wider_than_its_seeds(monkeypatch):
             return [worker(each) for each in work]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    # four usable CPUs, so the seeds and not the CPUs bound the width
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     config = small_config(horizon_days=5)
     serial = run_sweep(config, [0, 1], jobs=1)
     assert run_sweep(config, [0, 1], jobs=32) == serial

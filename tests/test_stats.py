@@ -5,9 +5,13 @@ import random
 import pytest
 from scipy import stats as scipy_stats
 
-from dispo6 import scenario
-from dispo6.adversary import AttackSchedule
-from dispo6.scenario import RejectionMode, ScenarioConfig
+from dispo6.adversary import FOUR_HOUR_SCHEDULE, SIX_HOUR_SCHEDULE
+from dispo6.scenario import (
+    CALL_WINDOW_END,
+    CALL_WINDOW_START,
+    RejectionMode,
+    ScenarioConfig,
+)
 from dispo6.stats import (
     expected_daily_rejections,
     mann_kendall,
@@ -100,14 +104,13 @@ class TestExpectedDailyRejections:
         one_day = dataclasses.replace(config, oob_retry_delay_days=1)
         assert expected_daily_rejections(one_day) == [5.0, 0.0, 0.0, 0.0, 0.0]
 
-    def test_attack_window_outside_the_call_window_rejects_nothing(
-            self, monkeypatch):
-        # no published window leaves the call window; a stand-in does
-        monkeypatch.setattr(scenario, "FOUR_HOUR_SCHEDULE",
-                            AttackSchedule(daily_hours=4, start_choices=(0, 20)))
-        config = ScenarioConfig(horizon_days=3, attack_hours=4,
-                                rejection_mode=RejectionMode.EXPLICIT_TIME)
-        assert expected_daily_rejections(config) == [0.0, 0.0, 0.0]
+    @pytest.mark.parametrize("schedule", [FOUR_HOUR_SCHEDULE, SIX_HOUR_SCHEDULE],
+                             ids=["4h", "6h"])
+    def test_attack_windows_lie_inside_the_call_window(self, schedule):
+        # what makes the explicit-mode chance exactly h/12
+        for start in schedule.start_choices:
+            assert (CALL_WINDOW_START <= start
+                    and start + schedule.daily_hours <= CALL_WINDOW_END)
 
     @pytest.mark.parametrize("field, value", [("energy_enabled", True)])
     def test_configs_outside_the_model_raise(self, field, value):
