@@ -13,7 +13,7 @@ simulator with a scenario CLI.
 __version__ = "0.1.0"
 
 from .addressing import AddressState, Ipv6Address, NameService
-from .engine import LinkModel, Packet, SimTime, Simulator
+from .engine import Packet, SimTime, Simulator
 
 
 class ConfigError(Exception):
@@ -27,7 +27,6 @@ __all__ = [
     "AddressState",
     "ConfigError",
     "Ipv6Address",
-    "LinkModel",
     "NameService",
     "Packet",
     "SimTime",

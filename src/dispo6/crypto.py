@@ -86,8 +86,6 @@ class Ed25519Scheme:
     derivation.
     """
 
-    name = "ed25519"
-
     def __init__(self):
         _load_backend()
         self._unverified: dict[bytes, tuple[bytes, bytes, Ed25519PrivateKey]] = {}

@@ -84,10 +84,6 @@ The engine merges a forwarded run into the leg's last piece when the
 packets match, comparing by identity first, which a reused packet meets.
 It keeps nothing of a plan: a step builds one list per run it plans and
 one dict of them, and sorts a node's runs only when it has more than one.
-
-A flood stays on the per-packet path when the link loses packets (each
-loss is a draw from the shared PRNG), when the latency is zero, and when
-its first hop has no closed form (no ``on_run``).
 """
 
 import heapq
@@ -164,20 +160,6 @@ EPOCH = SimTime(0)
 
 
 @record
-class LinkModel:
-    """Uniform delivery latency and loss applied to every routed packet."""
-
-    latency_s: float = LINK_LATENCY_S
-    loss_probability: float = 0.0
-
-    def _check(self):
-        if self.latency_s < 0:
-            raise ValueError("negative latency")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError("loss probability outside [0,1]")
-
-
-@record
 class Packet:
     """Routable unit: addresses plus an opaque payload."""
 
@@ -189,7 +171,10 @@ class Packet:
 
 @dataclass(slots=True)
 class TrafficCounters:
-    """Engine-level accounting. sent = delivered + lost + unroutable + in_flight."""
+    """Engine-level accounting. sent = delivered + lost + unroutable + in_flight.
+
+    The link is lossless, so `lost` stays 0; it is kept as a key of the
+    run's metrics."""
 
     sent: int = 0
     delivered: int = 0
@@ -252,12 +237,13 @@ class _Segment:
 class Simulator:
     """Single-threaded event loop over a heap of (time, seq) ordered events."""
 
-    def __init__(self, seed: int = 0, link: LinkModel | None = None):
+    def __init__(self, seed: int = 0, latency_s: float = LINK_LATENCY_S):
         self.rng = random.Random(seed)
-        # the link model is fixed for the simulator's life
-        link = link if link is not None else LinkModel()
-        self._latency_us = round(link.latency_s * US_PER_SECOND)
-        self._loss = link.loss_probability
+        # every routed packet takes this long; a flood segment orders its
+        # hops by it, so it is a whole microsecond or more
+        self._latency_us = round(latency_s * US_PER_SECOND)
+        if self._latency_us < 1:
+            raise ValueError(f"latency {latency_s} s is under 1 us")
         self.now_us = 0
         self.counters = TrafficCounters()
         self.nodes: dict[str, Node] = {}
@@ -329,9 +315,6 @@ class Simulator:
             if target is None:
                 counters.unroutable += 1
                 return False
-        if self._loss > 0 and self.rng.random() < self._loss:
-            counters.lost += 1
-            return False
         counters.in_flight += 1
         heapq.heappush(self._queue, (self.now_us + self._latency_us,
                                      next(self._seq), target, False, packet))
@@ -341,11 +324,10 @@ class Simulator:
               interval_us: int, count: int) -> bool:
         """Send `packet` from `source` `count` times, at first_us +
         k*interval_us, as one segment. False, with nothing scheduled, when
-        the flood needs the per-packet path (see the module docstring)."""
+        the flood needs the per-packet path: its first hop is its source or
+        has no closed form (no ``on_run``)."""
         if first_us < self.now_us:
             raise PastEventError(f"flood at {first_us} us scheduled at {self.now_us} us")
-        if self._loss > 0 or self._latency_us <= 0:
-            return False
         first_hop = self._route(packet.dst)
         if first_hop == source or (first_hop is not None
                                    and self.nodes[first_hop].on_run is None):

@@ -5,7 +5,7 @@ the prefix lands here; active home addresses are tunneled to the owner's
 current care-of address, blocked and unknown ones are dropped with no error
 to the sender. Host-to-agent management runs over an authenticated channel
 modeled as a shared opaque security-association tag: messages with a wrong
-tag are silently ignored.
+tag are silently ignored, by the agent and by the host alike.
 """
 
 from dataclasses import dataclass
@@ -41,7 +41,6 @@ class ManagementMessage:
     auth: str
     hoa: Ipv6Address | None = None
     ok: bool = True
-    info: str = ""
 
 
 @record
@@ -55,7 +54,8 @@ class BindingUpdate:
 
 @record
 class BindingAck:
-    ok: bool
+    """Sent only when a binding update is honoured."""
+
     care_of: Ipv6Address
 
 
@@ -105,29 +105,8 @@ class HostBinding:
 
 
 class AgentError(Exception):
-    pass
-
-
-class AuthenticationError(AgentError):
-    pass
-
-
-class OwnershipError(AgentError):
-    pass
-
-
-class UnknownHostError(AgentError):
-    pass
-
-
-class PoolExhaustedError(AgentError):
-    pass
-
-
-@record
-class Ack:
-    ok: bool
-    info: str = ""
+    """A management call refused: an unknown host or wrong tag, an address
+    the host does not own, a second attach, or no free identifier."""
 
 
 class HomeAgent(Node):
@@ -149,13 +128,9 @@ class HomeAgent(Node):
             raise AgentError(f"host {host_id} already attached")
         self._hosts[host_id] = HostBinding(sa_tag=sa_tag)
 
-    def _authenticated(self, host_id: str, auth: str) -> HostBinding:
-        binding = self._hosts.get(host_id)
-        if binding is None:
-            raise UnknownHostError(host_id)
-        if binding.sa_tag != auth:
-            raise AuthenticationError(f"bad security-association tag for {host_id}")
-        return binding
+    def _authenticated(self, host_id: str, auth: str) -> None:
+        if not self._sa_valid(host_id, auth):
+            raise AgentError(f"unknown host or bad security-association tag: {host_id}")
 
     # -- management operations ----------------------------------------------
 
@@ -169,41 +144,36 @@ class HomeAgent(Node):
             self._entries[candidate] = AddressEntry(
                 owner=host_id, state=AddressState.ACTIVE)
             return candidate
-        raise PoolExhaustedError("could not find a free interface identifier")
+        raise AgentError("could not find a free interface identifier")
 
     def process_binding_update(self, host_id: str, auth: str,
-                               care_of: Ipv6Address) -> Ack:
+                               care_of: Ipv6Address) -> None:
         """Move every home address of the host (blocked ones included) to `care_of`."""
-        binding = self._authenticated(host_id, auth)
-        binding.care_of = care_of
-        return Ack(ok=True)
+        self._authenticated(host_id, auth)
+        self._hosts[host_id].care_of = care_of
 
-    def block_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> Ack:
-        entry = self._owned_entry(host_id, auth, hoa)
-        if entry.state is AddressState.DECONFIGURED:
-            return Ack(ok=False, info="address deconfigured")
-        entry.state = AddressState.BLOCKED
-        return Ack(ok=True)
+    def block_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> bool:
+        return self._set_state(host_id, auth, hoa, AddressState.BLOCKED)
 
-    def reactivate_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> Ack:
-        entry = self._owned_entry(host_id, auth, hoa)
-        if entry.state is AddressState.DECONFIGURED:
-            return Ack(ok=False, info="address deconfigured")
-        entry.state = AddressState.ACTIVE
-        return Ack(ok=True)
+    def reactivate_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> bool:
+        return self._set_state(host_id, auth, hoa, AddressState.ACTIVE)
 
-    def deconfigure_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> Ack:
+    def deconfigure_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> None:
         """Terminal removal; unlike blocking there is no way back."""
-        entry = self._owned_entry(host_id, auth, hoa)
-        entry.state = AddressState.DECONFIGURED
-        return Ack(ok=True)
+        self._set_state(host_id, auth, hoa, AddressState.DECONFIGURED)
 
-    def _owned_entry(self, host_id: str, auth: str, hoa: Ipv6Address) -> AddressEntry:
+    def _set_state(self, host_id: str, auth: str, hoa: Ipv6Address,
+                   state: AddressState) -> bool:
+        """Put the host's `hoa` in `state`; False, with nothing changed, once
+        it is deconfigured."""
         self._authenticated(host_id, auth)
         entry = self._entries.get(hoa)
         if entry is None or entry.owner != host_id:
-            raise OwnershipError(f"{hoa} is not a home address of {host_id}")
-        return entry
+            raise AgentError(f"{hoa} is not a home address of {host_id}")
+        if entry.state is AddressState.DECONFIGURED:
+            return False
+        entry.state = state
+        return True
 
     # -- queries --------------------------------------------------------------
 
@@ -322,8 +292,7 @@ class HomeAgent(Node):
             self.counters.rejected_management += 1
             return
         self.sim.send(Packet(src=self.admin_address, dst=payload.care_of,
-                             payload=BindingAck(ok=True,
-                                                care_of=payload.care_of)))
+                             payload=BindingAck(care_of=payload.care_of)))
 
     def _on_management(self, payload: ManagementMessage) -> None:
         try:
@@ -342,16 +311,16 @@ class HomeAgent(Node):
         if msg.kind is ManagementKind.HOA_REQUEST:
             hoa = self.generate_home_address(msg.host_id, msg.auth)
             return _tuple_new(ManagementMessage, (
-                ManagementKind.HOA_GRANT, msg.host_id, msg.auth, hoa, True, ""))
+                ManagementKind.HOA_GRANT, msg.host_id, msg.auth, hoa, True))
         if msg.kind is ManagementKind.BLOCK_REQUEST:
-            ack = self.block_address(msg.host_id, msg.auth, msg.hoa)
+            ok = self.block_address(msg.host_id, msg.auth, msg.hoa)
         elif msg.kind is ManagementKind.REACTIVATE_REQUEST:
-            ack = self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
+            ok = self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
         else:
-            ack = Ack(ok=False, info=f"unsupported kind {msg.kind}")
+            self._authenticated(msg.host_id, msg.auth)
+            ok = False
         return _tuple_new(ManagementMessage, (ManagementKind.ACK, msg.host_id,
-                                              msg.auth, msg.hoa, ack.ok,
-                                              ack.info))
+                                              msg.auth, msg.hoa, ok))
 
     def on_timer(self, token: object) -> None:  # pragma: no cover - no timers
         pass

@@ -303,8 +303,7 @@ class MobileHost(CallerNode):
             self.address_states[hoa] = AddressState.ACTIVE
             return hoa
         self._send_management(_tuple_new(ManagementMessage, (
-            ManagementKind.HOA_REQUEST, self.node_id, self.sa_tag, None, True,
-            "")))
+            ManagementKind.HOA_REQUEST, self.node_id, self.sa_tag, None, True)))
         return self._pool.pop(0)
 
     # -- contact-manager overrides ---------------------------------------------
@@ -395,7 +394,9 @@ class MobileHost(CallerNode):
 
     def _on_management(self, inner: Packet) -> None:
         message = inner.payload
-        if message.kind is ManagementKind.HOA_GRANT and message.hoa is not None:
+        # like the agent, the host honours only its security-association tag
+        if (message.kind is ManagementKind.HOA_GRANT
+                and message.auth == self.sa_tag and message.hoa is not None):
             self.address_states[message.hoa] = AddressState.ACTIVE
             self._pool.append(message.hoa)
 

@@ -4,7 +4,7 @@ import pytest
 
 from dispo6.addressing import Ipv6Address, NameService
 from dispo6.crypto import CertificateAuthority, Ed25519Scheme
-from dispo6.engine import LinkModel, Simulator
+from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 
 HOME_PREFIX = 0x20010DB800010000
@@ -25,8 +25,8 @@ class World:
 @pytest.fixture
 def make_world():
     def build(seed: int = 0, latency_s: float = 0.05,
-              loss_probability: float = 0.0, pki: bool = False) -> World:
-        sim = Simulator(seed, LinkModel(latency_s, loss_probability))
+              pki: bool = False) -> World:
+        sim = Simulator(seed, latency_s)
         names = NameService()
         scheme = Ed25519Scheme() if pki else None
         ca = CertificateAuthority(scheme, sim.rng) if pki else None

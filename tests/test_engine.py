@@ -1,12 +1,12 @@
 import pytest
 
 from dispo6.addressing import Ipv6Address
+from dispo6.adversary import Flooder
 from dispo6.engine import (
     EPOCH,
     US_PER_DAY,
     US_PER_HOUR,
     US_PER_MINUTE,
-    LinkModel,
     Node,
     Packet,
     PastEventError,
@@ -118,13 +118,13 @@ class TestRunUntil:
 
     def test_identical_seed_and_scenario_trace(self):
         def trace(seed):
-            sim = Simulator(seed, LinkModel(0.05, 0.3))
+            sim = Simulator(seed)
             Recorder(sim, "n")
+            # a spoofed flood draws each packet's source from the PRNG
+            Flooder(sim, "f", addr(iid=1)).flood_between(
+                EPOCH, SimTime.from_seconds(2), addr(), 100, spoof=True)
             deliveries = record_deliveries(sim)
             sim.register_route(addr(), "n")
-            for i in range(200):
-                sim.send(Packet(src=addr(iid=1), dst=addr(), payload=i))
-                sim.run_until(SimTime.from_seconds(i * 0.01))
             sim.run()
             return deliveries, sim.counters
 
@@ -144,17 +144,6 @@ class TestSend:
         world.sim.send(Packet(src=addr(iid=9), dst=addr(), payload="hi"))
         world.sim.run()
         assert node.packets[0][0] == 50_000  # now + 0.05 s
-
-    def test_full_loss_delivers_nothing(self, make_world):
-        world = make_world(loss_probability=1.0)
-        node = Recorder(world.sim, "n")
-        world.sim.register_route(addr(), "n")
-        for i in range(50):
-            world.sim.send(Packet(src=addr(iid=9), dst=addr(), payload=i))
-        world.sim.run()
-        assert node.packets == []
-        assert world.sim.counters.lost == 50
-        assert world.sim.counters.delivered == 0
 
     def test_unroutable_black_holed_with_counter(self, make_world):
         world = make_world()
@@ -178,7 +167,7 @@ class TestSend:
             assert recv_us >= sent_us
 
     def test_counter_conservation_snapshots(self, make_world):
-        world = make_world(loss_probability=0.25)
+        world = make_world()
         Recorder(world.sim, "n")
         world.sim.register_route(addr(), "n")
         rng_targets = [addr(), addr(iid=0xBAD), addr(prefix=0xFEED, iid=2)]

@@ -6,16 +6,13 @@ import pytest
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.engine import Node, Packet
 from dispo6.home_agent import (
-    AuthenticationError,
+    AgentError,
     BindingUpdate,
     Encapsulated,
     HomeAgent,
     ManagementKind,
     ManagementMessage,
-    OwnershipError,
-    PoolExhaustedError,
     ReverseTunneled,
-    UnknownHostError,
 )
 from conftest import (HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
                       home_addresses)
@@ -119,10 +116,10 @@ class TestAllocation:
     def test_unauthenticated_request_rejected_without_allocation(self, make_world):
         world = make_world()
         attach(world, care_of=coa(1))
-        with pytest.raises(AuthenticationError):
+        with pytest.raises(AgentError, match="tag: host"):
             world.agent.generate_home_address("host", "wrong-tag")
         assert home_addresses(world.agent, "host") == set()
-        with pytest.raises(UnknownHostError):
+        with pytest.raises(AgentError, match="tag: stranger"):
             world.agent.generate_home_address("stranger", "sa-x")
 
     def test_pool_exhaustion_signalled(self, make_world):
@@ -135,7 +132,7 @@ class TestAllocation:
 
         world.sim.rng = StuckRng()
         world.agent.generate_home_address("host", tag)  # claims 0x99
-        with pytest.raises(PoolExhaustedError):
+        with pytest.raises(AgentError, match="free interface identifier"):
             world.agent.generate_home_address("host", tag)
 
 
@@ -157,9 +154,8 @@ class TestBindingUpdates:
     def test_bu_idempotent(self, make_world):
         world = make_world()
         tag = attach(world, care_of=coa(1))
-        ack1 = world.agent.process_binding_update("host", tag, coa(2))
-        ack2 = world.agent.process_binding_update("host", tag, coa(2))
-        assert ack1.ok and ack2.ok
+        world.agent.process_binding_update("host", tag, coa(2))
+        world.agent.process_binding_update("host", tag, coa(2))
         assert binding_of(world.agent, "host") == coa(2)
 
     def test_forged_bu_over_wire_ignored(self, make_world):
@@ -259,18 +255,21 @@ class TestBlockReactivate:
         world = make_world()
         tag = attach(world, care_of=coa(1))
         hoa = world.agent.generate_home_address("host", tag)
-        assert world.agent.block_address("host", tag, hoa).ok
-        assert world.agent.block_address("host", tag, hoa).ok
+        assert world.agent.block_address("host", tag, hoa) is True
+        assert world.agent.block_address("host", tag, hoa) is True
+        assert world.agent.state_of(hoa) is AddressState.BLOCKED
 
     def test_cross_host_block_rejected(self, make_world):
         world = make_world()
         tag_a = attach(world, host_id="host-a", care_of=coa(1))
         attach(world, host_id="host-b", care_of=coa(2))
         hoa_a = world.agent.generate_home_address("host-a", tag_a)
-        with pytest.raises(OwnershipError):
-            world.agent.block_address("host-b", "sa-host-b", hoa_a)
-        with pytest.raises(OwnershipError):
-            world.agent.reactivate_address("host-b", "sa-host-b", hoa_a)
+        for change in (world.agent.block_address,
+                       world.agent.reactivate_address,
+                       world.agent.deconfigure_address):
+            with pytest.raises(AgentError, match="not a home address of host-b"):
+                change("host-b", "sa-host-b", hoa_a)
+        assert world.agent.state_of(hoa_a) is AddressState.ACTIVE
 
     def test_block_reactivate_cycles_end_active(self, make_world):
         world = make_world()
@@ -297,14 +296,23 @@ class TestBlockReactivate:
 
     def test_deconfigure_is_terminal(self, make_world):
         world = make_world()
-        tag = attach(world, care_of=coa(1))
+        sink = Sink(world.sim, "sink")
+        tag = attach(world, care_of=coa(1), sink=sink)
         hoa = world.agent.generate_home_address("host", tag)
         world.agent.deconfigure_address("host", tag, hoa)
         assert world.agent.state_of(hoa) is AddressState.DECONFIGURED
-        assert not world.agent.reactivate_address("host", tag, hoa).ok
-        assert not world.agent.block_address("host", tag, hoa).ok
+        assert world.agent.reactivate_address("host", tag, hoa) is False
+        assert world.agent.block_address("host", tag, hoa) is False
+        assert world.agent.state_of(hoa) is AddressState.DECONFIGURED
+        # over the wire, the refusal is an ACK that says so
+        world.sim.send(Packet(src=coa(1), dst=world.agent.admin_address,
+                              payload=ManagementMessage(
+                                  kind=ManagementKind.BLOCK_REQUEST,
+                                  host_id="host", auth=tag, hoa=hoa)))
         world.sim.send(Packet(src=peer(5), dst=hoa, payload="x"))
         world.sim.run()
+        assert [(p.payload.kind, p.payload.hoa, p.payload.ok)
+                for _, p in sink.received] == [(ManagementKind.ACK, hoa, False)]
         assert world.agent.counters.dropped_unknown == 1
 
 
@@ -395,19 +403,22 @@ class TestReverseTunnel:
 
 class TestManagementWire:
     def test_unauthenticated_kinds_ignored(self, make_world):
+        # every kind, the ones the agent only sends too, under a wrong tag
+        # or for a host it does not know: honoured and answered never
         world = make_world()
-        tag = attach(world, care_of=coa(1))
+        sink = Sink(world.sim, "sink")
+        tag = attach(world, care_of=coa(1), sink=sink)
         hoa = world.agent.generate_home_address("host", tag)
-        for kind in (ManagementKind.HOA_REQUEST, ManagementKind.BLOCK_REQUEST,
-                     ManagementKind.REACTIVATE_REQUEST):
-            world.sim.send(Packet(src=peer(66), dst=world.agent.admin_address,
-                                  payload=ManagementMessage(kind=kind,
-                                                            host_id="host",
-                                                            auth="bad",
-                                                            hoa=hoa)))
+        for host_id in ("host", "stranger"):
+            for kind in ManagementKind:
+                world.sim.send(Packet(
+                    src=peer(66), dst=world.agent.admin_address,
+                    payload=ManagementMessage(kind=kind, host_id=host_id,
+                                              auth="bad", hoa=hoa)))
         world.sim.run()
         assert world.agent.state_of(hoa) is AddressState.ACTIVE
-        assert world.agent.counters.rejected_management == 3
+        assert world.agent.counters.rejected_management == 2 * len(ManagementKind)
+        assert sink.received == []
 
     def test_hoa_request_grant_roundtrip(self, make_world):
         world = make_world()

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from dispo6.engine import LinkModel
 from dispo6.messages import record
 
 TESTS = Path(__file__).resolve().parent
@@ -80,11 +79,6 @@ def test_a_record_checks_its_fields_when_built():
     for args, kwargs in (((11,), {}), ((), {"lo": 5, "hi": 4})):
         with pytest.raises(ValueError, match="lo above hi"):
             Span(*args, **kwargs)
-    # the link model reads as the frozen dataclass it was
-    assert repr(LinkModel()) == "LinkModel(latency_s=0.05, loss_probability=0.0)"
-    for args in ((-0.01,), (0.05, 1.5)):
-        with pytest.raises(ValueError):
-            LinkModel(*args)
 
 
 def test_a_record_is_a_plain_class_body_with_trailing_defaults():

@@ -18,8 +18,8 @@ from dispo6.messages import (
 )
 from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
 from dispo6.monitor import AttackAlert, IntrusionMonitor
-from conftest import (PEER_PREFIX, VISITED_PREFIX, binding_of, home_addresses,
-                      record_deliveries)
+from conftest import (ATTACKER_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
+                      home_addresses, record_deliveries)
 
 
 def make_host(world, node_id="host", fqdn="alice.home.example",
@@ -327,13 +327,13 @@ class TestDisposal:
             message = packet.payload
             if (isinstance(message, ManagementMessage)
                     and message.kind is ManagementKind.ACK):
-                acks.append(message.hoa)
+                acks.append((message.hoa, message.ok))
             receive(packet)
 
         host.on_packet = spy
         host.dispose_address(hoa)
         world.sim.run()
-        assert acks == [hoa]
+        assert acks == [(hoa, True)]
         assert world.sim.counters.unroutable == 0
 
     def test_ro_prime_disposal_keeps_care_of(self, make_world):
@@ -467,6 +467,24 @@ class TestPool:
         # the prime, the pool built at attach and 6 grants a burst
         assert len(home_addresses(world.agent, host.node_id)) == (
             1 + POOL_SIZE + 2 * (POOL_SIZE + 2))
+
+    def test_a_forged_grant_never_enters_the_pool(self, make_world):
+        """A grant without the host's tag, sent straight to the care-of
+        address that route optimization reveals, hands no correspondent
+        the sender's address."""
+        world = make_world(seed=1)
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        forged = Ipv6Address(ATTACKER_PREFIX, 0xA)
+        world.sim.send(Packet(src=forged, dst=host.coa,
+                              payload=ManagementMessage(
+                                  kind=ManagementKind.HOA_GRANT,
+                                  host_id=host.node_id, auth="guess",
+                                  hoa=forged)))
+        world.sim.run()
+        assert forged not in host.address_states
+        granted = [host.grant_out_of_band(f"peer{i}.example")
+                   for i in range(POOL_SIZE + 2)]
+        assert forged not in granted
 
 
 class TestCallWork:

@@ -29,8 +29,8 @@ from dispo6.energy import (
     drain_rate,
     flood_profile,
 )
-from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime
-from dispo6.messages import PeerBindingUpdate
+from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime, Simulator
+from dispo6.messages import PeerBindingUpdate, Ping
 from dispo6.mobile_host import Mode
 
 import test_golden
@@ -404,18 +404,27 @@ def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
     assert calls == {"on_run": 5 * 20, "run_fate": 5 * 20, "run_split": 20}
 
 
-@pytest.mark.parametrize("world_kwargs,per_packet", [
-    ({}, False),
-    ({"loss_probability": 0.3}, True),  # each loss draws from the PRNG
-    ({"latency_s": 4e-7}, True),  # rounds to a latency of 0 us
-    ({"latency_s": 0.0}, True),
+@pytest.mark.parametrize("target,per_packet", [
+    ("agent", False),
+    ("caller", True),  # a `CallerNode` has no closed form (no `on_run`)
 ])
-def test_which_floods_become_segments(make_world, world_kwargs, per_packet):
-    world = make_world(**world_kwargs)
+def test_which_floods_become_segments(make_world, target, per_packet):
+    world = make_world()
+    address = (world.agent.admin_address if target == "agent"
+               else make_caller(world).address)
     flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
-    flooder.flood_between(EPOCH, SimTime.from_seconds(1),
-                          world.agent.admin_address, 100)
+    # a flood of no packets gets the engine's answer and queues nothing
+    probe = Packet(flooder.address, address, Ping(0))
+    assert world.sim.flood(flooder.node_id, probe, EPOCH, US_PER_SECOND,
+                           0) is not per_packet
+    flooder.flood_between(EPOCH, SimTime.from_seconds(1), address, 100)
     assert world.sim.pending() == 1  # the emission timer, either way
     # a segment's packets are no events; the per-packet path has a timer each
     assert (world.sim.run() >= 100) == per_packet
     assert flooder.stats.sent == 100
+
+
+@pytest.mark.parametrize("latency_s", [0.0, 4e-7])  # 4e-7 s rounds to 0 us
+def test_a_latency_under_a_microsecond_is_refused(latency_s):
+    with pytest.raises(ValueError, match="under 1 us"):
+        Simulator(latency_s=latency_s)
