@@ -35,14 +35,12 @@ from .messages import (
     Ping,
     Pong,
     RouteOptimized,
+    _tuple_new,
     record,
 )
 
 # seconds a placed call waits for accept or reject before it counts as failed
 CALL_TIMEOUT_S = 3.0
-
-# builds a record per call with no Python frame (see `messages.record`)
-_tuple_new = tuple.__new__
 
 
 class CallOutcome(Enum):
@@ -147,23 +145,25 @@ class CallerNode(Node):
                         on_done: Callable[[RequestResult], None]) -> None:
         target_prime = self.name_service.resolve(target_fqdn)
         request_id = next(self._request_ids)
-
-        def finish(result: RequestResult) -> None:
-            self._sessions.pop(request_id, None)
-            if result.outcome is RequestOutcome.GRANTED:
-                self.learn_address(target_fqdn, result.granted,
-                                   result.responder_key)
-            on_done(result)
-
-        def send(request: AddressRequest) -> None:
-            # always to the prime itself, which its home agent tunnels on:
-            # a care-of address announced for the prime may be stale
-            self._emit(_tuple_new(Packet, (self.address, target_prime,
-                                           request, HANDSHAKE_PACKET_BYTES)))
-
-        session = InitiatorSession(self, target_fqdn, request_id, finish, send)
+        session = InitiatorSession(self, target_fqdn, target_prime, request_id,
+                                   on_done)
         self._sessions[request_id] = session
         session.start()
+
+    def _send_request(self, session: InitiatorSession,
+                      request: AddressRequest) -> None:
+        # always to the prime itself, which its home agent tunnels on:
+        # a care-of address announced for the prime may be stale
+        self._emit(_tuple_new(Packet, (self.address, session.target_prime,
+                                       request, HANDSHAKE_PACKET_BYTES)))
+
+    def _finish_request(self, session: InitiatorSession,
+                        result: RequestResult) -> None:
+        del self._sessions[session.request_id]
+        if result.outcome is RequestOutcome.GRANTED:
+            self.learn_address(session.target_fqdn, result.granted,
+                               result.responder_key)
+        session.on_done(result)
 
     def place_call(self, target_fqdn: str,
                    on_result: Callable[[CallOutcome], None]) -> None:
@@ -259,8 +259,7 @@ class CallerNode(Node):
         self._route_cache[packet.payload.home_address] = packet.payload.care_of
 
     def _on_ping(self, packet: Packet) -> None:
-        self.sim.send(Packet(src=self.address, dst=packet.src,
-                             payload=Pong(packet.payload.seq)))
+        self._send(self.address, packet.src, Pong(packet.payload.seq))
 
     _packet_handlers = {
         AddressResponse: _on_session_message,

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable
 from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, encode_fields
 from .engine import US_PER_SECOND
-from .messages import record
+from .messages import _tuple_new, record
 
 if TYPE_CHECKING:
     from .caller import CallerNode
@@ -48,9 +48,6 @@ HIP_TTL_S = 300.0
 MAX_HIP_DIFFICULTY_S = 86_400.0
 _HIP_WINDOW_US = round(HIP_WINDOW_S * US_PER_SECOND)
 _HIP_TTL_US = round(HIP_TTL_S * US_PER_SECOND)
-
-# builds a per-handshake record with no Python frame (see `messages.record`)
-_tuple_new = tuple.__new__
 
 
 @record
@@ -322,23 +319,25 @@ class InitiatorSession:
 
     Everything about the requester (identity, address, keys, certificate,
     CA, response policy, whether it solves HIP puzzles) is read from the
-    owning node. The owner forwards matching packets via on_message() and
-    timer tokens via on_timer(), and forgets the session in its `on_done`,
-    so a finished session gets neither. A HIP challenge is answered after its
+    owning node, which also sends its requests (`_send_request`) and takes
+    its result (`_finish_request`) before `on_done` sees it. The owner
+    forwards matching packets via on_message() and timer tokens via
+    on_timer(), and forgets the session when it finishes, so a finished
+    session gets neither. A HIP challenge is answered after its
     difficulty in simulated seconds (the human at the keyboard), unless
     the owner's solve_hip is off, which models a bot that cannot solve
     puzzles. The answer rides on the request already signed: the
     signature does not cover it.
     """
 
-    def __init__(self, owner: "CallerNode", target_fqdn: str, request_id: int,
-                 on_done: Callable[[RequestResult], None],
-                 send_request: Callable[[AddressRequest], None]):
+    def __init__(self, owner: "CallerNode", target_fqdn: str,
+                 target_prime: Ipv6Address, request_id: int,
+                 on_done: Callable[[RequestResult], None]):
         self.owner = owner
         self.target_fqdn = target_fqdn
+        self.target_prime = target_prime
         self.request_id = request_id
         self.on_done = on_done
-        self.send_request = send_request
         self._gen = 0
         fqdn, address = owner.fqdn, owner.address
         name = fqdn.split(".")[0]
@@ -353,7 +352,7 @@ class InitiatorSession:
         self._request_digest = hashlib.sha256(signed).digest()
 
     def start(self) -> None:
-        self.send_request(self._base_request)
+        self.owner._send_request(self, self._base_request)
         self._arm("deadline")
 
     def _arm(self, kind: str, delay_s: float | None = None,
@@ -372,8 +371,8 @@ class InitiatorSession:
             self._arm("solve", delay_s=payload.difficulty_s, challenge=payload)
             return
         if isinstance(payload, Refusal):
-            self.on_done(_tuple_new(RequestResult,
-                                    (RequestOutcome.REFUSED, None, None)))
+            self.owner._finish_request(self, _tuple_new(
+                RequestResult, (RequestOutcome.REFUSED, None, None)))
             return
         if isinstance(payload, AddressResponse):
             self._handle_response(payload)
@@ -385,11 +384,12 @@ class InitiatorSession:
             challenge = token.challenge
             answer = HipAnswer(challenge_id=challenge.challenge_id,
                                answer=HipGate.solution(challenge.challenge_id))
-            self.send_request(self._base_request._replace(hip_answer=answer))
+            self.owner._send_request(
+                self, self._base_request._replace(hip_answer=answer))
             self._arm("deadline")
             return
-        self.on_done(_tuple_new(RequestResult,
-                                (RequestOutcome.TIMEOUT, None, None)))
+        self.owner._finish_request(self, _tuple_new(
+            RequestResult, (RequestOutcome.TIMEOUT, None, None)))
 
     def _handle_response(self, response: AddressResponse) -> None:
         if response.request_digest != self._request_digest:
@@ -402,10 +402,10 @@ class InitiatorSession:
                     response.certificate, self.target_fqdn,
                     response.signed_bytes(), response.signature)
             if responder_key is None:
-                self.on_done(_tuple_new(RequestResult, (
+                owner._finish_request(self, _tuple_new(RequestResult, (
                     RequestOutcome.BAD_SIGNATURE, None, None)))
                 return
         elif response.certificate is not None:
             responder_key = response.certificate.public_key
-        self.on_done(_tuple_new(RequestResult, (
+        owner._finish_request(self, _tuple_new(RequestResult, (
             RequestOutcome.GRANTED, response.granted, responder_key)))

@@ -240,15 +240,19 @@ class EnergyAccount:
         if b <= a:
             return
         # the radio stays active until the sleep instant, then naps
-        active_end = self.last_activity + self._sleep_us
-        if active_end < a:
-            active_end = a
-        if active_end > b:
-            active_end = b
+        active_end = self._sleep_instant(a, b)
         if active_end > a:
             self._charge_idle(active_end - a, RadioState.ACTIVE)
         if b > active_end and not self.dead:
             self._charge_idle(b - active_end, RadioState.POWER_SAVE)
+
+    def _sleep_instant(self, a: int, b: int) -> int:
+        """When the radio naps in the idle span a..b (a < b): the sleep
+        timeout after the last activity, held inside the span."""
+        active_end = self.last_activity + self._sleep_us
+        if active_end < a:
+            return a
+        return active_end if active_end < b else b
 
     def _charge_idle(self, duration_us: int, state: RadioState) -> None:
         """Charge `duration_us` > 0 of idle draw in `state`."""
@@ -285,17 +289,13 @@ class EnergyAccount:
             if self.dead:
                 return False
         cost = self.params.packet_cost(kind)
-        # `remaining` before and after the charge, spelled out: the same
-        # float operations in the same order, without the property calls
-        budget = self.battery.capacity + self.recharged
-        remaining = budget - (self.consumed_packets + self.consumed_active
-                              + self.consumed_powersave)
+        remaining = self.remaining
         # a charge the battery cannot cover in full empties it: decided
         # before the charge, so the rounding of the sum after it never
         # lets the battery live on a few ulps
         exhausted = remaining <= cost
         if exhausted:
-            cost = remaining if remaining > 0.0 else 0.0
+            cost = remaining
         self.consumed_packets += cost
         self.packets += 1
         self.last_activity = now_us
@@ -338,23 +338,12 @@ class EnergyAccount:
         step_cost, step, _ = self._run_constants(interval_us, kinds)
         if step <= 0.0:
             return count
-        # `remaining`, then the idle draw of the gap before the run as
-        # `advance` splits it, spelled out with no min or max call
-        left = 0.0
-        if not self.dead:
-            left = self.battery.capacity + self.recharged - (
-                self.consumed_packets + self.consumed_active
-                + self.consumed_powersave)
-            if not left > 0.0:
-                left = 0.0
-        left -= step_cost
+        # what is left after the first packet and the idle draw of the gap
+        # before the run, split at the sleep instant as `advance` splits it
+        left = self.remaining - step_cost
         last_us = self._last_us
         if first_us > last_us:
-            active_end = self.last_activity + self._sleep_us
-            if active_end < last_us:
-                active_end = last_us
-            if active_end > first_us:
-                active_end = first_us
+            active_end = self._sleep_instant(last_us, first_us)
             params = self.params
             left -= (params.p_active_idle * ((active_end - last_us) / US_PER_SECOND)
                      + params.p_powersave * ((first_us - active_end) / US_PER_SECOND))

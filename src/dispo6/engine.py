@@ -272,6 +272,8 @@ class Simulator:
         self._prefix_routes[prefix] = node_id
 
     def _route(self, dst: Ipv6Address) -> str | None:
+        """The node `dst` reaches: its own route, else its /64 prefix's;
+        None when it is unroutable. The one lookup of the route tables."""
         target = self._exact_routes.get(dst)
         if target is None:
             target = self._prefix_routes.get(dst >> IID_BITS)
@@ -298,8 +300,8 @@ class Simulator:
     def call_in(self, delay_s: float, node_id: str, token: object) -> None:
         if delay_s < 0:
             raise PastEventError(f"negative delay {delay_s} s at {self.now_us} us")
-        heapq.heappush(self._queue, (self.now_us + round(delay_s * US_PER_SECOND),
-                                     next(self._seq), node_id, True, token))
+        self.schedule_at(self.now_us + round(delay_s * US_PER_SECOND), node_id,
+                         token)
 
     def send(self, packet: Packet) -> bool:
         """Route a packet. Returns True if a delivery event was scheduled.
@@ -309,12 +311,10 @@ class Simulator:
         """
         counters = self.counters
         counters.sent += 1
-        target = self._exact_routes.get(packet.dst)
+        target = self._route(packet.dst)
         if target is None:
-            target = self._prefix_routes.get(packet.dst >> IID_BITS)
-            if target is None:
-                counters.unroutable += 1
-                return False
+            counters.unroutable += 1
+            return False
         counters.in_flight += 1
         heapq.heappush(self._queue, (self.now_us + self._latency_us,
                                      next(self._seq), target, False, packet))
@@ -432,8 +432,7 @@ class Simulator:
         ends at the earliest split, or where that run ends: the node's
         state after the run is known only once the run is charged.
         """
-        nodes, latency = self.nodes, self._latency_us
-        exact, prefixes = self._exact_routes, self._prefix_routes
+        nodes, latency, route = self.nodes, self._latency_us, self._route
         # node id -> its runs [first_us, k_hi, packet, contiguous, segment,
         # hop, k_lo], in the order the walk found them
         runs = {}
@@ -486,12 +485,9 @@ class Simulator:
                         packet = fate(packet)
                         if packet is None:
                             break
-                        dst = packet.dst
-                        node_id = exact.get(dst)
+                        node_id = route(packet.dst)
                         if node_id is None:
-                            node_id = prefixes.get(dst >> IID_BITS)
-                            if node_id is None:
-                                break
+                            break
                         h += 1
                     seen_h, seen_id, seen_packet, seen_run = (
                         hop, start_id, start_packet, reached)
@@ -565,13 +561,10 @@ class Simulator:
         """`send` for the packets k_lo..k_hi-1, each at its own instant."""
         counters, count = self.counters, k_hi - k_lo
         counters.sent += count
-        dst = packet.dst
-        target = self._exact_routes.get(dst)
+        target = self._route(packet.dst)
         if target is None:
-            target = self._prefix_routes.get(dst >> IID_BITS)
-            if target is None:
-                counters.unroutable += count
-                return
+            counters.unroutable += count
+            return
         counters.in_flight += count
         legs = segment.legs
         if h == len(legs):

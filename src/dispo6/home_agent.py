@@ -13,15 +13,12 @@ from enum import Enum
 
 from .addressing import AddressState, Ipv6Address, random_iid
 from .engine import PACKET_BYTES, Node, Packet, Simulator
-from .messages import record
+from .messages import _tuple_new, record
 
 ADMIN_IID = 1
 MAX_ALLOCATION_ATTEMPTS = 128
 # bytes a tunnel adds to the packet it carries (an outer IPv6 header)
 TUNNEL_HEADER_BYTES = 40
-
-# builds a per-packet record with no Python frame (see `messages.record`)
-_tuple_new = tuple.__new__
 
 
 class ManagementKind(Enum):

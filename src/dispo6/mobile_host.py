@@ -57,6 +57,7 @@ from .messages import (
     Ping,
     Pong,
     RouteOptimized,
+    _tuple_new,
     record,
 )
 from .monitor import (
@@ -73,9 +74,6 @@ if TYPE_CHECKING:
 PRIME_REACTIVATE_AFTER_S = 60.0
 # disposables generated at attach time, ready to grant without a round trip
 POOL_SIZE = 4
-
-# builds a per-packet record with no Python frame (see `messages.record`)
-_tuple_new = tuple.__new__
 
 
 class Mode(Enum):

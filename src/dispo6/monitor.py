@@ -33,9 +33,8 @@ class _Window(deque):
     count]. `trim` rewrites only a run that straddles its cutoff, which
     takes two packets or more, so a packet's tuple is never mutated.
 
-    It has no `__init__` of its own: deque's constructor builds it, with
-    or without its first observations, and whoever builds one sets
-    `total`, which is unset until then."""
+    It has no `__init__` of its own: `IntrusionMonitor._latest` builds
+    it empty and sets `total`, which is unset until then."""
 
     __slots__ = ("total",)
 
@@ -106,18 +105,12 @@ class IntrusionMonitor:
         return count
 
     def observe(self, hoa: Ipv6Address, now_us: int) -> AttackAlert | None:
-        windows = self._windows
-        # `hoa`'s window, moved to the end as the latest observed
-        window = windows.pop(hoa, None)
-        if window is None:
-            window = _Window(((now_us, 1, 1),))
-            window.total = 1
-        else:
-            window.append((now_us, 1, 1))
-            window.total += 1
-        windows[hoa] = window
+        window = self._latest(hoa)
+        window.append((now_us, 1, 1))
+        window.total += 1
         cutoff = now_us - self._window_us
         window.trim(cutoff)
+        windows = self._windows
         while True:  # ends at the latest, `hoa` itself
             oldest, old = next(iter(windows.items()))
             if old is window or old.newest() >= cutoff:

@@ -53,7 +53,7 @@ from .engine import (
     hhmm,
 )
 from .home_agent import HomeAgent
-from .messages import record
+from .messages import _tuple_new, record
 from .mobile_host import MobileHost, Mode
 
 HOME_PREFIX = 0x20010DB800010000
@@ -65,9 +65,6 @@ CALL_WINDOW_START = 8.0
 CALL_WINDOW_END = 20.0
 # the victim's radio idles this long before power save (energy model on)
 SLEEP_TIMEOUT_S = 10.0
-
-# builds a per-call record with no Python frame (see `messages.record`)
-_tuple_new = tuple.__new__
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
@@ -167,19 +164,14 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(mapping)
-        if "rejection_mode" in kwargs and kwargs["rejection_mode"] is not None:
-            try:
-                kwargs["rejection_mode"] = RejectionMode(kwargs["rejection_mode"])
-            except ValueError:
-                raise ConfigError(
-                    "rejection_mode must be 'paper' or 'explicit'") from None
-        if "mobility_mode" in kwargs and kwargs["mobility_mode"] is not None:
-            try:
-                kwargs["mobility_mode"] = Mode(kwargs["mobility_mode"])
-            except ValueError:
-                raise ConfigError(
-                    "mobility_mode must be 'route_optimization' or "
-                    "'bidirectional_tunneling'") from None
+        for name in ("rejection_mode", "mobility_mode"):
+            if kwargs.get(name) is not None:
+                mode = known[name].type
+                try:
+                    kwargs[name] = mode(kwargs[name])
+                except ValueError:
+                    choices = " or ".join(f"'{m.value}'" for m in mode)
+                    raise ConfigError(f"{name} must be {choices}") from None
         config = cls(**kwargs)
         config.validate()
         return config
@@ -381,8 +373,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     _check_invariants(sim, agent, energy)
     total = len(records)
-    rejected = sum(1 for r in records
-                   if r.outcome is CallOutcome.REJECTED_PRIME_BLOCKED)
+    rejected = sum(stat.rejected for stat in daily)
     energy_summary = None
     if energy is not None:
         energy_summary = {

@@ -214,6 +214,21 @@ class TestHipGate:
             assert len(gate._history) <= per_window + 1
         assert len(gate._history) == per_window + 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: HipGate._violations keeps one entry per source "
+        "ever challenged"))
+    def test_violations_forget_sources_gone_quiet(self):
+        # 10^5 identities, one a second, each breaking the rate once; ten
+        # windows' worth of them is a generous bound
+        gate = HipGate()
+        for i in range(100_000):
+            source, now_us = f"id{i}", i * 1_000_000
+            for _ in range(4):
+                gate.observe(source, now_us)
+            if gate.challenge_required(source):
+                gate.issue(source, now_us, request_id=i)
+        assert len(gate._violations) <= 6_000
+
     def test_forgetting_changes_no_challenge(self):
         # against a recount of every request inside the rolling window
         gate = HipGate()

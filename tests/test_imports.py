@@ -4,10 +4,12 @@ name or method but a listed few is used only by the tests, every
 parameter is read by its function, every defaulted parameter is passed
 and every scenario config field is set by some code outside the tests,
 every record field is read, every immutable record is a `record`, every
-record built through `tuple.__new__` is passed whole and has no check, no
-class is built through a named tuple, only the counters and the config
-are dataclasses, no module but the engine unwraps a `SimTime`, and
-importing the package loads no module that only an unused path needs."""
+record built through `tuple.__new__` is passed whole and has no check,
+only `messages` binds `tuple.__new__`, only the engine's one route lookup
+reads its route tables, no class is built through a named tuple, only
+the counters and the config are dataclasses, no module but the engine
+unwraps a `SimTime`, and importing the package loads no module that only
+an unused path needs."""
 
 import ast
 import hashlib
@@ -532,6 +534,72 @@ def test_frameless_build_checker():
         "Plain (line 18)"]
     assert bad_frameless_builds(source, shapes)[0] == "cls (line 12)"
     assert record_shapes([source, "@record\nclass P:\n    a: int\n"])["P"] is None
+
+
+def tuple_new_reads(source: str) -> list[int]:
+    """The lines that read `tuple.__new__`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "tuple"]
+
+
+def test_only_messages_binds_tuple_new():
+    # the other modules import its `_tuple_new`
+    found = {path.name: tuple_new_reads(path.read_text()) for path in MODULES}
+    assert {name: len(lines) for name, lines in found.items() if lines} == {
+        "messages.py": 1}
+
+
+def test_tuple_new_read_checker():
+    source = ("_tuple_new = tuple.__new__\nnew = object.__new__\n"
+              "def f(cls):\n    return tuple.__new__(cls, ())\n")
+    assert tuple_new_reads(source) == [1, 4]
+
+
+ROUTE_TABLES = ("_exact_routes", "_prefix_routes")
+# the engine's functions that build or change the route tables
+ROUTE_TABLE_WRITERS = ("Simulator.__init__", "Simulator.register_route",
+                       "Simulator.unregister_route",
+                       "Simulator.register_prefix_route")
+
+
+def route_table_readers(source: str) -> list[str]:
+    """The functions and methods of a module, by qualified name, that name
+    a route table and are not among its writers."""
+    def name_of(node):
+        return getattr(node, "name", f"line {node.lineno}")
+
+    found = []
+    for node in ast.parse(source).body:
+        functions = [(name_of(node), node)]
+        if isinstance(node, ast.ClassDef):
+            functions = [(f"{node.name}.{name_of(f)}", f) for f in node.body]
+        for name, function in functions:
+            if name not in ROUTE_TABLE_WRITERS and any(
+                    isinstance(n, ast.Attribute) and n.attr in ROUTE_TABLES
+                    for n in ast.walk(function)):
+                found.append(name)
+    return found
+
+
+def test_only_the_route_lookup_reads_the_route_tables():
+    readers = [f"{path.name}: {name}" for path in MODULES
+               for name in route_table_readers(path.read_text())]
+    assert readers == ["engine.py: Simulator._route"]
+
+
+def test_route_table_reader_checker():
+    source = ("class Simulator:\n"
+              "    def __init__(self):\n        self._exact_routes = {}\n"
+              "    def register_route(self, a, n):\n"
+              "        self._exact_routes[a] = n\n"
+              "    def send(self, p):\n"
+              "        return self._prefix_routes.get(p.dst >> 64)\n"
+              "    def other(self):\n        return 1\n"
+              "def peek(sim):\n    return sim._exact_routes\n"
+              "TABLE = Simulator()._prefix_routes\n")
+    assert route_table_readers(source) == ["Simulator.send", "peek",
+                                           "line 12"]
 
 
 def non_record_immutables(source: str) -> list[str]:

@@ -5,16 +5,19 @@ import random
 import pytest
 
 from dispo6.addressing import AddressState, Ipv6Address
+from dispo6.adversary import Flooder
 from dispo6.caller import CallerNode, CallOutcome
 from dispo6.distribution import AddressRequest, RequestOutcome
 from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount
-from dispo6.engine import EPOCH, Packet, SimTime
+from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime
 from dispo6.home_agent import Encapsulated, ManagementKind, ManagementMessage
 from dispo6.messages import (
     PRIME_REJECT_REASON,
     CallReject,
+    PeerBindingUpdate,
     Ping,
     Pong,
+    RouteOptimized,
 )
 from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
 from dispo6.monitor import AttackAlert, IntrusionMonitor
@@ -648,6 +651,64 @@ class TestPrimeHidesCareOf:
         world.sim.run()
         # A's reply to B's request must not go to B's abandoned care-of
         assert call_once(world, b, a.fqdn) is CallOutcome.CONNECTED
+
+
+class TestRouteOptimizedPeers:
+    """A correspondent's side of route optimization: what it does with a
+    binding update, and where its replies go."""
+
+    def test_a_caller_pongs_a_bound_pinger_at_its_care_of(self, make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        caller = make_caller(world)
+        hoa = host.grant_out_of_band(caller.fqdn)
+        caller.learn_address(host.fqdn, hoa)
+        # the call reaches the host tunneled, and the host binds the caller
+        assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
+        assert caller._route_cache[hoa] == host.coa
+        intercepted = world.agent.counters.intercepted
+        deliveries = record_deliveries(world.sim)
+        world.sim.send(Packet(src=hoa, dst=caller.address, payload=Ping(7)))
+        world.sim.run()
+        pongs = addressed_to(deliveries, host.node_id, Pong)
+        assert len(pongs) == 1
+        assert pongs[0].dst == host.coa
+        assert type(pongs[0].payload) is RouteOptimized
+        assert pongs[0].payload.inner == Packet(caller.address, hoa, Pong(7))
+        assert world.agent.counters.intercepted == intercepted
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: a peer binding update is taken from any sender; "
+        "return routability would check it"))
+    def test_a_binding_update_from_a_non_owner_changes_no_route(self,
+                                                               make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        caller = make_caller(world)
+        hoa = host.grant_out_of_band(caller.fqdn)
+        before = dict(caller._route_cache)
+        world.sim.send(Packet(
+            src=Ipv6Address(ATTACKER_PREFIX, 9), dst=caller.address,
+            payload=PeerBindingUpdate(home_address=hoa,
+                                      care_of=Ipv6Address(ATTACKER_PREFIX, 10))))
+        world.sim.run()
+        assert caller._route_cache == before
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: MobileHost._peer_bu_sent keeps one entry per "
+        "spoofed source until the next care-of rotation"))
+    def test_a_spoofed_flood_under_the_threshold_binds_boundedly(self,
+                                                                make_world):
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        hoa = host.grant_out_of_band("peer.example")
+        flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 2))
+        # 5 pkt/s stays under the 10 pkt/s detection threshold
+        flooder.flood_between(0, 2000 * US_PER_SECOND, hoa, 5.0, spoof=True)
+        world.sim.run()
+        assert host.counters.alerts == 0
+        # the rate times the 420 s a return-routability binding lasts
+        assert len(host._peer_bu_sent) <= 5 * 420 + 64
 
 
 class TestPairing:

@@ -112,6 +112,16 @@ class TestConfigTyping:
         with pytest.raises(ConfigError, match="4 or 6 hours"):
             ScenarioConfig(attack_hours=hours).validate()
 
+    @pytest.mark.parametrize("key, message", [
+        ("rejection_mode", "rejection_mode must be 'paper' or 'explicit'"),
+        ("mobility_mode", "mobility_mode must be 'route_optimization' or "
+                          "'bidirectional_tunneling'"),
+    ])
+    def test_an_unknown_mode_names_the_choices(self, key, message):
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig.from_mapping({key: "sometimes"})
+        assert str(caught.value) == message
+
     def test_defaults_round_trip(self):
         mapping = ScenarioConfig().to_mapping()
         assert ScenarioConfig.from_mapping(mapping) == ScenarioConfig()
