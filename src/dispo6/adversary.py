@@ -115,9 +115,6 @@ class Flooder(Node):
         self.stats.sent += count
         return packet
 
-    def run_fate(self, packet: Packet) -> Packet | None:
-        return None if packet.dst == self.address else packet
-
 
 @record
 class AttackSchedule:

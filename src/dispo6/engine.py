@@ -24,14 +24,16 @@ is integrated lazily: before the clock moves past an instant, and before
 `run_until` returns, each hop takes every packet that reached it in one
 call of its ``on_run(packet, first_us, interval_us, count)``, which charges
 the packets in closed form and returns the packet it forwards for each of
-them, or None. The traffic counters move by ``count`` at once, so they
-balance at every instant. Hop state changes only at queued events and at
-split packets (below), so a piece is uniform between them.
+them, or None. A run of no packets (``count`` 0) changes nothing and
+returns what each packet of a run would be forwarded as. The traffic
+counters move by ``count`` at once, so they balance at every instant. Hop
+state changes only at queued events and at split packets (below), so a
+piece is uniform between them.
 
 A step is planned, then advanced. The plan follows every piece through
-the forward decisions of the hops it will cross (``run_fate(packet)``,
-pure) to the first node that splits runs or has no closed form, and ends
-the step before the first packet that must go through ``on_packet``
+the hops it will cross, asking each what it forwards with a run of no
+packets, to the first node that splits runs or has no ``on_run``, and
+ends the step before the first packet that must go through ``on_packet``
 (below), or where the first run such a node receives ends. The advance
 then walks the legs once, nearest the source first: it hands each hop its
 due packets, queues what the hop forwards on the next leg, and notes the
@@ -42,12 +44,12 @@ because of the packets themselves, or where a hop has no closed form. A
 node that can change that way defines ``run_split(packet, first_us,
 interval_us, count)``: the index of the first packet of a run that must
 go through ``on_packet``. The plan asks it for that index on the run that
-will reach it, and follows that run on through its ``run_fate``, so that
-what it forwards is seen before any of it arrives. A node without
-``on_run`` splits at every packet: the packets bound for it leave the
-segment there and reach it one at a time. A split packet is delivered
-through ``on_packet`` at its own instant, the way the per-packet path
-delivers every packet, and whatever it sends is a single packet.
+will reach it, and follows that run on past it, so that what it forwards
+is seen before any of it arrives. A node without ``on_run`` splits at
+every packet: the packets bound for it leave the segment there and reach
+it one at a time. A split packet is delivered through ``on_packet`` at
+its own instant, the way the per-packet path delivers every packet, and
+whatever it sends is a single packet.
 
 Same-instant ties. The per-packet path runs the events of one instant in
 scheduling order; a packet on a link was scheduled one latency before it
@@ -65,25 +67,13 @@ case differs: with an interval longer than the latency, a queued delivery
 that trips the monitor at an emission's instant sends its block request
 ahead of the emitted packet here, and behind it on the per-packet path.
 
-Step caches. A step hands every hop the same packet object of its piece
-again, so a hop keeps what it built last time and rebuilds it only when
-something it reads has changed. Each cache answers exactly what a rebuild
-would, and each is bounded, so a flood of many sources cannot grow it:
-- `HomeAgent` keeps one tunnel packet, the last. It is reused when the packet
-  to tunnel is the same object and the care-of address, looked up on
-  every call with the entry's state, is equal; the tunnel's source, the
-  agent's address, never changes.
-- `MobileHost` keeps one reply, the last `run_fate` or `on_run` built, with
-  the inner packet and the route-cache entry for its source. It is reused
-  while the inner packet is the same object and that entry is equal. Its
-  care-of address, agent address and security-association tag, which the
-  reply also reads, change only at `attach` and at a move, which clear it.
-- `EnergyAccount` keeps the constants of a run, per interval and packet
-  kinds, up to `RUN_MEMO_SIZE` of them (see its docstring).
-The engine merges a forwarded run into the leg's last piece when the
-packets match, comparing by identity first, which a reused packet meets.
-It keeps nothing of a plan: a step builds one list per run it plans and
-one dict of them, and sorts a node's runs only when it has more than one.
+Step caches. `HomeAgent._tunneled`, `MobileHost._run_reply` and
+`EnergyAccount` each document the cache it keeps of what a step's runs
+rebuild. The engine merges a forwarded run into the leg's last piece when
+the packets match, comparing by identity first, which a reused packet
+meets. It keeps nothing of a plan: a step builds one list per run it
+plans and one dict of them, and sorts a node's runs only when it has more
+than one.
 """
 
 import heapq
@@ -193,15 +183,14 @@ class PastEventError(Exception):
 class Node:
     """Base simulated node. Subclasses react to packets and timer wakeups.
 
-    A node that flood segments may cross also defines ``on_run`` and, if
-    it forwards them, ``run_fate``; a node whose state the packets
-    themselves can change defines ``run_split`` (see the module
-    docstring). A node without ``on_run`` takes segment packets one at a
-    time, through ``on_packet``.
+    A node that flood segments may cross also defines ``on_run``, which
+    takes a run of them and returns what it forwards for each; a node
+    whose state the packets themselves can change defines ``run_split``
+    (see the module docstring). A node without ``on_run`` takes segment
+    packets one at a time, through ``on_packet``.
     """
 
     on_run = None
-    run_fate = None
     run_split = None
 
     def __init__(self, sim: "Simulator", node_id: str):
@@ -459,9 +448,8 @@ class Simulator:
                                 reached = reached or run
                             break
                         node = nodes[node_id]
-                        fate = node.run_fate
-                        if node.run_split is not None or (
-                                fate is None and node.on_run is None):
+                        on_run = node.on_run
+                        if on_run is None or node.run_split is not None:
                             node_runs = runs.get(node_id)
                             if node_runs is None:
                                 node_runs = runs[node_id] = []
@@ -472,7 +460,7 @@ class Simulator:
                                         run[1] = k_hi
                                     else:
                                         run[3] = False
-                                    fate = None
+                                    on_run = None
                                     break
                             else:
                                 run = [segment.first_us + k_lo * interval
@@ -480,9 +468,11 @@ class Simulator:
                                        segment, h, k_lo]
                                 node_runs.append(run)
                             reached = reached or run
-                        if fate is None:
+                        if on_run is None:
                             break
-                        packet = fate(packet)
+                        # a run of no packets changes nothing and says
+                        # what each packet of the run is forwarded as
+                        packet = on_run(packet, 0, 0, 0)
                         if packet is None:
                             break
                         node_id = route(packet.dst)

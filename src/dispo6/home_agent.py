@@ -114,7 +114,7 @@ class HomeAgent(Node):
         self.counters = AgentCounters()
         self._hosts: dict[str, HostBinding] = {}
         self._entries: dict[Ipv6Address, AddressEntry] = {}
-        # the last packet _tunneled built (see "Step caches" in engine.py)
+        # the last packet _tunneled built
         self._last_tunnel: Packet | None = None
         sim.register_prefix_route(prefix, node_id)
 
@@ -214,13 +214,17 @@ class HomeAgent(Node):
         return tunneled
 
     def _tunneled(self, packet: Packet) -> Packet | None:
+        """The tunnel packet for `packet`, None when it is not tunneled.
+        A segment step hands every hop the same packet object again, so
+        the last tunnel packet is reused while the packet to tunnel is the
+        same object and the care-of address, looked up on every call, is
+        equal; its source, the agent's address, never changes."""
         entry = self._entries.get(packet.dst)
         if entry is None or entry.state is not AddressState.ACTIVE:
             return None
         care_of = self._hosts[entry.owner].care_of
         if care_of is None:
             return None
-        # a segment step hands every hop the same packet object again
         last = self._last_tunnel
         if (last is not None and last.payload.inner is packet
                 and last.dst == care_of):
@@ -236,35 +240,27 @@ class HomeAgent(Node):
         The inner source must be a home address of the host. Blocked
         addresses still relay: blocking filters the inbound direction only.
         """
-        if not self._sa_valid(host_id, auth):
-            self.counters.rejected_management += 1
-            return False
-        if not self._relays(host_id, inner):
+        if not self._relayed(host_id, auth, inner, 1):
             return False
         self.sim.send(inner)
         return True
+
+    def _relayed(self, host_id: str, auth: str, inner: Packet,
+                 count: int) -> bool:
+        """Whether `count` reverse tunnels of `inner` relay it; a bad
+        security-association tag counts `count` rejections."""
+        if not self._sa_valid(host_id, auth):
+            self.counters.rejected_management += count
+            return False
+        entry = self._entries.get(inner.src)
+        return (entry is not None and entry.owner == host_id
+                and entry.state is not AddressState.DECONFIGURED)
 
     def _sa_valid(self, host_id: str, auth: str) -> bool:
         binding = self._hosts.get(host_id)
         return binding is not None and binding.sa_tag == auth
 
-    def _relays(self, host_id: str, inner: Packet) -> bool:
-        entry = self._entries.get(inner.src)
-        return (entry is not None and entry.owner == host_id
-                and entry.state is not AddressState.DECONFIGURED)
-
     # -- flood segments (engine.py) -------------------------------------------
-
-    def run_fate(self, packet: Packet) -> Packet | None:
-        """What on_packet forwards for `packet` in the current state."""
-        if packet.dst != self.admin_address:
-            return self._tunneled(packet)
-        payload = packet.payload
-        if (type(payload) is ReverseTunneled
-                and self._sa_valid(payload.host_id, payload.auth)
-                and self._relays(payload.host_id, payload.inner)):
-            return payload.inner
-        return None
 
     def on_run(self, packet: Packet, first_us: int, interval_us: int,
                count: int) -> Packet | None:
@@ -273,13 +269,10 @@ class HomeAgent(Node):
         if packet.dst != self.admin_address:
             return self._intercept(packet, count)
         payload = packet.payload
-        if type(payload) is not ReverseTunneled:
-            return None
-        if not self._sa_valid(payload.host_id, payload.auth):
-            self.counters.rejected_management += count
-            return None
-        return payload.inner if self._relays(payload.host_id,
-                                             payload.inner) else None
+        if type(payload) is ReverseTunneled and self._relayed(
+                payload.host_id, payload.auth, payload.inner, count):
+            return payload.inner
+        return None
 
     def _on_binding_update(self, payload: BindingUpdate) -> None:
         try:

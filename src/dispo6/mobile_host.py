@@ -166,8 +166,7 @@ class MobileHost(CallerNode):
         self._active_peers: dict[str, Ipv6Address] = {}
         self._peer_bu_sent: set[Ipv6Address] = set()
         self._reactivate_gen = 0
-        # on_run's last (inner packet, route-cache entry, reply); see
-        # "Step caches" in engine.py
+        # _run_reply's last (inner packet, route-cache entry, reply)
         self._last_reply: tuple | None = None
 
     @property
@@ -483,21 +482,11 @@ class MobileHost(CallerNode):
             split = self.monitor.first_alert(dst, first_us, interval_us, split)
         return split
 
-    def run_fate(self, packet: Packet) -> Packet | None:
-        """What on_run forwards for `packet` in the current state."""
-        energy = self.energy
-        if packet.dst != self.coa or (energy is not None and energy.dead):
-            return None
-        inner, _ = _unwrap(packet)
-        dst = inner.dst
-        if self._run_kinds(self.address_states.get(dst), dst) is _ANSWERED:
-            return self._run_reply(inner)
-        return None
-
     def on_run(self, packet: Packet, first_us: int, interval_us: int,
                count: int) -> Packet | None:
         """`count` pings of a segment, none at a run_split: the counters,
-        monitor, energy and reply of `count` on_packet calls."""
+        monitor, energy and reply of `count` on_packet calls. A run of no
+        pings moves none of them."""
         counters = self.counters
         if packet.dst != self.coa:
             counters.stale_dropped += count
@@ -510,15 +499,15 @@ class MobileHost(CallerNode):
         dst = inner.dst
         state = self.address_states.get(dst)
         kinds = self._run_kinds(state, dst)
-        reply = None
+        reply = self._run_reply(inner) if kinds is _ANSWERED else None
+        if not count:
+            return reply
         if state is not None and state is not AddressState.ACTIVE:
             counters.blocked_local_dropped += count
         else:
             if state is not None:
                 self.monitor.observe_run(dst, first_us, interval_us, count)
             counters.pings += count
-            if kinds is _ANSWERED:
-                reply = self._run_reply(inner)
         if energy is not None:
             energy.charge_run(first_us, interval_us, count, kinds)
         return reply
@@ -527,7 +516,7 @@ class MobileHost(CallerNode):
         """The pong _on_ping sends for `inner`, as it goes on the wire; the
         last one is reused while `inner` is the same object and the source's
         route-cache entry is equal. The care-of address, agent and SA tag
-        it also reads change only where the memo is reset."""
+        it also reads change only at `attach` and at a move, which clear it."""
         route = self._route_cache.get(inner.src)
         last = self._last_reply
         if last is not None and last[0] is inner and last[1] == route:

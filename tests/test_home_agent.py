@@ -61,9 +61,6 @@ class Forger(Node):
     def on_run(self, packet, first_us, interval_us, count):
         return packet
 
-    def run_fate(self, packet):
-        return packet
-
 
 def coa(iid):
     return Ipv6Address(VISITED_PREFIX, iid)

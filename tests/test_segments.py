@@ -13,6 +13,7 @@ read; one more test counts what a segment step rebuilds.
 """
 
 import collections
+import copy
 import dataclasses
 
 import pytest
@@ -30,7 +31,8 @@ from dispo6.energy import (
     flood_profile,
 )
 from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime, Simulator
-from dispo6.messages import PeerBindingUpdate, Ping
+from dispo6.home_agent import ReverseTunneled
+from dispo6.messages import PeerBindingUpdate, Ping, Pong
 from dispo6.mobile_host import Mode
 
 import test_golden
@@ -374,12 +376,78 @@ def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
     assert steps(20) == moved
 
 
+def hop_state(world, host, flooder):
+    """Every counter, monitor window and ledger field a run can move."""
+    return {"engine": dataclasses.asdict(world.sim.counters),
+            "home_agent": dataclasses.asdict(world.agent.counters),
+            "host": dataclasses.asdict(host.counters),
+            "flooder": dataclasses.asdict(flooder.stats),
+            "windows": {hoa: (list(window), window.total)
+                        for hoa, window in host.monitor._windows.items()},
+            "ledger": {name: copy.copy(getattr(host.energy, name))
+                       for name in EnergyAccount.__slots__}}
+
+
+# (hop, what it is handed, the state the host is put in first, whether
+# the hop forwards it)
+HOP_CASES = [
+    ("flooder", "emit", None, True), ("agent", "emit", None, True),
+    ("agent", "emit", "blocked", False), ("agent", "reverse", None, True),
+    ("agent", "forged", None, False), ("host", "tunneled", None, True),
+    ("host", "tunneled", "blocked", False),
+    ("host", "tunneled", "stale", False), ("host", "tunneled", "dead", False),
+    ("flooder", "pong", None, False),
+]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("hop,handed,state,forwards", HOP_CASES)
+def test_a_run_of_no_packets_changes_nothing(make_world, mode, hop, handed,
+                                             state, forwards):
+    """`on_run(packet, t, i, 0)` returns what each packet of a run of one
+    is forwarded as, and moves no counter, monitor window or ledger field:
+    a segment step's plan asks it so. The flood is on the host's prime, so
+    blocking it keeps the care-of address in RO mode too."""
+    world = make_world()
+    battery = Battery(capacity=1e-6) if state == "dead" else Battery()
+    host = make_host(world, mode=mode, detection_threshold_pps=1e9,
+                     energy=EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH))
+    flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
+    agent, t, interval = world.agent, 10 * US_PER_SECOND, 10_000
+    emit = Packet(flooder.address, host.prime, Ping(0))
+    pong = Packet(host.prime, flooder.address, Pong(0))
+    packets = {"emit": emit, "pong": pong,
+               "tunneled": agent.on_run(emit, t, interval, 1)}
+    for name, tag in (("reverse", host.sa_tag), ("forged", "forged")):
+        packets[name] = Packet(host.coa, agent.admin_address,
+                               ReverseTunneled(pong, host.node_id, tag))
+    # the host has taken a run: its monitor window and ledger are not empty
+    assert host.on_run(packets["tunneled"], t, interval, 1) is not None
+    if state == "blocked":
+        host.dispose_address(host.prime, auto_reactivate=False)
+    elif state == "stale":
+        host.move_to_subnet(MOVED_PREFIXES[0])
+    # the agent applies the block or binding update
+    world.sim.run_until(t)
+    if state == "dead":
+        host.energy.advance(t + US_PER_SECOND)
+        assert host.energy.dead
+    node = {"flooder": flooder, "agent": agent, "host": host}[hop]
+    packet, t = packets[handed], t + US_PER_SECOND
+    before = hop_state(world, host, flooder)
+    forwarded = node.on_run(packet, t, interval, 0)
+    assert hop_state(world, host, flooder) == before
+    assert forwarded == node.on_run(packet, t, interval, 1)
+    assert (forwarded is not None) is forwards
+
+
 def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
     """A steady 1 s step of the flood hands each of its five hops (flooder,
     home agent, host, home agent, flooder) one run and asks the host once
     for its split. The plan asks each of the five pieces (the emission and
-    four in flight) for one fate: one hop on, each reaches where the walk
-    of the piece a leg farther began, and goes that way."""
+    four in flight) what it is forwarded as, through a run of no packets:
+    one hop on, each reaches where the walk of the piece a leg farther
+    began, and goes that way."""
     calls = collections.Counter()
 
     def counted(cls, name):
@@ -391,7 +459,7 @@ def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
         monkeypatch.setattr(cls, name, call)
 
     for cls in (Flooder, home_agent.HomeAgent, mobile_host.MobileHost):
-        for name in ("on_run", "run_fate", "run_split"):
+        for name in ("on_run", "run_split"):
             if name in vars(cls):
                 counted(cls, name)
     _, world, _, _, hoa, flooder = Twin(make_world).sides[0]
@@ -401,7 +469,7 @@ def test_segment_steps_call_each_hop_once(make_world, monkeypatch):
     calls.clear()
     for _ in range(20):
         world.sim.run_until(world.sim.now_us + US_PER_SECOND)
-    assert calls == {"on_run": 5 * 20, "run_fate": 5 * 20, "run_split": 20}
+    assert calls == {"on_run": 2 * 5 * 20, "run_split": 20}
 
 
 @pytest.mark.parametrize("target,per_packet", [
