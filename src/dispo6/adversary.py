@@ -43,14 +43,6 @@ def _interval_us(rate_pps: float) -> int:
     return round(1.0 / rate_pps * US_PER_SECOND)
 
 
-@record
-class _Emit:
-    stop_us: int
-    target: Ipv6Address
-    interval_us: int
-    spoof: bool
-
-
 class Flooder(Node):
     """Emits pings at a fixed rate inside one or more windows."""
 
@@ -81,25 +73,24 @@ class Flooder(Node):
                        spoof: bool) -> None:
         """The per-packet path: a timer per packet; the reference segments
         are tested against. Like a segment, it wakes no more once its last
-        packet is out."""
+        packet is out. The timer token is (stop_us, target, interval_us,
+        spoof), the only timer a flooder schedules."""
         if start_us < stop_us:
             self.sim.call_at(start_us, self.node_id,
-                             _Emit(stop_us=stop_us, target=target,
-                                   interval_us=interval_us, spoof=spoof))
+                             (stop_us, target, interval_us, spoof))
 
-    def on_timer(self, token: object) -> None:
-        if not isinstance(token, _Emit):
-            return
+    def on_timer(self, token: tuple) -> None:
+        stop_us, target, interval_us, spoof = token
         sim = self.sim
-        if token.spoof:
+        if spoof:
             src = Ipv6Address(sim.rng.getrandbits(64), sim.rng.getrandbits(64))
         else:
             src = self.address
         stats = self.stats
-        sim.send(Packet(src=src, dst=token.target, payload=Ping(stats.sent)))
+        sim.send(Packet(src=src, dst=target, payload=Ping(stats.sent)))
         stats.sent += 1
-        next_us = sim.now_us + token.interval_us
-        if next_us < token.stop_us:
+        next_us = sim.now_us + interval_us
+        if next_us < stop_us:
             sim.call_at(next_us, self.node_id, token)
 
     def on_packet(self, packet: Packet) -> None:

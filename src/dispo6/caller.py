@@ -65,12 +65,6 @@ class AddressBookEntry:
 
 
 @record
-class PendingCall:
-    entry: AddressBookEntry
-    on_result: Callable[[CallOutcome], None]
-
-
-@record
 class CallTimeout:
     call_id: int
 
@@ -111,7 +105,7 @@ class CallerNode(Node):
         self.on_start_call: Callable[["CallerNode", StartCall], None] | None = None
         self._route_cache: dict[Ipv6Address, Ipv6Address] = {}
         self._sessions: dict[int, InitiatorSession] = {}
-        self._pending: dict[int, PendingCall] = {}
+        self._pending: dict[int, tuple] = {}  # call id -> (entry, on_result)
         self._request_ids = itertools.count(1)
         self._call_ids = itertools.count(1)
         if address is not None:
@@ -193,7 +187,7 @@ class CallerNode(Node):
     def _start_call(self, entry: AddressBookEntry,
                     on_result: Callable[[CallOutcome], None]) -> None:
         call_id = next(self._call_ids)
-        self._pending[call_id] = _tuple_new(PendingCall, (entry, on_result))
+        self._pending[call_id] = (entry, on_result)
         self._send(self.address, entry.peer_address,
                    _tuple_new(CallRequest, (self.fqdn, self.address, call_id)))
         self.sim.call_in(CALL_TIMEOUT_S, self.node_id,
@@ -203,13 +197,14 @@ class CallerNode(Node):
         pending = self._pending.pop(call_id, None)
         if pending is None:
             return
+        entry, on_result = pending
         if outcome is CallOutcome.CONNECTED:
-            self._call_connected(pending.entry)
+            self._call_connected(entry)
         elif outcome is CallOutcome.FAILED:
             # silence on the wire: the disposable we hold is presumed dead,
             # the next attempt re-runs the handshake
-            pending.entry.peer_known_blocked = True
-        pending.on_result(outcome)
+            entry.peer_known_blocked = True
+        on_result(outcome)
 
     def _call_connected(self, entry: AddressBookEntry) -> None:
         """A call to `entry`'s peer was accepted."""

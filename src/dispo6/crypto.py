@@ -21,16 +21,12 @@ Two memos skip Ed25519 math that cannot change an answer, and both rest
 on one argument: Ed25519 signing is deterministic and correct (RFC 8032),
 so a signature made with a private key over some bytes always verifies
 under that key's public key over the same bytes.
-- `Ed25519Scheme` remembers, per signing key, the last signature it made
-  and nobody has verified yet. The entry lives until it is verified or
-  the key signs again, so there is at most one per key. A message
-  signature is checked once, where it arrives. The entry keeps the
-  private key that signed, and it counts only for that key's own public
-  key. The scheme also records each pair it generated, so for an entry
-  whose private key is the one generated with the public key asked
-  about, that is known without deriving the public key again. Any other
-  private key, such as the half of another pair in a hand-built
-  `KeyPair`, gets the derivation.
+- `Ed25519Scheme` remembers, per key pair it generated, the last
+  signature that pair made and nobody has verified yet. The entry lives
+  until it is verified or the pair signs again, so there is at most one
+  per pair. A message signature is checked once, where it arrives. Any
+  other signer, such as a hand-built `KeyPair` of two pairs' halves,
+  leaves no entry, so its signatures get the real check.
 - `CertificateAuthority` remembers every certificate it issued or a real
   check accepted, for the life of the CA, because certificates are
   checked again on every handshake.
@@ -73,22 +69,20 @@ class KeyPair:
 class Ed25519Scheme:
     """Default signature scheme. Deterministic signing, 32-byte public keys.
 
-    `_unverified` maps a signing `KeyPair.public` to the (message,
-    signature, private key) of the last signature made with it that no
-    `verify` has accepted yet. `verify` accepts an entry without Ed25519
-    math only if message and signature match byte for byte and the
-    private key's own public key is `public`, which a hand-built
-    `KeyPair` pairing two keys' halves fails; the entry is then dropped,
-    so a second check of the same triple is a real one. Every other
-    input gets the real check, and nothing is stored on a verify.
     `_generated` maps the public key of each pair `generate` made to its
-    private key, so a generated pair's match is an identity test, not a
-    derivation.
+    private key. `sign` remembers a signature only for such a pair, the
+    one case in which the public key is known to be the private key's
+    own: `_unverified` maps its public key to the (message, signature) of
+    the last signature it made that no `verify` has accepted yet.
+    `verify` accepts an entry without Ed25519 math only if message and
+    signature match byte for byte; the entry is then dropped, so a second
+    check of the same triple is a real one. Every other input gets the
+    real check, and nothing is stored on a verify.
     """
 
     def __init__(self):
         _load_backend()
-        self._unverified: dict[bytes, tuple[bytes, bytes, Ed25519PrivateKey]] = {}
+        self._unverified: dict[bytes, tuple[bytes, bytes]] = {}
         self._generated: dict[bytes, Ed25519PrivateKey] = {}
 
     def generate(self, rng: random.Random) -> KeyPair:
@@ -99,15 +93,14 @@ class Ed25519Scheme:
 
     def sign(self, keys: KeyPair, message: bytes) -> bytes:
         signature = keys.private.sign(message)
-        # bytes() copies only a mutable buffer, which could change later
-        self._unverified[keys.public] = (bytes(message), signature, keys.private)
+        if self._generated.get(keys.public) is keys.private:
+            # bytes() copies only a mutable buffer, which could change later
+            self._unverified[keys.public] = (bytes(message), signature)
         return signature
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         made = self._unverified.get(public)
-        if (made is not None and made[0] == message and made[1] == signature
-                and (self._generated.get(public) is made[2]
-                     or made[2].public_key().public_bytes_raw() == public)):
+        if made is not None and made[0] == message and made[1] == signature:
             del self._unverified[public]
             return True
         try:

@@ -21,6 +21,7 @@ of which address each peer holds, and its deny list (fed by
 
 import hashlib
 import itertools
+import math
 from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
@@ -62,7 +63,6 @@ class AddressRequest:
 
     requester_name: str
     requester_fqdn: str
-    extra_info: str
     reply_to: Ipv6Address
     request_id: int
     signature: bytes = b""
@@ -73,15 +73,15 @@ class AddressRequest:
         # The HIP answer is excluded so a challenged request can be
         # re-presented with its answer under the original signature.
         return _request_bytes(self.requester_name, self.requester_fqdn,
-                              self.extra_info, self.reply_to, self.request_id)
+                              self.reply_to, self.request_id)
 
 
-def _request_bytes(requester_name: str, requester_fqdn: str, extra_info: str,
+def _request_bytes(requester_name: str, requester_fqdn: str,
                    reply_to: Ipv6Address, request_id: int) -> bytes:
     """What an `AddressRequest` with these fields signs, before it is built."""
     return encode_fields(b"hoa-request", requester_name.encode(),
-                         requester_fqdn.encode(), extra_info.encode(),
-                         reply_to.packed, request_id.to_bytes(8, "big"))
+                         requester_fqdn.encode(), reply_to.packed,
+                         request_id.to_bytes(8, "big"))
 
 
 @record
@@ -123,13 +123,18 @@ class HipGate:
     a rolling `HIP_WINDOW_S` triggers challenges, each answerable for
     `HIP_TTL_S`. Difficulty starts at `HIP_BASE_DIFFICULTY_S` and doubles
     for each further fixed window in which the source is still violating,
-    up to `MAX_HIP_DIFFICULTY_S`.
+    up to `MAX_HIP_DIFFICULTY_S`; it halves for each fixed window without
+    a challenge, so a source gone quiet works its way back down (the
+    adaptive puzzles of Juels & Brainard and of Aura et al.).
 
     Request histories are kept in the order their sources were last
     observed, and a source whose newest request has left the window is
     forgotten: its next request would have trimmed the history to nothing
     anyway, so no challenge changes. `observe` runs at the simulator's
     clock, which never goes back, so the stale histories are at the front.
+    Violations are kept in the order their sources were last challenged,
+    and a source whose difficulty has halved below the base is forgotten
+    from the front the same way: its next challenge starts at the base.
     """
 
     def __init__(self):
@@ -171,11 +176,20 @@ class HipGate:
         # challenges are issued in time order, so a window other than the
         # last one is a further one
         window = now_us // _HIP_WINDOW_US
-        last, difficulty = self._violations.get(
-            source, (window, HIP_BASE_DIFFICULTY_S))
+        violations = self._violations
+        last, difficulty = violations.pop(source, (window, HIP_BASE_DIFFICULTY_S))
         if window != last:
-            difficulty = min(2.0 * difficulty, MAX_HIP_DIFFICULTY_S)
-        self._violations[source] = (window, difficulty)
+            # halved for each quiet window between, doubled for this one
+            difficulty = math.ldexp(difficulty, last + 1 - window)
+            difficulty = (min(2.0 * difficulty, MAX_HIP_DIFFICULTY_S)
+                          if difficulty >= HIP_BASE_DIFFICULTY_S
+                          else HIP_BASE_DIFFICULTY_S)
+        violations[source] = (window, difficulty)  # the latest challenged
+        while True:  # ends at the latest, `source` itself
+            oldest, (last, held) = next(iter(violations.items()))
+            if math.ldexp(held, last + 1 - window) >= HIP_BASE_DIFFICULTY_S:
+                break
+            del violations[oldest]
         # challenges are held in issue order: drop the expired ones from the
         # front, or a source that never answers would grow the map forever;
         # a late answer to one still fails once, as unknown
@@ -341,13 +355,13 @@ class InitiatorSession:
         self._gen = 0
         fqdn, address = owner.fqdn, owner.address
         name = fqdn.split(".")[0]
-        signed = _request_bytes(name, fqdn, "", address, request_id)
+        signed = _request_bytes(name, fqdn, address, request_id)
         signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
             signature = owner.scheme.sign(owner.keys, signed)
             certificate = owner.certificate
         self._base_request = _tuple_new(AddressRequest, (
-            name, fqdn, "", address, request_id, signature, certificate, None))
+            name, fqdn, address, request_id, signature, certificate, None))
         # the signed bytes leave the HIP answer out, so re-sends share it
         self._request_digest = hashlib.sha256(signed).digest()
 

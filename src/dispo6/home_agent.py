@@ -311,6 +311,3 @@ class HomeAgent(Node):
             ok = False
         return _tuple_new(ManagementMessage, (ManagementKind.ACK, msg.host_id,
                                               msg.auth, msg.hoa, ok))
-
-    def on_timer(self, token: object) -> None:  # pragma: no cover - no timers
-        pass

@@ -13,14 +13,14 @@ def record(cls: type) -> type:
     """Build an immutable record from a plain class body: each annotated
     name is a field, in order, and a value assigned to one is its default.
     The result is a `tuple` subclass with `__slots__ = ()`, `_fields`,
-    `_make`, `_replace` and the repr of a `typing.NamedTuple`, and with the
+    `_replace` and the repr of a `typing.NamedTuple`, and with the
     equality of a frozen dataclass: equal only to an instance of its own
     type, never to a plain tuple or to another record with the same fields,
     and hashed as the tuple of its fields. Methods, properties and the
     docstring of the body carry over. A `_check(self)` defined in the body
     runs on every instance built by calling the class, and raises
-    `ValueError` for bad fields; `_make`, `_replace` and unpickling rebuild
-    from fields already built, and skip it.
+    `ValueError` for bad fields; `_replace` and unpickling rebuild from
+    fields already built, and skip it.
 
     This is the idiom for every immutable value in dispo6, validated ones
     included, and every run pays for its classes at import. On a 2-vCPU
@@ -37,10 +37,13 @@ def record(cls: type) -> type:
     bound once, in this module, which the others import it from. That
     form passes every field, defaults included, and is only for a record
     without `_check`, which it would skip; guards in the tests hold all
-    three. On the same VM a 4-field
-    `Packet` costs about 0.30 us by class call and about 0.17 us this way.
-    Everywhere else, defaults and validation keep the class call, and code
-    that runs once, or once a day, keeps its keywords for the reader."""
+    three. On the same VM a 4-field `Packet` costs about 0.30 us by class
+    call and about 0.17 us this way, and building every per-event record
+    by class call instead took the `fig3` benchmark's median `wall_s` from
+    1.442 to 1.496 s at seed 1 (worse in 4 of 5 alternating pairs, and in
+    3 of 3 at seed 7919). Everywhere else, defaults and validation keep
+    the class call, and code that runs once, or once a day, keeps its
+    keywords for the reader."""
     if cls.__bases__ != (object,):
         raise TypeError(f"record {cls.__name__} must be a plain class body")
     namespace = {name: value for name, value in cls.__dict__.items()
@@ -61,7 +64,7 @@ def record(cls: type) -> type:
     # the C field reader `collections.namedtuple` uses
     namespace.update({name: _tuplegetter(index, None)
                       for index, name in enumerate(fields)})
-    namespace.update(__slots__=(), _fields=fields, __new__=new, _make=_make,
+    namespace.update(__slots__=(), _fields=fields, __new__=new,
                      _replace=_replace, __repr__=_repr, __reduce__=_reduce,
                      __eq__=_eq, __ne__=_ne, __hash__=tuple.__hash__)
     return type(cls.__name__, (tuple,), namespace)
@@ -94,17 +97,8 @@ def _repr(self):
     return f"{type(self).__name__}({items})"
 
 
-@classmethod
-def _make(cls, iterable):
-    result = _tuple_new(cls, iterable)
-    if len(result) != len(cls._fields):
-        raise TypeError(f"Expected {len(cls._fields)} arguments, "
-                        f"got {len(result)}")
-    return result
-
-
 def _replace(self, /, **changes):
-    # one item per field, so unlike `_make` it needs no length check
+    # one item per field, so it needs no length check
     result = _tuple_new(type(self), map(changes.pop, self._fields, self))
     if changes:
         raise ValueError(f"Got unexpected field names: {list(changes)!r}")
@@ -112,7 +106,7 @@ def _replace(self, /, **changes):
 
 
 def _reduce(self):
-    return self._make, (tuple(self),)
+    return _tuple_new, (type(self), tuple(self))
 
 
 @record

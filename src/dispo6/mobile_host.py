@@ -60,11 +60,7 @@ from .messages import (
     _tuple_new,
     record,
 )
-from .monitor import (
-    DETECTION_THRESHOLD_PPS,
-    DETECTION_WINDOW_S,
-    IntrusionMonitor,
-)
+from .monitor import DETECTION_THRESHOLD_PPS, IntrusionMonitor
 
 if TYPE_CHECKING:
     from .sas import PairResult
@@ -152,7 +148,7 @@ class MobileHost(CallerNode):
         self.mode = mode
         self.energy = energy
         self.counters = HostCounters()
-        self.monitor = IntrusionMonitor(detection_threshold_pps, DETECTION_WINDOW_S)
+        self.monitor = IntrusionMonitor(detection_threshold_pps)
         self.address_states: dict[Ipv6Address, AddressState] = {}
         self.coa: Ipv6Address | None = None
         self.visited_prefix: int | None = None
@@ -366,8 +362,7 @@ class MobileHost(CallerNode):
             if state is not AddressState.ACTIVE:
                 self.counters.blocked_local_dropped += 1
                 return
-            alert = self.monitor.observe(dst, self.sim.now_us)
-            if alert is not None:
+            if self.monitor.observe(dst, self.sim.now_us):
                 self.counters.alerts += 1
                 self.dispose_address(dst)
             elif (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION

@@ -12,17 +12,11 @@ from collections import deque
 
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND
-from .messages import record
 
 # a host's flood detection: more than 10 packets/s over 10 s on an address
 DETECTION_THRESHOLD_PPS = 10.0
 DETECTION_WINDOW_S = 10.0
-
-
-@record
-class AttackAlert:
-    hoa: Ipv6Address
-    window_rate: float
+_DETECTION_WINDOW_US = round(DETECTION_WINDOW_S * US_PER_SECOND)
 
 
 class _Window(deque):
@@ -72,10 +66,11 @@ class _Window(deque):
 
 
 class IntrusionMonitor:
-    """Per-address packets-per-second over a sliding window, strict threshold.
+    """Per-address packets-per-second over one window, `DETECTION_WINDOW_S`,
+    strict threshold.
 
-    A burst of exactly threshold_pps*window_s packets stays quiet; one
-    more raises an alert. Hosts watch over `DETECTION_WINDOW_S`, with
+    A burst of exactly threshold_pps*DETECTION_WINDOW_S packets stays
+    quiet; one more raises an alert. Hosts watch with
     `DETECTION_THRESHOLD_PPS` unless their owner sets another threshold. A
     flood segment's packets are observed as one run.
 
@@ -88,27 +83,27 @@ class IntrusionMonitor:
     ahead of other runs with earlier packets.
     """
 
-    def __init__(self, threshold_pps: float, window_s: float):
+    def __init__(self, threshold_pps: float):
         self.threshold_pps = threshold_pps
-        self.window_s = window_s
-        self._window_us = round(window_s * US_PER_SECOND)
         self._windows: dict[Ipv6Address, _Window] = {}
 
     @functools.cached_property
     def _alert_count(self) -> float:
-        """The fewest observations in a window that raise an alert."""
-        if not math.isfinite(self.threshold_pps * self.window_s):
+        """The fewest observations in a window that raise an alert: the
+        least count with count / DETECTION_WINDOW_S > threshold_pps."""
+        if not math.isfinite(self.threshold_pps * DETECTION_WINDOW_S):
             return math.inf
-        count = max(0, math.floor(self.threshold_pps * self.window_s) - 1)
-        while count / self.window_s <= self.threshold_pps:
+        count = max(0, math.floor(self.threshold_pps * DETECTION_WINDOW_S) - 1)
+        while count / DETECTION_WINDOW_S <= self.threshold_pps:
             count += 1
         return count
 
-    def observe(self, hoa: Ipv6Address, now_us: int) -> AttackAlert | None:
+    def observe(self, hoa: Ipv6Address, now_us: int) -> bool:
+        """Whether this packet raises the alert on `hoa`."""
         window = self._latest(hoa)
         window.append((now_us, 1, 1))
         window.total += 1
-        cutoff = now_us - self._window_us
+        cutoff = now_us - _DETECTION_WINDOW_US
         window.trim(cutoff)
         windows = self._windows
         while True:  # ends at the latest, `hoa` itself
@@ -116,10 +111,7 @@ class IntrusionMonitor:
             if old is window or old.newest() >= cutoff:
                 break
             del windows[oldest]
-        rate = window.total / self.window_s
-        if rate > self.threshold_pps:
-            return AttackAlert(hoa, rate)
-        return None
+        return window.total >= self._alert_count
 
     def observe_run(self, hoa: Ipv6Address, first_us: int, interval_us: int,
                     count: int) -> None:
@@ -127,7 +119,7 @@ class IntrusionMonitor:
         window = self._latest(hoa)
         window.append([first_us, interval_us, count])
         window.total += count
-        window.trim(first_us + (count - 1) * interval_us - self._window_us)
+        window.trim(first_us + (count - 1) * interval_us - _DETECTION_WINDOW_US)
 
     def _latest(self, hoa: Ipv6Address) -> _Window:
         """`hoa`'s window, moved to the end as the latest observed."""
@@ -155,10 +147,10 @@ class IntrusionMonitor:
         window = self._windows.get(hoa)
         if (window.total if window else 0) + count < needed:
             return count  # the window and the whole run together stay quiet
-        span = self._window_us // interval_us
+        span = _DETECTION_WINDOW_US // interval_us
         j = 0
         while j < count and j <= span:
-            old = window.since(first_us + j * interval_us - self._window_us) if window else 0
+            old = window.since(first_us + j * interval_us - _DETECTION_WINDOW_US) if window else 0
             if old + j + 1 >= needed:
                 return j
             j = max(j + 1, needed - 1 - old)

@@ -2,8 +2,6 @@ import hashlib
 import random
 from types import SimpleNamespace
 
-import pytest
-
 from dispo6 import distribution
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.crypto import CertificateAuthority, Ed25519Scheme
@@ -56,16 +54,15 @@ def make_responder(pki=False, hip=None, rng_seed=0):
 def request(fqdn="alice.example", request_id=1, hip_answer=None,
             signer=None):
     req = AddressRequest(requester_name=fqdn.split(".")[0],
-                         requester_fqdn=fqdn, extra_info="",
-                         reply_to=PEER, request_id=request_id,
-                         hip_answer=hip_answer)
+                         requester_fqdn=fqdn, reply_to=PEER,
+                         request_id=request_id, hip_answer=hip_answer)
     if signer is not None:
         scheme, ca, rng = signer
         keys = scheme.generate(rng)
         cert = ca.issue(fqdn, keys.public)
         req = AddressRequest(requester_name=req.requester_name,
-                             requester_fqdn=fqdn, extra_info="",
-                             reply_to=PEER, request_id=request_id,
+                             requester_fqdn=fqdn, reply_to=PEER,
+                             request_id=request_id,
                              signature=scheme.sign(keys, req.signed_bytes()),
                              certificate=cert, hip_answer=hip_answer)
     return req
@@ -147,9 +144,8 @@ class TestResponderGates:
     def test_tampered_signature_dropped(self):
         responder, _, signer = make_responder(pki=True)
         req = request(signer=signer)
-        bad = AddressRequest(requester_name=req.requester_name,
+        bad = AddressRequest(requester_name="mallory",  # not what was signed
                              requester_fqdn=req.requester_fqdn,
-                             extra_info="tampered",  # signature no longer covers
                              reply_to=req.reply_to,
                              request_id=req.request_id,
                              signature=req.signature,
@@ -186,6 +182,15 @@ class TestHipGate:
             difficulties.append(challenge.difficulty_s)
         assert difficulties == [5.0, 10.0, 20.0]
 
+    def test_difficulty_halves_per_quiet_window(self):
+        # 5, 10, 20 in three windows, one window without a challenge
+        # halves 20 to 10, and the next violation doubles it back to 20
+        gate = HipGate()
+        difficulties = [gate.issue("alice", SimTime.from_seconds(window * 600.0),
+                                   request_id=window).difficulty_s
+                        for window in (0, 1, 2, 4)]
+        assert difficulties == [5.0, 10.0, 20.0, 20.0]
+
     def test_source_violating_for_days_is_capped_in_fixed_state(self):
         # once a minute for 8 days: 1,152 windows in violation, past the
         # 1,024 doublings a float holds
@@ -214,9 +219,6 @@ class TestHipGate:
             assert len(gate._history) <= per_window + 1
         assert len(gate._history) == per_window + 1
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4: HipGate._violations keeps one entry per source "
-        "ever challenged"))
     def test_violations_forget_sources_gone_quiet(self):
         # 10^5 identities, one a second, each breaking the rate once; ten
         # windows' worth of them is a generous bound
@@ -244,6 +246,25 @@ class TestHipGate:
             seen.setdefault(source, []).append(now_us)
             recent = sum(t >= now_us - 600_000_000 for t in seen[source])
             assert gate.challenge_required(source) == (recent > 3)
+
+    def test_forgetting_changes_no_difficulty(self):
+        # against a reference that keeps every source's last window and
+        # difficulty; bursts and long silences, sources mixed
+        gate, kept = HipGate(), {}
+        rng = random.Random(12)
+        now_us = 0
+        for i in range(5_000):
+            now_us += round(rng.expovariate(1 / rng.choice((30.0, 3000.0))) * 1e6)
+            source = f"s{rng.randrange(6)}"
+            window = now_us // 600_000_000
+            last, difficulty = kept.get(source, (window, 5.0))
+            if window != last:
+                difficulty /= 2 ** (window - last - 1)
+                difficulty = 5.0 if difficulty < 5.0 else min(2 * difficulty, 86_400.0)
+            kept[source] = (window, difficulty)
+            issued = gate.issue(source, SimTime(now_us), request_id=i)
+            assert issued.difficulty_s == difficulty
+        assert len(gate._violations) < len(kept)
 
     def test_verify_single_use_and_replay(self):
         gate = HipGate()

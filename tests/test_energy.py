@@ -49,6 +49,18 @@ class TestCalibration:
                      for r in (1, 10, 100, 1000)]
         assert lifetimes == sorted(lifetimes, reverse=True)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: drain_rate blends WAKEUP_DUTY of active draw into "
+        "the idle rate, but the ledger never wakes a napping radio, so an "
+        "idle account dies at 27.59 h, not the calibrated day"))
+    def test_an_idle_account_lives_the_calibrated_day(self):
+        hours = lifetime_under(DEFAULT_PARAMS, Battery(), idle_profile())
+        assert hours == pytest.approx(24.0)
+        acct = account()
+        acct.advance(SimTime.from_seconds(2 * 86_400))
+        assert acct.dead
+        assert acct.dead_at.seconds / 3600 == pytest.approx(hours, rel=2e-3)
+
 
 class TestPowerStates:
     def test_sleep_entry_at_exact_timeout(self):

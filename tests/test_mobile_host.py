@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import math
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from dispo6.messages import (
     RouteOptimized,
 )
 from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
-from dispo6.monitor import AttackAlert, IntrusionMonitor
+from dispo6.monitor import DETECTION_WINDOW_S, IntrusionMonitor
 from conftest import (ATTACKER_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
                       home_addresses, record_deliveries)
 
@@ -55,31 +56,48 @@ def call_once(world, caller, target_fqdn):
 
 class TestIntrusionMonitor:
     def test_flood_alert_within_window(self):
-        monitor = IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+        monitor = IntrusionMonitor(threshold_pps=10.0)
         hoa = Ipv6Address(1, 1)
-        alert = None
+        alert = False
         # 100 packets/s: the alert must fire within the first ~1 s of flood
         for i in range(2000):
             alert = monitor.observe(hoa, SimTime(round(i * 1e4)))
             if alert:
                 break
-        assert isinstance(alert, AttackAlert)
-        assert alert.hoa == hoa
-        assert monitor.threshold_pps < alert.window_rate
+        assert alert is True
+        assert monitor._windows[hoa].total / DETECTION_WINDOW_S > 10.0
         assert SimTime(round(i * 1e4)).seconds <= 10.0
 
     def test_legitimate_rate_quiet(self):
-        monitor = IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+        monitor = IntrusionMonitor(threshold_pps=10.0)
         hoa = Ipv6Address(1, 1)
         for minute in range(120):
-            assert monitor.observe(hoa, SimTime.from_seconds(minute * 60)) is None
+            assert monitor.observe(hoa, SimTime.from_seconds(minute * 60)) is False
 
     def test_exact_threshold_burst_is_quiet(self):
-        monitor = IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+        monitor = IntrusionMonitor(threshold_pps=10.0)
         hoa = Ipv6Address(1, 1)
         alerts = [monitor.observe(hoa, SimTime.from_seconds(5)) for _ in range(100)]
-        assert all(a is None for a in alerts)  # rate == threshold: strict >
-        assert monitor.observe(hoa, SimTime.from_seconds(5)) is not None
+        assert not any(alerts)  # rate == threshold: strict >
+        assert monitor.observe(hoa, SimTime.from_seconds(5)) is True
+
+    @pytest.mark.parametrize("threshold", [0.15, 7.3, 10.0, 1e9])
+    def test_observe_alerts_exactly_above_the_float_rate(self, threshold):
+        """`observe` alerts exactly when its address's recounted window
+        gives count / DETECTION_WINDOW_S > threshold, tested on each side
+        of the boundary count. The window is filled by one run of packets
+        at a single instant, so the largest threshold's count fits in it."""
+        hoa, boundary = Ipv6Address(1, 1), math.floor(threshold * DETECTION_WINDOW_S)
+        seen = []
+        for count in range(max(1, boundary - 1), boundary + 3):
+            monitor = IntrusionMonitor(threshold)
+            if count > 1:
+                monitor.observe_run(hoa, 0, 0, count - 1)
+            alert = monitor.observe(hoa, 0)
+            assert monitor._windows[hoa].total == count
+            assert alert is (count / DETECTION_WINDOW_S > threshold)
+            seen.append(alert)
+        assert seen[0] is False and seen[-1] is True
 
     @pytest.mark.parametrize("before,count", [(95, 5), (95, 6), (0, 101),
                                               (50, 50), (50, 51), (30, 200)])
@@ -88,13 +106,13 @@ class TestIntrusionMonitor:
         `observe` alerts on when fed the packets one at a time, also when
         the window and the whole run just reach the alert count."""
         hoa, interval_us = Ipv6Address(1, 1), 10_000
-        closed, stepped = (IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+        closed, stepped = (IntrusionMonitor(threshold_pps=10.0)
                            for _ in range(2))
         for monitor in (closed, stepped):
             for k in range(before):
                 monitor.observe(hoa, k * interval_us)
         first_us = before * interval_us
-        alerts = [stepped.observe(hoa, first_us + k * interval_us) is not None
+        alerts = [stepped.observe(hoa, first_us + k * interval_us)
                   for k in range(count)]
         expected = alerts.index(True) if any(alerts) else count
         assert closed.first_alert(hoa, first_us, interval_us, count) == expected
@@ -107,7 +125,7 @@ class TestIntrusionMonitor:
         hoa, window_us = Ipv6Address(1, 1), 10_000_000
         straddled = alerted = 0
         for _ in range(2_000):
-            monitor = IntrusionMonitor(threshold_pps=10.0, window_s=10.0)
+            monitor = IntrusionMonitor(threshold_pps=10.0)
             seen, runs, now_us = [], [], 0
             for _ in range(rng.randint(1, 12)):
                 now_us += rng.randrange(3_000_000)

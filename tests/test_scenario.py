@@ -24,7 +24,7 @@ from dispo6.energy import EnergyAccount
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
-from dispo6.monitor import IntrusionMonitor
+from dispo6.monitor import _DETECTION_WINDOW_US, IntrusionMonitor
 from dispo6.scenario import (
     ConfigError,
     InvariantError,
@@ -307,7 +307,7 @@ def test_sweep_pool_no_wider_than_its_cpus(cpus, cpu_count, width,
 PER_EVENT_RECORDS = (
     engine.Packet, home_agent.Encapsulated, home_agent.ReverseTunneled,
     messages.CallRequest, messages.CallAccept, caller.CallTimeout,
-    caller.PendingCall, caller.StartCall, scenario.CallRecord,
+    caller.StartCall, scenario.CallRecord,
     home_agent.ManagementMessage, distribution.SessionTimer,
     distribution.GrantAction, distribution.RequestResult,
     distribution.AddressRequest, distribution.AddressResponse)
@@ -484,6 +484,6 @@ def test_monitor_forgets_addresses_gone_quiet(monkeypatch):
     [monitor] = monitors
     windows = monitor._windows
     last = max(window.newest() for window in windows.values())
-    assert all(window.newest() >= last - monitor._window_us
+    assert all(window.newest() >= last - _DETECTION_WINDOW_US
                for window in windows.values())
     assert len(windows) < 10
