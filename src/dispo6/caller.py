@@ -48,6 +48,9 @@ class CallOutcome(Enum):
     REJECTED_PRIME_BLOCKED = "rejected_prime_blocked"
     REJECTED_BY_CALLEE = "rejected_by_callee"
     FAILED = "failed"
+    # a call the scenario logs while the callee's battery is dead; the
+    # caller itself sees only a timeout, as when the prime is blocked
+    UNREACHABLE = "unreachable"
 
 
 class AddressBookEntry:

@@ -3,18 +3,24 @@
     dispo6 run --config scenario.yaml --seed 7 --out-dir out
     dispo6 sweep --config scenario.yaml --seeds 0:100 --out-dir out
     dispo6 fig3 4h --seed 7 --out-dir out
-    dispo6 drain idle
+    dispo6 drain flood --rate 100 --out-dir out
     dispo6 run --print-defaults
 
 All randomness derives from the seed, so identical invocations write
 byte-identical CSVs. Exit status is 0 on success and 2 on configuration
 or I/O errors.
 
+`drain` runs the victim that `run` builds until its battery dies, and
+writes its energy ledger's charge and radio state each minute to
+`battery.csv`. `drain flood` floods one of the victim's disposables at
+`--rate` and runs once more with the victim's flood detection on, into
+`battery_defended.csv`.
+
 Importing this module loads neither the scenario runner (`scenario`) nor
 `stats`. The `run`, `fig3` and `sweep` commands load the runner; only
-`sweep` loads `stats`. `drain` writes `battery.csv` with the energy
-model's writer and loads neither. Code that imports the CLI without
-running one of these commands, and `dispo6 --help`, pay for neither.
+`sweep` loads `stats`. `drain` loads the host, home agent and adversary
+modules, and neither of the two. Code that imports the CLI without
+running one of these commands, and `dispo6 --help`, pay for none of them.
 """
 
 import argparse
@@ -26,17 +32,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import ConfigError
-from .energy import (
-    DEFAULT_PARAMS,
-    FLOOD_RATE_PPS,
-    Battery,
-    LoadProfile,
-    drain_rate,
-    flood_profile,
-    idle_profile,
-    lifetime_under,
-    write_battery_series,
-)
+from .addressing import Ipv6Address, NameService
+from .energy import FLOOD_RATE_PPS, write_battery_series
+from .engine import US_PER_DAY, US_PER_MINUTE, Simulator
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
@@ -69,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fig3_p.add_argument("variant", choices=["4h", "6h"])
     _common_run_args(fig3_p)
 
-    drain_p = sub.add_parser("drain", help="battery lifetime presets")
+    drain_p = sub.add_parser(
+        "drain", help="run the victim idle or flooded until its battery dies")
     drain_p.add_argument("profile", choices=["idle", "flood"])
-    drain_p.add_argument("--rate", type=float, default=FLOOD_RATE_PPS,
+    drain_p.add_argument("--rate", type=float, default=None,
                          help="flood packet rate (packets/second)")
     drain_p.add_argument("--out-dir", type=Path, default=Path("out"))
     return parser
@@ -223,32 +222,55 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _battery_series_for(profile: LoadProfile,
-                        step_s: float = 60.0) -> list[tuple[float, float, str]]:
-    battery = Battery()
-    rate = drain_rate(DEFAULT_PARAMS, profile)
-    lifetime_s = battery.capacity / rate
-    state = "active" if profile.packets_per_second > 0 else "power_save"
+def _drained(rate_pps: float | None, detect: bool,
+             ) -> tuple[list[tuple[float, float, str]], int]:
+    """The victim `run` builds, flooded at `rate_pps` on one out-of-band
+    disposable unless that is None: its ledger's row each minute until the
+    battery dies, the last at the instant of death, and its alert count."""
+    # the victim and its attacker load here, and no scenario runner
+    from .adversary import Flooder
+    from .mobile_host import CORRESPONDENT_PREFIX, attached_victim
+    from .monitor import DETECTION_THRESHOLD_PPS
+
+    sim = Simulator(0)
+    victim = attached_victim(sim, NameService(), True, detection_threshold_pps=(
+        DETECTION_THRESHOLD_PPS if detect else math.inf))
+    energy = victim.energy
+    if rate_pps is not None:
+        flooder = Flooder(sim, "flooder", Ipv6Address(CORRESPONDENT_PREFIX, 1))
+        # longer than any battery lasts: an idle one lasts a day
+        flooder.flood_between(0, 2 * US_PER_DAY,
+                              victim.grant_out_of_band("flooder.peers.example"),
+                              rate_pps)
     series = []
-    t = 0.0
-    while t < lifetime_s:
-        series.append((t, battery.capacity - rate * t, state))
-        t += step_s
-    series.append((lifetime_s, 0.0, "dead"))
-    return series
+    now_us = 0
+    while not energy.dead:
+        sim.run_until(now_us)
+        series.append(energy.row(now_us))
+        now_us += US_PER_MINUTE
+    # the last row at the instant of death, not at the minute after it
+    series[-1] = energy.row(energy.dead_at)
+    return series, victim.counters.alerts
 
 
 def _cmd_drain(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.rate) and args.rate > 0):
+    flood = args.profile == "flood"
+    if not flood and args.rate is not None:
+        raise ConfigError("--rate is the flood's packet rate; idle takes none")
+    rate = FLOOD_RATE_PPS if args.rate is None else args.rate
+    if not (math.isfinite(rate) and rate > 0):
         raise ConfigError(f"--rate must be a positive, finite number of "
-                          f"packets/second, got {args.rate}")
-    profile = idle_profile() if args.profile == "idle" else flood_profile(args.rate)
-    hours = lifetime_under(DEFAULT_PARAMS, Battery(), profile)
+                          f"packets/second, got {rate}")
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_battery_series(args.out_dir / "battery.csv",
-                         _battery_series_for(profile))
-    print(f"profile={profile.name} lifetime_hours={hours:.3f} "
-          f"lifetime_days={hours / 24.0:.3f} -> {args.out_dir}")
+    report = f"profile={args.profile}"
+    # a flood runs twice: with detection off, then with the host's monitor on
+    for detect in (False, True) if flood else (False,):
+        series, alerts = _drained(rate if flood else None, detect)
+        name = "battery_defended.csv" if detect else "battery.csv"
+        write_battery_series(args.out_dir / name, series)
+        report += (f" {name} lifetime_hours={series[-1][0] / 3600.0:.3f}"
+                   f" alerts={alerts}")
+    print(f"{report} -> {args.out_dir}")
     return 0
 
 

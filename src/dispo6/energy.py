@@ -11,7 +11,10 @@ boundary like any other gap.
 
 Costs are abstract energy units. The calibration ties the unit scale to
 two measured endpoints: about a day of lifetime when idle, and a few
-hours under a saturating request flood.
+hours under a saturating request flood. `drain_rate` and
+`lifetime_under` are the ledger's steady states in closed form; an idle
+ledger lasts the calibrated day, because `p_powersave` is a napping
+radio's average draw, its brief wake-ups included.
 """
 
 import math
@@ -32,7 +35,7 @@ CAPACITY = 1.0
 IDLE_LIFETIME_DAYS = 1.0
 FLOOD_LIFETIME_HOURS = 3.75
 FLOOD_RATE_PPS = 100.0
-WAKEUP_DUTY = 0.05  # share of the time an idle radio is awake
+WAKEUP_DUTY = 0.05  # share of the time an idle radio wakes; calibration only
 TX_RX_RATIO = 1.5
 ACK_RX_RATIO = 0.25
 ACTIVE_POWERSAVE_RATIO = 4.0
@@ -76,20 +79,22 @@ class EnergyParams:
 
         A battery of `CAPACITY` lasts `IDLE_LIFETIME_DAYS` idle and
         `FLOOD_LIFETIME_HOURS` under a flood of `FLOOD_RATE_PPS`. The idle
-        target fixes the state powers (given `WAKEUP_DUTY` and
-        `ACTIVE_POWERSAVE_RATIO`); the flood target then fixes the
+        target alone fixes `p_powersave`, the average draw of a napping
+        radio that wakes for `WAKEUP_DUTY` of the time: the ledger charges
+        it whole and never wakes the radio itself. An awake radio draws
+        `ACTIVE_POWERSAVE_RATIO` times a sleeping one inside that blend,
+        which gives `p_active_idle`. The flood target then fixes the
         per-packet receive cost, with transmit and ACK costs the fixed
         multiples `TX_RX_RATIO` and `ACK_RX_RATIO` of it.
         """
         idle_s = IDLE_LIFETIME_DAYS * 86400.0
         flood_s = FLOOD_LIFETIME_HOURS * 3600.0
         blend = (1.0 - WAKEUP_DUTY) + WAKEUP_DUTY * ACTIVE_POWERSAVE_RATIO
-        p_powersave = CAPACITY / (idle_s * blend)
-        p_active = ACTIVE_POWERSAVE_RATIO * p_powersave
+        p_active = ACTIVE_POWERSAVE_RATIO * (CAPACITY / (idle_s * blend))
         per_packet_budget = CAPACITY / flood_s - p_active
         e_rx = per_packet_budget / (
             FLOOD_RATE_PPS * (1.0 + TX_RX_RATIO + ACK_RX_RATIO))
-        return cls(p_active_idle=p_active, p_powersave=p_powersave,
+        return cls(p_active_idle=p_active, p_powersave=CAPACITY / idle_s,
                    e_rx=e_rx, e_tx=TX_RX_RATIO * e_rx, e_ack=ACK_RX_RATIO * e_rx)
 
 
@@ -120,27 +125,25 @@ class Battery:
 class LoadProfile:
     """Steady-state load for closed-form lifetime queries."""
 
-    name: str
     packets_per_second: float = 0.0
 
 
 def idle_profile() -> LoadProfile:
-    return LoadProfile(name="idle")
+    return LoadProfile()
 
 
 def flood_profile(rate_pps: float) -> LoadProfile:
-    return LoadProfile(name="flood", packets_per_second=rate_pps)
+    return LoadProfile(packets_per_second=rate_pps)
 
 
 def drain_rate(params: EnergyParams, profile: LoadProfile) -> float:
-    """Energy units per second consumed under a steady profile: each packet
-    is received, answered and link-acked, and without traffic the radio
-    wakes for `WAKEUP_DUTY` of the time."""
+    """Energy units per second the ledger charges under a steady profile:
+    each packet is received, answered and link-acked by an awake radio,
+    and without traffic the radio naps at `p_powersave`."""
     if profile.packets_per_second > 0:
         per_packet = params.e_rx + params.e_tx + params.e_ack
         return params.p_active_idle + profile.packets_per_second * per_packet
-    return (WAKEUP_DUTY * params.p_active_idle
-            + (1.0 - WAKEUP_DUTY) * params.p_powersave)
+    return params.p_powersave
 
 
 def lifetime_under(params: EnergyParams, battery: Battery,
@@ -224,6 +227,13 @@ class EnergyAccount:
         if now_us - self.last_activity >= self._sleep_us:
             return RadioState.POWER_SAVE
         return RadioState.ACTIVE
+
+    def row(self, now_us: int) -> tuple[float, float, str]:
+        """The `battery.csv` row at `now_us`: time in s, the charge left
+        and the radio state, "dead" once the battery is empty."""
+        self.advance(now_us)
+        state = "dead" if self.dead else self.state_at(now_us).value
+        return now_us / US_PER_SECOND, self.remaining, state
 
     def powersave_fraction(self, now_us: int) -> float:
         self.advance(now_us)

@@ -36,7 +36,7 @@ from .distribution import (
     HipGate,
     RefuseAction,
 )
-from .energy import EnergyAccount, PacketKind
+from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, PacketKind
 from .engine import PACKET_BYTES, Packet, Simulator
 from .home_agent import (
     TUNNEL_HEADER_BYTES,
@@ -66,6 +66,13 @@ if TYPE_CHECKING:
     from .sas import PairResult
 
 
+# the address plan of a scenario run and of `dispo6 drain`
+HOME_PREFIX = 0x20010DB800010000
+CORRESPONDENT_PREFIX = 0x20010DB800CC0000
+VISITED_PREFIX = 0x20010DB801000000
+VICTIM_FQDN = "alice.home.example"
+# the victim's radio idles this long before power save (energy model on)
+SLEEP_TIMEOUT_S = 10.0
 # seconds a disposed prime stays blocked before it is tried again
 PRIME_REACTIVATE_AFTER_S = 60.0
 # disposables generated at attach time, ready to grant without a round trip
@@ -574,3 +581,17 @@ class MobileHost(CallerNode):
             self.learn_address(peer.fqdn, theirs, result.key_seen_by_initiator)
             peer.learn_address(self.fqdn, ours, result.key_seen_by_responder)
         return result
+
+
+def attached_victim(sim: Simulator, names: NameService, on_battery: bool,
+                    **options) -> MobileHost:
+    """The victim of a scenario run and of `dispo6 drain`: `VICTIM_FQDN`,
+    attached to its home agent, on a full battery whose radio naps after
+    `SLEEP_TIMEOUT_S` when `on_battery`. `options` go to `MobileHost`."""
+    energy = None
+    if on_battery:
+        energy = EnergyAccount(Battery(), DEFAULT_PARAMS, SLEEP_TIMEOUT_S, 0)
+    victim = MobileHost(sim, "victim", VICTIM_FQDN, names, energy=energy,
+                        **options)
+    victim.attach(HomeAgent(sim, "home-agent", HOME_PREFIX), VISITED_PREFIX)
+    return victim

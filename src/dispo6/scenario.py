@@ -41,30 +41,23 @@ from .adversary import (
 )
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
-from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
+from .energy import EnergyAccount
 # the writer of a run's battery.csv, found here with the other writers
 from .energy import write_battery_series as write_battery_series
 from .engine import (
     US_PER_DAY,
     US_PER_MINUTE,
-    US_PER_SECOND,
     Simulator,
     day_hour_us,
     hhmm,
 )
 from .home_agent import HomeAgent
 from .messages import _tuple_new, record
-from .mobile_host import MobileHost, Mode
+from .mobile_host import CORRESPONDENT_PREFIX, VICTIM_FQDN, Mode, attached_victim
 
-HOME_PREFIX = 0x20010DB800010000
-CORRESPONDENT_PREFIX = 0x20010DB800CC0000
-VISITED_PREFIX = 0x20010DB801000000
-VICTIM_FQDN = "alice.home.example"
 # the paper's call window, in hours of the day
 CALL_WINDOW_START = 8.0
 CALL_WINDOW_END = 20.0
-# the victim's radio idles this long before power save (energy model on)
-SLEEP_TIMEOUT_S = 10.0
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
@@ -93,7 +86,7 @@ class ScenarioConfig:
     - the link is lossless, with the engine's `LINK_LATENCY_S`;
     - the victim detects floods with `monitor.DETECTION_THRESHOLD_PPS`
       over `monitor.DETECTION_WINDOW_S`;
-    - with the energy model on, the radio sleeps after `SLEEP_TIMEOUT_S`.
+    - the victim and its battery are `mobile_host.attached_victim`'s.
     """
 
     seed: int = 0
@@ -265,14 +258,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     names = NameService()
     scheme = Ed25519Scheme() if config.pki_enabled else None
     ca = CertificateAuthority(scheme, sim.rng) if config.pki_enabled else None
-    energy = None
-    if config.energy_enabled:
-        energy = EnergyAccount(Battery(), DEFAULT_PARAMS, SLEEP_TIMEOUT_S, 0)
-    agent = HomeAgent(sim, "home-agent", HOME_PREFIX)
-    victim = MobileHost(sim, "victim", VICTIM_FQDN, names,
-                        mode=config.mobility_mode, scheme=scheme, ca=ca,
-                        pki_required=config.pki_enabled, energy=energy)
-    victim.attach(agent, VISITED_PREFIX)
+    victim = attached_victim(sim, names, config.energy_enabled,
+                             mode=config.mobility_mode, scheme=scheme, ca=ca,
+                             pki_required=config.pki_enabled)
+    agent, energy = victim.ha, victim.energy
     correspondents = []
     for i in range(config.correspondents):
         fqdn = f"corr{i:04d}.peers.example"
@@ -295,16 +284,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     def on_start_call(node: CallerNode, token: StartCall) -> None:
         t0 = sim.now_us
         had = node.has_address_for(token.target_fqdn)
+
+        def log(outcome: CallOutcome) -> None:
+            if energy is not None and outcome is not CallOutcome.CONNECTED:
+                energy.advance(sim.now_us)
+                if energy.dead:  # no attack kept this call out
+                    outcome = CallOutcome.UNREACHABLE
+            ended.append(_tuple_new(CallRecord, (
+                token.day, token.correspondent_id, had, outcome, t0)))
+
         if not had and token.coincides_with_attack:
             # paper mode: the call met the attack, no handshake runs
-            ended.append(_tuple_new(CallRecord, (
-                token.day, token.correspondent_id, False,
-                CallOutcome.REJECTED_PRIME_BLOCKED, t0)))
+            log(CallOutcome.REJECTED_PRIME_BLOCKED)
             return
-        node.place_call(
-            token.target_fqdn,
-            lambda outcome: ended.append(_tuple_new(CallRecord, (
-                token.day, token.correspondent_id, had, outcome, t0))))
+        node.place_call(token.target_fqdn, log)
 
     for node in correspondents:
         node.on_start_call = on_start_call
@@ -365,11 +358,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     oob_due.setdefault(day + config.oob_retry_delay_days,
                                        []).append(r.correspondent_id)
         if energy is not None:
-            energy.advance(sim.now_us)
-            state = ("dead" if energy.dead
-                     else energy.state_at(sim.now_us).value)
-            battery_series.append((sim.now_us / US_PER_SECOND,
-                                   energy.remaining, state))
+            battery_series.append(energy.row(sim.now_us))
 
     _check_invariants(sim, agent, energy)
     total = len(records)

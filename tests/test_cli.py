@@ -56,18 +56,28 @@ class TestDrain:
         ("idle", idle_profile()), ("flood", flood_profile(100.0))])
     def test_series_ends_dead_at_closed_form_lifetime(self, profile, load,
                                                       tmp_path):
+        # the ledger's series, a row a minute; an idle radio is awake for
+        # the sleep timeout first, so it dies 25 s short of the day
         assert cli.main(["drain", profile, "--out-dir", str(tmp_path)]) == 0
         lines = (tmp_path / "battery.csv").read_text().splitlines()
         assert lines[0] == "time,remaining,state"
         hours = lifetime_under(DEFAULT_PARAMS, Battery(), load)
-        assert lines[-1] == f"{hours * 3600.0:.3f},{0.0:.9f},dead"
+        died_s, remaining, state = lines[-1].split(",")
+        assert float(died_s) == pytest.approx(hours * 3600.0, rel=2e-3)
+        assert (remaining, state) == (f"{0.0:.9f}", "dead")
+        times = [float(line.split(",")[0]) for line in lines[1:-1]]
+        assert times == [60.0 * k for k in range(len(times))]
+        assert times[-1] < float(died_s) <= times[-1] + 60.0
         assert all(not line.endswith(",dead") for line in lines[1:-1])
 
-    @pytest.mark.parametrize("rate", ["-5", "0", "nan", "inf"])
-    def test_rate_that_is_not_positive_and_finite_exits_2(self, rate, tmp_path,
-                                                           capsys):
+    @pytest.mark.parametrize("profile, rate", [
+        ("flood", "-5"), ("flood", "0"), ("flood", "nan"), ("flood", "inf"),
+        # a rate the idle profile would ignore is refused, not dropped
+        ("idle", "5")], ids=["-5", "0", "nan", "inf", "idle-5"])
+    def test_rate_that_is_not_positive_and_finite_exits_2(self, profile, rate,
+                                                           tmp_path, capsys):
         out = tmp_path / "out"
-        assert cli.main(["drain", "flood", "--rate", rate,
+        assert cli.main(["drain", profile, "--rate", rate,
                          "--out-dir", str(out)]) == 2
         assert "--rate" in capsys.readouterr().err
         assert not out.exists()

@@ -49,10 +49,6 @@ class TestCalibration:
                      for r in (1, 10, 100, 1000)]
         assert lifetimes == sorted(lifetimes, reverse=True)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: drain_rate blends WAKEUP_DUTY of active draw into "
-        "the idle rate, but the ledger never wakes a napping radio, so an "
-        "idle account dies at 27.59 h, not the calibrated day"))
     def test_an_idle_account_lives_the_calibrated_day(self):
         hours = lifetime_under(DEFAULT_PARAMS, Battery(), idle_profile())
         assert hours == pytest.approx(24.0)

@@ -92,9 +92,13 @@ FLOOD_DIGESTS = {
     # the host instead of the abandoned address: only engine delivered
     # 6105 -> 6106, unroutable 207 -> 206 and processed 12105 -> 12106
     # moved, and the ledger's packets 410 -> 412 (the ACK is received and
-    # link-acked), with consumed_packets and remaining to match
+    # link-acked), with consumed_packets and remaining to match.
+    # Re-pinned when `p_powersave` became a napping radio's average draw,
+    # wake-ups included (x1.15): the host naps after the block, so only
+    # consumed_powersave 0.000491106... -> 0.000564771... and remaining
+    # moved
     "detect_ro_spoofed":
-        "8c147e77b4eb579af0e78ba5d2ae37e2deb78f617d5f57665769a33f95da30e4",
+        "43232161a5f92012860afb3d37461582fbeb623ef2197613de92c8ffdc8f82c4",
 }
 
 LEDGER_FIELDS = ("consumed_packets", "consumed_active", "consumed_powersave",

@@ -148,6 +148,9 @@ TEST_ONLY_API = (
     "Simulator.pending",
     # the rejection oracle, for a planned observed-against-expected report
     "expected_daily_rejections",
+    # the idle load whose closed form the ledger's calibrated day and the
+    # battery claim's defended slope are checked against
+    "idle_profile",
 )
 
 
@@ -783,13 +786,16 @@ def test_workload_imports_build_no_named_tuple_and_leave_sas_out():
     assert fresh_interpreter(script) == ([], False)
 
 
-# sha256 of the battery.csv `dispo6 drain idle` writes, pinned byte for byte
-DRAIN_IDLE_SHA256 = ("ebe7dceba79aae85afe677ac6780366ef"
-                     "df826ae6b25942ad085aa76da66995d")
+# sha256 of the battery.csv `dispo6 drain idle` writes, pinned byte for
+# byte; re-pinned when drain began to read a simulated host's energy
+# ledger in place of evaluating the closed-form drain rate on a grid
+DRAIN_IDLE_SHA256 = ("b263e71782a068d7177775a54ccdce77"
+                     "353c79d079c86eb7c89b9190b95d6e2a")
 
 
 def test_drain_writes_its_series_without_the_scenario_runner(tmp_path):
-    body = "from dispo6 import cli\ncli.main(['drain', 'idle', '--out-dir', 'out'])"
+    body = ("from dispo6 import cli\ncli.main(['drain', 'idle', '--out-dir', 'out'])\n"
+            "cli.main(['drain', 'flood', '--out-dir', 'flood'])")
     assert heavy_modules_after(body, cwd=tmp_path,
                                watched=("dispo6.scenario", "dispo6.stats")) == []
     written = (tmp_path / "out" / "battery.csv").read_bytes()

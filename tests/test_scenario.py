@@ -181,6 +181,23 @@ class TestRunInvariants:
         result = run_scenario(small_config(energy_enabled=True))
         assert result.metrics.energy["dead"]
 
+    def test_calls_to_a_dead_battery_are_unreachable_not_rejected(self):
+        # the calibrated battery dies late on day 0; each later caller's
+        # handshake times out as if the prime were blocked, but the run
+        # knows the victim is dead and counts no rejection
+        result = run_scenario(ScenarioConfig(seed=1, horizon_days=5,
+                                             energy_enabled=True))
+        assert result.battery_series[0][2] == "dead"
+        assert ([r.outcome for r in result.records]
+                == [CallOutcome.UNREACHABLE] * 4)
+        assert [d.rejected for d in result.metrics.daily] == [0] * 5
+        # a call the victim lived to answer keeps its outcome
+        records = run_scenario(small_config(energy_enabled=True)).records
+        assert {r.outcome for r in records if r.day == 0} == {
+            CallOutcome.CONNECTED}
+        assert {r.outcome for r in records if r.day > 0} == {
+            CallOutcome.UNREACHABLE}
+
     def test_energy_overdraw_is_caught(self, monkeypatch):
         original = EnergyAccount.on_packet
 
