@@ -46,7 +46,6 @@ from .energy import EnergyAccount
 from .energy import write_battery_series as write_battery_series
 from .engine import (
     US_PER_DAY,
-    US_PER_MINUTE,
     Simulator,
     day_hour_us,
     hhmm,
@@ -408,17 +407,12 @@ def _check_invariants(sim: Simulator, agent: HomeAgent,
 
 
 def write_call_log(path: Path | str, records: list[CallRecord]) -> None:
-    """One row per call, streamed. The text of each outcome and of each
-    minute's `hh:mm` is built once per log, not once per row."""
-    clock = [hhmm(minute * US_PER_MINUTE)
-             for minute in range(US_PER_DAY // US_PER_MINUTE)]
-    outcomes = {outcome: outcome.value for outcome in CallOutcome}
-    had_text = ("false", "true")
+    """One row per call, streamed."""
     with open(path, "w", newline="") as handle:
         handle.write(CALL_LOG_HEADER + "\n")
         handle.writelines(
-            f"{day},{correspondent},{had_text[had]},{outcomes[outcome]},"
-            f"{clock[time % US_PER_DAY // US_PER_MINUTE]}\n"
+            f"{day},{correspondent},{'true' if had else 'false'},"
+            f"{outcome.value},{hhmm(time)}\n"
             for day, correspondent, had, outcome, time in records)
 
 

@@ -109,8 +109,8 @@ class TestFloodEnergy:
         world.sim.run()
         account.advance(world.sim.now)
         consumed = account.battery.capacity - account.remaining
-        expected = world.sim.now.seconds * drain_rate(DEFAULT_PARAMS,
-                                                      flood_profile(100))
+        expected = world.sim.now / US_PER_SECOND * drain_rate(
+            DEFAULT_PARAMS, flood_profile(100))
         # event horizon ends one latency after the last emission
         assert consumed == pytest.approx(expected, rel=2e-3)
 
@@ -136,7 +136,7 @@ class TestFloodEnergy:
         flood(world, hoa, rate=100, seconds=1.1 * lifetime_s)
         world.sim.run()
         assert account.dead
-        assert account.dead_at.seconds == pytest.approx(lifetime_s, rel=2e-3)
+        assert account.dead_at / US_PER_SECOND == pytest.approx(lifetime_s, rel=2e-3)
         assert account.balanced()
         assert host.counters.pings == pytest.approx(100 * lifetime_s, rel=2e-3)
 

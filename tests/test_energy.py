@@ -12,7 +12,7 @@ from dispo6.energy import (
     idle_profile,
     lifetime_under,
 )
-from dispo6.engine import EPOCH, SimTime
+from dispo6.engine import EPOCH, US_PER_SECOND, SimTime
 
 T = 10.0  # sleep timeout used throughout
 
@@ -55,7 +55,7 @@ class TestCalibration:
         acct = account()
         acct.advance(SimTime.from_seconds(2 * 86_400))
         assert acct.dead
-        assert acct.dead_at.seconds / 3600 == pytest.approx(hours, rel=2e-3)
+        assert acct.dead_at / US_PER_SECOND / 3600 == pytest.approx(hours, rel=2e-3)
 
 
 class TestPowerStates:
@@ -109,8 +109,8 @@ class TestPowerStates:
             acct.on_packet(SimTime.from_seconds(t), PacketKind.RX)
         assert acct.dead
         # per-packet costs shave a sliver off the pure active-idle horizon
-        assert acct.dead_at.seconds == pytest.approx(horizon, rel=1e-3)
-        assert acct.dead_at.seconds < horizon
+        assert acct.dead_at / US_PER_SECOND == pytest.approx(horizon, rel=1e-3)
+        assert acct.dead_at / US_PER_SECOND < horizon
 
 
 class TestLedger:

@@ -7,6 +7,7 @@ from dispo6.engine import (
     US_PER_DAY,
     US_PER_HOUR,
     US_PER_MINUTE,
+    US_PER_SECOND,
     Node,
     Packet,
     PastEventError,
@@ -51,7 +52,7 @@ class TestSimTime:
     def test_ordering_and_arithmetic(self):
         t = SimTime.from_seconds(1.5)
         assert t.micros == 1_500_000 and type(t.micros) is int
-        assert t.seconds == 1.5
+        assert t / US_PER_SECOND == 1.5
         later = t.plus_seconds(2)
         assert type(later) is SimTime
         assert t < later == SimTime.from_seconds(3.5)

@@ -66,7 +66,7 @@ class TestIntrusionMonitor:
                 break
         assert alert is True
         assert monitor._windows[hoa].total / DETECTION_WINDOW_S > 10.0
-        assert SimTime(round(i * 1e4)).seconds <= 10.0
+        assert SimTime(round(i * 1e4)) / US_PER_SECOND <= 10.0
 
     def test_legitimate_rate_quiet(self):
         monitor = IntrusionMonitor(threshold_pps=10.0)
