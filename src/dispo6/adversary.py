@@ -23,6 +23,7 @@ source from the simulator's PRNG for every packet and stays a timer per
 packet, as does any flood the engine cannot take as a segment.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -39,8 +40,13 @@ class FloodStats:
 
 
 def _interval_us(rate_pps: float) -> int:
-    """The step between a flood's packets, in whole microseconds."""
-    return round(1.0 / rate_pps * US_PER_SECOND)
+    """The step between a flood's packets, in whole microseconds; a
+    `ValueError` for a rate that has no whole, finite, positive step."""
+    step_us = 1.0 / rate_pps * US_PER_SECOND if rate_pps > 0 else 0.0
+    if not (math.isfinite(step_us) and round(step_us) > 0):
+        raise ValueError(f"flood rate {rate_pps} pkt/s has no whole, finite, "
+                         "positive number of microseconds between packets")
+    return round(step_us)
 
 
 class Flooder(Node):
@@ -54,17 +60,12 @@ class Flooder(Node):
 
     def flood_between(self, start_us: int, stop_us: int, target: Ipv6Address,
                       rate_pps: float, spoof: bool = False) -> None:
-        if rate_pps <= 0:
-            raise ValueError("flood rate must be positive")
         interval_us = _interval_us(rate_pps)
-        if interval_us == 0:
-            raise ValueError(f"flood rate {rate_pps} pkt/s is under 1 us apart")
         if stop_us < start_us:
             raise ValueError("flood stops before it starts")
         count = -((start_us - stop_us) // interval_us)
         if spoof or not self.sim.flood(
-                self.node_id,
-                Packet(self.address, target, Ping(self.stats.sent)),
+                self.node_id, Packet(self.address, target, Ping()),
                 start_us, interval_us, count):
             self._flood_packets(start_us, stop_us, target, interval_us, spoof)
 
@@ -86,9 +87,8 @@ class Flooder(Node):
             src = Ipv6Address(sim.rng.getrandbits(64), sim.rng.getrandbits(64))
         else:
             src = self.address
-        stats = self.stats
-        sim.send(Packet(src=src, dst=target, payload=Ping(stats.sent)))
-        stats.sent += 1
+        sim.send(Packet(src=src, dst=target, payload=Ping()))
+        self.stats.sent += 1
         next_us = sim.now_us + interval_us
         if next_us < stop_us:
             sim.call_at(next_us, self.node_id, token)

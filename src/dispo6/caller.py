@@ -16,7 +16,6 @@ from typing import Callable
 from .addressing import Ipv6Address, NameService, UnknownNameError
 from .crypto import Certificate, CertificateAuthority, Ed25519Scheme, KeyPair
 from .distribution import (
-    HANDSHAKE_PACKET_BYTES,
     AddressRequest,
     AddressResponse,
     HipChallengeMsg,
@@ -26,7 +25,7 @@ from .distribution import (
     RequestResult,
     SessionTimer,
 )
-from .engine import PACKET_BYTES, Node, Packet, Simulator
+from .engine import Node, Packet, Simulator
 from .messages import (
     CallAccept,
     CallReject,
@@ -152,7 +151,7 @@ class CallerNode(Node):
         # always to the prime itself, which its home agent tunnels on:
         # a care-of address announced for the prime may be stale
         self._emit(_tuple_new(Packet, (self.address, session.target_prime,
-                                       request, HANDSHAKE_PACKET_BYTES)))
+                                       request)))
 
     def _finish_request(self, session: InitiatorSession,
                         result: RequestResult) -> None:
@@ -214,21 +213,20 @@ class CallerNode(Node):
 
     # -- send path ---------------------------------------------------------
 
-    def _send(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
-              size_bytes: int = PACKET_BYTES) -> None:
+    def _send(self, src: Ipv6Address, dst: Ipv6Address,
+              payload: object) -> None:
         """Send from one of our addresses. A peer that announced a care-of
         address is reached there directly, with its home address kept in
         the inner packet (route optimization, RFC 6275 section 6.4)."""
-        self._emit(self._addressed(src, dst, payload, size_bytes))
+        self._emit(self._addressed(src, dst, payload))
 
-    def _addressed(self, src: Ipv6Address, dst: Ipv6Address, payload: object,
-                   size_bytes: int = PACKET_BYTES) -> Packet:
-        packet = _tuple_new(Packet, (src, dst, payload, size_bytes))
+    def _addressed(self, src: Ipv6Address, dst: Ipv6Address,
+                   payload: object) -> Packet:
+        packet = _tuple_new(Packet, (src, dst, payload))
         care_of = self._route_cache.get(dst)
         if care_of is not None:
-            packet = _tuple_new(Packet, (src, care_of,
-                                         _tuple_new(RouteOptimized, (packet,)),
-                                         PACKET_BYTES))
+            packet = _tuple_new(Packet, (
+                src, care_of, _tuple_new(RouteOptimized, (packet,))))
         return packet
 
     def _emit(self, packet: Packet) -> None:
@@ -257,7 +255,7 @@ class CallerNode(Node):
         self._route_cache[packet.payload.home_address] = packet.payload.care_of
 
     def _on_ping(self, packet: Packet) -> None:
-        self._send(self.address, packet.src, Pong(packet.payload.seq))
+        self._send(self.address, packet.src, Pong())
 
     _packet_handlers = {
         AddressResponse: _on_session_message,

@@ -258,9 +258,12 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     if not flood and args.rate is not None:
         raise ConfigError("--rate is the flood's packet rate; idle takes none")
     rate = FLOOD_RATE_PPS if args.rate is None else args.rate
-    if not (math.isfinite(rate) and rate > 0):
-        raise ConfigError(f"--rate must be a positive, finite number of "
-                          f"packets/second, got {rate}")
+    # the flooder's own rule, before anything is written
+    from .adversary import _interval_us
+    try:
+        _interval_us(rate)
+    except ValueError as exc:
+        raise ConfigError(f"--rate: {exc}") from None
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report = f"profile={args.profile}"
     # a flood runs twice: with detection off, then with the host's monitor on

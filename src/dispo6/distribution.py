@@ -37,8 +37,6 @@ if TYPE_CHECKING:
 
 # seconds a requester waits for any answer before giving up
 REQUEST_TIMEOUT_S = 3.0
-# size of an address request and of the grant that answers it
-HANDSHAKE_PACKET_BYTES = 128
 # the HIP gate's settings (`HipGate`)
 HIP_RATE_THRESHOLD = 3
 HIP_WINDOW_S = 600.0
@@ -61,7 +59,6 @@ class HipAnswer:
 class AddressRequest:
     """Signed ask for a disposable home address, sent to a prime address."""
 
-    requester_name: str
     requester_fqdn: str
     reply_to: Ipv6Address
     request_id: int
@@ -72,16 +69,15 @@ class AddressRequest:
     def signed_bytes(self) -> bytes:
         # The HIP answer is excluded so a challenged request can be
         # re-presented with its answer under the original signature.
-        return _request_bytes(self.requester_name, self.requester_fqdn,
-                              self.reply_to, self.request_id)
+        return _request_bytes(self.requester_fqdn, self.reply_to,
+                              self.request_id)
 
 
-def _request_bytes(requester_name: str, requester_fqdn: str,
-                   reply_to: Ipv6Address, request_id: int) -> bytes:
+def _request_bytes(requester_fqdn: str, reply_to: Ipv6Address,
+                   request_id: int) -> bytes:
     """What an `AddressRequest` with these fields signs, before it is built."""
-    return encode_fields(b"hoa-request", requester_name.encode(),
-                         requester_fqdn.encode(), reply_to.packed,
-                         request_id.to_bytes(8, "big"))
+    return encode_fields(b"hoa-request", requester_fqdn.encode(),
+                         reply_to.packed, request_id.to_bytes(8, "big"))
 
 
 @record
@@ -354,14 +350,13 @@ class InitiatorSession:
         self.on_done = on_done
         self._gen = 0
         fqdn, address = owner.fqdn, owner.address
-        name = fqdn.split(".")[0]
-        signed = _request_bytes(name, fqdn, address, request_id)
+        signed = _request_bytes(fqdn, address, request_id)
         signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
             signature = owner.scheme.sign(owner.keys, signed)
             certificate = owner.certificate
         self._base_request = _tuple_new(AddressRequest, (
-            name, fqdn, address, request_id, signature, certificate, None))
+            fqdn, address, request_id, signature, certificate, None))
         # the signed bytes leave the HIP answer out, so re-sends share it
         self._request_digest = hashlib.sha256(signed).digest()
 

@@ -94,8 +94,6 @@ US_PER_DAY = 24 * US_PER_HOUR
 FOREVER = 1 << 62
 # one-way delivery latency of the simulated link, in seconds
 LINK_LATENCY_S = 0.05
-# size of a packet that states none: a ping, a call or a control message
-PACKET_BYTES = 56
 
 
 def day_hour_us(day: int, hour: float = 0.0) -> int:
@@ -152,7 +150,6 @@ class Packet:
     src: Ipv6Address
     dst: Ipv6Address
     payload: object
-    size_bytes: int = PACKET_BYTES
 
 
 @dataclass(slots=True)

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .addressing import AddressState, Ipv6Address, random_iid
-from .engine import PACKET_BYTES, Node, Packet, Simulator
+from .engine import Node, Packet, Simulator
 from .messages import _tuple_new, record
 
 ADMIN_IID = 1
 MAX_ALLOCATION_ATTEMPTS = 128
-# bytes a tunnel adds to the packet it carries (an outer IPv6 header)
-TUNNEL_HEADER_BYTES = 40
 
 
 class ManagementKind(Enum):
@@ -52,8 +50,6 @@ class BindingUpdate:
 @record
 class BindingAck:
     """Sent only when a binding update is honoured."""
-
-    care_of: Ipv6Address
 
 
 @record
@@ -231,8 +227,7 @@ class HomeAgent(Node):
                 and last.dst == care_of):
             return last
         last = self._last_tunnel = _tuple_new(Packet, (
-            self.admin_address, care_of, _tuple_new(Encapsulated, (packet,)),
-            packet.size_bytes + TUNNEL_HEADER_BYTES))
+            self.admin_address, care_of, _tuple_new(Encapsulated, (packet,))))
         return last
 
     def reverse_tunnel(self, host_id: str, auth: str, inner: Packet) -> bool:
@@ -283,7 +278,7 @@ class HomeAgent(Node):
             self.counters.rejected_management += 1
             return
         self.sim.send(Packet(src=self.admin_address, dst=payload.care_of,
-                             payload=BindingAck(care_of=payload.care_of)))
+                             payload=BindingAck()))
 
     def _on_management(self, payload: ManagementMessage) -> None:
         try:
@@ -296,7 +291,7 @@ class HomeAgent(Node):
         care_of = self._hosts[payload.host_id].care_of
         if care_of is not None:
             self.sim.send(_tuple_new(Packet, (self.admin_address, care_of,
-                                              reply, PACKET_BYTES)))
+                                              reply)))
 
     def _apply_management(self, msg: ManagementMessage) -> ManagementMessage:
         if msg.kind is ManagementKind.HOA_REQUEST:

@@ -28,7 +28,6 @@ from .addressing import AddressState, Ipv6Address, NameService, random_iid
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .distribution import (
-    HANDSHAKE_PACKET_BYTES,
     AddressRequest,
     ChallengeAction,
     DistributionResponder,
@@ -37,9 +36,8 @@ from .distribution import (
     RefuseAction,
 )
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, PacketKind
-from .engine import PACKET_BYTES, Packet, Simulator
+from .engine import Packet, Simulator
 from .home_agent import (
-    TUNNEL_HEADER_BYTES,
     BindingAck,
     BindingUpdate,
     Encapsulated,
@@ -333,13 +331,11 @@ class MobileHost(CallerNode):
         if self.mode is Mode.BIDIRECTIONAL_TUNNELING and packet.src != self.coa:
             return _tuple_new(Packet, (
                 self.coa, self.ha_admin,
-                _tuple_new(ReverseTunneled, (packet, self.node_id, self.sa_tag)),
-                packet.size_bytes + TUNNEL_HEADER_BYTES))
+                _tuple_new(ReverseTunneled, (packet, self.node_id, self.sa_tag))))
         return packet
 
     def _send_management(self, message: ManagementMessage) -> None:
-        self._emit(_tuple_new(Packet, (self.coa, self.ha_admin, message,
-                                       PACKET_BYTES)))
+        self._emit(_tuple_new(Packet, (self.coa, self.ha_admin, message)))
 
     # -- receive path -----------------------------------------------------------
 
@@ -389,7 +385,7 @@ class MobileHost(CallerNode):
         self.counters.pings += 1
         dst = inner.dst
         if dst in self.address_states or dst == self.coa:
-            self._send(dst, inner.src, Pong(inner.payload.seq))
+            self._send(dst, inner.src, Pong())
 
     def _on_management(self, inner: Packet) -> None:
         message = inner.payload
@@ -441,8 +437,7 @@ class MobileHost(CallerNode):
             return
         action = self.responder.handle_request(request, self.sim.now_us)
         if isinstance(action, GrantAction):
-            self._send(dst, request.reply_to, action.response,
-                       size_bytes=HANDSHAKE_PACKET_BYTES)
+            self._send(dst, request.reply_to, action.response)
         elif isinstance(action, ChallengeAction):
             self._send(dst, request.reply_to, action.challenge)
         elif isinstance(action, RefuseAction):
@@ -524,8 +519,7 @@ class MobileHost(CallerNode):
         last = self._last_reply
         if last is not None and last[0] is inner and last[1] == route:
             return last[2]
-        reply = self._wire(self._addressed(inner.dst, inner.src,
-                                           Pong(inner.payload.seq)))
+        reply = self._wire(self._addressed(inner.dst, inner.src, Pong()))
         self._last_reply = (inner, route, reply)
         return reply
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dispo6.addressing import AddressState, Ipv6Address
@@ -91,6 +93,17 @@ class TestFlooder:
         with pytest.raises(ValueError, match="rate"):
             flooder.flood_between(EPOCH, SimTime.from_seconds(1),
                                   ATTACKER_ADDR, 3e6)
+        assert world.sim.pending() == 0
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, 1e-320])
+    def test_flood_between_refuses_a_rate_without_a_finite_step(
+            self, make_world, rate):
+        # 1 / 1e-320 overflows to inf, whose round() raised OverflowError
+        world = make_world()
+        flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
+        with pytest.raises(ValueError, match="rate"):
+            flooder.flood_between(EPOCH, SimTime.from_seconds(1),
+                                  ATTACKER_ADDR, rate)
         assert world.sim.pending() == 0
 
 

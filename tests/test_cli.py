@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from dispo6.energy import (
 from dispo6.scenario import ScenarioConfig, fig3_config
 
 RUN_OUTPUTS = ("calls.csv", "daily_rejections.csv", "metrics.json")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, config: ScenarioConfig):
@@ -72,8 +75,10 @@ class TestDrain:
 
     @pytest.mark.parametrize("profile, rate", [
         ("flood", "-5"), ("flood", "0"), ("flood", "nan"), ("flood", "inf"),
+        # packets under 1 us apart, and a step that overflows a float
+        ("flood", "3e6"), ("flood", "1e-320"),
         # a rate the idle profile would ignore is refused, not dropped
-        ("idle", "5")], ids=["-5", "0", "nan", "inf", "idle-5"])
+        ("idle", "5")], ids=["-5", "0", "nan", "inf", "3e6", "1e-320", "idle-5"])
     def test_rate_that_is_not_positive_and_finite_exits_2(self, profile, rate,
                                                            tmp_path, capsys):
         out = tmp_path / "out"
@@ -198,3 +203,41 @@ class TestModuleEntryPoint:
                               timeout=60)
         assert proc.returncode == 0
         assert "usage:" in proc.stdout
+
+
+def readme_commands(text: str) -> list[list[str]]:
+    """The arguments of each `dispo6 ...` line in the code blocks of
+    `text`, up to a shell redirection."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    commands = []
+    for line in "\n".join(blocks).splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["dispo6"]:
+            end = next((i for i, word in enumerate(words)
+                        if word in (">", "<", "|")), len(words))
+            commands.append(words[1:end])
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    # a renamed command, flag or choice fails here before a reader hits it
+    commands = readme_commands(README.read_text())
+    assert {argv[0] for argv in commands} == {"run", "fig3", "sweep", "drain"}
+    parser = cli._build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README.md: `dispo6 {shlex.join(argv)}` does not "
+                        f"parse: {capsys.readouterr().err}")
+
+
+def test_readme_command_reader():
+    text = ("```\ndispo6 run --print-defaults > a.yaml\npip install x\n```\n"
+            "dispo6 outside --a-block\n"
+            "```sh\ndispo6 drain flood --rates 5  # renamed\n```\n")
+    commands = readme_commands(text)
+    assert commands == [["run", "--print-defaults"],
+                        ["drain", "flood", "--rates", "5"]]
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(commands[1])

@@ -53,15 +53,13 @@ def make_responder(pki=False, hip=None, rng_seed=0):
 
 def request(fqdn="alice.example", request_id=1, hip_answer=None,
             signer=None):
-    req = AddressRequest(requester_name=fqdn.split(".")[0],
-                         requester_fqdn=fqdn, reply_to=PEER,
+    req = AddressRequest(requester_fqdn=fqdn, reply_to=PEER,
                          request_id=request_id, hip_answer=hip_answer)
     if signer is not None:
         scheme, ca, rng = signer
         keys = scheme.generate(rng)
         cert = ca.issue(fqdn, keys.public)
-        req = AddressRequest(requester_name=req.requester_name,
-                             requester_fqdn=fqdn, reply_to=PEER,
+        req = AddressRequest(requester_fqdn=fqdn, reply_to=PEER,
                              request_id=request_id,
                              signature=scheme.sign(keys, req.signed_bytes()),
                              certificate=cert, hip_answer=hip_answer)
@@ -144,10 +142,10 @@ class TestResponderGates:
     def test_tampered_signature_dropped(self):
         responder, _, signer = make_responder(pki=True)
         req = request(signer=signer)
-        bad = AddressRequest(requester_name="mallory",  # not what was signed
-                             requester_fqdn=req.requester_fqdn,
+        bad = AddressRequest(requester_fqdn=req.requester_fqdn,
                              reply_to=req.reply_to,
-                             request_id=req.request_id,
+                             # not what was signed
+                             request_id=req.request_id + 1,
                              signature=req.signature,
                              certificate=req.certificate)
         assert responder.handle_request(bad, SimTime(0)) is None
@@ -402,8 +400,7 @@ class TestEngineHandshake:
                     signature=b"\x00" * len(payload.signature),
                     certificate=payload.certificate)
                 packet = type(packet)(src=packet.src, dst=packet.dst,
-                                      payload=payload,
-                                      size_bytes=packet.size_bytes)
+                                      payload=payload)
             original(packet)
 
         caller.on_packet = corrupt

@@ -315,7 +315,7 @@ class TestDisposal:
         hoa = host.grant_out_of_band(attacker.fqdn)
         attacker.learn_address(host.fqdn, hoa)
         # a tunneled packet provokes the RO binding update that leaks the coa
-        world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping(0)))
+        world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping()))
         world.sim.run()
         leaked_coa = attacker._route_cache.get(hoa)
         assert leaked_coa == host.coa
@@ -323,10 +323,10 @@ class TestDisposal:
         world.sim.run()
         pings_before = host.counters.pings
         delivered_before = world.sim.counters.delivered
-        for i in range(20):
-            world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping(i)))
+        for _ in range(20):
+            world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping()))
             world.sim.send(Packet(src=attacker.address, dst=leaked_coa,
-                                  payload=Ping(i)))
+                                  payload=Ping()))
         world.sim.run()
         assert host.counters.pings == pings_before
         assert host.counters.stale_dropped == 0
@@ -406,8 +406,8 @@ class TestDisposal:
         attacker = make_caller(world, i=50)
         hoa = host.grant_out_of_band(attacker.fqdn)
         # 150 pings at once: the 101st crosses 10 pps over the 10 s window
-        for i in range(150):
-            world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping(i)))
+        for _ in range(150):
+            world.sim.send(Packet(src=attacker.address, dst=hoa, payload=Ping()))
         world.sim.run()
         assert host.counters.alerts == 1
         assert host.address_states[hoa] is AddressState.BLOCKED
@@ -561,7 +561,7 @@ class TestLocationPrivacy:
         call_once(world, caller, host.fqdn)
         world.sim.send(Packet(src=caller.address,
                               dst=caller.entry_for(host.fqdn).peer_address,
-                              payload=Ping(1)))
+                              payload=Ping()))
         world.sim.run()
 
         def addresses_in(value):
@@ -595,7 +595,7 @@ class TestLocationPrivacy:
             original(packet)
 
         caller.on_packet = spy
-        world.sim.send(Packet(src=caller.address, dst=hoa, payload=Ping(3)))
+        world.sim.send(Packet(src=caller.address, dst=hoa, payload=Ping()))
         world.sim.run()
         assert len(pongs) == 1
         assert pongs[0].src == hoa
@@ -686,13 +686,13 @@ class TestRouteOptimizedPeers:
         assert caller._route_cache[hoa] == host.coa
         intercepted = world.agent.counters.intercepted
         deliveries = record_deliveries(world.sim)
-        world.sim.send(Packet(src=hoa, dst=caller.address, payload=Ping(7)))
+        world.sim.send(Packet(src=hoa, dst=caller.address, payload=Ping()))
         world.sim.run()
         pongs = addressed_to(deliveries, host.node_id, Pong)
         assert len(pongs) == 1
         assert pongs[0].dst == host.coa
         assert type(pongs[0].payload) is RouteOptimized
-        assert pongs[0].payload.inner == Packet(caller.address, hoa, Pong(7))
+        assert pongs[0].payload.inner == Packet(caller.address, hoa, Pong())
         assert world.agent.counters.intercepted == intercepted
 
     @pytest.mark.xfail(strict=True, reason=(

@@ -10,6 +10,7 @@ import pytest
 
 from dispo6 import cli, scenario
 from dispo6.addressing import AddressState, Ipv6Address, NameService
+from dispo6.adversary import Flooder
 from dispo6.caller import CallerNode, CallOutcome
 from dispo6.energy import (
     DEFAULT_PARAMS,
@@ -20,7 +21,7 @@ from dispo6.energy import (
     idle_profile,
     lifetime_under,
 )
-from dispo6.engine import US_PER_HOUR, Simulator
+from dispo6.engine import US_PER_HOUR, US_PER_SECOND, Simulator
 from dispo6.mobile_host import CORRESPONDENT_PREFIX, VICTIM_FQDN, attached_victim
 from dispo6.scenario import ScenarioConfig, run_scenario
 
@@ -99,18 +100,23 @@ def test_each_correspondent_holds_its_own_disposable(monkeypatch):
     assert len(set(held.values())) == len(held)
 
 
-def spam_outcomes(block_at_hour: int | None) -> dict[str, list[CallOutcome]]:
-    """Each caller calls the victim once an hour for six hours; the
-    victim SPIT-blocks the first caller at `block_at_hour`, if given."""
+def hourly_outcomes(attack=None):
+    """Each caller calls the victim once an hour for six hours; at hour 3,
+    before the calls, `attack(sim, victim, fqdn)` targets the first caller,
+    if given. The victim, and what each caller saw."""
     sim, victim, callers = small_world(seed=5, correspondents=4)
     outcomes = {node.fqdn: [] for node in callers}
     for hour in range(6):
-        if hour == block_at_hour:
-            victim.spit_block(callers[0].fqdn)
+        if hour == 3 and attack is not None:
+            attack(sim, victim, callers[0].fqdn)
         for node in callers:
             node.place_call(VICTIM_FQDN, outcomes[node.fqdn].append)
         sim.run_until((hour + 1) * US_PER_HOUR)
-    return outcomes
+    return victim, outcomes
+
+
+def spit_block(sim, victim, fqdn):
+    victim.spit_block(fqdn)
 
 
 def test_a_spit_block_stops_spam_and_no_one_else():
@@ -119,7 +125,7 @@ def test_a_spit_block_stops_spam_and_no_one_else():
 
     Fails on a `spit_block` that does not deny the spammer's re-requests:
     the re-request is then granted a fresh disposable and connects."""
-    plain, blocked = spam_outcomes(None), spam_outcomes(3)
+    (_, plain), (_, blocked) = hourly_outcomes(), hourly_outcomes(spit_block)
     spammer = "corr0.peers.example"
     assert plain[spammer] == [CallOutcome.CONNECTED] * 6
     # the held disposable is blocked at the home agent: the next call
@@ -128,6 +134,34 @@ def test_a_spit_block_stops_spam_and_no_one_else():
         CallOutcome.FAILED] + [CallOutcome.REJECTED_BY_CALLEE] * 2
     del plain[spammer], blocked[spammer]
     assert blocked == plain
+
+
+def flood_the_disposable(sim, victim, fqdn):
+    """100 pkt/s for 60 s at the disposable `fqdn` holds, from one source:
+    a flood segment, which draws nothing from `sim.rng`."""
+    flooder = Flooder(sim, "flooder", Ipv6Address(CORRESPONDENT_PREFIX, 1))
+    flooder.flood_between(sim.now_us, sim.now_us + 60 * US_PER_SECOND,
+                          victim.responder.grants[fqdn], 100.0)
+
+
+def test_blocking_one_address_leaves_the_others_reachable():
+    """"Blocking one address does not affect other addresses. Other
+    correspondents can still reach the mobile host."
+
+    Fails on a `dispose_address` that blocks every ACTIVE address: the
+    other callers' next calls then fail too."""
+    _, plain = hourly_outcomes()
+    victim, flooded = hourly_outcomes(flood_the_disposable)
+    assert victim.counters.alerts == 1
+    target = "corr0.peers.example"
+    # the call in flight connects; the next one finds the disposable
+    # blocked, and its re-request is granted a fresh one
+    assert flooded[target] == [CallOutcome.CONNECTED] * 4 + [
+        CallOutcome.FAILED, CallOutcome.CONNECTED]
+    del plain[target], flooded[target]
+    assert flooded == plain
+    assert all(outcomes == [CallOutcome.CONNECTED] * 6
+               for outcomes in flooded.values())
 
 
 def test_a_new_address_comes_out_of_band_or_by_handshake():

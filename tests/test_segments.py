@@ -414,8 +414,8 @@ def test_a_run_of_no_packets_changes_nothing(make_world, mode, hop, handed,
                      energy=EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH))
     flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
     agent, t, interval = world.agent, 10 * US_PER_SECOND, 10_000
-    emit = Packet(flooder.address, host.prime, Ping(0))
-    pong = Packet(host.prime, flooder.address, Pong(0))
+    emit = Packet(flooder.address, host.prime, Ping())
+    pong = Packet(host.prime, flooder.address, Pong())
     packets = {"emit": emit, "pong": pong,
                "tunneled": agent.on_run(emit, t, interval, 1)}
     for name, tag in (("reverse", host.sa_tag), ("forged", "forged")):
@@ -482,7 +482,7 @@ def test_which_floods_become_segments(make_world, target, per_packet):
                else make_caller(world).address)
     flooder = Flooder(world.sim, "flooder", Ipv6Address(ATTACKER_PREFIX, 0xA))
     # a flood of no packets gets the engine's answer and queues nothing
-    probe = Packet(flooder.address, address, Ping(0))
+    probe = Packet(flooder.address, address, Ping())
     assert world.sim.flood(flooder.node_id, probe, EPOCH, US_PER_SECOND,
                            0) is not per_packet
     flooder.flood_between(EPOCH, SimTime.from_seconds(1), address, 100)
