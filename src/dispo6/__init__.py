@@ -12,23 +12,9 @@ simulator with a scenario CLI.
 
 __version__ = "0.1.0"
 
-from .addressing import AddressState, Ipv6Address, NameService
-from .engine import Packet, SimTime, Simulator
-
 
 class ConfigError(Exception):
     """Scenario configuration failed validation; message lists the problems.
 
     Defined here rather than in `scenario`, so that the CLI can report a
     bad argument without loading the scenario runner."""
-
-
-__all__ = [
-    "AddressState",
-    "ConfigError",
-    "Ipv6Address",
-    "NameService",
-    "Packet",
-    "SimTime",
-    "Simulator",
-]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND, Node, Packet, Simulator, day_hour_us
 from .messages import Ping, record
-from .mobile_host import MobileHost, WindowBlock, WindowUnblock
+from .mobile_host import MobileHost, WindowBlock
 
 
 @dataclass(slots=True)
@@ -138,8 +138,7 @@ SIX_HOUR_SCHEDULE = AttackSchedule(daily_hours=6, start_choices=(8, 14))
 def block_prime_window(sim: Simulator, victim: MobileHost, opens_us: int,
                        closes_us: int) -> None:
     """The victim's policy blocks its prime from `opens_us` until `closes_us`."""
-    sim.call_at(opens_us, victim.node_id, WindowBlock())
-    sim.call_at(closes_us, victim.node_id, WindowUnblock())
+    sim.call_at(opens_us, victim.node_id, WindowBlock(closes_us))
 
 
 def run_scheduled_prime_attack(sim: Simulator, victim: MobileHost,

@@ -191,7 +191,7 @@ class CallerNode(Node):
         call_id = next(self._call_ids)
         self._pending[call_id] = (entry, on_result)
         self._send(self.address, entry.peer_address,
-                   _tuple_new(CallRequest, (self.fqdn, self.address, call_id)))
+                   _tuple_new(CallRequest, (self.address, call_id)))
         self.sim.call_in(CALL_TIMEOUT_S, self.node_id,
                          _tuple_new(CallTimeout, (call_id,)))
 
@@ -252,7 +252,13 @@ class CallerNode(Node):
         self._finish_call(packet.payload.call_id, CallOutcome.REJECTED_BY_CALLEE)
 
     def _on_peer_binding_update(self, packet: Packet) -> None:
-        self._route_cache[packet.payload.home_address] = packet.payload.care_of
+        """Rebind only a home address held in the book: off the path, only
+        the host that granted it and its holder know it. Reachability at the
+        named care-of address goes unchecked (RFC 4225 section 3.2)."""
+        update = packet.payload
+        if any(entry.peer_address == update.home_address
+               for entry in self.book.values()):
+            self._route_cache[update.home_address] = update.care_of
 
     def _on_ping(self, packet: Packet) -> None:
         self._send(self.address, packet.src, Pong())

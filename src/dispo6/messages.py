@@ -121,7 +121,8 @@ class Pong:
 
 @record
 class CallRequest:
-    caller_fqdn: str
+    """A call; the disposable it is addressed to names the caller."""
+
     reply_to: Ipv6Address
     call_id: int
 

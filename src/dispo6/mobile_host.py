@@ -8,12 +8,15 @@ route-optimization mode the care-of address is rotated so an attacker who
 learned it goes dark too. Blocking one address never touches the others.
 
 Who learns a care-of address: the home agent, from every binding update.
-In route-optimization mode, also each peer that holds a still-active
-disposable, at each care-of change (if a call connected between them)
-and when a packet tunneled to that disposable first arrives. The prime
-never announces it, and neither does a disposed address, not even in
-answer to the packet that got it disposed. In bidirectional-tunneling
-mode no peer learns it.
+In route-optimization mode, also the peers of a still-active disposable:
+at each care-of change, the one that last connected a call on it, and
+the source of a packet tunneled to it, unless that source was the last
+told through it. The prime never announces it, and neither does a
+disposed address, not even in answer to the packet that got it disposed.
+In bidirectional-tunneling mode no peer learns it. Each map behind this
+is keyed by a disposable the host holds, so its address table bounds
+them, and a correspondent rebinds only a home address it holds
+(caller.py).
 
 The contact manager (book, calls, address requests) is `CallerNode`'s in
 caller.py; `MobileHost` subclasses it, calls from its prime, and overrides
@@ -36,7 +39,7 @@ from .distribution import (
     RefuseAction,
 )
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, PacketKind
-from .engine import Packet, Simulator
+from .engine import US_PER_SECOND, Packet, Simulator
 from .home_agent import (
     BindingAck,
     BindingUpdate,
@@ -71,8 +74,8 @@ VISITED_PREFIX = 0x20010DB801000000
 VICTIM_FQDN = "alice.home.example"
 # the victim's radio idles this long before power save (energy model on)
 SLEEP_TIMEOUT_S = 10.0
-# seconds a disposed prime stays blocked before it is tried again
-PRIME_REACTIVATE_AFTER_S = 60.0
+# how long a disposed prime stays blocked before it is tried again
+PRIME_REACTIVATE_AFTER_US = 60 * US_PER_SECOND
 # disposables generated at attach time, ready to grant without a round trip
 POOL_SIZE = 4
 
@@ -109,12 +112,10 @@ class PrimeReactivate:
 
 @record
 class WindowBlock:
-    """Scheduled-attack window opening: policy blocks the prime."""
+    """Scheduled-attack window opening: policy blocks the prime until
+    `closes_us`."""
 
-
-@record
-class WindowUnblock:
-    """Scheduled-attack window closing: policy reactivates the prime."""
+    closes_us: int
 
 
 _RECEIVED = (PacketKind.RX, PacketKind.TX_ACK)
@@ -162,10 +163,11 @@ class MobileHost(CallerNode):
         self.sa_tag = ""
         self.responder = DistributionResponder(self, HipGate())
         self._pool: list[Ipv6Address] = []
-        # fqdn -> peer address, kept in RO mode only: care-of rotation
-        # tells these peers
-        self._active_peers: dict[str, Ipv6Address] = {}
-        self._peer_bu_sent: set[Ipv6Address] = set()
+        # RO mode only, each keyed by a disposable of ours: the peer that
+        # last connected a call on it, whom care-of rotation tells, and the
+        # last source told our care-of address through it
+        self._active_peers: dict[Ipv6Address, Ipv6Address] = {}
+        self._peer_bu_sent: dict[Ipv6Address, Ipv6Address] = {}
         self._reactivate_gen = 0
         # _run_reply's last (inner packet, route-cache entry, reply)
         self._last_reply: tuple | None = None
@@ -217,17 +219,11 @@ class MobileHost(CallerNode):
         if self.mode is Mode.ROUTE_OPTIMIZATION:
             # only peers with live sessions learn the new location; one
             # whose disposable was blocked is forgotten, not told
-            for fqdn, peer_addr in list(self._active_peers.items()):
-                hoa = self.responder.grants.get(fqdn)
-                if hoa is None:
-                    continue
+            for hoa, peer_addr in list(self._active_peers.items()):
                 if self.address_states[hoa] is not AddressState.ACTIVE:
-                    del self._active_peers[fqdn]
+                    del self._active_peers[hoa]
                     continue
-                self.counters.peer_binding_updates += 1
-                self._emit(Packet(src=hoa, dst=peer_addr,
-                                  payload=PeerBindingUpdate(home_address=hoa,
-                                                            care_of=self.coa)))
+                self._bind_peer(hoa, peer_addr)
 
     # -- address lifecycle ---------------------------------------------------
 
@@ -239,7 +235,7 @@ class MobileHost(CallerNode):
         Disposing the prime is allowed (it suspends the distribution
         protocol) and counted apart, in `prime_disposals`; with
         `auto_reactivate` the prime comes back after
-        `PRIME_REACTIVATE_AFTER_S`. The care-of address
+        `PRIME_REACTIVATE_AFTER_US`. The care-of address
         stays, because the prime sends no binding update and so never
         reveals it.
         """
@@ -261,9 +257,14 @@ class MobileHost(CallerNode):
         if hoa == self.prime:
             self.counters.prime_disposals += 1
             if auto_reactivate:
-                self._reactivate_gen += 1
-                self.sim.call_in(PRIME_REACTIVATE_AFTER_S, self.node_id,
-                                 PrimeReactivate(self._reactivate_gen))
+                self._reactivate_prime_at(self.sim.now_us
+                                          + PRIME_REACTIVATE_AFTER_US)
+
+    def _reactivate_prime_at(self, fire_us: int) -> None:
+        """Reopen the prime at `fire_us`, voiding any reopening pending."""
+        self._reactivate_gen += 1
+        self.sim.call_at(fire_us, self.node_id,
+                         PrimeReactivate(self._reactivate_gen))
 
     def reactivate_address(self, hoa: Ipv6Address) -> None:
         state = self.address_states.get(hoa)
@@ -280,7 +281,6 @@ class MobileHost(CallerNode):
     def spit_block(self, peer_fqdn: str) -> None:
         """Drop a nuisance caller: block their address, refuse re-requests."""
         self.responder.denied.add(peer_fqdn)
-        self._active_peers.pop(peer_fqdn, None)
         hoa = self.responder.grants.get(peer_fqdn)
         if hoa is not None and self.address_states[hoa] is AddressState.ACTIVE:
             self.dispose_address(hoa)
@@ -313,8 +313,9 @@ class MobileHost(CallerNode):
 
     def _call_connected(self, entry: AddressBookEntry) -> None:
         # the peer learns our next care-of address in RO mode
-        if self.mode is Mode.ROUTE_OPTIMIZATION:
-            self._active_peers[entry.peer_fqdn] = entry.peer_address
+        hoa = self.responder.grants.get(entry.peer_fqdn)
+        if self.mode is Mode.ROUTE_OPTIMIZATION and hoa is not None:
+            self._active_peers[hoa] = entry.peer_address
 
     def _emit(self, packet: Packet) -> None:
         """Charge one transmission, then send unless the battery is (or just
@@ -405,9 +406,12 @@ class MobileHost(CallerNode):
         # answers so: any stranger could learn the location from it, and a
         # move announces no new care-of address for the prime, so peers
         # would keep sending to the stale one.
-        if peer_addr in self._peer_bu_sent:
-            return
-        self._peer_bu_sent.add(peer_addr)
+        if self._peer_bu_sent.get(hoa) != peer_addr:
+            self._peer_bu_sent[hoa] = peer_addr
+            self._bind_peer(hoa, peer_addr)
+
+    def _bind_peer(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
+        """Tell `peer_addr` our care-of address for `hoa`."""
         self.counters.peer_binding_updates += 1
         self._emit(Packet(src=hoa, dst=peer_addr,
                           payload=PeerBindingUpdate(home_address=hoa,
@@ -425,7 +429,7 @@ class MobileHost(CallerNode):
         if self.address_states.get(dst) is AddressState.ACTIVE:
             self.counters.calls_accepted += 1
             if self.mode is Mode.ROUTE_OPTIMIZATION:
-                self._active_peers[request.caller_fqdn] = request.reply_to
+                self._active_peers[dst] = request.reply_to
             self._send(dst, request.reply_to,
                        _tuple_new(CallAccept, (request.call_id,)))
             return
@@ -474,7 +478,7 @@ class MobileHost(CallerNode):
         if state is AddressState.ACTIVE:
             if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
                     and dst != self.address
-                    and inner.src not in self._peer_bu_sent):
+                    and self._peer_bu_sent.get(dst) != inner.src):
                 return 0
             split = self.monitor.first_alert(dst, first_us, interval_us, split)
         return split
@@ -541,22 +545,18 @@ class MobileHost(CallerNode):
             handler(self, token)
 
     def _on_prime_reactivate(self, token: PrimeReactivate) -> None:
-        if (token.generation == self._reactivate_gen
-                and self.address_states.get(self.prime) is AddressState.BLOCKED):
+        if token.generation == self._reactivate_gen:
             self.reactivate_address(self.prime)
 
     def _on_window_block(self, token: WindowBlock) -> None:
-        if self.address_states.get(self.prime) is AddressState.ACTIVE:
-            self.dispose_address(self.prime, auto_reactivate=False)
-
-    def _on_window_unblock(self, token: WindowUnblock) -> None:
-        self.reactivate_address(self.prime)
+        # a prime an alert already blocked stays blocked to the window's end
+        self.dispose_address(self.prime, auto_reactivate=False)
+        self._reactivate_prime_at(token.closes_us)
 
     _timer_handlers = {
         **CallerNode._timer_handlers,
         PrimeReactivate: _on_prime_reactivate,
         WindowBlock: _on_window_block,
-        WindowUnblock: _on_window_unblock,
     }
 
     # -- certificateless pairing ----------------------------------------------

@@ -278,6 +278,22 @@ class TestScheduledPrimeAttack:
         world.sim.run_until(outside.plus_seconds(30))
         assert results[-1].outcome is RequestOutcome.GRANTED
 
+    def test_an_earlier_alert_does_not_cut_the_window_short(self, make_world):
+        """The alert's 60 s reopening falls inside the window, and the
+        window's end, not the alert, reopens the prime."""
+        world = make_world()
+        host = make_host(world)
+        flood(world, host.prime, 50.0, 10.0)
+        block_prime_window(world.sim, host, 30 * US_PER_SECOND,
+                           3600 * US_PER_SECOND)
+        for at_s, state in ((100, AddressState.BLOCKED),
+                            (1800, AddressState.BLOCKED),
+                            (3601, AddressState.ACTIVE)):
+            world.sim.run_until(at_s * US_PER_SECOND)
+            assert host.address_states[host.prime] is state
+            assert world.agent.state_of(host.prime) is state
+        assert host.counters.alerts == 1
+
     def test_windows_are_scheduled_without_simtime(self, make_world,
                                                    monkeypatch):
         world = make_world()

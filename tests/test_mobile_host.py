@@ -695,9 +695,6 @@ class TestRouteOptimizedPeers:
         assert pongs[0].payload.inner == Packet(caller.address, hoa, Pong())
         assert world.agent.counters.intercepted == intercepted
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: a peer binding update is taken from any sender; "
-        "return routability would check it"))
     def test_a_binding_update_from_a_non_owner_changes_no_route(self,
                                                                make_world):
         world = make_world()
@@ -712,9 +709,6 @@ class TestRouteOptimizedPeers:
         world.sim.run()
         assert caller._route_cache == before
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: MobileHost._peer_bu_sent keeps one entry per "
-        "spoofed source until the next care-of rotation"))
     def test_a_spoofed_flood_under_the_threshold_binds_boundedly(self,
                                                                 make_world):
         world = make_world()
@@ -725,8 +719,27 @@ class TestRouteOptimizedPeers:
         flooder.flood_between(0, 2000 * US_PER_SECOND, hoa, 5.0, spoof=True)
         world.sim.run()
         assert host.counters.alerts == 0
-        # the rate times the 420 s a return-routability binding lasts
-        assert len(host._peer_bu_sent) <= 5 * 420 + 64
+        # one entry per disposable, not per spoofed source
+        assert len(host._peer_bu_sent) <= len(host.address_states)
+
+    def test_callers_on_one_leaked_disposable_bind_boundedly(self,
+                                                            make_world):
+        """500 callers hold one leaked disposable and each call it once, 5
+        calls/s, under the detection threshold: every call connects, and
+        the host keeps one peer per disposable, not one per caller."""
+        world = make_world()
+        host = make_host(world, mode=Mode.ROUTE_OPTIMIZATION)
+        hoa = host.grant_out_of_band("leaker.example")
+        outcomes = []
+        for i in range(500):
+            world.sim.run_until(i * US_PER_SECOND // 5)
+            caller = make_caller(world, i)
+            caller.learn_address(host.fqdn, hoa)
+            caller.place_call(host.fqdn, outcomes.append)
+        world.sim.run()
+        assert outcomes == [CallOutcome.CONNECTED] * 500
+        assert len(host._active_peers) <= len(host.address_states)
+        assert len(host._peer_bu_sent) <= len(host.address_states)
 
 
 class TestPairing:

@@ -4,6 +4,7 @@ Each test quotes its sentence of `PAPER.md` and names a mutant of the
 program that it fails on.
 """
 
+import math
 import re
 
 import pytest
@@ -12,6 +13,7 @@ from dispo6 import cli, scenario
 from dispo6.addressing import AddressState, Ipv6Address, NameService
 from dispo6.adversary import Flooder
 from dispo6.caller import CallerNode, CallOutcome
+from dispo6.crypto import CertificateAuthority, Ed25519Scheme
 from dispo6.energy import (
     DEFAULT_PARAMS,
     FLOOD_RATE_PPS,
@@ -22,7 +24,13 @@ from dispo6.energy import (
     lifetime_under,
 )
 from dispo6.engine import US_PER_HOUR, US_PER_SECOND, Simulator
-from dispo6.mobile_host import CORRESPONDENT_PREFIX, VICTIM_FQDN, attached_victim
+from dispo6.mobile_host import (
+    CORRESPONDENT_PREFIX,
+    PRIME_REACTIVATE_AFTER_US,
+    VICTIM_FQDN,
+    attached_victim,
+)
+from dispo6.monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
 from dispo6.scenario import ScenarioConfig, run_scenario
 
 
@@ -196,3 +204,58 @@ def test_a_new_address_comes_out_of_band_or_by_handshake():
         assert fresh != held[node.fqdn]
         assert victim.address_states[fresh] is AddressState.ACTIVE
         assert victim.ha.state_of(fresh) is AddressState.ACTIVE
+
+
+ATTACK_S = 70
+
+
+def certified_caller(sim, names, scheme, ca, i):
+    fqdn = f"node{i}.peers.example"
+    keys = scheme.generate(sim.rng)
+    return CallerNode(sim, f"node-{i}", fqdn,
+                      Ipv6Address(CORRESPONDENT_PREFIX, i + 2), names,
+                      scheme=scheme, keys=keys,
+                      certificate=ca.issue(fqdn, keys.public), ca=ca,
+                      require_signed_response=True)
+
+
+@pytest.mark.parametrize("bots", [20, 200])
+def test_a_request_flood_on_the_prime_costs_a_bounded_cpu(bots):
+    """"This model is especially useful against ... CPU exhausting
+    distributed DoS attacks."
+
+    `bots` certified bots that solve every challenge each send the prime
+    one address request a second for 70 s. The responder, which checks a
+    signature on each request, runs a detection window's worth of them
+    per reopening of the prime, however many bots there are; and a
+    disposable's holder still connects.
+
+    Fails on a `_handle_inner` that does not observe the prime's traffic:
+    the responder then runs once per request, 70 times per bot."""
+    sim = Simulator(8)
+    names = NameService()
+    scheme = Ed25519Scheme()
+    ca = CertificateAuthority(scheme, sim.rng)
+    victim = attached_victim(sim, names, False, scheme=scheme, ca=ca,
+                             pki_required=True)
+    handled = []
+    handle_request = victim.responder.handle_request
+    victim.responder.handle_request = lambda request, now_us: (
+        handled.append(now_us) or handle_request(request, now_us))
+    holder = certified_caller(sim, names, scheme, ca, 0)
+    holder.learn_address(VICTIM_FQDN, victim.grant_out_of_band(holder.fqdn))
+    farm = [certified_caller(sim, names, scheme, ca, i + 1)
+            for i in range(bots)]
+    outcomes = []
+    for second in range(ATTACK_S):
+        sim.run_until(second * US_PER_SECOND)
+        for bot in farm:
+            bot.request_address(VICTIM_FQDN, lambda result: None)
+        if second == ATTACK_S // 2:
+            holder.place_call(VICTIM_FQDN, outcomes.append)
+    sim.run()
+    cycles = math.ceil(ATTACK_S * US_PER_SECOND / PRIME_REACTIVATE_AFTER_US)
+    per_cycle = DETECTION_THRESHOLD_PPS * DETECTION_WINDOW_S + 1
+    assert len(handled) <= cycles * per_cycle + 4
+    assert victim.counters.prime_disposals == cycles
+    assert outcomes == [CallOutcome.CONNECTED]

@@ -272,6 +272,14 @@ def test_block_and_reactivate_the_flooded_disposable(make_world, mode):
     assert counters["flooder"]["replies_received"] > 4000
 
 
+def bind_the_flooder(world, host, hoa, flooder, care_of):
+    """The flooder sends `host` a binding update for its own address, which
+    the host holds: a host rebinds only a home address in its book."""
+    host.learn_address("flooder.example", flooder.address)
+    world.sim.send(Packet(flooder.address, hoa, PeerBindingUpdate(
+        home_address=flooder.address, care_of=care_of)))
+
+
 def test_a_binding_update_for_the_flood_source(make_world):
     """A binding update naming the flood's source address moves where the
     host's pongs go: to the care-of address it names, here one nobody
@@ -280,9 +288,8 @@ def test_a_binding_update_for_the_flood_source(make_world):
     twin.flood(0.0, 30.0, 100)
     twin.check(5.005)
     nowhere = Ipv6Address(ATTACKER_PREFIX, 0xB)
-    twin.each(lambda _, world, host, caller, hoa, flooder: world.sim.send(
-        Packet(flooder.address, hoa, PeerBindingUpdate(
-            home_address=flooder.address, care_of=nowhere))))
+    twin.each(lambda _, world, host, caller, hoa, flooder: bind_the_flooder(
+        world, host, hoa, flooder, nowhere))
     for t in (5.06, 5.1, 10.0):
         twin.check(t)
     counters = twin.check()
@@ -298,9 +305,8 @@ def test_a_binding_update_that_points_the_pongs_at_a_caller(make_world, mode):
     twin = Twin(make_world, mode=mode)
     twin.flood(0.0, 30.0, 100)
     twin.check(5.005)
-    twin.each(lambda _, world, host, caller, hoa, flooder: world.sim.send(
-        Packet(flooder.address, hoa, PeerBindingUpdate(
-            home_address=flooder.address, care_of=caller.address))))
+    twin.each(lambda _, world, host, caller, hoa, flooder: bind_the_flooder(
+        world, host, hoa, flooder, caller.address))
     for t in (5.06, 5.1, 10.0):
         twin.check(t)
     counters = twin.check()
