@@ -190,8 +190,8 @@ class CallerNode(Node):
                     on_result: Callable[[CallOutcome], None]) -> None:
         call_id = next(self._call_ids)
         self._pending[call_id] = (entry, on_result)
-        self._send(self.address, entry.peer_address,
-                   _tuple_new(CallRequest, (self.address, call_id)))
+        src = self._calls_from(entry) or self.address
+        self._send(src, entry.peer_address, _tuple_new(CallRequest, (src, call_id)))
         self.sim.call_in(CALL_TIMEOUT_S, self.node_id,
                          _tuple_new(CallTimeout, (call_id,)))
 
@@ -207,6 +207,9 @@ class CallerNode(Node):
             # the next attempt re-runs the handshake
             entry.peer_known_blocked = True
         on_result(outcome)
+
+    def _calls_from(self, entry: AddressBookEntry) -> Ipv6Address | None:
+        """Where to call `entry`'s peer from, if not from `address`."""
 
     def _call_connected(self, entry: AddressBookEntry) -> None:
         """A call to `entry`'s peer was accepted."""

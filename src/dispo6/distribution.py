@@ -217,22 +217,8 @@ class HipGate:
         return True
 
 
-@record
-class GrantAction:
-    response: AddressResponse
-
-
-@record
-class ChallengeAction:
-    challenge: HipChallengeMsg
-
-
-@record
-class RefuseAction:
-    refusal: Refusal
-
-
-ResponderAction = GrantAction | ChallengeAction | RefuseAction | None
+# perfbench/tracing.py counts grants as the replies of this type
+GrantAction = AddressResponse
 
 
 class DistributionResponder:
@@ -256,7 +242,9 @@ class DistributionResponder:
         self.refusals = 0
         self.granted_total = 0
 
-    def handle_request(self, request: AddressRequest, now_us: int) -> ResponderAction:
+    def handle_request(self, request: AddressRequest, now_us: int
+                       ) -> AddressResponse | HipChallengeMsg | Refusal | None:
+        """The reply to send back to `request.reply_to`, or None to drop it."""
         owner, fqdn = self.owner, request.requester_fqdn
         signed = request.signed_bytes()
         # a host that wants signed answers also wants signed requests
@@ -270,21 +258,21 @@ class DistributionResponder:
         hip.observe(fqdn, now_us)
         if hip.challenge_required(fqdn) and (
                 request.hip_answer is None or not hip.verify(request.hip_answer, now_us)):
-            return ChallengeAction(hip.issue(fqdn, now_us, request.request_id))
+            return hip.issue(fqdn, now_us, request.request_id)
         # Every gate passed: only now does the user see anything.
         self.notifications += 1
         hoa = self.grant_for(fqdn)
         if hoa is None:
             self.refusals += 1
-            return RefuseAction(Refusal(request_id=request.request_id,
-                                        reason="permission denied"))
+            return Refusal(request_id=request.request_id,
+                           reason="permission denied")
         digest = hashlib.sha256(signed).digest()
         signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
             signature = owner.scheme.sign(owner.keys, _response_bytes(hoa, digest))
             certificate = owner.certificate
-        return _tuple_new(GrantAction, (_tuple_new(AddressResponse, (
-            hoa, digest, request.request_id, signature, certificate)),))
+        return _tuple_new(AddressResponse, (
+            hoa, digest, request.request_id, signature, certificate))
 
     def grant_for(self, peer_fqdn: str) -> Ipv6Address | None:
         """Every grant: None for a denied peer, else the same address back
@@ -319,9 +307,8 @@ class SessionTimer:
     """Timer token owned by an InitiatorSession; `gen` guards staleness."""
 
     request_id: int
-    kind: str  # "deadline" or "solve"
     gen: int
-    challenge: HipChallengeMsg | None = None
+    challenge: HipChallengeMsg | None = None  # the solve timer's; else the deadline
 
 
 class InitiatorSession:
@@ -362,22 +349,21 @@ class InitiatorSession:
 
     def start(self) -> None:
         self.owner._send_request(self, self._base_request)
-        self._arm("deadline")
+        self._arm()
 
-    def _arm(self, kind: str, delay_s: float | None = None,
+    def _arm(self, delay_s: float = REQUEST_TIMEOUT_S,
              challenge: HipChallengeMsg | None = None) -> None:
         self._gen += 1
         owner = self.owner
-        owner.sim.call_in(REQUEST_TIMEOUT_S if delay_s is None else delay_s,
-                          owner.node_id,
-                          _tuple_new(SessionTimer, (self.request_id, kind,
+        owner.sim.call_in(delay_s, owner.node_id,
+                          _tuple_new(SessionTimer, (self.request_id,
                                                     self._gen, challenge)))
 
     def on_message(self, payload: object) -> None:
         if isinstance(payload, HipChallengeMsg):
             if not self.owner.solve_hip:
                 return  # bot: let the deadline expire
-            self._arm("solve", delay_s=payload.difficulty_s, challenge=payload)
+            self._arm(payload.difficulty_s, payload)
             return
         if isinstance(payload, Refusal):
             self.owner._finish_request(self, _tuple_new(
@@ -389,13 +375,13 @@ class InitiatorSession:
     def on_timer(self, token: SessionTimer) -> None:
         if token.gen != self._gen:
             return
-        if token.kind == "solve":
-            challenge = token.challenge
+        challenge = token.challenge
+        if challenge is not None:
             answer = HipAnswer(challenge_id=challenge.challenge_id,
                                answer=HipGate.solution(challenge.challenge_id))
             self.owner._send_request(
                 self, self._base_request._replace(hip_answer=answer))
-            self._arm("deadline")
+            self._arm()
             return
         self.owner._finish_request(self, _tuple_new(
             RequestResult, (RequestOutcome.TIMEOUT, None, None)))

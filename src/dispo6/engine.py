@@ -20,10 +20,11 @@ to `Simulator.flood` instead of queueing a timer per packet. Packet k
 reaches its h-th hop at ``first_us + k*interval_us + h*latency``; the
 segment keeps, per hop, the pieces ``[k_lo, k_hi, node_id, packet]`` of
 identical packets on their way there, and no per-packet list. The segment
-is integrated lazily: before the clock moves past an instant, and before
-`run_until` returns, each hop takes every packet that reached it in one
-call of its ``on_run(packet, first_us, interval_us, count)``, which charges
-the packets in closed form and returns the packet it forwards for each of
+is integrated lazily, in one place: before the event loop pops each
+event, and before `run_until` returns, each hop takes every packet that
+reached it before the next queued event in one call of its
+``on_run(packet, first_us, interval_us, count)``, which charges the
+packets in closed form and returns the packet it forwards for each of
 them, or None. A run of no packets (``count`` 0) changes nothing and
 returns what each packet of a run would be forwarded as. The traffic
 counters move by ``count`` at once, so they balance at every instant. Hop
@@ -203,7 +204,8 @@ class _Segment:
 
     legs[h] holds, in order of k, the pieces [k_lo, k_hi, node_id, packet]
     on their way to their h-th hop; leg 0 is the source's own emission.
-    next_us is the earliest instant at which one of them arrives.
+    next_us is the earliest instant at which one of them arrives; after a
+    split it is the split's instant, until the next `_advance` finds it.
     """
 
     __slots__ = ("first_us", "interval_us", "legs", "next_us")
@@ -352,33 +354,28 @@ class Simulator:
         pop = heapq.heappop
         processed, splits = 0, self._splits
         while True:
-            while queue and queue[0][0] < stop:
-                us, seq, target, is_timer, payload = pop(queue)
-                if us != self.now_us:
-                    if self._floods and self._flow(us):
-                        heapq.heappush(queue, (us, seq, target, is_timer,
-                                               payload))
-                        continue
-                    self.now_us = us
-                processed += 1
-                node = nodes.get(target)
-                if node is None:
-                    continue
-                if is_timer:
-                    node.on_timer(payload)
-                    continue
-                counters.in_flight -= 1
-                counters.delivered += 1
-                node.on_packet(payload)
-            if not self._floods or not self._flow(stop):
+            if self._floods:
+                self._flow(stop)
+            if not queue or queue[0][0] >= stop:
                 return processed + self._splits - splits
+            us, _, target, is_timer, payload = pop(queue)
+            self.now_us = us
+            processed += 1
+            node = nodes.get(target)
+            if node is None:
+                continue
+            if is_timer:
+                node.on_timer(payload)
+                continue
+            counters.in_flight -= 1
+            counters.delivered += 1
+            node.on_packet(payload)
 
     # -- flood segments ------------------------------------------------------
 
-    def _flow(self, stop: int) -> bool:
-        """Deliver the segment packets that arrive before `stop`, none before
-        a queued event. True when a split packet queued an event before
-        `stop`, which must run first."""
+    def _flow(self, stop: int) -> None:
+        """Deliver the segment packets due before `stop` and before the next
+        queued event, read again after each split, which may queue one."""
         queue, floods = self._queue, self._floods
         while True:
             limit = queue[0][0] if queue and queue[0][0] < stop else stop
@@ -400,7 +397,6 @@ class Simulator:
         if self._spent:
             self._spent = False
             floods[:] = [s for s in floods if s.next_us != FOREVER]
-        return bool(queue) and queue[0][0] < stop
 
     def _plan(self, limit: int):
         """The next step: deliver what arrives before `until`, then `split`
@@ -533,8 +529,8 @@ class Simulator:
                 if k_stop and base + (k_stop - 1) * interval > last:
                     last = base + (k_stop - 1) * interval
                 # nothing reaches this leg again before the next step (a
-                # second walk in `_next_arrival` took `flood_drain` wall_s
-                # to 0.1505 s from 0.1483 s)
+                # second walk over the legs took `flood_drain` wall_s to
+                # 0.1505 s from 0.1483 s)
                 if leg and base + leg[0][0] * interval < next_us:
                     next_us = base + leg[0][0] * interval
         segment.next_us = next_us
@@ -598,18 +594,7 @@ class Simulator:
         piece[0] += 1
         if piece[0] == piece[1]:
             leg.popleft()
-        self._next_arrival(segment)
+        segment.next_us = us
         self.now_us = us
         self._splits += 1
         return piece
-
-    def _next_arrival(self, segment: _Segment) -> None:
-        interval, latency = segment.interval_us, self._latency_us
-        best = FOREVER
-        for h, leg in enumerate(segment.legs):
-            if leg:
-                best = min(best, segment.first_us + leg[0][0] * interval
-                           + h * latency)
-        segment.next_us = best
-        if best == FOREVER:
-            self._spent = True

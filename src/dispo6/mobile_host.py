@@ -19,8 +19,9 @@ them, and a correspondent rebinds only a home address it holds
 (caller.py).
 
 The contact manager (book, calls, address requests) is `CallerNode`'s in
-caller.py; `MobileHost` subclasses it, calls from its prime, and overrides
-only the send step (battery charge, reverse tunnel) and its bookkeeping.
+caller.py; `MobileHost` subclasses it and overrides only the send step
+(battery charge, reverse tunnel), its bookkeeping, and the address it
+calls a peer from: its active grant to that peer, else the prime.
 """
 
 from dataclasses import dataclass
@@ -30,14 +31,7 @@ from typing import TYPE_CHECKING, Callable
 from .addressing import AddressState, Ipv6Address, NameService, random_iid
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
-from .distribution import (
-    AddressRequest,
-    ChallengeAction,
-    DistributionResponder,
-    GrantAction,
-    HipGate,
-    RefuseAction,
-)
+from .distribution import AddressRequest, DistributionResponder, HipGate
 from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, PacketKind
 from .engine import US_PER_SECOND, Packet, Simulator
 from .home_agent import (
@@ -311,6 +305,12 @@ class MobileHost(CallerNode):
         self.counters.calls_placed += 1
         super().place_call(peer_fqdn, on_result)
 
+    def _calls_from(self, entry: AddressBookEntry) -> Ipv6Address | None:
+        # the peer answers there, and it stays open while the prime is blocked
+        hoa = self.responder.grants.get(entry.peer_fqdn)
+        if self.address_states.get(hoa) is AddressState.ACTIVE:
+            return hoa
+
     def _call_connected(self, entry: AddressBookEntry) -> None:
         # the peer learns our next care-of address in RO mode
         hoa = self.responder.grants.get(entry.peer_fqdn)
@@ -439,13 +439,9 @@ class MobileHost(CallerNode):
         dst, request = inner.dst, inner.payload
         if dst != self.address:
             return
-        action = self.responder.handle_request(request, self.sim.now_us)
-        if isinstance(action, GrantAction):
-            self._send(dst, request.reply_to, action.response)
-        elif isinstance(action, ChallengeAction):
-            self._send(dst, request.reply_to, action.challenge)
-        elif isinstance(action, RefuseAction):
-            self._send(dst, request.reply_to, action.refusal)
+        reply = self.responder.handle_request(request, self.sim.now_us)
+        if reply is not None:
+            self._send(dst, request.reply_to, reply)
 
     _inner_handlers = {
         **CallerNode._packet_handlers,

@@ -2,24 +2,25 @@ import hashlib
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from dispo6 import distribution
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.crypto import CertificateAuthority, Ed25519Scheme
 from dispo6.distribution import (
     AddressRequest,
     AddressResponse,
-    ChallengeAction,
     DistributionResponder,
-    GrantAction,
     HIP_TTL_S,
     HIP_WINDOW_S,
     HipAnswer,
+    HipChallengeMsg,
     HipGate,
     MAX_HIP_DIFFICULTY_S,
-    RefuseAction,
+    Refusal,
     RequestOutcome,
 )
-from dispo6.engine import SimTime
+from dispo6.engine import US_PER_DAY, Packet, SimTime
 from dispo6.caller import CallerNode, CallOutcome
 from test_mobile_host import call_once, make_caller, make_host
 
@@ -82,62 +83,62 @@ def count_encodes(monkeypatch) -> list[bytes]:
 class TestResponderGates:
     def test_default_policy_grants(self):
         responder, states, _ = make_responder()
-        action = responder.handle_request(request(), SimTime(0))
-        assert isinstance(action, GrantAction)
-        assert states[action.response.granted] is AddressState.ACTIVE
+        reply = responder.handle_request(request(), SimTime(0))
+        assert isinstance(reply, AddressResponse)
+        assert states[reply.granted] is AddressState.ACTIVE
 
     def test_repeat_request_returns_same_address(self):
         responder, _, _ = make_responder()
         first = responder.handle_request(request(request_id=1), SimTime(0))
         second = responder.handle_request(request(request_id=2), SimTime(1_000_000))
-        assert first.response.granted == second.response.granted
+        assert first.granted == second.granted
 
     def test_distinct_identities_distinct_addresses(self):
         responder, _, _ = make_responder()
         granted = set()
         for i in range(20):
-            action = responder.handle_request(
+            reply = responder.handle_request(
                 request(fqdn=f"peer{i}.example", request_id=i), SimTime(i))
-            granted.add(action.response.granted)
+            granted.add(reply.granted)
         assert len(granted) == 20
 
     def test_blocked_grant_replaced_on_rerequest(self):
         responder, states, _ = make_responder()
         first = responder.handle_request(request(request_id=1), SimTime(0))
-        states[first.response.granted] = AddressState.BLOCKED
+        states[first.granted] = AddressState.BLOCKED
         second = responder.handle_request(request(request_id=2), SimTime(1))
-        assert second.response.granted != first.response.granted
+        assert second.granted != first.granted
 
     def test_denied_identity_refused(self):
         responder, _, _ = make_responder()
         responder.denied.add("alice.example")
-        action = responder.handle_request(request(), SimTime(0))
-        assert isinstance(action, RefuseAction)
+        reply = responder.handle_request(request(), SimTime(0))
+        assert isinstance(reply, Refusal)
         assert responder.notifications == 1  # the user said no; they were asked
 
     def test_unsigned_request_in_pki_mode_never_reaches_policy(self):
         responder, _, _ = make_responder(pki=True)
-        action = responder.handle_request(request(), SimTime(0))
-        assert action is None
+        reply = responder.handle_request(request(), SimTime(0))
+        assert reply is None
         assert responder.notifications == 0
         assert responder.dropped_bad_signature == 1
 
     def test_signed_request_in_pki_mode_grants(self):
         responder, _, signer = make_responder(pki=True)
-        action = responder.handle_request(request(signer=signer), SimTime(0))
-        assert isinstance(action, GrantAction)
-        assert action.response.signature != b""
+        reply = responder.handle_request(request(signer=signer), SimTime(0))
+        assert isinstance(reply, AddressResponse)
+        assert reply.signature != b""
 
     def test_grant_encodes_the_signed_request_once(self, monkeypatch):
         responder, _, signer = make_responder(pki=True)
         req = request(signer=signer)
         digest = hashlib.sha256(req.signed_bytes()).digest()
         encoded = count_encodes(monkeypatch)
-        action = responder.handle_request(req, 0)
-        assert isinstance(action, GrantAction)
+        reply = responder.handle_request(req, 0)
+        assert isinstance(reply, AddressResponse)
         # one for the certificate check and the digest, one for the answer
         assert encoded == [b"hoa-request", b"hoa-response"]
-        assert action.response.request_digest == digest
+        assert reply.request_digest == digest
 
     def test_tampered_signature_dropped(self):
         responder, _, signer = make_responder(pki=True)
@@ -310,13 +311,13 @@ class TestGateOrdering:
         for i in range(10):
             now = SimTime.from_seconds(i * 6)
             before = responder.notifications
-            action = responder.handle_request(
+            reply = responder.handle_request(
                 request(request_id=i), now)
             gated = gate.challenge_required("alice.example")
             if gated and responder.notifications > before:
                 notified_without_pass += 1
             if gated:
-                assert isinstance(action, ChallengeAction)
+                assert isinstance(reply, HipChallengeMsg)
         assert notified_without_pass == 0
         assert responder.notifications == 3  # only the pre-gate requests
 
@@ -324,14 +325,14 @@ class TestGateOrdering:
         responder, _, _ = make_responder()
         for i in range(3):
             responder.handle_request(request(request_id=i), SimTime(i))
-        action = responder.handle_request(request(request_id=3), SimTime(3))
-        assert isinstance(action, ChallengeAction)
+        reply = responder.handle_request(request(request_id=3), SimTime(3))
+        assert isinstance(reply, HipChallengeMsg)
         notifications_before = responder.notifications
-        answer = HipAnswer(action.challenge.challenge_id,
-                           HipGate.solution(action.challenge.challenge_id))
+        answer = HipAnswer(reply.challenge_id,
+                           HipGate.solution(reply.challenge_id))
         granted = responder.handle_request(
             request(request_id=3, hip_answer=answer), SimTime.from_seconds(2))
-        assert isinstance(granted, GrantAction)
+        assert isinstance(granted, AddressResponse)
         assert responder.notifications == notifications_before + 1
 
 
@@ -501,3 +502,47 @@ class TestEngineHandshake:
         assert host.responder.hip.passes == 2
         assert host.responder.dropped_bad_signature == 0
         assert len(signatures) == 10
+
+
+FORGED_REASON = (
+    "ROADMAP item 16: challenges and refusals are unsigned, so the "
+    "requester takes them from any source that guesses the request id")
+
+
+class TestForgedReplies:
+    """A requester takes a challenge or a refusal only from the host it
+    asked. The simulator lets a node name any source, so each forgery
+    names the prime itself; request ids count up from 1."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=FORGED_REASON)
+    def test_a_forged_refusal_does_not_end_the_call(self, make_world):
+        world = make_world(pki=True)
+        host = make_host(world)
+        caller = make_caller(world)
+        outcomes = []
+        caller.place_call(host.fqdn, outcomes.append)
+        world.sim.send(Packet(src=host.prime, dst=caller.address,
+                              payload=Refusal(request_id=1,
+                                              reason="permission denied")))
+        world.sim.run()
+        assert outcomes == [CallOutcome.CONNECTED]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=FORGED_REASON)
+    def test_a_forged_challenge_does_not_outlive_the_deadline(self,
+                                                              make_world):
+        world = make_world(pki=True)
+        host = make_host(world)
+        caller = make_caller(world)
+        host.dispose_address(host.prime, auto_reactivate=False)
+        world.sim.run()
+        outcomes = []
+        caller.place_call(host.fqdn, outcomes.append)
+        world.sim.send(Packet(src=host.prime, dst=caller.address,
+                              payload=HipChallengeMsg(challenge_id=1,
+                                                      difficulty_s=1e9,
+                                                      request_id=1)))
+        world.sim.run_until(world.sim.now_us + 30 * US_PER_DAY)
+        assert outcomes == [CallOutcome.REJECTED_PRIME_BLOCKED]
+        assert caller._sessions == {}

@@ -14,8 +14,14 @@ import yaml
 
 from dispo6 import cli
 from dispo6.addressing import Ipv6Address, NameService
-from dispo6.adversary import Flooder, _interval_us
-from dispo6.caller import CallerNode
+from dispo6.adversary import (
+    AttackSchedule,
+    Flooder,
+    _interval_us,
+    run_scheduled_prime_attack,
+)
+from dispo6.caller import CallerNode, StartCall
+from dispo6.crypto import CertificateAuthority, Ed25519Scheme
 from dispo6.energy import (
     DEFAULT_PARAMS,
     Battery,
@@ -23,9 +29,15 @@ from dispo6.energy import (
     drain_rate,
     flood_profile,
 )
-from dispo6.engine import EPOCH, SimTime, Simulator
+from dispo6.engine import EPOCH, SimTime, Simulator, day_hour_us
 from dispo6.home_agent import HomeAgent
-from dispo6.mobile_host import MobileHost, Mode
+from dispo6.mobile_host import (
+    CORRESPONDENT_PREFIX,
+    VICTIM_FQDN,
+    MobileHost,
+    Mode,
+    attached_victim,
+)
 from dispo6.scenario import RejectionMode, fig3_config
 
 from conftest import HOME_PREFIX, PEER_PREFIX, VISITED_PREFIX
@@ -191,3 +203,60 @@ def test_flood_counters_and_ledger_are_pinned(case):
     # floats serialise through repr, so the digest pins every bit
     blob = json.dumps(summary, sort_keys=True).encode()
     assert sha256(blob) == FLOOD_DIGESTS[case], summary
+
+
+# the call outcomes and counters of `prime_attack_summary`: 222 alerts on
+# the prime, 15 of the 20 calls connected. An event loop that dispatches a
+# popped event although a split queued an earlier one gives 94d975747443...
+# (the block requests then reach the home agent late, and 10 connect)
+PRIME_ATTACK_DIGEST = (
+    "0b5b10a52d1dd8ea8695f785342abfd4349140639e0aa8087c1453a266531d79")
+
+
+def prime_attack_summary(seed: int) -> dict:
+    """One day of a 20 pkt/s flood on the prime of a route-optimizing
+    victim, 12:00-16:00, and 10 certified callers that each call at a drawn
+    time of day and again inside the window. Each alert splits the flood
+    segment, and the block request it sends must reach the home agent
+    before any later event runs."""
+    sim = Simulator(seed)
+    names = NameService()
+    scheme = Ed25519Scheme()
+    ca = CertificateAuthority(scheme, sim.rng)
+    victim = attached_victim(sim, names, False, mode=Mode.ROUTE_OPTIMIZATION,
+                             scheme=scheme, ca=ca, pki_required=True)
+    flooder = Flooder(sim, "flooder", Ipv6Address(0x20010DB8BEEF0000, 0xA))
+    run_scheduled_prime_attack(sim, victim, AttackSchedule(4, (12,)), 1,
+                               flooder, 20.0)
+    outcomes: dict[str, list[str]] = {}
+
+    def place_call(node: CallerNode, token: StartCall) -> None:
+        node.place_call(token.target_fqdn,
+                        lambda outcome: outcomes[node.fqdn].append(outcome.value))
+
+    for i in range(10):
+        fqdn = f"corr{i}.peers.example"
+        keys = scheme.generate(sim.rng)
+        node = CallerNode(sim, f"corr-{i}", fqdn,
+                          Ipv6Address(CORRESPONDENT_PREFIX, i + 2), names,
+                          scheme=scheme, keys=keys,
+                          certificate=ca.issue(fqdn, keys.public), ca=ca,
+                          require_signed_response=True)
+        node.on_start_call = place_call
+        outcomes[fqdn] = []
+        for k, hour in enumerate((sim.rng.uniform(8.0, 20.0),
+                                  sim.rng.uniform(12.0, 16.0))):
+            sim.call_at(day_hour_us(0, hour), node.node_id,
+                        StartCall(VICTIM_FQDN, 0, k, False))
+    processed = sim.run()
+    return {"processed": processed, "outcomes": outcomes,
+            "engine": dataclasses.asdict(sim.counters),
+            "home_agent": dataclasses.asdict(victim.ha.counters),
+            "victim": dataclasses.asdict(victim.counters),
+            "challenges": victim.responder.hip.challenges_issued}
+
+
+def test_prime_attack_outcomes_and_counters_are_pinned():
+    summary = prime_attack_summary(seed=5)
+    blob = json.dumps(summary, sort_keys=True).encode()
+    assert sha256(blob) == PRIME_ATTACK_DIGEST, summary

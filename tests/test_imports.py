@@ -561,7 +561,7 @@ def test_every_frameless_build_is_a_whole_unchecked_record():
              for call in frameless_builds(source, exempt.get(name, ()))}
     assert {"Packet", "Encapsulated", "ReverseTunneled", "CallRequest",
             "CallAccept", "CallTimeout", "StartCall",
-            "CallRecord", "ManagementMessage", "SessionTimer", "GrantAction",
+            "CallRecord", "ManagementMessage", "SessionTimer",
             "RequestResult", "AddressRequest", "AddressResponse"} <= built
 
 

@@ -15,6 +15,7 @@ from dispo6.home_agent import Encapsulated, ManagementKind, ManagementMessage
 from dispo6.messages import (
     PRIME_REJECT_REASON,
     CallReject,
+    CallRequest,
     PeerBindingUpdate,
     Ping,
     Pong,
@@ -770,3 +771,29 @@ class TestPairing:
         assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
         assert call_once(world, b, a.fqdn) is CallOutcome.CONNECTED
         assert handled == []
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_host_calls_a_peer_from_the_disposable_it_granted(self,
+                                                                make_world,
+                                                                mode):
+        """The callee answers a call where the caller asks, so a host that
+        called from its prime could reach no one while the prime is
+        blocked. It calls a peer from the disposable it granted that peer
+        while that is active, and from the prime otherwise."""
+        world = make_world(pki=True)
+        a = make_host(world, node_id="a", fqdn="alice.home.example", mode=mode)
+        b = make_host(world, node_id="b", fqdn="bob.home.example", mode=mode)
+        assert a.pair_with(b).confirmed
+        granted = a.responder.grants[b.fqdn]
+        a.dispose_address(a.prime, auto_reactivate=False)
+        world.sim.run()
+        deliveries = record_deliveries(world.sim)
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert call_once(world, b, a.fqdn) is CallOutcome.CONNECTED
+        a.reactivate_address(a.prime)
+        a.dispose_address(granted)
+        world.sim.run()
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        requests = addressed_to(deliveries, b.node_id, CallRequest)
+        assert [getattr(packet.payload, "inner", packet).payload.reply_to
+                for packet in requests] == [granted, a.prime]

@@ -24,10 +24,15 @@ from dispo6.energy import (
     lifetime_under,
 )
 from dispo6.engine import US_PER_HOUR, US_PER_SECOND, Simulator
+from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import (
     CORRESPONDENT_PREFIX,
+    HOME_PREFIX,
     PRIME_REACTIVATE_AFTER_US,
     VICTIM_FQDN,
+    VISITED_PREFIX,
+    MobileHost,
+    Mode,
     attached_victim,
 )
 from dispo6.monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
@@ -204,6 +209,43 @@ def test_a_new_address_comes_out_of_band_or_by_handshake():
         assert fresh != held[node.fqdn]
         assert victim.address_states[fresh] is AddressState.ACTIVE
         assert victim.ha.state_of(fresh) is AddressState.ACTIVE
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_side_channel_connects_hosts_whose_primes_are_blocked(mode):
+    """"A new home address can also be requested via e-mail, instant
+    messaging, or directly from the target host ..."
+
+    Two mobile hosts whose primes are both blocked pair in person
+    (`pair_with`), a side channel that needs no prime: they then call
+    each other both ways, and neither runs the handshake.
+
+    Fails on a `pair_with` that has each host learn the other's prime:
+    every call then lands on a blocked prime."""
+    sim = Simulator(9)
+    names = NameService()
+    scheme = Ed25519Scheme()
+    ca = CertificateAuthority(scheme, sim.rng)
+    agent = HomeAgent(sim, "home-agent", HOME_PREFIX)
+    handled = []
+    a, b = hosts = [MobileHost(sim, name, f"{name}.home.example", names,
+                               mode=mode, scheme=scheme, ca=ca,
+                               pki_required=True)
+                    for name in ("alice", "bob")]
+    for host in hosts:
+        host.attach(agent, VISITED_PREFIX)
+        host.responder.handle_request = handled.append
+        host.dispose_address(host.prime, auto_reactivate=False)
+    sim.run()
+    assert all(agent.state_of(host.prime) is AddressState.BLOCKED
+               for host in hosts)
+    assert a.pair_with(b).confirmed
+    outcomes = []
+    a.place_call(b.fqdn, outcomes.append)
+    b.place_call(a.fqdn, outcomes.append)
+    sim.run()
+    assert outcomes == [CallOutcome.CONNECTED] * 2
+    assert handled == []
 
 
 ATTACK_S = 70

@@ -326,8 +326,8 @@ PER_EVENT_RECORDS = (
     messages.CallRequest, messages.CallAccept, caller.CallTimeout,
     caller.StartCall, scenario.CallRecord,
     home_agent.ManagementMessage, distribution.SessionTimer,
-    distribution.GrantAction, distribution.RequestResult,
-    distribution.AddressRequest, distribution.AddressResponse)
+    distribution.RequestResult, distribution.AddressRequest,
+    distribution.AddressResponse)
 
 
 def test_a_pki_run_builds_per_event_records_with_no_class_call(monkeypatch):
