@@ -141,8 +141,10 @@ class CallerNode(Node):
                         on_done: Callable[[RequestResult], None]) -> None:
         target_prime = self.name_service.resolve(target_fqdn)
         request_id = next(self._request_ids)
-        session = InitiatorSession(self, target_fqdn, target_prime, request_id,
-                                   on_done)
+        # the grant comes back where the request says, as a call's answer does
+        reply_to = self._calls_from(target_fqdn) or self.address
+        session = InitiatorSession(self, target_fqdn, target_prime, reply_to,
+                                   request_id, on_done)
         self._sessions[request_id] = session
         session.start()
 
@@ -150,7 +152,7 @@ class CallerNode(Node):
                       request: AddressRequest) -> None:
         # always to the prime itself, which its home agent tunnels on:
         # a care-of address announced for the prime may be stale
-        self._emit(_tuple_new(Packet, (self.address, session.target_prime,
+        self._emit(_tuple_new(Packet, (request.reply_to, session.target_prime,
                                        request)))
 
     def _finish_request(self, session: InitiatorSession,
@@ -190,7 +192,7 @@ class CallerNode(Node):
                     on_result: Callable[[CallOutcome], None]) -> None:
         call_id = next(self._call_ids)
         self._pending[call_id] = (entry, on_result)
-        src = self._calls_from(entry) or self.address
+        src = self._calls_from(entry.peer_fqdn) or self.address
         self._send(src, entry.peer_address, _tuple_new(CallRequest, (src, call_id)))
         self.sim.call_in(CALL_TIMEOUT_S, self.node_id,
                          _tuple_new(CallTimeout, (call_id,)))
@@ -208,8 +210,8 @@ class CallerNode(Node):
             entry.peer_known_blocked = True
         on_result(outcome)
 
-    def _calls_from(self, entry: AddressBookEntry) -> Ipv6Address | None:
-        """Where to call `entry`'s peer from, if not from `address`."""
+    def _calls_from(self, peer_fqdn: str) -> Ipv6Address | None:
+        """Where to call and ask the peer from, if not from `address`."""
 
     def _call_connected(self, entry: AddressBookEntry) -> None:
         """A call to `entry`'s peer was accepted."""

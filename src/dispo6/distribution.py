@@ -22,7 +22,6 @@ of which address each peer holds, and its deny list (fed by
 import hashlib
 import itertools
 import math
-from collections import deque
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
@@ -30,6 +29,7 @@ from .addressing import AddressState, Ipv6Address
 from .crypto import Certificate, encode_fields
 from .engine import US_PER_SECOND
 from .messages import _tuple_new, record
+from .monitor import IntrusionMonitor
 
 if TYPE_CHECKING:
     from .caller import CallerNode
@@ -123,18 +123,17 @@ class HipGate:
     a challenge, so a source gone quiet works its way back down (the
     adaptive puzzles of Juels & Brainard and of Aura et al.).
 
-    Request histories are kept in the order their sources were last
-    observed, and a source whose newest request has left the window is
-    forgotten: its next request would have trimmed the history to nothing
-    anyway, so no challenge changes. `observe` runs at the simulator's
-    clock, which never goes back, so the stale histories are at the front.
-    Violations are kept in the order their sources were last challenged,
-    and a source whose difficulty has halved below the base is forgotten
-    from the front the same way: its next challenge starts at the base.
+    `requests`, an `IntrusionMonitor` like the host's flood watch, counts
+    each source's requests over `HIP_WINDOW_S`; its `observe` says whether
+    a request needs a challenge. Violations are kept in the order their
+    sources were last challenged, and a source whose difficulty has halved
+    below the base is forgotten from the front: its next challenge starts
+    at the base.
     """
 
     def __init__(self):
-        self._history: dict[str, deque[int]] = {}
+        self.requests = IntrusionMonitor(HIP_RATE_THRESHOLD / HIP_WINDOW_S,
+                                         HIP_WINDOW_S)
         # source -> (last fixed window it violated in, current difficulty)
         self._violations: dict[str, tuple[int, float]] = {}
         self._outstanding: dict[int, int] = {}  # challenge id -> issued_us
@@ -147,26 +146,6 @@ class HipGate:
     def solution(challenge_id: int) -> bytes:
         """The puzzle is abstract: producing this costs human seconds, checking is free."""
         return hashlib.sha256(b"hip:" + challenge_id.to_bytes(8, "big")).digest()[:8]
-
-    def observe(self, source: str, now_us: int) -> None:
-        cutoff = now_us - _HIP_WINDOW_US
-        history = self._history
-        events = history.pop(source, None)
-        if events is None:
-            events = deque()
-        history[source] = events  # moved to the end as the latest observed
-        events.append(now_us)
-        while events[0] < cutoff:
-            events.popleft()
-        while True:  # ends at the latest, `source` itself
-            oldest, old = next(iter(history.items()))
-            if old[-1] >= cutoff:
-                break
-            del history[oldest]
-
-    def challenge_required(self, source: str) -> bool:
-        events = self._history.get(source)
-        return bool(events) and len(events) > HIP_RATE_THRESHOLD
 
     def issue(self, source: str, now_us: int, request_id: int) -> HipChallengeMsg:
         # challenges are issued in time order, so a window other than the
@@ -255,8 +234,7 @@ class DistributionResponder:
             self.dropped_bad_signature += 1
             return None
         hip = self.hip
-        hip.observe(fqdn, now_us)
-        if hip.challenge_required(fqdn) and (
+        if hip.requests.observe(fqdn, now_us) and (
                 request.hip_answer is None or not hip.verify(request.hip_answer, now_us)):
             return hip.issue(fqdn, now_us, request.request_id)
         # Every gate passed: only now does the user see anything.
@@ -314,36 +292,37 @@ class SessionTimer:
 class InitiatorSession:
     """Caller-side handshake state machine, advanced by engine events.
 
-    Everything about the requester (identity, address, keys, certificate,
-    CA, response policy, whether it solves HIP puzzles) is read from the
-    owning node, which also sends its requests (`_send_request`) and takes
-    its result (`_finish_request`) before `on_done` sees it. The owner
-    forwards matching packets via on_message() and timer tokens via
-    on_timer(), and forgets the session when it finishes, so a finished
-    session gets neither. A HIP challenge is answered after its
-    difficulty in simulated seconds (the human at the keyboard), unless
-    the owner's solve_hip is off, which models a bot that cannot solve
-    puzzles. The answer rides on the request already signed: the
-    signature does not cover it.
+    Everything about the requester (identity, keys, certificate, CA,
+    response policy, whether it solves HIP puzzles) is read from the
+    owning node but `reply_to`, the address it is answered at, which the
+    owner picks per peer. The owner also sends its requests
+    (`_send_request`) and takes its result (`_finish_request`) before
+    `on_done` sees it. It forwards matching packets via on_message() and
+    timer tokens via on_timer(), and forgets the session when it
+    finishes, so a finished session gets neither. A HIP challenge is
+    answered after its difficulty in simulated seconds (the human at the
+    keyboard), unless the owner's solve_hip is off, which models a bot
+    that cannot solve puzzles. The answer rides on the request already
+    signed: the signature does not cover it.
     """
 
     def __init__(self, owner: "CallerNode", target_fqdn: str,
-                 target_prime: Ipv6Address, request_id: int,
-                 on_done: Callable[[RequestResult], None]):
+                 target_prime: Ipv6Address, reply_to: Ipv6Address,
+                 request_id: int, on_done: Callable[[RequestResult], None]):
         self.owner = owner
         self.target_fqdn = target_fqdn
         self.target_prime = target_prime
         self.request_id = request_id
         self.on_done = on_done
         self._gen = 0
-        fqdn, address = owner.fqdn, owner.address
-        signed = _request_bytes(fqdn, address, request_id)
+        fqdn = owner.fqdn
+        signed = _request_bytes(fqdn, reply_to, request_id)
         signature, certificate = b"", None
         if owner.scheme is not None and owner.keys is not None:
             signature = owner.scheme.sign(owner.keys, signed)
             certificate = owner.certificate
         self._base_request = _tuple_new(AddressRequest, (
-            fqdn, address, request_id, signature, certificate, None))
+            fqdn, reply_to, request_id, signature, certificate, None))
         # the signed bytes leave the HIP answer out, so re-sends share it
         self._request_digest = hashlib.sha256(signed).digest()
 

@@ -128,10 +128,6 @@ class LoadProfile:
     packets_per_second: float = 0.0
 
 
-def idle_profile() -> LoadProfile:
-    return LoadProfile()
-
-
 def flood_profile(rate_pps: float) -> LoadProfile:
     return LoadProfile(packets_per_second=rate_pps)
 

@@ -21,7 +21,8 @@ them, and a correspondent rebinds only a home address it holds
 The contact manager (book, calls, address requests) is `CallerNode`'s in
 caller.py; `MobileHost` subclasses it and overrides only the send step
 (battery charge, reverse tunnel), its bookkeeping, and the address it
-calls a peer from: its active grant to that peer, else the prime.
+calls and asks a peer from: its grant to that peer, made at first contact
+if there is none, while that is active, else the prime.
 """
 
 from dataclasses import dataclass
@@ -305,9 +306,12 @@ class MobileHost(CallerNode):
         self.counters.calls_placed += 1
         super().place_call(peer_fqdn, on_result)
 
-    def _calls_from(self, entry: AddressBookEntry) -> Ipv6Address | None:
-        # the peer answers there, and it stays open while the prime is blocked
-        hoa = self.responder.grants.get(entry.peer_fqdn)
+    def _calls_from(self, peer_fqdn: str) -> Ipv6Address | None:
+        # the peer answers there, and it stays open while the prime is
+        # blocked; a peer with no grant yet gets one, a denied peer none
+        hoa = self.responder.grants.get(peer_fqdn)
+        if hoa is None:
+            return self.responder.grant_for(peer_fqdn)
         if self.address_states.get(hoa) is AddressState.ACTIVE:
             return hoa
 

@@ -1,14 +1,17 @@
-"""Intrusion detection: a per-address packet rate over a sliding window.
+"""Intrusion detection: a per-key event rate over a sliding window.
 
 The mobile host feeds it every packet that reaches one of its active home
 addresses; an alert makes the host dispose of the address. A flood
 segment's packets (engine.py) are observed as one run, and `first_alert`
 finds, in closed form, the packet of a run that would raise the alert.
+The HIP gate (distribution.py) counts each identity's requests over
+`HIP_WINDOW_S` with one.
 """
 
 import functools
 import math
 from collections import deque
+from collections.abc import Hashable
 
 from .addressing import Ipv6Address
 from .engine import US_PER_SECOND
@@ -16,7 +19,6 @@ from .engine import US_PER_SECOND
 # a host's flood detection: more than 10 packets/s over 10 s on an address
 DETECTION_THRESHOLD_PPS = 10.0
 DETECTION_WINDOW_S = 10.0
-_DETECTION_WINDOW_US = round(DETECTION_WINDOW_S * US_PER_SECOND)
 
 
 class _Window(deque):
@@ -66,47 +68,51 @@ class _Window(deque):
 
 
 class IntrusionMonitor:
-    """Per-address packets-per-second over one window, `DETECTION_WINDOW_S`,
+    """Per-key events per second over a sliding window of `window_s`,
     strict threshold.
 
-    A burst of exactly threshold_pps*DETECTION_WINDOW_S packets stays
-    quiet; one more raises an alert. Hosts watch with
-    `DETECTION_THRESHOLD_PPS` unless their owner sets another threshold. A
+    A burst of exactly threshold_pps*window_s events stays quiet; one
+    more raises an alert. Hosts watch each home address's packets with
+    `DETECTION_THRESHOLD_PPS` unless their owner sets another threshold;
+    the HIP gate watches each identity's requests over `HIP_WINDOW_S`. A
     flood segment's packets are observed as one run.
 
-    Windows are kept in the order their addresses were last observed. A
+    Windows are kept in the order their keys were last observed. A
     window whose newest observation has left the window is forgotten
-    when the next packet is observed: the next observation of its address
+    when the next event is observed: the next observation of its key
     would have trimmed it to nothing anyway. Only `observe` forgets,
     because it runs at the simulator's clock, which no later observation
     precedes; a run is observed when its segment is charged, possibly
     ahead of other runs with earlier packets.
     """
 
-    def __init__(self, threshold_pps: float):
+    def __init__(self, threshold_pps: float,
+                 window_s: float = DETECTION_WINDOW_S):
         self.threshold_pps = threshold_pps
-        self._windows: dict[Ipv6Address, _Window] = {}
+        self.window_s = window_s
+        self._window_us = round(window_s * US_PER_SECOND)
+        self._windows: dict[Hashable, _Window] = {}
 
     @functools.cached_property
     def _alert_count(self) -> float:
         """The fewest observations in a window that raise an alert: the
-        least count with count / DETECTION_WINDOW_S > threshold_pps."""
-        if not math.isfinite(self.threshold_pps * DETECTION_WINDOW_S):
+        least count with count / window_s > threshold_pps."""
+        if not math.isfinite(self.threshold_pps * self.window_s):
             return math.inf
-        count = max(0, math.floor(self.threshold_pps * DETECTION_WINDOW_S) - 1)
-        while count / DETECTION_WINDOW_S <= self.threshold_pps:
+        count = max(0, math.floor(self.threshold_pps * self.window_s) - 1)
+        while count / self.window_s <= self.threshold_pps:
             count += 1
         return count
 
-    def observe(self, hoa: Ipv6Address, now_us: int) -> bool:
-        """Whether this packet raises the alert on `hoa`."""
-        window = self._latest(hoa)
+    def observe(self, key: Hashable, now_us: int) -> bool:
+        """Whether this event raises the alert on `key`."""
+        window = self._latest(key)
         window.append((now_us, 1, 1))
         window.total += 1
-        cutoff = now_us - _DETECTION_WINDOW_US
+        cutoff = now_us - self._window_us
         window.trim(cutoff)
         windows = self._windows
-        while True:  # ends at the latest, `hoa` itself
+        while True:  # ends at the latest, `key` itself
             oldest, old = next(iter(windows.items()))
             if old is window or old.newest() >= cutoff:
                 break
@@ -119,16 +125,16 @@ class IntrusionMonitor:
         window = self._latest(hoa)
         window.append([first_us, interval_us, count])
         window.total += count
-        window.trim(first_us + (count - 1) * interval_us - _DETECTION_WINDOW_US)
+        window.trim(first_us + (count - 1) * interval_us - self._window_us)
 
-    def _latest(self, hoa: Ipv6Address) -> _Window:
-        """`hoa`'s window, moved to the end as the latest observed."""
+    def _latest(self, key: Hashable) -> _Window:
+        """`key`'s window, moved to the end as the latest observed."""
         windows = self._windows
-        window = windows.pop(hoa, None)
+        window = windows.pop(key, None)
         if window is None:
             window = _Window()
             window.total = 0
-        windows[hoa] = window
+        windows[key] = window
         return window
 
     def first_alert(self, hoa: Ipv6Address, first_us: int, interval_us: int,
@@ -149,10 +155,10 @@ class IntrusionMonitor:
             # the window and the whole run together stay quiet (without
             # this exit `flood_drain` wall_s was 0.1530 s, not 0.1488 s)
             return count
-        span = _DETECTION_WINDOW_US // interval_us
+        span = self._window_us // interval_us
         j = 0
         while j < count and j <= span:
-            old = window.since(first_us + j * interval_us - _DETECTION_WINDOW_US) if window else 0
+            old = window.since(first_us + j * interval_us - self._window_us) if window else 0
             if old + j + 1 >= needed:
                 return j
             j = max(j + 1, needed - 1 - old)

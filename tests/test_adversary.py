@@ -17,7 +17,6 @@ from dispo6.energy import (
     EnergyAccount,
     drain_rate,
     flood_profile,
-    idle_profile,
     lifetime_under,
 )
 from dispo6.engine import EPOCH, US_PER_SECOND, SimTime, day_hour_us

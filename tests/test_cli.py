@@ -15,8 +15,8 @@ from dispo6 import cli
 from dispo6.energy import (
     DEFAULT_PARAMS,
     Battery,
+    LoadProfile,
     flood_profile,
-    idle_profile,
     lifetime_under,
 )
 from dispo6.scenario import ScenarioConfig, fig3_config
@@ -56,7 +56,7 @@ class TestFig3:
 
 class TestDrain:
     @pytest.mark.parametrize("profile, load", [
-        ("idle", idle_profile()), ("flood", flood_profile(100.0))])
+        ("idle", LoadProfile()), ("flood", flood_profile(100.0))])
     def test_series_ends_dead_at_closed_form_lifetime(self, profile, load,
                                                       tmp_path):
         # the ledger's series, a row a minute; an idle radio is awake for

@@ -156,17 +156,13 @@ class TestHipGate:
     def test_slow_rate_unchallenged(self):
         gate = HipGate()
         for hour in range(6):
-            now = SimTime.at(0, hour)
-            gate.observe("alice", now)
-            assert not gate.challenge_required("alice")
+            assert not gate.requests.observe("alice", SimTime.at(0, hour))
 
     def test_rate_gate_trips_on_fourth_in_window(self):
         gate = HipGate()
         for i in range(3):
-            gate.observe("alice", SimTime.from_seconds(i))
-            assert not gate.challenge_required("alice")
-        gate.observe("alice", SimTime.from_seconds(3))
-        assert gate.challenge_required("alice")
+            assert not gate.requests.observe("alice", SimTime.from_seconds(i))
+        assert gate.requests.observe("alice", SimTime.from_seconds(3))
 
     def test_difficulty_doubles_per_violation_window(self):
         gate = HipGate()
@@ -175,8 +171,7 @@ class TestHipGate:
             base = window * 600.0
             for i in range(10):
                 now = SimTime.from_seconds(base + i * 6)
-                gate.observe("alice", now)
-                if gate.challenge_required("alice"):
+                if gate.requests.observe("alice", now):
                     challenge = gate.issue("alice", now, request_id=i)
             difficulties.append(challenge.difficulty_s)
         assert difficulties == [5.0, 10.0, 20.0]
@@ -196,10 +191,9 @@ class TestHipGate:
         gate = HipGate()
         for minute in range(8 * 24 * 60):
             now = SimTime.from_seconds(60 * minute)
-            gate.observe("bot", now)
-            if gate.challenge_required("bot"):
+            if gate.requests.observe("bot", now):
                 challenge = gate.issue("bot", now, request_id=minute)
-            assert len(gate._history["bot"]) <= 11
+            assert gate.requests._windows["bot"].total <= 11
             assert len(gate._violations) <= 1
         assert challenge.difficulty_s == MAX_HIP_DIFFICULTY_S
         assert gate._violations["bot"] == (
@@ -213,10 +207,10 @@ class TestHipGate:
         for i in range(100_000):
             now = SimTime(i * 100_000)
             if i % 1000 == 0:
-                gate.observe("regular", now)
-            gate.observe(f"id{i}", now)
-            assert len(gate._history) <= per_window + 1
-        assert len(gate._history) == per_window + 1
+                gate.requests.observe("regular", now)
+            gate.requests.observe(f"id{i}", now)
+            assert len(gate.requests._windows) <= per_window + 1
+        assert len(gate.requests._windows) == per_window + 1
 
     def test_violations_forget_sources_gone_quiet(self):
         # 10^5 identities, one a second, each breaking the rate once; ten
@@ -225,8 +219,8 @@ class TestHipGate:
         for i in range(100_000):
             source, now_us = f"id{i}", i * 1_000_000
             for _ in range(4):
-                gate.observe(source, now_us)
-            if gate.challenge_required(source):
+                required = gate.requests.observe(source, now_us)
+            if required:
                 gate.issue(source, now_us, request_id=i)
         assert len(gate._violations) <= 6_000
 
@@ -241,10 +235,9 @@ class TestHipGate:
             mean_gap_s = rng.choice((10.0, 100.0, 1000.0))
             now_us += round(rng.expovariate(1 / mean_gap_s) * 1e6)
             source = f"s{rng.randrange(4)}"
-            gate.observe(source, SimTime(now_us))
             seen.setdefault(source, []).append(now_us)
             recent = sum(t >= now_us - 600_000_000 for t in seen[source])
-            assert gate.challenge_required(source) == (recent > 3)
+            assert gate.requests.observe(source, SimTime(now_us)) == (recent > 3)
 
     def test_forgetting_changes_no_difficulty(self):
         # against a reference that keeps every source's last window and
@@ -313,7 +306,7 @@ class TestGateOrdering:
             before = responder.notifications
             reply = responder.handle_request(
                 request(request_id=i), now)
-            gated = gate.challenge_required("alice.example")
+            gated = gate.requests._windows["alice.example"].total > 3
             if gated and responder.notifications > before:
                 notified_without_pass += 1
             if gated:

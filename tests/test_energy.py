@@ -5,11 +5,11 @@ from dispo6.energy import (
     Battery,
     EnergyAccount,
     EnergyParams,
+    LoadProfile,
     PacketKind,
     RadioState,
     drain_rate,
     flood_profile,
-    idle_profile,
     lifetime_under,
 )
 from dispo6.engine import EPOCH, US_PER_SECOND, SimTime
@@ -24,7 +24,7 @@ def account(capacity=1.0, params=DEFAULT_PARAMS, timeout=T):
 class TestCalibration:
     def test_two_point_targets_hit(self):
         battery = Battery()
-        idle_h = lifetime_under(DEFAULT_PARAMS, battery, idle_profile())
+        idle_h = lifetime_under(DEFAULT_PARAMS, battery, LoadProfile())
         flood_h = lifetime_under(DEFAULT_PARAMS, battery, flood_profile(100.0))
         assert 0.9 <= idle_h / 24.0 <= 1.1
         assert 3.5 <= flood_h <= 4.0
@@ -50,7 +50,7 @@ class TestCalibration:
         assert lifetimes == sorted(lifetimes, reverse=True)
 
     def test_an_idle_account_lives_the_calibrated_day(self):
-        hours = lifetime_under(DEFAULT_PARAMS, Battery(), idle_profile())
+        hours = lifetime_under(DEFAULT_PARAMS, Battery(), LoadProfile())
         assert hours == pytest.approx(24.0)
         acct = account()
         acct.advance(SimTime.from_seconds(2 * 86_400))

@@ -148,9 +148,6 @@ TEST_ONLY_API = (
     "Simulator.pending",
     # the rejection oracle, for a planned observed-against-expected report
     "expected_daily_rejections",
-    # the idle load whose closed form the ledger's calibrated day and the
-    # battery claim's defended slope are checked against
-    "idle_profile",
 )
 
 

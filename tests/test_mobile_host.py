@@ -8,7 +8,8 @@ import pytest
 from dispo6.addressing import AddressState, Ipv6Address
 from dispo6.adversary import Flooder
 from dispo6.caller import CallerNode, CallOutcome
-from dispo6.distribution import AddressRequest, RequestOutcome
+from dispo6.distribution import (HIP_RATE_THRESHOLD, HIP_WINDOW_S,
+                                 AddressRequest, RequestOutcome)
 from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime
 from dispo6.home_agent import Encapsulated, ManagementKind, ManagementMessage
@@ -25,6 +26,12 @@ from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
 from dispo6.monitor import DETECTION_WINDOW_S, IntrusionMonitor
 from conftest import (ATTACKER_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
                       home_addresses, record_deliveries)
+
+
+# the package's two monitors as (threshold, window_s): a host's watch on
+# its addresses' packets and the HIP gate's count of each identity's requests
+FLOOD_WATCH = (10.0, DETECTION_WINDOW_S)
+HIP_REQUESTS = (HIP_RATE_THRESHOLD / HIP_WINDOW_S, HIP_WINDOW_S)
 
 
 def make_host(world, node_id="host", fqdn="alice.home.example",
@@ -100,15 +107,27 @@ class TestIntrusionMonitor:
             seen.append(alert)
         assert seen[0] is False and seen[-1] is True
 
-    @pytest.mark.parametrize("before,count", [(95, 5), (95, 6), (0, 101),
-                                              (50, 50), (50, 51), (30, 200)])
-    def test_first_alert_is_the_packet_observe_alerts_on(self, before, count):
-        """The closed form finds the packet of a 100 pkt/s run that
-        `observe` alerts on when fed the packets one at a time, also when
-        the window and the whole run just reach the alert count."""
-        hoa, interval_us = Ipv6Address(1, 1), 10_000
-        closed, stepped = (IntrusionMonitor(threshold_pps=10.0)
-                           for _ in range(2))
+    @pytest.mark.parametrize("watch,interval_s,before,count", [
+        *(pytest.param(FLOOD_WATCH, 0.01, before, count, id=f"{before}-{count}")
+          for before, count in [(95, 5), (95, 6), (0, 101), (50, 50),
+                                (50, 51), (30, 200)]),
+        # the 4th request alerts: one short of it and just there, on the
+        # window's edge, and spaced so that the window never holds four
+        *(pytest.param(HIP_REQUESTS, interval_s, before, count,
+                       id=f"hip-{interval_s}s-{before}-{count}")
+          for interval_s, before, count in [(60, 2, 1), (60, 2, 2),
+                                            (200, 0, 4), (250, 0, 10),
+                                            (300, 3, 5)]),
+    ])
+    def test_first_alert_is_the_packet_observe_alerts_on(self, watch,
+                                                         interval_s, before,
+                                                         count):
+        """The closed form finds the packet of a run that `observe` alerts
+        on when fed the packets one at a time, also when the window and
+        the whole run just reach the alert count, for each of the
+        package's monitors: a host's at 100 pkt/s and the HIP gate's."""
+        hoa, interval_us = Ipv6Address(1, 1), round(interval_s * US_PER_SECOND)
+        closed, stepped = (IntrusionMonitor(*watch) for _ in range(2))
         for monitor in (closed, stepped):
             for k in range(before):
                 monitor.observe(hoa, k * interval_us)
@@ -121,53 +140,59 @@ class TestIntrusionMonitor:
     def test_closed_form_against_a_recount(self):
         """`since` and `first_alert` against a recount of every instant
         observed, over random windows of single instants and runs, with
-        cutoffs inside runs (a run that straddles the cutoff) among them."""
+        cutoffs inside runs (a run that straddles the cutoff) among them,
+        for each of the package's monitors; the HIP gate's sees the same
+        shapes stretched to its window."""
         rng = random.Random(5)
-        hoa, window_us = Ipv6Address(1, 1), 10_000_000
-        straddled = alerted = 0
-        for _ in range(2_000):
-            monitor = IntrusionMonitor(threshold_pps=10.0)
-            seen, runs, now_us = [], [], 0
-            for _ in range(rng.randint(1, 12)):
-                now_us += rng.randrange(3_000_000)
-                if rng.random() < 0.4:
-                    monitor.observe(hoa, now_us)
-                    seen.append(now_us)
-                    continue
-                interval_us = rng.randrange(1, 400_000)
-                count = rng.randint(1, 60)
-                monitor.observe_run(hoa, now_us, interval_us, count)
-                runs.append((now_us, now_us + (count - 1) * interval_us))
-                seen.extend(now_us + k * interval_us for k in range(count))
-                now_us = seen[-1]
-            window = monitor._windows[hoa]
+        hoa = Ipv6Address(1, 1)
+        for threshold, window_s in (FLOOD_WATCH, HIP_REQUESTS):
+            scale = round(window_s / DETECTION_WINDOW_S)
+            window_us = round(window_s * US_PER_SECOND)
+            straddled = alerted = 0
+            for _ in range(2_000):
+                monitor = IntrusionMonitor(threshold, window_s)
+                seen, runs, now_us = [], [], 0
+                for _ in range(rng.randint(1, 12)):
+                    now_us += rng.randrange(3_000_000) * scale
+                    if rng.random() < 0.4:
+                        monitor.observe(hoa, now_us)
+                        seen.append(now_us)
+                        continue
+                    interval_us = rng.randrange(1, 400_000) * scale
+                    count = rng.randint(1, 60)
+                    monitor.observe_run(hoa, now_us, interval_us, count)
+                    runs.append((now_us, now_us + (count - 1) * interval_us))
+                    seen.extend(now_us + k * interval_us for k in range(count))
+                    now_us = seen[-1]
+                window = monitor._windows[hoa]
 
-            def recount(cutoff_us):
-                return len(seen) - bisect.bisect_left(seen, cutoff_us)
+                def recount(cutoff_us):
+                    return len(seen) - bisect.bisect_left(seen, cutoff_us)
 
-            assert window.total == recount(now_us - window_us)
-            cutoffs = [rng.randint(now_us - window_us, now_us + 1)
-                       for _ in range(4)]
-            cutoffs += [rng.randint(max(first, now_us - window_us) + 1, last)
-                        for first, last in runs
-                        if max(first, now_us - window_us) < last]
-            for cutoff_us in cutoffs:
-                assert window.since(cutoff_us) == recount(cutoff_us)
-                straddled += any(first < cutoff_us <= last
-                                 for first, last in runs)
-            first_us = now_us + rng.randrange(1, 2_000_000)
-            interval_us = rng.randrange(1, 200_000)
-            count = rng.randint(1, 300)
-            run = [first_us + k * interval_us for k in range(count)]
-            expected = next(
-                (j for j, at_us in enumerate(run)
-                 if recount(at_us - window_us) + j + 1
-                 - bisect.bisect_left(run, at_us - window_us) > 100),
-                count)
-            alerted += expected < count
-            assert monitor.first_alert(hoa, first_us, interval_us,
-                                       count) == expected
-        assert straddled > 1_000 and alerted > 100
+                assert window.total == recount(now_us - window_us)
+                cutoffs = [rng.randint(now_us - window_us, now_us + 1)
+                           for _ in range(4)]
+                cutoffs += [rng.randint(max(first, now_us - window_us) + 1, last)
+                            for first, last in runs
+                            if max(first, now_us - window_us) < last]
+                for cutoff_us in cutoffs:
+                    assert window.since(cutoff_us) == recount(cutoff_us)
+                    straddled += any(first < cutoff_us <= last
+                                     for first, last in runs)
+                first_us = now_us + rng.randrange(1, 2_000_000) * scale
+                interval_us = rng.randrange(1, 200_000) * scale
+                count = rng.randint(1, 300)
+                run = [first_us + k * interval_us for k in range(count)]
+                expected = next(
+                    (j for j, at_us in enumerate(run)
+                     if (recount(at_us - window_us) + j + 1
+                         - bisect.bisect_left(run, at_us - window_us))
+                     / window_s > threshold),
+                    count)
+                alerted += expected < count
+                assert monitor.first_alert(hoa, first_us, interval_us,
+                                           count) == expected
+            assert straddled > 1_000 and alerted > 100
 
 
 class TestMobility:
@@ -797,3 +822,17 @@ class TestPairing:
         requests = addressed_to(deliveries, b.node_id, CallRequest)
         assert [getattr(packet.payload, "inner", packet).payload.reply_to
                 for packet in requests] == [granted, a.prime]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_first_contact_connects_while_the_prime_is_blocked(
+            self, make_world, mode):
+        """A host asks a peer it has not granted an address for one from a
+        disposable it grants that peer then, so the answer reaches it
+        while the prime is blocked."""
+        world = make_world(pki=True)
+        a = make_host(world, node_id="a", fqdn="alice.home.example", mode=mode)
+        b = make_host(world, node_id="b", fqdn="bob.home.example", mode=mode)
+        a.dispose_address(a.prime, auto_reactivate=False)
+        world.sim.run()
+        assert call_once(world, a, b.fqdn) is CallOutcome.CONNECTED
+        assert b.responder.granted_total == 1

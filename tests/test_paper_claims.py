@@ -18,9 +18,9 @@ from dispo6.energy import (
     DEFAULT_PARAMS,
     FLOOD_RATE_PPS,
     Battery,
+    LoadProfile,
     drain_rate,
     flood_profile,
-    idle_profile,
     lifetime_under,
 )
 from dispo6.engine import US_PER_HOUR, US_PER_SECOND, Simulator
@@ -84,7 +84,7 @@ def test_battery_exhaustion_is_defeated(tmp_path, capsys):
         ["power_save"] * (len(defended) - 2) + ["dead"])
     (t0, q0, _), (t1, q1, _) = defended[1], defended[-2]
     assert (q0 - q1) / (t1 - t0) == pytest.approx(
-        drain_rate(DEFAULT_PARAMS, idle_profile()), rel=1e-6)
+        drain_rate(DEFAULT_PARAMS, LoadProfile()), rel=1e-6)
 
 
 def test_each_correspondent_holds_its_own_disposable(monkeypatch):

@@ -24,7 +24,6 @@ from dispo6.energy import EnergyAccount
 from dispo6.engine import Simulator
 from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
-from dispo6.monitor import _DETECTION_WINDOW_US, IntrusionMonitor
 from dispo6.scenario import (
     ConfigError,
     InvariantError,
@@ -496,21 +495,22 @@ def test_monitor_forgets_addresses_gone_quiet(monkeypatch):
     """After a 2000-correspondent fig3 run the victim's monitor holds only
     addresses that saw a packet within the last window, not one per
     disposable ever used."""
-    monitors = []
-    original = IntrusionMonitor.__init__
+    victims = []
+    original = scenario.attached_victim
 
-    def capture(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        monitors.append(self)
+    def capture(*args, **kwargs):
+        victims.append(original(*args, **kwargs))
+        return victims[-1]
 
-    monkeypatch.setattr(IntrusionMonitor, "__init__", capture)
+    monkeypatch.setattr(scenario, "attached_victim", capture)
     config = dataclasses.replace(fig3_config("4h"), seed=1,
                                  correspondents=2000, pki_enabled=False)
     result = run_scenario(config)
     assert result.metrics.total_calls > 5000
-    [monitor] = monitors
+    [victim] = victims
+    monitor = victim.monitor
     windows = monitor._windows
     last = max(window.newest() for window in windows.values())
-    assert all(window.newest() >= last - _DETECTION_WINDOW_US
+    assert all(window.newest() >= last - monitor._window_us
                for window in windows.values())
     assert len(windows) < 10
