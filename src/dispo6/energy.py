@@ -4,10 +4,11 @@ The radio is Active until `sleep_timeout_s` passes with no traffic, then
 drops to power-save. Instead of scheduling sleep/wake events, the account
 integrates idle drain lazily between charges, splitting each interval at
 the exact sleep-entry instant. That keeps occupancy and drain bit-exact and
-deterministic regardless of event granularity. A flood segment's packets
-are charged the same way, a run at a time (`charge_run`): the packets'
-costs, and the idle draw of the gaps between them, split at the sleep
-boundary like any other gap.
+deterministic regardless of event granularity. A flood segment's pings
+are charged the same way, a run at a time (`charge_run`): each ping costs
+its receipt and link ACK, and its pong too when the ping is answered, and
+the idle draw of the gaps between them is split at the sleep boundary like
+any other gap.
 
 Costs are abstract energy units. The calibration ties the unit scale to
 two measured endpoints: about a day of lifetime when idle, and a few
@@ -108,9 +109,6 @@ DEFAULT_PARAMS = EnergyParams.calibrate()
 #: instant of death does not hang on the order the ledger's sums were added.
 IDLE_US_TOL = 1e-6
 
-#: Entries `EnergyAccount`'s run-constant memo holds before it starts over.
-RUN_MEMO_SIZE = 8
-
 #: Relative slack of the ledger balance. The sums are floats, and a battery
 #: that dies inside an idle span hands over its last budget bits with it.
 LEDGER_REL_TOL = 1e-9
@@ -164,20 +162,15 @@ class EnergyAccount:
     capacity − remaining always equals the sum of per-packet costs and the
     integrated state power, by construction.
 
-    `_runs` memoizes what `safe_run` and `charge_run` derive from a run's
-    interval and packet kinds alone: the packets' cost, that cost plus one
-    interval's idle draw, and the interval's active and power-save split.
-    The key is the interval and the kinds tuple's identity. A hit returns
-    what the same float expressions would compute again, so every ledger
-    bit is the same. The memo is cleared once it holds `RUN_MEMO_SIZE`
-    entries: a host's runs use one of two kinds tuples at its floods'
-    intervals. Without it `flood_drain` wall_s was 0.1548 s, not 0.1488 s.
+    A run of pings (`safe_run`, `charge_run`) is charged by whether its
+    pings are answered: each costs RX and TX_ACK, plus TX_REPLY when it
+    is, summed in the order `on_packet` charges them one at a time.
     """
 
     __slots__ = ("battery", "params", "consumed_packets", "consumed_active",
                  "consumed_powersave", "recharged", "active_us",
                  "powersave_us", "packets", "dead", "dead_at",
-                 "last_activity", "_sleep_us", "_last_us", "_runs")
+                 "last_activity", "_sleep_us", "_last_us", "_ping_costs")
 
     def __init__(self, battery: Battery, params: EnergyParams,
                  sleep_timeout_s: float, started_at: int):
@@ -197,8 +190,9 @@ class EnergyAccount:
         self.last_activity = started_at
         self._sleep_us = round(sleep_timeout_s * US_PER_SECOND)
         self._last_us = started_at  # idle drain is integrated up to here
-        # (interval_us, id(kinds)) -> (params, sleep us, kinds, constants)
-        self._runs: dict = {}
+        # a ping's cost, unanswered and answered
+        received = params.e_rx + params.e_ack
+        self._ping_costs = (received, received + params.e_tx)
 
     @property
     def remaining(self) -> float:
@@ -309,36 +303,25 @@ class EnergyAccount:
             return False
         return True
 
-    def _run_constants(self, interval_us: int, kinds: tuple[PacketKind, ...]
-                       ) -> tuple[float, float, tuple[int, int]]:
-        """The cost of one packet's `kinds`, of one packet and the idle gap
-        after it, and that gap's active and power-save microseconds."""
-        # `kinds` by identity: hashing a tuple of enum members runs
-        # Enum.__hash__ in Python for each, and the entry keeps `kinds`
-        # alive, so no other tuple can take its id while the entry stands
-        key = (interval_us, id(kinds))
-        entry = self._runs.get(key)
-        if entry is not None:
-            return entry[1]
+    def _run_constants(self, interval_us: int, answered: bool
+                       ) -> tuple[float, float, int, int]:
+        """The cost of one ping, of one ping and the idle gap after it, and
+        that gap's active and power-save microseconds."""
         params = self.params
-        step_cost = sum(map(params.packet_cost, kinds))
-        # the gap after a packet: active until the sleep instant, then napping
+        step_cost = self._ping_costs[answered]
+        # the gap after a ping: active until the sleep instant, then napping
         active_us = min(interval_us, self._sleep_us)
-        gap = (active_us, interval_us - active_us)
-        constants = (step_cost, step_cost + (
-            params.p_active_idle * (gap[0] / US_PER_SECOND)
-            + params.p_powersave * (gap[1] / US_PER_SECOND)), gap)
-        if len(self._runs) >= RUN_MEMO_SIZE:
-            self._runs.clear()
-        self._runs[key] = (kinds, constants)
-        return constants
+        powersave_us = interval_us - active_us
+        idle = (params.p_active_idle * (active_us / US_PER_SECOND)
+                + params.p_powersave * (powersave_us / US_PER_SECOND))
+        return step_cost, step_cost + idle, active_us, powersave_us
 
     def safe_run(self, first_us: int, interval_us: int, count: int,
-                 kinds: tuple[PacketKind, ...]) -> int:
-        """How many leading packets of a run, each charged `kinds`, leave
-        the battery certainly alive: the first one that might not, less
-        two packets of margin for the rounding of the closed form."""
-        step_cost, step, _ = self._run_constants(interval_us, kinds)
+                 answered: bool) -> int:
+        """How many leading pings of a run, answered or not, leave the
+        battery certainly alive: the first one that might not, less two
+        pings of margin for the rounding of the closed form."""
+        step_cost, step, _, _ = self._run_constants(interval_us, answered)
         if step <= 0.0:
             return count
         # what is left after the first packet and the idle draw of the gap
@@ -356,13 +339,13 @@ class EnergyAccount:
         return safe if safe > 0 else 0
 
     def charge_run(self, first_us: int, interval_us: int, count: int,
-                   kinds: tuple[PacketKind, ...]) -> None:
-        """Charge `count` packets at first_us + k*interval_us, each `kinds`,
+                   answered: bool) -> None:
+        """Charge `count` pings at first_us + k*interval_us, answered or not,
         and the idle gaps between them; `safe_run` must cover them."""
         self.advance(first_us)
         gaps = count - 1
-        step_cost, _, (active_us, powersave_us) = self._run_constants(
-            interval_us, kinds)
+        step_cost, _, active_us, powersave_us = self._run_constants(
+            interval_us, answered)
         # each state's idle draw alone: the other state's zero term would
         # change no bit of the sum
         params = self.params
@@ -373,7 +356,7 @@ class EnergyAccount:
             gaps * powersave_us / US_PER_SECOND)
         self.powersave_us += gaps * powersave_us
         self.consumed_packets += count * step_cost
-        self.packets += count * len(kinds)
+        self.packets += count * (2 + answered)
         self._last_us = self.last_activity = first_us + gaps * interval_us
 
     def recharge(self, now_us: int) -> None:

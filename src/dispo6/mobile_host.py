@@ -113,10 +113,6 @@ class WindowBlock:
     closes_us: int
 
 
-_RECEIVED = (PacketKind.RX, PacketKind.TX_ACK)
-_ANSWERED = (PacketKind.RX, PacketKind.TX_ACK, PacketKind.TX_REPLY)
-
-
 def _unwrap(packet: Packet) -> tuple[Packet, bool]:
     """The logical packet inside a delivery, and whether it was tunneled."""
     payload = packet.payload
@@ -351,16 +347,11 @@ class MobileHost(CallerNode):
             self.counters.stale_dropped += 1
             return
         energy = self.energy
-        if energy is not None:
-            if energy.dead:
-                self.counters.dead_dropped += 1
-                return
-            now_us = self.sim.now_us
-            if energy.on_packet(now_us, PacketKind.RX):
-                energy.on_packet(now_us, PacketKind.TX_ACK)
-            if energy.dead:
-                self.counters.dead_dropped += 1
-                return
+        if energy is not None and (energy.dead or not (
+                energy.on_packet(self.sim.now_us, PacketKind.RX)
+                and energy.on_packet(self.sim.now_us, PacketKind.TX_ACK))):
+            self.counters.dead_dropped += 1
+            return
         self._handle_inner(*_unwrap(packet))
 
     def _handle_inner(self, inner: Packet, tunneled: bool) -> None:
@@ -373,11 +364,11 @@ class MobileHost(CallerNode):
             if self.monitor.observe(dst, self.sim.now_us):
                 self.counters.alerts += 1
                 self.dispose_address(dst)
-            elif (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
-                    and dst != self.address):
+            elif self._owes_binding(inner, tunneled):
                 # a just-disposed address announces nothing, not even to
                 # the packet that tripped the alert
-                self._maybe_send_peer_bu(dst, inner.src)
+                self._peer_bu_sent[dst] = inner.src
+                self._bind_peer(dst, inner.src)
         handler = self._inner_handlers.get(type(inner.payload))
         if handler is None:
             self.counters.non_hoa_dropped += 1
@@ -403,16 +394,19 @@ class MobileHost(CallerNode):
     def _ignore(self, inner: Packet) -> None:
         pass
 
-    def _maybe_send_peer_bu(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
+    def _owes_binding(self, inner: Packet, tunneled: bool) -> bool:
+        """Whether `inner`, to one of our active addresses, earns its source
+        a binding update: it was tunneled to a disposable in RO mode, and
+        its source is not the last one told through that disposable."""
         # Route optimization answers a tunneled packet to a disposable with
         # a binding update, which is exactly how a flooding attacker who
         # holds one learns the care-of address. The published prime never
         # answers so: any stranger could learn the location from it, and a
         # move announces no new care-of address for the prime, so peers
         # would keep sending to the stale one.
-        if self._peer_bu_sent.get(hoa) != peer_addr:
-            self._peer_bu_sent[hoa] = peer_addr
-            self._bind_peer(hoa, peer_addr)
+        return (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
+                and inner.dst != self.address
+                and self._peer_bu_sent.get(inner.dst) != inner.src)
 
     def _bind_peer(self, hoa: Ipv6Address, peer_addr: Ipv6Address) -> None:
         """Tell `peer_addr` our care-of address for `hoa`."""
@@ -461,10 +455,10 @@ class MobileHost(CallerNode):
 
     def run_split(self, packet: Packet, first_us: int, interval_us: int,
                   count: int) -> int:
-        """Index of the first packet of a run that must go through on_packet:
-        the one that might empty the battery, the one that trips the
-        monitor, or, in RO mode, the first one from a source that has not
-        had a binding update; `count` if none."""
+        """Index of the first ping of a run that must go through on_packet:
+        the one that might empty the battery (charged as `_answers` says),
+        the one that trips the monitor, or 0 when the run's source is owed
+        a binding update (`_owes_binding`); `count` if none."""
         energy = self.energy
         if packet.dst != self.coa or (energy is not None and energy.dead):
             return count
@@ -474,11 +468,9 @@ class MobileHost(CallerNode):
         split = count
         if energy is not None:
             split = energy.safe_run(first_us, interval_us, count,
-                                    self._run_kinds(state, dst))
+                                    self._answers(state, dst))
         if state is AddressState.ACTIVE:
-            if (tunneled and self.mode is Mode.ROUTE_OPTIMIZATION
-                    and dst != self.address
-                    and self._peer_bu_sent.get(dst) != inner.src):
+            if self._owes_binding(inner, tunneled):
                 return 0
             split = self.monitor.first_alert(dst, first_us, interval_us, split)
         return split
@@ -486,8 +478,9 @@ class MobileHost(CallerNode):
     def on_run(self, packet: Packet, first_us: int, interval_us: int,
                count: int) -> Packet | None:
         """`count` pings of a segment, none at a run_split: the counters,
-        monitor, energy and reply of `count` on_packet calls. A run of no
-        pings moves none of them."""
+        monitor, energy and reply of `count` on_packet calls, each ping
+        charged and answered as `_answers` says. A run of no pings moves
+        none of them."""
         counters = self.counters
         if packet.dst != self.coa:
             counters.stale_dropped += count
@@ -499,8 +492,8 @@ class MobileHost(CallerNode):
         inner, _ = _unwrap(packet)
         dst = inner.dst
         state = self.address_states.get(dst)
-        kinds = self._run_kinds(state, dst)
-        reply = self._run_reply(inner) if kinds is _ANSWERED else None
+        answered = self._answers(state, dst)
+        reply = self._run_reply(inner) if answered else None
         if not count:
             return reply
         if state is not None and state is not AddressState.ACTIVE:
@@ -510,7 +503,7 @@ class MobileHost(CallerNode):
                 self.monitor.observe_run(dst, first_us, interval_us, count)
             counters.pings += count
         if energy is not None:
-            energy.charge_run(first_us, interval_us, count, kinds)
+            energy.charge_run(first_us, interval_us, count, answered)
         return reply
 
     def _run_reply(self, inner: Packet) -> Packet:
@@ -527,13 +520,12 @@ class MobileHost(CallerNode):
         self._last_reply = (inner, route, reply)
         return reply
 
-    def _run_kinds(self, state: AddressState | None,
-                   dst: Ipv6Address) -> tuple[PacketKind, ...]:
-        """What each ping of a run costs: receipt and link ACK, and the pong
-        where _on_ping answers."""
-        if state is AddressState.ACTIVE or (state is None and dst == self.coa):
-            return _ANSWERED
-        return _RECEIVED
+    def _answers(self, state: AddressState | None, dst: Ipv6Address) -> bool:
+        """Whether a run's pings to `dst`, in `state`, are answered: at an
+        active home address or at the care-of address. No run holds the
+        ping that trips the alert, which _on_ping answers from the address
+        it has just disposed."""
+        return state is AddressState.ACTIVE or (state is None and dst == self.coa)
 
     # -- timers ------------------------------------------------------------------
 

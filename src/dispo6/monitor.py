@@ -23,11 +23,8 @@ DETECTION_WINDOW_S = 10.0
 
 class _Window(deque):
     """One address's observations inside the monitor's window, oldest
-    first, each a run (first_us, interval_us, count) in int us; `total`
-    counts them all. A packet seen by `observe` is the tuple
-    (t_us, 1, 1), a segment's packets the list [first_us, interval_us,
-    count]. `trim` rewrites only a run that straddles its cutoff, which
-    takes two packets or more, so a packet's tuple is never mutated.
+    first, each a run [first_us, interval_us, count] in int us; `total`
+    counts them all.
 
     It has no `__init__` of its own: `IntrusionMonitor._latest` builds
     it empty and sets `total`, which is unset until then."""
@@ -106,11 +103,8 @@ class IntrusionMonitor:
 
     def observe(self, key: Hashable, now_us: int) -> bool:
         """Whether this event raises the alert on `key`."""
-        window = self._latest(key)
-        window.append((now_us, 1, 1))
-        window.total += 1
+        window = self.observe_run(key, now_us, 1, 1)
         cutoff = now_us - self._window_us
-        window.trim(cutoff)
         windows = self._windows
         while True:  # ends at the latest, `key` itself
             oldest, old = next(iter(windows.items()))
@@ -119,13 +113,15 @@ class IntrusionMonitor:
             del windows[oldest]
         return window.total >= self._alert_count
 
-    def observe_run(self, hoa: Ipv6Address, first_us: int, interval_us: int,
-                    count: int) -> None:
-        """`count` observations interval_us apart, none of them alerting."""
-        window = self._latest(hoa)
+    def observe_run(self, key: Hashable, first_us: int, interval_us: int,
+                    count: int) -> _Window:
+        """Record `count` observations of `key` interval_us apart; returns
+        `key`'s window."""
+        window = self._latest(key)
         window.append([first_us, interval_us, count])
         window.total += count
         window.trim(first_us + (count - 1) * interval_us - self._window_us)
+        return window
 
     def _latest(self, key: Hashable) -> _Window:
         """`key`'s window, moved to the end as the latest observed."""
