@@ -1,8 +1,11 @@
 """Deterministic discrete-event engine: virtual time, nodes, message delivery.
 
-One seeded PRNG is owned by the engine and shared by every component, so a
-(seed, scenario) pair fully determines a run. Time is fixed-point integer
-microseconds to keep day/hour arithmetic exact over 1000-day horizons.
+A seed drives two PRNGs: the engine's ``rng``, shared by the protocol
+(keys, interface ids, care-of addresses, SA tags), and the scenario's
+workload stream (call days and hours, attack starts), so what the protocol
+draws never moves a call. A (seed, scenario) pair fully determines a run.
+Time is fixed-point integer microseconds to keep day/hour arithmetic exact
+over 1000-day horizons.
 
 The queue is a heap of plain tuples ``(us, seq, target, is_timer, payload)``:
 fire time in integer microseconds, a scheduling sequence number that breaks

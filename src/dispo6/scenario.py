@@ -25,6 +25,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import types
 import typing
 from dataclasses import dataclass
@@ -251,9 +252,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     between a correspondent's calls are drawn as geometric gaps,
     1 + floor(ln(1-U) / ln(1-p)), which has the same joint law and costs
     one draw per call. A day's callers are visited in id order.
+
+    The workload (call days, call hours, the paper-mode coin and the
+    attack starts) is drawn from its own stream, so what the protocol
+    draws from `sim.rng` never moves a call.
     """
     config.validate()
     sim = Simulator(config.seed)
+    # a str seed is hashed with SHA-512, whatever PYTHONHASHSEED is
+    workload = random.Random(f"workload/{config.seed}")
     names = NameService()
     scheme = Ed25519Scheme() if config.pki_enabled else None
     ca = CertificateAuthority(scheme, sim.rng) if config.pki_enabled else None
@@ -313,7 +320,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if log_no_call is None:
             return day + 1
         # float floor division: a gap past any horizon is inf, not an error
-        return day + 1 + math.log1p(-sim.rng.random()) // log_no_call
+        return day + 1 + math.log1p(-workload.random()) // log_no_call
 
     calls_due: dict[int, list[int]] = {}  # day -> correspondents calling
     if p_call > 0.0:
@@ -329,13 +336,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 correspondents[corr_id].learn_address(VICTIM_FQDN, hoa)
         if schedule is not None:
             # drawn in both modes, so a mode switch leaves the stream alone
-            start = schedule.draw_start(sim.rng)
+            start = schedule.draw_start(workload)
             if explicit:
                 block_prime_window(sim, victim, day_hour_us(day, start),
                                    day_hour_us(day, start + schedule.daily_hours))
         for i in sorted(calls_due.pop(day, ())):
-            hour = CALL_WINDOW_START + sim.rng.random() * window_hours
-            slack = sim.rng.random()  # paper-mode coincidence draw
+            hour = CALL_WINDOW_START + workload.random() * window_hours
+            slack = workload.random()  # paper-mode coincidence draw
             sim.call_at(day_hour_us(day, hour), correspondents[i].node_id,
                         _tuple_new(StartCall,
                                    (VICTIM_FQDN, day, i, slack < p_reject)))

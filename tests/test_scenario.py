@@ -188,7 +188,7 @@ class TestRunInvariants:
                                              energy_enabled=True))
         assert result.battery_series[0][2] == "dead"
         assert ([r.outcome for r in result.records]
-                == [CallOutcome.UNREACHABLE] * 4)
+                == [CallOutcome.UNREACHABLE] * 3)
         assert [d.rejected for d in result.metrics.daily] == [0] * 5
         # a call the victim lived to answer keeps its outcome
         records = run_scenario(small_config(energy_enabled=True)).records
@@ -468,7 +468,7 @@ class TestCallArrivals:
                 draws[0] += 1
                 return super().random()
 
-        # the simulator builds its stream as random.Random(seed)
+        # the workload's stream, like the simulator's, is a random.Random
         monkeypatch.setattr(random, "Random", CountingRandom)
         result = run_scenario(small_config(correspondents=2000,
                                            horizon_days=100,
@@ -480,10 +480,6 @@ class TestCallArrivals:
         # the next gap per call: 200 k draws for a per-day coin flip
         assert draws[0] == 2000 + 3 * calls
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP items 2 and 12: call arrivals share sim.rng with the "
-        "protocol, so a dead victim's undrawn interface ids shift every "
-        "later arrival (74 calls with energy off, 66 with it on)"))
     def test_arrivals_do_not_depend_on_the_battery(self):
         arrivals = [[(r.day, r.correspondent_id) for r in run_scenario(
             small_config(energy_enabled=energy)).records]
