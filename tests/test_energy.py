@@ -2,6 +2,7 @@ import pytest
 
 from dispo6.energy import (
     DEFAULT_PARAMS,
+    LEDGER_REL_TOL,
     Battery,
     EnergyAccount,
     EnergyParams,
@@ -144,3 +145,62 @@ class TestLedger:
         expected = seconds * drain_rate(params, flood_profile(rate))
         consumed = acct.battery.capacity - acct.remaining
         assert consumed == pytest.approx(expected, rel=1e-9)
+
+
+def charge_pings(acct, first_us, interval_us, count, answered):
+    """Charge `count` pings one packet at a time, as a host's on_packet
+    and pong do; returns how many left the battery alive."""
+    kinds = [PacketKind.RX, PacketKind.TX_ACK] + [PacketKind.TX_REPLY] * answered
+    for k in range(count):
+        now = first_us + k * interval_us
+        if not all(acct.on_packet(now, kind) for kind in kinds):
+            return k
+    return count
+
+
+# runs that start after the radio has napped; gaps shorter than the sleep
+# timeout T keep it awake, longer ones split at the sleep instant
+RUN_FIRST_US = round(25 * US_PER_SECOND)
+RUN_INTERVALS_US = [10_000, round(3.7 * US_PER_SECOND), round(25 * US_PER_SECOND)]
+
+
+class TestRuns:
+    """`charge_run` and `safe_run` against the per-packet charges a run
+    of pings stands for."""
+
+    @pytest.mark.parametrize("answered", [False, True])
+    @pytest.mark.parametrize("interval_us", RUN_INTERVALS_US)
+    def test_a_run_charges_what_its_pings_do(self, answered, interval_us):
+        count = 300
+        run, pings = account(), account()
+        assert run.safe_run(RUN_FIRST_US, interval_us, count, answered) == count
+        run.charge_run(RUN_FIRST_US, interval_us, count, answered)
+        assert charge_pings(pings, RUN_FIRST_US, interval_us, count,
+                            answered) == count
+        for name in ("packets", "active_us", "powersave_us", "last_activity",
+                     "dead"):
+            assert getattr(run, name) == getattr(pings, name), name
+        for name in ("consumed_packets", "consumed_active",
+                     "consumed_powersave", "remaining"):
+            assert getattr(run, name) == pytest.approx(
+                getattr(pings, name), abs=LEDGER_REL_TOL), name
+
+    @pytest.mark.parametrize("answered", [False, True])
+    @pytest.mark.parametrize("interval_us", RUN_INTERVALS_US)
+    @pytest.mark.parametrize("share", [0.0005, 0.002, 0.3, 0.999])
+    def test_safe_run_admits_only_pings_that_survive(self, answered,
+                                                     interval_us, share):
+        count = 1000
+        idle, full = account(), account()
+        idle.advance(RUN_FIRST_US)
+        full.charge_run(RUN_FIRST_US, interval_us, count, answered)
+        # a battery that lasts to the run and then holds `share` of it
+        capacity = (1.0 - idle.remaining) + share * (idle.remaining
+                                                     - full.remaining)
+        safe = account(capacity).safe_run(RUN_FIRST_US, interval_us, count,
+                                          answered)
+        survived = charge_pings(account(capacity), RUN_FIRST_US, interval_us,
+                                count, answered)
+        assert survived < count
+        # its margin for the closed form's rounding is two pings
+        assert survived - 3 <= safe <= survived

@@ -294,6 +294,40 @@ class TestCalls:
         assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
         assert host.responder.granted_total == grants_after_first
 
+    def test_call_to_an_unregistered_name_fails(self, make_world):
+        world = make_world()
+        caller = make_caller(world)
+        outcomes = []
+        caller.place_call("nobody.home.example", outcomes.append)
+        world.sim.run()
+        assert outcomes == [CallOutcome.FAILED]
+        assert world.sim.counters.sent == 0
+
+    @pytest.mark.parametrize("payload,to", [("address_request", "disposable"),
+                                            ("call_request", "care_of")])
+    def test_a_request_off_the_prime_or_a_call_to_the_care_of_is_unanswered(
+            self, make_world, payload, to):
+        """An address request to a disposable, or a call to the care-of
+        address, reaches the host and gets no answer and no grant."""
+        world = make_world()
+        host = make_host(world)
+        caller = make_caller(world)
+        dst = (host.grant_out_of_band(caller.fqdn) if to == "disposable"
+               else host.coa)
+        message = (AddressRequest(requester_fqdn="corr01.peers.example",
+                                  reply_to=caller.address, request_id=1)
+                   if payload == "address_request"
+                   else CallRequest(reply_to=caller.address, call_id=1))
+        granted = host.responder.granted_total
+        deliveries = record_deliveries(world.sim)
+        world.sim.send(Packet(caller.address, dst, message))
+        world.sim.run()
+        nodes = [node for _, node, _ in deliveries]
+        assert nodes[-1] == host.node_id and caller.node_id not in nodes
+        assert host.responder.granted_total == granted
+        assert host.counters.calls_accepted == 0
+        assert host.counters.non_hoa_dropped == (payload == "call_request")
+
     def test_call_failure_marks_address_dead_then_rehandshake(self, make_world):
         world = make_world(pki=True)
         host = make_host(world)
@@ -464,6 +498,22 @@ class TestDisposal:
         assert host.address_states[host.prime] is AddressState.ACTIVE
         assert world.agent.state_of(host.prime) is AddressState.ACTIVE
         assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
+
+    def test_a_dead_host_leaves_its_prime_blocked(self, make_world):
+        """A host whose battery is known dead handles no timer, so the
+        reactivation its disposal armed never fires."""
+        world = make_world()
+        # 10 s awake after the block request, then about 8 s napping
+        battery = Battery(capacity=12 * DEFAULT_PARAMS.p_active_idle)
+        account = EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH)
+        host = make_host(world, energy=account)
+        host.dispose_address(host.prime)
+        world.sim.run_until(SimTime.from_seconds(59))
+        # the day's battery row, as a scenario run writes it
+        assert account.row(world.sim.now_us)[2] == "dead"
+        world.sim.run_until(SimTime.from_seconds(120))
+        assert host.address_states[host.prime] is AddressState.BLOCKED
+        assert host.counters.reactivations == 0
 
     def test_dispose_idempotent(self, make_world):
         world = make_world()

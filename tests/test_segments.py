@@ -272,6 +272,32 @@ def test_block_and_reactivate_the_flooded_disposable(make_world, mode):
     assert counters["flooder"]["replies_received"] > 4000
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_second_flood_off_the_first_floods_grid(make_world, mode):
+    """Two flooders on two disposables of one host, at 7 and 11 pkt/s, the
+    second from 13 ms after the first: the first flood's run at the host
+    ends at the second's next packet, which falls between two of its own
+    (the planner of engine.py steps to the other run's start)."""
+    twin = Twin(make_world, mode=mode)
+    twin.flood(1.0, 60.0, 7)
+    second = []
+
+    def flood_another_disposable(per_packet, world, host, caller, hoa, flooder):
+        hoa = host.grant_out_of_band(make_caller(world, 1).fqdn)
+        other = Flooder(world.sim, "flooder-2", Ipv6Address(ATTACKER_PREFIX, 0xC))
+        flood(other, per_packet, 1.013, 60.0, hoa, 11)
+        second.append(other)
+
+    twin.each(flood_another_disposable)
+    for t in (1.2, 1.5013, 30.0):
+        twin.check(t)
+    counters = twin.check()
+    assert second[0].stats == second[1].stats
+    assert (counters["host"]["pings"]
+            == counters["flooder"]["sent"] + second[0].stats.sent)
+    assert second[0].stats.replies_received >= second[0].stats.sent
+
+
 def bind_the_flooder(world, host, hoa, flooder, care_of):
     """The flooder sends `host` a binding update for its own address, which
     the host holds: a host rebinds only a home address in its book."""
