@@ -1,14 +1,15 @@
 """Battery and radio power-state accounting for mobile hosts.
 
-The radio is Active until `sleep_timeout_s` passes with no traffic, then
-drops to power-save. Instead of scheduling sleep/wake events, the account
-integrates idle drain lazily between charges, splitting each interval at
-the exact sleep-entry instant. That keeps occupancy and drain bit-exact and
-deterministic regardless of event granularity. A flood segment's pings
-are charged the same way, a run at a time (`charge_run`): each ping costs
-its receipt and link ACK, and its pong too when the ping is answered, and
-the idle draw of the gaps between them is split at the sleep boundary like
-any other gap.
+The ledger charges each packet the cost its host passes, and names the
+radio's state ("active" until `sleep_timeout_s` passes with no traffic,
+then "power_save") only in `battery.csv`. Instead of scheduling sleep/wake
+events, the account integrates idle drain lazily between charges, splitting
+each interval at the exact sleep-entry instant. That keeps occupancy and
+drain bit-exact and deterministic regardless of event granularity. A flood
+segment's pings are charged the same way, a run at a time (`charge_run`):
+each ping costs its receipt and link ACK, and its pong too when the ping is
+answered, and the idle draw of the gaps between them is split at the sleep
+boundary like any other gap.
 
 Costs are abstract energy units. The calibration ties the unit scale to
 two measured endpoints: about a day of lifetime when idle, and a few
@@ -19,16 +20,10 @@ radio's average draw, its brief wake-ups included.
 """
 
 import math
-from enum import Enum
 from pathlib import Path
 
 from .engine import US_PER_SECOND, SimTime
 from .messages import record
-
-
-class RadioState(Enum):
-    ACTIVE = "active"
-    POWER_SAVE = "power_save"
 
 
 # what the calibration (`EnergyParams.calibrate`) solves from
@@ -40,12 +35,6 @@ WAKEUP_DUTY = 0.05  # share of the time an idle radio wakes; calibration only
 TX_RX_RATIO = 1.5
 ACK_RX_RATIO = 0.25
 ACTIVE_POWERSAVE_RATIO = 4.0
-
-
-class PacketKind(Enum):
-    RX = "rx"
-    TX_REPLY = "tx_reply"
-    TX_ACK = "tx_ack"
 
 
 @record
@@ -66,13 +55,6 @@ class EnergyParams:
             raise ValueError("power-save draw must be below active idle draw")
         if self.e_tx <= self.e_rx:
             raise ValueError("transmit cost must exceed receive cost")
-
-    def packet_cost(self, kind: PacketKind) -> float:
-        if kind is PacketKind.RX:
-            return self.e_rx
-        if kind is PacketKind.TX_REPLY:
-            return self.e_tx
-        return self.e_ack
 
     @classmethod
     def calibrate(cls) -> "EnergyParams":
@@ -160,10 +142,11 @@ class EnergyAccount:
 
     remaining is derived (capacity + recharged - consumed), so
     capacity − remaining always equals the sum of per-packet costs and the
-    integrated state power, by construction.
+    integrated state power, by construction. A packet costs what its
+    caller passes, `e_rx`, `e_ack` or `e_tx`.
 
     A run of pings (`safe_run`, `charge_run`) is charged by whether its
-    pings are answered: each costs RX and TX_ACK, plus TX_REPLY when it
+    pings are answered: each costs `e_rx` and `e_ack`, plus `e_tx` when it
     is, summed in the order `on_packet` charges them one at a time.
     """
 
@@ -211,16 +194,18 @@ class EnergyAccount:
                     + self.consumed_powersave)
         return abs(consumed + self.remaining - budget) <= LEDGER_REL_TOL * budget
 
-    def state_at(self, now_us: int) -> RadioState:
+    def state_at(self, now_us: int) -> str:
+        """The radio's state at `now_us`, "active" or "power_save", as
+        `battery.csv` names it."""
         if now_us - self.last_activity >= self._sleep_us:
-            return RadioState.POWER_SAVE
-        return RadioState.ACTIVE
+            return "power_save"
+        return "active"
 
     def row(self, now_us: int) -> tuple[float, float, str]:
         """The `battery.csv` row at `now_us`: time in s, the charge left
         and the radio state, "dead" once the battery is empty."""
         self.advance(now_us)
-        state = "dead" if self.dead else self.state_at(now_us).value
+        state = "dead" if self.dead else self.state_at(now_us)
         return now_us / US_PER_SECOND, self.remaining, state
 
     def powersave_fraction(self, now_us: int) -> float:
@@ -240,9 +225,9 @@ class EnergyAccount:
         # the radio stays active until the sleep instant, then naps
         active_end = self._sleep_instant(a, b)
         if active_end > a:
-            self._charge_idle(active_end - a, RadioState.ACTIVE)
+            self._charge_idle(active_end - a, True)
         if b > active_end and not self.dead:
-            self._charge_idle(b - active_end, RadioState.POWER_SAVE)
+            self._charge_idle(b - active_end, False)
 
     def _sleep_instant(self, a: int, b: int) -> int:
         """When the radio naps in the idle span a..b (a < b): the sleep
@@ -252,10 +237,9 @@ class EnergyAccount:
             return a
         return active_end if active_end < b else b
 
-    def _charge_idle(self, duration_us: int, state: RadioState) -> None:
-        """Charge `duration_us` > 0 of idle draw in `state`."""
-        power = (self.params.p_active_idle if state is RadioState.ACTIVE
-                 else self.params.p_powersave)
+    def _charge_idle(self, duration_us: int, active: bool) -> None:
+        """Charge `duration_us` > 0 of idle draw, awake or napping."""
+        power = self.params.p_active_idle if active else self.params.p_powersave
         cost = power * (duration_us / US_PER_SECOND)
         budget = self.remaining
         dies = cost >= budget and power > 0
@@ -267,7 +251,7 @@ class EnergyAccount:
             # the battery dies inside this span; the sub-microsecond tail of
             # the budget goes with it so a dead battery reads exactly empty
             cost = budget
-        if state is RadioState.ACTIVE:
+        if active:
             self.consumed_active += cost
             self.active_us += duration_us
         else:
@@ -278,15 +262,15 @@ class EnergyAccount:
             self.dead = True
             self.dead_at = SimTime(self._last_us)
 
-    def on_packet(self, now_us: int, kind: PacketKind) -> bool:
-        """Charge one packet. Returns False when the host is (or just went) dead."""
+    def on_packet(self, now_us: int, cost: float) -> bool:
+        """Charge one packet its `cost`. Returns False when the host is (or
+        just went) dead."""
         if self.dead:
             return False
         if now_us > self._last_us:
             self.advance(now_us)
             if self.dead:
                 return False
-        cost = self.params.packet_cost(kind)
         remaining = self.remaining
         # a charge the battery cannot cover in full empties it: decided
         # before the charge, so the rounding of the sum after it never

@@ -33,7 +33,7 @@ from .addressing import AddressState, Ipv6Address, NameService, random_iid
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
 from .distribution import AddressRequest, DistributionResponder, HipGate
-from .energy import DEFAULT_PARAMS, Battery, EnergyAccount, PacketKind
+from .energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from .engine import US_PER_SECOND, Packet, Simulator
 from .home_agent import (
     BindingAck,
@@ -322,7 +322,7 @@ class MobileHost(CallerNode):
         went) dead."""
         energy = self.energy
         if energy is not None and (energy.dead or not energy.on_packet(
-                self.sim.now_us, PacketKind.TX_REPLY)):
+                self.sim.now_us, energy.params.e_tx)):
             return
         self.sim.send(self._wire(packet))
 
@@ -348,8 +348,8 @@ class MobileHost(CallerNode):
             return
         energy = self.energy
         if energy is not None and (energy.dead or not (
-                energy.on_packet(self.sim.now_us, PacketKind.RX)
-                and energy.on_packet(self.sim.now_us, PacketKind.TX_ACK))):
+                energy.on_packet(self.sim.now_us, energy.params.e_rx)
+                and energy.on_packet(self.sim.now_us, energy.params.e_ack))):
             self.counters.dead_dropped += 1
             return
         self._handle_inner(*_unwrap(packet))

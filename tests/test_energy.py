@@ -7,8 +7,6 @@ from dispo6.energy import (
     EnergyAccount,
     EnergyParams,
     LoadProfile,
-    PacketKind,
-    RadioState,
     drain_rate,
     flood_profile,
     lifetime_under,
@@ -16,6 +14,7 @@ from dispo6.energy import (
 from dispo6.engine import EPOCH, US_PER_SECOND, SimTime
 
 T = 10.0  # sleep timeout used throughout
+RX, ACK, TX = DEFAULT_PARAMS.e_rx, DEFAULT_PARAMS.e_ack, DEFAULT_PARAMS.e_tx
 
 
 def account(capacity=1.0, params=DEFAULT_PARAMS, timeout=T):
@@ -62,30 +61,30 @@ class TestCalibration:
 class TestPowerStates:
     def test_sleep_entry_at_exact_timeout(self):
         acct = account()
-        acct.on_packet(SimTime.from_seconds(1), PacketKind.RX)
-        assert acct.state_at(SimTime.from_seconds(1 + T - 0.001)) is RadioState.ACTIVE
-        assert acct.state_at(SimTime.from_seconds(1 + T)) is RadioState.POWER_SAVE
+        acct.on_packet(SimTime.from_seconds(1), RX)
+        assert acct.state_at(SimTime.from_seconds(1 + T - 0.001)) == "active"
+        assert acct.state_at(SimTime.from_seconds(1 + T)) == "power_save"
 
     def test_rate_one_over_t_never_sleeps(self):
         acct = account()
         for k in range(200):
-            acct.on_packet(SimTime.from_seconds(k * T), PacketKind.RX)
+            acct.on_packet(SimTime.from_seconds(k * T), RX)
         assert acct.powersave_fraction(SimTime.from_seconds(199 * T)) == 0.0
 
     def test_rate_half_one_over_t_sleeps_half(self):
         acct = account()
         for k in range(100):
-            acct.on_packet(SimTime.from_seconds(k * 2 * T), PacketKind.RX)
+            acct.on_packet(SimTime.from_seconds(k * 2 * T), RX)
         fraction = acct.powersave_fraction(SimTime.from_seconds(99 * 2 * T))
         assert fraction == pytest.approx(0.5, abs=1e-9)
 
     def test_dead_host_absorbs_packets(self):
         acct = account(capacity=1e-9)
-        acct.on_packet(SimTime.from_seconds(1), PacketKind.RX)
+        acct.on_packet(SimTime.from_seconds(1), RX)
         acct.advance(SimTime.from_seconds(500))
         assert acct.dead
         consumed_before = acct.consumed_packets
-        assert not acct.on_packet(SimTime.from_seconds(600), PacketKind.RX)
+        assert not acct.on_packet(SimTime.from_seconds(600), RX)
         assert acct.consumed_packets == consumed_before
         assert acct.remaining == 0.0
 
@@ -102,12 +101,12 @@ class TestPowerStates:
         acct = account()
         # all-active drain (packets arriving faster than 1/T)
         horizon = 1.0 / params.p_active_idle  # seconds until empty, active idle
-        acct.on_packet(EPOCH, PacketKind.RX)
+        acct.on_packet(EPOCH, RX)
         step = T / 2
         t = 0.0
         while not acct.dead and t < horizon * 2:
             t += step
-            acct.on_packet(SimTime.from_seconds(t), PacketKind.RX)
+            acct.on_packet(SimTime.from_seconds(t), RX)
         assert acct.dead
         # per-packet costs shave a sliver off the pure active-idle horizon
         assert acct.dead_at / US_PER_SECOND == pytest.approx(horizon, rel=1e-3)
@@ -123,8 +122,7 @@ class TestLedger:
         t = 0.0
         for _ in range(500):
             t += rng.random() * 30
-            kind = rng.choice(list(PacketKind))
-            acct.on_packet(SimTime.from_seconds(t), kind)
+            acct.on_packet(SimTime.from_seconds(t), rng.choice([RX, TX, ACK]))
         acct.advance(SimTime.from_seconds(t + 123))
         consumed = (acct.consumed_packets + acct.consumed_active
                     + acct.consumed_powersave)
@@ -138,9 +136,9 @@ class TestLedger:
         rate = 100
         for i in range(seconds * rate):
             now = SimTime(round(i * 1e6 / rate))
-            acct.on_packet(now, PacketKind.RX)
-            acct.on_packet(now, PacketKind.TX_ACK)
-            acct.on_packet(now, PacketKind.TX_REPLY)
+            acct.on_packet(now, RX)
+            acct.on_packet(now, ACK)
+            acct.on_packet(now, TX)
         acct.advance(SimTime.from_seconds(seconds))
         expected = seconds * drain_rate(params, flood_profile(rate))
         consumed = acct.battery.capacity - acct.remaining
@@ -150,10 +148,10 @@ class TestLedger:
 def charge_pings(acct, first_us, interval_us, count, answered):
     """Charge `count` pings one packet at a time, as a host's on_packet
     and pong do; returns how many left the battery alive."""
-    kinds = [PacketKind.RX, PacketKind.TX_ACK] + [PacketKind.TX_REPLY] * answered
+    costs = [RX, ACK] + [TX] * answered
     for k in range(count):
         now = first_us + k * interval_us
-        if not all(acct.on_packet(now, kind) for kind in kinds):
+        if not all(acct.on_packet(now, cost) for cost in costs):
             return k
     return count
 

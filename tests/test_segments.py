@@ -26,7 +26,6 @@ from dispo6.energy import (
     LEDGER_REL_TOL,
     Battery,
     EnergyAccount,
-    EnergyParams,
     drain_rate,
     flood_profile,
 )
@@ -388,8 +387,8 @@ def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
     # the agent builds its tunnel records through `_tuple_new`
     monkeypatch.setattr(home_agent, "_tuple_new", tuple_new)
     monkeypatch.setattr(mobile_host, "Pong", counted("Pong", mobile_host.Pong))
-    monkeypatch.setattr(EnergyParams, "packet_cost",
-                        counted("packet_cost", EnergyParams.packet_cost))
+    monkeypatch.setattr(EnergyAccount, "on_packet",
+                        counted("on_packet", EnergyAccount.on_packet))
     # the segment side of a twin, stepped alone
     _, world, host, _, hoa, flooder = Twin(make_world).sides[0]
     flood(flooder, False, 0.5, 600.0, hoa, 100)
