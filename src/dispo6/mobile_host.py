@@ -380,7 +380,7 @@ class MobileHost(CallerNode):
     def _on_ping(self, inner: Packet) -> None:
         self.counters.pings += 1
         dst = inner.dst
-        if dst in self.address_states or dst == self.coa:
+        if self._answers(self.address_states.get(dst), dst):
             self._send(dst, inner.src, Pong())
 
     def _on_management(self, inner: Packet) -> None:
@@ -521,10 +521,9 @@ class MobileHost(CallerNode):
         return reply
 
     def _answers(self, state: AddressState | None, dst: Ipv6Address) -> bool:
-        """Whether a run's pings to `dst`, in `state`, are answered: at an
-        active home address or at the care-of address. No run holds the
-        ping that trips the alert, which _on_ping answers from the address
-        it has just disposed."""
+        """Whether pings to `dst`, in `state`, are answered: at an active
+        home address or at the care-of address. The ping that trips the
+        alert finds its address just disposed, and goes unanswered."""
         return state is AddressState.ACTIVE or (state is None and dst == self.coa)
 
     # -- timers ------------------------------------------------------------------

@@ -62,6 +62,20 @@ class TestFlooder:
         assert flooder.stats.sent == 1000
         assert flooder.stats.replies_received == 1000  # victim pongs back
 
+    def test_the_ping_that_trips_the_alert_goes_unanswered(self, make_world):
+        # per packet, each ping reaches `_on_ping` alone, and the one that
+        # trips the alert finds its address disposed, as a run would
+        world = make_world()
+        host = make_host(world)
+        hoa = host.grant_out_of_band(make_caller(world).fqdn)
+        flooder = Flooder(world.sim, "flooder", ATTACKER_ADDR)
+        flooder._flood_packets(EPOCH, SimTime.from_seconds(30), hoa,
+                               US_PER_SECOND // 100, False)
+        world.sim.run()
+        assert host.counters.alerts == 1
+        assert (flooder.stats.replies_received
+                == host.counters.pings - host.counters.alerts)
+
     def test_spoofed_sources_unique_and_futile_to_filter(self, make_world):
         world = make_world()
         sources = []
