@@ -529,8 +529,12 @@ class MobileHost(CallerNode):
     # -- timers ------------------------------------------------------------------
 
     def on_timer(self, token: object) -> None:
-        if self.energy is not None and self.energy.dead:
-            return
+        energy = self.energy
+        if energy is not None:
+            # the battery may have died since its last charge
+            energy.advance(self.sim.now_us)
+            if energy.dead:
+                return
         handler = self._timer_handlers.get(type(token))
         if handler is not None:
             handler(self, token)

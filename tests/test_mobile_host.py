@@ -499,19 +499,34 @@ class TestDisposal:
         assert world.agent.state_of(host.prime) is AddressState.ACTIVE
         assert call_once(world, caller, host.fqdn) is CallOutcome.CONNECTED
 
-    def test_a_dead_host_leaves_its_prime_blocked(self, make_world):
-        """A host whose battery is known dead handles no timer, so the
-        reactivation its disposal armed never fires."""
-        world = make_world()
+    @staticmethod
+    def dying_host_disposes_its_prime(world):
         # 10 s awake after the block request, then about 8 s napping
         battery = Battery(capacity=12 * DEFAULT_PARAMS.p_active_idle)
         account = EnergyAccount(battery, DEFAULT_PARAMS, 10.0, EPOCH)
         host = make_host(world, energy=account)
         host.dispose_address(host.prime)
+        return host, account
+
+    def test_a_dead_host_leaves_its_prime_blocked(self, make_world):
+        """A host whose battery is known dead handles no timer, so the
+        reactivation its disposal armed never fires."""
+        world = make_world()
+        host, account = self.dying_host_disposes_its_prime(world)
         world.sim.run_until(SimTime.from_seconds(59))
         # the day's battery row, as a scenario run writes it
         assert account.row(world.sim.now_us)[2] == "dead"
         world.sim.run_until(SimTime.from_seconds(120))
+        assert host.address_states[host.prime] is AddressState.BLOCKED
+        assert host.counters.reactivations == 0
+
+    def test_a_timer_finds_a_battery_that_died_unread(self, make_world):
+        """No row read advances the ledger here: the reactivation timer
+        itself finds the battery dead at its own instant."""
+        world = make_world()
+        host, account = self.dying_host_disposes_its_prime(world)
+        world.sim.run_until(SimTime.from_seconds(120))
+        assert account.dead
         assert host.address_states[host.prime] is AddressState.BLOCKED
         assert host.counters.reactivations == 0
 
