@@ -18,3 +18,10 @@ class ConfigError(Exception):
 
     Defined here rather than in `scenario`, so that the CLI can report a
     bad argument without loading the scenario runner."""
+
+
+class InvariantError(Exception):
+    """A finished run broke a conservation invariant: a program fault.
+
+    Defined here rather than in `scenario`, so that `dispo6 drain` can
+    check its runs without loading the scenario runner."""

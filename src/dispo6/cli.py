@@ -226,10 +226,11 @@ def _drained(rate_pps: float | None, detect: bool,
              ) -> tuple[list[tuple[float, float, str]], int]:
     """The victim `run` builds, flooded at `rate_pps` on one out-of-band
     disposable unless that is None: its ledger's row each minute until the
-    battery dies, the last at the instant of death, and its alert count."""
+    battery dies, the last at the instant of death, and its alert count.
+    The run ends with the conservation check a scenario run makes."""
     # the victim and its attacker load here, and no scenario runner
     from .adversary import Flooder
-    from .mobile_host import CORRESPONDENT_PREFIX, attached_victim
+    from .mobile_host import CORRESPONDENT_PREFIX, attached_victim, check_invariants
     from .monitor import DETECTION_THRESHOLD_PPS
 
     sim = Simulator(0)
@@ -250,6 +251,7 @@ def _drained(rate_pps: float | None, detect: bool,
         now_us += US_PER_MINUTE
     # the last row at the instant of death, not at the minute after it
     series[-1] = energy.row(energy.dead_at)
+    check_invariants(sim, victim.ha, energy)
     return series, victim.counters.alerts
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
+from . import InvariantError
 from .addressing import AddressState, Ipv6Address, NameService, random_iid
 from .caller import AddressBookEntry, CallerNode, CallOutcome
 from .crypto import CertificateAuthority, Ed25519Scheme
@@ -585,3 +586,19 @@ def attached_victim(sim: Simulator, names: NameService, on_battery: bool,
                         **options)
     victim.attach(HomeAgent(sim, "home-agent", HOME_PREFIX), VISITED_PREFIX)
     return victim
+
+
+def check_invariants(sim: Simulator, agent: HomeAgent,
+                     energy: EnergyAccount | None) -> None:
+    """Raise `InvariantError` unless the engine's and the agent's traffic
+    is conserved and `energy`, if any, balances; every scenario run and
+    `dispo6 drain` run ends with this check."""
+    broken = []
+    if not sim.counters.conserved():
+        broken.append(f"engine traffic not conserved: {sim.counters}")
+    if not agent.counters.conserved():
+        broken.append(f"home-agent traffic not conserved: {agent.counters}")
+    if energy is not None and not energy.balanced():
+        broken.append(f"energy ledger does not balance: {energy}")
+    if broken:
+        raise InvariantError("; ".join(broken))

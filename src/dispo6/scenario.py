@@ -42,7 +42,6 @@ from .adversary import (
 )
 from .caller import CallerNode, CallOutcome, StartCall
 from .crypto import CertificateAuthority, Ed25519Scheme
-from .energy import EnergyAccount
 # the writer of a run's battery.csv, found here with the other writers
 from .energy import write_battery_series as write_battery_series
 from .engine import (
@@ -51,9 +50,14 @@ from .engine import (
     day_hour_us,
     hhmm,
 )
-from .home_agent import HomeAgent
 from .messages import _tuple_new, record
-from .mobile_host import CORRESPONDENT_PREFIX, VICTIM_FQDN, Mode, attached_victim
+from .mobile_host import (
+    CORRESPONDENT_PREFIX,
+    VICTIM_FQDN,
+    Mode,
+    attached_victim,
+    check_invariants,
+)
 
 # the paper's call window, in hours of the day
 CALL_WINDOW_START = 8.0
@@ -61,10 +65,6 @@ CALL_WINDOW_END = 20.0
 
 CALL_LOG_HEADER = "day,correspondent,had_disposable,outcome,time"
 DAILY_HEADER = "day,calls,rejected,rejection_rate"
-
-
-class InvariantError(Exception):
-    """A finished run broke a conservation invariant: a program fault."""
 
 
 class RejectionMode(Enum):
@@ -366,7 +366,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         if energy is not None:
             battery_series.append(energy.row(sim.now_us))
 
-    _check_invariants(sim, agent, energy)
+    check_invariants(sim, agent, energy)
     total = len(records)
     rejected = sum(stat.rejected for stat in daily)
     energy_summary = None
@@ -395,19 +395,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         energy=energy_summary)
     return ScenarioResult(config=config, metrics=metrics, records=records,
                           battery_series=battery_series)
-
-
-def _check_invariants(sim: Simulator, agent: HomeAgent,
-                      energy: EnergyAccount | None) -> None:
-    broken = []
-    if not sim.counters.conserved():
-        broken.append(f"engine traffic not conserved: {sim.counters}")
-    if not agent.counters.conserved():
-        broken.append(f"home-agent traffic not conserved: {agent.counters}")
-    if energy is not None and not energy.balanced():
-        broken.append(f"energy ledger does not balance: {energy}")
-    if broken:
-        raise InvariantError("; ".join(broken))
 
 
 # -- CSV emission ------------------------------------------------------------

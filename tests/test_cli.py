@@ -11,14 +11,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dispo6 import cli
+from dispo6 import InvariantError, cli
 from dispo6.energy import (
     DEFAULT_PARAMS,
     Battery,
+    EnergyAccount,
     LoadProfile,
     flood_profile,
     lifetime_under,
 )
+from dispo6.engine import Simulator
 from dispo6.scenario import ScenarioConfig, fig3_config
 
 RUN_OUTPUTS = ("calls.csv", "daily_rejections.csv", "metrics.json")
@@ -86,6 +88,30 @@ class TestDrain:
                          "--out-dir", str(out)]) == 2
         assert "--rate" in capsys.readouterr().err
         assert not out.exists()
+
+    # each drained run ends with the conservation check of a scenario run
+    def test_engine_counter_corruption_is_caught(self, monkeypatch, tmp_path):
+        original = Simulator.send
+
+        def double_counted(self, packet):
+            self.counters.sent += 1
+            return original(self, packet)
+
+        monkeypatch.setattr(Simulator, "send", double_counted)
+        with pytest.raises(InvariantError, match="engine"):
+            cli.main(["drain", "flood", "--out-dir", str(tmp_path)])
+
+    def test_energy_overdraw_is_caught(self, monkeypatch, tmp_path):
+        original = EnergyAccount.on_packet
+
+        def overdrawn(self, now_us, cost):
+            alive = original(self, now_us, cost)
+            self.consumed_packets += self.battery.capacity  # past empty
+            return alive
+
+        monkeypatch.setattr(EnergyAccount, "on_packet", overdrawn)
+        with pytest.raises(InvariantError, match="energy ledger"):
+            cli.main(["drain", "flood", "--out-dir", str(tmp_path)])
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from dispo6 import (
+    InvariantError,
     caller,
     cli,
     crypto,
@@ -26,7 +27,6 @@ from dispo6.home_agent import HomeAgent
 from dispo6.mobile_host import Mode
 from dispo6.scenario import (
     ConfigError,
-    InvariantError,
     RejectionMode,
     ScenarioConfig,
     fig3_config,
@@ -200,8 +200,8 @@ class TestRunInvariants:
     def test_energy_overdraw_is_caught(self, monkeypatch):
         original = EnergyAccount.on_packet
 
-        def overdrawn(self, now, kind):
-            alive = original(self, now, kind)
+        def overdrawn(self, now, cost):
+            alive = original(self, now, cost)
             self.consumed_packets += self.battery.capacity  # past empty
             return alive
 
