@@ -237,7 +237,6 @@ class Metrics:
 
 @record
 class ScenarioResult:
-    config: ScenarioConfig
     metrics: Metrics
     records: list[CallRecord]
     battery_series: list[tuple[float, float, str]]
@@ -393,7 +392,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             },
         },
         energy=energy_summary)
-    return ScenarioResult(config=config, metrics=metrics, records=records,
+    return ScenarioResult(metrics=metrics, records=records,
                           battery_series=battery_series)
 
 
