@@ -591,8 +591,7 @@ def attached_victim(sim: Simulator, names: NameService, on_battery: bool,
 def check_invariants(sim: Simulator, agent: HomeAgent,
                      energy: EnergyAccount | None) -> None:
     """Raise `InvariantError` unless the engine's and the agent's traffic
-    is conserved and `energy`, if any, balances; every scenario run and
-    `dispo6 drain` run ends with this check."""
+    is conserved and `energy`, if any, balances: how every run ends."""
     broken = []
     if not sim.counters.conserved():
         broken.append(f"engine traffic not conserved: {sim.counters}")
