@@ -368,9 +368,9 @@ def test_accounts_with_different_sleep_timeouts(make_world):
 
 
 def test_segment_steps_rebuild_only_on_state_changes(make_world, monkeypatch):
-    """A segment stepped 1 s at a time: the tunnel packet, the pong and
-    the per-packet costs are built again when hop state changes, not on
-    every step."""
+    """A segment stepped 1 s at a time: the tunnel packet and the pong
+    are built again, and a packet is charged alone, when hop state
+    changes, not on every step."""
     built = collections.Counter()
 
     def counted(name, make):
