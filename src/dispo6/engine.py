@@ -364,9 +364,7 @@ class Simulator:
             us, _, target, is_timer, payload = pop(queue)
             self.now_us = us
             processed += 1
-            node = nodes.get(target)
-            if node is None:
-                continue
+            node = nodes[target]
             if is_timer:
                 node.on_timer(payload)
                 continue

@@ -35,7 +35,6 @@ class ManagementMessage:
     host_id: str
     auth: str
     hoa: Ipv6Address | None = None
-    ok: bool = True
 
 
 @record
@@ -145,28 +144,25 @@ class HomeAgent(Node):
         self._authenticated(host_id, auth)
         self._hosts[host_id].care_of = care_of
 
-    def block_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> bool:
-        return self._set_state(host_id, auth, hoa, AddressState.BLOCKED)
+    def block_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> None:
+        self._set_state(host_id, auth, hoa, AddressState.BLOCKED)
 
-    def reactivate_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> bool:
-        return self._set_state(host_id, auth, hoa, AddressState.ACTIVE)
+    def reactivate_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> None:
+        self._set_state(host_id, auth, hoa, AddressState.ACTIVE)
 
     def deconfigure_address(self, host_id: str, auth: str, hoa: Ipv6Address) -> None:
         """Terminal removal; unlike blocking there is no way back."""
         self._set_state(host_id, auth, hoa, AddressState.DECONFIGURED)
 
     def _set_state(self, host_id: str, auth: str, hoa: Ipv6Address,
-                   state: AddressState) -> bool:
-        """Put the host's `hoa` in `state`; False, with nothing changed, once
-        it is deconfigured."""
+                   state: AddressState) -> None:
+        """Put the host's `hoa` in `state`, unless it is deconfigured."""
         self._authenticated(host_id, auth)
         entry = self._entries.get(hoa)
         if entry is None or entry.owner != host_id:
             raise AgentError(f"{hoa} is not a home address of {host_id}")
-        if entry.state is AddressState.DECONFIGURED:
-            return False
-        entry.state = state
-        return True
+        if entry.state is not AddressState.DECONFIGURED:
+            entry.state = state
 
     # -- queries --------------------------------------------------------------
 
@@ -297,13 +293,12 @@ class HomeAgent(Node):
         if msg.kind is ManagementKind.HOA_REQUEST:
             hoa = self.generate_home_address(msg.host_id, msg.auth)
             return _tuple_new(ManagementMessage, (
-                ManagementKind.HOA_GRANT, msg.host_id, msg.auth, hoa, True))
+                ManagementKind.HOA_GRANT, msg.host_id, msg.auth, hoa))
         if msg.kind is ManagementKind.BLOCK_REQUEST:
-            ok = self.block_address(msg.host_id, msg.auth, msg.hoa)
+            self.block_address(msg.host_id, msg.auth, msg.hoa)
         elif msg.kind is ManagementKind.REACTIVATE_REQUEST:
-            ok = self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
+            self.reactivate_address(msg.host_id, msg.auth, msg.hoa)
         else:
             self._authenticated(msg.host_id, msg.auth)
-            ok = False
         return _tuple_new(ManagementMessage, (ManagementKind.ACK, msg.host_id,
-                                              msg.auth, msg.hoa, ok))
+                                              msg.auth, msg.hoa))

@@ -134,12 +134,9 @@ class CallAccept:
 
 @record
 class CallReject:
+    """Any call placed to a prime home address: request a disposable."""
+
     call_id: int
-    reason: str
-
-
-#: Reject reason returned for any call placed to a prime home address.
-PRIME_REJECT_REASON = "request a disposable home address"
 
 
 @record

@@ -46,7 +46,6 @@ from .home_agent import (
     ReverseTunneled,
 )
 from .messages import (
-    PRIME_REJECT_REASON,
     CallAccept,
     CallReject,
     CallRequest,
@@ -293,7 +292,7 @@ class MobileHost(CallerNode):
             self.address_states[hoa] = AddressState.ACTIVE
             return hoa
         self._send_management(_tuple_new(ManagementMessage, (
-            ManagementKind.HOA_REQUEST, self.node_id, self.sa_tag, None, True)))
+            ManagementKind.HOA_REQUEST, self.node_id, self.sa_tag, None)))
         return self._pool.pop(0)
 
     # -- contact-manager overrides ---------------------------------------------
@@ -422,8 +421,8 @@ class MobileHost(CallerNode):
         if dst == self.address:
             # calls never land on the prime; callers must hold a disposable
             self.counters.prime_call_rejects += 1
-            self._send(dst, request.reply_to, _tuple_new(
-                CallReject, (request.call_id, PRIME_REJECT_REASON)))
+            self._send(dst, request.reply_to,
+                       _tuple_new(CallReject, (request.call_id,)))
             return
         if self.address_states.get(dst) is AddressState.ACTIVE:
             self.counters.calls_accepted += 1

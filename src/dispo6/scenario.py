@@ -451,8 +451,6 @@ class SweepResult:
     std_rate: float
 
     def seed_averaged_daily(self) -> list[float]:
-        if not self.summaries:
-            return []
         horizon = len(self.summaries[0].daily_rejected)
         n = len(self.summaries)
         return [sum(s.daily_rejected[d] for s in self.summaries) / n

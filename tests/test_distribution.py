@@ -292,7 +292,7 @@ class TestHipGate:
         assert late.challenge_id not in gate._outstanding
         answer = HipAnswer(late.challenge_id, HipGate.solution(late.challenge_id))
         assert not gate.verify(answer, SimTime.from_seconds(302))
-        assert (gate.failures, gate.passes) == (1, 0)
+        assert not gate.verify(answer, SimTime.from_seconds(303))
 
 
 class TestGateOrdering:
@@ -470,7 +470,6 @@ class TestEngineHandshake:
             world.sim.run()
         assert all(r.outcome is RequestOutcome.GRANTED for r in results)
         assert host.responder.hip.challenges_issued >= 2
-        assert host.responder.hip.passes >= 2
 
     def test_solved_challenge_keeps_its_signature(self, make_world,
                                                   monkeypatch):
@@ -492,7 +491,7 @@ class TestEngineHandshake:
         assert all(r.outcome is RequestOutcome.GRANTED for r in results)
         # the answered requests passed the signature gate on their first
         # signature: one per request and one per grant, nothing re-signed
-        assert host.responder.hip.passes == 2
+        assert host.responder.hip.challenges_issued == 2
         assert host.responder.dropped_bad_signature == 0
         assert len(signatures) == 10
 
@@ -516,8 +515,7 @@ class TestForgedReplies:
         outcomes = []
         caller.place_call(host.fqdn, outcomes.append)
         world.sim.send(Packet(src=host.prime, dst=caller.address,
-                              payload=Refusal(request_id=1,
-                                              reason="permission denied")))
+                              payload=Refusal(request_id=1)))
         world.sim.run()
         assert outcomes == [CallOutcome.CONNECTED]
 

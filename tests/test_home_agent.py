@@ -252,9 +252,11 @@ class TestBlockReactivate:
         world = make_world()
         tag = attach(world, care_of=coa(1))
         hoa = world.agent.generate_home_address("host", tag)
-        assert world.agent.block_address("host", tag, hoa) is True
-        assert world.agent.block_address("host", tag, hoa) is True
+        world.agent.block_address("host", tag, hoa)
+        world.agent.block_address("host", tag, hoa)
         assert world.agent.state_of(hoa) is AddressState.BLOCKED
+        world.agent.reactivate_address("host", tag, hoa)
+        assert world.agent.state_of(hoa) is AddressState.ACTIVE
 
     def test_cross_host_block_rejected(self, make_world):
         world = make_world()
@@ -298,18 +300,19 @@ class TestBlockReactivate:
         hoa = world.agent.generate_home_address("host", tag)
         world.agent.deconfigure_address("host", tag, hoa)
         assert world.agent.state_of(hoa) is AddressState.DECONFIGURED
-        assert world.agent.reactivate_address("host", tag, hoa) is False
-        assert world.agent.block_address("host", tag, hoa) is False
+        world.agent.reactivate_address("host", tag, hoa)
+        world.agent.block_address("host", tag, hoa)
         assert world.agent.state_of(hoa) is AddressState.DECONFIGURED
-        # over the wire, the refusal is an ACK that says so
+        # over the wire, the request is ACKed and changes nothing
         world.sim.send(Packet(src=coa(1), dst=world.agent.admin_address,
                               payload=ManagementMessage(
                                   kind=ManagementKind.BLOCK_REQUEST,
                                   host_id="host", auth=tag, hoa=hoa)))
         world.sim.send(Packet(src=peer(5), dst=hoa, payload="x"))
         world.sim.run()
-        assert [(p.payload.kind, p.payload.hoa, p.payload.ok)
-                for _, p in sink.received] == [(ManagementKind.ACK, hoa, False)]
+        assert world.agent.state_of(hoa) is AddressState.DECONFIGURED
+        assert [(p.payload.kind, p.payload.hoa)
+                for _, p in sink.received] == [(ManagementKind.ACK, hoa)]
         assert world.agent.counters.dropped_unknown == 1
 
 

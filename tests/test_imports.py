@@ -440,10 +440,6 @@ def unread_fields(package_sources, program_sources) -> list[str]:
 # Record fields that the program writes and never reads, each with its
 # reason to stay.
 UNREAD_FIELDS = (
-    # refusal reports, which no host or caller acts on yet
-    "ManagementMessage.ok",
-    "Refusal.reason",
-    "CallReject.reason",
     # why a SAS pairing aborted and the two strings its humans compare;
     # pairing is test-only API (`MobileHost.pair_with`)
     "PairResult.abort_reason",

@@ -14,7 +14,6 @@ from dispo6.energy import DEFAULT_PARAMS, Battery, EnergyAccount
 from dispo6.engine import EPOCH, US_PER_SECOND, Packet, SimTime
 from dispo6.home_agent import Encapsulated, ManagementKind, ManagementMessage
 from dispo6.messages import (
-    PRIME_REJECT_REASON,
     CallReject,
     CallRequest,
     PeerBindingUpdate,
@@ -262,18 +261,19 @@ class TestCalls:
         world = make_world()
         host = make_host(world)
         caller = make_caller(world)
-        reasons = []
+        rejects = []
         original = caller.on_packet
 
         def spy(packet):
             if isinstance(packet.payload, CallReject):
-                reasons.append(packet.payload.reason)
+                rejects.append(packet.payload)
             original(packet)
 
         caller.on_packet = spy
         caller.learn_address(host.fqdn, host.prime)
         call_once(world, caller, host.fqdn)
-        assert reasons == [PRIME_REJECT_REASON]
+        # a caller numbers its calls from 1
+        assert rejects == [CallReject(call_id=1)]
 
     def test_first_call_runs_handshake_then_connects(self, make_world):
         world = make_world(pki=True)
@@ -408,13 +408,13 @@ class TestDisposal:
             message = packet.payload
             if (isinstance(message, ManagementMessage)
                     and message.kind is ManagementKind.ACK):
-                acks.append((message.hoa, message.ok))
+                acks.append(message.hoa)
             receive(packet)
 
         host.on_packet = spy
         host.dispose_address(hoa)
         world.sim.run()
-        assert acks == [(hoa, True)]
+        assert acks == [hoa]
         assert world.sim.counters.unroutable == 0
 
     def test_ro_prime_disposal_keeps_care_of(self, make_world):
