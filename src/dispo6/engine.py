@@ -1,9 +1,10 @@
 """Deterministic discrete-event engine: virtual time, nodes, message delivery.
 
-A seed drives two PRNGs: the engine's ``rng``, shared by the protocol
-(keys, interface ids, care-of addresses, SA tags), and the scenario's
-workload stream (call days and hours, attack starts), so what the protocol
-draws never moves a call. A (seed, scenario) pair fully determines a run.
+A seed drives three PRNGs: the engine's ``rng``, shared by the protocol
+(keys, interface ids, care-of addresses, SA tags), the scenario's workload
+stream (call days and hours) and its attack stream (attack starts), so
+neither what the protocol draws nor the attack moves a call. A (seed,
+scenario) pair fully determines a run.
 Time is fixed-point integer microseconds to keep day/hour arithmetic exact
 over 1000-day horizons.
 
@@ -158,19 +159,16 @@ class Packet:
 
 @dataclass(slots=True)
 class TrafficCounters:
-    """Engine-level accounting. sent = delivered + lost + unroutable + in_flight.
-
-    The link is lossless, so `lost` stays 0; it is kept as a key of the
-    run's metrics."""
+    """Engine-level accounting. The link is lossless, so
+    sent = delivered + unroutable + in_flight."""
 
     sent: int = 0
     delivered: int = 0
-    lost: int = 0
     unroutable: int = 0
     in_flight: int = 0
 
     def conserved(self) -> bool:
-        return self.sent == self.delivered + self.lost + self.unroutable + self.in_flight
+        return self.sent == self.delivered + self.unroutable + self.in_flight
 
 
 class PastEventError(Exception):

@@ -252,14 +252,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     1 + floor(ln(1-U) / ln(1-p)), which has the same joint law and costs
     one draw per call. A day's callers are visited in id order.
 
-    The workload (call days, call hours, the paper-mode coin and the
-    attack starts) is drawn from its own stream, so what the protocol
-    draws from `sim.rng` never moves a call.
+    The workload (call days, call hours and the paper-mode coin) is drawn
+    from its own stream, so what the protocol draws from `sim.rng` never
+    moves a call. The explicit-mode attack starts have a stream of their
+    own too, so runs with no attack, 4 h and 6 h attacks draw the same
+    calls.
     """
     config.validate()
     sim = Simulator(config.seed)
     # a str seed is hashed with SHA-512, whatever PYTHONHASHSEED is
     workload = random.Random(f"workload/{config.seed}")
+    attacks = random.Random(f"attack/{config.seed}")
     names = NameService()
     scheme = Ed25519Scheme() if config.pki_enabled else None
     ca = CertificateAuthority(scheme, sim.rng) if config.pki_enabled else None
@@ -333,12 +336,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             hoa = victim.grant_out_of_band(correspondents[corr_id].fqdn)
             if hoa is not None:
                 correspondents[corr_id].learn_address(VICTIM_FQDN, hoa)
-        if schedule is not None:
-            # drawn in both modes, so a mode switch leaves the stream alone
-            start = schedule.draw_start(workload)
-            if explicit:
-                block_prime_window(sim, victim, day_hour_us(day, start),
-                                   day_hour_us(day, start + schedule.daily_hours))
+        if schedule is not None and explicit:
+            start = schedule.draw_start(attacks)
+            block_prime_window(sim, victim, day_hour_us(day, start),
+                               day_hour_us(day, start + schedule.daily_hours))
         for i in sorted(calls_due.pop(day, ())):
             hour = CALL_WINDOW_START + workload.random() * window_hours
             slack = workload.random()  # paper-mode coincidence draw

@@ -180,8 +180,7 @@ class TestSend:
         world.sim.run()
         counters = world.sim.counters
         assert counters.in_flight == 0
-        assert counters.sent == (counters.delivered + counters.lost
-                                 + counters.unroutable)
+        assert counters.sent == counters.delivered + counters.unroutable
 
 
 class TestRouting:

@@ -36,7 +36,7 @@ from dispo6.mobile_host import (
     attached_victim,
 )
 from dispo6.monitor import DETECTION_THRESHOLD_PPS, DETECTION_WINDOW_S
-from dispo6.scenario import ScenarioConfig, run_scenario
+from dispo6.scenario import RejectionMode, ScenarioConfig, run_scenario
 
 
 def small_world(seed: int, correspondents: int):
@@ -175,6 +175,38 @@ def test_blocking_one_address_leaves_the_others_reachable():
     assert flooded == plain
     assert all(outcomes == [CallOutcome.CONNECTED] * 6
                for outcomes in flooded.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_attack_on_the_prime_moves_no_call_from_a_disposable(seed):
+    """"Blocking one address does not affect other addresses", at scenario
+    scale: with no attack, 4 h and 6 h attacks, in both rejection modes,
+    the same calls arrive; with no attack every call connects, and under
+    attack every call from a holder of a disposable still does.
+
+    Fails when the attack starts are drawn from the workload's stream:
+    the three attack settings then draw three different arrival sets. Fails
+    too on a prime disposal that blocks every active address, as the
+    holders' calls in the window then fail."""
+    arrivals, outcomes = set(), {}
+    for mode in RejectionMode:
+        for hours in (None, 4, 6):
+            records = run_scenario(ScenarioConfig(
+                seed=seed, horizon_days=300, correspondents=100,
+                daily_call_probability=0.02, attack_hours=hours,
+                rejection_mode=mode)).records
+            arrivals.add(tuple((r.day, r.correspondent_id, r.time)
+                               for r in records))
+            outcomes[mode, hours] = records
+    assert len(arrivals) == 1
+    for (_, hours), records in outcomes.items():
+        if hours is None:
+            assert all(r.outcome is CallOutcome.CONNECTED for r in records)
+        else:
+            assert any(r.outcome is CallOutcome.REJECTED_PRIME_BLOCKED
+                       for r in records)
+            assert all(r.outcome is CallOutcome.CONNECTED
+                       for r in records if r.had_disposable)
 
 
 def test_a_new_address_comes_out_of_band_or_by_handshake():
