@@ -182,6 +182,16 @@ def test_config_still_setting_removed_knob_exits_2(tmp_path, capsys):
     assert "unknown config keys: rejection_probability" in capsys.readouterr().err
 
 
+def test_config_with_a_mistyped_optional_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"attack_hours": "four"}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    assert ("attack_hours must be int or null, got 'four'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "config.yaml"
     path.write_text("seed: [1\n")

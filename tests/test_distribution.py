@@ -288,11 +288,15 @@ class TestHipGate:
     def test_late_answer_to_dropped_challenge_fails_once(self):
         gate = HipGate()
         late = gate.issue("bot", SimTime(0), request_id=1)
-        gate.issue("bot", SimTime.from_seconds(301), request_id=2)
+        live = gate.issue("bot", SimTime.from_seconds(301), request_id=2)
         assert late.challenge_id not in gate._outstanding
         answer = HipAnswer(late.challenge_id, HipGate.solution(late.challenge_id))
         assert not gate.verify(answer, SimTime.from_seconds(302))
         assert not gate.verify(answer, SimTime.from_seconds(303))
+        # the live challenge beside it passes, and only once
+        answer = HipAnswer(live.challenge_id, HipGate.solution(live.challenge_id))
+        assert gate.verify(answer, SimTime.from_seconds(304))
+        assert not gate.verify(answer, SimTime.from_seconds(305))
 
 
 class TestGateOrdering:

@@ -21,7 +21,7 @@ from dispo6.messages import (
     Pong,
     RouteOptimized,
 )
-from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode
+from dispo6.mobile_host import POOL_SIZE, MobileHost, Mode, check_invariants
 from dispo6.monitor import DETECTION_WINDOW_S, IntrusionMonitor
 from conftest import (ATTACKER_PREFIX, PEER_PREFIX, VISITED_PREFIX, binding_of,
                       home_addresses, record_deliveries)
@@ -328,6 +328,23 @@ class TestCalls:
         assert host.counters.calls_accepted == 0
         assert host.counters.non_hoa_dropped == (payload == "call_request")
 
+    def test_an_unknown_payload_to_a_disposable_is_dropped(self, make_world):
+        """A packet that no handler takes, to an active disposable, is
+        counted and gets no answer."""
+        world = make_world()
+        host = make_host(world)
+        caller = make_caller(world)
+        hoa = host.grant_out_of_band(caller.fqdn)
+        world.sim.run()
+        sent = world.sim.counters.sent
+        deliveries = record_deliveries(world.sim)
+        world.sim.send(Packet(caller.address, hoa, "unknown"))
+        world.sim.run()
+        assert [node for _, node, _ in deliveries] == [world.agent.node_id,
+                                                       host.node_id]
+        assert host.counters.non_hoa_dropped == 1
+        assert world.sim.counters.sent == sent + 2  # the packet and its tunnel
+
     def test_call_failure_marks_address_dead_then_rehandshake(self, make_world):
         world = make_world(pki=True)
         host = make_host(world)
@@ -529,6 +546,39 @@ class TestDisposal:
         assert account.dead
         assert host.address_states[host.prime] is AddressState.BLOCKED
         assert host.counters.reactivations == 0
+
+    def test_a_battery_that_dies_on_the_pong_sends_none(self, make_world):
+        """A ping whose receipt the battery covers, but not its pong: the
+        host counts the ping, dies as it arrives and sends nothing."""
+
+        def pinged_host(capacity):
+            world = make_world()
+            account = EnergyAccount(Battery(capacity=capacity),
+                                    DEFAULT_PARAMS, 10.0, EPOCH)
+            host = make_host(world, energy=account)
+            hoa = host.grant_out_of_band(make_caller(world).fqdn)
+            flooder = Flooder(world.sim, "flooder",
+                              Ipv6Address(ATTACKER_PREFIX, 0xA))
+            world.sim.run()
+            world.sim.send(Packet(flooder.address, hoa, Ping()))
+            return world, host, account, flooder
+
+        # the energy a large battery has spent when the ping arrives, one
+        # hop to the home agent and one through the tunnel
+        world, _, account, _ = pinged_host(Battery().capacity)
+        arrival_us = world.sim.now_us + 2 * world.sim._latency_us
+        account.advance(arrival_us)
+        spent = Battery().capacity - account.remaining
+        params = DEFAULT_PARAMS
+        world, host, account, flooder = pinged_host(
+            spent + params.e_rx + params.e_ack + params.e_tx / 2)
+        sent = world.sim.counters.sent
+        world.sim.run()
+        assert host.counters.pings == 1
+        assert flooder.stats.replies_received == 0
+        assert world.sim.counters.sent == sent + 1  # the tunnel, no pong
+        assert account.dead_at == SimTime(arrival_us)
+        check_invariants(world.sim, world.agent, account)
 
     def test_dispose_idempotent(self, make_world):
         world = make_world()
