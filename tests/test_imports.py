@@ -3,13 +3,13 @@ public module-level name is used somewhere in the repository, no public
 name or method but a listed few is used only by the tests, every
 parameter is read by its function, every defaulted parameter is passed
 and every scenario config field is set by some code outside the tests,
-every record field is read, every immutable record is a `record`, every
-record built through `tuple.__new__` is passed whole and has no check,
-only `messages` binds `tuple.__new__`, only the engine's one route lookup
-reads its route tables, no class is built through a named tuple, only
-the counters and the config are dataclasses, no module but the engine
-unwraps a `SimTime`, and importing the package loads no module that only
-an unused path needs."""
+every record field and instance attribute is read, every immutable
+record is a `record`, every record built through `tuple.__new__` is
+passed whole and has no check, only `messages` binds `tuple.__new__`,
+only the engine's one route lookup reads its route tables, no class is
+built through a named tuple, only the counters and the config are
+dataclasses, no module but the engine unwraps a `SimTime`, and importing
+the package loads no module that only an unused path needs."""
 
 import ast
 import hashlib
@@ -412,14 +412,55 @@ def record_fields(source: str) -> list[tuple[str, str, int]]:
     return fields
 
 
+def self_attributes(source: str) -> list[tuple[str, str, int]]:
+    """(class, attribute, line) for each store to an attribute of a
+    method's first parameter, `self`: an instance attribute."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.args.args):
+                continue
+            me = method.args.args[0].arg
+            found.extend((cls.name, node.attr, node.lineno)
+                         for node in ast.walk(method)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Store)
+                         and isinstance(node.value, ast.Name)
+                         and node.value.id == me)
+    return found
+
+
 def read_attributes(source: str) -> set[str]:
-    """Attributes looked up for their value; a store is not a read."""
-    return {node.attr for node in ast.walk(ast.parse(source))
+    """Attributes looked up for their value, by `x.name` or by `getattr`
+    with a constant name, or with a loop variable over a literal tuple or
+    list of names; a store is not a read."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    looped: dict[str, set[str]] = {}  # loop variable -> the names it takes
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, (ast.Tuple, ast.List))):
+            looped.setdefault(node.target.id, set()).update(
+                item.value for item in node.iter.elts
+                if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2):
+            name = node.args[1]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                read.add(name.value)
+            elif isinstance(name, ast.Name):
+                read |= looped.get(name.id, set())
+    return read
 
 
 def unread_fields(package_sources, program_sources) -> list[str]:
-    """`Class.field` for each field of a record or a dataclass in
+    """`Class.field` for each field of a record or a dataclass, and each
+    instance attribute that a class assigns on `self`, in
     `package_sources` that no source of the program loads as an attribute,
     sorted. `*Counters` records are written out whole (`asdict` into
     metrics.json), so they are left out.
@@ -432,9 +473,9 @@ def unread_fields(package_sources, program_sources) -> list[str]:
     read = set()
     for source in program_sources:
         read |= read_attributes(source)
-    return sorted(f"{cls}.{name}" for source in package_sources
-                  for cls, name, _ in record_fields(source)
-                  if not cls.endswith("Counters") and name not in read)
+    return sorted({f"{cls}.{name}" for source in package_sources
+                   for cls, name, _ in record_fields(source) + self_attributes(source)
+                   if not cls.endswith("Counters") and name not in read})
 
 
 # Record fields that the program writes and never reads, each with its
@@ -451,12 +492,21 @@ UNREAD_FIELDS = (
     "CallRecord.had_disposable",
 )
 
+# Instance attributes that the program assigns and never reads, each with
+# its reason to stay.
+UNREAD_ATTRIBUTES = (
+    # the key a grant or a SAS pairing taught; dropping it leaves
+    # `PairResult.key_seen_by_*` unread and `pair_with` inert
+    "AddressBookEntry.peer_pubkey",
+)
+UNREAD = UNREAD_FIELDS + UNREAD_ATTRIBUTES
+
 
 def test_every_record_field_is_read():
     # a field only the tests read is data the program does not use; an
     # exemption that the program comes to read leaves the list too
     package = [path.read_text() for path in MODULES]
-    assert unread_fields(package, program_sources()) == sorted(UNREAD_FIELDS)
+    assert unread_fields(package, program_sources()) == sorted(UNREAD)
 
 
 def test_unread_field_guard_flags_a_planted_field():
@@ -468,11 +518,30 @@ def test_unread_field_guard_flags_a_planted_field():
     package = [path.read_text() for path in MODULES
                if path.name != "messages.py"] + [planted]
     assert unread_fields(package, program_sources()) == sorted(
-        UNREAD_FIELDS + ("Pong.planted",))
+        UNREAD + ("Pong.planted",))
     # one load of the attribute anywhere in the program is a read
     reader = "def size(pong):\n    return pong.planted\n"
     assert unread_fields(package, program_sources() + [reader]) == sorted(
-        UNREAD_FIELDS)
+        UNREAD)
+
+
+def test_unread_field_guard_flags_a_planted_attribute():
+    # a tally only incremented, as `HipGate.passes` was, is never read
+    monitor = (PACKAGE / "monitor.py").read_text()
+    planted = monitor.replace(
+        "        self.threshold_pps = threshold_pps\n",
+        "        self.threshold_pps = threshold_pps\n"
+        "        self.planted = 0\n        self.planted += 1\n")
+    assert planted != monitor
+    package = [path.read_text() for path in MODULES
+               if path.name != "monitor.py"] + [planted]
+    assert unread_fields(package, program_sources()) == sorted(
+        UNREAD + ("IntrusionMonitor.planted",))
+    # a read by name, as the benchmark reads the ledger's fields, is a read
+    reader = ("def tally(monitor):\n"
+              "    return {f: getattr(monitor, f) for f in ('planted',)}\n")
+    assert unread_fields(package, program_sources() + [reader]) == sorted(
+        UNREAD)
 
 
 def test_unread_field_checker():
@@ -486,6 +555,16 @@ def test_unread_field_checker():
     assert record_fields(source) == [("A", "kept", 5), ("A", "lost", 6),
                                      ("P", "seen", 9)]
     assert read_attributes(source) == {"kept", "seen"}
+    source = (
+        "class K:\n"
+        "    def __init__(me, n):\n        me.size = n\n        me.hits = 0\n"
+        "    def hit(self, other):\n        self.hits += 1\n"
+        "        other.elsewhere = 1\n        self.size.x = 2\n"
+        "def f(k):\n    return getattr(k, 'size'), getattr(k, name)\n"
+        "rows = [getattr(k, a) for a in ('hits', 'x')]\n")
+    assert self_attributes(source) == [("K", "size", 3), ("K", "hits", 4),
+                                       ("K", "hits", 6)]
+    assert read_attributes(source) == {"size", "hits", "x"}
 
 
 def record_shapes(sources) -> dict[str, tuple[int, bool] | None]:
