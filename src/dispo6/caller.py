@@ -56,12 +56,10 @@ class AddressBookEntry:
     """Contact-manager row: the peer's address, where we call it. The
     address we granted the peer is the responder's `grants` entry."""
 
-    __slots__ = ("peer_fqdn", "peer_pubkey", "peer_address",
-                 "peer_known_blocked")
+    __slots__ = ("peer_fqdn", "peer_address", "peer_known_blocked")
 
     def __init__(self, peer_fqdn: str):
         self.peer_fqdn = peer_fqdn
-        self.peer_pubkey: bytes | None = None
         self.peer_address: Ipv6Address | None = None
         self.peer_known_blocked = False
 
@@ -126,14 +124,11 @@ class CallerNode(Node):
         return (entry is not None and entry.peer_address is not None
                 and not entry.peer_known_blocked)
 
-    def learn_address(self, fqdn: str, address: Ipv6Address,
-                      pubkey: bytes | None = None) -> None:
+    def learn_address(self, fqdn: str, address: Ipv6Address) -> None:
         """Out-of-band grant (in person, e-mail, messaging)."""
         entry = self.entry_for(fqdn)
         entry.peer_address = address
         entry.peer_known_blocked = False
-        if pubkey is not None:
-            entry.peer_pubkey = pubkey
 
     # -- protocol ------------------------------------------------------------
 
@@ -159,8 +154,7 @@ class CallerNode(Node):
                         result: RequestResult) -> None:
         del self._sessions[session.request_id]
         if result.outcome is RequestOutcome.GRANTED:
-            self.learn_address(session.target_fqdn, result.granted,
-                               result.responder_key)
+            self.learn_address(session.target_fqdn, result.granted)
         session.on_done(result)
 
     def place_call(self, target_fqdn: str,

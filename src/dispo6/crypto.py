@@ -118,8 +118,10 @@ class Certificate:
     public_key: bytes
     signature: bytes
 
-    def signed_bytes(self) -> bytes:
-        return encode_fields(self.subject.encode(), self.public_key)
+
+def _certificate_bytes(subject: str, public_key: bytes) -> bytes:
+    """What a CA signs to certify `public_key` for `subject`."""
+    return encode_fields(subject.encode(), public_key)
 
 
 class CertificateAuthority:
@@ -142,7 +144,7 @@ class CertificateAuthority:
         return self._keys.public
 
     def issue(self, subject: str, public_key: bytes) -> Certificate:
-        body = encode_fields(subject.encode(), public_key)
+        body = _certificate_bytes(subject, public_key)
         certificate = Certificate(subject=subject, public_key=public_key,
                                   signature=self.scheme.sign(self._keys, body))
         self._valid.add(certificate)
@@ -150,20 +152,20 @@ class CertificateAuthority:
 
     def verify(self, certificate: Certificate) -> bool:
         if certificate not in self._valid:
-            if not self.scheme.verify(self.public_key,
-                                      certificate.signed_bytes(),
+            body = _certificate_bytes(certificate.subject,
+                                      certificate.public_key)
+            if not self.scheme.verify(self.public_key, body,
                                       certificate.signature):
                 return False
             self._valid.add(certificate)
         return True
 
-    def certified_key(self, certificate: Certificate | None, subject: str,
-                      message: bytes, signature: bytes) -> bytes | None:
-        """The signer's key if this CA certified it for `subject` and it
-        signed `message`, else None: the one check on a peer's signature."""
-        if (certificate is None or certificate.subject != subject
-                or not self.verify(certificate)
-                or not self.scheme.verify(certificate.public_key, message,
-                                          signature)):
-            return None
-        return certificate.public_key
+    def certifies(self, certificate: Certificate | None, subject: str,
+                  message: bytes, signature: bytes) -> bool:
+        """Whether this CA certified `certificate`'s key for `subject` and
+        that key signed `message`: the one check on a peer's signature.
+        Nobody keeps the key; each handshake checks it afresh."""
+        return (certificate is not None and certificate.subject == subject
+                and self.verify(certificate)
+                and self.scheme.verify(certificate.public_key, message,
+                                       signature))

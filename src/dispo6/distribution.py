@@ -10,13 +10,17 @@ only notified of requests that already passed every gate.
 Each side says each thing once. Each end has one identity, its owning
 node: the session reads its `CallerNode`, the responder its `MobileHost`,
 and neither copies the keys, certificate, CA or signature policy. Both
-sides check the peer's certified signature through the one
-`CertificateAuthority.certified_key`. Each signs the bytes of its
-message's fields first and then builds the message once, signature and
-certificate in place; a request re-sent with a HIP answer keeps its
-first signature. The responder's `grants` is the host's only record
-of which address each peer holds, and its deny list (fed by
-`MobileHost.spit_block`) is the one permission policy.
+sides sign through the one `_sign` and trust a peer's signature through
+the one `_trusts`, which asks `CertificateAuthority.certifies`; nobody
+keeps a peer's key. Each signs the bytes of its message's fields first
+and then builds the message once, signature and certificate in place; a
+request re-sent with a HIP answer keeps its first signature. A HIP answer
+is the challenge's id: the gate binds a challenge to neither its
+requester nor its difficulty, so presenting an outstanding id is the
+whole check, and the human's cost is the solve time. The responder's
+`grants` is the host's only record of which address each peer holds, and
+its deny list (fed by `MobileHost.spit_block`) is the one permission
+policy.
 """
 
 import hashlib
@@ -50,12 +54,6 @@ _HIP_TTL_US = round(HIP_TTL_S * US_PER_SECOND)
 
 
 @record
-class HipAnswer:
-    challenge_id: int
-    answer: bytes
-
-
-@record
 class AddressRequest:
     """Signed ask for a disposable home address, sent to a prime address."""
 
@@ -64,13 +62,9 @@ class AddressRequest:
     request_id: int
     signature: bytes = b""
     certificate: Certificate | None = None
-    hip_answer: HipAnswer | None = None
-
-    def signed_bytes(self) -> bytes:
-        # The HIP answer is excluded so a challenged request can be
-        # re-presented with its answer under the original signature.
-        return _request_bytes(self.requester_fqdn, self.reply_to,
-                              self.request_id)
+    # a challenge id, outside the signed bytes: a challenged request is
+    # re-presented with it under the original signature
+    hip_answer: int | None = None
 
 
 def _request_bytes(requester_fqdn: str, reply_to: Ipv6Address,
@@ -90,13 +84,28 @@ class AddressResponse:
     signature: bytes = b""
     certificate: Certificate | None = None
 
-    def signed_bytes(self) -> bytes:
-        return _response_bytes(self.granted, self.request_digest)
-
 
 def _response_bytes(granted: Ipv6Address, request_digest: bytes) -> bytes:
     """What an `AddressResponse` with these fields signs, before it is built."""
     return encode_fields(b"hoa-response", granted.packed, request_digest)
+
+
+def _sign(node: "CallerNode", message: bytes) -> tuple[bytes, Certificate | None]:
+    """`node`'s signature over `message` and its certificate; neither for
+    a node without a scheme and keys."""
+    if node.scheme is None or node.keys is None:
+        return b"", None
+    return node.scheme.sign(node.keys, message), node.certificate
+
+
+def _trusts(node: "CallerNode", signer_fqdn: str,
+            certificate: Certificate | None, message: bytes,
+            signature: bytes) -> bool:
+    """Whether `node` takes `message` as from `signer_fqdn`: a node that
+    requires signatures takes only what its CA certifies for that name."""
+    return not node.require_signed_response or (
+        node.ca is not None and node.ca.certifies(certificate, signer_fqdn,
+                                                  message, signature))
 
 
 @record
@@ -139,11 +148,6 @@ class HipGate:
         self._ids = itertools.count(1)
         self.challenges_issued = 0
 
-    @staticmethod
-    def solution(challenge_id: int) -> bytes:
-        """The puzzle is abstract: producing this costs human seconds, checking is free."""
-        return hashlib.sha256(b"hip:" + challenge_id.to_bytes(8, "big")).digest()[:8]
-
     def issue(self, source: str, now_us: int, request_id: int) -> HipChallengeMsg:
         # challenges are issued in time order, so a window other than the
         # last one is a further one
@@ -178,10 +182,9 @@ class HipGate:
         return HipChallengeMsg(challenge_id=challenge_id,
                                difficulty_s=difficulty, request_id=request_id)
 
-    def verify(self, answer: HipAnswer, now_us: int) -> bool:
-        issued_us = self._outstanding.pop(answer.challenge_id, None)  # single use
-        return (issued_us is not None and now_us - issued_us <= _HIP_TTL_US
-                and answer.answer == self.solution(answer.challenge_id))
+    def verify(self, challenge_id: int, now_us: int) -> bool:
+        issued_us = self._outstanding.pop(challenge_id, None)  # single use
+        return issued_us is not None and now_us - issued_us <= _HIP_TTL_US
 
 
 # perfbench/tracing.py counts grants as the replies of this type
@@ -213,12 +216,10 @@ class DistributionResponder:
                        ) -> AddressResponse | HipChallengeMsg | Refusal | None:
         """The reply to send back to `request.reply_to`, or None to drop it."""
         owner, fqdn = self.owner, request.requester_fqdn
-        signed = request.signed_bytes()
+        signed = _request_bytes(fqdn, request.reply_to, request.request_id)
         # a host that wants signed answers also wants signed requests
-        if owner.require_signed_response and (
-                owner.ca is None or owner.ca.certified_key(
-                    request.certificate, fqdn, signed,
-                    request.signature) is None):
+        if not _trusts(owner, fqdn, request.certificate, signed,
+                       request.signature):
             self.dropped_bad_signature += 1
             return None
         hip = self.hip
@@ -232,10 +233,7 @@ class DistributionResponder:
             self.refusals += 1
             return Refusal(request_id=request.request_id)
         digest = hashlib.sha256(signed).digest()
-        signature, certificate = b"", None
-        if owner.scheme is not None and owner.keys is not None:
-            signature = owner.scheme.sign(owner.keys, _response_bytes(hoa, digest))
-            certificate = owner.certificate
+        signature, certificate = _sign(owner, _response_bytes(hoa, digest))
         return _tuple_new(AddressResponse, (
             hoa, digest, request.request_id, signature, certificate))
 
@@ -264,7 +262,6 @@ class RequestOutcome(Enum):
 class RequestResult:
     outcome: RequestOutcome
     granted: Ipv6Address | None = None
-    responder_key: bytes | None = None
 
 
 @record
@@ -273,7 +270,7 @@ class SessionTimer:
 
     request_id: int
     gen: int
-    challenge: HipChallengeMsg | None = None  # the solve timer's; else the deadline
+    challenge_id: int | None = None  # the solve timer's; else the deadline
 
 
 class InitiatorSession:
@@ -304,10 +301,7 @@ class InitiatorSession:
         self._gen = 0
         fqdn = owner.fqdn
         signed = _request_bytes(fqdn, reply_to, request_id)
-        signature, certificate = b"", None
-        if owner.scheme is not None and owner.keys is not None:
-            signature = owner.scheme.sign(owner.keys, signed)
-            certificate = owner.certificate
+        signature, certificate = _sign(owner, signed)
         self._base_request = _tuple_new(AddressRequest, (
             fqdn, reply_to, request_id, signature, certificate, None))
         # the signed bytes leave the HIP answer out, so re-sends share it
@@ -318,22 +312,22 @@ class InitiatorSession:
         self._arm()
 
     def _arm(self, delay_s: float = REQUEST_TIMEOUT_S,
-             challenge: HipChallengeMsg | None = None) -> None:
+             challenge_id: int | None = None) -> None:
         self._gen += 1
         owner = self.owner
         owner.sim.call_in(delay_s, owner.node_id,
                           _tuple_new(SessionTimer, (self.request_id,
-                                                    self._gen, challenge)))
+                                                    self._gen, challenge_id)))
 
     def on_message(self, payload: object) -> None:
         if isinstance(payload, HipChallengeMsg):
             if not self.owner.solve_hip:
                 return  # bot: let the deadline expire
-            self._arm(payload.difficulty_s, payload)
+            self._arm(payload.difficulty_s, payload.challenge_id)
             return
         if isinstance(payload, Refusal):
             self.owner._finish_request(self, _tuple_new(
-                RequestResult, (RequestOutcome.REFUSED, None, None)))
+                RequestResult, (RequestOutcome.REFUSED, None)))
             return
         if isinstance(payload, AddressResponse):
             self._handle_response(payload)
@@ -341,32 +335,24 @@ class InitiatorSession:
     def on_timer(self, token: SessionTimer) -> None:
         if token.gen != self._gen:
             return
-        challenge = token.challenge
-        if challenge is not None:
-            answer = HipAnswer(challenge_id=challenge.challenge_id,
-                               answer=HipGate.solution(challenge.challenge_id))
-            self.owner._send_request(
-                self, self._base_request._replace(hip_answer=answer))
+        if token.challenge_id is not None:
+            self.owner._send_request(self, self._base_request._replace(
+                hip_answer=token.challenge_id))
             self._arm()
             return
         self.owner._finish_request(self, _tuple_new(
-            RequestResult, (RequestOutcome.TIMEOUT, None, None)))
+            RequestResult, (RequestOutcome.TIMEOUT, None)))
 
     def _handle_response(self, response: AddressResponse) -> None:
         if response.request_digest != self._request_digest:
             return
-        responder_key = None
         owner = self.owner
-        if owner.require_signed_response:
-            if owner.ca is not None:
-                responder_key = owner.ca.certified_key(
-                    response.certificate, self.target_fqdn,
-                    response.signed_bytes(), response.signature)
-            if responder_key is None:
-                owner._finish_request(self, _tuple_new(RequestResult, (
-                    RequestOutcome.BAD_SIGNATURE, None, None)))
-                return
-        elif response.certificate is not None:
-            responder_key = response.certificate.public_key
+        if not _trusts(owner, self.target_fqdn, response.certificate,
+                       _response_bytes(response.granted,
+                                       response.request_digest),
+                       response.signature):
+            owner._finish_request(self, _tuple_new(RequestResult, (
+                RequestOutcome.BAD_SIGNATURE, None)))
+            return
         owner._finish_request(self, _tuple_new(RequestResult, (
-            RequestOutcome.GRANTED, response.granted, responder_key)))
+            RequestOutcome.GRANTED, response.granted)))

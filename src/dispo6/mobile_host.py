@@ -557,7 +557,8 @@ class MobileHost(CallerNode):
     # -- certificateless pairing ----------------------------------------------
 
     def pair_with(self, peer: "MobileHost") -> "PairResult":
-        """In-person pairing: exchange keys and disposables over a SAS check."""
+        """In-person pairing: exchange disposables once a SAS check over
+        both keys confirms that no one sat between the two hosts."""
         # `sas` loads here, not with this module: every run imports this
         # module, and none pairs
         from .sas import run_pairing
@@ -568,8 +569,8 @@ class MobileHost(CallerNode):
         if result.confirmed:
             ours = self.grant_out_of_band(peer.fqdn)
             theirs = peer.grant_out_of_band(self.fqdn)
-            self.learn_address(peer.fqdn, theirs, result.key_seen_by_initiator)
-            peer.learn_address(self.fqdn, ours, result.key_seen_by_responder)
+            self.learn_address(peer.fqdn, theirs)
+            peer.learn_address(self.fqdn, ours)
         return result
 
 

@@ -74,8 +74,6 @@ class PairResult:
     abort_reason: SasAbort | None
     initiator_sas: str | None
     responder_sas: str | None
-    key_seen_by_initiator: bytes | None
-    key_seen_by_responder: bytes | None
 
 
 class DirectChannel:
@@ -112,9 +110,7 @@ def run_pairing(rng: random.Random, initiator_key: bytes, responder_key: bytes,
     reveal = channel.forward_reveal(RevealMessage(initiator_nonce))
     if commitment(reveal.nonce) != commit.commitment:
         return PairResult(confirmed=False, abort_reason=SasAbort.COMMIT_MISMATCH,
-                          initiator_sas=None, responder_sas=None,
-                          key_seen_by_initiator=share.public_key,
-                          key_seen_by_responder=commit.public_key)
+                          initiator_sas=None, responder_sas=None)
     initiator_sas = compute_sas(initiator_nonce, share.nonce,
                                 initiator_key, share.public_key, sas_bits)
     responder_sas = compute_sas(reveal.nonce, responder_nonce,
@@ -122,6 +118,4 @@ def run_pairing(rng: random.Random, initiator_key: bytes, responder_key: bytes,
     match = initiator_sas == responder_sas
     return PairResult(confirmed=match,
                       abort_reason=None if match else SasAbort.SAS_MISMATCH,
-                      initiator_sas=initiator_sas, responder_sas=responder_sas,
-                      key_seen_by_initiator=share.public_key,
-                      key_seen_by_responder=commit.public_key)
+                      initiator_sas=initiator_sas, responder_sas=responder_sas)

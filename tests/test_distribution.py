@@ -13,12 +13,12 @@ from dispo6.distribution import (
     DistributionResponder,
     HIP_TTL_S,
     HIP_WINDOW_S,
-    HipAnswer,
     HipChallengeMsg,
     HipGate,
     MAX_HIP_DIFFICULTY_S,
     Refusal,
     RequestOutcome,
+    _request_bytes,
 )
 from dispo6.engine import US_PER_DAY, Packet, SimTime
 from dispo6.caller import CallerNode, CallOutcome
@@ -62,7 +62,8 @@ def request(fqdn="alice.example", request_id=1, hip_answer=None,
         cert = ca.issue(fqdn, keys.public)
         req = AddressRequest(requester_fqdn=fqdn, reply_to=PEER,
                              request_id=request_id,
-                             signature=scheme.sign(keys, req.signed_bytes()),
+                             signature=scheme.sign(
+                                 keys, _request_bytes(fqdn, PEER, request_id)),
                              certificate=cert, hip_answer=hip_answer)
     return req
 
@@ -132,7 +133,8 @@ class TestResponderGates:
     def test_grant_encodes_the_signed_request_once(self, monkeypatch):
         responder, _, signer = make_responder(pki=True)
         req = request(signer=signer)
-        digest = hashlib.sha256(req.signed_bytes()).digest()
+        digest = hashlib.sha256(_request_bytes(
+            req.requester_fqdn, req.reply_to, req.request_id)).digest()
         encoded = count_encodes(monkeypatch)
         reply = responder.handle_request(req, 0)
         assert isinstance(reply, AddressResponse)
@@ -261,23 +263,23 @@ class TestHipGate:
     def test_verify_single_use_and_replay(self):
         gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
-        answer = HipAnswer(challenge.challenge_id,
-                           HipGate.solution(challenge.challenge_id))
+        answer = challenge.challenge_id
         assert gate.verify(answer, SimTime.from_seconds(10))
         assert not gate.verify(answer, SimTime.from_seconds(11))  # replay
 
-    def test_wrong_answer_fails(self):
+    def test_an_id_never_issued_fails(self):
         gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
-        assert not gate.verify(HipAnswer(challenge.challenge_id, b"nope"),
+        assert not gate.verify(challenge.challenge_id + 1,
                                SimTime.from_seconds(1))
+        # and leaves the issued one outstanding
+        assert gate.verify(challenge.challenge_id, SimTime.from_seconds(2))
 
     def test_expired_challenge_fails(self):
         gate = HipGate()
         challenge = gate.issue("alice", SimTime(0), request_id=1)
-        answer = HipAnswer(challenge.challenge_id,
-                           HipGate.solution(challenge.challenge_id))
-        assert not gate.verify(answer, SimTime.from_seconds(301))
+        assert not gate.verify(challenge.challenge_id,
+                               SimTime.from_seconds(301))
 
     def test_unanswered_challenges_expire(self):
         gate = HipGate()
@@ -290,13 +292,11 @@ class TestHipGate:
         late = gate.issue("bot", SimTime(0), request_id=1)
         live = gate.issue("bot", SimTime.from_seconds(301), request_id=2)
         assert late.challenge_id not in gate._outstanding
-        answer = HipAnswer(late.challenge_id, HipGate.solution(late.challenge_id))
-        assert not gate.verify(answer, SimTime.from_seconds(302))
-        assert not gate.verify(answer, SimTime.from_seconds(303))
+        assert not gate.verify(late.challenge_id, SimTime.from_seconds(302))
+        assert not gate.verify(late.challenge_id, SimTime.from_seconds(303))
         # the live challenge beside it passes, and only once
-        answer = HipAnswer(live.challenge_id, HipGate.solution(live.challenge_id))
-        assert gate.verify(answer, SimTime.from_seconds(304))
-        assert not gate.verify(answer, SimTime.from_seconds(305))
+        assert gate.verify(live.challenge_id, SimTime.from_seconds(304))
+        assert not gate.verify(live.challenge_id, SimTime.from_seconds(305))
 
 
 class TestGateOrdering:
@@ -325,10 +325,9 @@ class TestGateOrdering:
         reply = responder.handle_request(request(request_id=3), SimTime(3))
         assert isinstance(reply, HipChallengeMsg)
         notifications_before = responder.notifications
-        answer = HipAnswer(reply.challenge_id,
-                           HipGate.solution(reply.challenge_id))
         granted = responder.handle_request(
-            request(request_id=3, hip_answer=answer), SimTime.from_seconds(2))
+            request(request_id=3, hip_answer=reply.challenge_id),
+            SimTime.from_seconds(2))
         assert isinstance(granted, AddressResponse)
         assert responder.notifications == notifications_before + 1
 
@@ -344,7 +343,6 @@ class TestEngineHandshake:
         assert len(results) == 1
         assert results[0].outcome is RequestOutcome.GRANTED
         assert results[0].granted.prefix == HOME_PREFIX
-        assert results[0].responder_key == host.keys.public
 
     def test_session_encodes_the_signed_request_once(self, make_world,
                                                      monkeypatch):
@@ -432,9 +430,8 @@ class TestEngineHandshake:
         assert caller._sessions == {}
         assert not caller.has_address_for(host.fqdn)
 
-    def test_unverifying_caller_takes_the_certified_key(self, make_world):
-        # a caller that does not require signed responses still learns
-        # the key the grant's certificate names
+    def test_an_unverifying_caller_is_granted(self, make_world):
+        # a caller that does not require signed responses takes the grant
         world = make_world(pki=True)
         host = make_host(world)
         fqdn = "lax.peers.example"
@@ -446,8 +443,7 @@ class TestEngineHandshake:
         caller.request_address(host.fqdn, results.append)
         world.sim.run()
         assert [r.outcome for r in results] == [RequestOutcome.GRANTED]
-        assert results[0].responder_key == host.keys.public
-        assert caller.entry_for(host.fqdn).peer_pubkey == host.keys.public
+        assert caller.has_address_for(host.fqdn)
 
     def test_bot_that_cannot_solve_gets_nothing(self, make_world):
         world = make_world()

@@ -494,11 +494,7 @@ UNREAD_FIELDS = (
 
 # Instance attributes that the program assigns and never reads, each with
 # its reason to stay.
-UNREAD_ATTRIBUTES = (
-    # the key a grant or a SAS pairing taught; dropping it leaves
-    # `PairResult.key_seen_by_*` unread and `pair_with` inert
-    "AddressBookEntry.peer_pubkey",
-)
+UNREAD_ATTRIBUTES = ()
 UNREAD = UNREAD_FIELDS + UNREAD_ATTRIBUTES
 
 

@@ -901,8 +901,6 @@ class TestPairing:
         result = a.pair_with(b)
         assert result.confirmed
         mine, theirs = a.book[b.fqdn], b.book[a.fqdn]
-        assert mine.peer_pubkey == b.keys.public
-        assert theirs.peer_pubkey == a.keys.public
         assert mine.peer_address == b.responder.grants[a.fqdn]
         assert theirs.peer_address == a.responder.grants[b.fqdn]
         assert b.address_states[mine.peer_address] is AddressState.ACTIVE

@@ -53,8 +53,6 @@ class TestHonestRun:
         result = run_pairing(rng, b"A" * 32, b"B" * 32, sas_bits=16)
         assert result.confirmed
         assert result.initiator_sas == result.responder_sas
-        assert result.key_seen_by_initiator == b"B" * 32
-        assert result.key_seen_by_responder == b"A" * 32
 
     def test_hundred_percent_honest_success(self):
         rng = random.Random(2)
