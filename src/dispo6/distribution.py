@@ -286,7 +286,9 @@ class InitiatorSession:
     finishes, so a finished session gets neither. A HIP challenge is
     answered after its difficulty in simulated seconds (the human at the
     keyboard), unless the owner's solve_hip is off, which models a bot
-    that cannot solve puzzles. The answer rides on the request already
+    that cannot solve puzzles. A difficulty outside the gate's range
+    (0, `MAX_HIP_DIFFICULTY_S`] is ignored and the deadline kept, since
+    no timer could hold it. The answer rides on the request already
     signed: the signature does not cover it.
     """
 
@@ -321,9 +323,10 @@ class InitiatorSession:
 
     def on_message(self, payload: object) -> None:
         if isinstance(payload, HipChallengeMsg):
-            if not self.owner.solve_hip:
-                return  # bot: let the deadline expire
-            self._arm(payload.difficulty_s, payload.challenge_id)
+            # otherwise the deadline expires
+            if (self.owner.solve_hip
+                    and 0 < payload.difficulty_s <= MAX_HIP_DIFFICULTY_S):
+                self._arm(payload.difficulty_s, payload.challenge_id)
             return
         if isinstance(payload, Refusal):
             self.owner._finish_request(self, _tuple_new(

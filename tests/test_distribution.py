@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from types import SimpleNamespace
 
@@ -20,8 +21,10 @@ from dispo6.distribution import (
     RequestOutcome,
     _request_bytes,
 )
-from dispo6.engine import US_PER_DAY, Packet, SimTime
+from dispo6.engine import US_PER_DAY, US_PER_SECOND, Packet, SimTime
 from dispo6.caller import CallerNode, CallOutcome
+from dispo6.mobile_host import MobileHost
+from conftest import VISITED_PREFIX
 from test_mobile_host import call_once, make_caller, make_host
 
 HOME_PREFIX = 0x20010DB800010000
@@ -152,6 +155,18 @@ class TestResponderGates:
                              signature=req.signature,
                              certificate=req.certificate)
         assert responder.handle_request(bad, SimTime(0)) is None
+
+    def test_a_certificate_for_another_name_is_dropped(self):
+        responder, _, (scheme, ca, rng) = make_responder(pki=True)
+        keys = scheme.generate(rng)
+        # a genuine certificate and a good signature, both for mallory
+        req = AddressRequest(
+            requester_fqdn="alice.example", reply_to=PEER, request_id=1,
+            signature=scheme.sign(keys, _request_bytes("alice.example",
+                                                       PEER, 1)),
+            certificate=ca.issue("mallory.example", keys.public))
+        assert responder.handle_request(req, 0) is None
+        assert responder.dropped_bad_signature == 1
 
 
 class TestHipGate:
@@ -445,6 +460,20 @@ class TestEngineHandshake:
         assert [r.outcome for r in results] == [RequestOutcome.GRANTED]
         assert caller.has_address_for(host.fqdn)
 
+    def test_a_grant_certified_for_another_name_is_refused(self,
+                                                           make_world):
+        world = make_world(pki=True)
+        host = make_host(world)
+        host.certificate = world.ca.issue("other.home.example",
+                                          host.keys.public)
+        caller = make_caller(world)
+        results = []
+        caller.request_address(host.fqdn, results.append)
+        world.sim.run()
+        assert host.responder.granted_total == 1  # the grant went out
+        assert [r.outcome for r in results] == [RequestOutcome.BAD_SIGNATURE]
+        assert not caller.has_address_for(host.fqdn)
+
     def test_bot_that_cannot_solve_gets_nothing(self, make_world):
         world = make_world()
         host = make_host(world)
@@ -519,8 +548,6 @@ class TestForgedReplies:
         world.sim.run()
         assert outcomes == [CallOutcome.CONNECTED]
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=FORGED_REASON)
     def test_a_forged_challenge_does_not_outlive_the_deadline(self,
                                                               make_world):
         world = make_world(pki=True)
@@ -537,3 +564,84 @@ class TestForgedReplies:
         world.sim.run_until(world.sim.now_us + 30 * US_PER_DAY)
         assert outcomes == [CallOutcome.REJECTED_PRIME_BLOCKED]
         assert caller._sessions == {}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=FORGED_REASON)
+    def test_a_forged_challenge_in_range_keeps_the_deadline(self, make_world):
+        # the gate could issue this difficulty, so the session takes it
+        # and waits a day of human work in place of its 3 s deadline
+        outcomes, after_s, _ = place_call_with_a_forged_challenge(
+            make_world(pki=True), MAX_HIP_DIFFICULTY_S)
+        assert outcomes == [CallOutcome.REJECTED_PRIME_BLOCKED]
+        assert after_s == [distribution.REQUEST_TIMEOUT_S]
+
+
+class TestTrustWithoutACa:
+    """A node that requires signatures but has no CA to check them with
+    trusts nothing: the rule is one for both ends of the handshake."""
+
+    def test_a_host_without_a_ca_drops_every_request(self, make_world):
+        world = make_world(pki=True)
+        host = MobileHost(world.sim, "host", "alice.home.example", world.names,
+                          scheme=world.scheme, pki_required=True)
+        host.attach(world.agent, VISITED_PREFIX)
+        caller = make_caller(world)
+        results = []
+        for _ in range(3):
+            caller.request_address(host.fqdn, results.append)
+            world.sim.run()
+        assert [r.outcome for r in results] == [RequestOutcome.TIMEOUT] * 3
+        assert host.responder.dropped_bad_signature == 3
+        assert host.responder.notifications == 0
+
+    def test_a_caller_without_a_ca_takes_no_signed_grant(self, make_world):
+        world = make_world(pki=True)
+        host = make_host(world)
+        fqdn = "strict.peers.example"
+        keys = world.scheme.generate(world.sim.rng)
+        caller = CallerNode(world.sim, "strict", fqdn, PEER, world.names,
+                            scheme=world.scheme, keys=keys,
+                            certificate=world.ca.issue(fqdn, keys.public),
+                            require_signed_response=True)
+        results = []
+        caller.request_address(host.fqdn, results.append)
+        world.sim.run()
+        assert host.responder.granted_total == 1  # signed, and sent
+        assert [r.outcome for r in results] == [RequestOutcome.BAD_SIGNATURE]
+        assert call_once(world, caller, host.fqdn) is CallOutcome.FAILED
+
+
+def place_call_with_a_forged_challenge(world, difficulty_s: float):
+    """A call to a host whose prime is blocked, with a challenge of
+    `difficulty_s` forged from the prime; (outcomes, each outcome's
+    time after the call was placed, in s, the caller) once the run ends
+    or 30 days have passed."""
+    host = make_host(world)
+    caller = make_caller(world)
+    host.dispose_address(host.prime, auto_reactivate=False)
+    world.sim.run()
+    placed_us = world.sim.now_us
+    outcomes, after_s = [], []
+
+    def resolved(outcome):
+        outcomes.append(outcome)
+        after_s.append((world.sim.now_us - placed_us) / US_PER_SECOND)
+
+    caller.place_call(host.fqdn, resolved)
+    world.sim.send(Packet(src=host.prime, dst=caller.address,
+                          payload=HipChallengeMsg(challenge_id=1,
+                                                  difficulty_s=difficulty_s,
+                                                  request_id=1)))
+    world.sim.run_until(placed_us + 30 * US_PER_DAY)
+    return outcomes, after_s, caller
+
+
+@pytest.mark.parametrize("difficulty_s", [-1.0, math.nan, math.inf, 1e9])
+def test_a_challenge_the_gate_cannot_issue_keeps_the_deadline(
+        make_world, difficulty_s):
+    # taken, each of these once crashed the run or stalled the call
+    outcomes, after_s, caller = place_call_with_a_forged_challenge(
+        make_world(pki=True), difficulty_s)
+    assert outcomes == [CallOutcome.REJECTED_PRIME_BLOCKED]
+    assert after_s == [distribution.REQUEST_TIMEOUT_S]
+    assert caller._sessions == {}
